@@ -3,7 +3,7 @@ spaces: finite groups as Cayley tables, a symbolic space calculus with its
 p-adic loop operator, the p-derivation on height profiles, and the
 layer-splitting elements, all over exact rationals."""
 
-from .errors import InputError, PifiniteError, ResourceBudgetError
+from .errors import InputError, InvariantError, PifiniteError, ResourceBudgetError
 from .groups import (ConjugacyClass, Cyclic, Dihedral, DirectProduct, FiniteGroup,
                      GroupDescriptor, Symmetric, Wreath, build_group, centralizer,
                      conjugacy_classes, count_commuting_p_tuples, direct_product,

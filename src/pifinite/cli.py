@@ -211,13 +211,16 @@ def _check_fiber_formula() -> tuple[bool, str]:
 
 
 def _check_form_kernel() -> tuple[bool, str]:
-    r34 = count_null_square_two_forms(3, 4)
-    ok = r34.kernel_count == 261 == decomposable_form_count(3, 4)
+    counts = {(p, n): count_null_square_two_forms(p, n).kernel_count
+              for p, n in ((3, 4), (5, 4), (7, 4), (3, 5))}
+    ok = counts[3, 4] == 261
+    ok &= all(c == decomposable_form_count(p, n) for (p, n), c in counts.items())
     for p in (3, 5):
         for n in (1, 2, 3):
             r = count_null_square_two_forms(p, n)
             ok &= r.kernel_count == r.total_forms
-    return ok, f"kernel count at (3, 4) is {r34.kernel_count}"
+    return ok, (f"kernel count at (3, 4) is {counts[3, 4]}; "
+                "(5, 4), (7, 4), (3, 5) match the closed form")
 
 
 def _check_wreath_grid() -> tuple[bool, str]:

@@ -1,6 +1,8 @@
 """Exception hierarchy shared by the library and the command line tool.
 
 The CLI maps these onto its exit codes: InputError -> 1, ResourceBudgetError -> 2.
+InvariantError has no exit code: it signals a defect in the package, not in the
+input, so it propagates.
 """
 
 
@@ -15,3 +17,8 @@ class InputError(PifiniteError, ValueError):
 class ResourceBudgetError(PifiniteError, RuntimeError):
     """A computation would exceed a configured size budget (group order cap,
     enumeration budget, iterate digit budget)."""
+
+
+class InvariantError(PifiniteError, RuntimeError):
+    """A mathematical invariant the package relies on failed to hold; unlike an
+    ``assert``, the check also runs under ``python -O``."""

@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, InvariantError, ResourceBudgetError
 from .groups import Cyclic, FiniteGroup, build_group, count_commuting_p_tuples, \
     direct_product, wreath_cyclic
 from .rationals import ExactRational, RationalLike, binom_ext, require_prime, vp
@@ -285,7 +285,8 @@ def beta_element(p: int, k: int, *, max_k: int = DEFAULT_BETA_MAX_K) -> R1Elemen
         return p * R1Element.group_symbol(c_p) - 1
     gamma_k = delta_iter(p ** (k - 1), p, k - 1)
     b = int(gamma_k) % p
-    assert b != 0, "the layer-k value is a p-adic unit"
+    if b == 0:
+        raise InvariantError(f"the layer-{k} value is not a p-adic unit")
     return R1Element((((c_p, k - 1), 1),), -b)
 
 

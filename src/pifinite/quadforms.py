@@ -4,22 +4,30 @@ in degrees 2 and 4.
 
 This is the one corner of the package where a nontrivial Postnikov
 invariant enters; everything reduces to exact counting over F_p plus one
-explicit rational formula, and the two routes cross-check each other.
+explicit rational formula.  The kernel count has two routes that
+cross-check each other.  ``count_null_square_two_forms`` decides every form
+by the Pluecker relations themselves; it enumerates the forms split on one
+vertex, so that a form on the other n-1 vertices that fails their own
+relations discards its whole block at once.  ``decomposable_form_count`` is
+the Gaussian-binomial closed form.  The enumeration never consults the
+closed form or any rank formula.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import ExactRational, binom_ext, is_prime
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
+_CHUNK_CELLS = 1 << 18   # (u, v) pairs tested per matmul chunk
 
 
 def _require_odd_prime(p: int) -> int:
@@ -40,10 +48,10 @@ class FormCountReport:
 
     def __post_init__(self):
         if not 1 <= self.kernel_count <= self.total_forms:
-            raise InputError("kernel count out of range")
+            raise InvariantError("kernel count out of range")
         # the zero form plus (p-1)-orbits of decomposables
         if self.dimension >= 4 and self.kernel_count % (self.prime - 1) != 1:
-            raise InputError("kernel count must be 1 mod p-1")
+            raise InvariantError("kernel count must be 1 mod p-1")
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -54,7 +62,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     for i in range(k):
         num *= q ** (n - i) - 1
         den *= q ** (i + 1) - 1
-    assert num % den == 0
+    if num % den:
+        raise InvariantError(f"Gaussian binomial [{n} choose {k}]_{q} is not an integer")
     return num // den
 
 
@@ -69,43 +78,84 @@ def decomposable_form_count(p: int, n: int) -> int:
 
 def count_null_square_two_forms(p: int, n: int,
                                 budget: int = DEFAULT_ENUMERATION_BUDGET) -> FormCountReport:
-    """Brute-force count of alternating 2-forms with zero wedge square.
+    """Exhaustive count of alternating 2-forms with zero wedge square.
 
     Forms are strictly-upper-triangular coefficient vectors; the wedge square
     vanishes iff every Pluecker-style coordinate
     w_ab*w_cd - w_ac*w_bd + w_ad*w_bc (a<b<c<d) vanishes mod p (odd p makes
-    the overall factor 2 invertible).  Enumeration is chunked and exact.
+    the overall factor 2 invertible).
+
+    The enumeration splits each form on vertex 0 into u = (w_01, ..., w_0,n-1)
+    and the form v on vertices 1..n-1.  The relations that avoid vertex 0 are
+    exactly those of dimension n-1 and involve v alone, so a v outside the
+    (n-1)-dimensional kernel rejects its whole block of p^(n-1) forms; that
+    kernel comes from the same enumeration one dimension down.  For each v
+    in it, every u is tested against every relation through vertex 0.  Each
+    form is therefore decided by the relations themselves, never by the
+    closed form of ``decomposable_form_count``, which stays an independent
+    cross-check.  The budget counts all p^C(n,2) forms, pruned or not.
     """
     _require_odd_prime(p)
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
-    m = math.comb(n, 2)
-    total = p ** m
+    total = p ** math.comb(n, 2)
     if total > budget:
         raise ResourceBudgetError(
             f"{total} forms exceed the enumeration budget {budget}")
     if n < 4:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
-
-    pos = {pair: i for i, pair in enumerate(combinations(range(n), 2))}
-    quads = [(pos[(a, b)], pos[(c, d)], pos[(a, c)], pos[(b, d)], pos[(a, d)], pos[(b, c)])
-             for a, b, c, d in combinations(range(n), 4)]
-    powers = p ** np.arange(m, dtype=np.int64)
-
-    kernel = 0
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (ids[:, None] // powers[None, :]) % p
-        alive = np.ones(len(ids), dtype=bool)
-        for ab, cd, ac, bd, ad, bc in quads:
-            coord = (digits[:, ab] * digits[:, cd]
-                     - digits[:, ac] * digits[:, bd]
-                     + digits[:, ad] * digits[:, bc]) % p
-            alive &= coord == 0
-        kernel += int(alive.sum())
+    inner = _null_square_kernel(p, n - 1)
+    kernel = sum(int(alive.sum()) for _, alive in _vertex_zero_splits(p, n, inner))
     return FormCountReport(p, n, kernel, total)
+
+
+def _null_square_kernel(p: int, n: int) -> np.ndarray:
+    """The forms on F_p^n with zero wedge square, one per row, coordinates in
+    ``combinations(range(n), 2)`` order."""
+    if n < 4:
+        return _all_vectors(p, math.comb(n, 2))
+    inner = _null_square_kernel(p, n - 1)
+    parts = []
+    for u, alive in _vertex_zero_splits(p, n, inner):
+        i, j = np.nonzero(alive)
+        parts.append(np.hstack([u[i], inner[j]]))
+    return np.concatenate(parts)
+
+
+def _vertex_zero_splits(p: int, n: int,
+                        inner: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(u, alive)`` over row chunks of all u in F_p^(n-1), where
+    ``alive[i, j]`` says whether the form (u[i], inner[j]) on F_p^n passes
+    every relation through vertex 0.
+
+    Relabelling vertices 1..n-1 as 0..n-2 keeps the pair order, so the rows
+    of ``inner`` are forms on vertices 1..n-1.  The relation for b<c<d is
+    u_b*v_cd - u_c*v_bd + u_d*v_bc, bilinear in (u, v): one integer matmul
+    per triple.  Entries of u and v lie in [0, p), so every sum lies in
+    [-(p-1)^2, 2(p-1)^2] and int64 is exact.
+    """
+    us = _all_vectors(p, n - 1)
+    pos = {pair: i for i, pair in enumerate(combinations(range(1, n), 2))}
+    coeffs = []
+    for b, c, d in combinations(range(1, n), 3):
+        t = np.zeros((n - 1, len(inner)), dtype=np.int64)
+        t[b - 1] = inner[:, pos[(c, d)]]
+        t[c - 1] = -inner[:, pos[(b, d)]]
+        t[d - 1] = inner[:, pos[(b, c)]]
+        coeffs.append(t)
+    rows = max(1, _CHUNK_CELLS // len(inner))
+    for start in range(0, len(us), rows):
+        u = us[start:start + rows]
+        alive = np.ones((len(u), len(inner)), dtype=bool)
+        for t in coeffs:
+            alive &= (u @ t) % p == 0
+        yield u, alive
+
+
+def _all_vectors(p: int, k: int) -> np.ndarray:
+    """Every vector of F_p^k (k >= 1), one per row."""
+    return np.indices((p,) * k, dtype=np.int64).reshape(k, -1).T
 
 
 def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 from .groups import FiniteGroup, p_loop_decomposition
 from .rationals import ExactRational, binom_ext, require_prime, vp
 
@@ -193,7 +193,8 @@ def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
             qj = q ** len(exps)
             c = sum(1 for o in g.element_orders if qj % o == 0)
             e = _q_exponent(c, q)
-            assert q ** e == c, "element-order counts of an abelian group are q-powers"
+            if q ** e != c:
+                raise InvariantError("element-order counts of an abelian group are q-powers")
             exps.append(e)
         m = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
         for i in range(1, (m[0] if m else 0) + 1):

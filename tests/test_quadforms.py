@@ -1,9 +1,33 @@
+import functools
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
 import pifinite as pf
-from pifinite import InputError, ResourceBudgetError
+from pifinite import InputError, InvariantError, ResourceBudgetError
+from pifinite.quadforms import _null_square_kernel
+
+# every (p, n) with n >= 4 whose p^C(n,2) forms fit the default budget
+DEFAULT_BUDGET_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
+
+
+@functools.lru_cache(maxsize=None)
+def sweep_kernel(p: int, n: int) -> frozenset:
+    """Independent oracle: every form, tested against every 4-subset relation."""
+    pairs = list(combinations(range(n), 2))
+    quads = list(combinations(range(n), 4))
+    kernel = set()
+    for w in product(range(p), repeat=len(pairs)):
+        f = dict(zip(pairs, w))
+        if all((f[a, b] * f[c, d] - f[a, c] * f[b, d] + f[a, d] * f[b, c]) % p == 0
+               for a, b, c, d in quads):
+            kernel.add(w)
+    return frozenset(kernel)
 
 
 class TestKernelCounts:
@@ -33,10 +57,30 @@ class TestKernelCounts:
             assert pf.count_null_square_two_forms(p, n).kernel_count == \
                 pf.decomposable_form_count(p, n)
 
-    def test_closed_form_cross_check_5_5(self):
-        # the big case: ~9.8M forms, still exact
-        assert pf.count_null_square_two_forms(5, 5).kernel_count == \
-            pf.decomposable_form_count(5, 5)
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (3, 5), (7, 4)])
+    def test_matches_sweep_oracle(self, p, n):
+        assert pf.count_null_square_two_forms(p, n).kernel_count == len(sweep_kernel(p, n))
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (3, 5)])
+    def test_kernel_forms_match_sweep_oracle(self, p, n):
+        # the recursion feeds these rows one dimension up, so the forms
+        # themselves (and their coordinate order) must be right, not just the count
+        rows = _null_square_kernel(p, n)
+        assert len(rows) == len(sweep_kernel(p, n))
+        assert set(map(tuple, rows.tolist())) == sweep_kernel(p, n)
+
+    @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
+                                            for p, n in DEFAULT_BUDGET_PAIRS]
+                             + [(3, 6, 3 ** 15)])
+    def test_matches_closed_form(self, p, n, budget):
+        report = pf.count_null_square_two_forms(p, n, budget=budget)
+        assert report.kernel_count == pf.decomposable_form_count(p, n)
+        assert report.total_forms == p ** (n * (n - 1) // 2)
+
+    @pytest.mark.parametrize("p,n", [(17, 4), (7, 5), (3, 6)])
+    def test_default_budget_refuses(self, p, n):
+        with pytest.raises(ResourceBudgetError):
+            pf.count_null_square_two_forms(p, n)
 
     def test_kernel_is_one_mod_p_minus_one(self):
         for p, n in ((3, 4), (3, 5), (5, 4)):
@@ -53,6 +97,27 @@ class TestKernelCounts:
             pf.count_null_square_two_forms(3, 8)
         with pytest.raises(ResourceBudgetError):
             pf.count_null_square_two_forms(5, 5, budget=1000)
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("kernel_count", [0, 730, 2])
+    def test_bad_report_is_an_invariant_error(self, kernel_count):
+        with pytest.raises(InvariantError) as info:
+            pf.FormCountReport(3, 4, kernel_count, 729)
+        assert not isinstance(info.value, InputError)
+
+    def test_report_check_survives_optimize(self):
+        src = str(Path(pf.__file__).resolve().parent.parent)
+        code = ("import pifinite as pf\n"
+                "try:\n"
+                "    pf.FormCountReport(3, 4, 0, 729)\n"
+                "except pf.InvariantError:\n"
+                "    print(__debug__, 'raised')\n")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "raised"]
 
 
 class TestFiberCardinality:
