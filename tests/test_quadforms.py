@@ -57,6 +57,11 @@ class TestKernelCounts:
             assert pf.count_null_square_two_forms(p, n).kernel_count == \
                 pf.decomposable_form_count(p, n)
 
+    def test_closed_form_cross_check_5_5(self):
+        # the big case: ~9.8M forms, still exact
+        assert pf.count_null_square_two_forms(5, 5).kernel_count == \
+            pf.decomposable_form_count(5, 5)
+
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (3, 5), (7, 4)])
     def test_matches_sweep_oracle(self, p, n):
         assert pf.count_null_square_two_forms(p, n).kernel_count == len(sweep_kernel(p, n))
