@@ -21,7 +21,7 @@ from .heights import (alpha_splitter, beta_element, classify_layer, delta_iter,
 from .parser import parse_group, parse_space, space_text
 from .quadforms import (amenability_failure_report, count_null_square_two_forms,
                         decomposable_form_count)
-from .rationals import binom_ext, vp
+from .rationals import binom_ext, require_prime, vp
 from .spaces import (em_space, height_cardinality, normal_form, p_adic_loop)
 
 
@@ -354,6 +354,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "prime", None) is not None:
+            require_prime(args.prime)   # refuse before any table is built
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,9 +2,12 @@
 (conjugacy classes, centralizers, commuting tuples of p-power-order elements)
 that drive every classifying-space cardinality in this package.
 
-Groups are deliberately plain multiplication tables: at the orders this
-package works with (a few hundred at most), uniform brute force is exact,
-simple and fast enough, and it makes every count independently checkable.
+Groups are deliberately plain multiplication tables, so every count is
+exact and independently checkable by brute force.  Orders go up to the
+order cap (``DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``); building and
+validating a table is the costly step, and its cost grows quickly with the
+order.  numpy is imported inside the functions that touch tables, so that
+answers needing no table never load it.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
 from .rationals import require_prime
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_ORDER_CAP = 10_000
 ORDER_CAP_ENV = "PIFINITE_ORDER_CAP"
@@ -58,6 +62,7 @@ class FiniteGroup:
 
     def __init__(self, table, name: str = "G", *, descriptor=None, validate: bool = True,
                  ambient_indices: Optional[tuple[int, ...]] = None):
+        import numpy as np
         tab = np.asarray(table, dtype=np.int64)
         if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] == 0:
             raise InputError("multiplication table must be a nonempty square matrix")
@@ -82,6 +87,7 @@ class FiniteGroup:
     # -- construction-time checks -------------------------------------------
 
     def _find_identity(self) -> int:
+        import numpy as np
         n = self.order
         idx = np.arange(n)
         for e in range(n):
@@ -90,6 +96,7 @@ class FiniteGroup:
         raise InputError("table has no two-sided identity")
 
     def _validate(self) -> None:
+        import numpy as np
         n = self.order
         idx = np.arange(n)
         # rows and columns are permutations (cancellation laws)
@@ -110,7 +117,7 @@ class FiniteGroup:
                 raise InputError("table is not associative")
 
     def _compute_inverses(self) -> np.ndarray:
-        inv = np.argmax(self.table == self.identity, axis=1)
+        inv = (self.table == self.identity).argmax(axis=1)
         inv.setflags(write=False)
         return inv
 
@@ -136,12 +143,12 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        return bool((self.table == self.table.T).all())
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, FiniteGroup)
                 and self.order == other.order
-                and np.array_equal(self.table, other.table))
+                and bool((self.table == other.table).all()))
 
     def __hash__(self) -> int:
         return self._hash
@@ -153,6 +160,7 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         if self._classes is None:
+            import numpy as np
             t, inv = self.table, self.inverses
             xs = np.arange(self.order)
             seen = np.zeros(self.order, dtype=bool)
@@ -170,6 +178,7 @@ class FiniteGroup:
 
     def centralizer_indices(self, elems: Iterable[int]) -> tuple[int, ...]:
         """Indices of elements commuting with every element of ``elems``."""
+        import numpy as np
         mask = np.ones(self.order, dtype=bool)
         for s in elems:
             if not (0 <= s < self.order):
@@ -179,6 +188,7 @@ class FiniteGroup:
 
     def subgroup(self, elems: Sequence[int], name: str = "H") -> "FiniteGroup":
         """The subgroup on the given closed element set, with the induced table."""
+        import numpy as np
         elems = tuple(sorted(set(int(e) for e in elems)))
         pos = {e: i for i, e in enumerate(elems)}
         m = len(elems)
@@ -290,12 +300,20 @@ def descriptor_name(d: GroupDescriptor) -> str:
     raise InputError(f"unknown group descriptor {d!r}")
 
 
-def build_group(d: GroupDescriptor, order_cap: Optional[int] = None) -> FiniteGroup:
-    """Materialize a descriptor as a validated Cayley-table group."""
+def checked_order(d: GroupDescriptor, order_cap: Optional[int] = None) -> int:
+    """Order of the described group; refuses it, as ``build_group`` would,
+    when the descriptor is invalid or the order exceeds the cap."""
     cap = resolve_order_cap(order_cap)
     order = descriptor_order(d)
     if order > cap:
         raise ResourceBudgetError(f"group of order {order} exceeds the cap {cap}")
+    return order
+
+
+def build_group(d: GroupDescriptor, order_cap: Optional[int] = None) -> FiniteGroup:
+    """Materialize a descriptor as a validated Cayley-table group."""
+    cap = resolve_order_cap(order_cap)
+    checked_order(d, cap)
     if isinstance(d, Cyclic):
         g = _cyclic_group(d.n)
     elif isinstance(d, Symmetric):
@@ -314,6 +332,7 @@ def build_group(d: GroupDescriptor, order_cap: Optional[int] = None) -> FiniteGr
 
 
 def _cyclic_group(n: int) -> FiniteGroup:
+    import numpy as np
     idx = np.arange(n)
     return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"C{n}")
 
@@ -326,6 +345,7 @@ def _symmetric_group(n: int) -> FiniteGroup:
 
 
 def _dihedral_group(order: int) -> FiniteGroup:
+    import numpy as np
     n = order // 2
     # element (i, j) = r^i s^j at index j*n + i;  s r s = r^-1
     def mul(i1, j1, i2, j2):
@@ -353,6 +373,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: Optional[int] = No
 
 def wreath_cyclic(g: FiniteGroup, c: int, order_cap: Optional[int] = None) -> FiniteGroup:
     """The wreath product G wr C_c: tuples in G^c with C_c cycling coordinates."""
+    import numpy as np
     cap = resolve_order_cap(order_cap)
     if c < 2:
         raise InputError(f"wreath degree must be >= 2, got {c}")
@@ -417,6 +438,7 @@ def _commuting_tuple_count(g: FiniteGroup, p: int, n: int) -> int:
         return len(g.p_elements(p))
     if n == 2:
         # direct pair count, independent of the class/centralizer route
+        import numpy as np
         mask = np.fromiter((g.is_p_element(x, p) for x in range(g.order)),
                            dtype=bool, count=g.order)
         idx = np.nonzero(mask)[0]

@@ -7,10 +7,11 @@ a layer decides how the element acts there: a unit acts invertibly
 (DIVISIBLE), positive valuation forces completeness (COMPLETE), and an
 exact zero is its own class (ZERO).
 
-The splitting elements built here are integer combinations of classifying
-space symbols [BG]: beta_element(p, k) is a unit at every layer above k and
-dies at layer k, and alpha_splitter multiplies the first k+1 of them into a
-profile that separates layers <= k from layers > k.
+The splitting elements built here are integer combinations of space
+symbols such as [BG]: beta_element(p, k), built from [BC_p] as the EM atom
+B^1(C_p), is a unit at every layer above k and dies at layer k, and
+alpha_splitter multiplies the first k+1 of them into a profile that
+separates layers <= k from layers > k.
 """
 
 from __future__ import annotations
@@ -23,8 +24,10 @@ from typing import Optional, Union
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .groups import Cyclic, FiniteGroup, build_group, count_commuting_p_tuples, \
     direct_product, wreath_cyclic
+from .parser import space_text
 from .rationals import ExactRational, RationalLike, binom_ext, require_prime, vp
-from .spaces import SpaceExpr, classifying, height_cardinality
+from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
+                     homotopy_cardinality, normal_form, product)
 
 DEFAULT_ITER_DIGITS = 10_000
 DEFAULT_BETA_MAX_K = 4
@@ -147,42 +150,45 @@ def classify_layer(profile: HeightProfile, n: int) -> LayerClass:
     raise InputError(f"layer {n} value {a} is not p-integral")
 
 
-# -- formal combinations of classifying-space symbols ----------------------------------
+# -- formal combinations of space symbols ------------------------------------------------
 
 def _term_sort_key(item):
-    (group, dpow), _ = item
-    return (dpow, group.order, group.table.tobytes())
+    (nf, dpow), _ = item
+    return (dpow, nf.sort_key())
 
 
 @dataclass(frozen=True)
 class R1Element:
-    """Integer combination of symbols delta^j [BG] plus an integer constant.
+    """Integer combination of symbols delta^j [X] plus an integer constant.
 
-    The plain symbols [BG] span a semiring: [BG][BH] = [B(G x H)], so
-    products of delta-free elements expand formally.  Evaluation sends the
-    symbol [BG] at layer n to the height-n cardinality of BG and applies
-    delta numerically, which is exactly what the formal delta does to the
-    layer values.
+    A symbol [X] is a space, usually a classifying space [BG]; symbols are
+    kept as the expressions of their normal forms, so equal spaces merge,
+    whichever way they were written.  The plain symbols span a semiring,
+    [X][Y] = [X * Y], so products of delta-free elements expand formally;
+    [BG][BH] is the product space BG * BH, which has the cardinalities of
+    B(G x H) and needs no table for G x H.  Evaluation sends [X] at layer n
+    to the height-n cardinality of X and applies delta numerically, which
+    is exactly what the formal delta does to the layer values.
     """
-    terms: tuple[tuple[tuple[FiniteGroup, int], int], ...]  # ((group, delta_power), coeff)
+    terms: tuple[tuple[tuple[SpaceExpr, int], int], ...]  # ((space, delta_power), coeff)
     constant: int = 0
 
     def __post_init__(self):
-        merged: dict[tuple[FiniteGroup, int], int] = {}
-        for (group, dpow), coeff in self.terms:
+        merged: dict[tuple[NormalForm, int], int] = {}
+        for (space, dpow), coeff in self.terms:
             if dpow < 0:
                 raise InputError("delta power must be >= 0")
-            key = (group, dpow)
+            key = (normal_form(space), dpow)
             merged[key] = merged.get(key, 0) + coeff
-        canon = tuple(sorted(((k, c) for k, c in merged.items() if c),
-                             key=_term_sort_key))
-        object.__setattr__(self, "terms", canon)
+        canon = sorted(((k, c) for k, c in merged.items() if c), key=_term_sort_key)
+        object.__setattr__(self, "terms",
+                           tuple(((nf.to_expr(), dpow), c) for (nf, dpow), c in canon))
 
     # construction helpers
 
     @classmethod
     def group_symbol(cls, group: FiniteGroup) -> "R1Element":
-        return cls((((group, 0), 1),))
+        return cls((((classifying(group), 0), 1),))
 
     @classmethod
     def integer(cls, m: int) -> "R1Element":
@@ -212,13 +218,13 @@ class R1Element:
                              self.constant * other)
         if any(dpow for (_, dpow), _ in self.terms + other.terms):
             raise InputError("products of delta-applied symbols do not expand formally")
-        terms: list[tuple[tuple[FiniteGroup, int], int]] = []
-        for (g, _), c in self.terms:
-            for (h, _), d in other.terms:
-                terms.append(((direct_product(g, h), 0), c * d))
-            terms.append(((g, 0), c * other.constant))
-        for (h, _), d in other.terms:
-            terms.append(((h, 0), d * self.constant))
+        terms: list[tuple[tuple[SpaceExpr, int], int]] = []
+        for (x, _), c in self.terms:
+            for (y, _), d in other.terms:
+                terms.append(((product(x, y), 0), c * d))
+            terms.append(((x, 0), c * other.constant))
+        for (y, _), d in other.terms:
+            terms.append(((y, 0), d * self.constant))
         return R1Element(tuple(terms), self.constant * other.constant)
 
     def __rmul__(self, other: int) -> "R1Element":
@@ -232,13 +238,11 @@ class R1Element:
         if n < 0:
             raise InputError(f"layer must be >= 0, got {n}")
         total = Fraction(self.constant)
-        for (group, dpow), coeff in self.terms:
+        for (space, dpow), coeff in self.terms:
             if n == 0:
-                base = Fraction(1, group.order)
-                total += coeff * _delta_iter_raw(base, p, dpow)
+                total += coeff * _delta_iter_raw(homotopy_cardinality(space), p, dpow)
             else:
-                base = height_cardinality(classifying(group), p, n)
-                total += coeff * delta_iter(base, p, dpow)
+                total += coeff * delta_iter(height_cardinality(space, p, n), p, dpow)
         return total
 
     def profile(self, p: int, top: int) -> HeightProfile:
@@ -248,8 +252,8 @@ class R1Element:
 
     def __repr__(self) -> str:
         bits = []
-        for (group, dpow), coeff in self.terms:
-            sym = f"[B{group.name}]"
+        for (space, dpow), coeff in self.terms:
+            sym = f"[{space_text(space)}]"
             if dpow:
                 sym = f"d^{dpow}{sym}" if dpow > 1 else f"d{sym}"
             bits.append(f"{coeff}*{sym}" if coeff != 1 else sym)
@@ -280,14 +284,14 @@ def beta_element(p: int, k: int, *, max_k: int = DEFAULT_BETA_MAX_K) -> R1Elemen
         raise InputError(f"k must be >= 0, got {k}")
     if k > max_k:
         raise ResourceBudgetError(f"k={k} exceeds the iterate budget {max_k}")
-    c_p = build_group(Cyclic(p))
+    bc_p = em_space([p], 1)
     if k == 0:
-        return p * R1Element.group_symbol(c_p) - 1
+        return p * R1Element((((bc_p, 0), 1),)) - 1
     gamma_k = delta_iter(p ** (k - 1), p, k - 1)
     b = int(gamma_k) % p
     if b == 0:
         raise InvariantError(f"the layer-{k} value is not a p-adic unit")
-    return R1Element((((c_p, k - 1), 1),), -b)
+    return R1Element((((bc_p, k - 1), 1),), -b)
 
 
 def alpha_splitter(p: int, k: int, top: int, *,

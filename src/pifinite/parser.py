@@ -10,18 +10,21 @@
 
 "+" is disjoint union, "*" is product, a bare integer is the discrete space
 with that many points (0 parses to the empty space).  ``B^0(...)`` collapses
-to the underlying finite set.  Printing a parsed expression and re-parsing
-it yields an identical normal form.
+to the underlying finite set.  ``B(...)`` of a cyclic group or a product of
+cyclic groups is abelian and parses to the degree-1 EM atom, which needs no
+Cayley table; other groups are built as tables.  The whole text is parsed
+before any group is built, so a syntax error costs no table.  Printing a
+parsed expression and re-parsing it yields an identical normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import InputError
 from .groups import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
-                     Wreath, build_group, descriptor_name)
+                     Wreath, build_group, checked_order, descriptor_name)
 from .spaces import (EM, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
                      classifying, disjoint_union, em_space, finite_set, product)
 
@@ -106,29 +109,35 @@ class _Parser:
     def parse_int(self) -> int:
         return int(self.expect("INT").text)
 
-    # grammar rules
+    # grammar rules: each space rule returns a function that builds its
+    # value, so that no group is built until the whole text has parsed
 
-    def expr(self) -> SpaceExpr:
+    def expr(self) -> Callable[[], SpaceExpr]:
         parts = [self.term()]
         while self.at("SYM", "+"):
             self.advance()
             parts.append(self.term())
-        return disjoint_union(*parts) if len(parts) > 1 else parts[0]
+        if len(parts) == 1:
+            return parts[0]
+        return lambda: disjoint_union(*(part() for part in parts))
 
-    def term(self) -> SpaceExpr:
+    def term(self) -> Callable[[], SpaceExpr]:
         factors = [self.factor()]
         while self.at("SYM", "*"):
             self.advance()
             factors.append(self.factor())
-        return product(*factors) if len(factors) > 1 else factors[0]
+        if len(factors) == 1:
+            return factors[0]
+        return lambda: product(*(factor() for factor in factors))
 
-    def factor(self) -> SpaceExpr:
+    def factor(self) -> Callable[[], SpaceExpr]:
         tok = self.peek()
         if tok.kind == "INT":
-            return finite_set(self.parse_int())
+            size = self.parse_int()
+            return lambda: finite_set(size)
         if self.at("NAME", "pt"):
             self.advance()
-            return finite_set(1)
+            return lambda: finite_set(1)
         if self.at("NAME", "B"):
             self.advance()
             if self.at("SYM", "^"):
@@ -137,11 +146,11 @@ class _Parser:
                 self.expect("SYM", "(")
                 factors = self.abelian()
                 self.expect("SYM", ")")
-                return em_space(factors, degree)
+                return lambda: em_space(factors, degree)
             self.expect("SYM", "(")
             desc = self.group()
             self.expect("SYM", ")")
-            return classifying(build_group(desc))
+            return lambda: _classifying_space(desc)
         if self.at("SYM", "("):
             self.advance()
             inner = self.expr()
@@ -192,14 +201,38 @@ class _Parser:
         return desc
 
 
+def _cyclic_orders(d: GroupDescriptor) -> Optional[list[int]]:
+    """The factor orders when ``d`` is a cyclic group or a direct product of
+    cyclic groups, else None."""
+    if isinstance(d, Cyclic):
+        return [d.n]
+    if isinstance(d, DirectProduct):
+        left, right = _cyclic_orders(d.left), _cyclic_orders(d.right)
+        if left is not None and right is not None:
+            return left + right
+    return None
+
+
+def _classifying_space(d: GroupDescriptor) -> SpaceExpr:
+    """B of a described group.  The descriptor and the order cap are checked
+    first, so that every group is refused exactly as ``build_group`` would;
+    an abelian B(A) is then the EM atom B^1(A), and only other groups get a
+    table."""
+    checked_order(d)
+    orders = _cyclic_orders(d)
+    if orders is not None:
+        return em_space(orders, 1)
+    return classifying(build_group(d))
+
+
 def parse_space(text: str) -> SpaceExpr:
     """Parse a space expression; raises ParseError with a position on bad input."""
     parser = _Parser(text)
-    out = parser.expr()
+    build = parser.expr()
     tok = parser.peek()
     if tok.kind != "END":
         raise ParseError(f"trailing input {tok.text!r}", tok.position)
-    return out
+    return build()
 
 
 def parse_group(text: str) -> GroupDescriptor:

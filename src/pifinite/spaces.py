@@ -282,6 +282,12 @@ class NormalForm:
         return tuple(sorted(self._counts.items(),
                             key=lambda item: tuple(_atom_key(a) for a in item[0])))
 
+    def sort_key(self) -> tuple:
+        """A total order on normal forms that is exact: group atoms compare
+        by their tables, not their names."""
+        return tuple((tuple(_atom_key(a) for a in comp), mult)
+                     for comp, mult in self.components)
+
     def __add__(self, other: "NormalForm") -> "NormalForm":
         counts = dict(self._counts)
         for comp, mult in other._counts.items():

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
+import pifinite.parser
 from pifinite.cli import main
 
 
@@ -117,3 +122,71 @@ class TestExitCodes:
     def test_nonprime_rejected(self, capsys):
         code, _, err = run(capsys, "card", "--space", "pt", "--prime", "6", "--height", "1")
         assert code == 1 and "prime" in err
+
+    def test_bad_prime_refused_before_any_table(self, capsys, monkeypatch):
+        def no_build(desc, *args, **kwargs):
+            raise AssertionError(f"built {desc}")
+        monkeypatch.setattr(pifinite.parser, "build_group", no_build)
+        code, _, err = run(capsys, "profile", "--space", "B(D600)", "--prime", "4",
+                           "--range", "2")
+        assert code == 1 and err == "error: expected a prime, got 4\n"
+
+    def test_abelian_refusals_unchanged(self, capsys, monkeypatch):
+        # the abelian route checks descriptors and the cap as build_group does
+        code, _, err = run(capsys, "card", "--space", "B(C0)", "--prime", "2", "--height", "1")
+        assert code == 1 and err == "error: Cyclic order must be >= 1, got 0\n"
+        code, _, err = run(capsys, "card", "--space", "B(C20000)", "--prime", "2",
+                           "--height", "1")
+        assert (code, err) == (2, "resource error: group of order 20000 exceeds the cap 10000\n")
+        monkeypatch.setenv("PIFINITE_ORDER_CAP", "10")
+        for space in ("B(C12)", "B(C2 x C6)"):
+            code, _, err = run(capsys, "card", "--space", space, "--prime", "2", "--height", "1")
+            assert (code, err) == (2, "resource error: group of order 12 exceeds the cap 10\n")
+
+
+# Run in a fresh interpreter: whether numpy is loaded is process-wide state.
+_NUMPY_PROBE = textwrap.dedent("""
+    import contextlib, io, json, sys
+    import pifinite.cli
+    results = []
+    for argv in json.loads(sys.argv[1]):
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            code = pifinite.cli.main(argv)
+        results.append([code, "numpy" in sys.modules])
+    print(json.dumps(results))
+""")
+
+
+def _numpy_probe(*argvs, env=None):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+class TestNumpyIsLazy:
+    def test_table_free_answers_do_not_load_numpy(self):
+        results = _numpy_probe(
+            ["delta", "6", "--prime", "3"],
+            ["table", "--prime", "3"],
+            ["counterexample", "--prime", "5"],
+            ["beta", "--prime", "3", "--k", "2"],
+            ["card", "--space", "B(C6) * B^2(C3)", "--prime", "3", "--height", "2"],
+            ["profile", "--space", "B(D600)", "--prime", "4", "--range", "2"],
+            ["card", "--space", "B(S6) +", "--prime", "2", "--height", "1"],
+            ["card", "--space", "B(C0)", "--prime", "2", "--height", "1"],
+            ["card", "--space", "B(C20000)", "--prime", "2", "--height", "1"])
+        assert results == [[0, False]] * 5 + [[1, False]] * 3 + [[2, False]]
+
+    def test_order_cap_refusal_does_not_load_numpy(self):
+        results = _numpy_probe(
+            ["card", "--space", "B(C12)", "--prime", "2", "--height", "1"],
+            env={"PIFINITE_ORDER_CAP": "10"})
+        assert results == [[2, False]]
+
+    def test_table_answers_load_numpy(self):
+        results = _numpy_probe(["card", "--space", "B(S3)", "--prime", "2", "--height", "1"])
+        assert results == [[0, True]]

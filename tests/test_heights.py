@@ -137,6 +137,13 @@ class TestR1Element:
         with pytest.raises(InputError):
             beta2 * beta2
 
+    def test_products_are_product_spaces(self):
+        g, h = named_group("C2"), named_group("S3")
+        gh = pf.R1Element.group_symbol(g) * pf.R1Element.group_symbol(h)
+        assert gh == pf.R1Element.group_symbol(h) * pf.R1Element.group_symbol(g)
+        ((symbol, _), _), = gh.terms
+        assert isinstance(symbol, pf.Product)   # B(S3) * B^1(C2): no table for C2 x S3
+
     def test_terms_merge(self):
         g = named_group("C2")
         el = pf.R1Element.group_symbol(g) + pf.R1Element.group_symbol(g)
@@ -144,7 +151,39 @@ class TestR1Element:
         assert (el - el).terms == ()
 
 
+# Reference profiles at p = 5 for k <= 3 over layers 0..4, computed with the
+# Cayley-table symbol [BC_5] in place of the EM atom B^1(C5).
+BETA_P5 = {
+    0: ("0", "4", "24", "124", "624"),
+    1: ("-4/5", "0", "4", "24", "124"),
+    2: ("-15001/15625", "-1", "-625", "-1953121", "-6103515601"),
+    3: ("-4619419669344478518749/4656612873077392578125", "-1", "18921385937999",
+        "5684269126877187728883056249375",
+        "1694065859814131442817596253007652759550779296879"),
+}
+ALPHA_P5 = {
+    0: ("0", "4", "24", "124", "624"),
+    1: ("0", "0", "96", "2976", "77376"),
+    2: ("0", "0", "-60000", "-5812488096", "-472265623142976"),
+    3: ("0", "0", "-1135283156279940000",
+        "-33039746634433967328090039825590594940000",
+        "-800049068930362210418926226957413396126940145725595111367571904"),
+}
+
+
 class TestBeta:
+    @pytest.mark.parametrize("k", range(4))
+    def test_p5_profiles_unchanged(self, k):
+        assert pf.beta_element(5, k).profile(5, 4).values == \
+            tuple(Fraction(v) for v in BETA_P5[k])
+        assert pf.alpha_splitter(5, k, 4).values == tuple(Fraction(v) for v in ALPHA_P5[k])
+
+    def test_symbol_is_the_em_atom(self):
+        # beta is built from B^1(C_p); the group symbol [BC_p] is the same symbol
+        el = pf.beta_element(3, 0)
+        assert el.terms == (((pf.em_space([3], 1), 0), 3),)
+        assert el == 3 * pf.R1Element.group_symbol(named_group("C3")) - 1
+
     def test_k_zero_profile(self):
         prof = pf.beta_element(2, 0).profile(2, 5)
         assert prof.values == (0, 1, 3, 7, 15, 31)

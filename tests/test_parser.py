@@ -4,7 +4,21 @@ import pytest
 from conftest import named_group, random_space_expr
 
 import pifinite as pf
+import pifinite.parser
 from pifinite import ParseError, parse_space, space_text
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Descriptors the parser passes to ``build_group``, in call order."""
+    calls = []
+    build = pifinite.parser.build_group
+
+    def counting_build(desc, *args, **kwargs):
+        calls.append(desc)
+        return build(desc, *args, **kwargs)
+    monkeypatch.setattr(pifinite.parser, "build_group", counting_build)
+    return calls
 
 
 class TestGrammar:
@@ -57,7 +71,37 @@ class TestGrammar:
         assert parse_space("B(S4)").group.order == 24
 
 
+ABELIAN_TEXTS = tuple(f"C{n}" for n in range(2, 13)) + ("C2 x C4", "C2 x C2 x C3")
+
+
+class TestAbelianRoute:
+    def test_parses_to_em_atom_without_a_table(self, build_calls):
+        assert parse_space("B(C6)") == pf.em_space([2, 3], 1)
+        assert parse_space("B(C2 x C2 x C3)") == pf.em_space([2, 2, 3], 1)
+        assert parse_space("B(C1)") == pf.PT
+        assert build_calls == []
+        parse_space("B(C2 wr C2) * B(C2 x S3)")
+        assert [pf.groups.descriptor_name(d) for d in build_calls] == ["C2 wr C2", "C2 x S3"]
+
+    @pytest.mark.parametrize("text", ABELIAN_TEXTS)
+    def test_matches_table_route(self, text):
+        parsed = parse_space(f"B({text})")
+        table = pf.classifying(pf.build_group(pf.parse_group(text)))
+        for p in (2, 3, 5):
+            for n in range(4):
+                assert pf.height_cardinality(parsed, p, n) == pf.height_cardinality(table, p, n)
+            assert pf.normal_form(pf.p_adic_loop(parsed, p)) == \
+                pf.normal_form(pf.p_adic_loop(table, p))
+
+
 class TestErrors:
+    def test_syntax_error_builds_no_table(self, build_calls):
+        with pytest.raises(ParseError, match="expected a factor"):
+            parse_space("B(S6) +")
+        with pytest.raises(ParseError, match="trailing input"):
+            parse_space("B(S3) * B(D8))")
+        assert build_calls == []
+
     @pytest.mark.parametrize("text,pos", [
         ("B(", 2),
         ("2 +", 3),
