@@ -29,7 +29,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-_CHUNK_CELLS = 1 << 18   # (u, v) pairs tested per matmul chunk
+_CHUNK_CELLS = 1 << 18   # (u, v) pairs tested per chunk
 
 
 def _require_odd_prime(p: int) -> int:
@@ -134,31 +134,35 @@ def _vertex_zero_splits(p: int, n: int,
 
     Relabelling vertices 1..n-1 as 0..n-2 keeps the pair order, so the rows
     of ``inner`` are forms on vertices 1..n-1.  The relation for b<c<d is
-    u_b*v_cd - u_c*v_bd + u_d*v_bc, bilinear in (u, v): one integer matmul
-    per triple.  Entries of u and v lie in [0, p), so every sum s lies in
-    [-(p-1)^2, 2(p-1)^2] and int64 is exact.  A sum is tested by looking up
-    s + (p-1)^2 in a table of the values that are zero mod p: that index lies
-    in [0, 3(p-1)^2], so it is never negative and always inside the table,
-    and the lookup is cheaper than an int64 ``% p`` over every cell.
+    u_b*v_cd - u_c*v_bd + u_d*v_bc, bilinear in (u, v).  Entries of u and v
+    lie in [0, p), so every sum s lies in [-(p-1)^2, 2(p-1)^2] and int64 is
+    exact.  Each term comes from a table of the p multiples a*v_cd
+    (a in [0, p)) of its column of ``inner``, one row per value of the u
+    entry, so a chunk's sums take three row gathers and no multiplication.
+    (numpy's int64 matmul is an unvectorised scalar loop: it was slower, and
+    its time varied several times as much from call to call.)  A sum is tested by
+    looking up s + (p-1)^2 in a table of the values that are zero mod p:
+    that index lies in [0, 3(p-1)^2], so it is never negative and always
+    inside the table, and the lookup is cheaper than an int64 ``% p`` over
+    every cell.
     """
     import numpy as np
     offset = (p - 1) ** 2
     zero_mod_p = np.arange(-offset, 2 * offset + 1) % p == 0
     us = _all_vectors(p, n - 1)
     pos = {pair: i for i, pair in enumerate(combinations(range(1, n), 2))}
-    coeffs = []
-    for b, c, d in combinations(range(1, n), 3):
-        t = np.zeros((n - 1, len(inner)), dtype=np.int64)
-        t[b - 1] = inner[:, pos[(c, d)]]
-        t[c - 1] = -inner[:, pos[(b, d)]]
-        t[d - 1] = inner[:, pos[(b, c)]]
-        coeffs.append(t)
+    # multiples[c][a] = a * (column c of inner), for every a in [0, p)
+    multiples = np.arange(p)[None, :, None] * inner.T[:, None, :]
+    triples = [(b - 1, c - 1, d - 1, pos[(c, d)], pos[(b, d)], pos[(b, c)])
+               for b, c, d in combinations(range(1, n), 3)]
     rows = max(1, _CHUNK_CELLS // len(inner))
     for start in range(0, len(us), rows):
         u = us[start:start + rows]
         alive = np.ones((len(u), len(inner)), dtype=bool)
-        for t in coeffs:
-            sums = u @ t
+        for i, j, k, cd, bd, bc in triples:
+            sums = multiples[cd][u[:, i]]
+            sums -= multiples[bd][u[:, j]]
+            sums += multiples[bc][u[:, k]]
             sums += offset
             alive &= zero_mod_p[sums]
         yield u, alive
