@@ -3,11 +3,14 @@
 that drive every classifying-space cardinality in this package.
 
 Groups are deliberately plain multiplication tables, so every count is
-exact and independently checkable by brute force.  Orders go up to the
-order cap (``DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``); building and
-validating a table is the costly step, and its cost grows quickly with the
-order.  numpy is imported inside the functions that touch tables, so that
-answers needing no table never load it.
+exact and independently checkable by brute force.  A table is a tuple of
+rows, each a tuple of Python ints that all rows share (one int object per
+element, so a cell costs one 8-byte pointer), and every primitive works by
+composing rows, ``itemgetter(*other)(row)`` being row composed with other;
+no numpy is needed.  Associativity is checked with Light's test over a
+greedy generating set, at n^2 cells per generator.  Orders go up to the
+order cap (``DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``); building a
+table is the costly step, and its cost grows with the square of the order.
 """
 
 from __future__ import annotations
@@ -16,7 +19,10 @@ import functools
 import itertools
 import math
 import os
+import sys
+from array import array
 from dataclasses import dataclass
+from operator import and_, eq, itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
@@ -24,6 +30,8 @@ from .rationals import require_prime
 
 if TYPE_CHECKING:
     import numpy as np
+
+Rows = tuple[tuple[int, ...], ...]
 
 DEFAULT_ORDER_CAP = 10_000
 ORDER_CAP_ENV = "PIFINITE_ORDER_CAP"
@@ -51,104 +59,180 @@ class ConjugacyClass:
         return len(self.members)
 
 
+def _getter(idx: Sequence[int]):
+    """The function taking a row to the tuple of its entries at ``idx``
+    (nonempty), in C: ``itemgetter`` alone returns a bare entry for one index."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda row: (row[i],)
+    return itemgetter(*idx)
+
+
+def _shared_rows(table) -> Rows:
+    """The table as a tuple of row tuples whose entries are the same int
+    objects in every row.  Accepts a sequence of sequences or an ndarray."""
+    if hasattr(table, "tolist"):            # an ndarray, without importing numpy
+        table = table.tolist()
+    try:
+        rows = list(table)
+        n = len(rows)
+        square = n > 0 and all(len(row) == n for row in rows)
+    except TypeError:
+        square = False
+    if not square:
+        raise InputError("multiplication table must be a nonempty square matrix")
+    ints = tuple(range(n))
+    try:
+        if min(map(min, rows)) >= 0:
+            return tuple(_getter(row)(ints) for row in rows)
+    except (IndexError, TypeError):
+        pass
+    raise InputError("table entries must be element indices in range")
+
+
+def _passes_light_test(rows: Rows, identity: int) -> bool:
+    """Light's associativity test.
+
+    Generators are picked greedily until right multiplication by them,
+    starting from the identity, reaches every element; each generator a must
+    satisfy (x a) y == x (a y) for all x and y.  The elements that satisfy
+    this contain the identity and are closed under products (if a and b do,
+    then (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y)), so they
+    include every reached element, which is every element, and the table is
+    associative.  Each generator costs n^2 cells; in a Latin square with an
+    identity the passing elements form a group (the middle nucleus), so each
+    passing generator at least doubles the reached set, and at most
+    log2(n) + 1 generators are tested.
+    """
+    n = len(rows)
+    seen = [False] * n
+    seen[identity] = True
+    reached = [identity]
+    gens: list[int] = []
+    for a in range(n):
+        if seen[a]:
+            continue
+        compose_a = _getter(rows[a])
+        for row in rows:        # row x a against row x composed with row a
+            if rows[row[a]] != compose_a(row):
+                return False
+        gens.append(a)
+        # close the reached set under right multiplication by the generators
+        for x in reached:               # the list grows while it is walked
+            row = rows[x]
+            for g in gens:
+                y = row[g]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+    return True
+
+
 class FiniteGroup:
     """A finite group on elements 0..order-1 given by its multiplication table.
 
-    The table is validated at construction (identity, inverses, Latin square,
-    associativity); orders, inverses and conjugacy classes are cached up
-    front, centralizer subgroups on first use.  Instances are immutable and
-    compare (and hash) by table equality.
+    The table is validated at construction (identity, Latin square, which
+    gives inverses, and associativity by Light's test); orders and inverses
+    are computed up front, conjugacy classes and centralizer subgroups on
+    first use.  Instances are immutable and compare (and hash) by table
+    equality.  ``table`` is a read-only int64 ndarray copy for outside
+    callers, built on first access; nothing in this package reads it.
     """
 
     def __init__(self, table, name: str = "G", *, descriptor=None, validate: bool = True,
                  ambient_indices: Optional[tuple[int, ...]] = None):
-        import numpy as np
-        tab = np.asarray(table, dtype=np.int64)
-        if tab.ndim != 2 or tab.shape[0] != tab.shape[1] or tab.shape[0] == 0:
-            raise InputError("multiplication table must be a nonempty square matrix")
-        n = tab.shape[0]
-        if tab.min() < 0 or tab.max() >= n:
-            raise InputError("table entries must be element indices in range")
-        self.order: int = n
-        self.table: np.ndarray = tab
-        self.table.setflags(write=False)
+        self._rows: Rows = _shared_rows(table)
+        self.order: int = len(self._rows)
         self.name = name
         self.descriptor = descriptor
         self.ambient_indices = ambient_indices  # for subgroups: indices in the parent
         self.identity: int = self._find_identity()
         if validate:
             self._validate()
-        self.inverses: np.ndarray = self._compute_inverses()
-        self.element_orders: tuple[int, ...] = self._compute_orders()
+        self.element_orders, self.inverses = self._orders_and_inverses()
         self._classes: Optional[tuple[ConjugacyClass, ...]] = None
         self._centralizer_cache: dict = {}
-        self._hash = hash(self.table.tobytes())
+        self._hash = hash(self._rows)
+        self._table_key: Optional[bytes] = None
+        self._array: Optional[np.ndarray] = None
 
     # -- construction-time checks -------------------------------------------
 
     def _find_identity(self) -> int:
-        import numpy as np
-        n = self.order
-        idx = np.arange(n)
-        for e in range(n):
-            if np.array_equal(self.table[e], idx) and np.array_equal(self.table[:, e], idx):
+        rows = self._rows
+        idx = tuple(range(self.order))
+        for e, row in enumerate(rows):
+            if row == idx and tuple(map(itemgetter(e), rows)) == idx:
                 return e
         raise InputError("table has no two-sided identity")
 
     def _validate(self) -> None:
-        import numpy as np
-        n = self.order
-        idx = np.arange(n)
-        # rows and columns are permutations (cancellation laws)
-        if not (np.array_equal(np.sort(self.table, axis=1), np.tile(idx, (n, 1)))
-                and np.array_equal(np.sort(self.table, axis=0), np.tile(idx[:, None], (1, n)))):
+        n, rows = self.order, self._rows
+        # rows and columns are permutations (cancellation laws); with the
+        # identity this gives every element an inverse
+        if (any(len(set(row)) != n for row in rows)
+                or any(len(set(col)) != n for col in zip(*rows))):
             raise InputError("table rows/columns are not permutations")
-        # every element has an inverse
-        if not np.all((self.table == self.identity).any(axis=1)):
-            raise InputError("table has an element without an inverse")
-        # associativity, chunked so large tables stay within memory
-        t = self.table
-        chunk = max(1, (2 ** 22) // max(n * n, 1))
-        for start in range(0, n, chunk):
-            rows = t[start:start + chunk]          # (c, n)
-            left = t[rows][:, :, :]                # (a b) c: t[t[a,b], c]
-            right = rows[:, t]                     # a (b c): t[a, t[b,c]]
-            if not np.array_equal(left, right):
-                raise InputError("table is not associative")
+        if not _passes_light_test(rows, self.identity):
+            raise InputError("table is not associative")
 
-    def _compute_inverses(self) -> np.ndarray:
-        inv = (self.table == self.identity).argmax(axis=1)
-        inv.setflags(write=False)
-        return inv
-
-    def _compute_orders(self) -> tuple[int, ...]:
-        orders = []
+    def _orders_and_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """Walk the powers g, g^2, ..., g^m = e of each element not yet
+        reached: g^k has order m / gcd(k, m) and inverse g^(m-k)."""
+        rows, e = self._rows, self.identity
+        orders = [0] * self.order
+        inverses = [e] * self.order
         for g in range(self.order):
-            k, x = 1, g
-            while x != self.identity:
-                x = self.table[x, g]
-                k += 1
-            orders.append(k)
-        return tuple(orders)
+            if orders[g]:
+                continue
+            powers, x = [g], g
+            while x != e:
+                x = rows[x][g]
+                powers.append(x)
+            m = len(powers)
+            for k, x in enumerate(powers, 1):
+                if not orders[x]:
+                    orders[x] = m // math.gcd(k, m)
+                    inverses[x] = powers[m - k - 1]
+        return tuple(orders), tuple(inverses)
 
     # -- protocol ------------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
+        return self._rows[a][b]
 
     def inv(self, a: int) -> int:
-        return int(self.inverses[a])
+        return self.inverses[a]
 
     def elements(self) -> range:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
+        return all(map(eq, self._rows, zip(*self._rows)))
+
+    @property
+    def table(self) -> np.ndarray:
+        """The multiplication table as a read-only int64 ndarray."""
+        if self._array is None:
+            import numpy as np
+            tab = np.array(self._rows, dtype=np.int64)
+            tab.setflags(write=False)
+            self._array = tab
+        return self._array
+
+    @property
+    def table_key(self) -> bytes:
+        """The row-major table as int64 little-endian bytes: the order in
+        which normal forms sort groups of equal order."""
+        if self._table_key is None:
+            cells = array("q", itertools.chain.from_iterable(self._rows))
+            if sys.byteorder == "big":
+                cells.byteswap()
+            self._table_key = cells.tobytes()
+        return self._table_key
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, FiniteGroup)
-                and self.order == other.order
-                and bool((self.table == other.table).all()))
+        return isinstance(other, FiniteGroup) and self._rows == other._rows
 
     def __hash__(self) -> int:
         return self._hash
@@ -160,17 +244,17 @@ class FiniteGroup:
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         if self._classes is None:
-            import numpy as np
-            t, inv = self.table, self.inverses
-            xs = np.arange(self.order)
-            seen = np.zeros(self.order, dtype=bool)
+            rows, inv = self._rows, self.inverses
+            seen = [False] * self.order
             classes = []
             for g in range(self.order):
                 if seen[g]:
                     continue
-                members = np.unique(t[t[xs, g], inv[xs]])
-                seen[members] = True
-                classes.append(ConjugacyClass(g, tuple(int(m) for m in members)))
+                # x g x^-1 for every x: row x gives x g, row x g gives (x g) x^-1
+                members = sorted({rows[row[g]][i] for row, i in zip(rows, inv)})
+                for m in members:
+                    seen[m] = True
+                classes.append(ConjugacyClass(g, tuple(members)))
             # identity class first, then by smallest member
             classes.sort(key=lambda c: (c.representative != self.identity, c.members[0]))
             self._classes = tuple(classes)
@@ -178,27 +262,32 @@ class FiniteGroup:
 
     def centralizer_indices(self, elems: Iterable[int]) -> tuple[int, ...]:
         """Indices of elements commuting with every element of ``elems``."""
-        import numpy as np
-        mask = np.ones(self.order, dtype=bool)
+        rows = self._rows
+        mask = [True] * self.order
         for s in elems:
             if not (0 <= s < self.order):
                 raise InputError(f"element index {s} out of range")
-            mask &= self.table[:, s] == self.table[s, :]
-        return tuple(int(i) for i in np.nonzero(mask)[0])
+            # s x == x s, against row s and column s
+            mask = list(map(and_, mask, map(eq, rows[s], map(itemgetter(s), rows))))
+        return tuple(itertools.compress(range(self.order), mask))
 
     def subgroup(self, elems: Sequence[int], name: str = "H") -> "FiniteGroup":
         """The subgroup on the given closed element set, with the induced table."""
-        import numpy as np
-        elems = tuple(sorted(set(int(e) for e in elems)))
-        pos = {e: i for i, e in enumerate(elems)}
-        m = len(elems)
-        tab = np.empty((m, m), dtype=np.int64)
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                prod = int(self.table[a, b])
-                if prod not in pos:
-                    raise InputError("element set is not closed under multiplication")
-                tab[i, j] = pos[prod]
+        elems = tuple(sorted({int(e) for e in elems}))
+        if not elems:
+            raise InputError("a subgroup needs at least one element")
+        if not (0 <= elems[0] and elems[-1] < self.order):
+            raise InputError("element index out of range")
+        pos = [-1] * self.order
+        for i, e in enumerate(elems):
+            pos[e] = i
+        restrict = _getter(elems)
+        tab = []
+        for a in elems:
+            row = _getter(restrict(self._rows[a]))(pos)
+            if min(row) < 0:
+                raise InputError("element set is not closed under multiplication")
+            tab.append(row)
         return FiniteGroup(tab, name=name, validate=False, ambient_indices=elems)
 
     def centralizer_subgroup(self, g: int) -> "FiniteGroup":
@@ -291,7 +380,11 @@ def descriptor_name(d: GroupDescriptor) -> str:
     if isinstance(d, Dihedral):
         return f"D{d.order}"
     if isinstance(d, DirectProduct):
-        return f"{descriptor_name(d.left)} x {descriptor_name(d.right)}"
+        # "x" groups to the left, so a product on the right needs parentheses
+        right = descriptor_name(d.right)
+        if isinstance(d.right, DirectProduct):
+            right = f"({right})"
+        return f"{descriptor_name(d.left)} x {right}"
     if isinstance(d, Wreath):
         base = descriptor_name(d.base)
         if isinstance(d.base, (DirectProduct, Wreath)):
@@ -332,31 +425,27 @@ def build_group(d: GroupDescriptor, order_cap: Optional[int] = None) -> FiniteGr
 
 
 def _cyclic_group(n: int) -> FiniteGroup:
-    import numpy as np
-    idx = np.arange(n)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"C{n}")
+    ints = tuple(range(n))
+    return FiniteGroup(tuple(ints[i:] + ints[:i] for i in range(n)), name=f"C{n}")
 
 
 def _symmetric_group(n: int) -> FiniteGroup:
     perms = sorted(itertools.permutations(range(n)))
     pos = {s: i for i, s in enumerate(perms)}
-    tab = [[pos[tuple(s[t[x]] for x in range(n))] for t in perms] for s in perms]
+    # row s, column t: the composite s after t, with entries s[t[x]]
+    picks = [_getter(t) for t in perms]
+    tab = [tuple(pos[pick(s)] for pick in picks) for s in perms]
     return FiniteGroup(tab, name=f"S{n}")
 
 
 def _dihedral_group(order: int) -> FiniteGroup:
-    import numpy as np
     n = order // 2
-    # element (i, j) = r^i s^j at index j*n + i;  s r s = r^-1
-    def mul(i1, j1, i2, j2):
-        return ((i1 + (i2 if j1 == 0 else -i2)) % n, (j1 + j2) % 2)
-    tab = np.empty((order, order), dtype=np.int64)
-    for a in range(order):
-        i1, j1 = a % n, a // n
-        for b in range(order):
-            i2, j2 = b % n, b // n
-            i, j = mul(i1, j1, i2, j2)
-            tab[a, b] = j * n + i
+    # element (i, j) = r^i s^j at index j*n + i;  s r s = r^-1, so
+    # r^i1 * r^i2 s^j = r^(i1+i2) s^j and r^i1 s * r^i2 s^j = r^(i1-i2) s^(1+j)
+    ints = tuple(range(order))
+    rots, refls = ints[:n], ints[n:]
+    tab = [rots[i:] + rots[:i] + refls[i:] + refls[:i] for i in range(n)]
+    tab += [refls[i::-1] + refls[:i:-1] + rots[i::-1] + rots[:i:-1] for i in range(n)]
     return FiniteGroup(tab, name=f"D{order}")
 
 
@@ -366,14 +455,23 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: Optional[int] = No
     if g.order * h.order > cap:
         raise ResourceBudgetError(
             f"group of order {g.order * h.order} exceeds the cap {cap}")
-    tab = (h.order * g.table[:, None, :, None] + h.table[None, :, None, :])
-    tab = tab.reshape(g.order * h.order, g.order * h.order)
+    m = h.order
+    ints = tuple(range(g.order * m))
+    # shifted[u][b]: the elements (u, b d) for every d in H, at indices u*|H| + b d
+    shifted = [tuple(_getter(hrow)(ints[u * m:(u + 1) * m]) for hrow in h._rows)
+               for u in range(g.order)]
+    tab = [tuple(itertools.chain.from_iterable(shifted[u][b] for u in grow))
+           for grow in g._rows for b in range(m)]
     return FiniteGroup(tab, name=f"{g.name} x {h.name}", validate=False)
 
 
 def wreath_cyclic(g: FiniteGroup, c: int, order_cap: Optional[int] = None) -> FiniteGroup:
-    """The wreath product G wr C_c: tuples in G^c with C_c cycling coordinates."""
-    import numpy as np
+    """The wreath product G wr C_c: tuples in G^c with C_c cycling coordinates.
+
+    The element (g_0, ..., g_{c-1}; s) has index v*c + s with
+    v = sum g_i |G|^i, and (gs; s)(hs; t) = (w; s + t) with
+    w_i = g_i h_{i-s}, indices mod c.
+    """
     cap = resolve_order_cap(order_cap)
     if c < 2:
         raise InputError(f"wreath degree must be >= 2, got {c}")
@@ -381,22 +479,23 @@ def wreath_cyclic(g: FiniteGroup, c: int, order_cap: Optional[int] = None) -> Fi
     order = m ** c * c
     if order > cap:
         raise ResourceBudgetError(f"group of order {order} exceeds the cap {cap}")
-    coords = list(itertools.product(range(m), repeat=c))  # tuple (g_0, ..., g_{c-1})
-    tab = np.empty((order, order), dtype=np.int64)
-
-    def encode(tup, t):
-        v = 0
-        for x in reversed(tup):
-            v = v * m + x
-        return v * c + t
-
-    for gs in coords:
+    ints = tuple(range(order))
+    # scaled[i][a]: row a of G as coordinate i's contribution to v
+    scaled = [[tuple(x * m ** i for x in row) for row in g._rows] for i in range(c)]
+    # blocks[s][u]: the indices of (w; s + t) for t = 0..c-1, where v(w) = u
+    blocks = [[ints[u * c + s:(u + 1) * c] + ints[u * c:u * c + s] for u in range(m ** c)]
+              for s in range(c)]
+    tab = []
+    for v in range(m ** c):
+        gs = [v // m ** i % m for i in range(c)]
         for s in range(c):
-            a = encode(gs, s)
-            for hs in coords:
-                w = tuple(g.table[gs[i], hs[(i - s) % c]] for i in range(c))
-                for t in range(c):
-                    tab[a, encode(hs, t)] = encode(w, (s + t) % c)
+            # v(w) over all hs in index order: w_i = g_i h_j with i = j + s,
+            # so hs contributes coordinate by coordinate, h_0 fastest
+            vs = [0]
+            for j in range(c):
+                i = (j + s) % c
+                vs = [x + y for y in scaled[i][gs[i]] for x in vs]
+            tab.append(tuple(itertools.chain.from_iterable(map(blocks[s].__getitem__, vs))))
     name = g.name if " " not in g.name else f"({g.name})"
     return FiniteGroup(tab, name=f"{name} wr C{c}", validate=False)
 
@@ -438,12 +537,10 @@ def _commuting_tuple_count(g: FiniteGroup, p: int, n: int) -> int:
         return len(g.p_elements(p))
     if n == 2:
         # direct pair count, independent of the class/centralizer route
-        import numpy as np
-        mask = np.fromiter((g.is_p_element(x, p) for x in range(g.order)),
-                           dtype=bool, count=g.order)
-        idx = np.nonzero(mask)[0]
-        commute = g.table[np.ix_(idx, idx)] == g.table[np.ix_(idx, idx)].T
-        return int(commute.sum())
+        idx = g.p_elements(p)
+        restrict = _getter(idx)
+        prows = restrict(g._rows)
+        return sum(sum(map(eq, restrict(g._rows[a]), map(itemgetter(a), prows))) for a in idx)
     total = 0
     for cls in g.conjugacy_classes():
         rep = cls.representative

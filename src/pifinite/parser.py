@@ -6,7 +6,7 @@
              | "(" expr ")"
     abelian := "C" INT { "x" "C" INT }
     group   := atomgrp { "x" atomgrp }
-    atomgrp := "C" INT | "S" INT | "D" INT | atomgrp "wr" "C" INT
+    atomgrp := ( "C" INT | "S" INT | "D" INT | "(" group ")" ) { "wr" "C" INT }
 
 "+" is disjoint union, "*" is product, a bare integer is the discrete space
 with that many points (0 parses to the empty space).  ``B^0(...)`` collapses
@@ -182,18 +182,23 @@ class _Parser:
 
     def atom_group(self) -> GroupDescriptor:
         tok = self.peek()
-        if tok.kind != "NAME" or tok.text not in "CSD":
+        if self.at("SYM", "("):
+            self.advance()
+            desc: GroupDescriptor = self.group()
+            self.expect("SYM", ")")
+        elif tok.kind == "NAME" and tok.text in "CSD":
+            letter = self.advance().text
+            size = self.parse_int()
+            if letter == "C":
+                desc = Cyclic(size)
+            elif letter == "S":
+                desc = Symmetric(size)
+            else:
+                desc = Dihedral(size)
+        else:
             raise ParseError(
                 f"expected a group (C/S/D), found {tok.text or 'end of input'!r}",
                 tok.position)
-        letter = self.advance().text
-        size = self.parse_int()
-        if letter == "C":
-            desc: GroupDescriptor = Cyclic(size)
-        elif letter == "S":
-            desc = Symmetric(size)
-        else:
-            desc = Dihedral(size)
         while self.at("NAME", "wr"):
             self.advance()
             self.expect("NAME", "C")

@@ -231,7 +231,7 @@ Atom = Union[Classifying, EM]
 def _atom_key(atom: Atom):
     if isinstance(atom, EM):
         return ("em", atom.degree, atom.factors, b"")
-    return ("cls", atom.group.order, (), atom.group.table.tobytes())
+    return ("cls", atom.group.order, (), atom.group.table_key)
 
 
 def _canonical_atom(atom: Atom) -> Optional[Atom]:

@@ -71,6 +71,16 @@ class TestSubcommands:
         code, out, _ = run(capsys, "wreath", "C2", "--prime", "2", "--height", "2")
         assert code == 0 and out.strip() == "lhs -1, rhs 1, sign -1"
 
+    def test_loop_output_parses_back(self, capsys):
+        for space, prime in (("B(C2 wr C2 wr C2)", "3"), ("B((C2 x C2) wr C2)", "3"),
+                             ("B(S3 x (C2 x S3))", "5")):
+            code, out, _ = run(capsys, "loop", "--space", space, "--prime", prime)
+            assert code == 0
+            again = run(capsys, "loop", "--space", out.strip(), "--prime", prime)
+            assert again == (0, out, "")
+        code, out, _ = run(capsys, "loop", "--space", "B(C2 wr C2 wr C2)", "--prime", "3")
+        assert out.strip() == "B((C2 wr C2) wr C2)"
+
     def test_counterexample(self, capsys):
         code, out, _ = run(capsys, "counterexample", "--prime", "3")
         assert code == 0 and out.strip() == "lhs 29, rhs 27, multiplicativity fails"
@@ -175,11 +185,16 @@ class TestNumpyIsLazy:
             ["counterexample", "--prime", "5"],
             ["beta", "--prime", "3", "--k", "2"],
             ["card", "--space", "B(C6) * B^2(C3)", "--prime", "3", "--height", "2"],
+            ["card", "--space", "B(S3)", "--prime", "2", "--height", "1"],
+            ["loop", "--space", "B(S4)", "--prime", "2"],
+            ["classify", "--space", "B(S3) * B^1(C2)", "--prime", "2", "--range", "3"],
+            ["wreath", "C2 x C2", "--prime", "2", "--height", "2"],
+            ["profile", "--space", "B(C3 wr C3)", "--prime", "3", "--range", "2"],
             ["profile", "--space", "B(D600)", "--prime", "4", "--range", "2"],
             ["card", "--space", "B(S6) +", "--prime", "2", "--height", "1"],
             ["card", "--space", "B(C0)", "--prime", "2", "--height", "1"],
             ["card", "--space", "B(C20000)", "--prime", "2", "--height", "1"])
-        assert results == [[0, False]] * 5 + [[1, False]] * 3 + [[2, False]]
+        assert results == [[0, False]] * 10 + [[1, False]] * 3 + [[2, False]]
 
     def test_order_cap_refusal_does_not_load_numpy(self):
         results = _numpy_probe(
@@ -188,5 +203,7 @@ class TestNumpyIsLazy:
         assert results == [[2, False]]
 
     def test_table_answers_load_numpy(self):
-        results = _numpy_probe(["card", "--space", "B(S3)", "--prime", "2", "--height", "1"])
-        assert results == [[0, True]]
+        # group tables need no numpy; the 2-form kernel in verify still does
+        results = _numpy_probe(["card", "--space", "B(S3)", "--prime", "2", "--height", "1"],
+                               ["verify"])
+        assert results == [[0, False], [0, True]]

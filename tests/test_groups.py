@@ -1,3 +1,12 @@
+import gc
+import itertools
+import os
+import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import (GROUP_TEXTS, builtin_groups, named_group,
@@ -5,6 +14,19 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group,
 
 import pifinite as pf
 from pifinite import InputError, ResourceBudgetError
+
+
+# a non-associative loop of order 5: Latin square with identity,
+# but (1*1)*2 = 2 while 1*(1*2) = 4
+LOOP5 = [[0, 1, 2, 3, 4],
+         [1, 0, 3, 4, 2],
+         [2, 3, 4, 0, 1],
+         [3, 4, 1, 2, 0],
+         [4, 2, 0, 1, 3]]
+
+BUILDER_TEXTS = ("C1", "C7", "S1", "S3", "S4", "D2", "D8", "D12", "C2 x S3", "S3 x C3",
+                 "C2 wr C2", "C3 wr C2", "S3 wr C2", "C2 wr C3", "(C2 x C2) wr C2",
+                 "C2 wr C2 wr C2")
 
 
 class TestBuild:
@@ -42,13 +64,8 @@ class TestBuild:
             pf.FiniteGroup([[1, 0], [1, 0]])           # no identity
         # a non-associative loop of order 5: Latin square with identity,
         # but (1*1)*2 = 2 while 1*(1*2) = 4
-        loop5 = [[0, 1, 2, 3, 4],
-                 [1, 0, 3, 4, 2],
-                 [2, 3, 4, 0, 1],
-                 [3, 4, 1, 2, 0],
-                 [4, 2, 0, 1, 3]]
         with pytest.raises(InputError):
-            pf.FiniteGroup(loop5)
+            pf.FiniteGroup(LOOP5)
 
     def test_builders_produce_valid_tables(self):
         for g in [named_group("D8"), named_group("C6"),
@@ -188,3 +205,182 @@ def test_subgroup_relabels_consistently():
     # the centralizer of an order-4 rotation is cyclic of order 4
     assert sorted(cent.element_orders) == [1, 2, 4, 4]
     assert np.array_equal(np.sort(cent.table[0]), np.arange(4))
+
+
+# -- associativity: Light's test against the n^3 sweep ---------------------------------
+
+def sweep_is_associative(table) -> bool:
+    """The n^3 oracle: (x y) z == x (y z) for every triple."""
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def light_verdict(table) -> bool:
+    """The library's verdict on a Latin square with an identity."""
+    try:
+        pf.FiniteGroup(table)
+    except InputError as exc:
+        assert str(exc) == "table is not associative"
+        return False
+    return True
+
+
+def principal_isotope(table, f: int, g: int):
+    """x o y = (x g^-1)(f^-1 y), a loop with identity f g.  By Albert's
+    theorem a loop isotopic to a group is isomorphic to it, so these are
+    associative, with the identity moved off 0 for most f, g."""
+    n = len(table)
+    e = next(x for x in range(n) if table[x] == list(range(n)))
+    inv = [table[x].index(e) for x in range(n)]
+    return [[table[table[x][inv[g]]][table[inv[f]][y]] for y in range(n)] for x in range(n)]
+
+
+def swap_intercalate(table):
+    """Exchange the two symbols of the first 2x2 subsquare that avoids the
+    identity row and column; the result is a Latin square with the same
+    identity, and usually not associative."""
+    n = len(table)
+    e = next(x for x in range(n) if table[x] == list(range(n)))
+    others = [x for x in range(n) if x != e]
+    for a, b in itertools.combinations(others, 2):
+        for c, d in itertools.combinations(others, 2):
+            x, y = table[a][c], table[a][d]
+            if table[b][c] == y and table[b][d] == x:
+                out = [list(row) for row in table]
+                out[a][c], out[a][d], out[b][c], out[b][d] = y, x, x, y
+                return out
+    return None
+
+
+def random_loop(n: int, rng: random.Random):
+    """A random reduced Latin square (identity 0), filled by randomised
+    backtracking."""
+    table = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(cell: int) -> bool:
+        if cell == (n - 1) * (n - 1):
+            return True
+        r, c = 1 + cell // (n - 1), 1 + cell % (n - 1)
+        used = set(table[r][:c]) | {table[i][c] for i in range(r)}
+        for v in rng.sample(range(n), n):
+            if v not in used:
+                table[r][c] = v
+                if fill(cell + 1):
+                    return True
+        table[r][c] = None
+        return False
+
+    assert fill(0)
+    return table
+
+
+class TestLightAssociativity:
+    def test_loop5(self):
+        assert not sweep_is_associative(LOOP5)
+        assert not light_verdict(LOOP5)
+
+    @pytest.mark.parametrize("text", BUILDER_TEXTS)
+    def test_builder_tables(self, text):
+        table = named_group(text).table.tolist()
+        assert sweep_is_associative(table) and light_verdict(table)
+
+    @pytest.mark.parametrize("text", ["C6", "S3", "D8"])
+    def test_principal_isotopes(self, text):
+        table = named_group(text).table.tolist()
+        for f, g in itertools.product(range(len(table)), repeat=2):
+            iso = principal_isotope(table, f, g)
+            assert sweep_is_associative(iso) and light_verdict(iso)
+
+    @pytest.mark.parametrize("text", ["C6", "S3", "D8", "C2 x C2 x C2", "C2 x S3"])
+    def test_intercalate_swaps(self, text):
+        table = named_group(text).table.tolist()
+        for square in (table, principal_isotope(table, 1, 2)):
+            swapped = swap_intercalate(square)
+            assert not sweep_is_associative(swapped)
+            assert not light_verdict(swapped)
+
+    def test_random_loops(self):
+        rng = random.Random(4)
+        verdicts = []
+        for n in (4, 5, 6, 6, 7, 8) * 6:
+            loop = random_loop(n, rng)
+            verdicts.append(sweep_is_associative(loop))
+            assert light_verdict(loop) == verdicts[-1]
+        assert verdicts.count(False) > len(verdicts) // 2
+
+    def test_bad_tables_refused_under_optimize(self):
+        src = str(Path(pf.__file__).resolve().parent.parent)
+        code = ("import pifinite as pf\n"
+                f"for table in ({LOOP5!r}, [[0, 1], [1, 1]]):\n"
+                "    try:\n"
+                "        pf.FiniteGroup(table)\n"
+                "    except pf.InputError as exc:\n"
+                "        print(__debug__, exc)\n")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["False table is not associative",
+                                           "False table rows/columns are not permutations"]
+
+
+# -- the table format ------------------------------------------------------------------
+
+class TestTableFormat:
+    @pytest.mark.parametrize("text", BUILDER_TEXTS + ("D272", "C2 x D136"))
+    def test_table_key_is_int64_little_endian_table(self, text):
+        g = pf.build_group(pf.parse_group(text))
+        assert g.table_key == np.asarray(g.table, dtype="<i8").tobytes()
+
+    def test_table_is_a_read_only_ndarray(self):
+        g = named_group("S3")
+        assert isinstance(g.table, np.ndarray) and g.table.dtype == np.int64
+        assert not g.table.flags.writeable
+        with pytest.raises(ValueError):
+            g.table[0, 0] = 1
+
+    @pytest.mark.parametrize("text", ["S3", "D8", "C2 wr C2", "S4"])
+    def test_ndarray_round_trip_and_relabel(self, text):
+        g = named_group(text)
+        assert pf.FiniteGroup(g.table) == g
+        assert pf.FiniteGroup(g.table.tolist(), validate=False) == g
+        # the relabelling that tools outside the library apply to tables
+        perm = np.concatenate(([0], 1 + np.random.default_rng(3).permutation(g.order - 1)))
+        inverse = np.argsort(perm)
+        relabelled = pf.FiniteGroup(perm[g.table[np.ix_(inverse, inverse)]], validate=False)
+        assert pf.FiniteGroup(relabelled.table) == relabelled
+        assert sorted(relabelled.element_orders) == sorted(g.element_orders)
+        for p in (2, 3):
+            for n in range(4):
+                assert (pf.count_commuting_p_tuples(relabelled, p, n)
+                        == pf.count_commuting_p_tuples(g, p, n))
+
+    def test_malformed_tables_are_input_errors(self):
+        for table in ([], [[0, 1]], [[0, 1], [1]], [[0, 2], [2, 0]], [[0, -1], [-1, 0]],
+                      [[0.0, 1.0], [1.0, 0.0]], [0, 1], np.zeros((2, 2, 2), dtype=int)):
+            with pytest.raises(InputError):
+                pf.FiniteGroup(table, validate=False)
+
+    def test_subgroup_refuses_open_sets(self):
+        s3 = named_group("S3")
+        transposition = next(x for x in s3.elements() if s3.element_orders[x] == 2)
+        with pytest.raises(InputError, match="not closed"):
+            s3.subgroup([s3.identity, transposition, 1 if transposition != 1 else 2])
+        for elems in ([0, 6], [-1, 0], []):
+            with pytest.raises(InputError):
+                s3.subgroup(elems)
+
+    def test_table_memory(self):
+        # one pointer per cell; every row shares the same int objects, so
+        # there is no int object per cell (that would cost about 4x)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = pf.build_group(pf.Dihedral(1000))
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.order == 1000
+        assert kept <= 8 * g.order ** 2 + 128 * g.order

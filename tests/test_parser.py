@@ -5,7 +5,8 @@ from conftest import named_group, random_space_expr
 
 import pifinite as pf
 import pifinite.parser
-from pifinite import ParseError, parse_space, space_text
+from pifinite import ParseError, parse_group, parse_space, space_text
+from pifinite.groups import descriptor_name
 
 
 @pytest.fixture
@@ -144,6 +145,15 @@ class TestPrinting:
             reparsed = parse_space(text)
             assert pf.normal_form(reparsed) == pf.normal_form(x)
             assert pf.normal_form(parse_space(space_text(reparsed))) == pf.normal_form(x)
+
+    def test_group_names_parse_back(self):
+        c2, s3, d8 = pf.Cyclic(2), pf.Symmetric(3), pf.Dihedral(8)
+        prod, wr = pf.DirectProduct, pf.Wreath
+        for d in (wr(wr(c2, 2), 2), wr(prod(c2, c2), 2), wr(prod(s3, wr(c2, 2)), 3),
+                  prod(c2, prod(s3, d8)), prod(prod(c2, s3), d8), prod(wr(c2, 2), prod(c2, c2)),
+                  wr(wr(prod(c2, prod(c2, c2)), 2), 3), prod(wr(wr(c2, 3), 2), s3)):
+            assert parse_group(descriptor_name(d)) == d
+        assert parse_group("((C2)) wr C2") == wr(c2, 2)
 
     def test_normal_form_expr_is_printable(self):
         x = parse_space("B(S3) * B(D8) + 4")
