@@ -21,12 +21,12 @@ import math
 import os
 import sys
 from array import array
-from dataclasses import dataclass
 from operator import and_, eq, itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
 from .rationals import require_prime
+from .records import frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,7 +50,7 @@ def resolve_order_cap(cap: Optional[int] = None) -> int:
     return DEFAULT_ORDER_CAP
 
 
-@dataclass(frozen=True)
+@frozen
 class ConjugacyClass:
     representative: int
     members: tuple[int, ...]
@@ -178,16 +178,20 @@ class FiniteGroup:
 
     def _orders_and_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Walk the powers g, g^2, ..., g^m = e of each element not yet
-        reached: g^k has order m / gcd(k, m) and inverse g^(m-k)."""
-        rows, e = self._rows, self.identity
-        orders = [0] * self.order
-        inverses = [e] * self.order
-        for g in range(self.order):
+        reached: g^k has order m / gcd(k, m) and inverse g^(m-k).  An
+        unvalidated table in which the powers of g miss the identity for
+        ``order`` steps is refused, as it is no group."""
+        rows, e, n = self._rows, self.identity, self.order
+        orders = [0] * n
+        inverses = [e] * n
+        for g in range(n):
             if orders[g]:
                 continue
-            powers, x = [g], g
+            row, powers, x = rows[g], [g], g
             while x != e:
-                x = rows[x][g]
+                if len(powers) == n:
+                    raise InputError(f"the powers of element {g} never reach the identity")
+                x = row[x]              # g g^k = g^(k+1)
                 powers.append(x)
             m = len(powers)
             for k, x in enumerate(powers, 1):
@@ -317,28 +321,28 @@ class FiniteGroup:
 
 # -- descriptors ---------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Cyclic:
     n: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Symmetric:
     n: int
 
 
-@dataclass(frozen=True)
+@frozen
 class Dihedral:
     order: int
 
 
-@dataclass(frozen=True)
+@frozen
 class DirectProduct:
     left: "GroupDescriptor"
     right: "GroupDescriptor"
 
 
-@dataclass(frozen=True)
+@frozen
 class Wreath:
     base: "GroupDescriptor"
     p: int

@@ -16,7 +16,6 @@ separates layers <= k from layers > k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
@@ -26,6 +25,7 @@ from .groups import Cyclic, FiniteGroup, build_group, count_commuting_p_tuples, 
     direct_product, wreath_cyclic
 from .parser import space_text
 from .rationals import ExactRational, RationalLike, binom_ext, require_prime, vp
+from .records import frozen
 from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
                      homotopy_cardinality, normal_form, product)
 
@@ -92,7 +92,7 @@ def _delta_iter_raw(a: Fraction, p: int, k: int, *,
 
 # -- height profiles -----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class HeightProfile:
     """Exact layer values a_0, ..., a_N of one element at a fixed prime."""
     prime: int
@@ -157,7 +157,7 @@ def _term_sort_key(item):
     return (dpow, nf.sort_key())
 
 
-@dataclass(frozen=True)
+@frozen
 class R1Element:
     """Integer combination of symbols delta^j [X] plus an integer constant.
 
@@ -308,7 +308,7 @@ def alpha_splitter(p: int, k: int, top: int, *,
 
 # -- consistency reports ----------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class WreathReport:
     """Both sides of the wreath-product identity for delta at one layer."""
     group: str

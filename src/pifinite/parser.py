@@ -19,12 +19,12 @@ parsed expression and re-parsing it yields an identical normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .errors import InputError
 from .groups import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                      Wreath, build_group, checked_order, descriptor_name)
+from .records import frozen
 from .spaces import (EM, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
                      classifying, disjoint_union, em_space, finite_set, product)
 
@@ -37,7 +37,7 @@ class ParseError(InputError):
         self.position = position
 
 
-@dataclass(frozen=True)
+@frozen
 class _Token:
     kind: str      # INT, NAME, SYM, END
     text: str

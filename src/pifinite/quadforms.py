@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import TYPE_CHECKING
 
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import ExactRational, binom_ext, is_prime
+from .records import frozen
 
 if TYPE_CHECKING:
     import numpy as np
@@ -40,7 +40,7 @@ def _require_odd_prime(p: int) -> int:
     return p
 
 
-@dataclass(frozen=True)
+@frozen
 class FormCountReport:
     """Result of counting 2-forms omega on F_p^n with omega ^ omega = 0."""
     prime: int
@@ -187,7 +187,7 @@ def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:
     return lead * (Fraction(p) ** (3 - n) + p ** n - p - 1) / (p ** 2 - 1)
 
 
-@dataclass(frozen=True)
+@frozen
 class MultiplicativityReport:
     """Fiber-times-base against total-space cardinality at height 4."""
     prime: int

@@ -1,0 +1,104 @@
+"""Frozen value classes, as ``@dataclass(frozen=True)`` makes them, without
+``dataclasses``.
+
+Importing ``dataclasses`` loads ``inspect`` (and with it ``ast``, ``dis``
+and ``tokenize``), and each decorated class compiles generated source for
+its methods; together that is tens of milliseconds of every CLI start,
+which answers one query per process.  ``@frozen`` compiles nothing: every
+record shares one ``__init__``, and equality and hashing take the tuple of
+field values, read in C by ``operator.attrgetter``.  The fields are the
+names in the class's own annotations, in order; a class attribute of the
+same name is the field's default.  Hashes are ``hash(field tuple)``, as
+frozen dataclasses give, so no set or dict order depends on the choice.
+"""
+
+from __future__ import annotations
+
+from operator import attrgetter
+
+
+class FrozenInstanceError(AttributeError):
+    """Raised on assigning to or deleting a field of a frozen record."""
+
+
+def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
+    """The field values, in order, for a call with ``args`` and ``kwargs``."""
+    names, defaults, _ = cls.__record__
+    if len(args) > len(names):
+        raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments "
+                        f"but {len(args)} were given")
+    bound = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name in bound or name not in names:
+            problem = "multiple values for" if name in bound else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        bound[name] = value
+    try:
+        return tuple(bound[n] if n in bound else defaults[n] for n in names)
+    except KeyError as exc:
+        raise TypeError(f"{cls.__name__}() missing required argument {exc.args[0]!r}") from None
+
+
+# Setting each field through object.__setattr__ keeps the instance's values
+# inline; touching self.__dict__ would build a dict per instance, which costs
+# memory and makes every later attribute read slower.
+_object_setattr = object.__setattr__
+
+
+def _init(self, *args, **kwargs):
+    names, _, post_init = self.__record__
+    if kwargs or len(args) != len(names):
+        args = _bind(type(self), args, kwargs)
+    for name, value in zip(names, args):
+        _object_setattr(self, name, value)
+    if post_init is not None:
+        post_init(self)
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in type(self).__record__[0])
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def frozen(cls: type) -> type:
+    """Make ``cls`` an immutable record of the fields it annotates."""
+    names = tuple(cls.__dict__.get("__annotations__", ()))
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    cls.__record__ = (names, defaults, getattr(cls, "__post_init__", None))
+    if len(names) == 1:
+        # attrgetter of one name returns the bare value, not a 1-tuple; the
+        # tuple is built inline rather than in a wrapper, which would cost
+        # each call a second Python frame
+        get = attrgetter(names[0])
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return (get(self),) == (get(other),)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash((get(self),))
+    else:
+        fields = attrgetter(*names) if names else lambda obj: ()
+
+        def __eq__(self, other):
+            if other.__class__ is self.__class__:
+                return fields(self) == fields(other)
+            return NotImplemented
+
+        def __hash__(self):
+            return hash(fields(self))
+
+    cls.__init__, cls.__eq__, cls.__hash__ = _init, __eq__, __hash__
+    cls.__setattr__, cls.__delattr__ = _setattr, _delattr
+    if "__repr__" not in cls.__dict__:
+        cls.__repr__ = _repr
+    return cls

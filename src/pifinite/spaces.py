@@ -17,23 +17,23 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
 from .errors import InputError, InvariantError
 from .groups import FiniteGroup, p_loop_decomposition
 from .rationals import ExactRational, binom_ext, require_prime, vp
+from .records import frozen
 
 
 # -- expression grammar ----------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class Empty:
     """The empty space."""
 
 
-@dataclass(frozen=True)
+@frozen
 class FinSet:
     """A finite discrete space with ``size`` points (size >= 1)."""
     size: int
@@ -43,14 +43,14 @@ class FinSet:
             raise InputError(f"FinSet needs size >= 1, got {self.size} (use EMPTY for 0)")
 
 
-@dataclass(frozen=True)
+@frozen
 class Classifying:
     """The classifying space of a finite group: one component, fundamental
     group ``group``, nothing above degree 1."""
     group: FiniteGroup
 
 
-@dataclass(frozen=True)
+@frozen
 class EM:
     """A single finite abelian group in one degree k >= 1.
 
@@ -74,7 +74,7 @@ class EM:
         return math.prod(self.factors)
 
 
-@dataclass(frozen=True)
+@frozen
 class Disjoint:
     parts: tuple["SpaceExpr", ...]
 
@@ -83,7 +83,7 @@ class Disjoint:
             raise InputError("Disjoint needs at least two parts (use the helper)")
 
 
-@dataclass(frozen=True)
+@frozen
 class Product:
     factors: tuple["SpaceExpr", ...]
 

@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 
+import pytest
+
 import pifinite.parser
 from pifinite.cli import main
 
@@ -154,32 +156,53 @@ class TestExitCodes:
             assert (code, err) == (2, "resource error: group of order 12 exceeds the cap 10\n")
 
 
-# Run in a fresh interpreter: whether numpy is loaded is process-wide state.
-_NUMPY_PROBE = textwrap.dedent("""
+# Run in a fresh interpreter: which modules are loaded is process-wide state.
+# A None argv only imports the CLI.
+_MODULE_PROBE = textwrap.dedent("""
     import contextlib, io, json, sys
+    modules, argvs = json.loads(sys.argv[1])
     import pifinite.cli
     results = []
-    for argv in json.loads(sys.argv[1]):
-        with contextlib.redirect_stdout(io.StringIO()), \\
-                contextlib.redirect_stderr(io.StringIO()):
-            code = pifinite.cli.main(argv)
-        results.append([code, "numpy" in sys.modules])
+    for argv in argvs:
+        code = None
+        if argv is not None:
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = pifinite.cli.main(argv)
+        results.append([code, any(m in sys.modules for m in modules)])
     print(json.dumps(results))
 """)
 
 
-def _numpy_probe(*argvs, env=None):
+def _probe_env(env=None):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, **(env or {}))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, json.dumps(argvs)],
-                          capture_output=True, text=True, env=env, timeout=120, check=True)
+    return env
+
+
+def _module_probe(modules, *argvs, env=None):
+    """[exit code, whether any of ``modules`` is loaded] after each argv,
+    all run in turn in one fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps([modules, argvs])],
+                          capture_output=True, text=True, env=_probe_env(env), timeout=120,
+                          check=True)
     return json.loads(proc.stdout)
+
+
+def _loaded_at_bare_start(modules):
+    """The ``modules`` that an interpreter running nothing has loaded (site
+    hooks may load some)."""
+    proc = subprocess.run([sys.executable, "-c", "import sys; print(*sys.modules)"],
+                          capture_output=True, text=True, env=_probe_env(), timeout=120,
+                          check=True)
+    return set(modules) & set(proc.stdout.split())
 
 
 class TestNumpyIsLazy:
     def test_table_free_answers_do_not_load_numpy(self):
-        results = _numpy_probe(
+        results = _module_probe(
+            ["numpy"],
             ["delta", "6", "--prime", "3"],
             ["table", "--prime", "3"],
             ["counterexample", "--prime", "5"],
@@ -197,13 +220,38 @@ class TestNumpyIsLazy:
         assert results == [[0, False]] * 10 + [[1, False]] * 3 + [[2, False]]
 
     def test_order_cap_refusal_does_not_load_numpy(self):
-        results = _numpy_probe(
-            ["card", "--space", "B(C12)", "--prime", "2", "--height", "1"],
+        results = _module_probe(
+            ["numpy"], ["card", "--space", "B(C12)", "--prime", "2", "--height", "1"],
             env={"PIFINITE_ORDER_CAP": "10"})
         assert results == [[2, False]]
 
     def test_table_answers_load_numpy(self):
         # group tables need no numpy; the 2-form kernel in verify still does
-        results = _numpy_probe(["card", "--space", "B(S3)", "--prime", "2", "--height", "1"],
-                               ["verify"])
+        results = _module_probe(["numpy"],
+                                ["card", "--space", "B(S3)", "--prime", "2", "--height", "1"],
+                                ["verify"])
         assert results == [[0, False], [0, True]]
+
+
+class TestStartupIsLean:
+    """The CLI answers one query per process, so what it imports is paid on
+    every call: value classes are built without ``dataclasses``, whose import
+    loads ``inspect``, ``ast``, ``dis`` and ``tokenize``."""
+
+    ARGVS = (None,              # the import alone
+             ["card", "--space", "B(S4)", "--prime", "2", "--height", "2"],
+             ["loop", "--space", "B(S3)", "--prime", "3"],
+             ["delta", "6", "--prime", "3"])
+
+    def test_no_dataclasses(self):
+        if _loaded_at_bare_start(["dataclasses"]):
+            pytest.skip("a site hook loads dataclasses at start-up")
+        results = _module_probe(["dataclasses"], *self.ARGVS, ["verify"])
+        assert results == [[None, False]] + [[0, False]] * 4
+
+    def test_no_inspect_without_numpy(self):
+        # numpy imports inspect, and verify's 2-form kernel imports numpy
+        if _loaded_at_bare_start(["inspect"]):
+            pytest.skip("a site hook loads inspect at start-up")
+        results = _module_probe(["inspect"], *self.ARGVS)
+        assert results == [[None, False]] + [[0, False]] * 3

@@ -67,6 +67,21 @@ class TestBuild:
         with pytest.raises(InputError):
             pf.FiniteGroup(LOOP5)
 
+    def test_unvalidated_powers_missing_identity_refused_promptly(self):
+        # 1 * 1 = 1, so the powers of 1 never reach the identity 0; run in a
+        # child with a timeout, so that a walk that never stops fails the test
+        src = str(Path(pf.__file__).resolve().parent.parent)
+        code = ("import pifinite as pf\n"
+                "try:\n"
+                "    pf.FiniteGroup([[0, 1], [1, 1]], validate=False)\n"
+                "except pf.InputError as exc:\n"
+                "    print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=30)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "the powers of element 1 never reach the identity\n"
+
     def test_builders_produce_valid_tables(self):
         for g in [named_group("D8"), named_group("C6"),
                   pf.build_group(pf.Wreath(pf.Cyclic(2), 2)),

@@ -1,0 +1,135 @@
+"""The contract of the library's frozen value classes (group descriptors,
+space atoms, reports): construction, equality, hashing, repr, immutability
+and the checks their constructors run."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import pifinite as pf
+from pifinite import InputError, InvariantError
+
+
+class TestEqualityAndHash:
+    def test_equal_fields_equal_records(self):
+        assert pf.Cyclic(3) == pf.Cyclic(3)
+        assert pf.EM((3, 2), 2) == pf.EM((2, 3), 2)       # factors canonicalised
+        assert pf.Empty() == pf.EMPTY
+        assert pf.DirectProduct(pf.Cyclic(2), pf.Dihedral(8)) \
+            == pf.DirectProduct(pf.Cyclic(2), pf.Dihedral(8))
+
+    def test_other_classes_never_equal(self):
+        assert pf.Cyclic(3) != pf.Symmetric(3)
+        assert pf.Cyclic(3) != (3,)
+        assert (3,) != pf.Cyclic(3)
+        assert pf.Cyclic(3) != pf.Cyclic(4)
+        assert pf.Cyclic(3).__eq__((3,)) is NotImplemented
+
+    def test_hash_is_hash_of_field_tuple(self):
+        assert hash(pf.Cyclic(3)) == hash((3,))
+        d = pf.DirectProduct(pf.Cyclic(2), pf.Wreath(pf.Symmetric(3), 2))
+        assert hash(d) == hash((pf.Cyclic(2), pf.Wreath(pf.Symmetric(3), 2)))
+        assert hash(pf.EM((2, 3), 2)) == hash(((2, 3), 2))
+        assert hash(pf.Empty()) == hash(())
+
+    def test_usable_as_keys(self):
+        keys = {pf.Cyclic(2): "a", pf.Symmetric(2): "b", pf.EM((2,), 1): "c"}
+        assert keys[pf.Cyclic(2)] == "a" and keys[pf.EM((2,), 1)] == "c"
+        assert len({pf.Cyclic(2), pf.Cyclic(2), pf.Dihedral(2)}) == 2
+
+
+class TestRepr:
+    def test_pinned(self):
+        assert repr(pf.Cyclic(6)) == "Cyclic(n=6)"
+        assert repr(pf.DirectProduct(pf.Cyclic(2), pf.Dihedral(8))) \
+            == "DirectProduct(left=Cyclic(n=2), right=Dihedral(order=8))"
+        assert repr(pf.EM((2, 3), 2)) == "EM(factors=(2, 3), degree=2)"
+        assert repr(pf.Empty()) == "Empty()"
+
+    def test_own_repr_kept(self):
+        assert repr(pf.R1Element.integer(3)) == "R1Element(3)"
+
+
+class TestImmutability:
+    @pytest.mark.parametrize("record, field", [
+        (pf.Cyclic(3), "n"), (pf.EM((2,), 1), "degree"),
+        (pf.HeightProfile(2, (1, 2)), "values"), (pf.R1Element.integer(1), "constant")])
+    def test_fields_cannot_be_assigned_or_deleted(self, record, field):
+        before = getattr(record, field)
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.new_attribute = 0
+        assert getattr(record, field) == before
+
+
+class TestConstruction:
+    def test_keywords_and_positions_agree(self):
+        assert pf.EM(degree=2, factors=(6,)) == pf.EM((6,), 2) == pf.EM((6,), degree=2)
+        assert pf.Wreath(base=pf.Cyclic(2), p=3) == pf.Wreath(pf.Cyclic(2), 3)
+
+    def test_default_filled(self):
+        assert pf.R1Element(terms=()).constant == 0
+        assert pf.R1Element(()).constant == 0
+        assert pf.R1Element((), 5).constant == 5
+
+    def test_post_init_normalises(self):
+        assert pf.EM((6,), 1).factors == (2, 3)
+        assert pf.HeightProfile(2, (1, 2)).values == (Fraction(1), Fraction(2))
+        assert type(pf.HeightProfile(2, (1,)).values[0]) is Fraction
+
+    @pytest.mark.parametrize("build", [
+        lambda: pf.Cyclic(),
+        lambda: pf.Cyclic(1, 2),
+        lambda: pf.Cyclic(m=1),
+        lambda: pf.Cyclic(1, n=1),
+        lambda: pf.EM((2,)),
+        lambda: pf.R1Element((), 0, 1),
+        lambda: pf.R1Element(constant=1),
+        lambda: pf.Empty(1),
+    ])
+    def test_bad_arguments_are_type_errors(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_post_init_checks_fire(self):
+        with pytest.raises(InputError):
+            pf.FinSet(0)
+        with pytest.raises(InputError):
+            pf.EM((2,), 0)
+        with pytest.raises(InputError):
+            pf.EM((1,), 1)
+        with pytest.raises(InputError):
+            pf.Disjoint((pf.PT,))
+        with pytest.raises(InputError):
+            pf.Product((pf.PT,))
+        with pytest.raises(InputError):
+            pf.HeightProfile(4, (1,))
+        with pytest.raises(InvariantError):
+            pf.FormCountReport(3, 4, 0, 729)         # kernel count out of range
+        with pytest.raises(InvariantError):
+            pf.FormCountReport(3, 4, 2, 729)         # not 1 mod p - 1
+        with pytest.raises(InputError):
+            pf.R1Element((((pf.PT, -1), 1),))         # negative delta power
+
+    def test_post_init_checks_fire_under_optimize(self):
+        src = str(Path(pf.__file__).resolve().parent.parent)
+        code = ("import pifinite as pf\n"
+                "for build in (lambda: pf.FinSet(0), lambda: pf.EM((2,), 0),\n"
+                "              lambda: pf.Disjoint((pf.PT,)), lambda: pf.HeightProfile(4, (1,)),\n"
+                "              lambda: pf.FormCountReport(3, 4, 2, 729)):\n"
+                "    try:\n"
+                "        build()\n"
+                "    except pf.PifiniteError as exc:\n"
+                "        print(__debug__, type(exc).__name__)\n")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines() == ["False InputError"] * 4 + ["False InvariantError"]
