@@ -210,17 +210,21 @@ def _check_fiber_formula() -> tuple[bool, str]:
     return ok, "fiber value p^3 + p - 1 beats p^3 at p = 3, 5, 7"
 
 
+# every (p, n) with n >= 4 whose p^C(n,2) forms fit the default enumeration budget
+_FORM_KERNEL_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
+
+
 def _check_form_kernel() -> tuple[bool, str]:
     counts = {(p, n): count_null_square_two_forms(p, n).kernel_count
-              for p, n in ((3, 4), (5, 4), (7, 4), (3, 5))}
+              for p, n in _FORM_KERNEL_PAIRS}
     ok = counts[3, 4] == 261
     ok &= all(c == decomposable_form_count(p, n) for (p, n), c in counts.items())
     for p in (3, 5):
         for n in (1, 2, 3):
             r = count_null_square_two_forms(p, n)
             ok &= r.kernel_count == r.total_forms
-    return ok, (f"kernel count at (3, 4) is {counts[3, 4]}; "
-                "(5, 4), (7, 4), (3, 5) match the closed form")
+    return ok, (f"kernel count at (3, 4) is {counts[3, 4]}; all {len(counts)} "
+                "default-budget (p, n) with n >= 4 match the closed form")
 
 
 def _check_wreath_grid() -> tuple[bool, str]:

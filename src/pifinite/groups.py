@@ -90,6 +90,13 @@ def _shared_rows(table) -> Rows:
     raise InputError("table entries must be element indices in range")
 
 
+class _ClosedRows(tuple):
+    """Rows that ``FiniteGroup.subgroup`` built from one shared int per
+    element and checked to be closed, so entries are in range: the
+    constructor keeps them as they are instead of re-checking and re-sharing."""
+    __slots__ = ()
+
+
 def _passes_light_test(rows: Rows, identity: int) -> bool:
     """Light's associativity test.
 
@@ -141,7 +148,8 @@ class FiniteGroup:
 
     def __init__(self, table, name: str = "G", *, descriptor=None, validate: bool = True,
                  ambient_indices: Optional[tuple[int, ...]] = None):
-        self._rows: Rows = _shared_rows(table)
+        # a plain tuple, so row lookups stay on the exact-tuple fast path
+        self._rows: Rows = tuple(table) if type(table) is _ClosedRows else _shared_rows(table)
         self.order: int = len(self._rows)
         self.name = name
         self.descriptor = descriptor
@@ -292,7 +300,7 @@ class FiniteGroup:
             if min(row) < 0:
                 raise InputError("element set is not closed under multiplication")
             tab.append(row)
-        return FiniteGroup(tab, name=name, validate=False, ambient_indices=elems)
+        return FiniteGroup(_ClosedRows(tab), name=name, validate=False, ambient_indices=elems)
 
     def centralizer_subgroup(self, g: int) -> "FiniteGroup":
         """C_G(g), cached per element."""

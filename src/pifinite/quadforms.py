@@ -8,9 +8,10 @@ explicit rational formula.  The kernel count has two routes that
 cross-check each other.  ``count_null_square_two_forms`` decides every form
 by the Pluecker relations themselves; it enumerates the forms split on one
 vertex, so that a form on the other n-1 vertices that fails their own
-relations discards its whole block at once.  ``decomposable_form_count`` is
-the Gaussian-binomial closed form.  The enumeration never consults the
-closed form or any rank formula.
+relations discards its whole block at once, and tests one pair per scaling
+class of the two halves, which the relations treat alike.
+``decomposable_form_count`` is the Gaussian-binomial closed form.  The
+enumeration never consults the closed form or any rank formula.
 """
 
 from __future__ import annotations
@@ -91,11 +92,18 @@ def count_null_square_two_forms(p: int, n: int,
     and the form v on vertices 1..n-1.  The relations that avoid vertex 0 are
     exactly those of dimension n-1 and involve v alone, so a v outside the
     (n-1)-dimensional kernel rejects its whole block of p^(n-1) forms; that
-    kernel comes from the same enumeration one dimension down.  For each v
-    in it, every u is tested against every relation through vertex 0.  Each
-    form is therefore decided by the relations themselves, never by the
-    closed form of ``decomposable_form_count``, which stays an independent
-    cross-check.  The budget counts all p^C(n,2) forms, pruned or not.
+    kernel comes from the same enumeration one dimension down.  Every
+    relation through vertex 0, u_b*v_cd - u_c*v_bd + u_d*v_bc, is bilinear
+    in (u, v), and the kernel one dimension down is closed under scaling
+    (its relations are homogeneous), so (u, v) and (a*u, b*v) pass or fail
+    together for all a, b != 0.  Only one representative per scaling class
+    is tested on each side: the zero vector and the vectors whose first
+    nonzero coordinate is 1.  A passing pair of nonzero representatives
+    stands for (p-1)^2 forms, a pair with exactly one zero side for p-1,
+    and (0, 0) for itself.  Each form is therefore decided by the relations
+    themselves, never by the closed form of ``decomposable_form_count``,
+    which stays an independent cross-check.  The budget counts all
+    p^C(n,2) forms, pruned or not.
     """
     _require_odd_prime(p)
     if n < 1:
@@ -107,8 +115,19 @@ def count_null_square_two_forms(p: int, n: int,
     if n < 4:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
-    inner = _null_square_kernel(p, n - 1)
-    kernel = sum(int(alive.sum()) for _, alive in _vertex_zero_splits(p, n, inner))
+    import numpy as np
+    us = _representatives(p, n - 1)
+    # below dimension 4 the kernel is every form, and C(3, 2) = 3
+    vs = us if n == 4 else _leading_one_rows(_null_square_kernel(p, n - 1))
+    q = p - 1
+    kernel = 0
+    lead = 1        # the first chunk starts with the zero u
+    for _, alive in _vertex_zero_splits(p, n, us, vs):
+        zero_u, rest = alive[:lead], alive[lead:]
+        kernel += int(np.count_nonzero(zero_u[:, :1])
+                      + q * (np.count_nonzero(zero_u[:, 1:]) + np.count_nonzero(rest[:, :1]))
+                      + q * q * np.count_nonzero(rest[:, 1:]))
+        lead = 0
     return FormCountReport(p, n, kernel, total)
 
 
@@ -120,17 +139,23 @@ def _null_square_kernel(p: int, n: int) -> np.ndarray:
         return _all_vectors(p, math.comb(n, 2))
     inner = _null_square_kernel(p, n - 1)
     parts = []
-    for u, alive in _vertex_zero_splits(p, n, inner):
+    for u, alive in _vertex_zero_splits(p, n, _all_vectors(p, n - 1), inner):
         i, j = np.nonzero(alive)
         parts.append(np.hstack([u[i], inner[j]]))
     return np.concatenate(parts)
 
 
-def _vertex_zero_splits(p: int, n: int,
+def _vertex_zero_splits(p: int, n: int, us: np.ndarray,
                         inner: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(u, alive)`` over row chunks of all u in F_p^(n-1), where
-    ``alive[i, j]`` says whether the form (u[i], inner[j]) on F_p^n passes
-    every relation through vertex 0.
+    """Yield ``(u, alive)`` over consecutive row chunks ``u`` of ``us``
+    (vectors of F_p^(n-1)), where ``alive[i, j]`` says whether the form
+    (u[i], inner[j]) on F_p^n passes every relation through vertex 0.
+
+    ``_null_square_kernel`` passes every u and every kernel row, to list
+    the forms themselves.  ``count_null_square_two_forms`` passes only the
+    zero vector and the vectors whose first nonzero coordinate is 1, on both
+    sides, and weights each pair by the size of its scaling class; the test
+    here is the same for both.
 
     Relabelling vertices 1..n-1 as 0..n-2 keeps the pair order, so the rows
     of ``inner`` are forms on vertices 1..n-1.  The relation for b<c<d is
@@ -149,7 +174,6 @@ def _vertex_zero_splits(p: int, n: int,
     import numpy as np
     offset = (p - 1) ** 2
     zero_mod_p = np.arange(-offset, 2 * offset + 1) % p == 0
-    us = _all_vectors(p, n - 1)
     pos = {pair: i for i, pair in enumerate(combinations(range(1, n), 2))}
     # multiples[c][a] = a * (column c of inner), for every a in [0, p)
     multiples = np.arange(p)[None, :, None] * inner.T[:, None, :]
@@ -169,9 +193,33 @@ def _vertex_zero_splits(p: int, n: int,
 
 
 def _all_vectors(p: int, k: int) -> np.ndarray:
-    """Every vector of F_p^k (k >= 1), one per row."""
+    """Every vector of F_p^k, one per row (one empty row for k = 0)."""
     import numpy as np
-    return np.indices((p,) * k, dtype=np.int64).reshape(k, -1).T
+    return np.indices((p,) * k, dtype=np.int64).reshape(k, p ** k).T
+
+
+def _representatives(p: int, k: int) -> np.ndarray:
+    """One vector of F_p^k per scaling class: the zero vector first, then
+    every vector whose first nonzero coordinate is 1, one block per leading
+    position; 1 + (p^k - 1)/(p - 1) rows."""
+    import numpy as np
+    blocks = [np.zeros((1, k), dtype=np.int64)]
+    for i in range(k):
+        tail = _all_vectors(p, k - 1 - i)
+        block = np.zeros((len(tail), k), dtype=np.int64)
+        block[:, i] = 1
+        block[:, i + 1:] = tail
+        blocks.append(block)
+    return np.concatenate(blocks)
+
+
+def _leading_one_rows(rows: np.ndarray) -> np.ndarray:
+    """The zero row, then the rows whose first nonzero entry is 1: one per
+    scaling class of a set of vectors closed under scaling."""
+    import numpy as np
+    leading = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
+    return np.concatenate([np.zeros((1, rows.shape[1]), dtype=rows.dtype),
+                           rows[leading == 1]])
 
 
 def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:

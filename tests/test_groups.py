@@ -386,6 +386,31 @@ class TestTableFormat:
             with pytest.raises(InputError):
                 s3.subgroup(elems)
 
+    @pytest.mark.parametrize("text", ["S4", "D12", "C2 x S3", "S3 wr C2"])
+    def test_subgroup_rows_are_shared_plain_tuples(self, text):
+        # closure-checked rows reach the constructor as built: plain tuples
+        # sharing one int per element, the same group a validated
+        # construction from outside gives
+        g = named_group(text)
+        for x in g.elements():
+            sub = g.subgroup(g.centralizer_indices([x]))
+            rows = sub._rows
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert len({id(v) for row in rows for v in row}) == sub.order
+            assert pf.FiniteGroup(sub.table) == sub
+            assert all(g.mul(sub.ambient_indices[a], sub.ambient_indices[b])
+                       == sub.ambient_indices[sub.mul(a, b)]
+                       for a in sub.elements() for b in sub.elements())
+
+    def test_large_subgroup_rows_share_ints(self):
+        # above 256 elements Python has no cached small ints, so only
+        # deliberate sharing leaves one int object per element
+        d600 = named_group("D600")
+        rotation = max(d600.elements(), key=d600.element_orders.__getitem__)
+        sub = d600.subgroup(d600.centralizer_indices([rotation]))
+        assert sub.order == 300
+        assert len({id(v) for row in sub._rows for v in row}) == 300
+
     def test_table_memory(self):
         # one pointer per cell; every row shares the same int objects, so
         # there is no int object per cell (that would cost about 4x)

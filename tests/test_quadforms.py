@@ -6,11 +6,13 @@ from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import _null_square_kernel
+from pifinite.quadforms import (_all_vectors, _leading_one_rows, _null_square_kernel,
+                                _representatives, _vertex_zero_splits)
 
 # every (p, n) with n >= 4 whose p^C(n,2) forms fit the default budget
 DEFAULT_BUDGET_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
@@ -28,6 +30,14 @@ def sweep_kernel(p: int, n: int) -> frozenset:
                for a, b, c, d in quads):
             kernel.add(w)
     return frozenset(kernel)
+
+
+def full_enumeration_count(p: int, n: int) -> int:
+    """Oracle without scaling classes: every u in F_p^(n-1) against every
+    form of the (n-1)-dimensional kernel, each pair counted once."""
+    inner = _null_square_kernel(p, n - 1)
+    return sum(int(alive.sum())
+               for _, alive in _vertex_zero_splits(p, n, _all_vectors(p, n - 1), inner))
 
 
 class TestKernelCounts:
@@ -102,6 +112,46 @@ class TestKernelCounts:
             pf.count_null_square_two_forms(3, 8)
         with pytest.raises(ResourceBudgetError):
             pf.count_null_square_two_forms(5, 5, budget=1000)
+
+
+class TestScalingClasses:
+    @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
+                                            for p, n in DEFAULT_BUDGET_PAIRS]
+                             + [(7, 5, 7 ** 10), (3, 6, 3 ** 15)])
+    def test_class_weights_match_full_enumeration(self, p, n, budget):
+        report = pf.count_null_square_two_forms(p, n, budget=budget)
+        assert type(report.kernel_count) is int     # JSON output needs a Python int
+        assert report.kernel_count == full_enumeration_count(p, n)
+        assert report.kernel_count == pf.decomposable_form_count(p, n)
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_representatives_one_per_class(self, p):
+        for k in range(1, 6):
+            reps = _representatives(p, k)
+            assert reps.shape == (1 + (p ** k - 1) // (p - 1), k)
+            nonzero = reps[reps.any(axis=1)]
+            assert len(nonzero) == len(reps) - 1          # the zero vector, once
+            leading = nonzero[np.arange(len(nonzero)), (nonzero != 0).argmax(axis=1)]
+            assert (leading == 1).all()
+            weights = p ** np.arange(k)
+            is_rep = np.zeros(p ** k, dtype=bool)
+            is_rep[reps @ weights] = True
+            vectors = np.indices((p,) * k).reshape(k, -1).T
+            vectors = vectors[vectors.any(axis=1)]
+            hits = sum(is_rep[(a * vectors) % p @ weights].astype(int) for a in range(1, p))
+            assert (hits == 1).all()
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_leading_one_rows_pick_the_representatives(self, p):
+        for k in range(1, 5):
+            picked = _leading_one_rows(_all_vectors(p, k)).tolist()
+            reps = _representatives(p, k).tolist()
+            assert len(picked) == len(reps)
+            assert set(map(tuple, picked)) == set(map(tuple, reps))
+        kernel = _null_square_kernel(p, 4)
+        picked = _leading_one_rows(kernel)
+        assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
+        assert set(map(tuple, picked.tolist())) <= set(map(tuple, kernel.tolist()))
 
 
 class TestInvariants:
