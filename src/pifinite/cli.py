@@ -9,20 +9,16 @@ format carries numerator and denominator as decimal strings.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .errors import InputError, ResourceBudgetError
-from .groups import build_group
-from .heights import (alpha_splitter, beta_element, classify_layer, delta_iter,
-                      height_profile, pk_relation_check, verify_wreath_identity)
-from .parser import parse_group, parse_space, space_text
-from .quadforms import (amenability_failure_report, count_null_square_two_forms,
-                        decomposable_form_count)
 from .rationals import binom_ext, require_prime, vp
-from .spaces import (em_space, height_cardinality, normal_form, p_adic_loop)
+
+# Each handler and check imports the library modules it calls when it runs:
+# the CLI answers one query per process, and a module that answer does not
+# use would only add its import (and, without bytecode caches, its
+# compilation) to the start-up of every call.
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -38,6 +34,7 @@ def _rat_json(x: Fraction) -> dict:
 
 def _emit(args, plain: str, payload: dict) -> None:
     if args.format == "json":
+        import json
         print(json.dumps(payload))
     else:
         print(plain)
@@ -46,7 +43,14 @@ def _emit(args, plain: str, payload: dict) -> None:
 # -- subcommand handlers -----------------------------------------------------------
 
 
+def _require_count(what: str, value: int) -> None:
+    if value < 0:
+        raise InputError(f"{what} must be >= 0, got {value}")
+
+
 def _cmd_card(args) -> int:
+    from .parser import parse_space
+    from .spaces import height_cardinality
     space = parse_space(args.space)
     value = height_cardinality(space, args.prime, args.height)
     _emit(args, str(value), {
@@ -59,6 +63,9 @@ def _cmd_card(args) -> int:
 
 
 def _cmd_loop(args) -> int:
+    _require_count("iteration count", args.iterations)
+    from .parser import parse_space, space_text
+    from .spaces import normal_form, p_adic_loop
     space = parse_space(args.space)
     for _ in range(args.iterations):
         space = p_adic_loop(space, args.prime)
@@ -73,6 +80,8 @@ def _cmd_loop(args) -> int:
 
 
 def _cmd_profile(args) -> int:
+    from .heights import height_profile
+    from .parser import parse_space
     space = parse_space(args.space)
     prof = height_profile(space, args.prime, args.range)
     plain = "\n".join(f"{n}: {prof[n]}" for n in range(len(prof)))
@@ -85,6 +94,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_delta(args) -> int:
+    from .heights import delta_iter
     try:
         value = Fraction(args.value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -100,6 +110,7 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_beta(args) -> int:
+    from .heights import beta_element, classify_layer
     prof = beta_element(args.prime, args.k).profile(args.prime, args.range)
     classes = [classify_layer(prof, n).value for n in range(len(prof))]
     plain = "\n".join(f"{n}: {prof[n]} ({classes[n]})" for n in range(len(prof)))
@@ -113,6 +124,8 @@ def _cmd_beta(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .heights import classify_layer, height_profile
+    from .parser import parse_space
     space = parse_space(args.space)
     prof = height_profile(space, args.prime, args.range)
     classes = [classify_layer(prof, n).value for n in range(len(prof))]
@@ -127,6 +140,9 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_wreath(args) -> int:
+    from .groups import build_group
+    from .heights import verify_wreath_identity
+    from .parser import parse_group
     group = build_group(parse_group(args.group))
     report = verify_wreath_identity(group, args.prime, args.height)
     sign = "either" if report.sign is None and report.magnitudes_match else report.sign
@@ -146,6 +162,7 @@ def _cmd_wreath(args) -> int:
 
 
 def _cmd_counterexample(args) -> int:
+    from .quadforms import amenability_failure_report
     report = amenability_failure_report(args.prime)
     verdict = "multiplicativity holds" if report.multiplicative else "multiplicativity fails"
     _emit(args, f"lhs {report.lhs}, rhs {report.rhs}, {verdict}", {
@@ -158,27 +175,27 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    _require_count("kmax", args.kmax)
+    _require_count("nmax", args.nmax)
+    from .spaces import em_space, height_cardinality
     p = args.prime
     rows = [[height_cardinality(em_space([p], k), p, n) for k in range(args.kmax + 1)]
             for n in range(args.nmax + 1)]
-    if args.format == "json":
-        print(json.dumps({
-            "prime": p,
-            "kmax": args.kmax,
-            "nmax": args.nmax,
-            "values": [[_rat_json(v) for v in row] for row in rows],
-        }))
-    else:
-        header = "n\\k " + " ".join(f"{k:>8}" for k in range(args.kmax + 1))
-        print(header)
-        for n, row in enumerate(rows):
-            print(f"{n:>3} " + " ".join(f"{str(v):>8}" for v in row))
+    lines = ["n\\k " + " ".join(f"{k:>8}" for k in range(args.kmax + 1))]
+    lines += [f"{n:>3} " + " ".join(f"{str(v):>8}" for v in row) for n, row in enumerate(rows)]
+    _emit(args, "\n".join(lines), {
+        "prime": p,
+        "kmax": args.kmax,
+        "nmax": args.nmax,
+        "values": [[_rat_json(v) for v in row] for row in rows],
+    })
     return 0
 
 
 # -- the verification table ----------------------------------------------------------
 
 def _check_em_grid() -> tuple[bool, str]:
+    from .spaces import em_space, height_cardinality
     bad = 0
     for p in (2, 3, 5):
         for k in range(5):
@@ -190,11 +207,15 @@ def _check_em_grid() -> tuple[bool, str]:
 
 
 def _check_symmetric3() -> tuple[bool, str]:
+    from .parser import parse_space
+    from .spaces import height_cardinality
     value = height_cardinality(parse_space("B(S3)"), 2, 1)
     return value == Fraction(2, 3), f"|B(S3)| at p=2 height 1 is {value}"
 
 
 def _check_coset_composition() -> tuple[bool, str]:
+    from .parser import parse_space
+    from .spaces import height_cardinality
     s3 = height_cardinality(parse_space("B(S3)"), 2, 1)
     lhs = 3 * s3
     rhs = height_cardinality(parse_space("B(C2)"), 2, 1)
@@ -203,6 +224,7 @@ def _check_coset_composition() -> tuple[bool, str]:
 
 
 def _check_fiber_formula() -> tuple[bool, str]:
+    from .quadforms import amenability_failure_report
     ok = True
     for p in (3, 5, 7):
         report = amenability_failure_report(p)
@@ -215,6 +237,7 @@ _FORM_KERNEL_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
 
 
 def _check_form_kernel() -> tuple[bool, str]:
+    from .quadforms import count_null_square_two_forms, decomposable_form_count
     counts = {(p, n): count_null_square_two_forms(p, n).kernel_count
               for p, n in _FORM_KERNEL_PAIRS}
     ok = counts[3, 4] == 261
@@ -228,6 +251,9 @@ def _check_form_kernel() -> tuple[bool, str]:
 
 
 def _check_wreath_grid() -> tuple[bool, str]:
+    from .groups import build_group
+    from .heights import verify_wreath_identity
+    from .parser import parse_group
     grid = [("C2", 2), ("C2 x C2", 2), ("S3", 2), ("C3", 3)]
     signs = set()
     ok = True
@@ -246,6 +272,7 @@ def _check_wreath_grid() -> tuple[bool, str]:
 
 
 def _check_splitting() -> tuple[bool, str]:
+    from .heights import alpha_splitter, beta_element, classify_layer
     ok = True
     for p in (2, 3):
         for k in range(4):
@@ -261,11 +288,12 @@ def _check_splitting() -> tuple[bool, str]:
 
 
 def _check_pk_relations() -> tuple[bool, str]:
+    from .heights import pk_relation_check
     ok = all(pk_relation_check(p, n, 6) for p in (2, 3, 5) for n in range(4))
     return ok, "p_(k) = p_(n)^((-1)^(k-n)) for n <= 3, k <= 6"
 
 
-_VERIFY_TABLE: list[tuple[str, Callable[[], tuple[bool, str]]]] = [
+_VERIFY_TABLE = [
     ("em-grid", _check_em_grid),
     ("symmetric-3", _check_symmetric3),
     ("coset-composition", _check_coset_composition),
@@ -287,6 +315,7 @@ def _cmd_verify(args) -> int:
         if args.format != "json":
             print(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}")
     if args.format == "json":
+        import json
         print(json.dumps({"results": results, "failures": failures}))
     return 3 if failures else 0
 
@@ -354,7 +383,7 @@ def build_arg_parser() -> _ArgumentParser:
     return top
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = build_arg_parser()
     try:
         args = parser.parse_args(argv)

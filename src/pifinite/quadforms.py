@@ -55,6 +55,11 @@ class FormCountReport:
         # the zero form plus (p-1)-orbits of decomposables
         if self.dimension >= 4 and self.kernel_count % (self.prime - 1) != 1:
             raise InvariantError("kernel count must be 1 mod p-1")
+        # the class weights make every count 1 mod p-1, so the check above
+        # cannot catch a relation test that passes everything; this one can,
+        # since e0^e1 + e2^e3 has a nonzero square once n >= 4
+        if self.dimension >= 4 and self.kernel_count == self.total_forms:
+            raise InvariantError("kernel count must miss a form with nonzero square")
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -155,12 +156,30 @@ class TestExitCodes:
             code, _, err = run(capsys, "card", "--space", space, "--prime", "2", "--height", "1")
             assert (code, err) == (2, "resource error: group of order 12 exceeds the cap 10\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["loop", "--space", "B(S3)", "--prime", "2", "--iterations", "-1"],
+         "iteration count must be >= 0, got -1"),
+        (["table", "--prime", "3", "--kmax", "-1"], "kmax must be >= 0, got -1"),
+        (["table", "--prime", "3", "--nmax", "-1"], "nmax must be >= 0, got -1"),
+        (["table", "--prime", "3", "--kmax", "-2", "--nmax", "-1", "--format", "json"],
+         "kmax must be >= 0, got -2"),
+    ])
+    def test_negative_counts_refused(self, capsys, argv, message):
+        assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+    def test_zero_counts_still_answer(self, capsys):
+        assert run(capsys, "loop", "--space", "B(S3)", "--prime", "2",
+                   "--iterations", "0") == (0, "B(S3)\n", "")
+        code, out, _ = run(capsys, "table", "--prime", "3", "--kmax", "0", "--nmax", "0")
+        assert code == 0 and out.split() == ["n\\k", "0", "0", "3"]
+
 
 # Run in a fresh interpreter: which modules are loaded is process-wide state.
-# A None argv only imports the CLI.
+# A None argv only imports the CLI.  The arguments and results travel as
+# Python literals (repr, then eval), so that the probe itself imports no json.
 _MODULE_PROBE = textwrap.dedent("""
-    import contextlib, io, json, sys
-    modules, argvs = json.loads(sys.argv[1])
+    import contextlib, io, sys
+    modules, argvs = eval(sys.argv[1])
     import pifinite.cli
     results = []
     for argv in argvs:
@@ -169,8 +188,9 @@ _MODULE_PROBE = textwrap.dedent("""
             with contextlib.redirect_stdout(io.StringIO()), \\
                     contextlib.redirect_stderr(io.StringIO()):
                 code = pifinite.cli.main(argv)
-        results.append([code, any(m in sys.modules for m in modules)])
-    print(json.dumps(results))
+        results.append([code, any(m in sys.modules for m in modules),
+                        sorted(m for m in sys.modules if m.partition(".")[0] == "pifinite")])
+    print(repr(results))
 """)
 
 
@@ -181,13 +201,24 @@ def _probe_env(env=None):
     return env
 
 
+def _probe(modules, argvs, env=None):
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, repr([modules, list(argvs)])],
+                          capture_output=True, text=True, env=_probe_env(env), timeout=120,
+                          check=True)
+    return ast.literal_eval(proc.stdout)
+
+
 def _module_probe(modules, *argvs, env=None):
     """[exit code, whether any of ``modules`` is loaded] after each argv,
     all run in turn in one fresh interpreter."""
-    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps([modules, argvs])],
-                          capture_output=True, text=True, env=_probe_env(env), timeout=120,
-                          check=True)
-    return json.loads(proc.stdout)
+    return [result[:2] for result in _probe(modules, argvs, env)]
+
+
+def _library_modules(argv):
+    """[exit code, the sorted ``pifinite`` modules loaded] after ``argv``
+    alone in a fresh interpreter."""
+    (code, _, loaded), = _probe([], [argv])
+    return [code, loaded]
 
 
 def _loaded_at_bare_start(modules):
@@ -255,3 +286,51 @@ class TestStartupIsLean:
             pytest.skip("a site hook loads inspect at start-up")
         results = _module_probe(["inspect"], *self.ARGVS)
         assert results == [[None, False]] + [[0, False]] * 3
+
+
+_BASE = ["pifinite", "pifinite.cli", "pifinite.errors", "pifinite.rationals"]
+_TABLES = ["pifinite.groups", "pifinite.records", "pifinite.spaces"]
+_EXPRESSIONS = _TABLES + ["pifinite.parser"]
+_HEIGHTS = _EXPRESSIONS + ["pifinite.heights"]
+
+
+class TestLoadsOnlyWhatItRuns:
+    """Each subcommand imports the library modules it calls when it runs, so
+    a process pays only for the modules its answer uses."""
+
+    @pytest.mark.parametrize("argv, code, extra", [
+        (None, None, []),
+        (["card", "--space", "B(S4)", "--prime", "2", "--height", "2"], 0, _EXPRESSIONS),
+        (["loop", "--space", "B(S3)", "--prime", "3"], 0, _EXPRESSIONS),
+        (["card", "--space", "B(S7)", "--prime", "2", "--height", "1"], 1, _EXPRESSIONS),
+        (["card", "--space", "B(C5 wr C5)", "--prime", "5", "--height", "1"], 2, _EXPRESSIONS),
+        (["loop", "--space", "B(Q8)", "--prime", "2"], 1, _EXPRESSIONS),
+        (["table", "--prime", "3"], 0, _TABLES),
+        (["profile", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
+        (["classify", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
+        (["delta", "6", "--prime", "3"], 0, _HEIGHTS),
+        (["beta", "--prime", "3", "--k", "1"], 0, _HEIGHTS),
+        (["wreath", "C2", "--prime", "2", "--height", "2"], 0, _HEIGHTS),
+        (["counterexample", "--prime", "5"], 0, ["pifinite.quadforms", "pifinite.records"]),
+        (["verify"], 0, _HEIGHTS + ["pifinite.quadforms"]),
+        # refused before any library module loads
+        (["profile", "--space", "B(S3)", "--prime", "4", "--range", "2"], 1, []),
+        (["loop", "--space", "B(S3)", "--prime", "2", "--iterations", "-1"], 1, []),
+        (["table", "--prime", "3", "--nmax", "-1"], 1, []),
+        (["card", "--space", "pt"], 1, []),
+    ])
+    def test_module_sets(self, argv, code, extra):
+        assert _library_modules(argv) == [code, sorted(_BASE + extra)]
+
+    def test_json_only_for_json_output(self):
+        if _loaded_at_bare_start(["json"]):
+            pytest.skip("a site hook loads json at start-up")
+        results = _module_probe(
+            ["json"], None,
+            ["card", "--space", "B(S3)", "--prime", "2", "--height", "1"],
+            ["table", "--prime", "2", "--kmax", "1", "--nmax", "1"],
+            ["counterexample", "--prime", "3"],
+            ["delta", "6", "--prime", "3"],
+            ["card", "--space", "B(S3) +", "--prime", "2", "--height", "1", "--format", "json"],
+            ["card", "--space", "B(S3)", "--prime", "2", "--height", "1", "--format", "json"])
+        assert results == [[None, False]] + [[0, False]] * 4 + [[1, False], [0, True]]

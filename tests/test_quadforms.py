@@ -174,6 +174,23 @@ class TestInvariants:
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["False", "raised"]
 
+    def test_report_counting_every_form_is_an_invariant_error(self):
+        # 729 is 1 mod p-1 and in range: only the nonzero square of
+        # e0^e1 + e2^e3 rules it out, under -O as without it
+        with pytest.raises(InvariantError):
+            pf.FormCountReport(3, 4, 729, 729)
+        src = str(Path(pf.__file__).resolve().parent.parent)
+        code = ("import pifinite as pf\n"
+                "try:\n"
+                "    pf.FormCountReport(3, 4, 729, 729)\n"
+                "except pf.InvariantError:\n"
+                "    print(__debug__, 'raised')\n")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["False", "raised"]
+
 
 class TestFiberCardinality:
     def test_height_four_value(self):
