@@ -1,6 +1,9 @@
 """Finite groups as validated Cayley tables, plus the counting primitives
 (conjugacy classes, centralizers, commuting tuples of p-power-order elements)
-that drive every classifying-space cardinality in this package.
+that drive every classifying-space cardinality in this package.  Commuting
+tuples are counted on centralizers held as bitmasks over the p-elements,
+with no subgroup table; centralizer subgroups are built only on request, as
+the p-adic loop space makes them to print its components.
 
 Groups are deliberately plain multiplication tables, so every count is
 exact and independently checkable by brute force.  A table is a tuple of
@@ -15,7 +18,6 @@ table is the costly step, and its cost grows with the square of the order.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import os
@@ -140,8 +142,8 @@ class FiniteGroup:
 
     The table is validated at construction (identity, Latin square, which
     gives inverses, and associativity by Light's test); orders and inverses
-    are computed up front, conjugacy classes and centralizer subgroups on
-    first use.  Instances are immutable and compare (and hash) by table
+    are computed up front, conjugacy classes, centralizer subgroups and
+    commuting-tuple counts on first use.  Instances are immutable and compare (and hash) by table
     equality.  ``table`` is a read-only int64 ndarray copy for outside
     callers, built on first access; nothing in this package reads it.
     """
@@ -160,6 +162,7 @@ class FiniteGroup:
         self.element_orders, self.inverses = self._orders_and_inverses()
         self._classes: Optional[tuple[ConjugacyClass, ...]] = None
         self._centralizer_cache: dict = {}
+        self._tuple_counts: dict = {}   # p -> state of count_commuting_p_tuples
         self._hash = hash(self._rows)
         self._table_key: Optional[bytes] = None
         self._array: Optional[np.ndarray] = None
@@ -541,35 +544,59 @@ def p_loop_decomposition(g: FiniteGroup, p: int) -> list[tuple[int, FiniteGroup]
             if g.is_p_element(cls.representative, p)]
 
 
-@functools.lru_cache(maxsize=4096)
-def _commuting_tuple_count(g: FiniteGroup, p: int, n: int) -> int:
-    if n == 0:
-        return 1
-    if n == 1:
-        return len(g.p_elements(p))
-    if n == 2:
-        # direct pair count, independent of the class/centralizer route
-        idx = g.p_elements(p)
-        restrict = _getter(idx)
-        prows = restrict(g._rows)
-        return sum(sum(map(eq, restrict(g._rows[a]), map(itemgetter(a), prows))) for a in idx)
-    total = 0
-    for cls in g.conjugacy_classes():
-        rep = cls.representative
-        if g.is_p_element(rep, p):
-            total += len(cls) * _commuting_tuple_count(g.centralizer_subgroup(rep), p, n - 1)
-    return total
+# 0/1 byte flags to and from the binary digits that int(..., 2) reads and bin() writes
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
     """Number of pairwise-commuting n-tuples of p-power-order elements.
 
     Equivalently the number of homomorphisms from the free abelian pro-p
-    group on n generators into g.  n = 0 counts the empty tuple.  For n >= 3
-    the count recurses over centralizers of p-element classes, which keeps
-    large groups cheap; n <= 2 is counted directly.
+    group on n generators into g.  n = 0 counts the empty tuple.
+
+    Counted level by level on bitmasks over the p-elements P, with no
+    subgroup table: level k maps each common centralizer C(x_1..x_k) & P to
+    the number of k-tuples that have it, and the count at k + 1 sums weight
+    times popcount over level k.  Level 1 takes one representative per
+    p-class, weighted by the class size; level k + 1 sends each set S to
+    S & C(x) for every x in S, merging equal sets.  C(x) & P is built from
+    row x against column x when a level first reaches x (so n = 2 builds
+    masks for representatives only).  The group keeps, per prime, the
+    counts, the last level and the masks reached so far, replaced whole by
+    each call that goes further and never changed once stored.
     """
     require_prime(p)
     if n < 0:
         raise InputError(f"tuple length must be >= 0, got {n}")
-    return _commuting_tuple_count(g, p, n)
+    state = g._tuple_counts.get(p)
+    if state is None:
+        pelts = g.p_elements(p)
+        state = (pelts, (1, len(pelts)), None, {})
+    pelts, counts, level, masks = state
+    if n < len(counts):
+        return counts[n]
+    counts, masks = list(counts), dict(masks)
+    rows, restrict = g._rows, _getter(pelts)
+    prows = restrict(rows)
+
+    def mask(x: int) -> int:
+        if x not in masks:
+            flags = bytes(map(eq, restrict(rows[x]), map(itemgetter(x), prows)))
+            masks[x] = int(flags.translate(_DIGITS)[::-1], 2)
+        return masks[x]
+
+    while len(counts) <= n:
+        if level is None:
+            steps = ((mask(c.representative), len(c)) for c in g.conjugacy_classes()
+                     if g.is_p_element(c.representative, p))
+        else:
+            steps = ((s & mask(x), w) for s, w in level.items()
+                     for x in itertools.compress(pelts, bin(s)[:1:-1].encode().translate(_FLAGS)))
+        nxt: dict[int, int] = {}
+        for s, w in steps:
+            nxt[s] = nxt.get(s, 0) + w
+        level = nxt
+        counts.append(sum(w * s.bit_count() for s, w in level.items()))
+    g._tuple_counts[p] = (pelts, tuple(counts), level, masks)
+    return counts[n]

@@ -18,16 +18,16 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .groups import Cyclic, FiniteGroup, build_group, count_commuting_p_tuples, \
-    direct_product, wreath_cyclic
-from .parser import space_text
 from .rationals import ExactRational, RationalLike, binom_ext, require_prime, vp
 from .records import frozen
 from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
                      homotopy_cardinality, normal_form, product)
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 DEFAULT_ITER_DIGITS = 10_000
 DEFAULT_BETA_MAX_K = 4
@@ -119,13 +119,11 @@ class HeightProfile:
                              tuple(a * b for a, b in zip(self.values, other.values)))
 
 
-def height_profile(x: SpaceExpr, p: int, top: int, *,
-                   em_fast_path: bool = True) -> HeightProfile:
+def height_profile(x: SpaceExpr, p: int, top: int) -> HeightProfile:
     """Profile of a space: layer n holds its height-n cardinality."""
     if top < 0:
         raise InputError(f"profile range must be >= 0, got {top}")
-    return HeightProfile(p, tuple(height_cardinality(x, p, n, em_fast_path=em_fast_path)
-                                  for n in range(top + 1)))
+    return HeightProfile(p, tuple(height_cardinality(x, p, n) for n in range(top + 1)))
 
 
 def classify_layer(profile: HeightProfile, n: int) -> LayerClass:
@@ -251,6 +249,7 @@ class R1Element:
         return HeightProfile(p, tuple(self.value_at(p, n) for n in range(top + 1)))
 
     def __repr__(self) -> str:
+        from .parser import space_text
         bits = []
         for (space, dpow), coeff in self.terms:
             sym = f"[{space_text(space)}]"
@@ -330,11 +329,10 @@ def verify_wreath_identity(group: FiniteGroup, p: int, n: int) -> WreathReport:
     require_prime(p)
     if n < 0:
         raise InputError(f"layer must be >= 0, got {n}")
+    from .groups import Cyclic, build_group, direct_product, wreath_cyclic
 
     def bg_value(h: FiniteGroup) -> Fraction:
-        if n == 0:
-            return Fraction(1, h.order)
-        return Fraction(count_commuting_p_tuples(h, p, n), h.order)
+        return height_cardinality(classifying(h), p, n)
 
     base = bg_value(group)
     lhs = _delta_raw(base, p) if n == 0 else delta(base, p)

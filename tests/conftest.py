@@ -56,6 +56,31 @@ def oracle_commuting_tuples(g: pf.FiniteGroup, p: int, n: int) -> int:
     return count
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_centralizer_tuples(g: pf.FiniteGroup, p: int, n: int) -> int:
+    """The class/centralizer recursion on subgroup tables: a tuple is a
+    p-element x followed by an (n-1)-tuple in C(x), and conjugate x have
+    isomorphic centralizers, so the count is the sum over p-classes of
+    |class| times the count in C(rep); n = 2 is a direct pair count."""
+    pelts = g.p_elements(p)
+    if n < 2:
+        return len(pelts) if n else 1
+    if n == 2:
+        return sum(g.mul(a, b) == g.mul(b, a) for a in pelts for b in pelts)
+    return sum(len(cls) * oracle_centralizer_tuples(g.centralizer_subgroup(cls.representative),
+                                                    p, n - 1)
+               for cls in g.conjugacy_classes() if g.is_p_element(cls.representative, p))
+
+
+def oracle_looped_cardinality(x: pf.SpaceExpr, p: int, n: int):
+    """The height-n cardinality by the loop recursion: loop p-adically n
+    times (B(G) splitting into centralizer tables, EM atoms picking up their
+    p-part one degree down), then take the homotopy cardinality."""
+    for _ in range(n):
+        x = pf.p_adic_loop(x, p)
+    return pf.homotopy_cardinality(x)
+
+
 def oracle_conjugacy_classes(g: pf.FiniteGroup) -> list[frozenset[int]]:
     """Orbit computation from scratch."""
     classes = []

@@ -6,7 +6,8 @@ import json
 import random
 from fractions import Fraction
 
-from conftest import named_group, oracle_commuting_tuples, random_space_expr
+from conftest import (named_group, oracle_commuting_tuples, oracle_looped_cardinality,
+                      random_space_expr)
 
 import pifinite as pf
 from pifinite import LayerClass, vp
@@ -23,10 +24,9 @@ def test_criterion_1_em_grid_by_recursion():
     for p in (2, 3, 5):
         for k in range(5):
             for n in range(6):
-                value = pf.height_cardinality(pf.em_space([p], k), p, n,
-                                              em_fast_path=False)
+                value = oracle_looped_cardinality(pf.em_space([p], k), p, n)
                 checks.append(value == Fraction(p) ** pf.binom_ext(n - 1, k))
-    _report("1 EM grid (90 exact equalities, fast path disabled)",
+    _report("1 EM grid (90 exact equalities, by the loop recursion)",
             len(checks) == 90 and all(checks))
 
 
@@ -144,8 +144,7 @@ def test_criterion_8_loop_recursion_consistency():
         p = (2, 3)[i % 2]
         looped = pf.p_adic_loop(x, p)
         for n in (1, 2, 3):
-            ok &= pf.height_cardinality(x, p, n) == \
-                pf.height_cardinality(looped, p, n - 1, em_fast_path=False)
+            ok &= pf.height_cardinality(x, p, n) == oracle_looped_cardinality(looped, p, n - 1)
     _report("8 loop-recursion consistency on 200 random expressions", ok)
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import pytest
 
@@ -105,6 +106,27 @@ class TestSubcommands:
         assert len(lines) == 8
         assert all(line.startswith("PASS") for line in lines)
 
+    def test_verify_checks_run_under_optimize(self):
+        # no check rests on an assert, so python -O runs every one of them
+        proc = subprocess.run([sys.executable, "-O", "-m", "pifinite.cli", "verify",
+                               "--format", "json"],
+                              capture_output=True, text=True, env=_probe_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["failures"] == 0 and len(payload["results"]) == 8
+
+    def test_verify_loop_route_is_independent(self, monkeypatch):
+        # em-grid loops and counts without height_cardinality, and symmetric-3
+        # needs both routes to agree, so breaking either route shows
+        import pifinite.cli as cli
+        import pifinite.spaces as spaces
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "height_cardinality", lambda x, p, n: Fraction(-1))
+            assert cli._check_em_grid()[0] and not cli._check_symmetric3()[0]
+        with monkeypatch.context() as m:
+            m.setattr(spaces, "p_adic_loop", lambda x, p: x)
+            assert not cli._check_em_grid()[0] and not cli._check_symmetric3()[0]
+
     def test_verify_exit_three_on_mismatch(self, capsys, monkeypatch):
         import pifinite.cli as cli
         broken = cli._VERIFY_TABLE + [("forced", lambda: (False, "forced failure"))]
@@ -112,6 +134,25 @@ class TestSubcommands:
         code, out, _ = run(capsys, "verify")
         assert code == 3
         assert "FAIL  forced" in out
+
+
+class TestLargeHeights:
+    def test_card_at_height_2000(self, capsys):
+        # |Hom(Z_2^n, S3)| = 3 * 2^n - 2, over |S3| = 6
+        code, out, err = run(capsys, "card", "--space", "B(S3)", "--prime", "2",
+                             "--height", "2000")
+        assert (code, err) == (0, "")
+        assert out.strip() == str(Fraction(2) ** 1999 - Fraction(1, 3))
+
+    def test_profile_to_height_300(self, capsys):
+        code, out, err = run(capsys, "profile", "--space", "B(S4) + B(D8)", "--prime", "2",
+                             "--range", "300")
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert len(lines) == 301 and lines[1] == "1: 5/3"
+        # fresh groups asked for height 300 alone agree with the profile's last line
+        fresh = pifinite.parser.parse_space("B(S4) + B(D8)")
+        assert lines[300] == f"300: {pifinite.spaces.height_cardinality(fresh, 2, 300)}"
 
 
 class TestExitCodes:
@@ -289,8 +330,8 @@ class TestStartupIsLean:
 
 
 _BASE = ["pifinite", "pifinite.cli", "pifinite.errors", "pifinite.rationals"]
-_TABLES = ["pifinite.groups", "pifinite.records", "pifinite.spaces"]
-_EXPRESSIONS = _TABLES + ["pifinite.parser"]
+_SPACES = ["pifinite.records", "pifinite.spaces"]
+_EXPRESSIONS = _SPACES + ["pifinite.groups", "pifinite.parser"]
 _HEIGHTS = _EXPRESSIONS + ["pifinite.heights"]
 
 
@@ -305,11 +346,11 @@ class TestLoadsOnlyWhatItRuns:
         (["card", "--space", "B(S7)", "--prime", "2", "--height", "1"], 1, _EXPRESSIONS),
         (["card", "--space", "B(C5 wr C5)", "--prime", "5", "--height", "1"], 2, _EXPRESSIONS),
         (["loop", "--space", "B(Q8)", "--prime", "2"], 1, _EXPRESSIONS),
-        (["table", "--prime", "3"], 0, _TABLES),
+        (["table", "--prime", "3"], 0, _SPACES),
         (["profile", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
         (["classify", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
-        (["delta", "6", "--prime", "3"], 0, _HEIGHTS),
-        (["beta", "--prime", "3", "--k", "1"], 0, _HEIGHTS),
+        (["delta", "6", "--prime", "3"], 0, _SPACES + ["pifinite.heights"]),
+        (["beta", "--prime", "3", "--k", "1"], 0, _SPACES + ["pifinite.heights"]),
         (["wreath", "C2", "--prime", "2", "--height", "2"], 0, _HEIGHTS),
         (["counterexample", "--prime", "5"], 0, ["pifinite.quadforms", "pifinite.records"]),
         (["verify"], 0, _HEIGHTS + ["pifinite.quadforms"]),

@@ -5,11 +5,12 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (GROUP_TEXTS, builtin_groups, named_group,
+from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centralizer_tuples,
                       oracle_commuting_tuples, oracle_conjugacy_classes)
 
 import pifinite as pf
@@ -188,6 +189,56 @@ class TestCommutingTuples:
                     rhs = sum(class_size[rep] * pf.count_commuting_p_tuples(cent, p, n)
                               for rep, cent in decomp)
                     assert lhs == rhs
+
+    @pytest.mark.parametrize("text", ["S5", "D200", "S3 wr C2", "S4 x S4", "C2 wr C2 wr C2"])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_against_centralizer_oracle(self, text, p):
+        g = named_group(text)
+        for n in range(5):
+            assert pf.count_commuting_p_tuples(g, p, n) == oracle_centralizer_tuples(g, p, n)
+
+    def test_counts_kept_per_group_match_fresh_groups(self):
+        # each count is asked of a group that has answered other heights
+        # before, and of a group built for it alone
+        for text, p in (("S4", 2), ("S3 wr C2", 3), ("D8", 2)):
+            d = pf.parse_group(text)
+            g = pf.build_group(d)
+            for n in (5, 2, 7, 0, 6):
+                assert pf.count_commuting_p_tuples(g, p, n) == \
+                    pf.count_commuting_p_tuples(pf.build_group(d), p, n)
+
+    @pytest.mark.parametrize("text", ["S3 wr C2", "C2 wr C2 wr C2"])
+    def test_concurrent_counts_agree(self, text):
+        # threads that share a group all extend the state it stored at n = 2;
+        # a stored state changed by one of them would give another a wrong count
+        d = pf.parse_group(text)
+        expected = {n: pf.count_commuting_p_tuples(pf.build_group(d), 2, n) for n in range(8)}
+        heights = [3, 4, 5, 6, 7, 3, 4, 5]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                g = pf.build_group(d)
+                pf.count_commuting_p_tuples(g, 2, 2)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda n: pf.count_commuting_p_tuples(g, 2, n),
+                                        heights, timeout=60))
+                assert got == [expected[n] for n in heights]
+        finally:
+            sys.setswitchinterval(interval)
+
+    # |Hom(Z_p^n, G wr C_p)| = h^p + (p^n - 1) |G|^(p-1) h with h = |Hom(Z_p^n, G)|:
+    # tuples in the base G^p, plus tuples with a component outside it
+    @pytest.mark.parametrize("text, p", [(t, p) for t in ("C2", "C3", "C4", "S3", "C2 x C2", "D8")
+                                         for p in (2, 3, 5)
+                                         if named_group(t).order ** p * p <= 1000])
+    def test_wreath_count_formula(self, text, p):
+        g = named_group(text)
+        wreath = pf.wreath_cyclic(g, p)
+        for n in range(4):
+            h = oracle_centralizer_tuples(g, p, n)
+            expected = h ** p + (p ** n - 1) * g.order ** (p - 1) * h
+            assert pf.count_commuting_p_tuples(wreath, p, n) == expected
 
 
 class TestLoopDecomposition:

@@ -3,7 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import builtin_groups, named_group, random_space_expr
+from conftest import (builtin_groups, named_group, oracle_centralizer_tuples,
+                      oracle_commuting_tuples, oracle_looped_cardinality, random_space_expr)
 
 import pifinite as pf
 from pifinite import EMPTY, PT, InputError
@@ -104,13 +105,12 @@ class TestHeightCardinality:
         for p in (2, 3, 5):
             for k in range(5):
                 for n in range(6):
-                    slow = pf.height_cardinality(pf.em_space([p], k), p, n, em_fast_path=False)
+                    slow = oracle_looped_cardinality(pf.em_space([p], k), p, n)
                     fast = pf.height_cardinality(pf.em_space([p], k), p, n)
                     assert slow == fast
         mixed = pf.em_space([6, 4], 2)
         for n in range(4):
-            assert pf.height_cardinality(mixed, 2, n) == \
-                pf.height_cardinality(mixed, 2, n, em_fast_path=False)
+            assert pf.height_cardinality(mixed, 2, n) == oracle_looped_cardinality(mixed, 2, n)
 
     def test_symmetric_3_values(self):
         bs3 = pf.classifying(named_group("S3"))
@@ -121,8 +121,24 @@ class TestHeightCardinality:
         for g in builtin_groups():
             for p in (2, 3):
                 for n in range(1, 4):
-                    direct = Fraction(pf.count_commuting_p_tuples(g, p, n), g.order)
-                    assert pf.height_cardinality(pf.classifying(g), p, n) == direct
+                    value = pf.height_cardinality(pf.classifying(g), p, n)
+                    assert value == Fraction(oracle_commuting_tuples(g, p, n), g.order)
+                    assert value == Fraction(oracle_centralizer_tuples(g, p, n), g.order)
+                    assert value == oracle_looped_cardinality(pf.classifying(g), p, n)
+
+    def test_classifying_builds_no_subgroup_table(self, monkeypatch):
+        s4 = pf.build_group(pf.Symmetric(4))
+        expected = Fraction(oracle_commuting_tuples(s4, 2, 3), s4.order)
+        built = []
+        init = pf.FiniteGroup.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("name"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pf.FiniteGroup, "__init__", counting_init)
+        assert pf.height_cardinality(pf.classifying(s4), 2, 3) == expected
+        assert built == []
 
     def test_component_additivity(self):
         rng = random.Random(9)
@@ -151,10 +167,11 @@ class TestHeightCardinality:
         for _ in range(40):
             x = random_space_expr(rng, depth=1)
             for p in (2, 3):
+                looped = pf.p_adic_loop(x, p)
                 for n in (1, 2, 3):
-                    assert pf.height_cardinality(x, p, n) == \
-                        pf.height_cardinality(pf.p_adic_loop(x, p), p, n - 1,
-                                              em_fast_path=False)
+                    value = pf.height_cardinality(x, p, n)
+                    assert value == oracle_looped_cardinality(looped, p, n - 1)
+                    assert value == pf.height_cardinality(looped, p, n - 1)
 
     def test_principal_fibration_products(self):
         # consecutive EM-space values multiply to 1 up to the lower degree
