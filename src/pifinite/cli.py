@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 input error, 2 resource-budget error, 3 when
 ``verify`` finds a mismatch.  All numeric output is exact: rationals print
 as ``a/b`` in lowest terms (integers without the ``/1``), and the JSON
-format carries numerator and denominator as decimal strings.
+format carries numerator and denominator as decimal strings.  An answer
+with more than ``MAX_DIGITS`` digits in either is refused with exit 2.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, ResourceBudgetError
-from .rationals import binom_ext, require_prime, vp
+from .rationals import MAX_DIGITS, binom_ext, require_digits, require_prime, vp
 
 # Each handler and check imports the library modules it calls when it runs:
 # the CLI answers one query per process, and a module that answer does not
@@ -27,9 +28,22 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _require_printable(k: int) -> int:
+    # checked before str(): past MAX_DIGITS digits, str() raises ValueError
+    return require_digits(k, "the answer")
+
+
+def _rat_text(x: Fraction) -> str:
+    x = Fraction(x)
+    _require_printable(x.numerator)
+    _require_printable(x.denominator)
+    return str(x)
+
+
 def _rat_json(x: Fraction) -> dict:
     x = Fraction(x)
-    return {"num": str(x.numerator), "den": str(x.denominator)}
+    return {"num": str(_require_printable(x.numerator)),
+            "den": str(_require_printable(x.denominator))}
 
 
 def _emit(args, plain: str, payload: dict) -> None:
@@ -53,7 +67,7 @@ def _cmd_card(args) -> int:
     from .spaces import height_cardinality
     space = parse_space(args.space)
     value = height_cardinality(space, args.prime, args.height)
-    _emit(args, str(value), {
+    _emit(args, _rat_text(value), {
         "space": args.space,
         "prime": args.prime,
         "height": args.height,
@@ -66,10 +80,15 @@ def _cmd_loop(args) -> int:
     _require_count("iteration count", args.iterations)
     from .parser import parse_space, space_text
     from .spaces import normal_form, p_adic_loop
-    space = parse_space(args.space)
+    # looping the normal form keeps each iteration as small as the answer;
+    # looping the raw expression doubles it with every iteration
+    nf = normal_form(parse_space(args.space))
     for _ in range(args.iterations):
-        space = p_adic_loop(space, args.prime)
-    text = space_text(normal_form(space).to_expr())
+        nf = normal_form(p_adic_loop(nf.to_expr(), args.prime))
+        # looping never lowers a multiplicity, so a large one can stop here
+        for _, count in nf.components:
+            _require_printable(count)
+    text = space_text(nf.to_expr())
     _emit(args, text, {
         "space": args.space,
         "prime": args.prime,
@@ -84,7 +103,7 @@ def _cmd_profile(args) -> int:
     from .parser import parse_space
     space = parse_space(args.space)
     prof = height_profile(space, args.prime, args.range)
-    plain = "\n".join(f"{n}: {prof[n]}" for n in range(len(prof)))
+    plain = "\n".join(f"{n}: {_rat_text(prof[n])}" for n in range(len(prof)))
     _emit(args, plain, {
         "space": args.space,
         "prime": args.prime,
@@ -99,8 +118,9 @@ def _cmd_delta(args) -> int:
         value = Fraction(args.value)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {args.value!r}") from exc
-    out = delta_iter(value, args.prime, args.iterations)
-    _emit(args, str(out), {
+    # iterates past the print budget are refused as soon as they appear
+    out = delta_iter(value, args.prime, args.iterations, max_digits=MAX_DIGITS)
+    _emit(args, _rat_text(out), {
         "value": args.value,
         "prime": args.prime,
         "iterations": args.iterations,
@@ -113,7 +133,7 @@ def _cmd_beta(args) -> int:
     from .heights import beta_element, classify_layer
     prof = beta_element(args.prime, args.k).profile(args.prime, args.range)
     classes = [classify_layer(prof, n).value for n in range(len(prof))]
-    plain = "\n".join(f"{n}: {prof[n]} ({classes[n]})" for n in range(len(prof)))
+    plain = "\n".join(f"{n}: {_rat_text(prof[n])} ({classes[n]})" for n in range(len(prof)))
     _emit(args, plain, {
         "prime": args.prime,
         "k": args.k,
@@ -129,7 +149,7 @@ def _cmd_classify(args) -> int:
     space = parse_space(args.space)
     prof = height_profile(space, args.prime, args.range)
     classes = [classify_layer(prof, n).value for n in range(len(prof))]
-    plain = "\n".join(f"{n}: {prof[n]} ({classes[n]})" for n in range(len(prof)))
+    plain = "\n".join(f"{n}: {_rat_text(prof[n])} ({classes[n]})" for n in range(len(prof)))
     _emit(args, plain, {
         "space": args.space,
         "prime": args.prime,
@@ -146,9 +166,9 @@ def _cmd_wreath(args) -> int:
     group = build_group(parse_group(args.group))
     report = verify_wreath_identity(group, args.prime, args.height)
     sign = "either" if report.sign is None and report.magnitudes_match else report.sign
-    plain = (f"lhs {report.lhs}, rhs {report.rhs}, sign {sign}"
-             if report.magnitudes_match
-             else f"lhs {report.lhs}, rhs {report.rhs}, MISMATCH")
+    lhs, rhs = _rat_text(report.lhs), _rat_text(report.rhs)
+    plain = (f"lhs {lhs}, rhs {rhs}, sign {sign}" if report.magnitudes_match
+             else f"lhs {lhs}, rhs {rhs}, MISMATCH")
     _emit(args, plain, {
         "group": args.group,
         "prime": args.prime,
@@ -165,7 +185,7 @@ def _cmd_counterexample(args) -> int:
     from .quadforms import amenability_failure_report
     report = amenability_failure_report(args.prime)
     verdict = "multiplicativity holds" if report.multiplicative else "multiplicativity fails"
-    _emit(args, f"lhs {report.lhs}, rhs {report.rhs}, {verdict}", {
+    _emit(args, f"lhs {_rat_text(report.lhs)}, rhs {_rat_text(report.rhs)}, {verdict}", {
         "prime": args.prime,
         "lhs": _rat_json(report.lhs),
         "rhs": _rat_json(report.rhs),
@@ -182,7 +202,8 @@ def _cmd_table(args) -> int:
     rows = [[height_cardinality(em_space([p], k), p, n) for k in range(args.kmax + 1)]
             for n in range(args.nmax + 1)]
     lines = ["n\\k " + " ".join(f"{k:>8}" for k in range(args.kmax + 1))]
-    lines += [f"{n:>3} " + " ".join(f"{str(v):>8}" for v in row) for n, row in enumerate(rows)]
+    lines += [f"{n:>3} " + " ".join(f"{_rat_text(v):>8}" for v in row)
+              for n, row in enumerate(rows)]
     _emit(args, "\n".join(lines), {
         "prime": p,
         "kmax": args.kmax,

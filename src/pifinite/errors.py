@@ -16,7 +16,7 @@ class InputError(PifiniteError, ValueError):
 
 class ResourceBudgetError(PifiniteError, RuntimeError):
     """A computation would exceed a configured size budget (group order cap,
-    enumeration budget, iterate digit budget)."""
+    enumeration budget, iterate and answer digit budgets)."""
 
 
 class InvariantError(PifiniteError, RuntimeError):

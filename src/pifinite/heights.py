@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import ExactRational, RationalLike, binom_ext, require_prime, vp
+from .rationals import (ExactRational, RationalLike, binom_ext, require_digits,
+                        require_prime, vp)
 from .records import frozen
 from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
                      homotopy_cardinality, normal_form, product)
@@ -60,10 +61,8 @@ def delta(a: RationalLike, p: int) -> ExactRational:
 
 
 def _check_digits(a: Fraction, max_digits: int) -> None:
-    bits = max_digits * 4  # ~1.2 bits of slack per decimal digit
-    if a.numerator.bit_length() > bits or a.denominator.bit_length() > bits:
-        raise ResourceBudgetError(
-            f"delta iterate exceeds the {max_digits}-digit budget")
+    require_digits(a.numerator, "delta iterate", max_digits)
+    require_digits(a.denominator, "delta iterate", max_digits)
 
 
 def delta_iter(a: RationalLike, p: int, k: int, *,

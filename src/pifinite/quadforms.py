@@ -9,9 +9,13 @@ cross-check each other.  ``count_null_square_two_forms`` decides every form
 by the Pluecker relations themselves; it enumerates the forms split on one
 vertex, so that a form on the other n-1 vertices that fails their own
 relations discards its whole block at once, and tests one pair per scaling
-class of the two halves, which the relations treat alike.
-``decomposable_form_count`` is the Gaussian-binomial closed form.  The
-enumeration never consults the closed form or any rank formula.
+class of the two halves, which the relations treat alike.  Each relation
+through vertex 0 reads three coordinates of the first half and is linear in
+them, so from dimension 5 on it is evaluated once per class row, one vector
+per scaling class of F_p^3, and every first half takes the outcome of the
+class of the three coordinates it has there.  ``decomposable_form_count``
+is the Gaussian-binomial closed form.  The enumeration never consults the
+closed form or any rank formula.
 """
 
 from __future__ import annotations
@@ -103,7 +107,8 @@ def count_null_square_two_forms(p: int, n: int,
     (its relations are homogeneous), so (u, v) and (a*u, b*v) pass or fail
     together for all a, b != 0.  Only one representative per scaling class
     is tested on each side: the zero vector and the vectors whose first
-    nonzero coordinate is 1.  A passing pair of nonzero representatives
+    nonzero coordinate is 1; those of the kernel come from
+    ``_kernel_representatives``.  A passing pair of nonzero representatives
     stands for (p-1)^2 forms, a pair with exactly one zero side for p-1,
     and (0, 0) for itself.  Each form is therefore decided by the relations
     themselves, never by the closed form of ``decomposable_form_count``,
@@ -123,7 +128,7 @@ def count_null_square_two_forms(p: int, n: int,
     import numpy as np
     us = _representatives(p, n - 1)
     # below dimension 4 the kernel is every form, and C(3, 2) = 3
-    vs = us if n == 4 else _leading_one_rows(_null_square_kernel(p, n - 1))
+    vs = us if n == 4 else _kernel_representatives(p, n - 1)
     q = p - 1
     kernel = 0
     lead = 1        # the first chunk starts with the zero u
@@ -139,12 +144,31 @@ def count_null_square_two_forms(p: int, n: int,
 def _null_square_kernel(p: int, n: int) -> np.ndarray:
     """The forms on F_p^n with zero wedge square, one per row, coordinates in
     ``combinations(range(n), 2)`` order."""
-    import numpy as np
     if n < 4:
         return _all_vectors(p, math.comb(n, 2))
+    return _vertex_zero_forms(p, n, _all_vectors(p, n - 1), _null_square_kernel(p, n - 1))
+
+
+def _kernel_representatives(p: int, n: int) -> np.ndarray:
+    """One form per scaling class of the forms on F_p^n (n >= 4) with zero
+    wedge square: the zero form first, then those whose first nonzero
+    coordinate is 1.  Such a form is (0, v) with v a representative one
+    dimension down, or (u, v) with u a leading-one vector and v any form
+    of the kernel one dimension down, so only class rows of u are tested."""
+    import numpy as np
     inner = _null_square_kernel(p, n - 1)
+    zero_u = _leading_one_rows(inner)
+    return np.concatenate([
+        np.hstack([np.zeros((len(zero_u), n - 1), dtype=inner.dtype), zero_u]),
+        _vertex_zero_forms(p, n, _representatives(p, n - 1)[1:], inner)])
+
+
+def _vertex_zero_forms(p: int, n: int, us: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """The forms (u, v) on F_p^n, u a row of ``us`` and v of ``inner``, that
+    pass every relation through vertex 0, one per row."""
+    import numpy as np
     parts = []
-    for u, alive in _vertex_zero_splits(p, n, _all_vectors(p, n - 1), inner):
+    for u, alive in _vertex_zero_splits(p, n, us, inner):
         i, j = np.nonzero(alive)
         parts.append(np.hstack([u[i], inner[j]]))
     return np.concatenate(parts)
@@ -157,10 +181,12 @@ def _vertex_zero_splits(p: int, n: int, us: np.ndarray,
     (u[i], inner[j]) on F_p^n passes every relation through vertex 0.
 
     ``_null_square_kernel`` passes every u and every kernel row, to list
-    the forms themselves.  ``count_null_square_two_forms`` passes only the
-    zero vector and the vectors whose first nonzero coordinate is 1, on both
-    sides, and weights each pair by the size of its scaling class; the test
-    here is the same for both.
+    the forms themselves, and ``_kernel_representatives`` the leading-one u
+    and every kernel row, to list one form per scaling class.
+    ``count_null_square_two_forms`` passes only the zero vector and the
+    vectors whose first nonzero coordinate is 1, on both sides, and weights
+    each pair by the size of its scaling class; the test here is the same
+    for all three.
 
     Relabelling vertices 1..n-1 as 0..n-2 keeps the pair order, so the rows
     of ``inner`` are forms on vertices 1..n-1.  The relation for b<c<d is
@@ -175,6 +201,14 @@ def _vertex_zero_splits(p: int, n: int, us: np.ndarray,
     that index lies in [0, 3(p-1)^2], so it is never negative and always
     inside the table, and the lookup is cheaper than an int64 ``% p`` over
     every cell.
+
+    The relation for b<c<d reads u only through a = (u_b, u_c, u_d) and is
+    linear in a, so a and l*a (l != 0) pass or fail together.  For n >= 5
+    a triple reads 3 of u's n-1 coordinates, and many rows of u share each
+    class of a, so the relation is tested once per class row, the p^2+p+2
+    rows of ``_representatives(p, 3)``, and each u row gathers the pass/fail
+    row of its class through ``_class_index``.  For n = 4 the single triple
+    reads all of u, and u itself is tested.
     """
     import numpy as np
     offset = (p - 1) ** 2
@@ -182,19 +216,48 @@ def _vertex_zero_splits(p: int, n: int, us: np.ndarray,
     pos = {pair: i for i, pair in enumerate(combinations(range(1, n), 2))}
     # multiples[c][a] = a * (column c of inner), for every a in [0, p)
     multiples = np.arange(p)[None, :, None] * inner.T[:, None, :]
-    triples = [(b - 1, c - 1, d - 1, pos[(c, d)], pos[(b, d)], pos[(b, c)])
-               for b, c, d in combinations(range(1, n), 3)]
+
+    def passes(a: np.ndarray, cd: int, bd: int, bc: int) -> np.ndarray:
+        # passes[i, j]: a[i, 0]*v_cd - a[i, 1]*v_bd + a[i, 2]*v_bc = 0 for v = inner[j]
+        sums = multiples[cd][a[:, 0]]
+        sums -= multiples[bd][a[:, 1]]
+        sums += multiples[bc][a[:, 2]]
+        sums += offset
+        return zero_mod_p[sums]
+
     rows = max(1, _CHUNK_CELLS // len(inner))
+    if n == 4:
+        for start in range(0, len(us), rows):
+            u = us[start:start + rows]
+            yield u, passes(u, pos[(2, 3)], pos[(1, 3)], pos[(1, 2)])
+        return
+    classes = _representatives(p, 3)
+    index = _class_index(p, classes)
+    triples = list(combinations(range(n - 1), 3))
+    passing = [passes(classes, pos[(c + 1, d + 1)], pos[(b + 1, d + 1)], pos[(b + 1, c + 1)])
+               for b, c, d in triples]
+    # cls[t, i]: the class row of the three coordinates of us[i] that triple t reads
+    b, c, d = np.array(triples).T
+    cls = index[(us[:, b] * p + us[:, c]) * p + us[:, d]].T
     for start in range(0, len(us), rows):
-        u = us[start:start + rows]
-        alive = np.ones((len(u), len(inner)), dtype=bool)
-        for i, j, k, cd, bd, bc in triples:
-            sums = multiples[cd][u[:, i]]
-            sums -= multiples[bd][u[:, j]]
-            sums += multiples[bc][u[:, k]]
-            sums += offset
-            alive &= zero_mod_p[sums]
-        yield u, alive
+        stop = start + rows
+        alive = passing[0][cls[0, start:stop]]
+        for table, row in zip(passing[1:], cls[1:]):
+            alive &= table[row[start:stop]]
+        yield us[start:stop], alive
+
+
+def _class_index(p: int, classes: np.ndarray) -> np.ndarray:
+    """The p^3-entry class index of F_p^3: ``index[(a0*p + a1)*p + a2]`` is
+    the row of ``classes``, which are ``_representatives(p, 3)``, whose
+    scaling class holds (a0, a1, a2).  Built in plain Python from each row
+    and its p-1 nonzero multiples, which costs less than numpy at this size."""
+    import numpy as np
+    index = [0] * p ** 3
+    for row, (x, y, z) in enumerate(classes.tolist()):
+        for a in range(1, p):
+            index[(a * x % p * p + a * y % p) * p + a * z % p] = row
+    return np.array(index)
 
 
 def _all_vectors(p: int, k: int) -> np.ndarray:
@@ -206,16 +269,12 @@ def _all_vectors(p: int, k: int) -> np.ndarray:
 def _representatives(p: int, k: int) -> np.ndarray:
     """One vector of F_p^k per scaling class: the zero vector first, then
     every vector whose first nonzero coordinate is 1, one block per leading
-    position; 1 + (p^k - 1)/(p - 1) rows."""
+    position; 1 + (p^k - 1)/(p - 1) rows.  Read as base-p numbers with the
+    first coordinate leading, the block for position i is [p^j, 2 p^j) with
+    j = k-1-i, so the rows are the digits of those numbers."""
     import numpy as np
-    blocks = [np.zeros((1, k), dtype=np.int64)]
-    for i in range(k):
-        tail = _all_vectors(p, k - 1 - i)
-        block = np.zeros((len(tail), k), dtype=np.int64)
-        block[:, i] = 1
-        block[:, i + 1:] = tail
-        blocks.append(block)
-    return np.concatenate(blocks)
+    codes = np.concatenate([[0], *(np.arange(p ** j, 2 * p ** j) for j in reversed(range(k)))])
+    return codes[:, None] // p ** np.arange(k - 1, -1, -1) % p
 
 
 def _leading_one_rows(rows: np.ndarray) -> np.ndarray:

@@ -13,9 +13,14 @@ import math
 from fractions import Fraction
 from typing import Union
 
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 
 ExactRational = Fraction
+
+# The largest answer, in decimal digits of its numerator or denominator, that
+# the CLI prints (CPython's default limit on int -> str conversion);
+# ``height_cardinality`` refuses an EM power past it before taking it.
+MAX_DIGITS = 4300
 
 RationalLike = Union[int, Fraction]
 
@@ -58,6 +63,15 @@ def is_prime(n: int) -> bool:
             return False
         d += 6
     return True
+
+
+def require_digits(k: int, what: str, max_digits: int = MAX_DIGITS) -> int:
+    """Return k, or refuse it if it has more than max_digits decimal digits."""
+    # below 3 bits per digit k is in budget; only near the limit is the
+    # power of ten built
+    if k.bit_length() > 3 * max_digits and abs(k) >= 10 ** max_digits:
+        raise ResourceBudgetError(f"{what} exceeds the {max_digits}-digit budget")
+    return k
 
 
 def require_prime(p: int) -> int:

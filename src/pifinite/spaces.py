@@ -20,8 +20,8 @@ import math
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .errors import InputError, InvariantError
-from .rationals import ExactRational, binom_ext, require_prime, vp
+from .errors import InputError, InvariantError, ResourceBudgetError
+from .rationals import MAX_DIGITS, ExactRational, binom_ext, require_prime, vp
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -419,7 +419,13 @@ def _height_cardinality(x: SpaceExpr, p: int, n: int) -> Fraction:
                          start=Fraction(1))
     if isinstance(x, EM):
         pp, rest = _p_part(x.factors, p)
-        ppart = Fraction(math.prod(pp)) ** binom_ext(n - 1, x.degree)
+        base, exponent = math.prod(pp), binom_ext(n - 1, x.degree)
+        # refused when base^exponent would pass MAX_DIGITS digits; an int
+        # compares with a float exactly, so no exponent can overflow here
+        if base > 1 and exponent >= MAX_DIGITS / math.log10(base):
+            raise ResourceBudgetError(f"{_describe_atom(x)} at height {n} exceeds "
+                                      f"the {MAX_DIGITS}-digit budget")
+        ppart = Fraction(base) ** exponent
         sign = 1 if x.degree % 2 == 0 else -1
         return ppart * Fraction(math.prod(rest)) ** sign
     if isinstance(x, Classifying):
@@ -436,7 +442,8 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
     p-part to the power C(n-1, k) and its prime-to-p part by the alternating
     count; B(G) contributes |Hom(Z_p^n, G)| / |G|, from the commuting-tuple
     count.  Both agree with looping n times and counting, which the tests
-    and ``verify`` check.
+    and ``verify`` check.  An EM atom whose p-power would pass the
+    ``MAX_DIGITS`` budget is refused before the power is taken.
     """
     require_prime(p)
     if n < 0:

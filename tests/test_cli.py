@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,65 @@ class TestLargeHeights:
         # fresh groups asked for height 300 alone agree with the profile's last line
         fresh = pifinite.parser.parse_space("B(S4) + B(D8)")
         assert lines[300] == f"300: {pifinite.spaces.height_cardinality(fresh, 2, 300)}"
+
+
+# answers past the digit budget, some of whose powers would never finish
+LARGE_ANSWERS = [
+    ("card", "--space", "B^3(C2)", "--prime", "2", "--height", "50"),
+    ("card", "--space", "B(S3)", "--prime", "2", "--height", "20000"),
+    ("card", "--space", "B^20(C2)", "--prime", "2", "--height", "60"),
+    ("table", "--prime", "2", "--kmax", "10", "--nmax", "40"),
+    # C(1999, 500) is about 10^486: past any float, so compared as an int
+    ("card", "--space", "B^500(C2)", "--prime", "2", "--height", "2000"),
+]
+
+
+class TestLargeAnswers:
+    def test_forty_loop_iterations(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "loop", "--space", "B(S3)", "--prime", "2",
+                             "--iterations", "40")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        assert out.strip() == "B(S3) + 1099511627775 * B^1(C2)"
+
+    def test_delta_stops_iterating_at_the_print_budget(self, capsys):
+        code, out, err = run(capsys, "delta", "5", "--prime", "7", "--iterations", "5")
+        assert (code, out) == (2, "")
+        assert err.startswith("resource error: delta iterate exceeds the 4300-digit budget")
+
+    def test_prime_to_p_atom_at_a_huge_exponent(self, capsys):
+        # the 2-part of B^500(C3) is 1 to the power C(1999, 500)
+        code, out, err = run(capsys, "card", "--space", "B^500(C3)", "--prime", "2",
+                             "--height", "2000")
+        assert (code, out, err) == (0, "3\n", "")
+
+    @pytest.mark.parametrize("argv", LARGE_ANSWERS)
+    def test_refused_in_under_a_second(self, argv):
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "pifinite.cli", *argv], env=_probe_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("resource error:") and "digit budget" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("argv", [
+        LARGE_ANSWERS[0] + ("--format", "json"),
+        ("profile", "--space", "B^2(C2)", "--prime", "2", "--range", "200"),
+        ("classify", "--space", "B^2(C2)", "--prime", "2", "--range", "200"),
+        ("wreath", "C2", "--prime", "2", "--height", "8000"),
+        ("card", "--space", "B(S3) * B(S3)", "--prime", "2", "--height", "8000"),
+        ("delta", "5", "--prime", "7", "--iterations", "5"),
+        # each loop doubles the multiplicity 8 times: refused after about 1786
+        ("loop", "--space", "B(C2 x C2 x C2 x C2 x C2 x C2 x C2 x C2)", "--prime", "2",
+         "--iterations", "10000000"),
+    ])
+    def test_every_printed_value_is_budgeted(self, capsys, argv):
+        # past the budget str() would raise ValueError; each exits 2 instead
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("resource error:") and "digit budget" in err
 
 
 class TestExitCodes:

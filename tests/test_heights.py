@@ -78,6 +78,10 @@ class TestDeltaIter:
     def test_digit_budget(self):
         with pytest.raises(ResourceBudgetError):
             pf.delta_iter(10 ** 40, 2, 6, max_digits=15)
+        # the budget counts decimal digits: delta(5) = -10 has two
+        assert pf.delta_iter(5, 2, 1, max_digits=2) == -10
+        with pytest.raises(ResourceBudgetError, match="1-digit budget"):
+            pf.delta_iter(5, 2, 1, max_digits=1)
         with pytest.raises(InputError):
             pf.delta_iter(2, 2, -1)
 

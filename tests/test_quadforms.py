@@ -1,4 +1,5 @@
 import functools
+import math
 import os
 import subprocess
 import sys
@@ -11,8 +12,8 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (_all_vectors, _leading_one_rows, _null_square_kernel,
-                                _representatives, _vertex_zero_splits)
+from pifinite.quadforms import (_all_vectors, _class_index, _kernel_representatives,
+                                _leading_one_rows, _null_square_kernel, _representatives)
 
 # every (p, n) with n >= 4 whose p^C(n,2) forms fit the default budget
 DEFAULT_BUDGET_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
@@ -32,12 +33,39 @@ def sweep_kernel(p: int, n: int) -> frozenset:
     return frozenset(kernel)
 
 
+def passes_relations(p: int, n: int, forms: np.ndarray) -> np.ndarray:
+    """Whether each row of ``forms`` (coordinates in ``combinations(range(n), 2)``
+    order) passes every relation of dimension n, tested directly mod p."""
+    w = {pair: forms[:, i] for i, pair in enumerate(combinations(range(n), 2))}
+    ok = np.ones(len(forms), dtype=bool)
+    for a, b, c, d in combinations(range(n), 4):
+        ok &= (w[a, b] * w[c, d] - w[a, c] * w[b, d] + w[a, d] * w[b, c]) % p == 0
+    return ok
+
+
 def full_enumeration_count(p: int, n: int) -> int:
-    """Oracle without scaling classes: every u in F_p^(n-1) against every
-    form of the (n-1)-dimensional kernel, each pair counted once."""
-    inner = _null_square_kernel(p, n - 1)
-    return sum(int(alive.sum())
-               for _, alive in _vertex_zero_splits(p, n, _all_vectors(p, n - 1), inner))
+    """Oracle without scaling classes or the library's kernel: every u in
+    F_p^(n-1) against every form v on vertices 1..n-1 that passes its own
+    relations, each (u, v) pair tested against every relation through
+    vertex 0 and counted once."""
+    k = n - 1
+    vs = np.indices((p,) * math.comb(k, 2), dtype=np.int16).reshape(math.comb(k, 2), -1).T
+    vs = vs[passes_relations(p, k, vs)]
+    us = np.indices((p,) * k, dtype=np.int16).reshape(k, -1).T
+    pos = {pair: i for i, pair in enumerate(combinations(range(1, n), 2))}
+    count = 0
+    step = max(1, (1 << 20) // len(vs))
+    for start in range(0, len(us), step):
+        u = us[start:start + step, :, None]
+        alive = np.ones((len(u), len(vs)), dtype=bool)
+        for b, c, d in combinations(range(1, n), 3):
+            s = u[:, b - 1] * vs[:, pos[c, d]]
+            s -= u[:, c - 1] * vs[:, pos[b, d]]
+            s += u[:, d - 1] * vs[:, pos[b, c]]
+            s %= p
+            alive &= s == 0
+        count += int(alive.sum())
+    return count
 
 
 class TestKernelCounts:
@@ -140,6 +168,30 @@ class TestScalingClasses:
             vectors = vectors[vectors.any(axis=1)]
             hits = sum(is_rep[(a * vectors) % p @ weights].astype(int) for a in range(1, p))
             assert (hits == 1).all()
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_class_index_maps_each_vector_to_its_representative(self, p):
+        reps = _representatives(p, 3)
+        index = _class_index(p, reps)
+        assert index.shape == (p ** 3,)
+        vectors = np.indices((p,) * 3).reshape(3, -1).T
+        rep = reps[index[(vectors[:, 0] * p + vectors[:, 1]) * p + vectors[:, 2]]]
+        zero = ~vectors.any(axis=1)
+        assert (index[zero] == 0).all()
+        # every nonzero vector is a nonzero multiple of the representative it is sent to
+        scaled = np.stack([a * rep % p for a in range(1, p)], axis=1)
+        assert (scaled == vectors[:, None, :]).all(axis=2).any(axis=1)[~zero].all()
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (7, 4), (3, 5)])
+    def test_kernel_representatives_pick_one_per_class(self, p, n):
+        picked = _kernel_representatives(p, n)
+        expected = _leading_one_rows(_null_square_kernel(p, n))
+        assert not picked[0].any()        # the zero form first, as the count needs
+        assert len(picked) == len(expected)
+        assert set(map(tuple, picked.tolist())) == set(map(tuple, expected.tolist()))
+        kernel = sweep_kernel(p, n)
+        assert set(map(tuple, picked.tolist())) <= kernel
+        assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_leading_one_rows_pick_the_representatives(self, p):

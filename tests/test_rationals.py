@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pifinite import INFINITE, InputError, binom_ext, vp
+from pifinite import INFINITE, InputError, ResourceBudgetError, binom_ext, vp
+from pifinite.rationals import MAX_DIGITS, require_digits
 
 
 class TestValuation:
@@ -67,3 +68,18 @@ class TestBinomExt:
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=40))
     def test_pascal(self, n, k):
         assert binom_ext(n, k) == binom_ext(n - 1, k) + binom_ext(n - 1, k - 1)
+
+
+class TestRequireDigits:
+    @pytest.mark.parametrize("max_digits", [1, 15, MAX_DIGITS])
+    def test_boundary(self, max_digits):
+        top = 10 ** max_digits
+        assert require_digits(1 - top, "x", max_digits) == 1 - top
+        for k in (top, -top):
+            with pytest.raises(ResourceBudgetError, match=f"x exceeds the {max_digits}-digit"):
+                require_digits(k, "x", max_digits)
+
+    def test_default_is_the_print_budget(self):
+        assert require_digits(10 ** MAX_DIGITS - 1, "x") == 10 ** MAX_DIGITS - 1
+        with pytest.raises(ResourceBudgetError):
+            require_digits(10 ** MAX_DIGITS, "x")

@@ -7,7 +7,7 @@ from conftest import (builtin_groups, named_group, oracle_centralizer_tuples,
                       oracle_commuting_tuples, oracle_looped_cardinality, random_space_expr)
 
 import pifinite as pf
-from pifinite import EMPTY, PT, InputError
+from pifinite import EMPTY, PT, InputError, ResourceBudgetError
 
 
 class TestNormalForm:
@@ -193,6 +193,25 @@ class TestHeightCardinality:
             pf.height_cardinality(PT, 4, 1)
         with pytest.raises(InputError):
             pf.height_cardinality(PT, 2, -1)
+
+
+class TestDigitBudget:
+    def test_em_power_refused_before_it_is_taken(self):
+        # 2^C(169, 2) has 4274 digits, 2^C(170, 2) 4325
+        b2 = pf.em_space([2], 2)
+        assert pf.height_cardinality(b2, 2, 170) == 2 ** math.comb(169, 2)
+        with pytest.raises(ResourceBudgetError, match="digit budget"):
+            pf.height_cardinality(b2, 2, 171)
+        # 2^C(59, 20) would take about 3.5e14 bytes: refused without trying
+        with pytest.raises(ResourceBudgetError):
+            pf.height_cardinality(pf.em_space([2], 20), 2, 60)
+
+    def test_prime_to_p_part_is_not_budgeted(self):
+        # a C3 atom at p = 2 is 1/3 or 3 at every height
+        assert pf.height_cardinality(pf.em_space([3], 1), 2, 10 ** 6) == Fraction(1, 3)
+        assert pf.height_cardinality(pf.em_space([3], 2), 2, 10 ** 6) == 3
+        # 1^C(1999, 500), an exponent past any float, is not refused
+        assert pf.height_cardinality(pf.em_space([3], 500), 2, 2000) == 3
 
 
 class TestFiniteness:
