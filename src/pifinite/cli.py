@@ -84,10 +84,13 @@ def _cmd_loop(args) -> int:
     # looping the raw expression doubles it with every iteration
     nf = normal_form(parse_space(args.space))
     for _ in range(args.iterations):
-        nf = normal_form(p_adic_loop(nf.to_expr(), args.prime))
+        given, nf = nf, normal_form(p_adic_loop(nf.to_expr(), args.prime))
         # looping never lowers a multiplicity, so a large one can stop here
         for _, count in nf.components:
             _require_printable(count)
+        # an iteration that returns the form it was given returns it again
+        if nf == given:
+            break
     text = space_text(nf.to_expr())
     _emit(args, text, {
         "space": args.space,

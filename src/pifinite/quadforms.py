@@ -10,12 +10,15 @@ by the Pluecker relations themselves; it enumerates the forms split on one
 vertex, so that a form on the other n-1 vertices that fails their own
 relations discards its whole block at once, and tests one pair per scaling
 class of the two halves, which the relations treat alike.  Each relation
-through vertex 0 reads three coordinates of the first half and is linear in
-them, so from dimension 5 on it is evaluated once per class row, one vector
-per scaling class of F_p^3, and every first half takes the outcome of the
-class of the three coordinates it has there.  ``decomposable_form_count``
-is the Gaussian-binomial closed form.  The enumeration never consults the
-closed form or any rank formula.
+through vertex 0 is the dot product of three coordinates of the first half
+with three coordinates (one negated) of the second, so whether it holds
+depends only on the scaling classes of those two vectors of F_p^3: it is
+the incidence of a point and a line of the projective plane, or a zero
+vector.  One boolean table over the p^2+p+2 class rows of F_p^3, built once
+per count, holds every such outcome, and every level of the split reads
+its relations from it through a p^3-entry class index.
+``decomposable_form_count`` is the Gaussian-binomial closed form.  The
+enumeration never consults the closed form or any rank formula.
 """
 
 from __future__ import annotations
@@ -110,10 +113,16 @@ def count_null_square_two_forms(p: int, n: int,
     nonzero coordinate is 1; those of the kernel come from
     ``_kernel_representatives``.  A passing pair of nonzero representatives
     stands for (p-1)^2 forms, a pair with exactly one zero side for p-1,
-    and (0, 0) for itself.  Each form is therefore decided by the relations
-    themselves, never by the closed form of ``decomposable_form_count``,
-    which stays an independent cross-check.  The budget counts all
-    p^C(n,2) forms, pruned or not.
+    and (0, 0) for itself.
+
+    For n = 4 the one relation through vertex 0 reads all of u and of v, so
+    the pairs are the cells of the incidence table of ``_incidence``:
+    v -> (v_23, -v_13, v_12) is a linear bijection of F_p^3 that commutes
+    with scaling, so it permutes the scaling classes, zero class first.
+    Each form is therefore decided by the relations themselves, never by
+    the closed form of ``decomposable_form_count``, which stays an
+    independent cross-check.  The budget counts all p^C(n,2) forms, pruned
+    or not.
     """
     _require_odd_prime(p)
     if n < 1:
@@ -126,13 +135,17 @@ def count_null_square_two_forms(p: int, n: int,
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
     import numpy as np
-    us = _representatives(p, n - 1)
-    # below dimension 4 the kernel is every form, and C(3, 2) = 3
-    vs = us if n == 4 else _kernel_representatives(p, n - 1)
+    if n == 4:
+        blocks = [_incidence(p, _representatives(p, 3))]
+    else:
+        ctx = _scaling_classes(p)
+        splits = _vertex_zero_splits(p, n, _representatives(p, n - 1),
+                                     _kernel_representatives(p, n - 1, ctx), ctx)
+        blocks = (alive for _, alive in splits)
     q = p - 1
     kernel = 0
-    lead = 1        # the first chunk starts with the zero u
-    for _, alive in _vertex_zero_splits(p, n, us, vs):
+    lead = 1        # the first block starts with the zero u
+    for alive in blocks:
         zero_u, rest = alive[:lead], alive[lead:]
         kernel += int(np.count_nonzero(zero_u[:, :1])
                       + q * (np.count_nonzero(zero_u[:, 1:]) + np.count_nonzero(rest[:, :1]))
@@ -141,41 +154,59 @@ def count_null_square_two_forms(p: int, n: int,
     return FormCountReport(p, n, kernel, total)
 
 
-def _null_square_kernel(p: int, n: int) -> np.ndarray:
+def _scaling_classes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(classes, incidence, index)`` for F_p^3, which every level of the
+    split shares: the class rows ``_representatives(p, 3)``, their
+    ``_incidence`` table and their ``_class_index``.  Built once per count
+    and kept by none."""
+    classes = _representatives(p, 3)
+    return classes, _incidence(p, classes), _class_index(p, classes)
+
+
+def _null_square_kernel(p: int, n: int, ctx: tuple | None = None) -> np.ndarray:
     """The forms on F_p^n with zero wedge square, one per row, coordinates in
-    ``combinations(range(n), 2)`` order."""
+    ``combinations(range(n), 2)`` order.  ``ctx`` is ``_scaling_classes(p)``,
+    built here when not given."""
     if n < 4:
         return _all_vectors(p, math.comb(n, 2))
-    return _vertex_zero_forms(p, n, _all_vectors(p, n - 1), _null_square_kernel(p, n - 1))
+    ctx = ctx or _scaling_classes(p)
+    return _vertex_zero_forms(p, n, _all_vectors(p, n - 1),
+                              _null_square_kernel(p, n - 1, ctx), ctx)
 
 
-def _kernel_representatives(p: int, n: int) -> np.ndarray:
+def _kernel_representatives(p: int, n: int, ctx: tuple | None = None) -> np.ndarray:
     """One form per scaling class of the forms on F_p^n (n >= 4) with zero
     wedge square: the zero form first, then those whose first nonzero
     coordinate is 1.  Such a form is (0, v) with v a representative one
     dimension down, or (u, v) with u a leading-one vector and v any form
-    of the kernel one dimension down, so only class rows of u are tested."""
+    of the kernel one dimension down, so only class rows of u are tested.
+    For n = 4 every vector of F_p^3 is a form, and both sides' classes are
+    the class rows of ``ctx``, which is ``_scaling_classes(p)``, built here
+    when not given."""
     import numpy as np
-    inner = _null_square_kernel(p, n - 1)
-    zero_u = _leading_one_rows(inner)
+    ctx = ctx or _scaling_classes(p)
+    inner = _null_square_kernel(p, n - 1, ctx)
+    zero_u, us = ((ctx[0], ctx[0][1:]) if n == 4 else
+                  (_leading_one_rows(inner), _representatives(p, n - 1)[1:]))
     return np.concatenate([
         np.hstack([np.zeros((len(zero_u), n - 1), dtype=inner.dtype), zero_u]),
-        _vertex_zero_forms(p, n, _representatives(p, n - 1)[1:], inner)])
+        _vertex_zero_forms(p, n, us, inner, ctx)])
 
 
-def _vertex_zero_forms(p: int, n: int, us: np.ndarray, inner: np.ndarray) -> np.ndarray:
+def _vertex_zero_forms(p: int, n: int, us: np.ndarray, inner: np.ndarray,
+                       ctx: tuple) -> np.ndarray:
     """The forms (u, v) on F_p^n, u a row of ``us`` and v of ``inner``, that
     pass every relation through vertex 0, one per row."""
     import numpy as np
     parts = []
-    for u, alive in _vertex_zero_splits(p, n, us, inner):
+    for u, alive in _vertex_zero_splits(p, n, us, inner, ctx):
         i, j = np.nonzero(alive)
         parts.append(np.hstack([u[i], inner[j]]))
     return np.concatenate(parts)
 
 
-def _vertex_zero_splits(p: int, n: int, us: np.ndarray,
-                        inner: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _vertex_zero_splits(p: int, n: int, us: np.ndarray, inner: np.ndarray,
+                        ctx: tuple) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield ``(u, alive)`` over consecutive row chunks ``u`` of ``us``
     (vectors of F_p^(n-1)), where ``alive[i, j]`` says whether the form
     (u[i], inner[j]) on F_p^n passes every relation through vertex 0.
@@ -183,68 +214,59 @@ def _vertex_zero_splits(p: int, n: int, us: np.ndarray,
     ``_null_square_kernel`` passes every u and every kernel row, to list
     the forms themselves, and ``_kernel_representatives`` the leading-one u
     and every kernel row, to list one form per scaling class.
-    ``count_null_square_two_forms`` passes only the zero vector and the
-    vectors whose first nonzero coordinate is 1, on both sides, and weights
-    each pair by the size of its scaling class; the test here is the same
-    for all three.
+    ``count_null_square_two_forms`` passes, for n >= 5, only the zero vector
+    and the vectors whose first nonzero coordinate is 1, on both sides, and
+    weights each pair by the size of its scaling class; the test here is
+    the same for all three.
 
     Relabelling vertices 1..n-1 as 0..n-2 keeps the pair order, so the rows
-    of ``inner`` are forms on vertices 1..n-1.  The relation for b<c<d is
-    u_b*v_cd - u_c*v_bd + u_d*v_bc, bilinear in (u, v).  Entries of u and v
-    lie in [0, p), so every sum s lies in [-(p-1)^2, 2(p-1)^2] and int64 is
-    exact.  Each term comes from a table of the p multiples a*v_cd
-    (a in [0, p)) of its column of ``inner``, one row per value of the u
-    entry, so a chunk's sums take three row gathers and no multiplication.
-    (numpy's int64 matmul is an unvectorised scalar loop: it was slower, and
-    its time varied several times as much from call to call.)  A sum is tested by
-    looking up s + (p-1)^2 in a table of the values that are zero mod p:
-    that index lies in [0, 3(p-1)^2], so it is never negative and always
-    inside the table, and the lookup is cheaper than an int64 ``% p`` over
-    every cell.
-
-    The relation for b<c<d reads u only through a = (u_b, u_c, u_d) and is
-    linear in a, so a and l*a (l != 0) pass or fail together.  For n >= 5
-    a triple reads 3 of u's n-1 coordinates, and many rows of u share each
-    class of a, so the relation is tested once per class row, the p^2+p+2
-    rows of ``_representatives(p, 3)``, and each u row gathers the pass/fail
-    row of its class through ``_class_index``.  For n = 4 the single triple
-    reads all of u, and u itself is tested.
+    of ``inner`` are forms on vertices 1..n-1.  The relation for b<c<d,
+    u_b*v_cd - u_c*v_bd + u_d*v_bc, is the dot product of a = (u_b, u_c, u_d)
+    and w = (v_cd, -v_bd, v_bc).  It is bilinear, so whether a.w = 0 mod p
+    depends only on the scaling classes of a and of w, and ``ctx``, which
+    is ``_scaling_classes(p)``, holds the answer for every pair of classes
+    in its incidence table.  Its class index sends each row of ``us`` to
+    the class of its a, and each row of ``inner`` to the class of its w,
+    per triple.  The table's columns at the classes of w give each triple
+    one pass/fail row per class of a, and a chunk of u gathers the rows of
+    its classes and ANDs them over the triples: no sum is formed for any
+    (u, v) pair.  The columns are taken with ``take``, which returns them
+    row-major; ``incidence[:, cols]`` returns a column-major array, whose
+    row gathers measured several times slower.
     """
     import numpy as np
-    offset = (p - 1) ** 2
-    zero_mod_p = np.arange(-offset, 2 * offset + 1) % p == 0
-    pos = {pair: i for i, pair in enumerate(combinations(range(1, n), 2))}
-    # multiples[c][a] = a * (column c of inner), for every a in [0, p)
-    multiples = np.arange(p)[None, :, None] * inner.T[:, None, :]
-
-    def passes(a: np.ndarray, cd: int, bd: int, bc: int) -> np.ndarray:
-        # passes[i, j]: a[i, 0]*v_cd - a[i, 1]*v_bd + a[i, 2]*v_bc = 0 for v = inner[j]
-        sums = multiples[cd][a[:, 0]]
-        sums -= multiples[bd][a[:, 1]]
-        sums += multiples[bc][a[:, 2]]
-        sums += offset
-        return zero_mod_p[sums]
-
-    rows = max(1, _CHUNK_CELLS // len(inner))
-    if n == 4:
-        for start in range(0, len(us), rows):
-            u = us[start:start + rows]
-            yield u, passes(u, pos[(2, 3)], pos[(1, 3)], pos[(1, 2)])
-        return
-    classes = _representatives(p, 3)
-    index = _class_index(p, classes)
-    triples = list(combinations(range(n - 1), 3))
-    passing = [passes(classes, pos[(c + 1, d + 1)], pos[(b + 1, d + 1)], pos[(b + 1, c + 1)])
-               for b, c, d in triples]
-    # cls[t, i]: the class row of the three coordinates of us[i] that triple t reads
-    b, c, d = np.array(triples).T
+    _, incidence, index = ctx
+    pos = {pair: i for i, pair in enumerate(combinations(range(n - 1), 2))}
+    # per triple b<c<d (relabelled), the columns of inner that hold v_cd, v_bd, v_bc
+    b, c, d, cd, bd, bc = np.array([(b, c, d, pos[c, d], pos[b, d], pos[b, c])
+                                    for b, c, d in combinations(range(n - 1), 3)]).T
+    # cls[t, i]: the class of the a that triple t reads from us[i];
+    # wcls[t, j]: the class of the w that triple t reads from inner[j]
     cls = index[(us[:, b] * p + us[:, c]) * p + us[:, d]].T
+    wcls = index[(inner[:, cd] * p + -inner[:, bd] % p) * p + inner[:, bc]].T
+    passing = [incidence.take(row, axis=1) for row in wcls]
+    rows = max(1, _CHUNK_CELLS // len(inner))
     for start in range(0, len(us), rows):
-        stop = start + rows
-        alive = passing[0][cls[0, start:stop]]
-        for table, row in zip(passing[1:], cls[1:]):
-            alive &= table[row[start:stop]]
-        yield us[start:stop], alive
+        alive = passing[0].take(cls[0, start:start + rows], axis=0)
+        for table, row in zip(passing[1:], cls[1:, start:start + rows]):
+            alive &= table.take(row, axis=0)
+        yield us[start:start + rows], alive
+
+
+def _incidence(p: int, classes: np.ndarray) -> np.ndarray:
+    """``incidence[k, l]``: whether classes[k] . classes[l] = 0 mod p, for the
+    class rows ``classes`` of F_p^3; symmetric, with an all-True zero row and
+    column.  Each product term is a row gather from a table of the p
+    multiples of a column of ``classes``, and each sum, in [0, 3(p-1)^2]
+    since entries lie in [0, p), is tested by a lookup in a table of the
+    values that are zero mod p, which costs less than an int64 ``% p``."""
+    import numpy as np
+    # multiples[i][a] = a * (column i of classes), for every a in [0, p)
+    multiples = np.arange(p)[None, :, None] * classes.T[:, None, :]
+    dots = multiples[0].take(classes[:, 0], axis=0)
+    dots += multiples[1].take(classes[:, 1], axis=0)
+    dots += multiples[2].take(classes[:, 2], axis=0)
+    return (np.arange(3 * (p - 1) ** 2 + 1) % p == 0).take(dots)
 
 
 def _class_index(p: int, classes: np.ndarray) -> np.ndarray:

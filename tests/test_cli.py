@@ -176,6 +176,18 @@ class TestLargeAnswers:
         assert (code, err) == (0, "")
         assert out.strip() == "B(S3) + 1099511627775 * B^1(C2)"
 
+    def test_loop_stops_at_a_fixed_point(self, capsys):
+        # B(C3) has no 2-torsion, so every loop at p = 2 returns it unchanged
+        once = run(capsys, "loop", "--space", "B(C3)", "--prime", "2", "--iterations", "1")
+        start = time.perf_counter()
+        many = run(capsys, "loop", "--space", "B(C3)", "--prime", "2",
+                   "--iterations", "1000000000")
+        assert time.perf_counter() - start < 1
+        assert many == once == (0, "B^1(C3)\n", "")
+        code, out, _ = run(capsys, "loop", "--space", "B(C3)", "--prime", "2",
+                           "--iterations", "1000000000", "--format", "json")
+        assert code == 0 and json.loads(out)["iterations"] == 1000000000
+
     def test_delta_stops_iterating_at_the_print_budget(self, capsys):
         code, out, err = run(capsys, "delta", "5", "--prime", "7", "--iterations", "5")
         assert (code, out) == (2, "")

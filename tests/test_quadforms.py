@@ -12,8 +12,9 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (_all_vectors, _class_index, _kernel_representatives,
-                                _leading_one_rows, _null_square_kernel, _representatives)
+from pifinite.quadforms import (_all_vectors, _class_index, _incidence,
+                                _kernel_representatives, _leading_one_rows,
+                                _null_square_kernel, _representatives)
 
 # every (p, n) with n >= 4 whose p^C(n,2) forms fit the default budget
 DEFAULT_BUDGET_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
@@ -181,6 +182,17 @@ class TestScalingClasses:
         # every nonzero vector is a nonzero multiple of the representative it is sent to
         scaled = np.stack([a * rep % p for a in range(1, p)], axis=1)
         assert (scaled == vectors[:, None, :]).all(axis=2).any(axis=1)[~zero].all()
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 13])
+    def test_incidence_table_tests_each_pair_of_classes(self, p):
+        classes = _representatives(p, 3)
+        table = _incidence(p, classes)
+        assert table.dtype == bool and table.shape == (p * p + p + 2,) * 2
+        assert (table == (classes @ classes.T % p == 0)).all()
+        assert (table == table.T).all()
+        assert table[0].all() and table[:, 0].all()
+        # a line of the projective plane over F_p holds p + 1 points
+        assert (table[1:, 1:].sum(axis=1) == p + 1).all()
 
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (7, 4), (3, 5)])
     def test_kernel_representatives_pick_one_per_class(self, p, n):
