@@ -4,19 +4,37 @@ in degrees 2 and 4.
 
 This is the one corner of the package where a nontrivial Postnikov
 invariant enters; everything reduces to exact counting over F_p plus one
-explicit rational formula.  The kernel count has two routes that
-cross-check each other.  ``count_null_square_two_forms`` decides every form
-by the Pluecker relations themselves; it enumerates the forms split on one
-vertex, so that a form on the other n-1 vertices that fails their own
-relations discards its whole block at once, and tests one pair per scaling
-class of the two halves, which the relations treat alike.  Each relation
-through vertex 0 is the dot product of three coordinates of the first half
-with three coordinates (one negated) of the second, so whether it holds
-depends only on the scaling classes of those two vectors of F_p^3: it is
-the incidence of a point and a line of the projective plane, or a zero
-vector.  One boolean table over the p^2+p+2 class rows of F_p^3, built once
-per count, holds every such outcome, and every level of the split reads
-its relations from it through a p^3-entry class index.
+explicit rational formula, and the formula follows from the count.
+H*(BZ_p^n; F_p) is the exterior algebra on n degree-1 classes (Z_p the
+p-adic integers), and the cup square of a degree-2 class is its wedge
+square.  Mapping BZ_p^n into the fiber sequence
+F -> K(Z/p, 2) -> K(Z/p, 4) therefore gives one family of components per
+2-form omega on F_p^n with omega ^ omega = 0.  Each component weighs
+p^(1-n) from the degree-2 side (pi_1 = H^1, pi_2 = H^0) and
+p^(C(n,3) - C(n,2) + n - 1) from the loops of the degree-4 side (pi_0 = H^3
+down to pi_3 = H^0), so the height-n cardinality is
+
+    |F|_n = N(p, n) * p^(C(n,3) - C(n,2)),
+
+N the number of such forms.  ``verify`` holds
+``cup_square_fiber_cardinality`` against this with N from
+``count_null_square_two_forms``, so the height-4 counterexample rests on an
+enumeration as well as on the formula.
+
+The kernel count has two routes that cross-check each other.
+``count_null_square_two_forms`` decides every form by the Pluecker
+relations themselves, in pure Python with Python ints as bitsets; it
+enumerates the forms split on one vertex, so that a form on the other n-1
+vertices that fails their own relations discards its whole block at once,
+and tests one pair per scaling class of the two halves, which the
+relations treat alike.  Each relation through vertex 0 is the dot product
+of three coordinates of the first half with three coordinates (one
+negated) of the second, so whether it holds depends only on the scaling
+classes of those two vectors of F_p^3: it is the incidence of a point and
+a line of the projective plane, or a zero vector.  Each of the p^2+p+2
+classes gets the list, and the int mask, of the classes incident to it,
+solved from the p+1 points of its line; every level of the split reads its
+relations from them through a p^3-entry class index.
 ``decomposable_form_count`` is the Gaussian-binomial closed form.  The
 enumeration never consults the closed form or any rank formula.
 """
@@ -24,20 +42,16 @@ enumeration never consults the closed form or any rank formula.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations
-from typing import TYPE_CHECKING
+from itertools import combinations, product, repeat
+from operator import add, and_, itemgetter, lshift
 
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import ExactRational, binom_ext, is_prime
 from .records import frozen
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
-_CHUNK_CELLS = 1 << 18   # (u, v) pairs tested per chunk
 
 
 def _require_odd_prime(p: int) -> int:
@@ -110,19 +124,24 @@ def count_null_square_two_forms(p: int, n: int,
     (its relations are homogeneous), so (u, v) and (a*u, b*v) pass or fail
     together for all a, b != 0.  Only one representative per scaling class
     is tested on each side: the zero vector and the vectors whose first
-    nonzero coordinate is 1; those of the kernel come from
-    ``_kernel_representatives``.  A passing pair of nonzero representatives
+    nonzero coordinate is 1.  The v that pass with one u are the set bits
+    of one Python int, zero form at bit 0, and the count is a weighted
+    popcount of those masks: a passing pair of nonzero representatives
     stands for (p-1)^2 forms, a pair with exactly one zero side for p-1,
     and (0, 0) for itself.
 
     For n = 4 the one relation through vertex 0 reads all of u and of v, so
-    the pairs are the cells of the incidence table of ``_incidence``:
-    v -> (v_23, -v_13, v_12) is a linear bijection of F_p^3 that commutes
-    with scaling, so it permutes the scaling classes, zero class first.
-    Each form is therefore decided by the relations themselves, never by
-    the closed form of ``decomposable_form_count``, which stays an
-    independent cross-check.  The budget counts all p^C(n,2) forms, pruned
-    or not.
+    the masks are the rows of ``_incidence``: v -> (v_23, -v_13, v_12) is a
+    linear bijection of F_p^3 that commutes with scaling, so it permutes the
+    scaling classes, zero class first.  For n >= 5 the v are the kernel
+    representatives one dimension down, laid out as bits once and bucketed
+    per relation through vertex 0 by the class of the w that relation
+    reads; the buckets are ORed along each line (``_representative_tables``)
+    and each u ANDs, over the relations, the masks at its own classes
+    (``_alive``).  One route serves every n >= 5.  Each form is therefore
+    decided by the relations themselves, never by the closed form of
+    ``decomposable_form_count``, which stays an independent cross-check.
+    The budget counts all p^C(n,2) forms, pruned or not.
     """
     _require_odd_prime(p)
     if n < 1:
@@ -134,178 +153,252 @@ def count_null_square_two_forms(p: int, n: int,
     if n < 4:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
-    import numpy as np
     if n == 4:
-        blocks = [_incidence(p, _representatives(p, 3))]
+        masks = _incidence(p)
     else:
         ctx = _scaling_classes(p)
-        splits = _vertex_zero_splits(p, n, _representatives(p, n - 1),
-                                     _kernel_representatives(p, n - 1, ctx), ctx)
-        blocks = (alive for _, alive in splits)
+        masks = _alive(p, _representatives(p, n - 1),
+                       _representative_tables(p, n - 1, ctx), ctx[1])
     q = p - 1
-    kernel = 0
-    lead = 1        # the first block starts with the zero u
-    for alive in blocks:
-        zero_u, rest = alive[:lead], alive[lead:]
-        kernel += int(np.count_nonzero(zero_u[:, :1])
-                      + q * (np.count_nonzero(zero_u[:, 1:]) + np.count_nonzero(rest[:, :1]))
-                      + q * q * np.count_nonzero(rest[:, 1:]))
-        lead = 0
+    zero_u, *rest = masks
+    zero_v = sum(map((1).__and__, rest))
+    kernel = ((zero_u & 1) + q * (zero_u.bit_count() - (zero_u & 1))
+              + q * zero_v + q * q * (sum(map(int.bit_count, rest)) - zero_v))
     return FormCountReport(p, n, kernel, total)
 
 
-def _scaling_classes(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(classes, incidence, index)`` for F_p^3, which every level of the
-    split shares: the class rows ``_representatives(p, 3)``, their
-    ``_incidence`` table and their ``_class_index``.  Built once per count
-    and kept by none."""
-    classes = _representatives(p, 3)
-    return classes, _incidence(p, classes), _class_index(p, classes)
+def _scaling_classes(p: int) -> tuple[list[itemgetter], list[int]]:
+    """``(lines, index)`` for F_p^3, which every level of the split shares:
+    the ``_lines`` of the class rows ``_representatives(p, 3)``, each as an
+    ``itemgetter`` of its rows, and their ``_class_index``.  Built once per
+    count and kept by none."""
+    return [itemgetter(*line) for line in _lines(p)], _class_index(p)
 
 
-def _null_square_kernel(p: int, n: int, ctx: tuple | None = None) -> np.ndarray:
-    """The forms on F_p^n with zero wedge square, one per row, coordinates in
+def _null_square_kernel(p: int, n: int, ctx: tuple | None = None) -> list[tuple[int, ...]]:
+    """The forms on F_p^n with zero wedge square, coordinates in
     ``combinations(range(n), 2)`` order.  ``ctx`` is ``_scaling_classes(p)``,
     built here when not given."""
     if n < 4:
         return _all_vectors(p, math.comb(n, 2))
     ctx = ctx or _scaling_classes(p)
-    return _vertex_zero_forms(p, n, _all_vectors(p, n - 1),
-                              _null_square_kernel(p, n - 1, ctx), ctx)
-
-
-def _kernel_representatives(p: int, n: int, ctx: tuple | None = None) -> np.ndarray:
-    """One form per scaling class of the forms on F_p^n (n >= 4) with zero
-    wedge square: the zero form first, then those whose first nonzero
-    coordinate is 1.  Such a form is (0, v) with v a representative one
-    dimension down, or (u, v) with u a leading-one vector and v any form
-    of the kernel one dimension down, so only class rows of u are tested.
-    For n = 4 every vector of F_p^3 is a form, and both sides' classes are
-    the class rows of ``ctx``, which is ``_scaling_classes(p)``, built here
-    when not given."""
-    import numpy as np
-    ctx = ctx or _scaling_classes(p)
+    us = _all_vectors(p, n - 1)
     inner = _null_square_kernel(p, n - 1, ctx)
-    zero_u, us = ((ctx[0], ctx[0][1:]) if n == 4 else
-                  (_leading_one_rows(inner), _representatives(p, n - 1)[1:]))
-    return np.concatenate([
-        np.hstack([np.zeros((len(zero_u), n - 1), dtype=inner.dtype), zero_u]),
-        _vertex_zero_forms(p, n, us, inner, ctx)])
+    alive, _ = _vertex_zero_test(p, us, inner, ctx)
+    return [u + inner[j] for u, mask in zip(us, alive) for j in _bits(mask)]
 
 
-def _vertex_zero_forms(p: int, n: int, us: np.ndarray, inner: np.ndarray,
-                       ctx: tuple) -> np.ndarray:
-    """The forms (u, v) on F_p^n, u a row of ``us`` and v of ``inner``, that
-    pass every relation through vertex 0, one per row."""
-    import numpy as np
-    parts = []
-    for u, alive in _vertex_zero_splits(p, n, us, inner, ctx):
-        i, j = np.nonzero(alive)
-        parts.append(np.hstack([u[i], inner[j]]))
-    return np.concatenate(parts)
+def _representative_split(p: int, n: int, ctx: tuple) -> tuple[list, list, list[int], list]:
+    """``(us, inner, alive, tables)`` for the kernel representatives on
+    F_p^n (n >= 4), split on vertex 0.  ``us`` are the representatives of
+    F_p^(n-1) and ``inner`` the kernel one dimension down; the
+    representatives are (us[i], inner[j]) for the set bits j of
+    ``alive[i]``.  That is (0, v) with v a leading-one row of ``inner``, or
+    (u, v) with u a leading-one vector and v any form of ``inner`` that
+    passes the relations through vertex 0, so only class rows of u are
+    tested.  ``tables`` is ``_vertex_zero_test``'s, over ``inner``.
+    ``inner`` is in lexicographic order, so its leading-one rows with the
+    leading 1 at position i are the run from (0,..,0,1,0,..) up to
+    (0,..,0,2,0,..)."""
+    us = _representatives(p, n - 1)
+    inner = _null_square_kernel(p, n - 1, ctx)
+    alive, tables = _vertex_zero_test(p, us, inner, ctx)
+    size = len(inner[0])
+    alive[0] = 1        # the zero form
+    for i in range(size):
+        zeros = (0,) * i, (0,) * (size - 1 - i)
+        alive[0] += ((1 << bisect_left(inner, zeros[0] + (2,) + zeros[1]))
+                     - (1 << bisect_left(inner, zeros[0] + (1,) + zeros[1])))
+    return us, inner, alive, tables
 
 
-def _vertex_zero_splits(p: int, n: int, us: np.ndarray, inner: np.ndarray,
-                        ctx: tuple) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(u, alive)`` over consecutive row chunks ``u`` of ``us``
-    (vectors of F_p^(n-1)), where ``alive[i, j]`` says whether the form
-    (u[i], inner[j]) on F_p^n passes every relation through vertex 0.
+def _representative_tables(p: int, m: int, ctx: tuple) -> list[list[int]]:
+    """The kernel representatives on F_p^m (m >= 4) as the count one
+    dimension up reads them: ``tables[t][k]`` holds those whose w for the
+    t-th triple b<c<d of ``combinations(range(m), 3)`` lies on the line of
+    class k, so that they pass that triple's relation with any a in class
+    k.  The representative (us[i], inner[j]) of ``_representative_split``
+    is bit i*width + j, width = len(inner), so no form is built.
 
-    ``_null_square_kernel`` passes every u and every kernel row, to list
-    the forms themselves, and ``_kernel_representatives`` the leading-one u
-    and every kernel row, to list one form per scaling class.
-    ``count_null_square_two_forms`` passes, for n >= 5, only the zero vector
-    and the vectors whose first nonzero coordinate is 1, on both sides, and
-    weights each pair by the size of its scaling class; the test here is
-    the same for all three.
-
-    Relabelling vertices 1..n-1 as 0..n-2 keeps the pair order, so the rows
-    of ``inner`` are forms on vertices 1..n-1.  The relation for b<c<d,
-    u_b*v_cd - u_c*v_bd + u_d*v_bc, is the dot product of a = (u_b, u_c, u_d)
-    and w = (v_cd, -v_bd, v_bc).  It is bilinear, so whether a.w = 0 mod p
-    depends only on the scaling classes of a and of w, and ``ctx``, which
-    is ``_scaling_classes(p)``, holds the answer for every pair of classes
-    in its incidence table.  Its class index sends each row of ``us`` to
-    the class of its a, and each row of ``inner`` to the class of its w,
-    per triple.  The table's columns at the classes of w give each triple
-    one pass/fail row per class of a, and a chunk of u gathers the rows of
-    its classes and ANDs them over the triples: no sum is formed for any
-    (u, v) pair.  The columns are taken with ``take``, which returns them
-    row-major; ``incidence[:, cols]`` returns a column-major array, whose
-    row gathers measured several times slower.
-    """
-    import numpy as np
-    _, incidence, index = ctx
-    pos = {pair: i for i, pair in enumerate(combinations(range(n - 1), 2))}
-    # per triple b<c<d (relabelled), the columns of inner that hold v_cd, v_bd, v_bc
-    b, c, d, cd, bd, bc = np.array([(b, c, d, pos[c, d], pos[b, d], pos[b, c])
-                                    for b, c, d in combinations(range(n - 1), 3)]).T
-    # cls[t, i]: the class of the a that triple t reads from us[i];
-    # wcls[t, j]: the class of the w that triple t reads from inner[j]
-    cls = index[(us[:, b] * p + us[:, c]) * p + us[:, d]].T
-    wcls = index[(inner[:, cd] * p + -inner[:, bd] % p) * p + inner[:, bc]].T
-    passing = [incidence.take(row, axis=1) for row in wcls]
-    rows = max(1, _CHUNK_CELLS // len(inner))
-    for start in range(0, len(us), rows):
-        alive = passing[0].take(cls[0, start:start + rows], axis=0)
-        for table, row in zip(passing[1:], cls[1:, start:start + rows]):
-            alive &= table.take(row, axis=0)
-        yield us[start:start + rows], alive
+    A triple (0, c, d) reads w = (v_cd, -u_d, u_c), with v's vertices
+    relabelled: while the representatives are laid out, each u sends the
+    rows of ``inner`` with v_cd = x, shifted to its slot, to the bucket of
+    the class of (x, -u_d, u_c), and the buckets are ORed along the lines.
+    A triple with b >= 1 reads v alone and is a triple of ``inner``, whose
+    table the test through vertex 0 has built: repeating it in every slot
+    and cutting it to the representatives places it.  Every count ANDs at
+    least one such table, so the other tables need no cut."""
+    lines, index = ctx
+    us, inner, alive, inner_tables = _representative_split(p, m, ctx)
+    offsets = range(0, len(us) * len(inner), len(inner))
+    reps = sum(map(lshift, alive, offsets))
+    repeated = sum(map(lshift, repeat(1), offsets))
+    negated = [-y % p * p for y in range(p)]
+    buckets = []
+    for column, (c, d) in zip(zip(*inner), combinations(range(m - 1), 2)):
+        by_value = [0] * p
+        for j, x in enumerate(column):
+            by_value[x] |= 1 << j
+        masks = [0] * len(lines)
+        for u, offset in zip(us, offsets):
+            # the classes of (x, -u_d, u_c) for x = 0, 1, ..., p-1
+            for cls, rows in zip(index[negated[u[d]] + u[c]::p * p], by_value):
+                masks[cls] |= rows << offset
+        buckets.append(masks)
+    return (_tables(buckets, lines)
+            + [[mask * repeated & reps for mask in table] for table in inner_tables])
 
 
-def _incidence(p: int, classes: np.ndarray) -> np.ndarray:
-    """``incidence[k, l]``: whether classes[k] . classes[l] = 0 mod p, for the
-    class rows ``classes`` of F_p^3; symmetric, with an all-True zero row and
-    column.  Each product term is a row gather from a table of the p
-    multiples of a column of ``classes``, and each sum, in [0, 3(p-1)^2]
-    since entries lie in [0, p), is tested by a lookup in a table of the
-    values that are zero mod p, which costs less than an int64 ``% p``."""
-    import numpy as np
-    # multiples[i][a] = a * (column i of classes), for every a in [0, p)
-    multiples = np.arange(p)[None, :, None] * classes.T[:, None, :]
-    dots = multiples[0].take(classes[:, 0], axis=0)
-    dots += multiples[1].take(classes[:, 1], axis=0)
-    dots += multiples[2].take(classes[:, 2], axis=0)
-    return (np.arange(3 * (p - 1) ** 2 + 1) % p == 0).take(dots)
+def _vertex_zero_test(p: int, us: list, inner: list, ctx: tuple) -> tuple[list[int], list]:
+    """``(alive, tables)``: ``alive[i]`` holds the rows j of ``inner`` (forms
+    on vertices 1..n-1, relabelled 0..n-2) for which (us[i], inner[j])
+    passes every relation through vertex 0 on F_p^n, and ``tables[t][k]``
+    the rows that pass the t-th triple's relation with any a in class k.
+
+    The relation for b<c<d, u_b*v_cd - u_c*v_bd + u_d*v_bc, is the dot
+    product of a = (u_b, u_c, u_d) and w = (v_cd, -v_bd, v_bc).  It is
+    bilinear, so whether a.w = 0 mod p depends only on the scaling classes
+    of a and of w: each row goes to the bucket of its w's class, the
+    buckets are ORed along the lines, and ``_alive`` ANDs the tables over
+    the triples."""
+    lines, index = ctx
+    size = len(us[0])
+    pos = {pair: i for i, pair in enumerate(combinations(range(size), 2))}
+    columns = list(zip(*inner))
+    negated = [-y % p * p for y in range(p)]
+    buckets = []
+    for b, c, d in combinations(range(size), 3):
+        masks = [0] * len(lines)
+        classes = _classes(p, index, columns[pos[c, d]],
+                           map(negated.__getitem__, columns[pos[b, d]]), columns[pos[b, c]])
+        for j, cls in enumerate(classes):
+            masks[cls] |= 1 << j
+        buckets.append(masks)
+    tables = _tables(buckets, lines)
+    return _alive(p, us, tables, index), tables
 
 
-def _class_index(p: int, classes: np.ndarray) -> np.ndarray:
+def _tables(buckets: list[list[int]], lines: list[itemgetter]) -> list[list[int]]:
+    """Per triple, the OR of its bucket masks along each line of
+    ``_lines``.  A bucket's members lie in one class, so the buckets on a
+    line are disjoint and their OR is their sum."""
+    return [[sum(line(masks)) for line in lines] for masks in buckets]
+
+
+def _alive(p: int, us: list, tables: list[list[int]], index: list[int]) -> list[int]:
+    """Per vector u of ``us``, the AND over triples t = (b, c, d) of
+    ``tables[t]`` at the class of (u_b, u_c, u_d): what passes every
+    relation with u."""
+    columns = list(zip(*us))
+    scaled = [y * p for y in range(p)]
+    alive = None
+    for table, (b, c, d) in zip(tables, combinations(range(len(columns)), 3)):
+        picked = map(table.__getitem__, _classes(p, index, columns[b],
+                                                 map(scaled.__getitem__, columns[c]), columns[d]))
+        alive = list(picked) if alive is None else list(map(and_, alive, picked))
+    return alive
+
+
+def _classes(p: int, index: list[int], firsts, middles, lasts):
+    """The class rows, by ``index``, of the vectors (x, y, z) of F_p^3 given
+    column by column: x from ``firsts``, p*y from ``middles`` and z from
+    ``lasts``, so that a caller can fold a sign into the middle column."""
+    square = [x * p * p for x in range(p)]
+    return map(index.__getitem__, map(add, map(square.__getitem__, firsts), map(add, middles, lasts)))
+
+
+def _lines(p: int) -> list[list[int]]:
+    """``lines[k]``: the class rows l with classes[k] . classes[l] = 0 mod p,
+    for the class rows ``classes = _representatives(p, 3)`` of F_p^3: every
+    row for the zero class, else the zero row and the p+1 points of a line
+    of the projective plane.  The rows (1, x, y) sit at 1 + x*p + y, the
+    affine plane of the chart w_0 = 1, then (0, 1, y) at 1 + p^2 + y and
+    (0, 0, 1), the line at infinity, which is the line of (1, 0, 0).  Each
+    other line is an affine line with its point at infinity, solved from
+    its equation: x = x0 is the line of (1, -1/x0, 0), or of (0, 1, 0) for
+    x0 = 0, through (0, 0, 1); y = mu*x + beta is that of
+    (1, mu/beta, -1/beta), or of (0, 1, -1/mu) or (0, 0, 1) for beta = 0,
+    through (0, 1, mu).  The points of y = mu*x + beta for every beta are
+    read at once from each affine row written twice, shifted by mu*x."""
+    inv = [0] + [pow(a, -1, p) for a in range(1, p)]
+    one, last = 1 + p * p, 1 + p * p + p        # the rows of (0, 1, 0) and (0, 0, 1)
+    rows = [list(range(1 + x * p, 1 + x * p + p)) for x in range(p)]
+    lines = [list(range(last + 1))] * (last + 1)
+    lines[1] = [0, *range(one, last + 1)]
+    for x in range(p):
+        lines[1 + (p - inv[x]) * p if x else one] = [0, *rows[x], last]
+    doubled = [row * 2 for row in rows]
+    for mu in range(p):
+        shifted = [row[mu * x % p:][:p] for x, row in enumerate(doubled)]
+        for beta, points in enumerate(zip(*shifted)):
+            lines[1 + mu * inv[beta] % p * p + p - inv[beta] if beta else
+                  one + p - inv[mu] if mu else last] = [0, *points, one + mu]
+    return lines
+
+
+def _incidence(p: int) -> list[int]:
+    """One int per class row of F_p^3: bit l of ``incidence[k]`` says whether
+    classes[k] . classes[l] = 0 mod p, which holds exactly for the rows of
+    ``lines[k]``; the lines are solved as in ``_lines``, in a few int
+    operations each: the affine rows are p-bit segments, x = x0 is one whole
+    segment, and y = mu*x + beta is the mask of y = mu*x with every segment
+    rotated by beta."""
+    inv = [0] + [pow(a, -1, p) for a in range(1, p)]
+    one, last = 1 + p * p, 1 + p * p + p
+    segment = (1 << p) - 1
+    firsts = sum(1 << 1 + x * p for x in range(p))      # column 0 of every segment
+    ends = 1 | 1 << last
+    masks = [(1 << last + 1) - 1] * (last + 1)
+    masks[1] = ends | segment << one
+    for x in range(p):
+        masks[1 + (p - inv[x]) * p if x else one] = ends | segment << 1 + x * p
+    low = [((1 << beta) - 1) * firsts for beta in range(p)]    # columns < beta
+    high = [segment * firsts ^ mask for mask in low]
+    for mu in range(p):
+        line = sum(1 << 1 + x * p + mu * x % p for x in range(p))
+        ends = 1 | 1 << one + mu
+        masks[one + p - inv[mu] if mu else last] = ends | line
+        for beta in range(1, p):
+            masks[1 + mu * inv[beta] % p * p + p - inv[beta]] = (
+                ends | line << beta & high[beta] | line >> p - beta & low[beta])
+    return masks
+
+
+def _class_index(p: int) -> list[int]:
     """The p^3-entry class index of F_p^3: ``index[(a0*p + a1)*p + a2]`` is
-    the row of ``classes``, which are ``_representatives(p, 3)``, whose
-    scaling class holds (a0, a1, a2).  Built in plain Python from each row
-    and its p-1 nonzero multiples, which costs less than numpy at this size."""
-    import numpy as np
-    index = [0] * p ** 3
-    for row, (x, y, z) in enumerate(classes.tolist()):
-        for a in range(1, p):
-            index[(a * x % p * p + a * y % p) * p + a * z % p] = row
-    return np.array(index)
+    the row of ``_representatives(p, 3)`` whose scaling class holds
+    (a0, a1, a2), found by dividing by the first nonzero coordinate."""
+    inv = [0] + [pow(a, -1, p) for a in range(1, p)]
+    one, last = 1 + p * p, 1 + p * p + p
+    index = [0] + [last] * (p - 1)
+    for a1 in range(1, p):
+        index += [one + inv[a1] * a2 % p for a2 in range(p)]
+    for a0 in range(1, p):
+        scaled = [inv[a0] * a % p for a in range(p)]
+        for a1 in scaled:
+            start = 1 + a1 * p
+            index += [start + a2 for a2 in scaled]
+    return index
 
 
-def _all_vectors(p: int, k: int) -> np.ndarray:
-    """Every vector of F_p^k, one per row (one empty row for k = 0)."""
-    import numpy as np
-    return np.indices((p,) * k, dtype=np.int64).reshape(k, p ** k).T
+def _all_vectors(p: int, k: int) -> list[tuple[int, ...]]:
+    """Every vector of F_p^k, first coordinate leading (one empty row for k = 0)."""
+    return list(product(range(p), repeat=k))
 
 
-def _representatives(p: int, k: int) -> np.ndarray:
+def _representatives(p: int, k: int) -> list[tuple[int, ...]]:
     """One vector of F_p^k per scaling class: the zero vector first, then
     every vector whose first nonzero coordinate is 1, one block per leading
-    position; 1 + (p^k - 1)/(p - 1) rows.  Read as base-p numbers with the
-    first coordinate leading, the block for position i is [p^j, 2 p^j) with
-    j = k-1-i, so the rows are the digits of those numbers."""
-    import numpy as np
-    codes = np.concatenate([[0], *(np.arange(p ** j, 2 * p ** j) for j in reversed(range(k)))])
-    return codes[:, None] // p ** np.arange(k - 1, -1, -1) % p
+    position; 1 + (p^k - 1)/(p - 1) rows."""
+    reps = [(0,) * k]
+    for i in range(k):
+        reps += product(*[(0,)] * i, (1,), *[range(p)] * (k - 1 - i))
+    return reps
 
 
-def _leading_one_rows(rows: np.ndarray) -> np.ndarray:
-    """The zero row, then the rows whose first nonzero entry is 1: one per
-    scaling class of a set of vectors closed under scaling."""
-    import numpy as np
-    leading = rows[np.arange(len(rows)), (rows != 0).argmax(axis=1)]
-    return np.concatenate([np.zeros((1, rows.shape[1]), dtype=rows.dtype),
-                           rows[leading == 1]])
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, lowest first."""
+    return [j for j, bit in enumerate(reversed(bin(mask))) if bit == "1"]
 
 
 def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:

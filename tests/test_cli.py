@@ -128,6 +128,23 @@ class TestSubcommands:
             m.setattr(spaces, "p_adic_loop", lambda x, p: x)
             assert not cli._check_em_grid()[0] and not cli._check_symmetric3()[0]
 
+    def test_fiber_check_reads_the_enumerated_count(self, monkeypatch):
+        # cup-square-fiber holds the fiber formula against the kernel count, so
+        # a count short by one scaling class at any checked (p, n) fails it
+        import pifinite.cli as cli
+        import pifinite.quadforms as quadforms
+        count = quadforms.count_null_square_two_forms
+        assert cli._check_fiber_formula()[0]
+        for bad in ((5, 5), (3, 2)):
+            def miscount(p, n, budget=quadforms.DEFAULT_ENUMERATION_BUDGET, bad=bad):
+                report = count(p, n, budget)
+                return quadforms.FormCountReport(
+                    p, n, report.kernel_count - (p - 1) * ((p, n) == bad),
+                    report.total_forms)
+            with monkeypatch.context() as m:
+                m.setattr(quadforms, "count_null_square_two_forms", miscount)
+                assert not cli._check_fiber_formula()[0]
+
     def test_verify_exit_three_on_mismatch(self, capsys, monkeypatch):
         import pifinite.cli as cli
         broken = cli._VERIFY_TABLE + [("forced", lambda: (False, "forced failure"))]
@@ -369,12 +386,25 @@ class TestNumpyIsLazy:
             env={"PIFINITE_ORDER_CAP": "10"})
         assert results == [[2, False]]
 
-    def test_table_answers_load_numpy(self):
-        # group tables need no numpy; the 2-form kernel in verify still does
+    def test_verify_loads_no_numpy(self):
+        # group tables and the 2-form kernel in verify both run on Python ints
         results = _module_probe(["numpy"],
                                 ["card", "--space", "B(S3)", "--prime", "2", "--height", "1"],
                                 ["verify"])
-        assert results == [[0, False], [0, True]]
+        assert results == [[0, False], [0, False]]
+
+    def test_verify_passes_without_numpy(self):
+        # a None entry in sys.modules makes every import of numpy fail
+        code = ("import sys\n"
+                "sys.modules['numpy'] = None\n"
+                "import pifinite.cli\n"
+                "sys.exit(pifinite.cli.main(['verify']))\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=_probe_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.strip().splitlines()
+        assert len(lines) == 8
+        assert all(line.startswith("PASS") for line in lines)
 
 
 class TestStartupIsLean:
@@ -394,11 +424,11 @@ class TestStartupIsLean:
         assert results == [[None, False]] + [[0, False]] * 4
 
     def test_no_inspect_without_numpy(self):
-        # numpy imports inspect, and verify's 2-form kernel imports numpy
+        # numpy imports inspect, and no subcommand imports numpy
         if _loaded_at_bare_start(["inspect"]):
             pytest.skip("a site hook loads inspect at start-up")
-        results = _module_probe(["inspect"], *self.ARGVS)
-        assert results == [[None, False]] + [[0, False]] * 3
+        results = _module_probe(["inspect"], *self.ARGVS, ["verify"])
+        assert results == [[None, False]] + [[0, False]] * 4
 
 
 _BASE = ["pifinite", "pifinite.cli", "pifinite.errors", "pifinite.rationals"]

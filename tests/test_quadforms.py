@@ -12,9 +12,10 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (_all_vectors, _class_index, _incidence,
-                                _kernel_representatives, _leading_one_rows,
-                                _null_square_kernel, _representatives)
+from pifinite.quadforms import (_all_vectors, _class_index, _incidence, _lines,
+                                _null_square_kernel, _representative_split,
+                                _representative_tables, _representatives,
+                                _scaling_classes)
 
 # every (p, n) with n >= 4 whose p^C(n,2) forms fit the default budget
 DEFAULT_BUDGET_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
@@ -32,6 +33,20 @@ def sweep_kernel(p: int, n: int) -> frozenset:
                for a, b, c, d in quads):
             kernel.add(w)
     return frozenset(kernel)
+
+
+def kernel_representatives(p: int, n: int) -> list:
+    """The forms that ``_representative_split`` lays out as bits, one per
+    scaling class of the kernel on F_p^n, in bit order."""
+    us, inner, alive, _ = _representative_split(p, n, _scaling_classes(p))
+    return [us[i] + inner[j] for i, mask in enumerate(alive)
+            for j in range(len(inner)) if mask >> j & 1]
+
+
+def leading_one_rows(rows: list) -> list:
+    """The zero row, then the nonzero rows whose first nonzero entry is 1:
+    one per scaling class of a set of vectors closed under scaling."""
+    return [(0,) * len(rows[0])] + [row for row in rows if next(filter(None, row), 0) == 1]
 
 
 def passes_relations(p: int, n: int, forms: np.ndarray) -> np.ndarray:
@@ -111,7 +126,9 @@ class TestKernelCounts:
         # themselves (and their coordinate order) must be right, not just the count
         rows = _null_square_kernel(p, n)
         assert len(rows) == len(sweep_kernel(p, n))
-        assert set(map(tuple, rows.tolist())) == sweep_kernel(p, n)
+        assert set(rows) == sweep_kernel(p, n)
+        # the split reads its leading-one rows off the lexicographic order
+        assert rows == sorted(rows)
 
     @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
                                             for p, n in DEFAULT_BUDGET_PAIRS]
@@ -156,8 +173,9 @@ class TestScalingClasses:
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_representatives_one_per_class(self, p):
         for k in range(1, 6):
-            reps = _representatives(p, k)
+            reps = np.array(_representatives(p, k))
             assert reps.shape == (1 + (p ** k - 1) // (p - 1), k)
+            assert not reps[0].any()                      # the zero vector first
             nonzero = reps[reps.any(axis=1)]
             assert len(nonzero) == len(reps) - 1          # the zero vector, once
             leading = nonzero[np.arange(len(nonzero)), (nonzero != 0).argmax(axis=1)]
@@ -172,8 +190,8 @@ class TestScalingClasses:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_class_index_maps_each_vector_to_its_representative(self, p):
-        reps = _representatives(p, 3)
-        index = _class_index(p, reps)
+        reps = np.array(_representatives(p, 3))
+        index = np.array(_class_index(p))
         assert index.shape == (p ** 3,)
         vectors = np.indices((p,) * 3).reshape(3, -1).T
         rep = reps[index[(vectors[:, 0] * p + vectors[:, 1]) * p + vectors[:, 2]]]
@@ -185,37 +203,70 @@ class TestScalingClasses:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_incidence_table_tests_each_pair_of_classes(self, p):
-        classes = _representatives(p, 3)
-        table = _incidence(p, classes)
-        assert table.dtype == bool and table.shape == (p * p + p + 2,) * 2
+        classes = np.array(_representatives(p, 3))
+        masks = _incidence(p)
+        size = p * p + p + 2
+        assert len(masks) == size and all(type(mask) is int for mask in masks)
+        assert all(mask >> size == 0 for mask in masks)
+        table = np.array([[mask >> row & 1 for row in range(size)] for mask in masks],
+                         dtype=bool)
         assert (table == (classes @ classes.T % p == 0)).all()
         assert (table == table.T).all()
         assert table[0].all() and table[:, 0].all()
         # a line of the projective plane over F_p holds p + 1 points
         assert (table[1:, 1:].sum(axis=1) == p + 1).all()
+        # the lists the kernel sums along are those lines, each point once
+        lines = _lines(p)
+        assert lines[0] == list(range(size))
+        for mask, line in zip(masks[1:], lines[1:]):
+            assert len(line) == p + 2 and len(set(line)) == p + 2
+            assert sum(1 << row for row in line) == mask
 
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (7, 4), (3, 5)])
     def test_kernel_representatives_pick_one_per_class(self, p, n):
-        picked = _kernel_representatives(p, n)
-        expected = _leading_one_rows(_null_square_kernel(p, n))
-        assert not picked[0].any()        # the zero form first, as the count needs
+        picked = kernel_representatives(p, n)
+        expected = leading_one_rows(_null_square_kernel(p, n))
+        assert not any(picked[0])         # the zero form first, as the count needs
         assert len(picked) == len(expected)
-        assert set(map(tuple, picked.tolist())) == set(map(tuple, expected.tolist()))
+        assert set(picked) == set(expected)
         kernel = sweep_kernel(p, n)
-        assert set(map(tuple, picked.tolist())) <= kernel
+        assert set(picked) <= kernel
         assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
+
+    @pytest.mark.parametrize("p,m", [(3, 4), (5, 4), (3, 5)])
+    def test_representative_tables_hold_the_passing_representatives(self, p, m):
+        # tables[t][k] holds, among the representatives, exactly those whose
+        # w for the t-th triple is orthogonal to class k, tested directly mod p
+        ctx = _scaling_classes(p)
+        us, inner, alive, _ = _representative_split(p, m, ctx)
+        assert inner == _null_square_kernel(p, m - 1)
+        width = len(inner)
+        forms = {i * width + j: us[i] + inner[j]
+                 for i, mask in enumerate(alive) for j in range(width) if mask >> j & 1}
+        reps = sum(1 << position for position in forms)
+        tables = _representative_tables(p, m, ctx)
+        classes = _representatives(p, 3)
+        pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
+        triples = list(combinations(range(m), 3))
+        assert len(tables) == len(triples)
+        for table, (b, c, d) in zip(tables, triples):
+            for a, mask in zip(classes, table):
+                expected = sum(
+                    1 << position for position, x in forms.items()
+                    if (a[0] * x[pos[c, d]] - a[1] * x[pos[b, d]] + a[2] * x[pos[b, c]]) % p == 0)
+                assert mask & reps == expected
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_leading_one_rows_pick_the_representatives(self, p):
         for k in range(1, 5):
-            picked = _leading_one_rows(_all_vectors(p, k)).tolist()
-            reps = _representatives(p, k).tolist()
+            picked = leading_one_rows(_all_vectors(p, k))
+            reps = _representatives(p, k)
             assert len(picked) == len(reps)
-            assert set(map(tuple, picked)) == set(map(tuple, reps))
+            assert set(picked) == set(reps)
         kernel = _null_square_kernel(p, 4)
-        picked = _leading_one_rows(kernel)
+        picked = leading_one_rows(kernel)
         assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
-        assert set(map(tuple, picked.tolist())) <= set(map(tuple, kernel.tolist()))
+        assert set(picked) <= set(kernel)
 
 
 class TestInvariants:
@@ -277,6 +328,14 @@ class TestFiberCardinality:
     def test_p_two_unsupported(self):
         with pytest.raises(InputError):
             pf.cup_square_fiber_cardinality(2, 4)
+
+    @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS
+                             + tuple((p, n) for p in (3, 5) for n in (1, 2, 3)))
+    def test_fiber_is_the_form_count_times_a_power(self, p, n):
+        # |F|_n = N(p, n) * p^(C(n,3) - C(n,2)), N the enumerated kernel count
+        forms = pf.count_null_square_two_forms(p, n).kernel_count
+        assert pf.cup_square_fiber_cardinality(p, n) == \
+            forms * Fraction(p) ** (math.comb(n, 3) - math.comb(n, 2))
 
 
 class TestFailureReport:
