@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, ResourceBudgetError
-from .rationals import MAX_DIGITS, binom_ext, require_digits, require_prime, vp
+from .rationals import binom_ext, require_digits, require_numeral, require_prime, vp
 
 # Each handler and check imports the library modules it calls when it runs:
 # the CLI answers one query per process, and a module that answer does not
@@ -118,11 +118,12 @@ def _cmd_profile(args) -> int:
 def _cmd_delta(args) -> int:
     from .heights import delta_iter
     try:
-        value = Fraction(args.value)
+        value = Fraction(require_numeral(args.value, "the value"))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"not a rational: {args.value!r}") from exc
-    # iterates past the print budget are refused as soon as they appear
-    out = delta_iter(value, args.prime, args.iterations, max_digits=MAX_DIGITS)
+    require_digits(value.numerator, "the value")
+    require_digits(value.denominator, "the value")
+    out = delta_iter(value, args.prime, args.iterations)
     _emit(args, _rat_text(out), {
         "value": args.value,
         "prime": args.prime,

@@ -16,7 +16,7 @@ class InputError(PifiniteError, ValueError):
 
 class ResourceBudgetError(PifiniteError, RuntimeError):
     """A computation would exceed a configured size budget (group order cap,
-    enumeration budget, iterate and answer digit budgets)."""
+    enumeration budget, the digit budget, the primality bound)."""
 
 
 class InvariantError(PifiniteError, RuntimeError):

@@ -12,8 +12,12 @@ element, so a cell costs one 8-byte pointer), and every primitive works by
 composing rows, ``itemgetter(*other)(row)`` being row composed with other;
 no numpy is needed.  Associativity is checked with Light's test over a
 greedy generating set, at n^2 cells per generator.  Orders go up to the
-order cap (``DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``); building a
-table is the costly step, and its cost grows with the square of the order.
+order cap (``DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``), which one
+function reads and applies to every build: a descriptor is checked whole
+before anything is built, its order bounded by the digit budget before it
+is multiplied out, and ``direct_product`` and ``wreath_cyclic`` check the
+order they would build.  Building a table is the costly step, and its cost
+grows with the square of the order.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from operator import and_, eq, itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
-from .rationals import require_prime
+from .rationals import MAX_DIGITS, fits_digits, power_may_fit, require_prime
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -39,17 +43,20 @@ DEFAULT_ORDER_CAP = 10_000
 ORDER_CAP_ENV = "PIFINITE_ORDER_CAP"
 
 
-def resolve_order_cap(cap: Optional[int] = None) -> int:
-    """Explicit cap, else the PIFINITE_ORDER_CAP env var, else the default."""
-    if cap is not None:
-        return cap
-    env = os.environ.get(ORDER_CAP_ENV)
+def _require_order(order: Optional[int]) -> int:
+    """Return order, or refuse it past the cap: PIFINITE_ORDER_CAP, else
+    DEFAULT_ORDER_CAP.  None stands for an order past the digit budget,
+    which no cap admits and no message prints."""
+    cap, env = DEFAULT_ORDER_CAP, os.environ.get(ORDER_CAP_ENV)
     if env is not None:
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise InputError(f"{ORDER_CAP_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_ORDER_CAP
+    if order is None or order > cap:
+        shown = f"past the {MAX_DIGITS}-digit budget" if order is None else order
+        raise ResourceBudgetError(f"group of order {shown} exceeds the cap {cap}")
+    return order
 
 
 @frozen
@@ -364,12 +371,14 @@ GroupDescriptor = Union[Cyclic, Symmetric, Dihedral, DirectProduct, Wreath]
 MAX_SYMMETRIC_DEGREE = 6
 
 
-def descriptor_order(d: GroupDescriptor) -> int:
-    """Order of the described group, computed without building anything."""
+def descriptor_order(d: GroupDescriptor) -> Optional[int]:
+    """Order of the described group, computed without building anything, or
+    None when it has more than MAX_DIGITS digits.  Every part of ``d`` is
+    checked whatever the order, and no power is taken past that size."""
     if isinstance(d, Cyclic):
         if d.n < 1:
             raise InputError(f"Cyclic order must be >= 1, got {d.n}")
-        return d.n
+        return _printable(d.n)
     if isinstance(d, Symmetric):
         if not 1 <= d.n <= MAX_SYMMETRIC_DEGREE:
             raise InputError(f"Symmetric degree must be in 1..{MAX_SYMMETRIC_DEGREE}, got {d.n}")
@@ -377,14 +386,25 @@ def descriptor_order(d: GroupDescriptor) -> int:
     if isinstance(d, Dihedral):
         if d.order < 2 or d.order % 2:
             raise InputError(f"Dihedral order must be even and >= 2, got {d.order}")
-        return d.order
+        return _printable(d.order)
     if isinstance(d, DirectProduct):
-        return descriptor_order(d.left) * descriptor_order(d.right)
+        left, right = descriptor_order(d.left), descriptor_order(d.right)
+        return None if left is None or right is None else _printable(left * right)
     if isinstance(d, Wreath):
         if d.p < 2:
             raise InputError(f"wreath degree must be >= 2, got {d.p}")
-        return descriptor_order(d.base) ** d.p * d.p
+        base = descriptor_order(d.base)
+        return None if base is None else _wreath_order(base, d.p)
     raise InputError(f"unknown group descriptor {d!r}")
+
+
+def _printable(order: int) -> Optional[int]:
+    return order if fits_digits(order) else None
+
+
+def _wreath_order(m: int, c: int) -> Optional[int]:
+    """|G wr C_c| = m^c c for |G| = m, as ``descriptor_order`` gives it."""
+    return _printable(m ** c * c) if power_may_fit(m, c) else None
 
 
 def descriptor_name(d: GroupDescriptor) -> str:
@@ -408,20 +428,19 @@ def descriptor_name(d: GroupDescriptor) -> str:
     raise InputError(f"unknown group descriptor {d!r}")
 
 
-def checked_order(d: GroupDescriptor, order_cap: Optional[int] = None) -> int:
+def checked_order(d: GroupDescriptor) -> int:
     """Order of the described group; refuses it, as ``build_group`` would,
     when the descriptor is invalid or the order exceeds the cap."""
-    cap = resolve_order_cap(order_cap)
-    order = descriptor_order(d)
-    if order > cap:
-        raise ResourceBudgetError(f"group of order {order} exceeds the cap {cap}")
-    return order
+    return _require_order(descriptor_order(d))
 
 
-def build_group(d: GroupDescriptor, order_cap: Optional[int] = None) -> FiniteGroup:
+def build_group(d: GroupDescriptor) -> FiniteGroup:
     """Materialize a descriptor as a validated Cayley-table group."""
-    cap = resolve_order_cap(order_cap)
-    checked_order(d, cap)
+    checked_order(d)
+    return _build(d)
+
+
+def _build(d: GroupDescriptor) -> FiniteGroup:
     if isinstance(d, Cyclic):
         g = _cyclic_group(d.n)
     elif isinstance(d, Symmetric):
@@ -429,11 +448,9 @@ def build_group(d: GroupDescriptor, order_cap: Optional[int] = None) -> FiniteGr
     elif isinstance(d, Dihedral):
         g = _dihedral_group(d.order)
     elif isinstance(d, DirectProduct):
-        g = direct_product(build_group(d.left, cap), build_group(d.right, cap))
-    elif isinstance(d, Wreath):
-        g = wreath_cyclic(build_group(d.base, cap), d.p, order_cap=cap)
+        g = direct_product(_build(d.left), _build(d.right))
     else:
-        raise InputError(f"unknown group descriptor {d!r}")
+        g = wreath_cyclic(_build(d.base), d.p)
     g.name = descriptor_name(d)
     g.descriptor = d
     return g
@@ -464,14 +481,10 @@ def _dihedral_group(order: int) -> FiniteGroup:
     return FiniteGroup(tab, name=f"D{order}")
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: Optional[int] = None) -> FiniteGroup:
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with elements a*|H| + b."""
-    cap = resolve_order_cap(order_cap)
-    if g.order * h.order > cap:
-        raise ResourceBudgetError(
-            f"group of order {g.order * h.order} exceeds the cap {cap}")
     m = h.order
-    ints = tuple(range(g.order * m))
+    ints = tuple(range(_require_order(g.order * m)))
     # shifted[u][b]: the elements (u, b d) for every d in H, at indices u*|H| + b d
     shifted = [tuple(_getter(hrow)(ints[u * m:(u + 1) * m]) for hrow in h._rows)
                for u in range(g.order)]
@@ -480,21 +493,17 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: Optional[int] = No
     return FiniteGroup(tab, name=f"{g.name} x {h.name}", validate=False)
 
 
-def wreath_cyclic(g: FiniteGroup, c: int, order_cap: Optional[int] = None) -> FiniteGroup:
+def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
     """The wreath product G wr C_c: tuples in G^c with C_c cycling coordinates.
 
     The element (g_0, ..., g_{c-1}; s) has index v*c + s with
     v = sum g_i |G|^i, and (gs; s)(hs; t) = (w; s + t) with
     w_i = g_i h_{i-s}, indices mod c.
     """
-    cap = resolve_order_cap(order_cap)
     if c < 2:
         raise InputError(f"wreath degree must be >= 2, got {c}")
     m = g.order
-    order = m ** c * c
-    if order > cap:
-        raise ResourceBudgetError(f"group of order {order} exceeds the cap {cap}")
-    ints = tuple(range(order))
+    ints = tuple(range(_require_order(_wreath_order(m, c))))
     # scaled[i][a]: row a of G as coordinate i's contribution to v
     scaled = [[tuple(x * m ** i for x in row) for row in g._rows] for i in range(c)]
     # blocks[s][u]: the indices of (w; s + t) for t = 0..c-1, where v(w) = u

@@ -11,7 +11,11 @@ The splitting elements built here are integer combinations of space
 symbols such as [BG]: beta_element(p, k), built from [BC_p] as the EM atom
 B^1(C_p), is a unit at every layer above k and dies at layer k, and
 alpha_splitter multiplies the first k+1 of them into a profile that
-separates layers <= k from layers > k.
+separates layers <= k from layers > k; k is at most DEFAULT_BETA_MAX_K.
+
+Every delta step, checked or at layer 0, is held to the one digit budget
+``MAX_DIGITS``: a step whose result would certainly pass it is refused
+before a^p is taken, and every iterate is checked exactly once it exists.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (ExactRational, RationalLike, binom_ext, require_digits,
-                        require_prime, vp)
+from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext, power_may_fit,
+                        require_digits, require_prime, vp)
 from .records import frozen
 from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
                      homotopy_cardinality, normal_form, product)
@@ -30,7 +34,6 @@ from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardin
 if TYPE_CHECKING:
     from .groups import FiniteGroup
 
-DEFAULT_ITER_DIGITS = 10_000
 DEFAULT_BETA_MAX_K = 4
 
 
@@ -43,6 +46,13 @@ class LayerClass(Enum):
 # -- the p-derivation ---------------------------------------------------------------
 
 def _delta_raw(a: Fraction, p: int) -> Fraction:
+    # Refused before a^p is taken when the result certainly passes the digit
+    # budget.  With a = u/v in lowest terms, a - a^p = (u v^(p-1) - u^p)/v^p
+    # is in lowest terms too, so the result has a denominator of at least
+    # v^p, and for |u| > 2v a numerator of at least |u|^p / 2p; with
+    # M = max(|u|, v), one of them is at least (M // 2)^p / 2p.
+    if not power_may_fit(max(abs(a.numerator), a.denominator) // 2, p, 2 * p):
+        raise ResourceBudgetError(f"delta iterate exceeds the {MAX_DIGITS}-digit budget")
     return (a - a ** p) / p
 
 
@@ -53,40 +63,38 @@ def delta(a: RationalLike, p: int) -> ExactRational:
     rational with vp(a) >= 0 maps to another such.  Negative valuation is
     rejected: there the formula leaves the p-integral subring.
     """
-    require_prime(p)
     a = Fraction(a)
-    if a != 0 and vp(a, p) < 0:
-        raise InputError(f"delta needs vp(a) >= 0, got vp={vp(a, p)} for a={a}")
+    _require_p_integral(a, p)
     return _delta_raw(a, p)
 
 
-def _check_digits(a: Fraction, max_digits: int) -> None:
-    require_digits(a.numerator, "delta iterate", max_digits)
-    require_digits(a.denominator, "delta iterate", max_digits)
+def _require_p_integral(a: Fraction, p: int) -> None:
+    require_prime(p)
+    if a != 0 and vp(a, p) < 0:
+        raise InputError(f"delta needs vp(a) >= 0, got vp={vp(a, p)} for a={a}")
 
 
-def delta_iter(a: RationalLike, p: int, k: int, *,
-               max_digits: int = DEFAULT_ITER_DIGITS) -> ExactRational:
-    """k-fold iterate of delta; k = 0 is the identity."""
+def _iterate(a: Fraction, p: int, k: int) -> Fraction:
+    # k steps of the formula, each held to the digit budget, with no
+    # valuation check: layer 0, where values need not be p-integral,
+    # iterates here too.  On single group symbols it agrees with the formal
+    # expansion: delta(1/|G|) = 1/(p|G|) - 1/(p|G|^p) exactly.
+    for _ in range(k):
+        a = _delta_raw(a, p)
+        require_digits(a.numerator, "delta iterate")
+        require_digits(a.denominator, "delta iterate")
+    return a
+
+
+def delta_iter(a: RationalLike, p: int, k: int) -> ExactRational:
+    """k-fold iterate of delta; k = 0 is the identity.  An iterate past the
+    ``MAX_DIGITS`` budget is refused as soon as it appears."""
     if k < 0:
         raise InputError(f"iteration count must be >= 0, got {k}")
-    out = Fraction(a)
-    for _ in range(k):
-        out = delta(out, p)
-        _check_digits(out, max_digits)
-    return out
-
-
-def _delta_iter_raw(a: Fraction, p: int, k: int, *,
-                    max_digits: int = DEFAULT_ITER_DIGITS) -> Fraction:
-    # Unguarded variant for layer 0, where values need not be p-integral.
-    # On single group symbols it agrees with the formal expansion:
-    # delta(1/|G|) = 1/(p|G|) - 1/(p|G|^p) exactly.
-    out = Fraction(a)
-    for _ in range(k):
-        out = _delta_raw(out, p)
-        _check_digits(out, max_digits)
-    return out
+    a = Fraction(a)
+    if k:
+        _require_p_integral(a, p)   # delta keeps vp >= 0, so once is enough
+    return _iterate(a, p, k)
 
 
 # -- height profiles -----------------------------------------------------------------
@@ -237,7 +245,7 @@ class R1Element:
         total = Fraction(self.constant)
         for (space, dpow), coeff in self.terms:
             if n == 0:
-                total += coeff * _delta_iter_raw(homotopy_cardinality(space), p, dpow)
+                total += coeff * _iterate(homotopy_cardinality(space), p, dpow)
             else:
                 total += coeff * delta_iter(height_cardinality(space, p, n), p, dpow)
         return total
@@ -266,8 +274,8 @@ def _coerce(x: Union[R1Element, int]) -> R1Element:
 
 # -- splitting elements ------------------------------------------------------------------
 
-def beta_element(p: int, k: int, *, max_k: int = DEFAULT_BETA_MAX_K) -> R1Element:
-    """The layer-k splitting element.
+def beta_element(p: int, k: int) -> R1Element:
+    """The layer-k splitting element, for 0 <= k <= DEFAULT_BETA_MAX_K.
 
     k = 0 is the formal p[BC_p] - 1, which vanishes on the rational layer
     and is the unit p^n - 1 at every layer n >= 1.  For k >= 1 the element
@@ -276,31 +284,37 @@ def beta_element(p: int, k: int, *, max_k: int = DEFAULT_BETA_MAX_K) -> R1Elemen
     delta iterate of p^(n-1), whose valuation is n - k for n >= k, so the
     difference has positive valuation exactly at layer k and is a unit at
     every layer above.
+
+    b is read off residues, never off the layer-k value itself, which can
+    pass the digit budget where the profile asked for stops short of layer
+    k: if x = y mod p^m with m >= 1 then x^p = y^p mod p^(m+1), so
+    delta(x) = delta(y) mod p^(m-1), and k-1 steps from p^(k-1) mod p^k
+    leave the layer-k value mod p.
     """
     require_prime(p)
     if k < 0:
         raise InputError(f"k must be >= 0, got {k}")
-    if k > max_k:
-        raise ResourceBudgetError(f"k={k} exceeds the iterate budget {max_k}")
+    if k > DEFAULT_BETA_MAX_K:
+        raise ResourceBudgetError(f"k={k} exceeds the iterate budget {DEFAULT_BETA_MAX_K}")
     bc_p = em_space([p], 1)
     if k == 0:
         return p * R1Element((((bc_p, 0), 1),)) - 1
-    gamma_k = delta_iter(p ** (k - 1), p, k - 1)
-    b = int(gamma_k) % p
+    b = p ** (k - 1)
+    for m in range(k, 1, -1):
+        b = (b - pow(b, p, p ** m)) % p ** m // p
     if b == 0:
         raise InvariantError(f"the layer-{k} value is not a p-adic unit")
     return R1Element((((bc_p, k - 1), 1),), -b)
 
 
-def alpha_splitter(p: int, k: int, top: int, *,
-                   max_k: int = DEFAULT_BETA_MAX_K) -> HeightProfile:
+def alpha_splitter(p: int, k: int, top: int) -> HeightProfile:
     """Pointwise product of the beta profiles for 0..k: COMPLETE or ZERO on
     every layer <= k and DIVISIBLE on every layer in (k, top]."""
     if k > top:
         raise InputError(f"need k <= top, got k={k}, top={top}")
-    profile = beta_element(p, 0, max_k=max_k).profile(p, top)
+    profile = beta_element(p, 0).profile(p, top)
     for j in range(1, k + 1):
-        profile = profile.pointwise_mul(beta_element(p, j, max_k=max_k).profile(p, top))
+        profile = profile.pointwise_mul(beta_element(p, j).profile(p, top))
     return profile
 
 

@@ -24,6 +24,7 @@ from typing import Callable, Optional
 from .errors import InputError
 from .groups import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                      Wreath, build_group, checked_order, descriptor_name)
+from .rationals import require_numeral
 from .records import frozen
 from .spaces import (EM, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
                      classifying, disjoint_union, em_space, finite_set, product)
@@ -57,9 +58,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(_Token("INT", text[i:j], i))
             i = j
@@ -107,7 +108,8 @@ class _Parser:
         return tok.kind == kind and (text is None or tok.text == text)
 
     def parse_int(self) -> int:
-        return int(self.expect("INT").text)
+        tok = self.expect("INT")
+        return int(require_numeral(tok.text, f"the number at position {tok.position}"))
 
     # grammar rules: each space rule returns a function that builds its
     # value, so that no group is built until the whole text has parsed
@@ -219,15 +221,15 @@ def _cyclic_orders(d: GroupDescriptor) -> Optional[list[int]]:
 
 
 def _classifying_space(d: GroupDescriptor) -> SpaceExpr:
-    """B of a described group.  The descriptor and the order cap are checked
-    first, so that every group is refused exactly as ``build_group`` would;
-    an abelian B(A) is then the EM atom B^1(A), and only other groups get a
-    table."""
-    checked_order(d)
+    """B of a described group.  An abelian B(A) is the EM atom B^1(A), and
+    only other groups get a table; each is refused exactly as
+    ``build_group`` refuses it, the descriptor and the order cap checked
+    once."""
     orders = _cyclic_orders(d)
-    if orders is not None:
-        return em_space(orders, 1)
-    return classifying(build_group(d))
+    if orders is None:
+        return classifying(build_group(d))
+    checked_order(d)
+    return em_space(orders, 1)
 
 
 def parse_space(text: str) -> SpaceExpr:

@@ -48,7 +48,7 @@ from itertools import combinations, product, repeat
 from operator import add, and_, itemgetter, lshift
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import ExactRational, binom_ext, is_prime
+from .rationals import ExactRational, binom_ext, fits_digits, is_prime, power_may_fit
 from .records import frozen
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -146,10 +146,13 @@ def count_null_square_two_forms(p: int, n: int,
     _require_odd_prime(p)
     if n < 1:
         raise InputError(f"dimension must be >= 1, got {n}")
-    total = p ** math.comb(n, 2)
-    if total > budget:
-        raise ResourceBudgetError(
-            f"{total} forms exceed the enumeration budget {budget}")
+    e = math.comb(n, 2)
+    # p^e is taken only where it may fit the digit budget, and shown only
+    # where it does
+    total = p ** e if power_may_fit(p, e) else None
+    if total is None or total > budget:
+        shown = total if total is not None and fits_digits(total) else f"{p}^{e}"
+        raise ResourceBudgetError(f"{shown} forms exceed the enumeration budget {budget}")
     if n < 4:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)

@@ -4,12 +4,21 @@ Every quantity in this package is an ``ExactRational`` (an alias of
 ``fractions.Fraction``): arbitrary precision, always in lowest terms with a
 positive denominator, and with exact field operations.  Nothing in the
 package ever rounds.
+
+Exact answers have no natural size limit, so one digit budget,
+``MAX_DIGITS``, bounds every number the package reads, computes toward or
+prints, and every rule for it lives here: ``require_digits`` refuses a
+number past it, ``power_may_fit`` refuses a power that would certainly pass
+it before the power is taken, and ``require_numeral`` refuses such a number
+in input text before it is read.  ``is_prime`` is exact and quick below
+about 3.3 * 10^24 and refuses larger numbers.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import re
 from fractions import Fraction
 from typing import Union
 
@@ -17,9 +26,9 @@ from .errors import InputError, ResourceBudgetError
 
 ExactRational = Fraction
 
-# The largest answer, in decimal digits of its numerator or denominator, that
-# the CLI prints (CPython's default limit on int -> str conversion);
-# ``height_cardinality`` refuses an EM power past it before taking it.
+# The one digit budget: the largest number, in decimal digits of its
+# numerator or denominator, that the package reads, computes toward or
+# prints (CPython's default limit on int <-> str conversion).
 MAX_DIGITS = 4300
 
 RationalLike = Union[int, Fraction]
@@ -49,29 +58,72 @@ INFINITE = _InfiniteValuation()
 Valuation = Union[int, _InfiniteValuation]
 
 
+# Miller-Rabin to the first 13 primes as bases is exact below this bound
+# (Sorenson and Webster, Math. Comp. 86 (2017)); at it, it is refused
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (n is small in practice)."""
+    """Deterministic primality: trial division by the 13 Miller-Rabin bases,
+    which answers every n below 43^2, then Miller-Rabin to those bases.
+    Refused at or above ``_MR_BOUND``, where the test is no longer exact."""
     if n < 2:
         return False
-    if n < 4:
+    if n >= _MR_BOUND:
+        raise ResourceBudgetError(f"primality is decided only below {_MR_BOUND}")
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    if n < 43 * 43:
         return True
-    if n % 2 == 0 or n % 3 == 0:
-        return False
-    d = 5
-    while d * d <= n:
-        if n % d == 0 or n % (d + 2) == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 6
     return True
 
 
-def require_digits(k: int, what: str, max_digits: int = MAX_DIGITS) -> int:
-    """Return k, or refuse it if it has more than max_digits decimal digits."""
-    # below 3 bits per digit k is in budget; only near the limit is the
-    # power of ten built
-    if k.bit_length() > 3 * max_digits and abs(k) >= 10 ** max_digits:
-        raise ResourceBudgetError(f"{what} exceeds the {max_digits}-digit budget")
+def fits_digits(k: int) -> bool:
+    """Whether k has at most MAX_DIGITS decimal digits."""
+    # below 3 bits per digit k fits; only near the limit is the power of ten
+    # built
+    return k.bit_length() <= 3 * MAX_DIGITS or abs(k) < 10 ** MAX_DIGITS
+
+
+def require_digits(k: int, what: str) -> int:
+    """Return k, or refuse it if it has more than MAX_DIGITS decimal digits."""
+    if not fits_digits(k):
+        raise ResourceBudgetError(f"{what} exceeds the {MAX_DIGITS}-digit budget")
     return k
+
+
+def power_may_fit(base: int, exponent: int, over: int = 1) -> bool:
+    """False when base**exponent / over (base >= 0, exponent >= 0, over >= 1)
+    certainly has more than MAX_DIGITS digits, decided without taking the
+    power, so that a caller can refuse before it would run for minutes."""
+    # an int compares with a float exactly, so no exponent can overflow here
+    return base <= 1 or exponent < (MAX_DIGITS + math.log10(over)) / math.log10(base)
+
+
+def require_numeral(text: str, what: str) -> str:
+    """Return the text of a number, or refuse it by the digit budget before
+    int() or Fraction() reads it: a run of more than MAX_DIGITS digits (int()
+    raises ValueError past CPython's limit), or an exponent past MAX_DIGITS
+    (Fraction() takes the power of ten before anything else)."""
+    for exp, digits in re.findall(r"([eE][-+]?)?(\d[\d_]*)", text):
+        if len(digits.replace("_", "")) > MAX_DIGITS or (exp and int(digits) > MAX_DIGITS):
+            raise ResourceBudgetError(f"{what} exceeds the {MAX_DIGITS}-digit budget")
+    return text
 
 
 def require_prime(p: int) -> int:

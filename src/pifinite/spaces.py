@@ -21,7 +21,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import MAX_DIGITS, ExactRational, binom_ext, require_prime, vp
+from .rationals import (MAX_DIGITS, ExactRational, binom_ext, power_may_fit,
+                        require_prime, vp)
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -420,9 +421,7 @@ def _height_cardinality(x: SpaceExpr, p: int, n: int) -> Fraction:
     if isinstance(x, EM):
         pp, rest = _p_part(x.factors, p)
         base, exponent = math.prod(pp), binom_ext(n - 1, x.degree)
-        # refused when base^exponent would pass MAX_DIGITS digits; an int
-        # compares with a float exactly, so no exponent can overflow here
-        if base > 1 and exponent >= MAX_DIGITS / math.log10(base):
+        if not power_may_fit(base, exponent):
             raise ResourceBudgetError(f"{_describe_atom(x)} at height {n} exceeds "
                                       f"the {MAX_DIGITS}-digit budget")
         ppart = Fraction(base) ** exponent

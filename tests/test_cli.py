@@ -173,7 +173,8 @@ class TestLargeHeights:
         assert lines[300] == f"300: {pifinite.spaces.height_cardinality(fresh, 2, 300)}"
 
 
-# answers past the digit budget, some of whose powers would never finish
+# answers and inputs past the digit budget, which would run for minutes or end
+# in a traceback if a budget were decided only after the work
 LARGE_ANSWERS = [
     ("card", "--space", "B^3(C2)", "--prime", "2", "--height", "50"),
     ("card", "--space", "B(S3)", "--prime", "2", "--height", "20000"),
@@ -181,6 +182,21 @@ LARGE_ANSWERS = [
     ("table", "--prime", "2", "--kmax", "10", "--nmax", "40"),
     # C(1999, 500) is about 10^486: past any float, so compared as an int
     ("card", "--space", "B^500(C2)", "--prime", "2", "--height", "2000"),
+    # a delta step is refused before it takes a^p
+    ("delta", "10", "--prime", "100000007"),
+    ("beta", "--prime", "10000019", "--k", "2", "--range", "2"),
+    ("delta", "10", "--prime", "10000019"),
+    # an order is bounded before it is multiplied out, and never printed past the budget
+    ("card", "--space", "B(C2 wr C100000)", "--prime", "2", "--height", "1"),
+    ("wreath", "S3", "--prime", "1000003", "--height", "1"),
+    ("card", "--space", "B(C6 wr C10000000)", "--prime", "2", "--height", "1"),
+    ("card", "--space", "B((C6 wr C1000) wr C1000000)", "--prime", "2", "--height", "1"),
+    # numbers in the input text are refused before int() reads them
+    ("card", "--space", f"B(C{'7' * 5000})", "--prime", "2", "--height", "1"),
+    ("card", "--space", "7" * 5000, "--prime", "2", "--height", "1"),
+    ("card", "--space", f"B^{'7' * 5000}(C2)", "--prime", "2", "--height", "1"),
+    ("delta", "7" * 5000, "--prime", "2"),
+    ("delta", "1e10000000", "--prime", "2"),
 ]
 
 
@@ -225,6 +241,25 @@ class TestLargeAnswers:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith("resource error:") and "digit budget" in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_large_prime_answers_in_under_a_second(self):
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "pifinite.cli", "card", "--space", "B(S3)",
+                              "--prime", "1000000000000000003", "--height", "1"],
+                             env=_probe_env(), capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (out.returncode, out.stdout, out.stderr) == (0, "1/6\n", "")
+
+    def test_beta_needs_no_unprinted_iterate(self, capsys):
+        # the constant b comes from residues, so layers below k print even
+        # where the layer-k value would pass the digit budget
+        def delta(a):
+            return (a - a ** 41) / 41
+        code, out, err = run(capsys, "beta", "--prime", "41", "--k", "3", "--range", "2")
+        assert (code, err) == (0, "")
+        values = [delta(delta(Fraction(1, 41))) - 1, Fraction(-1), delta(delta(Fraction(41))) - 1]
+        assert [line.split(" (")[0] for line in out.splitlines()] == \
+            [f"{n}: {v}" for n, v in enumerate(values)]
 
     @pytest.mark.parametrize("argv", [
         LARGE_ANSWERS[0] + ("--format", "json"),

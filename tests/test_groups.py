@@ -41,9 +41,58 @@ class TestBuild:
     def test_direct_product_order(self):
         assert pf.build_group(pf.DirectProduct(pf.Cyclic(2), pf.Cyclic(2))).order == 4
 
-    def test_order_cap(self):
-        with pytest.raises(ResourceBudgetError):
-            pf.build_group(pf.Symmetric(6), order_cap=100)
+    def test_order_cap(self, monkeypatch):
+        monkeypatch.setenv("PIFINITE_ORDER_CAP", "100")
+        with pytest.raises(ResourceBudgetError, match="order 720 exceeds the cap 100"):
+            pf.build_group(pf.Symmetric(6))
+        assert pf.build_group(pf.Symmetric(4)).order == 24
+
+    def test_one_cap_for_every_builder(self, monkeypatch):
+        # cyclic, product and wreath builds all read the same cap
+        monkeypatch.setenv("PIFINITE_ORDER_CAP", "10")
+        for d, order in ((pf.Cyclic(12), 12), (pf.DirectProduct(pf.Cyclic(3), pf.Cyclic(4)), 12),
+                         (pf.Wreath(pf.Cyclic(2), 3), 24)):
+            with pytest.raises(ResourceBudgetError, match=f"order {order} exceeds the cap 10"):
+                pf.build_group(d)
+        c3 = pf.build_group(pf.Cyclic(3))
+        with pytest.raises(ResourceBudgetError, match="order 12 exceeds the cap 10"):
+            pf.direct_product(c3, pf.build_group(pf.Cyclic(4)))
+        with pytest.raises(ResourceBudgetError, match="order 18 exceeds the cap 10"):
+            pf.wreath_cyclic(c3, 2)
+
+    def test_order_bounded_before_it_is_multiplied_out(self):
+        # 2^100000 * 100000 and a power by 10^6 of a 781-digit order: each is
+        # refused at once, and neither order is printed
+        for d in (pf.Wreath(pf.Cyclic(2), 100000),
+                  pf.Wreath(pf.Wreath(pf.Cyclic(6), 1000), 10 ** 6),
+                  pf.DirectProduct(pf.Cyclic(10 ** 4300), pf.Cyclic(10))):
+            with pytest.raises(ResourceBudgetError,
+                               match="^group of order past the 4300-digit budget exceeds"):
+                pf.groups.checked_order(d)
+        with pytest.raises(ResourceBudgetError, match="past the 4300-digit budget"):
+            pf.wreath_cyclic(named_group("C2"), 10 ** 6)
+        # an order of up to 4300 digits is printed in full
+        with pytest.raises(ResourceBudgetError, match=f"^group of order {10 ** 4299} exceeds"):
+            pf.groups.checked_order(pf.DirectProduct(pf.Cyclic(10 ** 4298), pf.Cyclic(10)))
+
+    def test_every_part_checked_past_the_budget(self):
+        huge = pf.Wreath(pf.Cyclic(2), 100000)
+        for bad in (pf.Symmetric(7), pf.Cyclic(0), pf.Wreath(pf.Cyclic(2), 1)):
+            for d in (pf.DirectProduct(huge, bad), pf.DirectProduct(bad, huge),
+                      pf.Wreath(pf.DirectProduct(huge, bad), 2)):
+                with pytest.raises(InputError):
+                    pf.build_group(d)
+
+    @pytest.mark.parametrize("call", [
+        lambda: pf.build_group(pf.Cyclic(2), order_cap=100),
+        lambda: pf.build_group(pf.Cyclic(2), 100),
+        lambda: pf.groups.checked_order(pf.Cyclic(2), order_cap=100),
+        lambda: pf.direct_product(named_group("C2"), named_group("C2"), order_cap=100),
+        lambda: pf.wreath_cyclic(named_group("C2"), 2, order_cap=100),
+    ])
+    def test_no_per_call_cap(self, call):
+        with pytest.raises(TypeError):
+            call()
 
     def test_order_cap_env(self, monkeypatch):
         monkeypatch.setenv("PIFINITE_ORDER_CAP", "5")

@@ -6,6 +6,7 @@ from conftest import named_group
 
 import pifinite as pf
 from pifinite import InputError, LayerClass, ResourceBudgetError, vp
+from pifinite.rationals import MAX_DIGITS
 
 
 def random_p_integral(rng: random.Random, p: int, v: int) -> Fraction:
@@ -77,13 +78,33 @@ class TestDeltaIter:
 
     def test_digit_budget(self):
         with pytest.raises(ResourceBudgetError):
-            pf.delta_iter(10 ** 40, 2, 6, max_digits=15)
-        # the budget counts decimal digits: delta(5) = -10 has two
-        assert pf.delta_iter(5, 2, 1, max_digits=2) == -10
-        with pytest.raises(ResourceBudgetError, match="1-digit budget"):
-            pf.delta_iter(5, 2, 1, max_digits=1)
+            pf.delta_iter(10 ** 40, 2, 9)
+        # the budget counts decimal digits: at p = 2, delta(a) = (a - a^2)/2,
+        # so a = 10^k + 1 gives -(10^k + 1) 10^k / 2, of 2k digits
+        for k in (MAX_DIGITS // 2, MAX_DIGITS // 2 + 1):
+            a = 10 ** k + 1
+            if 2 * k <= MAX_DIGITS:
+                assert pf.delta_iter(a, 2, 1) == -(a * 10 ** k // 2)
+            else:
+                with pytest.raises(ResourceBudgetError,
+                                   match=f"delta iterate exceeds the {MAX_DIGITS}-digit budget"):
+                    pf.delta_iter(a, 2, 1)
+        # a denominator counts too: delta(1/3) at p = 2 is 1/9
+        assert pf.delta_iter(Fraction(1, 3), 2, 1) == Fraction(1, 9)
         with pytest.raises(InputError):
             pf.delta_iter(2, 2, -1)
+
+    def test_step_refused_before_the_power(self):
+        # 10^100000007 would take minutes; each of these is refused at once
+        for a, p in ((10, 100000007), (Fraction(1, 7), 10000019), (Fraction(7, 3), 10007)):
+            with pytest.raises(ResourceBudgetError, match="delta iterate exceeds"):
+                pf.delta_iter(a, p, 1)
+        with pytest.raises(ResourceBudgetError, match="delta iterate exceeds"):
+            pf.delta(10, 100000007)
+
+    def test_no_per_call_budget(self):
+        with pytest.raises(TypeError):
+            pf.delta_iter(5, 2, 1, max_digits=2)
 
 
 class TestProfilesAndClasses:
@@ -220,6 +241,21 @@ class TestBeta:
             pf.beta_element(2, 5)
         with pytest.raises(InputError):
             pf.beta_element(2, -1)
+        with pytest.raises(TypeError):
+            pf.beta_element(2, 5, max_k=5)
+        with pytest.raises(TypeError):
+            pf.alpha_splitter(2, 5, 6, max_k=5)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 41, 101])
+    def test_constant_from_residues(self, p):
+        # b = gamma_k mod p, read off residues, matches gamma_k itself wherever
+        # gamma_k fits the digit budget
+        for k in range(1, pf.heights.DEFAULT_BETA_MAX_K + 1):
+            try:
+                gamma = pf.delta_iter(p ** (k - 1), p, k - 1)
+            except ResourceBudgetError:
+                continue
+            assert pf.beta_element(p, k).constant == -(int(gamma) % p)
 
 
 class TestAlpha:

@@ -111,12 +111,23 @@ class TestErrors:
         ("B(C2))", 5),
         ("", 0),
         ("B(C2) @ pt", 6),
+        ("B^\u00b2(C2)", 2),          # a superscript two is a digit that int() refuses
     ])
     def test_position_reported(self, text, pos):
         with pytest.raises(ParseError) as err:
             parse_space(text)
         assert err.value.position == pos
         assert f"position {pos}" in str(err.value)
+
+    @pytest.mark.parametrize("text,pos", [
+        ("7" * 4301, 0), (f"B(C{'7' * 4301})", 3), (f"B^{'7' * 4301}(C2)", 2),
+        (f"B(S3) + B(C2 wr C{'7' * 4301})", 17),
+    ])
+    def test_long_numbers_are_refused_before_int(self, text, pos):
+        with pytest.raises(pf.ResourceBudgetError,
+                           match=f"^the number at position {pos} exceeds the 4300-digit budget"):
+            parse_space(text)
+        assert parse_space("7" * 4300) == pf.finite_set(int("7" * 4300))
 
     def test_bad_group_sizes_are_input_errors(self):
         with pytest.raises(pf.InputError):

@@ -159,6 +159,17 @@ class TestKernelCounts:
         with pytest.raises(ResourceBudgetError):
             pf.count_null_square_two_forms(5, 5, budget=1000)
 
+    def test_budget_decided_before_the_power(self):
+        with pytest.raises(ResourceBudgetError,
+                           match="^59049 forms exceed the enumeration budget 1000$"):
+            pf.count_null_square_two_forms(3, 5, budget=1000)
+        # 3^C(200, 2) has 9495 digits and 3^C(3000, 2) over two million:
+        # neither is printed, and the second is never taken
+        for n in (200, 3000):
+            with pytest.raises(ResourceBudgetError,
+                               match=f"^3\\^{math.comb(n, 2)} forms exceed"):
+                pf.count_null_square_two_forms(3, n)
+
 
 class TestScalingClasses:
     @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)

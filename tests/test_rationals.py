@@ -5,7 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pifinite import INFINITE, InputError, ResourceBudgetError, binom_ext, vp
-from pifinite.rationals import MAX_DIGITS, require_digits
+from pifinite.rationals import (MAX_DIGITS, fits_digits, is_prime, power_may_fit,
+                                require_digits, require_numeral)
 
 
 class TestValuation:
@@ -71,15 +72,81 @@ class TestBinomExt:
 
 
 class TestRequireDigits:
-    @pytest.mark.parametrize("max_digits", [1, 15, MAX_DIGITS])
+    @pytest.mark.parametrize("max_digits", [MAX_DIGITS])
     def test_boundary(self, max_digits):
         top = 10 ** max_digits
-        assert require_digits(1 - top, "x", max_digits) == 1 - top
+        assert require_digits(1 - top, "x") == 1 - top
         for k in (top, -top):
             with pytest.raises(ResourceBudgetError, match=f"x exceeds the {max_digits}-digit"):
-                require_digits(k, "x", max_digits)
+                require_digits(k, "x")
+
+    def test_one_budget(self):
+        with pytest.raises(TypeError):
+            require_digits(10, "x", 1)
+        with pytest.raises(TypeError):
+            require_digits(10, "x", max_digits=1)
 
     def test_default_is_the_print_budget(self):
         assert require_digits(10 ** MAX_DIGITS - 1, "x") == 10 ** MAX_DIGITS - 1
         with pytest.raises(ResourceBudgetError):
             require_digits(10 ** MAX_DIGITS, "x")
+
+
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+class TestIsPrime:
+    @given(st.integers(min_value=-10, max_value=10 ** 6))
+    def test_agrees_with_trial_division(self, n):
+        assert is_prime(n) == _trial_division(n)
+
+    def test_small_numbers(self):
+        assert [n for n in range(50) if is_prime(n)] == \
+            [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+    @pytest.mark.parametrize("n", [
+        561,                            # a Carmichael number
+        3825123056546413051,            # a strong pseudoprime to the bases 2..23
+        318665857834031151167461,       # a strong pseudoprime to the bases 2..37
+    ])
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not is_prime(n)
+
+    def test_large_prime(self):
+        assert is_prime(10 ** 18 + 3)
+        assert not is_prime(10 ** 18 + 1)
+
+    def test_refused_where_the_bases_stop_being_exact(self):
+        bound = 3317044064679887385961981
+        assert not is_prime(bound - 1)
+        for n in (bound, bound + 2, 10 ** 5000):
+            with pytest.raises(ResourceBudgetError, match="primality"):
+                is_prime(n)
+
+
+class TestPowerPrecheck:
+    def test_exact_for_the_em_atom(self):
+        # 2^14284 has 4300 digits and 2^14285 has 4301
+        assert power_may_fit(2, 14284) and fits_digits(2 ** 14284)
+        assert not power_may_fit(2, 14285) and not fits_digits(2 ** 14285)
+        assert power_may_fit(1, 10 ** 500) and power_may_fit(0, 10 ** 500)
+        # an exponent past any float compares exactly
+        assert not power_may_fit(2, 10 ** 500)
+
+    def test_divisor(self):
+        # 10^4305 / 10^5 has 4301 digits; 10^4304 / 10^5 has 4300
+        assert not power_may_fit(10, 4305, 10 ** 5)
+        assert power_may_fit(10, 4304, 10 ** 5)
+
+
+class TestNumerals:
+    def test_within_budget(self):
+        for text in ("7" * MAX_DIGITS, "-12/35", "1.5e3", "2e-4300", "1_000"):
+            assert require_numeral(text, "x") == text
+
+    @pytest.mark.parametrize("text", ["7" * (MAX_DIGITS + 1), "1/" + "3" * (MAX_DIGITS + 1),
+                                      "1e4301", "1E-4301", "7_" * MAX_DIGITS + "7"])
+    def test_past_budget(self, text):
+        with pytest.raises(ResourceBudgetError, match=f"x exceeds the {MAX_DIGITS}-digit budget"):
+            require_numeral(text, "x")
