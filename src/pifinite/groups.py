@@ -458,7 +458,7 @@ def _build(d: GroupDescriptor) -> FiniteGroup:
 
 def _cyclic_group(n: int) -> FiniteGroup:
     ints = tuple(range(n))
-    return FiniteGroup(tuple(ints[i:] + ints[:i] for i in range(n)), name=f"C{n}")
+    return FiniteGroup(tuple(ints[i:] + ints[:i] for i in range(n)))
 
 
 def _symmetric_group(n: int) -> FiniteGroup:
@@ -467,7 +467,7 @@ def _symmetric_group(n: int) -> FiniteGroup:
     # row s, column t: the composite s after t, with entries s[t[x]]
     picks = [_getter(t) for t in perms]
     tab = [tuple(pos[pick(s)] for pick in picks) for s in perms]
-    return FiniteGroup(tab, name=f"S{n}")
+    return FiniteGroup(tab)
 
 
 def _dihedral_group(order: int) -> FiniteGroup:
@@ -478,7 +478,7 @@ def _dihedral_group(order: int) -> FiniteGroup:
     rots, refls = ints[:n], ints[n:]
     tab = [rots[i:] + rots[:i] + refls[i:] + refls[:i] for i in range(n)]
     tab += [refls[i::-1] + refls[:i:-1] + rots[i::-1] + rots[:i:-1] for i in range(n)]
-    return FiniteGroup(tab, name=f"D{order}")
+    return FiniteGroup(tab)
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:

@@ -14,7 +14,8 @@ to the underlying finite set.  ``B(...)`` of a cyclic group or a product of
 cyclic groups is abelian and parses to the degree-1 EM atom, which needs no
 Cayley table; other groups are built as tables.  The whole text is parsed
 before any group is built, so a syntax error costs no table.  Printing a
-parsed expression and re-parsing it yields an identical normal form.
+parsed expression and re-parsing it yields an identical normal form; atoms
+print by ``spaces.atom_text``, the printer ``NormalForm`` uses too.
 """
 
 from __future__ import annotations
@@ -23,11 +24,12 @@ from typing import Callable, Optional
 
 from .errors import InputError
 from .groups import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
-                     Wreath, build_group, checked_order, descriptor_name)
+                     Wreath, build_group, checked_order)
 from .rationals import require_numeral
 from .records import frozen
 from .spaces import (EM, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
-                     classifying, disjoint_union, em_space, finite_set, product)
+                     atom_text, classifying, disjoint_union, em_space, finite_set,
+                     product)
 
 
 class ParseError(InputError):
@@ -255,23 +257,20 @@ def parse_group(text: str) -> GroupDescriptor:
 # -- printing ------------------------------------------------------------------------
 
 def space_text(x: SpaceExpr) -> str:
-    """Render an expression in the grammar above.
+    """Render an expression in the grammar above, each atom by
+    ``spaces.atom_text``.
 
     Expressions that came from the parser always render to re-parseable
-    text.  Groups built by internal machinery (centralizers of machine
-    subgroups) have no descriptor and fall back to their display name.
+    text, since ``build_group`` names a group by its descriptor.  Groups
+    built by internal machinery (centralizers of machine subgroups) print
+    their display name, which need not parse.
     """
     if isinstance(x, Empty):
         return "0"
     if isinstance(x, FinSet):
         return "pt" if x.size == 1 else str(x.size)
-    if isinstance(x, Classifying):
-        g = x.group
-        inner = descriptor_name(g.descriptor) if g.descriptor is not None else g.name
-        return f"B({inner})"
-    if isinstance(x, EM):
-        inner = " x ".join(f"C{q}" for q in x.factors)
-        return f"B^{x.degree}({inner})"
+    if isinstance(x, (Classifying, EM)):
+        return atom_text(x)
     if isinstance(x, Disjoint):
         return " + ".join(space_text(p) for p in x.parts)
     if isinstance(x, Product):

@@ -12,6 +12,10 @@ exactly by structural recursion:
 * the height-n cardinality at a prime p, the classical cardinality of the
   n-fold loop space, which each atom gives in closed form: a binomial
   power for an EM atom, a commuting-tuple count for B(G).
+
+An integer is factored into primes in one place, ``_prime_factors``, which
+counts each prime's power by the ``rationals`` valuation, and an atom is
+printed in one place, ``atom_text``, which the parser's printer shares.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, binom_ext, power_may_fit,
-                        require_prime, vp)
+from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext,
+                        power_may_fit, require_prime, vp)
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -101,20 +105,18 @@ EMPTY = Empty()
 PT = FinSet(1)
 
 
-def _prime_power_split(m: int) -> list[int]:
-    """Split m >= 1 into its prime-power parts (CRT decomposition of C_m)."""
+def _prime_factors(m: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of m >= 1, primes ascending."""
     out = []
     d = 2
     while d * d <= m:
         if m % d == 0:
-            q = 1
-            while m % d == 0:
-                q *= d
-                m //= d
-            out.append(q)
+            e = _int_valuation(m, d)
+            out.append((d, e))
+            m //= d ** e
         d += 1
     if m > 1:
-        out.append(m)
+        out.append((m, 1))
     return out
 
 
@@ -123,7 +125,7 @@ def _canonical_cyclic_factors(factors: Iterable[int]) -> tuple[int, ...]:
     for m in factors:
         if m < 1:
             raise InputError(f"cyclic factor orders must be >= 1, got {m}")
-        canon.extend(_prime_power_split(m))
+        canon.extend(q ** e for q, e in _prime_factors(m))
     return tuple(sorted(canon))
 
 
@@ -188,14 +190,14 @@ def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
     """Invariant prime-power cyclic factors of an abelian group, recovered
     from its element-order statistics."""
     factors: list[int] = []
-    for q in _prime_divisors(g.order):
+    for q, k in _prime_factors(g.order):
         # e_j = log_q #{x : order(x) divides q^j}; the successive differences
         # m_j = e_j - e_{j-1} form the conjugate of the type partition.
         exps = [0]
-        while exps[-1] < _q_exponent(g.order, q):
+        while exps[-1] < k:
             qj = q ** len(exps)
             c = sum(1 for o in g.element_orders if qj % o == 0)
-            e = _q_exponent(c, q)
+            e = _int_valuation(c, q)
             if q ** e != c:
                 raise InvariantError("element-order counts of an abelian group are q-powers")
             exps.append(e)
@@ -206,29 +208,16 @@ def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
     return tuple(sorted(factors))
 
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _q_exponent(n: int, q: int) -> int:
-    e = 0
-    while n % q == 0:
-        n //= q
-        e += 1
-    return e
-
-
 Atom = Union[Classifying, EM]
+
+
+def atom_text(atom: Atom) -> str:
+    """The one printer of an atom, in the parser's grammar: ``B^k(C.. x C..)``
+    for an EM atom, ``B(name)`` for a group."""
+    if isinstance(atom, EM):
+        inside = " x ".join(f"C{q}" for q in atom.factors)
+        return f"B^{atom.degree}({inside})"
+    return f"B({atom.group.name})"
 
 
 def _atom_key(atom: Atom):
@@ -316,7 +305,7 @@ class NormalForm:
             return "NormalForm(0)"
         bits = []
         for comp, mult in self.components:
-            atoms = " * ".join(_describe_atom(a) for a in comp) or "pt"
+            atoms = " * ".join(atom_text(a) for a in comp) or "pt"
             bits.append(f"{mult} x [{atoms}]" if mult > 1 else f"[{atoms}]")
         return "NormalForm(" + " + ".join(bits) + ")"
 
@@ -327,13 +316,6 @@ class NormalForm:
             factors.extend(comp)
             parts.append(product(*factors) if factors else PT)
         return disjoint_union(*parts)
-
-
-def _describe_atom(atom: Atom) -> str:
-    if isinstance(atom, EM):
-        inside = " x ".join(f"C{q}" for q in atom.factors)
-        return f"B^{atom.degree}({inside})"
-    return f"B({atom.group.name})"
 
 
 def normal_form(x: SpaceExpr) -> NormalForm:
@@ -422,7 +404,7 @@ def _height_cardinality(x: SpaceExpr, p: int, n: int) -> Fraction:
         pp, rest = _p_part(x.factors, p)
         base, exponent = math.prod(pp), binom_ext(n - 1, x.degree)
         if not power_may_fit(base, exponent):
-            raise ResourceBudgetError(f"{_describe_atom(x)} at height {n} exceeds "
+            raise ResourceBudgetError(f"{atom_text(x)} at height {n} exceeds "
                                       f"the {MAX_DIGITS}-digit budget")
         ppart = Fraction(base) ** exponent
         sign = 1 if x.degree % 2 == 0 else -1
