@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext, power_may_fit,
-                        require_digits, require_prime, vp)
+from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext, fits_digits,
+                        power_may_fit, require_digits, require_prime, vp)
 from .records import frozen
 from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
                      homotopy_cardinality, normal_form, product)
@@ -61,17 +61,20 @@ def delta(a: RationalLike, p: int) -> ExactRational:
 
     Fermat's little theorem keeps integers integral; more generally any
     rational with vp(a) >= 0 maps to another such.  Negative valuation is
-    rejected: there the formula leaves the p-integral subring.
+    rejected: there the formula leaves the p-integral subring.  This is
+    ``delta_iter`` at one step, so the same digit budget bounds it.
     """
-    a = Fraction(a)
-    _require_p_integral(a, p)
-    return _delta_raw(a, p)
+    return delta_iter(a, p, 1)
 
 
 def _require_p_integral(a: Fraction, p: int) -> None:
     require_prime(p)
-    if a != 0 and vp(a, p) < 0:
-        raise InputError(f"delta needs vp(a) >= 0, got vp={vp(a, p)} for a={a}")
+    v = vp(a, p)
+    if v < 0:
+        # a value past the digit budget is named by the budget, not printed
+        shown = (f"a={a}" if fits_digits(a.numerator) and fits_digits(a.denominator)
+                 else f"a value past the {MAX_DIGITS}-digit budget")
+        raise InputError(f"delta needs vp(a) >= 0, got vp={v} for {shown}")
 
 
 def _iterate(a: Fraction, p: int, k: int) -> Fraction:

@@ -16,6 +16,8 @@ exactly by structural recursion:
 An integer is factored into primes in one place, ``_prime_factors``, which
 counts each prime's power by the ``rationals`` valuation, and an atom is
 printed in one place, ``atom_text``, which the parser's printer shares.
+A normal form, the sum of products of atoms that looping prints, is held
+to ``MAX_COMPONENTS`` components, decided before a product is expanded.
 """
 
 from __future__ import annotations
@@ -210,6 +212,10 @@ def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
 
 Atom = Union[Classifying, EM]
 
+# The one bound on the size of a normal form: a union whose fold, or a
+# product whose expansion, would pass this many components is refused
+MAX_COMPONENTS = 2048
+
 
 def atom_text(atom: Atom) -> str:
     """The one printer of an atom, in the parser's grammar: ``B^k(C.. x C..)``
@@ -218,6 +224,12 @@ def atom_text(atom: Atom) -> str:
         inside = " x ".join(f"C{q}" for q in atom.factors)
         return f"B^{atom.degree}({inside})"
     return f"B({atom.group.name})"
+
+
+def _require_components(n: int) -> None:
+    if n > MAX_COMPONENTS:
+        raise ResourceBudgetError(f"a normal form expanding to {n} components exceeds "
+                                  f"the {MAX_COMPONENTS}-component budget")
 
 
 def _atom_key(atom: Atom):
@@ -281,12 +293,10 @@ class NormalForm:
                      for comp, mult in self.components)
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
-        counts = dict(self._counts)
-        for comp, mult in other._counts.items():
-            counts[comp] = counts.get(comp, 0) + mult
-        return NormalForm(counts)
+        return _sum((self, other))
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
+        _require_components(len(self._counts) * len(other._counts))
         counts: dict[tuple[Atom, ...], int] = {}
         for c1, m1 in self._counts.items():
             for c2, m2 in other._counts.items():
@@ -318,8 +328,21 @@ class NormalForm:
         return disjoint_union(*parts)
 
 
+def _sum(forms: Iterable[NormalForm]) -> NormalForm:
+    # one dict for the whole fold: adding the parts pairwise would copy it
+    # once per part
+    counts: dict[tuple[Atom, ...], int] = {}
+    for nf in forms:
+        for comp, mult in nf._counts.items():
+            counts[comp] = counts.get(comp, 0) + mult
+        _require_components(len(counts))
+    return NormalForm(counts)
+
+
 def normal_form(x: SpaceExpr) -> NormalForm:
-    """Distribute products over disjoint unions and canonicalize atoms."""
+    """Distribute products over disjoint unions and canonicalize atoms.  A
+    union whose fold, or a product whose expansion, would pass
+    ``MAX_COMPONENTS`` components is refused, a product before it expands."""
     if isinstance(x, Empty):
         return NormalForm.zero()
     if isinstance(x, FinSet):
@@ -327,10 +350,7 @@ def normal_form(x: SpaceExpr) -> NormalForm:
     if isinstance(x, (Classifying, EM)):
         return NormalForm.atom(x)
     if isinstance(x, Disjoint):
-        out = NormalForm.zero()
-        for part in x.parts:
-            out = out + normal_form(part)
-        return out
+        return _sum(normal_form(part) for part in x.parts)
     if isinstance(x, Product):
         out = NormalForm.one()
         for f in x.factors:

@@ -1,6 +1,8 @@
 import ast
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -175,6 +177,15 @@ class TestLargeHeights:
 
 # answers and inputs past the digit budget, which would run for minutes or end
 # in a traceback if a budget were decided only after the work
+def union_product_text(k: int) -> str:
+    """(B(C2) + B(C3)) * (B(C5) + B(C7)) * ...: k two-atom unions over
+    distinct primes, whose normal form has 2^k components."""
+    primes = [q for q in range(2, 200) if all(q % d for d in range(2, q))][:2 * k]
+    return " * ".join(f"(B(C{a}) + B(C{b}))" for a, b in zip(primes[::2], primes[1::2]))
+
+
+UNIONS_16 = union_product_text(16)
+
 LARGE_ANSWERS = [
     ("card", "--space", "B^3(C2)", "--prime", "2", "--height", "50"),
     ("card", "--space", "B(S3)", "--prime", "2", "--height", "20000"),
@@ -197,6 +208,8 @@ LARGE_ANSWERS = [
     ("card", "--space", f"B^{'7' * 5000}(C2)", "--prime", "2", "--height", "1"),
     ("delta", "7" * 5000, "--prime", "2"),
     ("delta", "1e10000000", "--prime", "2"),
+    # 2^16 components, refused before the product expands
+    ("loop", "--space", UNIONS_16, "--prime", "2"),
 ]
 
 
@@ -208,6 +221,19 @@ class TestLargeAnswers:
         assert time.perf_counter() - start < 1
         assert (code, err) == (0, "")
         assert out.strip() == "B(S3) + 1099511627775 * B^1(C2)"
+
+    def test_loop_of_a_thousand_components(self, capsys):
+        # 2^10 components, which a pairwise fold took seconds to add up; at
+        # p = 2 only B(C2) loops, to 2 * B^1(C2)
+        text = union_product_text(10)
+        start = time.perf_counter()
+        code, out, err = run(capsys, "loop", "--space", text, "--prime", "2")
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (0, "")
+        pairs = [[int(q) for q in re.findall(r"C(\d+)", u)] for u in text.split(" * ")]
+        assert out.strip() == " + ".join(
+            ("2 * " if c[0] == 2 else "") + " * ".join(f"B^1(C{q})" for q in c)
+            for c in itertools.product(*pairs))
 
     def test_loop_stops_at_a_fixed_point(self, capsys):
         # B(C3) has no 2-torsion, so every loop at p = 2 returns it unchanged
@@ -239,7 +265,8 @@ class TestLargeAnswers:
                              capture_output=True, text=True, timeout=60)
         assert time.perf_counter() - start < 1
         assert (out.returncode, out.stdout) == (2, "")
-        assert out.stderr.startswith("resource error:") and "digit budget" in out.stderr
+        budget = "component budget" if argv[0] == "loop" else "digit budget"
+        assert out.stderr.startswith("resource error:") and budget in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_large_prime_answers_in_under_a_second(self):

@@ -102,6 +102,28 @@ class TestDeltaIter:
         with pytest.raises(ResourceBudgetError, match="delta iterate exceeds"):
             pf.delta(10, 100000007)
 
+    def test_delta_is_one_checked_step(self):
+        # delta(1/v) has denominator v^2: 4303 digits here, refused by delta
+        # as delta_iter refuses it
+        a = Fraction(1, 3 * 10 ** 2150 + 1)
+        for step in (lambda: pf.delta(a, 2), lambda: pf.delta_iter(a, 2, 1)):
+            with pytest.raises(ResourceBudgetError,
+                               match=f"delta iterate exceeds the {MAX_DIGITS}-digit budget"):
+                step()
+
+    def test_refusal_never_prints_an_unprintable_value(self):
+        # str() of 1/2^15000 would raise ValueError past the digit budget
+        a = Fraction(1, 2 ** 15000)
+        for step in (lambda: pf.delta(a, 2), lambda: pf.delta_iter(a, 2, 3)):
+            with pytest.raises(InputError) as info:
+                step()
+            assert str(info.value) == ("delta needs vp(a) >= 0, got vp=-15000 for a value "
+                                       f"past the {MAX_DIGITS}-digit budget")
+        # a printable value keeps its message
+        with pytest.raises(InputError) as info:
+            pf.delta(Fraction(5, 9), 3)
+        assert str(info.value) == "delta needs vp(a) >= 0, got vp=-2 for a=5/9"
+
     def test_no_per_call_budget(self):
         with pytest.raises(TypeError):
             pf.delta_iter(5, 2, 1, max_digits=2)

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from conftest import named_group, random_space_expr
+from conftest import GROUP_TEXTS, named_group, random_space_expr
 
 import pifinite as pf
 import pifinite.parser
@@ -136,7 +136,31 @@ class TestErrors:
             parse_space("B(D7)")
 
 
+def _loop_output(text: str, p: int) -> pf.SpaceExpr:
+    """What `loop` prints for B(text) at p, as an expression."""
+    return pf.normal_form(pf.p_adic_loop(pf.classifying(named_group(text)), p)).to_expr()
+
+
+# one expression per atom kind, then the `loop` output of every zoo group at
+# p = 2 and 3, each of which prints only descriptor names
+ROUNDTRIP_CASES = {
+    "EM atom": lambda: pf.em_space([4, 6], 2),
+    "abelian table": lambda: pf.classifying(named_group("C2 x C2")),
+    **{f"B({t})": (lambda t=t: pf.classifying(named_group(t)))
+       for t in ("S3", "D8", "C2 x S3", "C2 wr C2", "(C2 x C2) wr C2")},
+    **{f"loop B({t}) at {p}": (lambda t=t, p=p: _loop_output(t, p))
+       for t in GROUP_TEXTS for p in (2, 3)},
+}
+
+
 class TestPrinting:
+    @pytest.mark.parametrize("case", ROUNDTRIP_CASES)
+    def test_printed_space_parses_back(self, case):
+        x = ROUNDTRIP_CASES[case]()
+        text = space_text(x)
+        assert "C_{" not in text
+        assert pf.normal_form(parse_space(text)) == pf.normal_form(x)
+
     def test_examples(self):
         assert space_text(parse_space("B^2(C3) * 2")) == "B^2(C3) * 2"
         assert space_text(parse_space("B(S3) + pt")) == "B(S3) + pt"

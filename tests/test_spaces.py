@@ -1,13 +1,15 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from conftest import (builtin_groups, named_group, oracle_centralizer_tuples,
+from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centralizer_tuples,
                       oracle_commuting_tuples, oracle_looped_cardinality, random_space_expr)
 
 import pifinite as pf
 from pifinite import EMPTY, PT, InputError, ResourceBudgetError
+from pifinite.spaces import MAX_COMPONENTS, _abelian_primary_factors
 
 
 class TestNormalForm:
@@ -257,3 +259,73 @@ def test_em_canonicalization():
     assert pf.em_space([5], 0) == pf.finite_set(5)
     with pytest.raises(InputError):
         pf.FinSet(0)
+
+
+def prime_power_parts(m: int) -> tuple[int, ...]:
+    """The prime-power parts of m >= 1 by trial division, ascending."""
+    out = []
+    d = 2
+    while d * d <= m:
+        q = 1
+        while m % d == 0:
+            q, m = q * d, m // d
+        if q > 1:
+            out.append(q)
+        d += 1
+    return tuple(sorted(out + [m] if m > 1 else out))
+
+
+def test_em_factors_match_trial_division():
+    for m in range(2, 10 ** 5 + 1):
+        assert pf.em_space([m], 1).factors == prime_power_parts(m), m
+
+
+# the invariant prime-power factors of every abelian table in the zoo
+ZOO_ABELIAN_FACTORS = {"C2": (2,), "C3": (3,), "C4": (4,), "C6": (2, 3), "C2 x C2": (2, 2)}
+
+
+class TestAbelianInvariants:
+    def test_zoo_lists_every_abelian_table(self):
+        assert [t for t in GROUP_TEXTS if named_group(t).is_abelian()] == list(ZOO_ABELIAN_FACTORS)
+
+    @pytest.mark.parametrize("text, factors", ZOO_ABELIAN_FACTORS.items())
+    def test_zoo_tables(self, text, factors):
+        assert _abelian_primary_factors(named_group(text)) == factors
+
+    def test_table_of_mixed_exponents(self):
+        g = pf.build_group(pf.parse_group("C2 x C4 x C8 x C3 x C9"))
+        assert _abelian_primary_factors(g) == (2, 3, 4, 8, 9)
+
+
+def union_product(k: int) -> pf.SpaceExpr:
+    """(B(C2) + B(C3)) * (B(C5) + B(C7)) * ...: k two-atom unions over
+    distinct primes, whose normal form has 2^k components."""
+    primes = [q for q in range(2, 200) if all(q % d for d in range(2, q))][:2 * k]
+    return pf.product(*(pf.disjoint_union(pf.em_space([a], 1), pf.em_space([b], 1))
+                        for a, b in zip(primes[::2], primes[1::2])))
+
+
+class TestComponentBudget:
+    def test_largest_product_is_admitted(self):
+        k = MAX_COMPONENTS.bit_length() - 1
+        assert len(pf.normal_form(union_product(k)).components) == MAX_COMPONENTS == 2 ** k
+
+    def test_product_refused_before_it_expands(self):
+        k = MAX_COMPONENTS.bit_length()
+        with pytest.raises(ResourceBudgetError,
+                           match=f"{2 ** k} components exceeds the {MAX_COMPONENTS}-component"):
+            pf.normal_form(union_product(k))
+        # the refusal reads the two sizes only: 2^20 components are never built
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="component budget"):
+            pf.normal_form(union_product(20))
+        assert time.perf_counter() - start < 1
+
+    def test_union_fold_is_bounded(self):
+        parts = [pf.em_space([2], k) for k in range(1, MAX_COMPONENTS + 2)]
+        assert len(pf.normal_form(pf.disjoint_union(*parts[:-1])).components) == MAX_COMPONENTS
+        with pytest.raises(ResourceBudgetError, match="component budget"):
+            pf.normal_form(pf.disjoint_union(*parts))
+        # repeated components merge, so only distinct ones count
+        assert pf.normal_form(pf.disjoint_union(*[parts[0]] * (2 * MAX_COMPONENTS))) == \
+            pf.normal_form(pf.product(pf.finite_set(2 * MAX_COMPONENTS), parts[0]))
