@@ -173,10 +173,11 @@ class R1Element:
     kept as the expressions of their normal forms, so equal spaces merge,
     whichever way they were written.  The plain symbols span a semiring,
     [X][Y] = [X * Y], so products of delta-free elements expand formally;
-    [BG][BH] is the product space BG * BH, which has the cardinalities of
-    B(G x H) and needs no table for G x H.  Evaluation sends [X] at layer n
-    to the height-n cardinality of X and applies delta numerically, which
-    is exactly what the formal delta does to the layer values.
+    [BG][BH] is the product space BG * BH, which is also what the text
+    ``B(G x H)`` parses to, and needs no table for G x H.  Evaluation sends
+    [X] at layer n to the height-n cardinality of X and applies delta
+    numerically, which is exactly what the formal delta does to the layer
+    values.
     """
     terms: tuple[tuple[tuple[SpaceExpr, int], int], ...]  # ((space, delta_power), coeff)
     constant: int = 0

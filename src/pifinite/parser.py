@@ -10,9 +10,11 @@
 
 "+" is disjoint union, "*" is product, a bare integer is the discrete space
 with that many points (0 parses to the empty space).  ``B^0(...)`` collapses
-to the underlying finite set.  ``B(...)`` of a cyclic group or a product of
-cyclic groups is abelian and parses to the degree-1 EM atom, which needs no
-Cayley table; other groups are built as tables.  The whole text is parsed
+to the underlying finite set.  ``B(G x H)`` parses to ``B(G) * B(H)`` by
+``spaces.described_classifying``, equal at every height: the abelian
+factors gather into one degree-1 EM atom, a cyclic one with no Cayley
+table, and each other factor is built as a table, so ``B(C2 x S3 x C3)``
+is ``B^1(C2 x C3) * B(S3)``.  The whole text is parsed
 before any group is built, so a syntax error costs no table.  Printing a
 parsed expression and re-parsing it yields an identical normal form; atoms
 print by ``spaces.atom_text``, the printer ``NormalForm`` uses too.
@@ -23,13 +25,12 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from .errors import InputError
-from .groups import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
-                     Wreath, build_group, checked_order)
+from .groups import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
 from .rationals import require_numeral
 from .records import frozen
 from .spaces import (EM, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
-                     atom_text, classifying, disjoint_union, em_space, finite_set,
-                     product)
+                     atom_text, described_classifying, disjoint_union, em_space,
+                     finite_set, product)
 
 
 class ParseError(InputError):
@@ -154,7 +155,7 @@ class _Parser:
             self.expect("SYM", "(")
             desc = self.group()
             self.expect("SYM", ")")
-            return lambda: _classifying_space(desc)
+            return lambda: described_classifying(desc)
         if self.at("SYM", "("):
             self.advance()
             inner = self.expr()
@@ -210,30 +211,6 @@ class _Parser:
         return desc
 
 
-def _cyclic_orders(d: GroupDescriptor) -> Optional[list[int]]:
-    """The factor orders when ``d`` is a cyclic group or a direct product of
-    cyclic groups, else None."""
-    if isinstance(d, Cyclic):
-        return [d.n]
-    if isinstance(d, DirectProduct):
-        left, right = _cyclic_orders(d.left), _cyclic_orders(d.right)
-        if left is not None and right is not None:
-            return left + right
-    return None
-
-
-def _classifying_space(d: GroupDescriptor) -> SpaceExpr:
-    """B of a described group.  An abelian B(A) is the EM atom B^1(A), and
-    only other groups get a table; each is refused exactly as
-    ``build_group`` refuses it, the descriptor and the order cap checked
-    once."""
-    orders = _cyclic_orders(d)
-    if orders is None:
-        return classifying(build_group(d))
-    checked_order(d)
-    return em_space(orders, 1)
-
-
 def parse_space(text: str) -> SpaceExpr:
     """Parse a space expression; raises ParseError with a position on bad input."""
     parser = _Parser(text)
@@ -263,7 +240,8 @@ def space_text(x: SpaceExpr) -> str:
     Expressions that came from the parser always render to re-parseable
     text, since ``build_group`` names a group by its descriptor.  Groups
     built by internal machinery (centralizers of machine subgroups) print
-    their display name, which need not parse.
+    their display name, which need not parse.  A table built for G x H
+    prints ``B(G x H)``, which parses to ``B(G) * B(H)``, its normal form.
     """
     if isinstance(x, Empty):
         return "0"

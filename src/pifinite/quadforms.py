@@ -105,8 +105,7 @@ def decomposable_form_count(p: int, n: int) -> int:
     return 1 + (p - 1) * gaussian_binomial(n, 2, p)
 
 
-def count_null_square_two_forms(p: int, n: int,
-                                budget: int = DEFAULT_ENUMERATION_BUDGET) -> FormCountReport:
+def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     """Exhaustive count of alternating 2-forms with zero wedge square.
 
     Forms are strictly-upper-triangular coefficient vectors; the wedge square
@@ -141,7 +140,8 @@ def count_null_square_two_forms(p: int, n: int,
     (``_alive``).  One route serves every n >= 5.  Each form is therefore
     decided by the relations themselves, never by the closed form of
     ``decomposable_form_count``, which stays an independent cross-check.
-    The budget counts all p^C(n,2) forms, pruned or not.
+    ``DEFAULT_ENUMERATION_BUDGET`` counts all p^C(n,2) forms, pruned or not,
+    and has no per-call override.
     """
     _require_odd_prime(p)
     if n < 1:
@@ -150,6 +150,7 @@ def count_null_square_two_forms(p: int, n: int,
     # p^e is taken only where it may fit the digit budget, and shown only
     # where it does
     total = p ** e if power_may_fit(p, e) else None
+    budget = DEFAULT_ENUMERATION_BUDGET
     if total is None or total > budget:
         shown = total if total is not None and fits_digits(total) else f"{p}^{e}"
         raise ResourceBudgetError(f"{shown} forms exceed the enumeration budget {budget}")

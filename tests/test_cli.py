@@ -80,11 +80,13 @@ class TestSubcommands:
 
     def test_loop_output_parses_back(self, capsys):
         for space, prime in (("B(C2 wr C2 wr C2)", "3"), ("B((C2 x C2) wr C2)", "3"),
-                             ("B(S3 x (C2 x S3))", "5")):
+                             ("B(S3 x (C2 x S3))", "5"), ("B(S4 x S4)", "3")):
             code, out, _ = run(capsys, "loop", "--space", space, "--prime", prime)
-            assert code == 0
+            assert code == 0 and "C_{" not in out
+            # looping the printed text goes where a second loop goes
             again = run(capsys, "loop", "--space", out.strip(), "--prime", prime)
-            assert again == (0, out, "")
+            assert again == run(capsys, "loop", "--space", space, "--prime", prime,
+                                "--iterations", "2")
         code, out, _ = run(capsys, "loop", "--space", "B(C2 wr C2 wr C2)", "--prime", "3")
         assert out.strip() == "B((C2 wr C2) wr C2)"
 
@@ -138,8 +140,8 @@ class TestSubcommands:
         count = quadforms.count_null_square_two_forms
         assert cli._check_fiber_formula()[0]
         for bad in ((5, 5), (3, 2)):
-            def miscount(p, n, budget=quadforms.DEFAULT_ENUMERATION_BUDGET, bad=bad):
-                report = count(p, n, budget)
+            def miscount(p, n, bad=bad):
+                report = count(p, n)
                 return quadforms.FormCountReport(
                     p, n, report.kernel_count - (p - 1) * ((p, n) == bad),
                     report.total_forms)
@@ -277,6 +279,21 @@ class TestLargeAnswers:
         assert time.perf_counter() - start < 1
         assert (out.returncode, out.stdout, out.stderr) == (0, "1/6\n", "")
 
+    @pytest.mark.parametrize("order, code, out", [
+        ("1000000000000000003", 0, "1000000000000000003\n"),
+        ("10000600009", 0, "10000600009\n"),          # 100003^2, past the bound
+        # (10^9 + 7)(10^9 + 9): no factor up to the trial-division bound, not prime
+        ("1000000016000000063", 2, ""),
+    ])
+    def test_large_em_order_is_settled_in_under_a_second(self, order, code, out):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "pifinite.cli", "card", "--space",
+                               f"B^2(C{order})", "--prime", "2", "--height", "1"],
+                              env=_probe_env(), capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stdout) == (code, out)
+        assert "Traceback" not in done.stderr
+
     def test_beta_needs_no_unprinted_iterate(self, capsys):
         # the constant b comes from residues, so layers below k print even
         # where the layer-k value would pass the digit budget
@@ -324,6 +341,13 @@ class TestExitCodes:
         code, _, err = run(capsys, "card", "--space", "B(S4)", "--prime", "2", "--height", "1")
         assert code == 2 and "cap" in err
 
+    @pytest.mark.parametrize("space, code", [("B(S7 x C2)", 1), ("B(S4 x S4 x S4)", 2),
+                                             ("B(C5 wr C5)", 2)])
+    def test_groups_refused_whole(self, capsys, space, code):
+        # a product is refused as its table would be, not factor by factor
+        assert run(capsys, "card", "--space", space, "--prime", "2", "--height", "1")[:2] == \
+            (code, "")
+
     def test_nonprime_rejected(self, capsys):
         code, _, err = run(capsys, "card", "--space", "pt", "--prime", "6", "--height", "1")
         assert code == 1 and "prime" in err
@@ -331,7 +355,7 @@ class TestExitCodes:
     def test_bad_prime_refused_before_any_table(self, capsys, monkeypatch):
         def no_build(desc, *args, **kwargs):
             raise AssertionError(f"built {desc}")
-        monkeypatch.setattr(pifinite.parser, "build_group", no_build)
+        monkeypatch.setattr(pifinite.groups, "build_group", no_build)
         code, _, err = run(capsys, "profile", "--space", "B(D600)", "--prime", "4",
                            "--range", "2")
         assert code == 1 and err == "error: expected a prime, got 4\n"

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,14 +12,14 @@ from pifinite.groups import descriptor_name
 
 @pytest.fixture
 def build_calls(monkeypatch):
-    """Descriptors the parser passes to ``build_group``, in call order."""
+    """Descriptors passed to ``groups.build_group``, in call order."""
     calls = []
-    build = pifinite.parser.build_group
+    build = pifinite.groups.build_group
 
     def counting_build(desc, *args, **kwargs):
         calls.append(desc)
         return build(desc, *args, **kwargs)
-    monkeypatch.setattr(pifinite.parser, "build_group", counting_build)
+    monkeypatch.setattr(pifinite.groups, "build_group", counting_build)
     return calls
 
 
@@ -65,7 +66,7 @@ class TestGrammar:
 
     def test_wreath_binds_tighter_than_product(self):
         x = parse_space("B(C2 x C2 wr C2)")
-        assert x.group.order == 2 * 8
+        assert x == pf.product(pf.em_space([2], 1), pf.classifying(named_group("C2 wr C2")))
 
     def test_dihedral_and_symmetric(self):
         assert parse_space("B(D8)").group.order == 8
@@ -82,7 +83,7 @@ class TestAbelianRoute:
         assert parse_space("B(C1)") == pf.PT
         assert build_calls == []
         parse_space("B(C2 wr C2) * B(C2 x S3)")
-        assert [pf.groups.descriptor_name(d) for d in build_calls] == ["C2 wr C2", "C2 x S3"]
+        assert [pf.groups.descriptor_name(d) for d in build_calls] == ["C2 wr C2", "S3"]
 
     @pytest.mark.parametrize("text", ABELIAN_TEXTS)
     def test_matches_table_route(self, text):
@@ -93,6 +94,39 @@ class TestAbelianRoute:
                 assert pf.height_cardinality(parsed, p, n) == pf.height_cardinality(table, p, n)
             assert pf.normal_form(pf.p_adic_loop(parsed, p)) == \
                 pf.normal_form(pf.p_adic_loop(table, p))
+
+
+PRODUCT_TEXTS = GROUP_TEXTS + ("S4",)
+
+
+class TestProductRule:
+    @pytest.mark.parametrize("g, h", itertools.combinations_with_replacement(PRODUCT_TEXTS, 2))
+    def test_product_of_classifying_spaces(self, g, h):
+        whole = parse_space(f"B({g} x {h})")
+        split = parse_space(f"B({g}) * B({h})")
+        table = pf.classifying(pf.build_group(pf.parse_group(f"{g} x {h}")))
+        for p in (2, 3):
+            assert pf.height_profile(whole, p, 3) == pf.height_profile(split, p, 3) == \
+                pf.height_profile(table, p, 3)
+        assert pf.normal_form(whole) == pf.normal_form(table)
+        if not (named_group(g).is_abelian() and named_group(h).is_abelian()):
+            assert pf.normal_form(whole) == pf.normal_form(split)
+        # else one EM atom where the split has two
+
+    def test_builds_only_the_factors(self, build_calls):
+        parse_space("B(D200 x S4)")
+        assert [descriptor_name(d) for d in build_calls] == ["D200", "S4"]
+        assert parse_space("B(C2 x S3 x C3)") == pf.product(
+            pf.em_space([2, 3], 1), pf.classifying(named_group("S3")))
+        # an abelian factor built as a table joins the EM atom too
+        assert parse_space("B(S2 x C3 x D4)") == pf.em_space([2, 3, 2, 2], 1)
+
+    def test_whole_product_checked_before_any_table(self, build_calls):
+        with pytest.raises(pf.ResourceBudgetError, match="order 13824 exceeds the cap"):
+            parse_space("B(S4 x S4 x S4)")
+        with pytest.raises(pf.InputError, match="Symmetric degree"):
+            parse_space("B(S7 x C2)")
+        assert build_calls == []
 
 
 class TestErrors:

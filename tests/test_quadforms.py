@@ -133,8 +133,9 @@ class TestKernelCounts:
     @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
                                             for p, n in DEFAULT_BUDGET_PAIRS]
                              + [(3, 6, 3 ** 15)])
-    def test_matches_closed_form(self, p, n, budget):
-        report = pf.count_null_square_two_forms(p, n, budget=budget)
+    def test_matches_closed_form(self, p, n, budget, monkeypatch):
+        monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", budget)
+        report = pf.count_null_square_two_forms(p, n)
         assert report.kernel_count == pf.decomposable_form_count(p, n)
         assert report.total_forms == p ** (n * (n - 1) // 2)
 
@@ -147,7 +148,7 @@ class TestKernelCounts:
         for p, n in ((3, 4), (3, 5), (5, 4)):
             assert pf.count_null_square_two_forms(p, n).kernel_count % (p - 1) == 1
 
-    def test_errors(self):
+    def test_errors(self, monkeypatch):
         with pytest.raises(InputError):
             pf.count_null_square_two_forms(2, 4)
         with pytest.raises(InputError):
@@ -156,13 +157,16 @@ class TestKernelCounts:
             pf.count_null_square_two_forms(3, 0)
         with pytest.raises(ResourceBudgetError):
             pf.count_null_square_two_forms(3, 8)
+        monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", 1000)
         with pytest.raises(ResourceBudgetError):
-            pf.count_null_square_two_forms(5, 5, budget=1000)
+            pf.count_null_square_two_forms(5, 5)
 
-    def test_budget_decided_before_the_power(self):
-        with pytest.raises(ResourceBudgetError,
-                           match="^59049 forms exceed the enumeration budget 1000$"):
-            pf.count_null_square_two_forms(3, 5, budget=1000)
+    def test_budget_decided_before_the_power(self, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", 1000)
+            with pytest.raises(ResourceBudgetError,
+                               match="^59049 forms exceed the enumeration budget 1000$"):
+                pf.count_null_square_two_forms(3, 5)
         # 3^C(200, 2) has 9495 digits and 3^C(3000, 2) over two million:
         # neither is printed, and the second is never taken
         for n in (200, 3000):
@@ -171,12 +175,18 @@ class TestKernelCounts:
                 pf.count_null_square_two_forms(3, n)
 
 
+    def test_no_per_call_budget(self):
+        with pytest.raises(TypeError):
+            pf.count_null_square_two_forms(3, 4, budget=10 ** 9)
+
+
 class TestScalingClasses:
     @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
                                             for p, n in DEFAULT_BUDGET_PAIRS]
                              + [(7, 5, 7 ** 10), (3, 6, 3 ** 15)])
-    def test_class_weights_match_full_enumeration(self, p, n, budget):
-        report = pf.count_null_square_two_forms(p, n, budget=budget)
+    def test_class_weights_match_full_enumeration(self, p, n, budget, monkeypatch):
+        monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", budget)
+        report = pf.count_null_square_two_forms(p, n)
         assert type(report.kernel_count) is int     # JSON output needs a Python int
         assert report.kernel_count == full_enumeration_count(p, n)
         assert report.kernel_count == pf.decomposable_form_count(p, n)

@@ -261,6 +261,49 @@ def test_em_canonicalization():
         pf.FinSet(0)
 
 
+def test_each_order_factored_once(monkeypatch):
+    calls = []
+    factor = pf.spaces._prime_factors
+    monkeypatch.setattr(pf.spaces, "_prime_factors", lambda m: calls.append(m) or factor(m))
+    assert pf.em_space([6, 10], 2).factors == (2, 2, 3, 5)
+    assert calls == [6, 10]
+    # a finite set and a trivial group need no factoring
+    assert pf.em_space([6, 10], 0) == pf.finite_set(60)
+    assert pf.em_space([1, 1], 3) == PT
+    assert calls == [6, 10]
+
+
+class TestBoundedFactoring:
+    def test_prime_cofactor_is_decided_by_primality(self):
+        start = time.perf_counter()
+        q = 10 ** 18 + 3
+        assert pf.em_space([q], 2).factors == (q,)
+        assert pf.em_space([12 * q], 2).factors == (3, 4, q)
+        assert pf.height_cardinality(pf.em_space([q], 2), 2, 1) == q
+        assert time.perf_counter() - start < 1
+
+    @pytest.mark.parametrize("e", [2, 3, 4])
+    def test_prime_power_cofactor_is_settled_by_its_root(self, e):
+        q = 100_003                                 # the first prime past the bound
+        assert q > pf.spaces.TRIAL_DIVISION_BOUND
+        assert pf.em_space([q ** e], 2).factors == (q ** e,)
+        assert pf.em_space([6 * q ** e], 1).factors == (2, 3, q ** e)
+
+    @pytest.mark.parametrize("m, match", [
+        ((10 ** 9 + 7) * (10 ** 9 + 9), "cannot factor a composite order"),
+        (2 ** 89 - 1, "primality is decided only below"),   # a prime past is_prime's bound
+        (100_003 ** 2 * 100_019, "cannot factor a composite order"),
+    ])
+    def test_unsettled_cofactor_is_refused(self, m, match):
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match=match):
+            pf.em_space([m], 2)
+        with pytest.raises(ResourceBudgetError, match=match):
+            pf.em_space([2, m], 1)
+        assert time.perf_counter() - start < 1
+        assert pf.em_space([m], 0) == pf.finite_set(m)
+
+
 def prime_power_parts(m: int) -> tuple[int, ...]:
     """The prime-power parts of m >= 1 by trial division, ascending."""
     out = []
@@ -320,6 +363,12 @@ class TestComponentBudget:
         with pytest.raises(ResourceBudgetError, match="component budget"):
             pf.normal_form(union_product(20))
         assert time.perf_counter() - start < 1
+
+    def test_equal_components_merge_before_the_budget(self):
+        # (A + B)^12 folds to 13 components; its factor sizes multiply to 4096
+        a_or_b = pf.disjoint_union(pf.em_space([2], 1), pf.em_space([3], 1))
+        nf = pf.normal_form(pf.product(*[a_or_b] * 12))
+        assert sorted(m for _, m in nf.components) == sorted(math.comb(12, i) for i in range(13))
 
     def test_union_fold_is_bounded(self):
         parts = [pf.em_space([2], k) for k in range(1, MAX_COMPONENTS + 2)]
