@@ -101,18 +101,25 @@ def _cmd_loop(args) -> int:
     return 0
 
 
+def _emit_profile(args, prof, payload: dict, classify: bool) -> int:
+    """Print a height profile one layer a line, with each layer's class if
+    ``classify``; the payload gains its ``values`` (and ``classes``)."""
+    from .heights import classify_layer
+    classes = [classify_layer(prof, n).value for n in range(len(prof))] if classify else []
+    plain = "\n".join(f"{n}: {_rat_text(v)}" + (f" ({classes[n]})" if classify else "")
+                      for n, v in enumerate(prof.values))
+    payload["values"] = [_rat_json(v) for v in prof.values]
+    if classify:
+        payload["classes"] = classes
+    _emit(args, plain, payload)
+    return 0
+
+
 def _cmd_profile(args) -> int:
     from .heights import height_profile
     from .parser import parse_space
-    space = parse_space(args.space)
-    prof = height_profile(space, args.prime, args.range)
-    plain = "\n".join(f"{n}: {_rat_text(prof[n])}" for n in range(len(prof)))
-    _emit(args, plain, {
-        "space": args.space,
-        "prime": args.prime,
-        "values": [_rat_json(v) for v in prof.values],
-    })
-    return 0
+    prof = height_profile(parse_space(args.space), args.prime, args.range)
+    return _emit_profile(args, prof, {"space": args.space, "prime": args.prime}, False)
 
 
 def _cmd_delta(args) -> int:
@@ -134,33 +141,16 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_beta(args) -> int:
-    from .heights import beta_element, classify_layer
+    from .heights import beta_element
     prof = beta_element(args.prime, args.k).profile(args.prime, args.range)
-    classes = [classify_layer(prof, n).value for n in range(len(prof))]
-    plain = "\n".join(f"{n}: {_rat_text(prof[n])} ({classes[n]})" for n in range(len(prof)))
-    _emit(args, plain, {
-        "prime": args.prime,
-        "k": args.k,
-        "values": [_rat_json(v) for v in prof.values],
-        "classes": classes,
-    })
-    return 0
+    return _emit_profile(args, prof, {"prime": args.prime, "k": args.k}, True)
 
 
 def _cmd_classify(args) -> int:
-    from .heights import classify_layer, height_profile
+    from .heights import height_profile
     from .parser import parse_space
-    space = parse_space(args.space)
-    prof = height_profile(space, args.prime, args.range)
-    classes = [classify_layer(prof, n).value for n in range(len(prof))]
-    plain = "\n".join(f"{n}: {_rat_text(prof[n])} ({classes[n]})" for n in range(len(prof)))
-    _emit(args, plain, {
-        "space": args.space,
-        "prime": args.prime,
-        "values": [_rat_json(v) for v in prof.values],
-        "classes": classes,
-    })
-    return 0
+    prof = height_profile(parse_space(args.space), args.prime, args.range)
+    return _emit_profile(args, prof, {"space": args.space, "prime": args.prime}, True)
 
 
 def _cmd_wreath(args) -> int:

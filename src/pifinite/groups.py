@@ -168,7 +168,7 @@ class FiniteGroup:
             self._validate()
         self.element_orders, self.inverses = self._orders_and_inverses()
         self._classes: Optional[tuple[ConjugacyClass, ...]] = None
-        self._centralizer_cache: dict = {}
+        self._centralizer_cache: dict = {}  # by element and by index tuple
         self._tuple_counts: dict = {}   # p -> state of count_commuting_p_tuples
         self._hash = hash(self._rows)
         self._table_key: Optional[bytes] = None
@@ -313,15 +313,15 @@ class FiniteGroup:
         return FiniteGroup(_ClosedRows(tab), name=name, validate=False, ambient_indices=elems)
 
     def centralizer_subgroup(self, g: int) -> "FiniteGroup":
-        """C_G(g), cached per element."""
+        """C_G(g): the group itself if g is central, else one table per element set."""
         got = self._centralizer_cache.get(g)
         if got is None:
-            if g == self.identity:
-                got = self
-            else:
-                got = self.subgroup(self.centralizer_indices([g]),
-                                    name=f"C_{{{self.name}}}({g})")
-            self._centralizer_cache[g] = got
+            idx = self.centralizer_indices([g])
+            got = self._centralizer_cache.get(idx)
+            if got is None:
+                got = self if len(idx) == self.order else self.subgroup(
+                    idx, name=f"C_{{{self.name}}}({g})")
+            self._centralizer_cache[idx] = self._centralizer_cache[g] = got
         return got
 
     # -- p-structure -----------------------------------------------------------
@@ -573,7 +573,8 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
     row x against column x when a level first reaches x (so n = 2 builds
     masks for representatives only).  The group keeps, per prime, the
     counts, the last level and the masks reached so far, replaced whole by
-    each call that goes further and never changed once stored.
+    each call that goes further and never changed once stored.  Counts never
+    fall as n grows, so one with count // |G| past the digit budget is refused.
     """
     require_prime(p)
     if n < 0:
@@ -607,5 +608,8 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
             nxt[s] = nxt.get(s, 0) + w
         level = nxt
         counts.append(sum(w * s.bit_count() for s, w in level.items()))
+        if not fits_digits(counts[-1] // g.order):
+            raise ResourceBudgetError(f"{p}-tuple counts in {g.name} at length {len(counts) - 1} "
+                                      f"exceed the {MAX_DIGITS}-digit budget")
     g._tuple_counts[p] = (pelts, tuple(counts), level, masks)
     return counts[n]

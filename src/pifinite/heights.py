@@ -29,7 +29,7 @@ from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext, fits
                         power_may_fit, require_digits, require_prime, vp)
 from .records import frozen
 from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
-                     homotopy_cardinality, normal_form, product)
+                     normal_form, product)
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -248,10 +248,9 @@ class R1Element:
             raise InputError(f"layer must be >= 0, got {n}")
         total = Fraction(self.constant)
         for (space, dpow), coeff in self.terms:
-            if n == 0:
-                total += coeff * _iterate(homotopy_cardinality(space), p, dpow)
-            else:
-                total += coeff * delta_iter(height_cardinality(space, p, n), p, dpow)
+            value = height_cardinality(space, p, n)
+            # layer 0 is rational, so delta there skips the p-integrality check
+            total += coeff * (_iterate(value, p, dpow) if n == 0 else delta_iter(value, p, dpow))
         return total
 
     def profile(self, p: int, top: int) -> HeightProfile:

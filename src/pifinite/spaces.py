@@ -3,15 +3,17 @@
 The expression grammar is deliberately small: finite sets, classifying
 spaces of finite groups, Eilenberg-MacLane spaces of finite abelian groups,
 disjoint unions and products.  Every space it denotes has finitely many
-components and finite homotopy groups, so three things are computable
-exactly by structural recursion:
+components and finite homotopy groups, and three walks over an expression
+answer every question asked of it, exactly:
 
-* the classical alternating-product cardinality (a non-negative rational,
-  counting each component weighted by 1/|pi_1| * |pi_2| / ...);
-* the p-adic free loop space, again as an expression of the grammar;
-* the height-n cardinality at a prime p, the classical cardinality of the
-  n-fold loop space, which each atom gives in closed form: a binomial
-  power for an EM atom, a commuting-tuple count for B(G).
+* ``normal_form``, the sum of products of atoms, from whose atom degrees
+  connectivity and truncation are read;
+* ``p_adic_loop``, the p-adic free loop space, again in the grammar;
+* ``_height_cardinality``, the height-n cardinality at a prime p, the
+  classical cardinality of the n-fold loop space, which each atom gives in
+  closed form: a binomial power for an EM atom, a commuting-tuple count for
+  B(G).  Height 0 reads no prime and is the homotopy cardinality, each
+  component weighted by 1/|pi_1| * |pi_2| / ...
 
 An integer is factored into primes in one place, ``_prime_factors``, which
 counts each prime's power by the ``rationals`` valuation and trial-divides
@@ -459,21 +461,9 @@ def normal_form(x: SpaceExpr) -> NormalForm:
 
 def homotopy_cardinality(x: SpaceExpr) -> ExactRational:
     """The alternating-product count: components weighted by
-    prod_k |pi_k|^((-1)^k).  Always a non-negative rational."""
-    if isinstance(x, Empty):
-        return Fraction(0)
-    if isinstance(x, FinSet):
-        return Fraction(x.size)
-    if isinstance(x, Classifying):
-        return Fraction(1, x.group.order)
-    if isinstance(x, EM):
-        n = x.group_order
-        return Fraction(n) if x.degree % 2 == 0 else Fraction(1, n)
-    if isinstance(x, Disjoint):
-        return sum((homotopy_cardinality(p) for p in x.parts), Fraction(0))
-    if isinstance(x, Product):
-        return math.prod((homotopy_cardinality(f) for f in x.factors), start=Fraction(1))
-    raise InputError(f"not a space expression: {x!r}")
+    prod_k |pi_k|^((-1)^k).  Always a non-negative rational.  This is the
+    height-0 cardinality, which reads no prime."""
+    return _height_cardinality(x, None, 0)
 
 
 def _p_part(factors: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -508,24 +498,29 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
     raise InputError(f"not a space expression: {x!r}")
 
 
-def _height_cardinality(x: SpaceExpr, p: int, n: int) -> Fraction:
-    if n == 0 or isinstance(x, (Empty, FinSet)):
-        return homotopy_cardinality(x)
+def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
+    # the one cardinality recursion; p is read only at n >= 1
+    if isinstance(x, Empty):
+        return Fraction(0)
+    if isinstance(x, FinSet):
+        return Fraction(x.size)
     if isinstance(x, Disjoint):
         return sum((_height_cardinality(part, p, n) for part in x.parts), Fraction(0))
     if isinstance(x, Product):
         return math.prod((_height_cardinality(f, p, n) for f in x.factors),
                          start=Fraction(1))
     if isinstance(x, EM):
-        pp, rest = _p_part(x.factors, p)
+        # at n = 0 nothing is p-primary and the count is |A|^((-1)^k)
+        pp, rest = _p_part(x.factors, p) if n else ((), x.factors)
         base, exponent = math.prod(pp), binom_ext(n - 1, x.degree)
         if not power_may_fit(base, exponent):
             raise ResourceBudgetError(f"{atom_text(x)} at height {n} exceeds "
                                       f"the {MAX_DIGITS}-digit budget")
-        ppart = Fraction(base) ** exponent
         sign = 1 if x.degree % 2 == 0 else -1
-        return ppart * Fraction(math.prod(rest)) ** sign
+        return Fraction(base) ** exponent * Fraction(math.prod(rest)) ** sign
     if isinstance(x, Classifying):
+        if not n:
+            return Fraction(1, x.group.order)
         from .groups import count_commuting_p_tuples
         return Fraction(count_commuting_p_tuples(x.group, p, n), x.group.order)
     raise InputError(f"not a space expression: {x!r}")
@@ -550,85 +545,45 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
 
 # -- finiteness structure ------------------------------------------------------------
 
-def is_empty_expr(x: SpaceExpr) -> bool:
-    if isinstance(x, Empty):
-        return True
-    if isinstance(x, Disjoint):
-        return all(is_empty_expr(p) for p in x.parts)
-    if isinstance(x, Product):
-        return any(is_empty_expr(f) for f in x.factors)
-    return False
-
-
-def is_contractible_expr(x: SpaceExpr) -> bool:
-    if isinstance(x, FinSet):
-        return x.size == 1
-    if isinstance(x, Classifying):
-        return x.group.order == 1
-    if isinstance(x, Product):
-        return all(is_contractible_expr(f) for f in x.factors)
-    if isinstance(x, Disjoint):
-        live = [p for p in x.parts if not is_empty_expr(p)]
-        return len(live) == 1 and is_contractible_expr(live[0])
-    return False
+def _degree(atom: Atom) -> int:
+    return atom.degree if isinstance(atom, EM) else 1
 
 
 def connectivity(x: SpaceExpr) -> Union[int, float]:
-    """Largest c with trivial homotopy in degrees <= c.
+    """Largest c with trivial homotopy in degrees <= c, read off the normal
+    form: one component of multiplicity 1 is (d - 1)-connected for d the
+    lowest degree of its atoms, and with no atoms it is the point.
 
     Contractible expressions return math.inf.  The empty space is graded -1
     here: it has a finite (empty) set of components and nothing above, and
     its cardinality is 0 at every height.
     """
-    if is_empty_expr(x):
+    comps = normal_form(x).components
+    if len(comps) != 1 or comps[0][1] != 1:
         return -1
-    if is_contractible_expr(x):
-        return math.inf
-    if isinstance(x, FinSet):
-        return -1
-    if isinstance(x, Classifying):
-        return 0
-    if isinstance(x, EM):
-        return x.degree - 1
-    if isinstance(x, Product):
-        return min(connectivity(f) for f in x.factors)
-    if isinstance(x, Disjoint):
-        live = [p for p in x.parts if not is_empty_expr(p)]
-        if len(live) == 1:
-            return connectivity(live[0])
-        return -1
-    raise InputError(f"not a space expression: {x!r}")
+    return min(map(_degree, comps[0][0]), default=math.inf) - 1
 
 
 def is_m_finite(x: SpaceExpr, m: int) -> bool:
     """Truncation test: finitely many components with homotopy concentrated
-    in degrees <= m.  m = -2 means contractible; m = -1 means a finite
-    (possibly empty) set."""
+    in degrees <= m, that is every atom of the normal form in degree <= m.
+    m = -2 means contractible; m = -1 means a finite (possibly empty) set."""
     if m < -2:
         return False
+    nf = normal_form(x)
     if m == -2:
-        return is_contractible_expr(x)
-    if is_empty_expr(x):
-        return True
-    if isinstance(x, FinSet):
-        return True
-    if isinstance(x, Classifying):
-        return x.group.order == 1 or m >= 1
-    if isinstance(x, EM):
-        return m >= x.degree
-    if isinstance(x, Disjoint):
-        return all(is_m_finite(p, m) for p in x.parts)
-    if isinstance(x, Product):
-        return all(is_m_finite(f, m) for f in x.factors)
-    raise InputError(f"not a space expression: {x!r}")
+        return nf == NormalForm.one()
+    return all(_degree(a) <= m for comp, _ in nf.components for a in comp)
 
 
 def is_amenable_at_height(x: SpaceExpr, p: int, n: int) -> bool:
     """Whether the height-n cardinality is a p-adic unit, i.e. invertible in
-    the height-n layer, so that averaging over x is possible there."""
+    the height-n layer, so that averaging over x is possible there.  Every
+    nonempty space counts positively, so a value of 0 is the empty space."""
     require_prime(p)
     if n < 1:
         raise InputError(f"amenability is a height >= 1 question, got n={n}")
-    if is_empty_expr(x):
+    value = height_cardinality(x, p, n)
+    if value == 0:
         raise InputError("the empty space has no amenability")
-    return vp(height_cardinality(x, p, n), p) == 0
+    return vp(value, p) == 0

@@ -212,6 +212,8 @@ LARGE_ANSWERS = [
     ("delta", "1e10000000", "--prime", "2"),
     # 2^16 components, refused before the product expands
     ("loop", "--space", UNIONS_16, "--prime", "2"),
+    # the tuple count stops at the level whose count // |G| passes the budget
+    ("card", "--space", "B(S3)", "--prime", "2", "--height", "100000"),
 ]
 
 
@@ -270,6 +272,26 @@ class TestLargeAnswers:
         budget = "component budget" if argv[0] == "loop" else "digit budget"
         assert out.stderr.startswith("resource error:") and budget in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_long_profile_refused_at_the_tuple_budget(self):
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "pifinite.cli", "profile", "--space",
+                              "B(S3)", "--prime", "2", "--range", "100000"],
+                             env=_probe_env(), capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 10
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("resource error:") and "digit budget" in out.stderr
+
+    def test_tuple_budget_refuses_nothing_printable(self, capsys):
+        # (3 * 2^n - 2) / 6 prints up to n = 14283; the count is refused later
+        code, out, err = run(capsys, "card", "--space", "B(S3)", "--prime", "2",
+                             "--height", "14283")
+        assert (code, err) == (0, "")
+        assert out.strip() == str(Fraction(3 * 2 ** 14283 - 2, 6))
+        code, out, err = run(capsys, "card", "--space", "B(S3)", "--prime", "2",
+                             "--height", "14284")
+        assert (code, out) == (2, "")
+        assert err.startswith("resource error: the answer exceeds the 4300-digit budget")
 
     def test_large_prime_answers_in_under_a_second(self):
         start = time.perf_counter()

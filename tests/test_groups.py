@@ -192,6 +192,35 @@ class TestCentralizer:
                 assert g.order % g.centralizer_subgroup(x).order == 0
 
 
+    def test_central_element_centralizer_is_the_group(self):
+        d200 = pf.build_group(pf.Dihedral(200))
+        central = [x for x in d200.elements()
+                   if len(d200.centralizer_indices([x])) == d200.order]
+        assert len(central) == 2
+        rot = next(x for x in central if x != d200.identity)
+        assert d200.centralizer_subgroup(rot) is d200
+        assert (rot, d200) in [(r, c) for r, c in pf.p_loop_decomposition(d200, 2)]
+
+    def test_equal_centralizers_share_one_table(self, monkeypatch):
+        # at p = 5 the 12 non-identity 5-classes of D200 are rotation pairs,
+        # each centralized by the same order-100 rotation subgroup
+        d200 = pf.build_group(pf.Dihedral(200))
+        built = []
+        init = pf.FiniteGroup.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("name"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(pf.FiniteGroup, "__init__", counting_init)
+        decomp = pf.p_loop_decomposition(d200, 5)
+        assert len(built) == 1 and len(decomp) == 13
+        assert decomp[0][1] is d200
+        rotations = {id(c) for _, c in decomp[1:]}
+        assert len(rotations) == 1 and decomp[1][1].order == 100
+        assert built == [decomp[1][1].name] == [f"C_{{D200}}({decomp[1][0]})"]
+
+
 class TestCommutingTuples:
     def test_symmetric_3_examples(self):
         s3 = named_group("S3")
@@ -245,6 +274,15 @@ class TestCommutingTuples:
         g = named_group(text)
         for n in range(5):
             assert pf.count_commuting_p_tuples(g, p, n) == oracle_centralizer_tuples(g, p, n)
+
+    def test_count_refused_at_the_digit_budget(self):
+        # |Hom(Z_2^n, S3)| = 3 * 2^n - 2, whose sixth passes 4300 digits at n = 14286
+        s3 = pf.build_group(pf.Symmetric(3))
+        assert pf.count_commuting_p_tuples(s3, 2, 14285) == 3 * 2 ** 14285 - 2
+        with pytest.raises(ResourceBudgetError, match="length 14286 exceed the 4300-digit"):
+            pf.count_commuting_p_tuples(s3, 2, 14286)
+        with pytest.raises(ResourceBudgetError, match="digit budget"):
+            pf.count_commuting_p_tuples(pf.build_group(pf.Symmetric(3)), 2, 10 ** 9)
 
     def test_counts_kept_per_group_match_fresh_groups(self):
         # each count is asked of a group that has answered other heights

@@ -155,6 +155,31 @@ class TestHeightCardinality:
                     Fraction(0))
                 assert total == by_parts
 
+    def test_normal_form_atoms_against_oracles(self):
+        # every component contributes mult * prod of its atom values, each
+        # atom valued here: B(G) by tuple enumeration, an EM atom in closed form
+        def atom_value(atom, p, n):
+            if isinstance(atom, pf.Classifying):
+                return Fraction(oracle_commuting_tuples(atom.group, p, n), atom.group.order)
+            order, sign = math.prod(atom.factors), (-1) ** atom.degree
+            if n == 0:
+                return Fraction(order) ** sign
+            pp = math.prod(q for q in atom.factors if q % p == 0)
+            return Fraction(pp) ** math.comb(n - 1, atom.degree) * Fraction(order // pp) ** sign
+
+        rng = random.Random(16)
+        for _ in range(50):
+            x = random_space_expr(rng)
+            comps = pf.normal_form(x).components
+            for p in (2, 3):
+                for n in range(4):
+                    expected = sum((mult * math.prod((atom_value(a, p, n) for a in comp),
+                                                     start=Fraction(1))
+                                    for comp, mult in comps), Fraction(0))
+                    assert pf.height_cardinality(x, p, n) == expected
+                    if n == 0:
+                        assert pf.homotopy_cardinality(x) == expected
+
     def test_semiring_homomorphism(self):
         rng = random.Random(10)
         for _ in range(40):
@@ -240,6 +265,21 @@ class TestFiniteness:
         assert pf.is_m_finite(EMPTY, -1)
         assert not pf.is_m_finite(EMPTY, -2)
         assert pf.is_m_finite(pf.product(PT, PT), -2)
+
+    def test_predicate_laws_on_random_expressions(self):
+        rng = random.Random(17)
+        connected = []
+        for _ in range(200):
+            x = random_space_expr(rng)
+            c = pf.connectivity(x)
+            assert pf.is_m_finite(x, -2) == (c == math.inf)
+            finite = [pf.is_m_finite(x, m) for m in range(-3, 5)]
+            assert finite == sorted(finite)     # monotone in m
+            if c >= 0:
+                connected.append((x, c))
+        assert len(connected) >= 20
+        for (x, cx), (y, cy) in zip(connected, connected[1:]):
+            assert pf.connectivity(pf.product(x, y)) == min(cx, cy)
 
     def test_amenability(self):
         for p in (2, 3, 5):
@@ -363,6 +403,13 @@ class TestComponentBudget:
         with pytest.raises(ResourceBudgetError, match="component budget"):
             pf.normal_form(union_product(20))
         assert time.perf_counter() - start < 1
+
+    def test_finiteness_reads_the_bounded_normal_form(self):
+        x = union_product(MAX_COMPONENTS.bit_length())
+        with pytest.raises(ResourceBudgetError, match="component budget"):
+            pf.connectivity(x)
+        with pytest.raises(ResourceBudgetError, match="component budget"):
+            pf.is_m_finite(x, 1)
 
     def test_equal_components_merge_before_the_budget(self):
         # (A + B)^12 folds to 13 components; its factor sizes multiply to 4096
