@@ -25,8 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import sys
-from array import array
 from operator import and_, eq, itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
@@ -78,8 +76,8 @@ def _getter(idx: Sequence[int]):
 
 
 def _shared_rows(table) -> Rows:
-    """The table as a tuple of row tuples whose entries are the same int
-    objects in every row.  Accepts a sequence of sequences or an ndarray."""
+    """A table from outside the package as row tuples whose entries are the
+    same int objects in every row: a sequence of sequences or an ndarray."""
     if hasattr(table, "tolist"):            # an ndarray, without importing numpy
         table = table.tolist()
     try:
@@ -100,9 +98,9 @@ def _shared_rows(table) -> Rows:
 
 
 class _ClosedRows(tuple):
-    """Rows that ``FiniteGroup.subgroup`` built from one shared int per
-    element and checked to be closed, so entries are in range: the
-    constructor keeps them as they are instead of re-checking and re-sharing."""
+    """Rows a builder or ``FiniteGroup.subgroup`` made from one shared int per
+    element, every entry in range (a subgroup checks closure): the constructor
+    keeps them as built, so a table exists once, instead of re-sharing a copy."""
     __slots__ = ()
 
 
@@ -150,9 +148,10 @@ class FiniteGroup:
     The table is validated at construction (identity, Latin square, which
     gives inverses, and associativity by Light's test); orders and inverses
     are computed up front, conjugacy classes, centralizer subgroups and
-    commuting-tuple counts on first use.  Instances are immutable and compare (and hash) by table
-    equality.  ``table`` is a read-only int64 ndarray copy for outside
-    callers, built on first access; nothing in this package reads it.
+    commuting-tuple counts on first use.  Instances are immutable and
+    compare (and hash) by their rows, which normal forms sort by too, held
+    once (see ``_ClosedRows``).  ``table`` is a read-only int64 ndarray copy
+    for outside callers, built on first access; nothing here reads it.
     """
 
     def __init__(self, table, name: str = "G", *, descriptor=None, validate: bool = True,
@@ -171,7 +170,6 @@ class FiniteGroup:
         self._centralizer_cache: dict = {}  # by element and by index tuple
         self._tuple_counts: dict = {}   # p -> state of count_commuting_p_tuples
         self._hash = hash(self._rows)
-        self._table_key: Optional[bytes] = None
         self._array: Optional[np.ndarray] = None
 
     # -- construction-time checks -------------------------------------------
@@ -241,17 +239,6 @@ class FiniteGroup:
             tab.setflags(write=False)
             self._array = tab
         return self._array
-
-    @property
-    def table_key(self) -> bytes:
-        """The row-major table as int64 little-endian bytes: the order in
-        which normal forms sort groups of equal order."""
-        if self._table_key is None:
-            cells = array("q", itertools.chain.from_iterable(self._rows))
-            if sys.byteorder == "big":
-                cells.byteswap()
-            self._table_key = cells.tobytes()
-        return self._table_key
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, FiniteGroup) and self._rows == other._rows
@@ -458,7 +445,7 @@ def _build(d: GroupDescriptor) -> FiniteGroup:
 
 def _cyclic_group(n: int) -> FiniteGroup:
     ints = tuple(range(n))
-    return FiniteGroup(tuple(ints[i:] + ints[:i] for i in range(n)))
+    return FiniteGroup(_ClosedRows(ints[i:] + ints[:i] for i in range(n)))
 
 
 def _symmetric_group(n: int) -> FiniteGroup:
@@ -466,8 +453,7 @@ def _symmetric_group(n: int) -> FiniteGroup:
     pos = {s: i for i, s in enumerate(perms)}
     # row s, column t: the composite s after t, with entries s[t[x]]
     picks = [_getter(t) for t in perms]
-    tab = [tuple(pos[pick(s)] for pick in picks) for s in perms]
-    return FiniteGroup(tab)
+    return FiniteGroup(_ClosedRows(tuple(pos[pick(s)] for pick in picks) for s in perms))
 
 
 def _dihedral_group(order: int) -> FiniteGroup:
@@ -478,7 +464,7 @@ def _dihedral_group(order: int) -> FiniteGroup:
     rots, refls = ints[:n], ints[n:]
     tab = [rots[i:] + rots[:i] + refls[i:] + refls[:i] for i in range(n)]
     tab += [refls[i::-1] + refls[:i:-1] + rots[i::-1] + rots[:i:-1] for i in range(n)]
-    return FiniteGroup(tab)
+    return FiniteGroup(_ClosedRows(tab))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -490,7 +476,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
                for u in range(g.order)]
     tab = [tuple(itertools.chain.from_iterable(shifted[u][b] for u in grow))
            for grow in g._rows for b in range(m)]
-    return FiniteGroup(tab, name=f"{g.name} x {h.name}", validate=False)
+    return FiniteGroup(_ClosedRows(tab), name=f"{g.name} x {h.name}", validate=False)
 
 
 def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
@@ -521,7 +507,7 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
                 vs = [x + y for y in scaled[i][gs[i]] for x in vs]
             tab.append(tuple(itertools.chain.from_iterable(map(blocks[s].__getitem__, vs))))
     name = g.name if " " not in g.name else f"({g.name})"
-    return FiniteGroup(tab, name=f"{name} wr C{c}", validate=False)
+    return FiniteGroup(_ClosedRows(tab), name=f"{name} wr C{c}", validate=False)
 
 
 # -- counting operations ---------------------------------------------------------

@@ -45,17 +45,6 @@ class LayerClass(Enum):
 
 # -- the p-derivation ---------------------------------------------------------------
 
-def _delta_raw(a: Fraction, p: int) -> Fraction:
-    # Refused before a^p is taken when the result certainly passes the digit
-    # budget.  With a = u/v in lowest terms, a - a^p = (u v^(p-1) - u^p)/v^p
-    # is in lowest terms too, so the result has a denominator of at least
-    # v^p, and for |u| > 2v a numerator of at least |u|^p / 2p; with
-    # M = max(|u|, v), one of them is at least (M // 2)^p / 2p.
-    if not power_may_fit(max(abs(a.numerator), a.denominator) // 2, p, 2 * p):
-        raise ResourceBudgetError(f"delta iterate exceeds the {MAX_DIGITS}-digit budget")
-    return (a - a ** p) / p
-
-
 def delta(a: RationalLike, p: int) -> ExactRational:
     """The additive p-derivation (a - a^p)/p on p-integral rationals.
 
@@ -83,7 +72,15 @@ def _iterate(a: Fraction, p: int, k: int) -> Fraction:
     # iterates here too.  On single group symbols it agrees with the formal
     # expansion: delta(1/|G|) = 1/(p|G|) - 1/(p|G|^p) exactly.
     for _ in range(k):
-        a = _delta_raw(a, p)
+        # Refused before a^p is taken when the result certainly passes the
+        # digit budget.  With a = u/v in lowest terms, a - a^p =
+        # (u v^(p-1) - u^p)/v^p is in lowest terms too, so the result has a
+        # denominator of at least v^p, and for |u| > 2v a numerator of at
+        # least |u|^p / 2p; with M = max(|u|, v), one of them is at least
+        # (M // 2)^p / 2p.
+        if not power_may_fit(max(abs(a.numerator), a.denominator) // 2, p, 2 * p):
+            raise ResourceBudgetError(f"delta iterate exceeds the {MAX_DIGITS}-digit budget")
+        a = (a - a ** p) / p
         require_digits(a.numerator, "delta iterate")
         require_digits(a.denominator, "delta iterate")
     return a
@@ -351,7 +348,8 @@ def verify_wreath_identity(group: FiniteGroup, p: int, n: int) -> WreathReport:
         return height_cardinality(classifying(h), p, n)
 
     base = bg_value(group)
-    lhs = _delta_raw(base, p) if n == 0 else delta(base, p)
+    # layer 0 is rational, so delta there skips the p-integrality check
+    lhs = _iterate(base, p, 1) if n == 0 else delta(base, p)
     wreath = wreath_cyclic(group, p)
     direct = direct_product(build_group(Cyclic(p)), group)
     rhs = bg_value(wreath) - bg_value(direct)

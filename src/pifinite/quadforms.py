@@ -48,7 +48,8 @@ from itertools import combinations, product, repeat
 from operator import add, and_, itemgetter, lshift
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import ExactRational, binom_ext, fits_digits, is_prime, power_may_fit
+from .rationals import (MAX_DIGITS, ExactRational, binom_ext, fits_digits, is_prime,
+                        power_may_fit)
 from .records import frozen
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -410,10 +411,15 @@ def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:
     degree-2 to the degree-4 EM space of C_p (odd p):
 
         p^C(n-1, 3) * (p^(3-n) + p^n - p - 1) / (p^2 - 1).
+
+    For n >= 4 the value exceeds p^(C(n-1, 3) + n - 2) / 2, so one past the
+    ``MAX_DIGITS`` budget by that bound is refused before any power is taken.
     """
     _require_odd_prime(p)
     if n < 0:
         raise InputError(f"height must be >= 0, got {n}")
+    if n >= 4 and not power_may_fit(p, math.comb(n - 1, 3) + n - 2, 2):
+        raise ResourceBudgetError(f"the fiber at height {n} exceeds the {MAX_DIGITS}-digit budget")
     lead = Fraction(p) ** binom_ext(n - 1, 3)
     return lead * (Fraction(p) ** (3 - n) + p ** n - p - 1) / (p ** 2 - 1)
 

@@ -309,9 +309,11 @@ def _require_components(n: int) -> None:
 
 
 def _atom_key(atom: Atom):
+    # a group by (order, rows), what FiniteGroup equality reads: no copy of
+    # the table is made to sort it
     if isinstance(atom, EM):
-        return ("em", atom.degree, atom.factors, b"")
-    return ("cls", atom.group.order, (), atom.group.table_key)
+        return ("em", atom.degree, atom.factors)
+    return ("cls", atom.group.order, atom.group._rows)
 
 
 def _canonical_atoms(atom: Atom) -> tuple[Atom, ...]:
@@ -370,7 +372,7 @@ class NormalForm:
 
     def sort_key(self) -> tuple:
         """A total order on normal forms that is exact: group atoms compare
-        by their tables, not their names."""
+        by order, then by their rows as tuples of ints, not by their names."""
         return tuple((tuple(_atom_key(a) for a in comp), mult)
                      for comp, mult in self.components)
 
@@ -512,11 +514,16 @@ def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
     if isinstance(x, EM):
         # at n = 0 nothing is p-primary and the count is |A|^((-1)^k)
         pp, rest = _p_part(x.factors, p) if n else ((), x.factors)
-        base, exponent = math.prod(pp), binom_ext(n - 1, x.degree)
-        if not power_may_fit(base, exponent):
+        sign = 1 if x.degree % 2 == 0 else -1
+        if not pp:
+            return Fraction(math.prod(rest)) ** sign
+        # for 1 <= k < n-1, C(n-1, k) >= n-1: refused on that before the
+        # binomial is taken, which alone takes seconds at n near 10^6
+        base = math.prod(pp)
+        if ((x.degree < n - 1 and not power_may_fit(base, n - 1))
+                or not power_may_fit(base, exponent := binom_ext(n - 1, x.degree))):
             raise ResourceBudgetError(f"{atom_text(x)} at height {n} exceeds "
                                       f"the {MAX_DIGITS}-digit budget")
-        sign = 1 if x.degree % 2 == 0 else -1
         return Fraction(base) ** exponent * Fraction(math.prod(rest)) ** sign
     if isinstance(x, Classifying):
         if not n:
@@ -535,7 +542,8 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
     count; B(G) contributes |Hom(Z_p^n, G)| / |G|, from the commuting-tuple
     count.  Both agree with looping n times and counting, which the tests
     and ``verify`` check.  An EM atom whose p-power would pass the
-    ``MAX_DIGITS`` budget is refused before the power is taken.
+    ``MAX_DIGITS`` budget is refused before the power, or the binomial in
+    its exponent, is taken.
     """
     require_prime(p)
     if n < 0:

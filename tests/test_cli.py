@@ -214,6 +214,8 @@ LARGE_ANSWERS = [
     ("loop", "--space", UNIONS_16, "--prime", "2"),
     # the tuple count stops at the level whose count // |G| passes the budget
     ("card", "--space", "B(S3)", "--prime", "2", "--height", "100000"),
+    # refused before C(999999, 500000) is taken
+    ("card", "--space", "B^500000(C2)", "--prime", "2", "--height", "1000000"),
 ]
 
 
@@ -272,6 +274,15 @@ class TestLargeAnswers:
         budget = "component budget" if argv[0] == "loop" else "digit budget"
         assert out.stderr.startswith("resource error:") and budget in out.stderr
         assert "Traceback" not in out.stderr
+
+    def test_em_atom_with_no_p_part_takes_no_binomial(self):
+        # 3^((-1)^500000) at every height; C(999999, 500000) took 10 s
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "pifinite.cli", "card", "--space",
+                              "B^500000(C3)", "--prime", "2", "--height", "1000000"],
+                             env=_probe_env(), capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (out.returncode, out.stdout, out.stderr) == (0, "3\n", "")
 
     def test_long_profile_refused_at_the_tuple_budget(self):
         start = time.perf_counter()

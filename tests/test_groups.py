@@ -482,9 +482,27 @@ class TestLightAssociativity:
 
 class TestTableFormat:
     @pytest.mark.parametrize("text", BUILDER_TEXTS + ("D272", "C2 x D136"))
-    def test_table_key_is_int64_little_endian_table(self, text):
+    def test_builder_rows_are_the_table_in_shared_ints(self, text):
+        # a builder's rows reach the group as built: plain tuples sharing one
+        # int per element, row-major as the ndarray copy has them
         g = pf.build_group(pf.parse_group(text))
-        assert g.table_key == np.asarray(g.table, dtype="<i8").tobytes()
+        assert type(g._rows) is tuple and all(type(row) is tuple for row in g._rows)
+        assert len({id(v) for row in g._rows for v in row}) == g.order
+        assert g._rows == tuple(map(tuple, g.table.tolist()))
+
+    @pytest.mark.parametrize("text", ["D1000", "S4 wr C2"])
+    def test_build_peak_is_one_table(self, text):
+        # one pointer per cell, with no second copy of the table while it is
+        # built (re-sharing the builder's rows peaked at 16 bytes per cell)
+        d = pf.parse_group(text)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = pf.build_group(d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * g.order ** 2
 
     def test_table_is_a_read_only_ndarray(self):
         g = named_group("S3")

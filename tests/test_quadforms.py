@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
@@ -349,6 +350,23 @@ class TestFiberCardinality:
     def test_p_two_unsupported(self):
         with pytest.raises(InputError):
             pf.cup_square_fiber_cardinality(2, 4)
+
+    def test_refused_before_any_power(self):
+        # p^C(9999, 3), about 1.7e11 in the exponent, never returned
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="digit budget"):
+            pf.cup_square_fiber_cardinality(3, 10 ** 4)
+        assert time.perf_counter() - start < 1
+        # about 82,000 digits at n = 40
+        with pytest.raises(ResourceBudgetError, match="digit budget"):
+            pf.cup_square_fiber_cardinality(10 ** 9 + 7, 40)
+
+    def test_budget_boundary(self):
+        # at p = 3 the value is about 3^(C(n-1, 3) + n - 2): 4043 digits at
+        # n = 39, 4379 at n = 40
+        assert len(str(pf.cup_square_fiber_cardinality(3, 39))) == 4043
+        with pytest.raises(ResourceBudgetError):
+            pf.cup_square_fiber_cardinality(3, 40)
 
     @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS
                              + tuple((p, n) for p in (3, 5) for n in (1, 2, 3)))

@@ -1,6 +1,8 @@
+import gc
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -50,6 +52,33 @@ class TestNormalForm:
             x = random_space_expr(rng)
             nf = pf.normal_form(x)
             assert pf.normal_form(nf.to_expr()) == nf
+
+    def test_sorting_a_group_copies_no_table(self):
+        # group atoms sort by (order, rows); an int64 key of D1000's table
+        # kept 8 MB
+        x = pf.classifying(named_group("D1000"))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            comps = pf.normal_form(x).components
+            gc.collect()
+            kept, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert comps == (((x,), 1),)
+        assert kept < 10 ** 6
+
+    def test_groups_of_equal_order_sort_by_rows(self):
+        # two tables of order 272, past the 256 entries one byte holds; the
+        # product table has no descriptor, so it stays one atom
+        groups = [pf.direct_product(named_group("C2"), named_group("D136")),
+                  named_group("D272")]
+        assert groups[0].descriptor is None and groups[0] != groups[1]
+        expected = [((pf.Classifying(g),), 1)
+                    for g in sorted(groups, key=lambda g: (g.order, g._rows))]
+        for pair in (groups, groups[::-1]):
+            union = pf.disjoint_union(*map(pf.classifying, pair))
+            assert list(pf.normal_form(union).components) == expected
 
 
 class TestHomotopyCardinality:
@@ -239,6 +268,19 @@ class TestDigitBudget:
         assert pf.height_cardinality(pf.em_space([3], 2), 2, 10 ** 6) == 3
         # 1^C(1999, 500), an exponent past any float, is not refused
         assert pf.height_cardinality(pf.em_space([3], 500), 2, 2000) == 3
+
+    def test_em_budget_decided_before_the_binomial(self):
+        # C(10^6 - 1, 5 * 10^5) alone took 10 s; C(n-1, k) >= n-1 for
+        # 1 <= k < n-1 refuses the 2-part and the 3-part needs no exponent
+        start = time.perf_counter()
+        with pytest.raises(ResourceBudgetError, match="digit budget"):
+            pf.height_cardinality(pf.em_space([2], 500_000), 2, 10 ** 6)
+        assert pf.height_cardinality(pf.em_space([3], 500_000), 2, 10 ** 6) == 3
+        assert pf.height_cardinality(pf.em_space([5], 500_001), 3, 10 ** 6) == Fraction(1, 5)
+        assert time.perf_counter() - start < 1
+        # at k >= n-1 the exponent is 0 or 1 and nothing is refused
+        assert pf.height_cardinality(pf.em_space([2], 10 ** 6 - 1), 2, 10 ** 6) == 2
+        assert pf.height_cardinality(pf.em_space([2], 10 ** 6), 2, 10 ** 6) == 1
 
 
 class TestFiniteness:
