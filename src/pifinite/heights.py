@@ -70,8 +70,14 @@ def _iterate(a: Fraction, p: int, k: int) -> Fraction:
     # k steps of the formula, each held to the digit budget, with no
     # valuation check: layer 0, where values need not be p-integral,
     # iterates here too.  On single group symbols it agrees with the formal
-    # expansion: delta(1/|G|) = 1/(p|G|) - 1/(p|G|^p) exactly.
-    for _ in range(k):
+    # expansion: delta(1/|G|) = 1/(p|G|) - 1/(p|G|^p) exactly.  An orbit
+    # that repeats is periodic from there on, so the step of each iterate is
+    # kept and a repeat answers at once, read off the cycle.
+    seen: dict[Fraction, int] = {}
+    for j in range(k):
+        i = seen.setdefault(a, j)
+        if i < j:
+            return list(seen)[i + (k - i) % (j - i)]
         # Refused before a^p is taken when the result certainly passes the
         # digit budget.  With a = u/v in lowest terms, a - a^p =
         # (u v^(p-1) - u^p)/v^p is in lowest terms too, so the result has a

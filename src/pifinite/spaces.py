@@ -15,15 +15,19 @@ answer every question asked of it, exactly:
   B(G).  Height 0 reads no prime and is the homotopy cardinality, each
   component weighted by 1/|pi_1| * |pi_2| / ...
 
-An integer is factored into primes in one place, ``_prime_factors``, which
-counts each prime's power by the ``rationals`` valuation and trial-divides
-no further than ``TRIAL_DIVISION_BOUND``; an EM atom's orders are factored
-once, by ``EM`` itself.  ``B(G x H)`` of a described group is
-``B(G) * B(H)`` by one rule, ``described_classifying``, which the parser
-and normal forms share.  An atom is printed in one place, ``atom_text``,
-which the parser's printer shares.  A normal form, the sum of products of
-atoms that looping prints, is held to ``MAX_COMPONENTS`` components,
-decided before a product is expanded.
+An EM atom's coefficient group is held as its invariant factors
+``d_1 | d_2 | ...``, folded from any cyclic orders by
+``C_a x C_b = C_gcd(a,b) x C_lcm(a,b)`` in ``_invariant_factors``, so no
+order is factored into primes: height cardinalities and loops read only
+``|A|`` and the p-part of each factor.  The EM atoms of one degree in a
+component multiply into one, ``B^k(A) * B^k(B) = B^k(A x B)``, in the one
+component builder, ``_component``, so one space has one normal form.
+``B(G x H)`` of a described group is ``B(G) * B(H)`` by one rule,
+``described_classifying``, which the parser and normal forms share.  An
+atom is printed in one place, ``atom_text``, which the parser's printer
+shares and which holds each printed order to the digit budget.  A normal
+form, the sum of products of atoms that looping prints, is held to
+``MAX_COMPONENTS`` components, decided before a product is expanded.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext, is_prime,
-                        power_may_fit, require_prime, vp)
+from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext, power_may_fit,
+                        require_digits, require_prime, vp)
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -69,9 +73,9 @@ class Classifying:
 class EM:
     """A single finite abelian group in one degree k >= 1.
 
-    ``factors`` is the cyclic decomposition; it is canonicalized to the
-    sorted tuple of prime-power orders, so isomorphic coefficient groups
-    yield equal atoms.
+    ``factors`` is any list of cyclic orders; it is canonicalized to the
+    invariant factors ``d_1 | d_2 | ...``, ascending, so isomorphic
+    coefficient groups yield equal atoms.
     """
     factors: tuple[int, ...]
     degree: int
@@ -79,7 +83,7 @@ class EM:
     def __post_init__(self):
         if self.degree < 1:
             raise InputError(f"EM needs degree >= 1, got {self.degree}")
-        canon = _canonical_cyclic_factors(self.factors)
+        canon = _invariant_factors(self.factors)
         if not canon:
             raise InputError("EM needs a nontrivial coefficient group")
         object.__setattr__(self, "factors", canon)
@@ -113,23 +117,13 @@ EMPTY = Empty()
 PT = FinSet(1)
 
 
-# Trial division stops here, so every order below its square is factored
-# in full and no order costs more divisions than this, three integer roots
-# and one primality test: about 10 ms for the worst order, where 10^6 costs
-# about 80 ms and 10^7 about 0.8 s (CPython 3.11, 2 vCPUs)
-TRIAL_DIVISION_BOUND = 100_000
-
-
 def _prime_factors(m: int) -> list[tuple[int, int]]:
-    """The (prime, exponent) pairs of m >= 1, primes ascending.  What trial
-    division up to ``TRIAL_DIVISION_BOUND`` leaves is settled by
-    ``_prime_power``."""
+    """The (prime, exponent) pairs of m >= 1 by trial division, primes
+    ascending.  Only the order of a table is factored, and a table of order
+    m already holds m^2 cells."""
     out = []
     d = 2
     while d * d <= m:
-        if d > TRIAL_DIVISION_BOUND:
-            out.append(_prime_power(m))
-            return out
         if m % d == 0:
             e = _int_valuation(m, d)
             out.append((d, e))
@@ -140,39 +134,19 @@ def _prime_factors(m: int) -> list[tuple[int, int]]:
     return out
 
 
-def _integer_root(m: int, k: int) -> int:
-    """floor(m^(1/k)) for m >= 1, by Newton's method from above."""
-    x = 1 << -(-m.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + m // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
-def _prime_power(m: int) -> tuple[int, int]:
-    """(q, e) with m = q^e, q prime, for an m with no prime factor up to
-    ``TRIAL_DIVISION_BOUND``.  ``is_prime`` decides every m below about
-    3.3 * 10^24, under the fifth power of that bound, and there such an m
-    has at most four prime factors, so the roots e = 2, 3, 4 find every
-    prime power; any other m is refused."""
-    for e in (2, 3, 4):
-        q = _integer_root(m, e)
-        if q ** e == m and is_prime(q):
-            return q, e
-    if not is_prime(m):
-        raise ResourceBudgetError(f"cannot factor a composite order with no prime "
-                                  f"factor up to {TRIAL_DIVISION_BOUND}")
-    return m, 1
-
-
-def _canonical_cyclic_factors(factors: Iterable[int]) -> tuple[int, ...]:
-    canon: list[int] = []
-    for m in factors:
+def _invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
+    """The invariant factors of the product of cyclic groups of the given
+    orders, ascending, 1s dropped.  Each order folds into the chain from the
+    top down by ``C_a x C_b = C_gcd(a,b) x C_lcm(a,b)``; nothing is factored."""
+    chain: list[int] = []       # descending, each entry a multiple of the next
+    for m in orders:
         if m < 1:
             raise InputError(f"cyclic factor orders must be >= 1, got {m}")
-        canon.extend(q ** e for q, e in _prime_factors(m))
-    return tuple(sorted(canon))
+        for i, d in enumerate(chain):
+            chain[i], m = math.lcm(d, m), math.gcd(d, m)
+        if m > 1:
+            chain.append(m)
+    return tuple(reversed(chain))
 
 
 # -- smart constructors ------------------------------------------------------------
@@ -221,7 +195,7 @@ def described_classifying(d: GroupDescriptor) -> SpaceExpr:
 def em_space(factors: Iterable[int], degree: int) -> SpaceExpr:
     """EM atom with normalization: degree 0 collapses to the underlying finite
     set, a trivial coefficient group collapses to a point.  Neither needs
-    the orders factored; ``EM`` checks and factors them, once."""
+    the orders folded; ``EM`` checks and folds them, once."""
     factors = tuple(factors)
     if degree < 0:
         raise InputError(f"EM degree must be >= 0, got {degree}")
@@ -295,9 +269,10 @@ MAX_COMPONENTS = 2048
 
 def atom_text(atom: Atom) -> str:
     """The one printer of an atom, in the parser's grammar: ``B^k(C.. x C..)``
-    for an EM atom, ``B(name)`` for a group."""
+    for an EM atom, ``B(name)`` for a group.  An invariant factor can pass
+    every order it was folded from, so each is held to the digit budget."""
     if isinstance(atom, EM):
-        inside = " x ".join(f"C{q}" for q in atom.factors)
+        inside = " x ".join(f"C{require_digits(q, 'a cyclic order')}" for q in atom.factors)
         return f"B^{atom.degree}({inside})"
     return f"B({atom.group.name})"
 
@@ -314,6 +289,20 @@ def _atom_key(atom: Atom):
     if isinstance(atom, EM):
         return ("em", atom.degree, atom.factors)
     return ("cls", atom.group.order, atom.group._rows)
+
+
+def _component(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
+    """The sorted component of a product of atoms, the one place a component
+    is formed.  The EM atoms of one degree, adjacent in the order, multiply
+    into one: ``B^k(A) * B^k(B) = B^k(A x B)``."""
+    out: list[Atom] = []
+    for atom in sorted(atoms, key=_atom_key):
+        last = out[-1] if out else None
+        if isinstance(atom, EM) and isinstance(last, EM) and last.degree == atom.degree:
+            out[-1] = EM(last.factors + atom.factors, atom.degree)
+        else:
+            out.append(atom)
+    return tuple(out)
 
 
 def _canonical_atoms(atom: Atom) -> tuple[Atom, ...]:
@@ -384,7 +373,7 @@ class NormalForm:
         counts: dict[tuple[Atom, ...], int] = {}
         for c1, m1 in self._counts.items():
             for c2, m2 in other._counts.items():
-                comp = tuple(sorted(c1 + c2, key=_atom_key))
+                comp = _component(c1 + c2)
                 counts[comp] = counts.get(comp, 0) + m1 * m2
         return NormalForm(counts)
 
@@ -436,7 +425,7 @@ def _product(forms: list[NormalForm]) -> NormalForm:
             scale *= mult
         else:
             unions.append(nf)
-    out = NormalForm({tuple(sorted(atoms, key=_atom_key)): scale})
+    out = NormalForm({_component(atoms): scale})
     for nf in unions:
         out = out * nf
     return out
@@ -468,10 +457,10 @@ def homotopy_cardinality(x: SpaceExpr) -> ExactRational:
     return _height_cardinality(x, None, 0)
 
 
-def _p_part(factors: tuple[int, ...], p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    pp = tuple(q for q in factors if q % p == 0)
-    rest = tuple(q for q in factors if q % p != 0)
-    return pp, rest
+def _p_part(factors: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """The cyclic factors of the p-primary part: p^vp(d) for each factor d
+    that p divides."""
+    return tuple(p ** _int_valuation(d, p) for d in factors if d % p == 0)
 
 
 def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
@@ -495,8 +484,7 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
         return disjoint_union(*(classifying(c)
                                 for _, c in p_loop_decomposition(x.group, p)))
     if isinstance(x, EM):
-        pp, _ = _p_part(x.factors, p)
-        return product(x, em_space(pp, x.degree - 1))
+        return product(x, em_space(_p_part(x.factors, p), x.degree - 1))
     raise InputError(f"not a space expression: {x!r}")
 
 
@@ -513,18 +501,18 @@ def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
                          start=Fraction(1))
     if isinstance(x, EM):
         # at n = 0 nothing is p-primary and the count is |A|^((-1)^k)
-        pp, rest = _p_part(x.factors, p) if n else ((), x.factors)
+        base = math.prod(_p_part(x.factors, p)) if n else 1
+        rest = x.group_order // base
         sign = 1 if x.degree % 2 == 0 else -1
-        if not pp:
-            return Fraction(math.prod(rest)) ** sign
+        if base == 1:
+            return Fraction(rest) ** sign
         # for 1 <= k < n-1, C(n-1, k) >= n-1: refused on that before the
         # binomial is taken, which alone takes seconds at n near 10^6
-        base = math.prod(pp)
         if ((x.degree < n - 1 and not power_may_fit(base, n - 1))
                 or not power_may_fit(base, exponent := binom_ext(n - 1, x.degree))):
             raise ResourceBudgetError(f"{atom_text(x)} at height {n} exceeds "
                                       f"the {MAX_DIGITS}-digit budget")
-        return Fraction(base) ** exponent * Fraction(math.prod(rest)) ** sign
+        return Fraction(base) ** exponent * Fraction(rest) ** sign
     if isinstance(x, Classifying):
         if not n:
             return Fraction(1, x.group.order)

@@ -1,6 +1,7 @@
 import ast
 import itertools
 import json
+import math
 import os
 import re
 import subprocess
@@ -229,17 +230,40 @@ class TestLargeAnswers:
         assert out.strip() == "B(S3) + 1099511627775 * B^1(C2)"
 
     def test_loop_of_a_thousand_components(self, capsys):
-        # 2^10 components, which a pairwise fold took seconds to add up; at
-        # p = 2 only B(C2) loops, to 2 * B^1(C2)
+        # 2^10 components, which a pairwise fold took seconds to add up; the
+        # atoms of each multiply into one B^1(C<order>), and at p = 2 only
+        # an even order loops, to 2 * B^1(C<order>)
         text = union_product_text(10)
         start = time.perf_counter()
         code, out, err = run(capsys, "loop", "--space", text, "--prime", "2")
         assert time.perf_counter() - start < 1
         assert (code, err) == (0, "")
         pairs = [[int(q) for q in re.findall(r"C(\d+)", u)] for u in text.split(" * ")]
+        orders = sorted(math.prod(c) for c in itertools.product(*pairs))
         assert out.strip() == " + ".join(
-            ("2 * " if c[0] == 2 else "") + " * ".join(f"B^1(C{q})" for q in c)
-            for c in itertools.product(*pairs))
+            ("2 * " if m % 2 == 0 else "") + f"B^1(C{m})" for m in orders)
+
+    def test_em_atoms_of_one_degree_print_as_one(self, capsys):
+        code, out, err = run(capsys, "loop", "--space", "B(C6) + B^1(C2) * B^1(C3)",
+                             "--prime", "2", "--iterations", "2")
+        assert (code, out, err) == (0, "8 * B^1(C6)\n", "")
+
+    def test_folded_order_past_the_budget_is_not_printed(self):
+        # C(2^14000) x C(3^9000) is one cyclic factor of 8509 digits: its
+        # height-1 count at p = 2 prints, its loop at p = 3 would print it
+        a, b = 2 ** 14000, 3 ** 9000
+        space = f"B^2(C{a} x C{b})"
+        looped = subprocess.run([sys.executable, "-m", "pifinite.cli", "loop", "--space", space,
+                                 "--prime", "3"], env=_probe_env(), capture_output=True,
+                                text=True, timeout=60)
+        assert (looped.returncode, looped.stdout) == (2, "")
+        assert looped.stderr.startswith("resource error:") and "digit budget" in looped.stderr
+        assert "Traceback" not in looped.stderr
+        card = subprocess.run([sys.executable, "-m", "pifinite.cli", "card", "--space", space,
+                               "--prime", "2", "--height", "1"], env=_probe_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert (card.returncode, card.stderr) == (0, "")
+        assert card.stdout == f"{b}\n"
 
     def test_loop_stops_at_a_fixed_point(self, capsys):
         # B(C3) has no 2-torsion, so every loop at p = 2 returns it unchanged
@@ -257,6 +281,17 @@ class TestLargeAnswers:
         code, out, err = run(capsys, "delta", "5", "--prime", "7", "--iterations", "5")
         assert (code, out) == (2, "")
         assert err.startswith("resource error: delta iterate exceeds the 4300-digit budget")
+
+    @pytest.mark.parametrize("value, p, out", [("0", 2, "0"), ("1", 2, "0"), ("-1", 2, "-1"),
+                                               ("2", 3, "2")])
+    def test_periodic_delta_orbit_answers_at_once(self, value, p, out):
+        # 2 -> -2 -> 2 at p = 3; the others reach a fixed point
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-m", "pifinite.cli", "delta", "--prime", str(p),
+                               "--iterations", "1000000000", "--", value], env=_probe_env(),
+                              capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (done.returncode, done.stdout, done.stderr) == (0, f"{out}\n", "")
 
     def test_prime_to_p_atom_at_a_huge_exponent(self, capsys):
         # the 2-part of B^500(C3) is 1 to the power C(1999, 500)
@@ -314,9 +349,10 @@ class TestLargeAnswers:
 
     @pytest.mark.parametrize("order, code, out", [
         ("1000000000000000003", 0, "1000000000000000003\n"),
-        ("10000600009", 0, "10000600009\n"),          # 100003^2, past the bound
-        # (10^9 + 7)(10^9 + 9): no factor up to the trial-division bound, not prime
-        ("1000000016000000063", 2, ""),
+        ("10000600009", 0, "10000600009\n"),          # 100003^2
+        # (10^9 + 7)(10^9 + 9), which no small trial division factors
+        ("1000000016000000063", 0, "1000000016000000063\n"),
+        ("618970019642690137449562111", 0, "618970019642690137449562111\n"),   # 2^89 - 1
     ])
     def test_large_em_order_is_settled_in_under_a_second(self, order, code, out):
         start = time.perf_counter()

@@ -124,6 +124,18 @@ class TestDeltaIter:
             pf.delta(Fraction(5, 9), 3)
         assert str(info.value) == "delta needs vp(a) >= 0, got vp=-2 for a=5/9"
 
+    def test_periodic_orbit_matches_stepping(self):
+        # 0 and 1 fall to the fixed point 0, -1 is fixed at p = 2, and
+        # 2 -> -2 -> 2 at p = 3; a repeat answers from the cycle
+        for a, p in ((0, 2), (1, 2), (-1, 2), (2, 3), (1, 5), (Fraction(1, 2), 3)):
+            stepped = Fraction(a)
+            for k in range(8):
+                assert pf.delta_iter(a, p, k) == stepped, (a, p, k)
+                stepped = (stepped - stepped ** p) / p
+        for a, p, value in ((0, 2, 0), (1, 2, 0), (-1, 2, -1), (2, 3, 2), (-2, 3, -2)):
+            assert pf.delta_iter(a, p, 10 ** 9) == value
+        assert pf.delta_iter(2, 3, 10 ** 9 + 1) == -2
+
     def test_no_per_call_budget(self):
         with pytest.raises(TypeError):
             pf.delta_iter(5, 2, 1, max_digits=2)

@@ -193,7 +193,7 @@ class TestHeightCardinality:
             order, sign = math.prod(atom.factors), (-1) ** atom.degree
             if n == 0:
                 return Fraction(order) ** sign
-            pp = math.prod(q for q in atom.factors if q % p == 0)
+            pp = p ** pf.vp(order, p)
             return Fraction(pp) ** math.comb(n - 1, atom.degree) * Fraction(order // pp) ** sign
 
         rng = random.Random(16)
@@ -337,72 +337,96 @@ class TestFiniteness:
 def test_em_canonicalization():
     assert pf.EM((6,), 2) == pf.EM((2, 3), 2)
     assert pf.em_space([4, 2], 2).factors == (2, 4)
+    assert pf.em_space([4, 2, 12, 9], 2).factors == (2, 12, 36)
     assert pf.em_space([1], 3) == PT
     assert pf.em_space([5], 0) == pf.finite_set(5)
     with pytest.raises(InputError):
         pf.FinSet(0)
+    with pytest.raises(InputError, match="orders must be >= 1"):
+        pf.em_space([2, 0], 1)
 
 
-def test_each_order_factored_once(monkeypatch):
-    calls = []
-    factor = pf.spaces._prime_factors
-    monkeypatch.setattr(pf.spaces, "_prime_factors", lambda m: calls.append(m) or factor(m))
-    assert pf.em_space([6, 10], 2).factors == (2, 2, 3, 5)
-    assert calls == [6, 10]
-    # a finite set and a trivial group need no factoring
-    assert pf.em_space([6, 10], 0) == pf.finite_set(60)
-    assert pf.em_space([1, 1], 3) == PT
-    assert calls == [6, 10]
+def test_no_order_is_factored(monkeypatch):
+    def refuse(m):
+        raise AssertionError(f"factored {m}")
+    monkeypatch.setattr(pf.spaces, "_prime_factors", refuse)
+    assert pf.em_space([6, 10], 2).factors == (2, 30)
+    # an odd 4300-digit composite prime to 5, past any factoring
+    m = (10 ** 2150 + 1) * (10 ** 2149 + 7)
+    atom = pf.em_space([m, 6], 2)
+    assert atom.group_order == 6 * m
+    assert pf.height_cardinality(atom, 5, 1) == 6 * m
+    assert pf.normal_form(pf.p_adic_loop(atom, 2)) == \
+        pf.normal_form(pf.product(atom, pf.em_space([2], 1)))
 
 
-class TestBoundedFactoring:
-    def test_prime_cofactor_is_decided_by_primality(self):
+class TestLargeOrders:
+    """Orders that no trial division settles answer at once: nothing is factored."""
+
+    @pytest.mark.parametrize("m", [
+        10 ** 18 + 3,                       # prime
+        (10 ** 9 + 7) * (10 ** 9 + 9),      # two large primes
+        2 ** 89 - 1,                        # a prime past is_prime's bound
+        100_003 ** 2 * 100_019,             # a square of a large prime times another
+    ])
+    def test_order_answers_at_once(self, m):
         start = time.perf_counter()
-        q = 10 ** 18 + 3
-        assert pf.em_space([q], 2).factors == (q,)
-        assert pf.em_space([12 * q], 2).factors == (3, 4, q)
-        assert pf.height_cardinality(pf.em_space([q], 2), 2, 1) == q
+        assert pf.em_space([m], 2).factors == (m,)
+        assert pf.em_space([12 * m], 2).factors == (12 * m,)
+        assert pf.em_space([2, m], 1).factors == (2 * m,)      # every m here is odd
+        assert pf.height_cardinality(pf.em_space([m], 2), 2, 1) == m
+        assert pf.height_cardinality(pf.em_space([12 * m], 3), 2, 4) == Fraction(4, 3 * m)
+        assert pf.em_space([m], 0) == pf.finite_set(m)
         assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("e", [2, 3, 4])
-    def test_prime_power_cofactor_is_settled_by_its_root(self, e):
-        q = 100_003                                 # the first prime past the bound
-        assert q > pf.spaces.TRIAL_DIVISION_BOUND
+    def test_prime_power_order_answers_at_once(self, e):
+        q = 100_003
         assert pf.em_space([q ** e], 2).factors == (q ** e,)
-        assert pf.em_space([6 * q ** e], 1).factors == (2, 3, q ** e)
-
-    @pytest.mark.parametrize("m, match", [
-        ((10 ** 9 + 7) * (10 ** 9 + 9), "cannot factor a composite order"),
-        (2 ** 89 - 1, "primality is decided only below"),   # a prime past is_prime's bound
-        (100_003 ** 2 * 100_019, "cannot factor a composite order"),
-    ])
-    def test_unsettled_cofactor_is_refused(self, m, match):
-        start = time.perf_counter()
-        with pytest.raises(ResourceBudgetError, match=match):
-            pf.em_space([m], 2)
-        with pytest.raises(ResourceBudgetError, match=match):
-            pf.em_space([2, m], 1)
-        assert time.perf_counter() - start < 1
-        assert pf.em_space([m], 0) == pf.finite_set(m)
+        assert pf.em_space([6 * q ** e, q], 1).factors == (q, 6 * q ** e)
+        assert pf.p_adic_loop(pf.em_space([q ** e], 2), q) == pf.product(
+            pf.em_space([q ** e], 2), pf.em_space([q ** e], 1))
 
 
-def prime_power_parts(m: int) -> tuple[int, ...]:
-    """The prime-power parts of m >= 1 by trial division, ascending."""
+def prime_power_parts(orders) -> list[int]:
+    """The prime-power parts of a list of orders by trial division, sorted."""
     out = []
-    d = 2
-    while d * d <= m:
-        q = 1
-        while m % d == 0:
-            q, m = q * d, m // d
-        if q > 1:
-            out.append(q)
-        d += 1
-    return tuple(sorted(out + [m] if m > 1 else out))
+    for m in orders:
+        d = 2
+        while d * d <= m:
+            q = 1
+            while m % d == 0:
+                q, m = q * d, m // d
+            if q > 1:
+                out.append(q)
+            d += 1
+        if m > 1:
+            out.append(m)
+    return sorted(out)
 
 
 def test_em_factors_match_trial_division():
-    for m in range(2, 10 ** 5 + 1):
-        assert pf.em_space([m], 1).factors == prime_power_parts(m), m
+    # the invariant factors are a divisibility chain holding the same
+    # prime-power parts as the orders folded into it
+    rng = random.Random(18)
+    for _ in range(400):
+        orders = [rng.randrange(1, 10 ** 4) for _ in range(rng.randint(1, 5))]
+        factors = pf.em_space(orders, 1).factors if any(m > 1 for m in orders) else ()
+        assert all(f > 1 for f in factors)
+        assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+        assert prime_power_parts(factors) == prime_power_parts(orders), orders
+
+
+def test_em_atoms_of_one_degree_multiply_into_one():
+    rng = random.Random(19)
+    for _ in range(100):
+        a, b = ([rng.randrange(2, 100) for _ in range(rng.randint(1, 3))] for _ in range(2))
+        k = rng.randint(1, 3)
+        assert pf.normal_form(pf.product(pf.em_space(a, k), pf.em_space(b, k))) == \
+            pf.normal_form(pf.em_space(a + b, k))
+    # atoms of different degrees stay apart
+    x = pf.product(pf.em_space([2], 1), pf.em_space([3], 2), pf.em_space([5], 1))
+    assert pf.normal_form(x).components == (((pf.EM((10,), 1), pf.EM((3,), 2)), 1),)
 
 
 # the invariant prime-power factors of every abelian table in the zoo
