@@ -116,10 +116,12 @@ def _emit_profile(args, prof, payload: dict, classify: bool) -> int:
 
 
 def _cmd_profile(args) -> int:
+    # serves ``profile`` and ``classify``, which adds each layer's class
     from .heights import height_profile
     from .parser import parse_space
     prof = height_profile(parse_space(args.space), args.prime, args.range)
-    return _emit_profile(args, prof, {"space": args.space, "prime": args.prime}, False)
+    return _emit_profile(args, prof, {"space": args.space, "prime": args.prime},
+                         args.command == "classify")
 
 
 def _cmd_delta(args) -> int:
@@ -144,13 +146,6 @@ def _cmd_beta(args) -> int:
     from .heights import beta_element
     prof = beta_element(args.prime, args.k).profile(args.prime, args.range)
     return _emit_profile(args, prof, {"prime": args.prime, "k": args.k}, True)
-
-
-def _cmd_classify(args) -> int:
-    from .heights import height_profile
-    from .parser import parse_space
-    prof = height_profile(parse_space(args.space), args.prime, args.range)
-    return _emit_profile(args, prof, {"space": args.space, "prime": args.prime}, True)
 
 
 def _cmd_wreath(args) -> int:
@@ -395,7 +390,7 @@ def build_arg_parser() -> _ArgumentParser:
     cmd.add_argument("--k", type=int, required=True)
     cmd.add_argument("--range", type=int, default=6)
 
-    cmd = add("classify", _cmd_classify, "divisible/complete/zero per layer")
+    cmd = add("classify", _cmd_profile, "divisible/complete/zero per layer")
     cmd.add_argument("--space", required=True)
     cmd.add_argument("--prime", type=int, required=True)
     cmd.add_argument("--range", type=int, required=True)

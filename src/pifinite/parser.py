@@ -26,7 +26,7 @@ from typing import Callable, Optional
 
 from .errors import InputError
 from .groups import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
-from .rationals import require_numeral
+from .rationals import require_digits, require_numeral
 from .records import frozen
 from .spaces import (EM, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
                      atom_text, described_classifying, disjoint_union, em_space,
@@ -235,7 +235,8 @@ def parse_group(text: str) -> GroupDescriptor:
 
 def space_text(x: SpaceExpr) -> str:
     """Render an expression in the grammar above, each atom by
-    ``spaces.atom_text``.
+    ``spaces.atom_text``.  Like an atom's orders, a finite set's size is
+    held to the digit budget.
 
     Expressions that came from the parser always render to re-parseable
     text, since ``build_group`` names a group by its descriptor.  Groups
@@ -246,7 +247,7 @@ def space_text(x: SpaceExpr) -> str:
     if isinstance(x, Empty):
         return "0"
     if isinstance(x, FinSet):
-        return "pt" if x.size == 1 else str(x.size)
+        return "pt" if x.size == 1 else str(require_digits(x.size, "a finite set"))
     if isinstance(x, (Classifying, EM)):
         return atom_text(x)
     if isinstance(x, Disjoint):

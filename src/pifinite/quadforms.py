@@ -31,10 +31,11 @@ relations treat alike.  Each relation through vertex 0 is the dot product
 of three coordinates of the first half with three coordinates (one
 negated) of the second, so whether it holds depends only on the scaling
 classes of those two vectors of F_p^3: it is the incidence of a point and
-a line of the projective plane, or a zero vector.  Each of the p^2+p+2
-classes gets the list, and the int mask, of the classes incident to it,
-solved from the p+1 points of its line; every level of the split reads its
-relations from them through a p^3-entry class index.
+a line of the projective plane, or a zero vector.  The lines are solved in
+one place, ``_incidence``, which gives each of the p^2+p+2 classes the int
+mask of the classes incident to it; the list of those classes is read off
+the mask, and every level of the split reads its relations from them
+through a p^3-entry class index.
 ``decomposable_form_count`` is the Gaussian-binomial closed form.  The
 enumeration never consults the closed form or any rank formula.
 """
@@ -44,7 +45,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import combinations, product, repeat
+from itertools import combinations, compress, count, product, repeat
 from operator import add, and_, itemgetter, lshift
 
 from .errors import InputError, InvariantError, ResourceBudgetError
@@ -174,10 +175,10 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
 
 def _scaling_classes(p: int) -> tuple[list[itemgetter], list[int]]:
     """``(lines, index)`` for F_p^3, which every level of the split shares:
-    the ``_lines`` of the class rows ``_representatives(p, 3)``, each as an
-    ``itemgetter`` of its rows, and their ``_class_index``.  Built once per
-    count and kept by none."""
-    return [itemgetter(*line) for line in _lines(p)], _class_index(p)
+    per class row of ``_representatives(p, 3)``, an ``itemgetter`` of the
+    rows incident to it, read off its ``_incidence`` mask, and their
+    ``_class_index``.  Built once per count and kept by none."""
+    return [itemgetter(*_bits(mask)) for mask in _incidence(p)], _class_index(p)
 
 
 def _null_square_kernel(p: int, n: int, ctx: tuple | None = None) -> list[tuple[int, ...]]:
@@ -285,8 +286,8 @@ def _vertex_zero_test(p: int, us: list, inner: list, ctx: tuple) -> tuple[list[i
 
 def _tables(buckets: list[list[int]], lines: list[itemgetter]) -> list[list[int]]:
     """Per triple, the OR of its bucket masks along each line of
-    ``_lines``.  A bucket's members lie in one class, so the buckets on a
-    line are disjoint and their OR is their sum."""
+    ``_incidence``.  A bucket's members lie in one class, so the buckets on
+    a line are disjoint and their OR is their sum."""
     return [[sum(line(masks)) for line in lines] for masks in buckets]
 
 
@@ -312,42 +313,20 @@ def _classes(p: int, index: list[int], firsts, middles, lasts):
     return map(index.__getitem__, map(add, map(square.__getitem__, firsts), map(add, middles, lasts)))
 
 
-def _lines(p: int) -> list[list[int]]:
-    """``lines[k]``: the class rows l with classes[k] . classes[l] = 0 mod p,
-    for the class rows ``classes = _representatives(p, 3)`` of F_p^3: every
-    row for the zero class, else the zero row and the p+1 points of a line
-    of the projective plane.  The rows (1, x, y) sit at 1 + x*p + y, the
-    affine plane of the chart w_0 = 1, then (0, 1, y) at 1 + p^2 + y and
-    (0, 0, 1), the line at infinity, which is the line of (1, 0, 0).  Each
-    other line is an affine line with its point at infinity, solved from
-    its equation: x = x0 is the line of (1, -1/x0, 0), or of (0, 1, 0) for
-    x0 = 0, through (0, 0, 1); y = mu*x + beta is that of
-    (1, mu/beta, -1/beta), or of (0, 1, -1/mu) or (0, 0, 1) for beta = 0,
-    through (0, 1, mu).  The points of y = mu*x + beta for every beta are
-    read at once from each affine row written twice, shifted by mu*x."""
-    inv = [0] + [pow(a, -1, p) for a in range(1, p)]
-    one, last = 1 + p * p, 1 + p * p + p        # the rows of (0, 1, 0) and (0, 0, 1)
-    rows = [list(range(1 + x * p, 1 + x * p + p)) for x in range(p)]
-    lines = [list(range(last + 1))] * (last + 1)
-    lines[1] = [0, *range(one, last + 1)]
-    for x in range(p):
-        lines[1 + (p - inv[x]) * p if x else one] = [0, *rows[x], last]
-    doubled = [row * 2 for row in rows]
-    for mu in range(p):
-        shifted = [row[mu * x % p:][:p] for x, row in enumerate(doubled)]
-        for beta, points in enumerate(zip(*shifted)):
-            lines[1 + mu * inv[beta] % p * p + p - inv[beta] if beta else
-                  one + p - inv[mu] if mu else last] = [0, *points, one + mu]
-    return lines
-
-
 def _incidence(p: int) -> list[int]:
-    """One int per class row of F_p^3: bit l of ``incidence[k]`` says whether
-    classes[k] . classes[l] = 0 mod p, which holds exactly for the rows of
-    ``lines[k]``; the lines are solved as in ``_lines``, in a few int
-    operations each: the affine rows are p-bit segments, x = x0 is one whole
-    segment, and y = mu*x + beta is the mask of y = mu*x with every segment
-    rotated by beta."""
+    """The lines of the projective plane over F_p, the one place they are
+    solved: one int per class row of ``classes = _representatives(p, 3)``,
+    bit l of ``incidence[k]`` set when classes[k] . classes[l] = 0 mod p.
+    That is every row for the zero class, else the zero row and the p+1
+    points of a line.  The rows (1, x, y) sit at 1 + x*p + y, the affine
+    plane of the chart w_0 = 1, one p-bit segment per x, then (0, 1, y) at
+    1 + p^2 + y and (0, 0, 1), the line at infinity, which is the line of
+    (1, 0, 0).  Each other line is an affine line with its point at
+    infinity, solved from its equation: x = x0, one whole segment, is the
+    line of (1, -1/x0, 0), or of (0, 1, 0) for x0 = 0, through (0, 0, 1);
+    y = mu*x + beta is that of (1, mu/beta, -1/beta), or of (0, 1, -1/mu) or
+    (0, 0, 1) for beta = 0, through (0, 1, mu), and its mask is that of
+    y = mu*x with every segment rotated by beta."""
     inv = [0] + [pow(a, -1, p) for a in range(1, p)]
     one, last = 1 + p * p, 1 + p * p + p
     segment = (1 << p) - 1
@@ -401,9 +380,12 @@ def _representatives(p: int, k: int) -> list[tuple[int, ...]]:
     return reps
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _bits(mask: int) -> list[int]:
     """The positions of the set bits of ``mask``, lowest first."""
-    return [j for j, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
 def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:

@@ -12,11 +12,13 @@ number past it, ``power_may_fit`` refuses a power that would certainly pass
 it before the power is taken, and ``require_numeral`` refuses such a number
 in input text before it is read.  ``is_prime`` is exact and quick below
 about 3.3 * 10^24 and refuses larger numbers.
+
+The package has one infinity, ``math.inf``: ``vp(0)`` is ``INFINITE``,
+which is ``math.inf``, and so is the connectivity of a contractible space.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from fractions import Fraction
@@ -34,28 +36,10 @@ MAX_DIGITS = 4300
 RationalLike = Union[int, Fraction]
 
 
-@functools.total_ordering
-class _InfiniteValuation:
-    """Valuation of zero.  Compares strictly greater than every integer."""
+# the valuation of 0, which exceeds every integer
+INFINITE = math.inf
 
-    __slots__ = ()
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _InfiniteValuation)
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __hash__(self) -> int:
-        return hash("pifinite.INFINITE")
-
-    def __repr__(self) -> str:
-        return "Infinite"
-
-
-INFINITE = _InfiniteValuation()
-
-Valuation = Union[int, _InfiniteValuation]
+Valuation = Union[int, float]
 
 
 # Miller-Rabin to the first 13 primes as bases is exact below this bound
@@ -133,17 +117,27 @@ def require_prime(p: int) -> int:
 
 
 def _int_valuation(n: int, p: int) -> int:
-    # n != 0
-    v = 0
+    """The exponent of p in n != 0.  p, p^2, p^4, ... are divided out while
+    each divides, then the powers are walked back down, so a valuation v
+    costs about 2 log2(v) divisions, and an n prime to p one."""
     n = abs(n)
-    while n % p == 0:
-        n //= p
-        v += 1
+    if n % p:
+        return 0
+    v, powers = 0, [p]
+    while n % powers[-1] == 0:
+        n //= powers[-1]
+        v += 1 << len(powers) - 1
+        powers.append(powers[-1] * powers[-1])
+    for i in reversed(range(len(powers) - 1)):
+        if n % powers[i] == 0:
+            n //= powers[i]
+            v += 1 << i
     return v
 
 
 def vp(x: RationalLike, p: int) -> Valuation:
-    """p-adic valuation of a rational, extended by vp(0) = INFINITE.
+    """p-adic valuation of a rational, extended by vp(0) = INFINITE, which
+    is ``math.inf``.
 
     For x = a/b in lowest terms, vp(x) = vp(a) - vp(b).
     """

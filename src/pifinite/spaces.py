@@ -25,9 +25,10 @@ component builder, ``_component``, so one space has one normal form.
 ``B(G x H)`` of a described group is ``B(G) * B(H)`` by one rule,
 ``described_classifying``, which the parser and normal forms share.  An
 atom is printed in one place, ``atom_text``, which the parser's printer
-shares and which holds each printed order to the digit budget.  A normal
-form, the sum of products of atoms that looping prints, is held to
-``MAX_COMPONENTS`` components, decided before a product is expanded.
+shares and which holds each printed order to the digit budget; a normal
+form's repr is that printer's text.  A normal form, the sum of products
+of atoms that looping prints, is held to ``MAX_COMPONENTS`` components,
+decided before a product is expanded.
 """
 
 from __future__ import annotations
@@ -384,13 +385,13 @@ class NormalForm:
         return hash(self.components)
 
     def __repr__(self) -> str:
-        if not self._counts:
-            return "NormalForm(0)"
-        bits = []
-        for comp, mult in self.components:
-            atoms = " * ".join(atom_text(a) for a in comp) or "pt"
-            bits.append(f"{mult} x [{atoms}]" if mult > 1 else f"[{atoms}]")
-        return "NormalForm(" + " + ".join(bits) + ")"
+        # the text parses back to this form; one the printer refuses names
+        # the budget, so that a repr never raises
+        from .parser import space_text
+        try:
+            return f"NormalForm({space_text(self.to_expr())})"
+        except ResourceBudgetError:
+            return f"NormalForm(<past the {MAX_DIGITS}-digit budget>)"
 
     def to_expr(self) -> SpaceExpr:
         parts = []

@@ -13,7 +13,7 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (_all_vectors, _class_index, _incidence, _lines,
+from pifinite.quadforms import (_all_vectors, _class_index, _incidence,
                                 _null_square_kernel, _representative_split,
                                 _representative_tables, _representatives,
                                 _scaling_classes)
@@ -238,8 +238,8 @@ class TestScalingClasses:
         # a line of the projective plane over F_p holds p + 1 points
         assert (table[1:, 1:].sum(axis=1) == p + 1).all()
         # the lists the kernel sums along are those lines, each point once
-        lines = _lines(p)
-        assert lines[0] == list(range(size))
+        lines = [line(range(size)) for line in _scaling_classes(p)[0]]
+        assert lines[0] == tuple(range(size))
         for mask, line in zip(masks[1:], lines[1:]):
             assert len(line) == p + 2 and len(set(line)) == p + 2
             assert sum(1 << row for row in line) == mask

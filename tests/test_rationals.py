@@ -1,12 +1,23 @@
+import math
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from pifinite import INFINITE, InputError, ResourceBudgetError, binom_ext, vp
-from pifinite.rationals import (MAX_DIGITS, fits_digits, is_prime, power_may_fit,
-                                require_digits, require_numeral)
+from pifinite import INFINITE, PT, InputError, ResourceBudgetError, binom_ext, connectivity, vp
+from pifinite.rationals import (MAX_DIGITS, _int_valuation, fits_digits, is_prime,
+                                power_may_fit, require_digits, require_numeral)
+
+
+def division_loop_valuation(n: int, p: int) -> int:
+    """Oracle: divide by p once per power."""
+    v, n = 0, abs(n)
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
 
 
 class TestValuation:
@@ -26,6 +37,24 @@ class TestValuation:
         assert v > 10 ** 100
         assert not v < 0
         assert v >= 0
+
+    def test_zero_is_the_one_infinity(self):
+        for p in (2, 3, 5):
+            assert vp(0, p) == INFINITE == connectivity(PT) == math.inf
+            assert vp(0, p) > 10 ** 4300
+
+    def test_int_valuation_matches_division_loop(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            p = rng.choice((2, 3, 5, 7, 11))
+            n = rng.choice((1, -1)) * rng.randrange(1, 10 ** 6) * p ** rng.randrange(301)
+            assert _int_valuation(n, p) == division_loop_valuation(n, p)
+
+    def test_large_valuation_by_squaring(self):
+        # the division loop took 2.4 s here
+        start = time.perf_counter()
+        assert vp(2 ** 100000 * 3, 2) == 100000
+        assert time.perf_counter() - start < 0.1
 
     def test_nonprime_rejected(self):
         with pytest.raises(InputError):

@@ -11,6 +11,7 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centraliz
 
 import pifinite as pf
 from pifinite import EMPTY, PT, InputError, ResourceBudgetError
+from pifinite.rationals import MAX_DIGITS
 from pifinite.spaces import MAX_COMPONENTS, _abelian_primary_factors
 
 
@@ -52,6 +53,26 @@ class TestNormalForm:
             x = random_space_expr(rng)
             nf = pf.normal_form(x)
             assert pf.normal_form(nf.to_expr()) == nf
+
+    def test_repr_parses_back(self):
+        rng = random.Random(19)
+        for _ in range(200):
+            nf = pf.normal_form(random_space_expr(rng))
+            text = repr(nf)
+            assert text.startswith("NormalForm(") and text.endswith(")")
+            assert pf.normal_form(pf.parse_space(text[len("NormalForm("):-1])) == nf
+
+    def test_repr_is_the_printed_text(self):
+        nf = pf.normal_form(pf.parse_space("2 * B(S3) * B^1(C2) + pt"))
+        assert repr(nf) == "NormalForm(pt + 2 * B(S3) * B^1(C2))"
+        assert repr(pf.NormalForm.zero()) == "NormalForm(0)"
+
+    def test_repr_past_the_digit_budget_names_it(self):
+        # an 8509-digit order, which the printer refuses
+        text = repr(pf.normal_form(pf.em_space([2 ** 14000 * 3 ** 9000], 2)))
+        assert text.startswith("NormalForm(") and f"{MAX_DIGITS}-digit" in text
+        big = pf.finite_set(10 ** 3000)
+        assert f"{MAX_DIGITS}-digit" in repr(pf.normal_form(pf.product(big, big)))
 
     def test_sorting_a_group_copies_no_table(self):
         # group atoms sort by (order, rows); an int64 key of D1000's table
