@@ -14,7 +14,8 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, ResourceBudgetError
-from .rationals import binom_ext, require_digits, require_numeral, require_prime, vp
+from .rationals import (binom_ext, require_digits, require_numeral, require_prime,
+                        require_values, vp)
 
 # Each handler and check imports the library modules it calls when it runs:
 # the CLI answers one query per process, and a module that answer does not
@@ -186,6 +187,7 @@ def _cmd_counterexample(args) -> int:
 def _cmd_table(args) -> int:
     _require_count("kmax", args.kmax)
     _require_count("nmax", args.nmax)
+    require_values((args.kmax + 1) * (args.nmax + 1), "the table")
     from .spaces import em_space, height_cardinality
     p = args.prime
     rows = [[height_cardinality(em_space([p], k), p, n) for k in range(args.kmax + 1)]

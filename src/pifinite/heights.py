@@ -16,17 +16,19 @@ separates layers <= k from layers > k; k is at most DEFAULT_BETA_MAX_K.
 Every delta step, checked or at layer 0, is held to the one digit budget
 ``MAX_DIGITS``: a step whose result would certainly pass it is refused
 before a^p is taken, and every iterate is checked exactly once it exists.
+A profile, of a space or of an element, is built in one place and held to
+the value budget ``MAX_VALUES`` before any layer is computed.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext, fits_digits,
-                        power_may_fit, require_digits, require_prime, vp)
+                        power_may_fit, require_digits, require_prime, require_values, vp)
 from .records import frozen
 from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
                      normal_form, product)
@@ -132,11 +134,18 @@ class HeightProfile:
                              tuple(a * b for a, b in zip(self.values, other.values)))
 
 
-def height_profile(x: SpaceExpr, p: int, top: int) -> HeightProfile:
-    """Profile of a space: layer n holds its height-n cardinality."""
+def _profile(p: int, top: int, value: Callable[[int], ExactRational]) -> HeightProfile:
+    # the one profile builder: the range is checked, and held to the value
+    # budget, before any layer is computed
     if top < 0:
         raise InputError(f"profile range must be >= 0, got {top}")
-    return HeightProfile(p, tuple(height_cardinality(x, p, n) for n in range(top + 1)))
+    require_values(top + 1, "the profile")
+    return HeightProfile(p, tuple(value(n) for n in range(top + 1)))
+
+
+def height_profile(x: SpaceExpr, p: int, top: int) -> HeightProfile:
+    """Profile of a space: layer n holds its height-n cardinality."""
+    return _profile(p, top, lambda n: height_cardinality(x, p, n))
 
 
 def classify_layer(profile: HeightProfile, n: int) -> LayerClass:
@@ -257,9 +266,7 @@ class R1Element:
         return total
 
     def profile(self, p: int, top: int) -> HeightProfile:
-        if top < 0:
-            raise InputError(f"profile range must be >= 0, got {top}")
-        return HeightProfile(p, tuple(self.value_at(p, n) for n in range(top + 1)))
+        return _profile(p, top, lambda n: self.value_at(p, n))
 
     def __repr__(self) -> str:
         from .parser import space_text
@@ -343,15 +350,19 @@ def verify_wreath_identity(group: FiniteGroup, p: int, n: int) -> WreathReport:
 
     The left side applies the p-derivation formula to the layer value; the
     right side is computed independently from commuting-tuple counts in the
-    wreath and direct product groups.
+    wreath and direct product groups.  Every side reads the tuple counts of
+    the tables built here, |Hom(Z_p^n, H)| / |H|, never the EM closed form
+    that ``classifying`` gives an abelian table, so the identity is checked
+    on those tables.
     """
     require_prime(p)
     if n < 0:
         raise InputError(f"layer must be >= 0, got {n}")
-    from .groups import Cyclic, build_group, direct_product, wreath_cyclic
+    from .groups import (Cyclic, build_group, count_commuting_p_tuples, direct_product,
+                         wreath_cyclic)
 
     def bg_value(h: FiniteGroup) -> Fraction:
-        return height_cardinality(classifying(h), p, n)
+        return Fraction(count_commuting_p_tuples(h, p, n), h.order)
 
     base = bg_value(group)
     # layer 0 is rational, so delta there skips the p-integrality check

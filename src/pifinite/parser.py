@@ -11,10 +11,12 @@
 "+" is disjoint union, "*" is product, a bare integer is the discrete space
 with that many points (0 parses to the empty space).  ``B^0(...)`` collapses
 to the underlying finite set.  ``B(G x H)`` parses to ``B(G) * B(H)`` by
-``spaces.described_classifying``, equal at every height: the abelian
-factors gather into one degree-1 EM atom, a cyclic one with no Cayley
-table, and each other factor is built as a table, so ``B(C2 x S3 x C3)``
-is ``B^1(C2 x C3) * B(S3)``.  The whole text is parsed
+``spaces.described_classifying``, equal at every height: a cyclic factor
+is its degree-1 EM atom, with no Cayley table, and each other factor is
+built as a table and read by ``spaces.classifying``, so
+``B(C2 x S3 x C3)`` parses to ``B^1(C2) * B(S3) * B^1(C3)``, whose normal
+form, where EM atoms of one degree multiply, prints
+``B(S3) * B^1(C6)``.  The whole text is parsed
 before any group is built, so a syntax error costs no table.  Printing a
 parsed expression and re-parsing it yields an identical normal form; atoms
 print by ``spaces.atom_text``, the printer ``NormalForm`` uses too.

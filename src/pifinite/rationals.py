@@ -10,8 +10,10 @@ Exact answers have no natural size limit, so one digit budget,
 prints, and every rule for it lives here: ``require_digits`` refuses a
 number past it, ``power_may_fit`` refuses a power that would certainly pass
 it before the power is taken, and ``require_numeral`` refuses such a number
-in input text before it is read.  ``is_prime`` is exact and quick below
-about 3.3 * 10^24 and refuses larger numbers.
+in input text before it is read.  One value budget, ``MAX_VALUES``, bounds
+how many values one answer holds, and ``require_values`` refuses a larger
+answer before its first value is computed.  ``is_prime`` is exact and
+quick below about 3.3 * 10^24 and refuses larger numbers.
 
 The package has one infinity, ``math.inf``: ``vp(0)`` is ``INFINITE``,
 which is ``math.inf``, and so is the connectivity of a contractible space.
@@ -32,6 +34,11 @@ ExactRational = Fraction
 # numerator or denominator, that the package reads, computes toward or
 # prints (CPython's default limit on int <-> str conversion).
 MAX_DIGITS = 4300
+
+# The one value budget: the most exact values one answer may hold.  Each
+# value is held to the digit budget on its own, but a profile or a table of
+# small values grows with its range and no digit budget stops it.
+MAX_VALUES = 2 ** 17
 
 RationalLike = Union[int, Fraction]
 
@@ -89,6 +96,14 @@ def require_digits(k: int, what: str) -> int:
     if not fits_digits(k):
         raise ResourceBudgetError(f"{what} exceeds the {MAX_DIGITS}-digit budget")
     return k
+
+
+def require_values(count: int, what: str) -> int:
+    """Return count, or refuse an answer of more than MAX_VALUES values,
+    before the first of them is computed."""
+    if count > MAX_VALUES:
+        raise ResourceBudgetError(f"{what} exceeds the {MAX_VALUES}-value budget")
+    return count
 
 
 def power_may_fit(base: int, exponent: int, over: int = 1) -> bool:

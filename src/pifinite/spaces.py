@@ -19,12 +19,19 @@ An EM atom's coefficient group is held as its invariant factors
 ``d_1 | d_2 | ...``, folded from any cyclic orders by
 ``C_a x C_b = C_gcd(a,b) x C_lcm(a,b)`` in ``_invariant_factors``, so no
 order is factored into primes: height cardinalities and loops read only
-``|A|`` and the p-part of each factor.  The EM atoms of one degree in a
-component multiply into one, ``B^k(A) * B^k(B) = B^k(A x B)``, in the one
-component builder, ``_component``, so one space has one normal form.
-``B(G x H)`` of a described group is ``B(G) * B(H)`` by one rule,
-``described_classifying``, which the parser and normal forms share.  An
-atom is printed in one place, ``atom_text``, which the parser's printer
+``|A|`` and the p-part of each factor.  Each identity that makes normal
+forms unique is applied in one function:
+
+* ``classifying``, the one route from a table to a space: ``B(1) = pt``,
+  ``B(A) = B^1(A)`` for abelian A, and a table built for a direct product
+  split by its descriptor; ``normal_form`` reads a ``Classifying`` atom
+  built directly by it too;
+* ``described_classifying``, ``B(G x H) = B(G) * B(H)``, which the parser
+  and ``classifying`` share;
+* ``_component``, the one component builder, where the EM atoms of one
+  degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``.
+
+An atom is printed in one place, ``atom_text``, which the parser's printer
 shares and which holds each printed order to the digit budget; a normal
 form's repr is that printer's text.  A normal form, the sum of products
 of atoms that looping prints, is held to ``MAX_COMPONENTS`` components,
@@ -150,6 +157,28 @@ def _invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     return tuple(reversed(chain))
 
 
+def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
+    """Invariant prime-power cyclic factors of an abelian group, recovered
+    from its element-order statistics."""
+    factors: list[int] = []
+    for q, k in _prime_factors(g.order):
+        # e_j = log_q #{x : order(x) divides q^j}; the successive differences
+        # m_j = e_j - e_{j-1} form the conjugate of the type partition.
+        exps = [0]
+        while exps[-1] < k:
+            qj = q ** len(exps)
+            c = sum(1 for o in g.element_orders if qj % o == 0)
+            e = _int_valuation(c, q)
+            if q ** e != c:
+                raise InvariantError("element-order counts of an abelian group are q-powers")
+            exps.append(e)
+        m = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
+        for i in range(1, (m[0] if m else 0) + 1):
+            lam = sum(1 for mj in m if mj >= i)
+            factors.append(q ** lam)
+    return tuple(sorted(factors))
+
+
 # -- smart constructors ------------------------------------------------------------
 
 def finite_set(k: int) -> SpaceExpr:
@@ -159,7 +188,18 @@ def finite_set(k: int) -> SpaceExpr:
 
 
 def classifying(group: FiniteGroup) -> SpaceExpr:
-    return PT if group.order == 1 else Classifying(group)
+    """B of a group table, the one atom rule: the trivial group gives the
+    point, an abelian A its degree-1 EM atom (``B(A) = B^1(A)``), a table
+    built for a direct product the atoms ``described_classifying`` splits
+    its descriptor into, and any other group its ``Classifying`` atom."""
+    from .groups import DirectProduct
+    if group.order == 1:
+        return PT
+    if group.is_abelian():
+        return EM(_abelian_primary_factors(group), 1)
+    if isinstance(group.descriptor, DirectProduct):
+        return described_classifying(group.descriptor)
+    return Classifying(group)
 
 
 def _direct_factors(d: GroupDescriptor) -> list[GroupDescriptor]:
@@ -173,24 +213,15 @@ def _direct_factors(d: GroupDescriptor) -> list[GroupDescriptor]:
 def described_classifying(d: GroupDescriptor) -> SpaceExpr:
     """B of a described group, the one product rule: ``B(G x H)`` is
     ``B(G) * B(H)``, equal at every height since a commuting tuple in G x H
-    is a pair of commuting tuples.  The abelian factors gather into one
-    degree-1 EM atom, a cyclic one without a table, and each other factor
-    is built as its own table.  The whole descriptor is checked first, so a
-    product is refused exactly as ``build_group`` would refuse its table."""
+    is a pair of commuting tuples.  A cyclic factor is its EM atom, with no
+    table; each other factor is built as its own table and read by
+    ``classifying``.  EM atoms are merged by ``_component``, not here.  The
+    whole descriptor is checked first, so a product is refused exactly as
+    ``build_group`` would refuse its table."""
     from .groups import Cyclic, build_group, checked_order
     checked_order(d)
-    orders: list[int] = []
-    tables: list[SpaceExpr] = []
-    for f in _direct_factors(d):
-        if isinstance(f, Cyclic):
-            orders.append(f.n)
-            continue
-        g = build_group(f)
-        if g.is_abelian():
-            orders.extend(_abelian_primary_factors(g))
-        else:
-            tables.append(Classifying(g))
-    return product(em_space(orders, 1), *tables)
+    return product(*(em_space([f.n], 1) if isinstance(f, Cyclic) else classifying(build_group(f))
+                     for f in _direct_factors(d)))
 
 
 def em_space(factors: Iterable[int], degree: int) -> SpaceExpr:
@@ -239,28 +270,6 @@ def product(*factors: SpaceExpr) -> SpaceExpr:
 
 # -- normal form -------------------------------------------------------------------
 
-def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
-    """Invariant prime-power cyclic factors of an abelian group, recovered
-    from its element-order statistics."""
-    factors: list[int] = []
-    for q, k in _prime_factors(g.order):
-        # e_j = log_q #{x : order(x) divides q^j}; the successive differences
-        # m_j = e_j - e_{j-1} form the conjugate of the type partition.
-        exps = [0]
-        while exps[-1] < k:
-            qj = q ** len(exps)
-            c = sum(1 for o in g.element_orders if qj % o == 0)
-            e = _int_valuation(c, q)
-            if q ** e != c:
-                raise InvariantError("element-order counts of an abelian group are q-powers")
-            exps.append(e)
-        m = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
-        for i in range(1, (m[0] if m else 0) + 1):
-            lam = sum(1 for mj in m if mj >= i)
-            factors.append(q ** lam)
-    return tuple(sorted(factors))
-
-
 Atom = Union[Classifying, EM]
 
 # The one bound on the size of a normal form: a union whose fold, or a
@@ -306,25 +315,6 @@ def _component(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
     return tuple(out)
 
 
-def _canonical_atoms(atom: Atom) -> tuple[Atom, ...]:
-    """The sorted component an atom stands for.  Unit atoms drop out;
-    abelian classifying spaces unify with their degree-1 Eilenberg-MacLane
-    form; a table built for a direct product splits as
-    ``described_classifying`` reads ``B(G x H)``, so its printed name parses
-    back to the same normal form."""
-    if isinstance(atom, Classifying):
-        from .groups import DirectProduct
-        g = atom.group
-        if g.order == 1:
-            return ()
-        if g.is_abelian():
-            return (EM(_abelian_primary_factors(g), 1),)
-        if isinstance(g.descriptor, DirectProduct):
-            (comp,) = normal_form(described_classifying(g.descriptor))._counts
-            return comp
-    return (atom,)
-
-
 class NormalForm:
     """Multiset of components, each a sorted multiset of connected atoms.
 
@@ -350,10 +340,6 @@ class NormalForm:
     @classmethod
     def scalar(cls, k: int) -> "NormalForm":
         return cls({(): k} if k else {})
-
-    @classmethod
-    def atom(cls, atom: Atom) -> "NormalForm":
-        return cls({_canonical_atoms(atom): 1})
 
     @property
     def components(self) -> tuple[tuple[tuple[Atom, ...], int], ...]:
@@ -433,15 +419,18 @@ def _product(forms: list[NormalForm]) -> NormalForm:
 
 
 def normal_form(x: SpaceExpr) -> NormalForm:
-    """Distribute products over disjoint unions and canonicalize atoms.  A
+    """Distribute products over disjoint unions.  A ``Classifying`` atom
+    built directly, not by ``classifying``, is read by that rule first.  A
     union whose fold, or a product whose expansion, would pass
     ``MAX_COMPONENTS`` components is refused, a product before it expands."""
     if isinstance(x, Empty):
         return NormalForm.zero()
     if isinstance(x, FinSet):
         return NormalForm.scalar(x.size)
+    if isinstance(x, Classifying) and not isinstance(atom := classifying(x.group), Classifying):
+        return normal_form(atom)
     if isinstance(x, (Classifying, EM)):
-        return NormalForm.atom(x)
+        return NormalForm({(x,): 1})
     if isinstance(x, Disjoint):
         return _sum(normal_form(part) for part in x.parts)
     if isinstance(x, Product):

@@ -30,7 +30,8 @@ def random_space_expr(rng: random.Random, depth: int = 2) -> pf.SpaceExpr:
         if kind == 0:
             return pf.finite_set(rng.randint(1, 3))
         if kind == 1:
-            return pf.classifying(named_group(rng.choice(GROUP_TEXTS)))
+            # the raw atom: an abelian table stays a table that counts tuples
+            return pf.Classifying(named_group(rng.choice(GROUP_TEXTS)))
         return pf.em_space(rng.choice(ABELIAN_POOL), rng.randint(1, 3))
     if roll < 0.8:
         return pf.disjoint_union(*(random_space_expr(rng, depth - 1)

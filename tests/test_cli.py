@@ -328,6 +328,22 @@ class TestLargeAnswers:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith("resource error:") and "digit budget" in out.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("profile", "--space", "B^1(C3)", "--prime", "2", "--range", "10000000"),
+        ("classify", "--space", "B(C3)", "--prime", "2", "--range", "10000000"),
+        ("beta", "--prime", "2", "--k", "1", "--range", "10000000"),
+        ("table", "--prime", "3", "--kmax", "1000000", "--nmax", "3"),
+    ])
+    def test_value_budget_refused_in_under_a_second(self, argv):
+        # every value is a small constant, so no digit budget stops these:
+        # a tenth of each ran for 9-20 s and took 176-437 MB
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "pifinite.cli", *argv], env=_probe_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("resource error:") and "131072-value budget" in out.stderr
+
     def test_tuple_budget_refuses_nothing_printable(self, capsys):
         # (3 * 2^n - 2) / 6 prints up to n = 14283; the count is refused later
         code, out, err = run(capsys, "card", "--space", "B(S3)", "--prime", "2",

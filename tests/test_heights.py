@@ -6,7 +6,7 @@ from conftest import named_group
 
 import pifinite as pf
 from pifinite import InputError, LayerClass, ResourceBudgetError, vp
-from pifinite.rationals import MAX_DIGITS
+from pifinite.rationals import MAX_DIGITS, MAX_VALUES
 
 
 def random_p_integral(rng: random.Random, p: int, v: int) -> Fraction:
@@ -173,6 +173,23 @@ class TestProfilesAndClasses:
     def test_zero_layer_above_zero(self):
         prof = pf.HeightProfile(2, (1, 0, 1))
         assert pf.classify_layer(prof, 1) is LayerClass.ZERO
+
+    def test_value_budget_decided_before_any_layer(self, monkeypatch):
+        # layers 0..131071 are 2^17 values, the budget; one more is refused
+        # before the first layer is computed
+        import pifinite.heights as heights
+        assert MAX_VALUES == 131072
+        assert pf.height_profile(pf.PT, 2, 131071).values == (1,) * 131072
+        assert len(pf.R1Element.integer(1).profile(2, 131071)) == 131072
+
+        def no_layer(*args):
+            raise AssertionError("a layer was computed")
+        monkeypatch.setattr(heights, "height_cardinality", no_layer)
+        for build in (lambda: pf.height_profile(pf.PT, 2, 131072),
+                      lambda: pf.beta_element(2, 1).profile(2, 131072),
+                      lambda: pf.alpha_splitter(2, 1, 131072)):
+            with pytest.raises(ResourceBudgetError, match="131072-value budget"):
+                build()
 
 
 class TestR1Element:
@@ -348,6 +365,15 @@ class TestWreathIdentity:
     def test_cap_applies(self):
         with pytest.raises(ResourceBudgetError):
             pf.verify_wreath_identity(named_group("S3"), 5, 1)
+
+    def test_every_side_counts_tuples_on_its_table(self, monkeypatch):
+        # an abelian G and its C_p x G would be valued by the EM formula
+        # through the space route; the identity is checked on the tables
+        import pifinite.heights as heights
+        cases = [(named_group(t), n) for t in ("C2", "C2 x C2", "S3") for n in range(4)]
+        expected = [pf.verify_wreath_identity(g, 2, n) for g, n in cases]
+        monkeypatch.setattr(heights, "height_cardinality", lambda x, p, n: Fraction(-1))
+        assert [pf.verify_wreath_identity(g, 2, n) for g, n in cases] == expected
 
 
 class TestPkRelations:

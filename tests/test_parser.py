@@ -79,7 +79,9 @@ ABELIAN_TEXTS = tuple(f"C{n}" for n in range(2, 13)) + ("C2 x C4", "C2 x C2 x C3
 class TestAbelianRoute:
     def test_parses_to_em_atom_without_a_table(self, build_calls):
         assert parse_space("B(C6)") == pf.em_space([2, 3], 1)
-        assert parse_space("B(C2 x C2 x C3)") == pf.em_space([2, 2, 3], 1)
+        whole = parse_space("B(C2 x C2 x C3)")
+        assert whole == pf.product(pf.em_space([2], 1), pf.em_space([2], 1), pf.em_space([3], 1))
+        assert pf.normal_form(whole) == pf.normal_form(pf.em_space([2, 2, 3], 1))
         assert parse_space("B(C1)") == pf.PT
         assert build_calls == []
         parse_space("B(C2 wr C2) * B(C2 x S3)")
@@ -88,7 +90,8 @@ class TestAbelianRoute:
     @pytest.mark.parametrize("text", ABELIAN_TEXTS)
     def test_matches_table_route(self, text):
         parsed = parse_space(f"B({text})")
-        table = pf.classifying(pf.build_group(pf.parse_group(text)))
+        # the raw atom, so the table side counts tuples, not the EM formula
+        table = pf.Classifying(pf.build_group(pf.parse_group(text)))
         for p in (2, 3, 5):
             for n in range(4):
                 assert pf.height_cardinality(parsed, p, n) == pf.height_cardinality(table, p, n)
@@ -104,7 +107,7 @@ class TestProductRule:
     def test_product_of_classifying_spaces(self, g, h):
         whole = parse_space(f"B({g} x {h})")
         split = parse_space(f"B({g}) * B({h})")
-        table = pf.classifying(pf.build_group(pf.parse_group(f"{g} x {h}")))
+        table = pf.Classifying(pf.build_group(pf.parse_group(f"{g} x {h}")))
         for p in (2, 3):
             assert pf.height_profile(whole, p, 3) == pf.height_profile(split, p, 3) == \
                 pf.height_profile(table, p, 3)
@@ -113,10 +116,16 @@ class TestProductRule:
     def test_builds_only_the_factors(self, build_calls):
         parse_space("B(D200 x S4)")
         assert [descriptor_name(d) for d in build_calls] == ["D200", "S4"]
-        assert parse_space("B(C2 x S3 x C3)") == pf.product(
-            pf.em_space([2, 3], 1), pf.classifying(named_group("S3")))
-        # an abelian factor built as a table joins the EM atom too
-        assert parse_space("B(S2 x C3 x D4)") == pf.em_space([2, 3, 2, 2], 1)
+        mixed = parse_space("B(C2 x S3 x C3)")
+        assert mixed == pf.product(pf.em_space([2], 1), pf.classifying(named_group("S3")),
+                                   pf.em_space([3], 1))
+        assert pf.normal_form(mixed) == pf.normal_form(
+            pf.product(pf.em_space([2, 3], 1), pf.classifying(named_group("S3"))))
+        # an abelian factor built as a table is its EM atom, merged in the normal form
+        abelian = parse_space("B(S2 x C3 x D4)")
+        assert abelian == pf.product(pf.em_space([2], 1), pf.em_space([3], 1),
+                                     pf.em_space([2, 2], 1))
+        assert pf.normal_form(abelian) == pf.normal_form(pf.em_space([2, 3, 2, 2], 1))
 
     def test_whole_product_checked_before_any_table(self, build_calls):
         with pytest.raises(pf.ResourceBudgetError, match="order 13824 exceeds the cap"):

@@ -467,6 +467,37 @@ class TestAbelianInvariants:
         assert _abelian_primary_factors(g) == (2, 3, 4, 8, 9)
 
 
+# the zoo, the trivial group and three larger non-abelian tables; the atom
+# rule reads each and each of their centralizers at p = 2, 3
+ATOM_RULE_TEXTS = GROUP_TEXTS + ("C1", "S4", "C2 wr C2", "S3 wr C2")
+
+
+class TestAtomRule:
+    @staticmethod
+    def check(g: pf.FiniteGroup) -> None:
+        atom = pf.classifying(g)
+        assert (atom == PT) == (g.order == 1)
+        is_em = isinstance(atom, pf.EM) and atom.degree == 1
+        assert is_em == (g.order > 1 and g.is_abelian())
+        if not is_em and g.order > 1:
+            assert atom == pf.Classifying(g)
+        assert pf.normal_form(pf.Classifying(g)) == pf.normal_form(atom)
+
+    @pytest.mark.parametrize("text", ATOM_RULE_TEXTS)
+    def test_group_and_centralizers(self, text):
+        g = named_group(text)
+        self.check(g)
+        for p in (2, 3):
+            for _, c in pf.p_loop_decomposition(g, p):
+                self.check(c)
+
+    def test_table_of_a_direct_product(self):
+        g = pf.build_group(pf.parse_group("C2 x C2"))
+        self.check(g)
+        assert pf.classifying(g) == pf.EM((2, 2), 1)
+        assert pf.normal_form(pf.Classifying(g)) == pf.normal_form(pf.EM((2, 2), 1))
+
+
 def union_product(k: int) -> pf.SpaceExpr:
     """(B(C2) + B(C3)) * (B(C5) + B(C7)) * ...: k two-atom unions over
     distinct primes, whose normal form has 2^k components."""
