@@ -247,20 +247,16 @@ def _check_coset_composition() -> tuple[bool, str]:
     return ok, f"3 * {s3} = {lhs} differs from |B(C2)| = {rhs}"
 
 
-# every (p, n) with n >= 4 whose p^C(n,2) forms fit the default enumeration budget
-_FORM_KERNEL_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
-
-
 def _check_fiber_formula() -> tuple[bool, str]:
     # the fiber's value follows from the forms counted: |F|_n = N(p, n) *
     # p^(C(n,3) - C(n,2)) (see quadforms), with N enumerated, not in closed form
-    from .quadforms import (amenability_failure_report, count_null_square_two_forms,
-                            cup_square_fiber_cardinality)
+    from .quadforms import (DEFAULT_BUDGET_PAIRS, amenability_failure_report,
+                            count_null_square_two_forms, cup_square_fiber_cardinality)
     ok = True
     for p in (3, 5, 7):
         report = amenability_failure_report(p)
         ok &= report.lhs == p ** 3 + p - 1 and not report.multiplicative
-    pairs = _FORM_KERNEL_PAIRS + tuple((p, n) for p in (3, 5) for n in (1, 2, 3))
+    pairs = DEFAULT_BUDGET_PAIRS + tuple((p, n) for p in (3, 5) for n in (1, 2, 3))
     for p, n in pairs:
         forms = count_null_square_two_forms(p, n).kernel_count
         ok &= cup_square_fiber_cardinality(p, n) == \
@@ -270,9 +266,10 @@ def _check_fiber_formula() -> tuple[bool, str]:
 
 
 def _check_form_kernel() -> tuple[bool, str]:
-    from .quadforms import count_null_square_two_forms, decomposable_form_count
+    from .quadforms import (DEFAULT_BUDGET_PAIRS, count_null_square_two_forms,
+                            decomposable_form_count)
     counts = {(p, n): count_null_square_two_forms(p, n).kernel_count
-              for p, n in _FORM_KERNEL_PAIRS}
+              for p, n in DEFAULT_BUDGET_PAIRS}
     ok = counts[3, 4] == 261
     ok &= all(c == decomposable_form_count(p, n) for (p, n), c in counts.items())
     for p in (3, 5):

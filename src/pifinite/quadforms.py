@@ -35,7 +35,9 @@ a line of the projective plane, or a zero vector.  The lines are solved in
 one place, ``_incidence``, which gives each of the p^2+p+2 classes the int
 mask of the classes incident to it; the list of those classes is read off
 the mask, and every level of the split reads its relations from them
-through a p^3-entry class index.
+through a p^3-entry class index.  The plane depends on p alone, so
+``_plane`` holds the masks, the lists and the index per prime: the first
+count at p solves them, and every later count at p reads them.
 ``decomposable_form_count`` is the Gaussian-binomial closed form.  The
 enumeration never consults the closed form or any rank formula.
 """
@@ -44,6 +46,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import namedtuple
+from functools import cache
 from fractions import Fraction
 from itertools import combinations, compress, count, product, repeat
 from operator import add, and_, itemgetter, lshift
@@ -56,12 +60,46 @@ from .records import frozen
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
 
 
+def _budget_pairs() -> tuple[tuple[int, int], ...]:
+    """Every (p, n) with n >= 4 whose p^C(n,2) forms fit
+    ``DEFAULT_ENUMERATION_BUDGET``, by n and then by p."""
+    pairs, n = [], 4
+    while 3 ** math.comb(n, 2) <= DEFAULT_ENUMERATION_BUDGET:
+        p = 3
+        while p ** math.comb(n, 2) <= DEFAULT_ENUMERATION_BUDGET:
+            if is_prime(p):
+                pairs.append((p, n))
+            p += 2
+        n += 1
+    return tuple(pairs)
+
+
+# the pairs that ``verify`` and the tests count in full
+DEFAULT_BUDGET_PAIRS = _budget_pairs()
+
+
+def _is_int(x) -> bool:
+    """Whether ``x`` is an int and not a bool: ``3.0 == 3`` and ``True == 1``
+    would pass the checks below and share a held plane with the int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _require_odd_prime(p: int) -> int:
+    if not _is_int(p):
+        raise InputError(f"expected an odd prime, got {p!r}")
     if p == 2:
         raise InputError("p = 2 is unsupported here (the construction needs an odd prime)")
     if not is_prime(p):
         raise InputError(f"expected an odd prime, got {p!r}")
     return p
+
+
+def _require_at_least(name: str, value: int, low: int) -> int:
+    if not _is_int(value):
+        raise InputError(f"{name} must be an int, got {value!r}")
+    if value < low:
+        raise InputError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 @frozen
@@ -87,6 +125,9 @@ class FormCountReport:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n."""
+    if not all(map(_is_int, (n, k, q))):
+        raise InputError(f"expected ints, got n={n!r}, k={k!r}, q={q!r}")
+    _require_at_least("q", q, 2)
     if k < 0 or k > n:
         return 0
     num = den = 1
@@ -102,8 +143,7 @@ def decomposable_form_count(p: int, n: int) -> int:
     """Closed-form count of {omega : omega ^ omega = 0}: the zero form plus
     p-1 nonzero multiples of u ^ v per 2-dimensional subspace <u, v>."""
     _require_odd_prime(p)
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
+    _require_at_least("dimension", n, 1)
     return 1 + (p - 1) * gaussian_binomial(n, 2, p)
 
 
@@ -146,8 +186,7 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     and has no per-call override.
     """
     _require_odd_prime(p)
-    if n < 1:
-        raise InputError(f"dimension must be >= 1, got {n}")
+    _require_at_least("dimension", n, 1)
     e = math.comb(n, 2)
     # p^e is taken only where it may fit the digit budget, and shown only
     # where it does
@@ -160,11 +199,9 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
     if n == 4:
-        masks = _incidence(p)
+        masks = _plane(p).incidence
     else:
-        ctx = _scaling_classes(p)
-        masks = _alive(p, _representatives(p, n - 1),
-                       _representative_tables(p, n - 1, ctx), ctx[1])
+        masks = _alive(p, _representatives(p, n - 1), _representative_tables(p, n - 1))
     q = p - 1
     zero_u, *rest = masks
     zero_v = sum(map((1).__and__, rest))
@@ -173,28 +210,37 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     return FormCountReport(p, n, kernel, total)
 
 
-def _scaling_classes(p: int) -> tuple[list[itemgetter], list[int]]:
-    """``(lines, index)`` for F_p^3, which every level of the split shares:
-    per class row of ``_representatives(p, 3)``, an ``itemgetter`` of the
-    rows incident to it, read off its ``_incidence`` mask, and their
-    ``_class_index``.  Built once per count and kept by none."""
-    return [itemgetter(*_bits(mask)) for mask in _incidence(p)], _class_index(p)
+_Plane = namedtuple("_Plane", "incidence lines index negated scaled square")
 
 
-def _null_square_kernel(p: int, n: int, ctx: tuple | None = None) -> list[tuple[int, ...]]:
+@cache
+def _plane(p: int) -> _Plane:
+    """The projective plane over F_p as every count at p reads it, solved by
+    the first count at p and held for the process, every field a tuple:
+    the ``_incidence`` masks; per class row of ``_representatives(p, 3)``,
+    an ``itemgetter`` of the rows incident to it, read off its mask; the
+    ``_class_index``; and the offsets ``_classes`` adds into that index,
+    ``negated[y]`` = (-y mod p)*p, ``scaled[y]`` = y*p and ``square[x]`` =
+    x*p^2.  Counts reach it only after the prime and budget checks, so it
+    holds at most the primes the enumeration budget admits."""
+    incidence = tuple(_incidence(p))
+    return _Plane(incidence, tuple(itemgetter(*_bits(mask)) for mask in incidence),
+                  tuple(_class_index(p)), tuple(-y % p * p for y in range(p)),
+                  tuple(y * p for y in range(p)), tuple(x * p * p for x in range(p)))
+
+
+def _null_square_kernel(p: int, n: int) -> list[tuple[int, ...]]:
     """The forms on F_p^n with zero wedge square, coordinates in
-    ``combinations(range(n), 2)`` order.  ``ctx`` is ``_scaling_classes(p)``,
-    built here when not given."""
+    ``combinations(range(n), 2)`` order."""
     if n < 4:
         return _all_vectors(p, math.comb(n, 2))
-    ctx = ctx or _scaling_classes(p)
     us = _all_vectors(p, n - 1)
-    inner = _null_square_kernel(p, n - 1, ctx)
-    alive, _ = _vertex_zero_test(p, us, inner, ctx)
+    inner = _null_square_kernel(p, n - 1)
+    alive, _ = _vertex_zero_test(p, us, inner)
     return [u + inner[j] for u, mask in zip(us, alive) for j in _bits(mask)]
 
 
-def _representative_split(p: int, n: int, ctx: tuple) -> tuple[list, list, list[int], list]:
+def _representative_split(p: int, n: int) -> tuple[list, list, list[int], list]:
     """``(us, inner, alive, tables)`` for the kernel representatives on
     F_p^n (n >= 4), split on vertex 0.  ``us`` are the representatives of
     F_p^(n-1) and ``inner`` the kernel one dimension down; the
@@ -207,8 +253,8 @@ def _representative_split(p: int, n: int, ctx: tuple) -> tuple[list, list, list[
     leading 1 at position i are the run from (0,..,0,1,0,..) up to
     (0,..,0,2,0,..)."""
     us = _representatives(p, n - 1)
-    inner = _null_square_kernel(p, n - 1, ctx)
-    alive, tables = _vertex_zero_test(p, us, inner, ctx)
+    inner = _null_square_kernel(p, n - 1)
+    alive, tables = _vertex_zero_test(p, us, inner)
     size = len(inner[0])
     alive[0] = 1        # the zero form
     for i in range(size):
@@ -218,7 +264,7 @@ def _representative_split(p: int, n: int, ctx: tuple) -> tuple[list, list, list[
     return us, inner, alive, tables
 
 
-def _representative_tables(p: int, m: int, ctx: tuple) -> list[list[int]]:
+def _representative_tables(p: int, m: int) -> list[list[int]]:
     """The kernel representatives on F_p^m (m >= 4) as the count one
     dimension up reads them: ``tables[t][k]`` holds those whose w for the
     t-th triple b<c<d of ``combinations(range(m), 3)`` lies on the line of
@@ -234,28 +280,27 @@ def _representative_tables(p: int, m: int, ctx: tuple) -> list[list[int]]:
     table the test through vertex 0 has built: repeating it in every slot
     and cutting it to the representatives places it.  Every count ANDs at
     least one such table, so the other tables need no cut."""
-    lines, index = ctx
-    us, inner, alive, inner_tables = _representative_split(p, m, ctx)
+    plane = _plane(p)
+    us, inner, alive, inner_tables = _representative_split(p, m)
     offsets = range(0, len(us) * len(inner), len(inner))
     reps = sum(map(lshift, alive, offsets))
     repeated = sum(map(lshift, repeat(1), offsets))
-    negated = [-y % p * p for y in range(p)]
     buckets = []
     for column, (c, d) in zip(zip(*inner), combinations(range(m - 1), 2)):
         by_value = [0] * p
         for j, x in enumerate(column):
             by_value[x] |= 1 << j
-        masks = [0] * len(lines)
+        masks = [0] * len(plane.lines)
         for u, offset in zip(us, offsets):
             # the classes of (x, -u_d, u_c) for x = 0, 1, ..., p-1
-            for cls, rows in zip(index[negated[u[d]] + u[c]::p * p], by_value):
+            for cls, rows in zip(plane.index[plane.negated[u[d]] + u[c]::p * p], by_value):
                 masks[cls] |= rows << offset
         buckets.append(masks)
-    return (_tables(buckets, lines)
+    return (_tables(buckets, plane.lines)
             + [[mask * repeated & reps for mask in table] for table in inner_tables])
 
 
-def _vertex_zero_test(p: int, us: list, inner: list, ctx: tuple) -> tuple[list[int], list]:
+def _vertex_zero_test(p: int, us: list, inner: list) -> tuple[list[int], list]:
     """``(alive, tables)``: ``alive[i]`` holds the rows j of ``inner`` (forms
     on vertices 1..n-1, relabelled 0..n-2) for which (us[i], inner[j])
     passes every relation through vertex 0 on F_p^n, and ``tables[t][k]``
@@ -267,50 +312,52 @@ def _vertex_zero_test(p: int, us: list, inner: list, ctx: tuple) -> tuple[list[i
     of a and of w: each row goes to the bucket of its w's class, the
     buckets are ORed along the lines, and ``_alive`` ANDs the tables over
     the triples."""
-    lines, index = ctx
+    plane = _plane(p)
     size = len(us[0])
     pos = {pair: i for i, pair in enumerate(combinations(range(size), 2))}
     columns = list(zip(*inner))
-    negated = [-y % p * p for y in range(p)]
     buckets = []
     for b, c, d in combinations(range(size), 3):
-        masks = [0] * len(lines)
-        classes = _classes(p, index, columns[pos[c, d]],
-                           map(negated.__getitem__, columns[pos[b, d]]), columns[pos[b, c]])
+        masks = [0] * len(plane.lines)
+        classes = _classes(p, columns[pos[c, d]],
+                           map(plane.negated.__getitem__, columns[pos[b, d]]),
+                           columns[pos[b, c]])
         for j, cls in enumerate(classes):
             masks[cls] |= 1 << j
         buckets.append(masks)
-    tables = _tables(buckets, lines)
-    return _alive(p, us, tables, index), tables
+    tables = _tables(buckets, plane.lines)
+    return _alive(p, us, tables), tables
 
 
-def _tables(buckets: list[list[int]], lines: list[itemgetter]) -> list[list[int]]:
+def _tables(buckets: list[list[int]], lines: tuple[itemgetter, ...]) -> list[list[int]]:
     """Per triple, the OR of its bucket masks along each line of
     ``_incidence``.  A bucket's members lie in one class, so the buckets on
     a line are disjoint and their OR is their sum."""
     return [[sum(line(masks)) for line in lines] for masks in buckets]
 
 
-def _alive(p: int, us: list, tables: list[list[int]], index: list[int]) -> list[int]:
+def _alive(p: int, us: list, tables: list[list[int]]) -> list[int]:
     """Per vector u of ``us``, the AND over triples t = (b, c, d) of
     ``tables[t]`` at the class of (u_b, u_c, u_d): what passes every
     relation with u."""
     columns = list(zip(*us))
-    scaled = [y * p for y in range(p)]
+    scaled = _plane(p).scaled
     alive = None
     for table, (b, c, d) in zip(tables, combinations(range(len(columns)), 3)):
-        picked = map(table.__getitem__, _classes(p, index, columns[b],
+        picked = map(table.__getitem__, _classes(p, columns[b],
                                                  map(scaled.__getitem__, columns[c]), columns[d]))
         alive = list(picked) if alive is None else list(map(and_, alive, picked))
     return alive
 
 
-def _classes(p: int, index: list[int], firsts, middles, lasts):
-    """The class rows, by ``index``, of the vectors (x, y, z) of F_p^3 given
-    column by column: x from ``firsts``, p*y from ``middles`` and z from
-    ``lasts``, so that a caller can fold a sign into the middle column."""
-    square = [x * p * p for x in range(p)]
-    return map(index.__getitem__, map(add, map(square.__getitem__, firsts), map(add, middles, lasts)))
+def _classes(p: int, firsts, middles, lasts):
+    """The class rows, by the plane's index, of the vectors (x, y, z) of
+    F_p^3 given column by column: x from ``firsts``, p*y from ``middles``
+    and z from ``lasts``, so that a caller can fold a sign into the middle
+    column."""
+    plane = _plane(p)
+    return map(plane.index.__getitem__,
+               map(add, map(plane.square.__getitem__, firsts), map(add, middles, lasts)))
 
 
 def _incidence(p: int) -> list[int]:
@@ -398,8 +445,7 @@ def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:
     ``MAX_DIGITS`` budget by that bound is refused before any power is taken.
     """
     _require_odd_prime(p)
-    if n < 0:
-        raise InputError(f"height must be >= 0, got {n}")
+    _require_at_least("height", n, 0)
     if n >= 4 and not power_may_fit(p, math.comb(n - 1, 3) + n - 2, 2):
         raise ResourceBudgetError(f"the fiber at height {n} exceeds the {MAX_DIGITS}-digit budget")
     lead = Fraction(p) ** binom_ext(n - 1, 3)

@@ -6,6 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +14,10 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (_all_vectors, _class_index, _incidence,
-                                _null_square_kernel, _representative_split,
-                                _representative_tables, _representatives,
-                                _scaling_classes)
-
-# every (p, n) with n >= 4 whose p^C(n,2) forms fit the default budget
-DEFAULT_BUDGET_PAIRS = ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
+from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _all_vectors, _bits, _class_index,
+                                _incidence, _null_square_kernel, _plane,
+                                _representative_split, _representative_tables,
+                                _representatives)
 
 
 @functools.lru_cache(maxsize=None)
@@ -39,7 +37,7 @@ def sweep_kernel(p: int, n: int) -> frozenset:
 def kernel_representatives(p: int, n: int) -> list:
     """The forms that ``_representative_split`` lays out as bits, one per
     scaling class of the kernel on F_p^n, in bit order."""
-    us, inner, alive, _ = _representative_split(p, n, _scaling_classes(p))
+    us, inner, alive, _ = _representative_split(p, n)
     return [us[i] + inner[j] for i, mask in enumerate(alive)
             for j in range(len(inner)) if mask >> j & 1]
 
@@ -238,7 +236,7 @@ class TestScalingClasses:
         # a line of the projective plane over F_p holds p + 1 points
         assert (table[1:, 1:].sum(axis=1) == p + 1).all()
         # the lists the kernel sums along are those lines, each point once
-        lines = [line(range(size)) for line in _scaling_classes(p)[0]]
+        lines = [line(range(size)) for line in _plane(p).lines]
         assert lines[0] == tuple(range(size))
         for mask, line in zip(masks[1:], lines[1:]):
             assert len(line) == p + 2 and len(set(line)) == p + 2
@@ -259,14 +257,13 @@ class TestScalingClasses:
     def test_representative_tables_hold_the_passing_representatives(self, p, m):
         # tables[t][k] holds, among the representatives, exactly those whose
         # w for the t-th triple is orthogonal to class k, tested directly mod p
-        ctx = _scaling_classes(p)
-        us, inner, alive, _ = _representative_split(p, m, ctx)
+        us, inner, alive, _ = _representative_split(p, m)
         assert inner == _null_square_kernel(p, m - 1)
         width = len(inner)
         forms = {i * width + j: us[i] + inner[j]
                  for i, mask in enumerate(alive) for j in range(width) if mask >> j & 1}
         reps = sum(1 << position for position in forms)
-        tables = _representative_tables(p, m, ctx)
+        tables = _representative_tables(p, m)
         classes = _representatives(p, 3)
         pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
         triples = list(combinations(range(m), 3))
@@ -289,6 +286,129 @@ class TestScalingClasses:
         picked = leading_one_rows(kernel)
         assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
         assert set(picked) <= set(kernel)
+
+
+class TestHeldPlane:
+    """Each prime's projective plane is solved once, by the first count at
+    that prime, and every later count at it reads the held one."""
+
+    def test_solved_once_per_prime(self, monkeypatch):
+        calls = []
+        solve = pf.quadforms._incidence
+        monkeypatch.setattr(pf.quadforms, "_incidence", lambda p: calls.append(p) or solve(p))
+        _plane.cache_clear()
+        for p, n in ((5, 4), (5, 5), (5, 4)):
+            assert pf.count_null_square_two_forms(p, n).kernel_count == \
+                pf.decomposable_form_count(p, n)
+        assert calls == [5]
+
+    @pytest.mark.parametrize("p", sorted({p for p, _ in DEFAULT_BUDGET_PAIRS}))
+    def test_holds_only_tuples(self, p):
+        plane = _plane(p)
+        assert isinstance(plane, tuple)
+        assert all(type(field) is tuple for field in plane)
+
+    @pytest.mark.parametrize("p", sorted({p for p, _ in DEFAULT_BUDGET_PAIRS}))
+    def test_held_plane_equals_one_solved_fresh(self, p):
+        plane = _plane(p)
+        incidence, index = _incidence(p), _class_index(p)
+        size = len(incidence)
+        assert plane.incidence == tuple(incidence)
+        assert plane.index == tuple(index)
+        # each line lists the rows set in its mask, lowest first
+        assert [line(range(size)) for line in plane.lines] == \
+            [tuple(row for row in range(size) if mask >> row & 1) for mask in incidence]
+        # the offsets place (x, y, z) and (x, -y, z) in the index
+        for x, y, z in product(range(p), repeat=3):
+            assert plane.index[plane.square[x] + plane.scaled[y] + z] == \
+                index[(x * p + y) * p + z]
+            assert plane.index[plane.square[x] + plane.negated[y] + z] == \
+                index[(x * p + -y % p) * p + z]
+
+    def test_interleaved_primes_match_the_oracles(self):
+        # the brute-force sweep where it is quick; past 10^5 forms, the
+        # numpy enumeration, which reads no scaling class either
+        _plane.cache_clear()
+        for p, n in ((5, 5), (3, 5), (5, 5), (13, 4), (3, 4)):
+            expected = (len(sweep_kernel(p, n)) if p ** math.comb(n, 2) <= 10 ** 5
+                        else full_enumeration_count(p, n))
+            assert pf.count_null_square_two_forms(p, n).kernel_count == expected
+        assert _plane.cache_info().currsize == 3
+
+    def test_counts_read_the_held_plane(self, monkeypatch):
+        # class 2, (1, 0, 1), is off the line of class 1, (1, 0, 0): a plane
+        # held with that pair incident must change both counts at p = 5
+        held = _plane(5)
+        assert not held.incidence[1] >> 2 & 1
+        incidence = list(held.incidence)
+        incidence[1] |= 1 << 2
+        lines = list(held.lines)
+        lines[1] = itemgetter(*_bits(incidence[1]))
+        tampered = held._replace(incidence=tuple(incidence), lines=tuple(lines))
+        monkeypatch.setattr(pf.quadforms, "_plane", lambda p: tampered if p == 5 else _plane(p))
+        for n in (4, 5):
+            try:
+                count = pf.count_null_square_two_forms(5, n).kernel_count
+            except InvariantError:
+                continue
+            assert count != pf.decomposable_form_count(5, n)
+
+
+class TestInputTypes:
+    """Only a non-bool int is a prime, dimension or height: ``3.0 == 3`` and
+    ``True == 1`` are refused before any plane is solved or held."""
+
+    @pytest.fixture(autouse=True)
+    def no_plane_held(self):
+        _plane.cache_clear()
+        yield
+        assert _plane.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("p,n", [(3.0, 4), (3, 4.0), (True, 4), (3, True), ("3", 4)])
+    def test_count_null_square_two_forms(self, p, n):
+        with pytest.raises(InputError):
+            pf.count_null_square_two_forms(p, n)
+
+    @pytest.mark.parametrize("p,n", [(3.0, 4), (3, 4.0), (True, 4), (3, True)])
+    def test_decomposable_form_count(self, p, n):
+        with pytest.raises(InputError):
+            pf.decomposable_form_count(p, n)
+
+    @pytest.mark.parametrize("p,n", [(3.0, 4), (3, 4.0), (True, 4), (3, False)])
+    def test_cup_square_fiber_cardinality(self, p, n):
+        with pytest.raises(InputError):
+            pf.cup_square_fiber_cardinality(p, n)
+
+    @pytest.mark.parametrize("n,k,q", [(4.0, 2, 3), (4, 2.0, 3), (4, 2, 3.0), (4, 2, True),
+                                       (4, 2, 1), (4, 2, 0), (4, 2, -1)])
+    def test_gaussian_binomial(self, n, k, q):
+        # a float answered a float, and q = 1 or -1 divided by zero
+        with pytest.raises(InputError):
+            pf.gaussian_binomial(n, k, q)
+
+    @pytest.mark.parametrize("p", [3.0, True, Fraction(3)])
+    def test_amenability_failure_report(self, p):
+        with pytest.raises(InputError):
+            pf.amenability_failure_report(p)
+
+    def test_messages(self):
+        with pytest.raises(InputError, match=r"^expected an odd prime, got 3\.0$"):
+            pf.count_null_square_two_forms(3.0, 4)
+        with pytest.raises(InputError, match="^dimension must be an int, got True$"):
+            pf.count_null_square_two_forms(3, True)
+        with pytest.raises(InputError, match="^height must be >= 0, got -1$"):
+            pf.cup_square_fiber_cardinality(3, -1)
+
+
+class TestBudgetPairs:
+    def test_pinned(self):
+        assert DEFAULT_BUDGET_PAIRS == ((3, 4), (5, 4), (7, 4), (11, 4), (13, 4), (3, 5), (5, 5))
+
+    def test_derived_from_the_budget(self, monkeypatch):
+        monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", 3 ** 15)
+        assert pf.quadforms._budget_pairs() == DEFAULT_BUDGET_PAIRS[:5] + ((3, 5), (5, 5), (3, 6))
+        monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", 3 ** 6 - 1)
+        assert pf.quadforms._budget_pairs() == ()
 
 
 class TestInvariants:
