@@ -7,11 +7,13 @@ a layer decides how the element acts there: a unit acts invertibly
 (DIVISIBLE), positive valuation forces completeness (COMPLETE), and an
 exact zero is its own class (ZERO).
 
-The splitting elements built here are integer combinations of space
-symbols such as [BG]: beta_element(p, k), built from [BC_p] as the EM atom
-B^1(C_p), is a unit at every layer above k and dies at layer k, and
-alpha_splitter multiplies the first k+1 of them into a profile that
-separates layers <= k from layers > k; k is at most DEFAULT_BETA_MAX_K.
+The splitting elements built here are one-term records, ``R1Element``:
+a coefficient times delta^j of one space symbol, plus an integer constant,
+read at layer n through the symbol's height-n cardinality.
+beta_element(p, k), built on [BC_p] as the EM atom B^1(C_p), is a unit at
+every layer above k and dies at layer k, and alpha_splitter multiplies the
+first k+1 of them, layer by layer, into a profile that separates layers
+<= k from layers > k; k is at most DEFAULT_BETA_MAX_K.
 
 Every delta step, checked or at layer 0, is held to the one digit budget
 ``MAX_DIGITS``: a step whose result would certainly pass it is refused
@@ -22,16 +24,17 @@ the value budget ``MAX_VALUES`` before any layer is computed.
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional, Union
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext, fits_digits,
-                        power_may_fit, require_digits, require_prime, require_values, vp)
+from .rationals import (MAX_DIGITS, ExactRational, RationalLike, _is_int, binom_ext,
+                        fits_digits, power_may_fit, require_digits, require_prime,
+                        require_values, vp)
 from .records import frozen
-from .spaces import (NormalForm, SpaceExpr, classifying, em_space, height_cardinality,
-                     normal_form, product)
+from .spaces import SpaceExpr, em_space, height_cardinality
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -127,12 +130,6 @@ class HeightProfile:
     def __len__(self) -> int:
         return len(self.values)
 
-    def pointwise_mul(self, other: "HeightProfile") -> "HeightProfile":
-        if self.prime != other.prime or len(self) != len(other):
-            raise InputError("profiles must share prime and range")
-        return HeightProfile(self.prime,
-                             tuple(a * b for a, b in zip(self.values, other.values)))
-
 
 def _profile(p: int, top: int, value: Callable[[int], ExactRational]) -> HeightProfile:
     # the one profile builder: the range is checked, and held to the value
@@ -170,122 +167,43 @@ def classify_layer(profile: HeightProfile, n: int) -> LayerClass:
     raise InputError(f"layer {n} value {a} is not p-integral")
 
 
-# -- formal combinations of space symbols ------------------------------------------------
-
-def _term_sort_key(item):
-    (nf, dpow), _ = item
-    return (dpow, nf.sort_key())
-
+# -- splitting elements ------------------------------------------------------------------
 
 @frozen
 class R1Element:
-    """Integer combination of symbols delta^j [X] plus an integer constant.
+    """One term plus a constant: coefficient * delta^delta_power [symbol] + constant.
 
-    A symbol [X] is a space, usually a classifying space [BG]; symbols are
-    kept as the expressions of their normal forms, so equal spaces merge,
-    whichever way they were written.  The plain symbols span a semiring,
-    [X][Y] = [X * Y], so products of delta-free elements expand formally;
-    [BG][BH] is the product space BG * BH, which is also what the text
-    ``B(G x H)`` parses to, and needs no table for G x H.  Evaluation sends
-    [X] at layer n to the height-n cardinality of X and applies delta
-    numerically, which is exactly what the formal delta does to the layer
-    values.
+    The symbol is a space, and evaluation sends it at layer n to its
+    height-n cardinality, then applies delta numerically ``delta_power``
+    times, which is exactly what the formal delta does to the layer values.
+    Both splitting elements, p[BC_p] - 1 and delta^(k-1)[BC_p] - b, have
+    this shape.
     """
-    terms: tuple[tuple[tuple[SpaceExpr, int], int], ...]  # ((space, delta_power), coeff)
-    constant: int = 0
+    symbol: SpaceExpr
+    delta_power: int
+    coefficient: int
+    constant: int
 
     def __post_init__(self):
-        merged: dict[tuple[NormalForm, int], int] = {}
-        for (space, dpow), coeff in self.terms:
-            if dpow < 0:
-                raise InputError("delta power must be >= 0")
-            key = (normal_form(space), dpow)
-            merged[key] = merged.get(key, 0) + coeff
-        canon = sorted(((k, c) for k, c in merged.items() if c), key=_term_sort_key)
-        object.__setattr__(self, "terms",
-                           tuple(((nf.to_expr(), dpow), c) for (nf, dpow), c in canon))
-
-    # construction helpers
-
-    @classmethod
-    def group_symbol(cls, group: FiniteGroup) -> "R1Element":
-        return cls((((classifying(group), 0), 1),))
-
-    @classmethod
-    def integer(cls, m: int) -> "R1Element":
-        return cls((), m)
-
-    # ring structure
-
-    def __add__(self, other: Union["R1Element", int]) -> "R1Element":
-        other = _coerce(other)
-        return R1Element(self.terms + other.terms, self.constant + other.constant)
-
-    def __radd__(self, other: int) -> "R1Element":
-        return self + other
-
-    def __neg__(self) -> "R1Element":
-        return R1Element(tuple((k, -c) for k, c in self.terms), -self.constant)
-
-    def __sub__(self, other: Union["R1Element", int]) -> "R1Element":
-        return self + (-_coerce(other))
-
-    def __rsub__(self, other: int) -> "R1Element":
-        return _coerce(other) - self
-
-    def __mul__(self, other: Union["R1Element", int]) -> "R1Element":
-        if isinstance(other, int):
-            return R1Element(tuple((k, c * other) for k, c in self.terms),
-                             self.constant * other)
-        if any(dpow for (_, dpow), _ in self.terms + other.terms):
-            raise InputError("products of delta-applied symbols do not expand formally")
-        terms: list[tuple[tuple[SpaceExpr, int], int]] = []
-        for (x, _), c in self.terms:
-            for (y, _), d in other.terms:
-                terms.append(((product(x, y), 0), c * d))
-            terms.append(((x, 0), c * other.constant))
-        for (y, _), d in other.terms:
-            terms.append(((y, 0), d * self.constant))
-        return R1Element(tuple(terms), self.constant * other.constant)
-
-    def __rmul__(self, other: int) -> "R1Element":
-        return self * other
-
-    # evaluation
+        if not all(map(_is_int, (self.delta_power, self.coefficient, self.constant))):
+            raise InputError("R1Element needs an int delta power, coefficient and constant")
+        if self.delta_power < 0:
+            raise InputError("delta power must be >= 0")
 
     def value_at(self, p: int, n: int) -> ExactRational:
         """Image of this element on the height-n layer at the prime p."""
         require_prime(p)
         if n < 0:
             raise InputError(f"layer must be >= 0, got {n}")
-        total = Fraction(self.constant)
-        for (space, dpow), coeff in self.terms:
-            value = height_cardinality(space, p, n)
-            # layer 0 is rational, so delta there skips the p-integrality check
-            total += coeff * (_iterate(value, p, dpow) if n == 0 else delta_iter(value, p, dpow))
-        return total
+        value = height_cardinality(self.symbol, p, n)
+        # layer 0 is rational, so delta there skips the p-integrality check
+        value = (_iterate(value, p, self.delta_power) if n == 0
+                 else delta_iter(value, p, self.delta_power))
+        return self.coefficient * value + self.constant
 
     def profile(self, p: int, top: int) -> HeightProfile:
         return _profile(p, top, lambda n: self.value_at(p, n))
 
-    def __repr__(self) -> str:
-        from .parser import space_text
-        bits = []
-        for (space, dpow), coeff in self.terms:
-            sym = f"[{space_text(space)}]"
-            if dpow:
-                sym = f"d^{dpow}{sym}" if dpow > 1 else f"d{sym}"
-            bits.append(f"{coeff}*{sym}" if coeff != 1 else sym)
-        if self.constant or not bits:
-            bits.append(str(self.constant))
-        return "R1Element(" + " + ".join(bits) + ")"
-
-
-def _coerce(x: Union[R1Element, int]) -> R1Element:
-    return R1Element.integer(x) if isinstance(x, int) else x
-
-
-# -- splitting elements ------------------------------------------------------------------
 
 def beta_element(p: int, k: int) -> R1Element:
     """The layer-k splitting element, for 0 <= k <= DEFAULT_BETA_MAX_K.
@@ -311,13 +229,13 @@ def beta_element(p: int, k: int) -> R1Element:
         raise ResourceBudgetError(f"k={k} exceeds the iterate budget {DEFAULT_BETA_MAX_K}")
     bc_p = em_space([p], 1)
     if k == 0:
-        return p * R1Element((((bc_p, 0), 1),)) - 1
+        return R1Element(bc_p, 0, p, -1)
     b = p ** (k - 1)
     for m in range(k, 1, -1):
         b = (b - pow(b, p, p ** m)) % p ** m // p
     if b == 0:
         raise InvariantError(f"the layer-{k} value is not a p-adic unit")
-    return R1Element((((bc_p, k - 1), 1),), -b)
+    return R1Element(bc_p, k - 1, 1, -b)
 
 
 def alpha_splitter(p: int, k: int, top: int) -> HeightProfile:
@@ -325,10 +243,8 @@ def alpha_splitter(p: int, k: int, top: int) -> HeightProfile:
     every layer <= k and DIVISIBLE on every layer in (k, top]."""
     if k > top:
         raise InputError(f"need k <= top, got k={k}, top={top}")
-    profile = beta_element(p, 0).profile(p, top)
-    for j in range(1, k + 1):
-        profile = profile.pointwise_mul(beta_element(p, j).profile(p, top))
-    return profile
+    betas = [beta_element(p, j) for j in range(k + 1)]
+    return _profile(p, top, lambda n: math.prod(beta.value_at(p, n) for beta in betas))
 
 
 # -- consistency reports ----------------------------------------------------------------

@@ -17,7 +17,8 @@ built as a table and read by ``spaces.classifying``, so
 ``B(C2 x S3 x C3)`` parses to ``B^1(C2) * B(S3) * B^1(C3)``, whose normal
 form, where EM atoms of one degree multiply, prints
 ``B(S3) * B^1(C6)``.  The whole text is parsed
-before any group is built, so a syntax error costs no table.  Printing a
+before any group is built, so a syntax error costs no table, and text that
+nests deeper than ``MAX_NESTING`` levels is refused there too.  Printing a
 parsed expression and re-parsing it yields an identical normal form; atoms
 print by ``spaces.atom_text``, the printer ``NormalForm`` uses too.
 """
@@ -26,13 +27,22 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from .errors import InputError
+from .errors import InputError, ResourceBudgetError
 from .groups import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
 from .rationals import require_digits, require_numeral
 from .records import frozen
 from .spaces import (EM, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
                      atom_text, described_classifying, disjoint_union, em_space,
                      finite_set, product)
+
+
+# The deepest the text may nest: the open parentheses around a point plus
+# the "x" and "wr" links of the groups it sits in.  The parser and the
+# walks over a parsed group recurse at each level, so deeper text would
+# end in a RecursionError; fourteen nontrivial "x" factors or four "wr"
+# links already pass the group-order cap, so only C1 padding or extra
+# parentheses lose an answer to this bound.
+MAX_NESTING = 100
 
 
 class ParseError(InputError):
@@ -91,6 +101,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -107,6 +118,20 @@ class _Parser:
             raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
                              tok.position)
         return self.advance()
+
+    def nest(self, tok: _Token) -> None:
+        # one level deeper, at the "(", "x" or "wr" token just taken
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ResourceBudgetError(f"the text nests deeper than the {MAX_NESTING}-level "
+                                      f"bound (at position {tok.position})")
+
+    def open(self) -> None:
+        self.nest(self.expect("SYM", "("))
+
+    def close(self) -> None:
+        self.expect("SYM", ")")
+        self.depth -= 1
 
     def at(self, kind: str, text: Optional[str] = None) -> bool:
         tok = self.peek()
@@ -150,18 +175,18 @@ class _Parser:
             if self.at("SYM", "^"):
                 self.advance()
                 degree = self.parse_int()
-                self.expect("SYM", "(")
+                self.open()
                 factors = self.abelian()
-                self.expect("SYM", ")")
+                self.close()
                 return lambda: em_space(factors, degree)
-            self.expect("SYM", "(")
+            self.open()
             desc = self.group()
-            self.expect("SYM", ")")
+            self.close()
             return lambda: described_classifying(desc)
         if self.at("SYM", "("):
-            self.advance()
+            self.open()
             inner = self.expr()
-            self.expect("SYM", ")")
+            self.close()
             return inner
         raise ParseError(f"expected a factor, found {tok.text or 'end of input'!r}",
                          tok.position)
@@ -178,10 +203,14 @@ class _Parser:
         return self.parse_int()
 
     def group(self) -> GroupDescriptor:
+        # each "x" or "wr" link nests the descriptor one level deeper, until
+        # the group ends
+        depth = self.depth
         terms = [self.atom_group()]
         while self.at("NAME", "x"):
-            self.advance()
+            self.nest(self.advance())
             terms.append(self.atom_group())
+        self.depth = depth
         desc = terms[0]
         for t in terms[1:]:
             desc = DirectProduct(desc, t)
@@ -190,9 +219,9 @@ class _Parser:
     def atom_group(self) -> GroupDescriptor:
         tok = self.peek()
         if self.at("SYM", "("):
-            self.advance()
+            self.open()
             desc: GroupDescriptor = self.group()
-            self.expect("SYM", ")")
+            self.close()
         elif tok.kind == "NAME" and tok.text in "CSD":
             letter = self.advance().text
             size = self.parse_int()
@@ -207,7 +236,7 @@ class _Parser:
                 f"expected a group (C/S/D), found {tok.text or 'end of input'!r}",
                 tok.position)
         while self.at("NAME", "wr"):
-            self.advance()
+            self.nest(self.advance())
             self.expect("NAME", "C")
             desc = Wreath(desc, self.parse_int())
         return desc

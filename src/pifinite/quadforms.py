@@ -53,8 +53,8 @@ from itertools import combinations, compress, count, product, repeat
 from operator import add, and_, itemgetter, lshift
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, binom_ext, fits_digits, is_prime,
-                        power_may_fit)
+from .rationals import (MAX_DIGITS, ExactRational, _is_int, binom_ext, fits_digits,
+                        is_prime, power_may_fit)
 from .records import frozen
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -76,12 +76,6 @@ def _budget_pairs() -> tuple[tuple[int, int], ...]:
 
 # the pairs that ``verify`` and the tests count in full
 DEFAULT_BUDGET_PAIRS = _budget_pairs()
-
-
-def _is_int(x) -> bool:
-    """Whether ``x`` is an int and not a bool: ``3.0 == 3`` and ``True == 1``
-    would pass the checks below and share a held plane with the int."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _require_odd_prime(p: int) -> int:

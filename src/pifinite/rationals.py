@@ -125,6 +125,13 @@ def require_numeral(text: str, what: str) -> str:
     return text
 
 
+def _is_int(x) -> bool:
+    """Whether ``x`` is an int and not a bool.  ``3.0 == 3`` and ``True == 1``
+    pass every range check an int passes, so a size, order or prime taken
+    without this test can carry a float or a bool into an exact answer."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def require_prime(p: int) -> int:
     if not isinstance(p, int) or not is_prime(p):
         raise InputError(f"expected a prime, got {p!r}")

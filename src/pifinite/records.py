@@ -7,9 +7,10 @@ its methods; together that is tens of milliseconds of every CLI start,
 which answers one query per process.  ``@frozen`` compiles nothing: every
 record shares one ``__init__``, and equality and hashing take the tuple of
 field values, read in C by ``operator.attrgetter``.  The fields are the
-names in the class's own annotations, in order; a class attribute of the
-same name is the field's default.  Hashes are ``hash(field tuple)``, as
-frozen dataclasses give, so no set or dict order depends on the choice.
+names in the class's own annotations, in order, and each is required;
+every record has the one generated repr.  Hashes are ``hash(field
+tuple)``, as frozen dataclasses give, so no set or dict order depends on
+the choice.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ class FrozenInstanceError(AttributeError):
 
 def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
     """The field values, in order, for a call with ``args`` and ``kwargs``."""
-    names, defaults, _ = cls.__record__
+    names, _ = cls.__record__
     if len(args) > len(names):
         raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments "
                         f"but {len(args)} were given")
@@ -34,7 +35,7 @@ def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
             raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
         bound[name] = value
     try:
-        return tuple(bound[n] if n in bound else defaults[n] for n in names)
+        return tuple(bound[n] for n in names)
     except KeyError as exc:
         raise TypeError(f"{cls.__name__}() missing required argument {exc.args[0]!r}") from None
 
@@ -46,7 +47,7 @@ _object_setattr = object.__setattr__
 
 
 def _init(self, *args, **kwargs):
-    names, _, post_init = self.__record__
+    names, post_init = self.__record__
     if kwargs or len(args) != len(names):
         args = _bind(type(self), args, kwargs)
     for name, value in zip(names, args):
@@ -71,8 +72,7 @@ def _delattr(self, name):
 def frozen(cls: type) -> type:
     """Make ``cls`` an immutable record of the fields it annotates."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
-    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    cls.__record__ = (names, defaults, getattr(cls, "__post_init__", None))
+    cls.__record__ = (names, getattr(cls, "__post_init__", None))
     if len(names) == 1:
         # attrgetter of one name returns the bare value, not a 1-tuple; the
         # tuple is built inline rather than in a wrapper, which would cost
@@ -99,6 +99,5 @@ def frozen(cls: type) -> type:
 
     cls.__init__, cls.__eq__, cls.__hash__ = _init, __eq__, __hash__
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
-    if "__repr__" not in cls.__dict__:
-        cls.__repr__ = _repr
+    cls.__repr__ = _repr
     return cls

@@ -45,8 +45,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext, power_may_fit,
-                        require_digits, require_prime, vp)
+from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, _is_int, binom_ext,
+                        power_may_fit, require_digits, require_prime, vp)
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -66,6 +66,8 @@ class FinSet:
     size: int
 
     def __post_init__(self):
+        if not _is_int(self.size):
+            raise InputError(f"FinSet needs an int size, got {self.size!r}")
         if self.size < 1:
             raise InputError(f"FinSet needs size >= 1, got {self.size} (use EMPTY for 0)")
 
@@ -89,6 +91,8 @@ class EM:
     degree: int
 
     def __post_init__(self):
+        if not _is_int(self.degree):
+            raise InputError(f"EM needs an int degree, got {self.degree!r}")
         if self.degree < 1:
             raise InputError(f"EM needs degree >= 1, got {self.degree}")
         canon = _invariant_factors(self.factors)
@@ -148,6 +152,8 @@ def _invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     top down by ``C_a x C_b = C_gcd(a,b) x C_lcm(a,b)``; nothing is factored."""
     chain: list[int] = []       # descending, each entry a multiple of the next
     for m in orders:
+        if not _is_int(m):
+            raise InputError(f"cyclic factor orders must be ints, got {m!r}")
         if m < 1:
             raise InputError(f"cyclic factor orders must be >= 1, got {m}")
         for i, d in enumerate(chain):
@@ -182,6 +188,8 @@ def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
 # -- smart constructors ------------------------------------------------------------
 
 def finite_set(k: int) -> SpaceExpr:
+    if not _is_int(k):
+        raise InputError(f"finite set size must be an int, got {k!r}")
     if k < 0:
         raise InputError(f"finite set size must be >= 0, got {k}")
     return EMPTY if k == 0 else FinSet(k)
@@ -229,6 +237,9 @@ def em_space(factors: Iterable[int], degree: int) -> SpaceExpr:
     set, a trivial coefficient group collapses to a point.  Neither needs
     the orders folded; ``EM`` checks and folds them, once."""
     factors = tuple(factors)
+    bad = [x for x in (degree, *factors) if not _is_int(x)]
+    if bad:
+        raise InputError(f"EM degree and orders must be ints, got {bad[0]!r}")
     if degree < 0:
         raise InputError(f"EM degree must be >= 0, got {degree}")
     if degree > 0 and any(m != 1 for m in factors):
@@ -345,12 +356,6 @@ class NormalForm:
     def components(self) -> tuple[tuple[tuple[Atom, ...], int], ...]:
         return tuple(sorted(self._counts.items(),
                             key=lambda item: tuple(_atom_key(a) for a in item[0])))
-
-    def sort_key(self) -> tuple:
-        """A total order on normal forms that is exact: group atoms compare
-        by order, then by their rows as tuples of ints, not by their names."""
-        return tuple((tuple(_atom_key(a) for a in comp), mult)
-                     for comp, mult in self.components)
 
     def __add__(self, other: "NormalForm") -> "NormalForm":
         return _sum((self, other))

@@ -344,6 +344,29 @@ class TestLargeAnswers:
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith("resource error:") and "131072-value budget" in out.stderr
 
+    @pytest.mark.parametrize("argv", [
+        ("card", "--space", "(" * 400 + "pt" + ")" * 400, "--prime", "2", "--height", "1"),
+        ("card", "--space", "B(C1" + " wr C2" * 1500 + ")", "--prime", "2", "--height", "1"),
+        # the order cap refused this one only after recursing 1500 deep
+        ("card", "--space", "B(C2" + " x C2" * 1500 + ")", "--prime", "2", "--height", "1"),
+        ("wreath", "C2" + " x C2" * 1500, "--prime", "2", "--height", "1"),
+    ])
+    def test_deep_nesting_refused_in_under_a_second(self, argv):
+        # each ended in a RecursionError traceback
+        start = time.perf_counter()
+        out = subprocess.run([sys.executable, "-m", "pifinite.cli", *argv], env=_probe_env(),
+                             capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 1
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("resource error:") and "100-level bound" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_nesting_just_inside_the_bound_answers(self, capsys):
+        for space in ("(" * 100 + "pt" + ")" * 100, "B(C1" + " x C1" * 99 + ")"):
+            assert run(capsys, "card", "--space", space, "--prime", "2", "--height", "1") \
+                == (0, "1\n", "")
+            assert run(capsys, "loop", "--space", space, "--prime", "2") == (0, "pt\n", "")
+
     def test_tuple_budget_refuses_nothing_printable(self, capsys):
         # (3 * 2^n - 2) / 6 prints up to n = 14283; the count is refused later
         code, out, err = run(capsys, "card", "--space", "B(S3)", "--prime", "2",

@@ -180,7 +180,7 @@ class TestProfilesAndClasses:
         import pifinite.heights as heights
         assert MAX_VALUES == 131072
         assert pf.height_profile(pf.PT, 2, 131071).values == (1,) * 131072
-        assert len(pf.R1Element.integer(1).profile(2, 131071)) == 131072
+        assert pf.R1Element(pf.PT, 0, 1, 0).profile(2, 131071).values == (1,) * 131072
 
         def no_layer(*args):
             raise AssertionError("a layer was computed")
@@ -190,41 +190,6 @@ class TestProfilesAndClasses:
                       lambda: pf.alpha_splitter(2, 1, 131072)):
             with pytest.raises(ResourceBudgetError, match="131072-value budget"):
                 build()
-
-
-class TestR1Element:
-    def test_linearity(self):
-        g = named_group("S3")
-        el = 2 * pf.R1Element.group_symbol(g) - 3
-        for n in range(4):
-            expected = 2 * pf.height_cardinality(pf.classifying(g), 2, n) - 3
-            assert el.value_at(2, n) == expected
-
-    def test_generator_products(self):
-        g, h = named_group("C2"), named_group("S3")
-        prod = pf.R1Element.group_symbol(g) * pf.R1Element.group_symbol(h)
-        for n in range(4):
-            assert prod.value_at(2, n) == \
-                pf.R1Element.group_symbol(g).value_at(2, n) * \
-                pf.R1Element.group_symbol(h).value_at(2, n)
-
-    def test_delta_symbols_do_not_multiply(self):
-        beta2 = pf.beta_element(2, 2)
-        with pytest.raises(InputError):
-            beta2 * beta2
-
-    def test_products_are_product_spaces(self):
-        g, h = named_group("C2"), named_group("S3")
-        gh = pf.R1Element.group_symbol(g) * pf.R1Element.group_symbol(h)
-        assert gh == pf.R1Element.group_symbol(h) * pf.R1Element.group_symbol(g)
-        ((symbol, _), _), = gh.terms
-        assert isinstance(symbol, pf.Product)   # B(S3) * B^1(C2): no table for C2 x S3
-
-    def test_terms_merge(self):
-        g = named_group("C2")
-        el = pf.R1Element.group_symbol(g) + pf.R1Element.group_symbol(g)
-        assert el == 2 * pf.R1Element.group_symbol(g)
-        assert (el - el).terms == ()
 
 
 # Reference profiles at p = 5 for k <= 3 over layers 0..4, computed with the
@@ -246,6 +211,47 @@ ALPHA_P5 = {
         "-800049068930362210418926226957413396126940145725595111367571904"),
 }
 
+# Reference profiles at p = 2 and 3 for every k <= DEFAULT_BETA_MAX_K over
+# layers 0..6, the range ``beta`` prints by default.
+BETA_P2 = {
+    0: ("0", "1", "3", "7", "15", "31", "63"),
+    1: ("-1/2", "0", "1", "3", "7", "15", "31"),
+    2: ("-7/8", "-1", "-2", "-7", "-29", "-121", "-497"),
+    3: ("-121/128", "-1", "-2", "-22", "-407", "-7261", "-123257"),
+    4: ("-31921/32768", "-1", "-2", "-232", "-82622", "-26357431", "-7596082397"),
+}
+BETA_P3 = {
+    0: ("0", "2", "8", "26", "80", "242", "728"),
+    1: ("-2/3", "0", "2", "8", "26", "80", "242"),
+    2: ("-73/81", "-1", "-9", "-241", "-6553", "-177121", "-4782889"),
+    3: ("-1542347/1594323", "-1", "167", "4607919", "93756287351", "1852173029316959",
+        "36471143388361222727"),
+    4: ("-12025689854165542873/12157665459056928801", "-1", "-1580489", "-32613209240369493361",
+        "-274713466760782395373997301556953", "-2117987598728714153612949020246666000670739681",
+        "-16170627831498520726804193659298853432719471420417973983209"),
+}
+ALPHA_P2 = {
+    0: ("0", "1", "3", "7", "15", "31", "63"),
+    1: ("0", "0", "3", "21", "105", "465", "1953"),
+    2: ("0", "0", "-6", "-147", "-3045", "-56265", "-970641"),
+    3: ("0", "0", "12", "3234", "1239315", "408540165", "119638297737"),
+    4: ("0", "0", "-24", "-750288", "-102394683930", "-10768069209716115",
+        "-908782367447070635589"),
+}
+ALPHA_P3 = {
+    0: ("0", "2", "8", "26", "80", "242", "728"),
+    1: ("0", "0", "16", "208", "2080", "19360", "176176"),
+    2: ("0", "0", "-144", "-50128", "-13630240", "-3429062560", "-842630252464"),
+    3: ("0", "0", "-24048", "-230985763632", "-1277920698103094240",
+        "-6351217189472566479955040", "-30731688760985561505679744549328"),
+    4: ("0", "0", "38007599472", "7533187040876946065827539247152",
+        "351062025221260213795918725512239632079258886250720",
+        "13451799244135533824413804470431541735972864887033935695656336423942240",
+        "49695070158734341168995393362079345435670261494656623836075910306890469851215223"
+        "0744233552"),
+}
+REFERENCE = {2: (BETA_P2, ALPHA_P2), 3: (BETA_P3, ALPHA_P3)}
+
 
 class TestBeta:
     @pytest.mark.parametrize("k", range(4))
@@ -254,11 +260,19 @@ class TestBeta:
             tuple(Fraction(v) for v in BETA_P5[k])
         assert pf.alpha_splitter(5, k, 4).values == tuple(Fraction(v) for v in ALPHA_P5[k])
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("k", range(5))
+    def test_small_prime_profiles_unchanged(self, p, k):
+        betas, alphas = REFERENCE[p]
+        assert pf.beta_element(p, k).profile(p, 6).values == \
+            tuple(Fraction(v) for v in betas[k])
+        assert pf.alpha_splitter(p, k, 6).values == tuple(Fraction(v) for v in alphas[k])
+
     def test_symbol_is_the_em_atom(self):
         # beta is built from B^1(C_p); the group symbol [BC_p] is the same symbol
-        el = pf.beta_element(3, 0)
-        assert el.terms == (((pf.em_space([3], 1), 0), 3),)
-        assert el == 3 * pf.R1Element.group_symbol(named_group("C3")) - 1
+        assert pf.beta_element(3, 0) == pf.R1Element(pf.em_space([3], 1), 0, 3, -1)
+        assert pf.beta_element(3, 2) == pf.R1Element(pf.em_space([3], 1), 1, 1, -1)
+        assert pf.beta_element(3, 0).symbol == pf.classifying(named_group("C3"))
 
     def test_k_zero_profile(self):
         prof = pf.beta_element(2, 0).profile(2, 5)

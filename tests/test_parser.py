@@ -176,6 +176,44 @@ class TestErrors:
             parse_space("B(D7)")
 
 
+# text that nests 101 levels, one past the bound: parentheses, "wr" links,
+# "x" links, and mixes of them
+TOO_DEEP = {
+    "parentheses": "(" * 101 + "pt" + ")" * 101,
+    "wr links": "B(C1" + " wr C2" * 100 + ")",
+    "x links": "B(C2" + " x C2" * 100 + ")",
+    "group parentheses": "B(" + "(" * 100 + "C1" + ")" * 100 + ")",
+    "x links in parentheses": "B(" + "(C1 x " * 50 + "C1" + ")" * 50 + ")",
+}
+
+
+class TestNesting:
+    @pytest.mark.parametrize("name", TOO_DEEP)
+    def test_past_the_bound_is_refused_before_any_table(self, name, build_calls):
+        with pytest.raises(pf.ResourceBudgetError, match="100-level bound"):
+            parse_space(TOO_DEEP[name])
+        assert build_calls == []
+
+    def test_just_inside_the_bound_answers(self):
+        assert parse_space("(" * 100 + "pt" + ")" * 100) == pf.PT
+        assert parse_space("B(C1" + " x C1" * 99 + ")") == pf.PT
+        assert parse_space("B(" + "(C1 x " * 49 + "C1" + ")" * 49 + ")") == pf.PT
+        assert parse_space("B(" + "(" * 99 + "C2" + ")" * 99 + ")") == pf.em_space([2], 1)
+        # the links of one group end with it: siblings do not add up
+        assert parse_space(" * ".join(["B(C1" + " x C1" * 98 + ")"] * 3)) == pf.PT
+        # a group alone has no "B(" around it
+        for link, kind in ((" x C1", pf.DirectProduct), (" wr C2", pf.Wreath)):
+            assert isinstance(parse_group("C1" + link * 100), kind)
+            with pytest.raises(pf.ResourceBudgetError, match="100-level bound"):
+                parse_group("C1" + link * 101)
+
+    def test_flat_lists_are_not_bounded(self):
+        # EM factor lists and "+" and "*" chains build no nested value
+        assert pf.height_cardinality(parse_space("B^1(C1" + " x C1" * 500 + ")"), 2, 1) == 1
+        assert pf.height_cardinality(parse_space(" + ".join(["pt"] * 500)), 2, 1) == 500
+        assert pf.height_cardinality(parse_space(" * ".join(["2"] * 500)), 2, 0) == 2 ** 500
+
+
 def _loop_output(text: str, p: int) -> pf.SpaceExpr:
     """What `loop` prints for B(text) at p, as an expression."""
     return pf.normal_form(pf.p_adic_loop(pf.classifying(named_group(text)), p)).to_expr()

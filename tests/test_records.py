@@ -49,15 +49,14 @@ class TestRepr:
             == "DirectProduct(left=Cyclic(n=2), right=Dihedral(order=8))"
         assert repr(pf.EM((2, 4), 2)) == "EM(factors=(2, 4), degree=2)"
         assert repr(pf.Empty()) == "Empty()"
-
-    def test_own_repr_kept(self):
-        assert repr(pf.R1Element.integer(3)) == "R1Element(3)"
+        assert repr(pf.R1Element(pf.PT, 0, 2, -1)) \
+            == "R1Element(symbol=FinSet(size=1), delta_power=0, coefficient=2, constant=-1)"
 
 
 class TestImmutability:
     @pytest.mark.parametrize("record, field", [
         (pf.Cyclic(3), "n"), (pf.EM((2,), 1), "degree"),
-        (pf.HeightProfile(2, (1, 2)), "values"), (pf.R1Element.integer(1), "constant")])
+        (pf.HeightProfile(2, (1, 2)), "values"), (pf.R1Element(pf.PT, 0, 1, 1), "constant")])
     def test_fields_cannot_be_assigned_or_deleted(self, record, field):
         before = getattr(record, field)
         with pytest.raises(AttributeError):
@@ -74,11 +73,6 @@ class TestConstruction:
         assert pf.EM(degree=2, factors=(6,)) == pf.EM((6,), 2) == pf.EM((6,), degree=2)
         assert pf.Wreath(base=pf.Cyclic(2), p=3) == pf.Wreath(pf.Cyclic(2), 3)
 
-    def test_default_filled(self):
-        assert pf.R1Element(terms=()).constant == 0
-        assert pf.R1Element(()).constant == 0
-        assert pf.R1Element((), 5).constant == 5
-
     def test_post_init_normalises(self):
         assert pf.EM((4, 2), 1).factors == (2, 4)
         assert pf.HeightProfile(2, (1, 2)).values == (Fraction(1), Fraction(2))
@@ -90,7 +84,7 @@ class TestConstruction:
         lambda: pf.Cyclic(m=1),
         lambda: pf.Cyclic(1, n=1),
         lambda: pf.EM((2,)),
-        lambda: pf.R1Element((), 0, 1),
+        lambda: pf.R1Element(pf.PT, 0, 1),
         lambda: pf.R1Element(constant=1),
         lambda: pf.Empty(1),
     ])
@@ -116,13 +110,16 @@ class TestConstruction:
         with pytest.raises(InvariantError):
             pf.FormCountReport(3, 4, 2, 729)         # not 1 mod p - 1
         with pytest.raises(InputError):
-            pf.R1Element((((pf.PT, -1), 1),))         # negative delta power
+            pf.R1Element(pf.PT, -1, 1, 0)             # negative delta power
+        with pytest.raises(InputError):
+            pf.R1Element(pf.PT, 0, 2.5, 0)            # a float coefficient is not exact
 
     def test_post_init_checks_fire_under_optimize(self):
         src = str(Path(pf.__file__).resolve().parent.parent)
         code = ("import pifinite as pf\n"
                 "for build in (lambda: pf.FinSet(0), lambda: pf.EM((2,), 0),\n"
                 "              lambda: pf.Disjoint((pf.PT,)), lambda: pf.HeightProfile(4, (1,)),\n"
+                "              lambda: pf.R1Element(pf.PT, -1, 1, 0),\n"
                 "              lambda: pf.FormCountReport(3, 4, 2, 729)):\n"
                 "    try:\n"
                 "        build()\n"
@@ -132,4 +129,4 @@ class TestConstruction:
         out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines() == ["False InputError"] * 4 + ["False InvariantError"]
+        assert out.stdout.splitlines() == ["False InputError"] * 5 + ["False InvariantError"]

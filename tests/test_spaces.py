@@ -272,6 +272,21 @@ class TestHeightCardinality:
             pf.height_cardinality(PT, 2, -1)
 
 
+class TestIntegerInputs:
+    # 2.5 made a 2.5-point set whose height cardinality was 5/2, and True a
+    # one-point set; normal_form(finite_set(2.5)) raised a bare AttributeError
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("build", [
+        pf.FinSet, lambda v: pf.EM((v,), 1), lambda v: pf.EM((2, v), 1),
+        lambda v: pf.EM((2,), v), pf.finite_set, lambda v: pf.em_space([v], 1),
+        lambda v: pf.em_space([v], 0), lambda v: pf.em_space([2], v),
+    ], ids=["FinSet", "EM order", "EM second order", "EM degree", "finite_set",
+            "em_space order", "em_space order at degree 0", "em_space degree"])
+    def test_non_ints_refused(self, build, value):
+        with pytest.raises(InputError, match="int"):
+            build(value)
+
+
 class TestDigitBudget:
     def test_em_power_refused_before_it_is_taken(self):
         # 2^C(169, 2) has 4274 digits, 2^C(170, 2) 4325
