@@ -14,8 +14,8 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, ResourceBudgetError
-from .rationals import (binom_ext, require_digits, require_numeral, require_prime,
-                        require_values, vp)
+from .rationals import (binom_ext, require_digits, require_int, require_numeral,
+                        require_prime, require_values, vp)
 
 # Each handler and check imports the library modules it calls when it runs:
 # the CLI answers one query per process, and a module that answer does not
@@ -58,11 +58,6 @@ def _emit(args, plain: str, payload: dict) -> None:
 # -- subcommand handlers -----------------------------------------------------------
 
 
-def _require_count(what: str, value: int) -> None:
-    if value < 0:
-        raise InputError(f"{what} must be >= 0, got {value}")
-
-
 def _cmd_card(args) -> int:
     from .parser import parse_space
     from .spaces import height_cardinality
@@ -78,7 +73,7 @@ def _cmd_card(args) -> int:
 
 
 def _cmd_loop(args) -> int:
-    _require_count("iteration count", args.iterations)
+    require_int(args.iterations, "iteration count", 0)
     from .parser import parse_space, space_text
     from .spaces import normal_form, p_adic_loop
     # looping the normal form keeps each iteration as small as the answer;
@@ -185,8 +180,8 @@ def _cmd_counterexample(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    _require_count("kmax", args.kmax)
-    _require_count("nmax", args.nmax)
+    require_int(args.kmax, "kmax", 0)
+    require_int(args.nmax, "nmax", 0)
     require_values((args.kmax + 1) * (args.nmax + 1), "the table")
     from .spaces import em_space, height_cardinality
     p = args.prime

@@ -29,7 +29,7 @@ from operator import and_, eq, itemgetter
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
 
 from .errors import InputError, ResourceBudgetError
-from .rationals import MAX_DIGITS, fits_digits, power_may_fit, require_prime
+from .rationals import MAX_DIGITS, fits_digits, power_may_fit, require_int, require_prime
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -154,13 +154,13 @@ class FiniteGroup:
     for outside callers, built on first access; nothing here reads it.
     """
 
-    def __init__(self, table, name: str = "G", *, descriptor=None, validate: bool = True,
+    def __init__(self, table, name: str = "G", *, validate: bool = True,
                  ambient_indices: Optional[tuple[int, ...]] = None):
         # a plain tuple, so row lookups stay on the exact-tuple fast path
         self._rows: Rows = tuple(table) if type(table) is _ClosedRows else _shared_rows(table)
         self.order: int = len(self._rows)
         self.name = name
-        self.descriptor = descriptor
+        self.descriptor = None      # the descriptor a table is built for, set by _build
         self.ambient_indices = ambient_indices  # for subgroups: indices in the parent
         self.identity: int = self._find_identity()
         if validate:
@@ -363,23 +363,20 @@ def descriptor_order(d: GroupDescriptor) -> Optional[int]:
     None when it has more than MAX_DIGITS digits.  Every part of ``d`` is
     checked whatever the order, and no power is taken past that size."""
     if isinstance(d, Cyclic):
-        if d.n < 1:
-            raise InputError(f"Cyclic order must be >= 1, got {d.n}")
-        return _printable(d.n)
+        return _printable(require_int(d.n, "Cyclic order", 1))
     if isinstance(d, Symmetric):
-        if not 1 <= d.n <= MAX_SYMMETRIC_DEGREE:
+        if not 1 <= require_int(d.n, "Symmetric degree") <= MAX_SYMMETRIC_DEGREE:
             raise InputError(f"Symmetric degree must be in 1..{MAX_SYMMETRIC_DEGREE}, got {d.n}")
         return math.factorial(d.n)
     if isinstance(d, Dihedral):
-        if d.order < 2 or d.order % 2:
+        if require_int(d.order, "Dihedral order") < 2 or d.order % 2:
             raise InputError(f"Dihedral order must be even and >= 2, got {d.order}")
         return _printable(d.order)
     if isinstance(d, DirectProduct):
         left, right = descriptor_order(d.left), descriptor_order(d.right)
         return None if left is None or right is None else _printable(left * right)
     if isinstance(d, Wreath):
-        if d.p < 2:
-            raise InputError(f"wreath degree must be >= 2, got {d.p}")
+        require_int(d.p, "wreath degree", 2)
         base = descriptor_order(d.base)
         return None if base is None else _wreath_order(base, d.p)
     raise InputError(f"unknown group descriptor {d!r}")
@@ -486,8 +483,7 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
     v = sum g_i |G|^i, and (gs; s)(hs; t) = (w; s + t) with
     w_i = g_i h_{i-s}, indices mod c.
     """
-    if c < 2:
-        raise InputError(f"wreath degree must be >= 2, got {c}")
+    require_int(c, "wreath degree", 2)
     m = g.order
     ints = tuple(range(_require_order(_wreath_order(m, c))))
     # scaled[i][a]: row a of G as coordinate i's contribution to v
@@ -563,8 +559,7 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
     fall as n grows, so one with count // |G| past the digit budget is refused.
     """
     require_prime(p)
-    if n < 0:
-        raise InputError(f"tuple length must be >= 0, got {n}")
+    require_int(n, "tuple length", 0)
     state = g._tuple_counts.get(p)
     if state is None:
         pelts = g.p_elements(p)

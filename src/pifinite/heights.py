@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, RationalLike, _is_int, binom_ext,
-                        fits_digits, power_may_fit, require_digits, require_prime,
-                        require_values, vp)
+from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext,
+                        fits_digits, power_may_fit, require_digits, require_int,
+                        require_prime, require_values, vp)
 from .records import frozen
 from .spaces import SpaceExpr, em_space, height_cardinality
 
@@ -100,9 +100,8 @@ def _iterate(a: Fraction, p: int, k: int) -> Fraction:
 def delta_iter(a: RationalLike, p: int, k: int) -> ExactRational:
     """k-fold iterate of delta; k = 0 is the identity.  An iterate past the
     ``MAX_DIGITS`` budget is refused as soon as it appears."""
-    if k < 0:
-        raise InputError(f"iteration count must be >= 0, got {k}")
-    a = Fraction(a)
+    require_int(k, "iteration count", 0)
+    a = Fraction(a if isinstance(a, Fraction) else require_int(a, "a non-Fraction value"))
     if k:
         _require_p_integral(a, p)   # delta keeps vp >= 0, so once is enough
     return _iterate(a, p, k)
@@ -118,7 +117,9 @@ class HeightProfile:
 
     def __post_init__(self):
         require_prime(self.prime)
-        object.__setattr__(self, "values", tuple(Fraction(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(
+            Fraction(v if isinstance(v, Fraction) else require_int(v, "a non-Fraction value"))
+            for v in self.values))
 
     @property
     def top(self) -> int:
@@ -134,9 +135,7 @@ class HeightProfile:
 def _profile(p: int, top: int, value: Callable[[int], ExactRational]) -> HeightProfile:
     # the one profile builder: the range is checked, and held to the value
     # budget, before any layer is computed
-    if top < 0:
-        raise InputError(f"profile range must be >= 0, got {top}")
-    require_values(top + 1, "the profile")
+    require_values(require_int(top, "profile range", 0) + 1, "the profile")
     return HeightProfile(p, tuple(value(n) for n in range(top + 1)))
 
 
@@ -152,7 +151,7 @@ def classify_layer(profile: HeightProfile, n: int) -> LayerClass:
     exact zero: ZERO).  Layer 0 is rational, where only vanishing matters:
     zero acts as zero, anything else invertibly.
     """
-    if not 0 <= n < len(profile):
+    if not 0 <= require_int(n, "layer") < len(profile):
         raise InputError(f"layer {n} outside profile range 0..{profile.top}")
     a = profile[n]
     if a == 0:
@@ -185,17 +184,14 @@ class R1Element:
     constant: int
 
     def __post_init__(self):
-        if not all(map(_is_int, (self.delta_power, self.coefficient, self.constant))):
-            raise InputError("R1Element needs an int delta power, coefficient and constant")
-        if self.delta_power < 0:
-            raise InputError("delta power must be >= 0")
+        require_int(self.delta_power, "delta power", 0)
+        require_int(self.coefficient, "coefficient")
+        require_int(self.constant, "constant")
 
     def value_at(self, p: int, n: int) -> ExactRational:
         """Image of this element on the height-n layer at the prime p."""
         require_prime(p)
-        if n < 0:
-            raise InputError(f"layer must be >= 0, got {n}")
-        value = height_cardinality(self.symbol, p, n)
+        value = height_cardinality(self.symbol, p, require_int(n, "layer", 0))
         # layer 0 is rational, so delta there skips the p-integrality check
         value = (_iterate(value, p, self.delta_power) if n == 0
                  else delta_iter(value, p, self.delta_power))
@@ -223,9 +219,7 @@ def beta_element(p: int, k: int) -> R1Element:
     leave the layer-k value mod p.
     """
     require_prime(p)
-    if k < 0:
-        raise InputError(f"k must be >= 0, got {k}")
-    if k > DEFAULT_BETA_MAX_K:
+    if require_int(k, "k", 0) > DEFAULT_BETA_MAX_K:
         raise ResourceBudgetError(f"k={k} exceeds the iterate budget {DEFAULT_BETA_MAX_K}")
     bc_p = em_space([p], 1)
     if k == 0:
@@ -241,7 +235,7 @@ def beta_element(p: int, k: int) -> R1Element:
 def alpha_splitter(p: int, k: int, top: int) -> HeightProfile:
     """Pointwise product of the beta profiles for 0..k: COMPLETE or ZERO on
     every layer <= k and DIVISIBLE on every layer in (k, top]."""
-    if k > top:
+    if require_int(k, "k", 0) > require_int(top, "profile range"):
         raise InputError(f"need k <= top, got k={k}, top={top}")
     betas = [beta_element(p, j) for j in range(k + 1)]
     return _profile(p, top, lambda n: math.prod(beta.value_at(p, n) for beta in betas))
@@ -272,8 +266,7 @@ def verify_wreath_identity(group: FiniteGroup, p: int, n: int) -> WreathReport:
     on those tables.
     """
     require_prime(p)
-    if n < 0:
-        raise InputError(f"layer must be >= 0, got {n}")
+    require_int(n, "layer", 0)
     from .groups import (Cyclic, build_group, count_commuting_p_tuples, direct_product,
                          wreath_cyclic)
 
@@ -302,7 +295,7 @@ def pk_relation_check(p: int, n: int, kmax: int) -> bool:
     """At the height-n layer the EM-space values p_(k) = p^C(n-1, k) satisfy
     p_(k) = p_(n)^((-1)^(k-n)) for all k >= n; only n = 0 alternates."""
     require_prime(p)
-    if n < 0 or kmax < n:
+    if require_int(n, "n") < 0 or require_int(kmax, "kmax") < n:
         raise InputError(f"need 0 <= n <= kmax, got n={n}, kmax={kmax}")
 
     def pk(k: int) -> Fraction:

@@ -54,7 +54,7 @@ from operator import add, and_, itemgetter, lshift
 
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import (MAX_DIGITS, ExactRational, _is_int, binom_ext, fits_digits,
-                        is_prime, power_may_fit)
+                        is_prime, power_may_fit, require_int)
 from .records import frozen
 
 DEFAULT_ENUMERATION_BUDGET = 10_000_000
@@ -88,14 +88,6 @@ def _require_odd_prime(p: int) -> int:
     return p
 
 
-def _require_at_least(name: str, value: int, low: int) -> int:
-    if not _is_int(value):
-        raise InputError(f"{name} must be an int, got {value!r}")
-    if value < low:
-        raise InputError(f"{name} must be >= {low}, got {value}")
-    return value
-
-
 @frozen
 class FormCountReport:
     """Result of counting 2-forms omega on F_p^n with omega ^ omega = 0."""
@@ -119,10 +111,9 @@ class FormCountReport:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^n."""
-    if not all(map(_is_int, (n, k, q))):
-        raise InputError(f"expected ints, got n={n!r}, k={k!r}, q={q!r}")
-    _require_at_least("q", q, 2)
-    if k < 0 or k > n:
+    require_int(n, "n")
+    require_int(q, "q", 2)
+    if require_int(k, "k") < 0 or k > n:
         return 0
     num = den = 1
     for i in range(k):
@@ -137,7 +128,7 @@ def decomposable_form_count(p: int, n: int) -> int:
     """Closed-form count of {omega : omega ^ omega = 0}: the zero form plus
     p-1 nonzero multiples of u ^ v per 2-dimensional subspace <u, v>."""
     _require_odd_prime(p)
-    _require_at_least("dimension", n, 1)
+    require_int(n, "dimension", 1)
     return 1 + (p - 1) * gaussian_binomial(n, 2, p)
 
 
@@ -180,7 +171,7 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     and has no per-call override.
     """
     _require_odd_prime(p)
-    _require_at_least("dimension", n, 1)
+    require_int(n, "dimension", 1)
     e = math.comb(n, 2)
     # p^e is taken only where it may fit the digit budget, and shown only
     # where it does
@@ -439,7 +430,7 @@ def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:
     ``MAX_DIGITS`` budget by that bound is refused before any power is taken.
     """
     _require_odd_prime(p)
-    _require_at_least("height", n, 0)
+    require_int(n, "height", 0)
     if n >= 4 and not power_may_fit(p, math.comb(n - 1, 3) + n - 2, 2):
         raise ResourceBudgetError(f"the fiber at height {n} exceeds the {MAX_DIGITS}-digit budget")
     lead = Fraction(p) ** binom_ext(n - 1, 3)

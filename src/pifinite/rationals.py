@@ -12,8 +12,10 @@ number past it, ``power_may_fit`` refuses a power that would certainly pass
 it before the power is taken, and ``require_numeral`` refuses such a number
 in input text before it is read.  One value budget, ``MAX_VALUES``, bounds
 how many values one answer holds, and ``require_values`` refuses a larger
-answer before its first value is computed.  ``is_prime`` is exact and
-quick below about 3.3 * 10^24 and refuses larger numbers.
+answer before its first value is computed.  One integer rule,
+``require_int``, takes every height, count, order and degree in the
+package: an int, not a bool, at least its bound.  ``is_prime`` is exact
+and quick below about 3.3 * 10^24 and refuses larger numbers.
 
 The package has one infinity, ``math.inf``: ``vp(0)`` is ``INFINITE``,
 which is ``math.inf``, and so is the connectivity of a contractible space.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import InputError, ResourceBudgetError
 
@@ -59,7 +61,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality: trial division by the 13 Miller-Rabin bases,
     which answers every n below 43^2, then Miller-Rabin to those bases.
     Refused at or above ``_MR_BOUND``, where the test is no longer exact."""
-    if n < 2:
+    if require_int(n, "a primality candidate") < 2:
         return False
     if n >= _MR_BOUND:
         raise ResourceBudgetError(f"primality is decided only below {_MR_BOUND}")
@@ -132,8 +134,19 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def require_int(value: int, what: str, low: Optional[int] = None) -> int:
+    """Return value, or refuse it unless it is an int, not a bool, and (when
+    ``low`` is given) at least ``low``: the one rule for every height,
+    count, order and degree the package takes."""
+    if not _is_int(value):
+        raise InputError(f"{what} must be an int, got {value!r}")
+    if low is not None and value < low:
+        raise InputError(f"{what} must be >= {low}, got {value}")
+    return value
+
+
 def require_prime(p: int) -> int:
-    if not isinstance(p, int) or not is_prime(p):
+    if not _is_int(p) or not is_prime(p):
         raise InputError(f"expected a prime, got {p!r}")
     return p
 
@@ -164,7 +177,7 @@ def vp(x: RationalLike, p: int) -> Valuation:
     For x = a/b in lowest terms, vp(x) = vp(a) - vp(b).
     """
     require_prime(p)
-    x = Fraction(x)
+    x = Fraction(x if isinstance(x, Fraction) else require_int(x, "a non-Fraction value"))
     if x == 0:
         return INFINITE
     return _int_valuation(x.numerator, p) - _int_valuation(x.denominator, p)
@@ -177,10 +190,7 @@ def binom_ext(n: int, k: int) -> int:
     is C(-1, k) = (-1)**k, the unique extension satisfying Pascal's rule at
     n = 0.
     """
-    if k < 0:
-        raise InputError(f"binom_ext requires k >= 0, got k={k}")
-    if n == -1:
+    require_int(k, "k", 0)
+    if require_int(n, "n", -1) == -1:
         return -1 if k % 2 else 1
-    if n < -1:
-        raise InputError(f"binom_ext requires n >= -1, got n={n}")
     return math.comb(n, k)

@@ -45,8 +45,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, _is_int, binom_ext,
-                        power_may_fit, require_digits, require_prime, vp)
+from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext, power_may_fit,
+                        require_digits, require_int, require_prime, vp)
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -66,10 +66,7 @@ class FinSet:
     size: int
 
     def __post_init__(self):
-        if not _is_int(self.size):
-            raise InputError(f"FinSet needs an int size, got {self.size!r}")
-        if self.size < 1:
-            raise InputError(f"FinSet needs size >= 1, got {self.size} (use EMPTY for 0)")
+        require_int(self.size, "FinSet size", 1)
 
 
 @frozen
@@ -91,10 +88,7 @@ class EM:
     degree: int
 
     def __post_init__(self):
-        if not _is_int(self.degree):
-            raise InputError(f"EM needs an int degree, got {self.degree!r}")
-        if self.degree < 1:
-            raise InputError(f"EM needs degree >= 1, got {self.degree}")
+        require_int(self.degree, "EM degree", 1)
         canon = _invariant_factors(self.factors)
         if not canon:
             raise InputError("EM needs a nontrivial coefficient group")
@@ -152,10 +146,7 @@ def _invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     top down by ``C_a x C_b = C_gcd(a,b) x C_lcm(a,b)``; nothing is factored."""
     chain: list[int] = []       # descending, each entry a multiple of the next
     for m in orders:
-        if not _is_int(m):
-            raise InputError(f"cyclic factor orders must be ints, got {m!r}")
-        if m < 1:
-            raise InputError(f"cyclic factor orders must be >= 1, got {m}")
+        require_int(m, "cyclic factor orders", 1)
         for i, d in enumerate(chain):
             chain[i], m = math.lcm(d, m), math.gcd(d, m)
         if m > 1:
@@ -188,11 +179,7 @@ def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
 # -- smart constructors ------------------------------------------------------------
 
 def finite_set(k: int) -> SpaceExpr:
-    if not _is_int(k):
-        raise InputError(f"finite set size must be an int, got {k!r}")
-    if k < 0:
-        raise InputError(f"finite set size must be >= 0, got {k}")
-    return EMPTY if k == 0 else FinSet(k)
+    return EMPTY if require_int(k, "finite set size", 0) == 0 else FinSet(k)
 
 
 def classifying(group: FiniteGroup) -> SpaceExpr:
@@ -235,17 +222,11 @@ def described_classifying(d: GroupDescriptor) -> SpaceExpr:
 def em_space(factors: Iterable[int], degree: int) -> SpaceExpr:
     """EM atom with normalization: degree 0 collapses to the underlying finite
     set, a trivial coefficient group collapses to a point.  Neither needs
-    the orders folded; ``EM`` checks and folds them, once."""
-    factors = tuple(factors)
-    bad = [x for x in (degree, *factors) if not _is_int(x)]
-    if bad:
-        raise InputError(f"EM degree and orders must be ints, got {bad[0]!r}")
-    if degree < 0:
-        raise InputError(f"EM degree must be >= 0, got {degree}")
+    the orders folded; ``EM`` folds them, once."""
+    require_int(degree, "EM degree", 0)
+    factors = tuple(require_int(m, "cyclic factor orders", 1) for m in factors)
     if degree > 0 and any(m != 1 for m in factors):
         return EM(factors, degree)
-    if min(factors, default=1) < 1:
-        raise InputError(f"cyclic factor orders must be >= 1, got {min(factors)}")
     return FinSet(math.prod(factors))
 
 
@@ -529,9 +510,7 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
     its exponent, is taken.
     """
     require_prime(p)
-    if n < 0:
-        raise InputError(f"height must be >= 0, got {n}")
-    return _height_cardinality(x, p, n)
+    return _height_cardinality(x, p, require_int(n, "height", 0))
 
 
 # -- finiteness structure ------------------------------------------------------------
@@ -559,7 +538,7 @@ def is_m_finite(x: SpaceExpr, m: int) -> bool:
     """Truncation test: finitely many components with homotopy concentrated
     in degrees <= m, that is every atom of the normal form in degree <= m.
     m = -2 means contractible; m = -1 means a finite (possibly empty) set."""
-    if m < -2:
+    if require_int(m, "m") < -2:
         return False
     nf = normal_form(x)
     if m == -2:
@@ -572,8 +551,7 @@ def is_amenable_at_height(x: SpaceExpr, p: int, n: int) -> bool:
     the height-n layer, so that averaging over x is possible there.  Every
     nonempty space counts positively, so a value of 0 is the empty space."""
     require_prime(p)
-    if n < 1:
-        raise InputError(f"amenability is a height >= 1 question, got n={n}")
+    require_int(n, "amenability height", 1)
     value = height_cardinality(x, p, n)
     if value == 0:
         raise InputError("the empty space has no amenability")

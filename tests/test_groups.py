@@ -580,3 +580,62 @@ class TestTableFormat:
             tracemalloc.stop()
         assert g.order == 1000
         assert kept <= 8 * g.order ** 2 + 128 * g.order
+
+
+class TestIntegerInputs:
+    """Every order, degree and tuple length is a non-bool int, refused by
+    type before any table is built: ``3.0 == 3`` and ``True == 1`` pass
+    every range check an int passes."""
+
+    @pytest.fixture(autouse=True)
+    def no_table_built(self, monkeypatch):
+        named_group("S3")       # held before the guard
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(pf.FiniteGroup, "__init__", refuse)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda v: pf.build_group(pf.Cyclic(v)),
+        lambda v: pf.build_group(pf.Symmetric(v)),
+        lambda v: pf.build_group(pf.Dihedral(v)),
+        lambda v: pf.build_group(pf.Wreath(pf.Cyclic(2), v)),
+        lambda v: pf.build_group(pf.DirectProduct(pf.Cyclic(2), pf.Cyclic(v))),
+        lambda v: pf.wreath_cyclic(named_group("S3"), v),
+        lambda v: pf.count_commuting_p_tuples(named_group("S3"), 2, v),
+    ], ids=["Cyclic", "Symmetric", "Dihedral", "Wreath degree", "DirectProduct factor",
+            "wreath_cyclic", "count_commuting_p_tuples"])
+    def test_non_ints_refused(self, call, value):
+        with pytest.raises(InputError):
+            call(value)
+
+    def test_bool_cyclic_order_refused(self):
+        # built an order-1 group named CTrue
+        with pytest.raises(InputError, match="^Cyclic order must be an int, got True$"):
+            pf.build_group(pf.Cyclic(True))
+
+    def test_float_cyclic_order_is_an_input_error(self):
+        # raised a bare AttributeError ('float' has no 'bit_length')
+        with pytest.raises(InputError, match=r"^Cyclic order must be an int, got 2\.0$"):
+            pf.build_group(pf.Cyclic(2.0))
+
+    def test_bool_tuple_length_refused(self):
+        # answered 4, the count at length 1
+        with pytest.raises(InputError, match="^tuple length must be an int, got True$"):
+            pf.count_commuting_p_tuples(named_group("S3"), 2, True)
+
+    def test_range_messages_kept(self):
+        with pytest.raises(InputError, match=r"^Symmetric degree must be in 1\.\.6, got 7$"):
+            pf.build_group(pf.Symmetric(7))
+        with pytest.raises(InputError, match="^Dihedral order must be even and >= 2, got 7$"):
+            pf.build_group(pf.Dihedral(7))
+        with pytest.raises(InputError, match="^wreath degree must be >= 2, got 1$"):
+            pf.wreath_cyclic(named_group("S3"), 1)
+
+
+def test_constructor_takes_no_descriptor():
+    # the descriptor is set by the builder alone
+    with pytest.raises(TypeError):
+        pf.FiniteGroup([[0]], descriptor=pf.Cyclic(1))
+    assert pf.FiniteGroup([[0]]).descriptor is None
+    assert pf.build_group(pf.Cyclic(3)).descriptor == pf.Cyclic(3)

@@ -408,3 +408,95 @@ class TestPkRelations:
             pf.pk_relation_check(2, 3, 2)
         with pytest.raises(InputError):
             pf.pk_relation_check(4, 0, 3)
+
+
+BC2 = pf.em_space([2], 1)
+
+
+class TestIntegerInputs:
+    """Every layer, count, range and power is a non-bool int, refused by
+    type before any table is built or any layer computed."""
+
+    @pytest.fixture(autouse=True)
+    def no_table_built(self, monkeypatch):
+        named_group("S3")       # held before the guard
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(pf.FiniteGroup, "__init__", refuse)
+
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda v: pf.delta_iter(3, 2, v),
+        lambda v: pf.height_profile(pf.PT, 2, v),
+        lambda v: pf.R1Element(BC2, v, 1, 0),
+        lambda v: pf.R1Element(BC2, 0, v, 0),
+        lambda v: pf.R1Element(BC2, 0, 1, v),
+        lambda v: pf.R1Element(BC2, 0, 1, 0).value_at(2, v),
+        lambda v: pf.R1Element(BC2, 0, 1, 0).profile(2, v),
+        lambda v: pf.beta_element(2, v),
+        lambda v: pf.alpha_splitter(2, v, 3),
+        lambda v: pf.alpha_splitter(2, 1, v),
+        lambda v: pf.verify_wreath_identity(named_group("S3"), 2, v),
+        lambda v: pf.pk_relation_check(2, v, 3),
+        lambda v: pf.pk_relation_check(2, 1, v),
+        lambda v: pf.classify_layer(pf.HeightProfile(2, (1, 2, 3, 4)), v),
+    ], ids=["delta_iter k", "height_profile top", "R1Element delta power",
+            "R1Element coefficient", "R1Element constant", "value_at n", "profile top",
+            "beta_element k", "alpha_splitter k", "alpha_splitter top",
+            "verify_wreath_identity n", "pk_relation_check n", "pk_relation_check kmax",
+            "classify_layer n"])
+    def test_non_ints_refused(self, call, value):
+        with pytest.raises(InputError):
+            call(value)
+
+    def test_bool_iteration_count_refused(self):
+        # answered as if k = 1
+        with pytest.raises(InputError, match="^iteration count must be an int, got True$"):
+            pf.delta_iter(3, 2, True)
+
+    def test_bool_beta_layer_refused(self):
+        # returned the k = 1 element
+        with pytest.raises(InputError, match="^k must be an int, got True$"):
+            pf.beta_element(2, True)
+
+    def test_negative_alpha_layer_refused(self):
+        # answered a profile of 1s, the empty product
+        with pytest.raises(InputError, match="^k must be >= 0, got -1$"):
+            pf.alpha_splitter(2, -1, 3)
+
+    def test_range_messages_kept(self):
+        with pytest.raises(InputError, match="^need 0 <= n <= kmax, got n=-1, kmax=3$"):
+            pf.pk_relation_check(2, -1, 3)
+        with pytest.raises(InputError, match="^need k <= top, got k=2, top=1$"):
+            pf.alpha_splitter(2, 2, 1)
+        with pytest.raises(InputError, match=r"^layer 4 outside profile range 0\.\.3$"):
+            pf.classify_layer(pf.HeightProfile(2, (1, 2, 3, 4)), 4)
+
+
+class TestRationalInputs:
+    """A rational argument is an int or a Fraction; a float, a bool or a
+    string is refused, not converted."""
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda v: pf.delta(v, 3),
+        lambda v: pf.delta_iter(v, 3, 1),
+        lambda v: pf.delta_iter(v, 3, 0),
+        lambda v: pf.HeightProfile(2, (v,)),
+        lambda v: pf.HeightProfile(2, (Fraction(1, 2), v)),
+    ], ids=["delta", "delta_iter", "delta_iter at k = 0", "HeightProfile",
+            "HeightProfile second value"])
+    def test_non_rationals_refused(self, call, value):
+        with pytest.raises(InputError):
+            call(value)
+
+    def test_float_delta_refused(self):
+        # answered a 49-digit fraction, the delta of 0.1's binary expansion
+        with pytest.raises(InputError, match=r"^a non-Fraction value must be an int, got 0\.1$"):
+            pf.delta_iter(0.1, 3, 1)
+
+    def test_float_profile_value_refused(self):
+        # held 3602879701896397/36028797018963968
+        with pytest.raises(InputError, match=r"^a non-Fraction value must be an int, got 0\.1$"):
+            pf.HeightProfile(2, [0.1])
+        assert pf.HeightProfile(2, [1, Fraction(1, 10)]).values == (1, Fraction(1, 10))

@@ -386,6 +386,20 @@ class TestInputTypes:
         with pytest.raises(InputError):
             pf.gaussian_binomial(n, k, q)
 
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda v: pf.count_null_square_two_forms(3, v),
+        lambda v: pf.decomposable_form_count(3, v),
+        lambda v: pf.cup_square_fiber_cardinality(3, v),
+        lambda v: pf.gaussian_binomial(4, 2, v),
+        lambda v: pf.gaussian_binomial(v, 2, 3),
+        lambda v: pf.gaussian_binomial(4, v, 3),
+    ], ids=["count dimension", "closed-form dimension", "fiber height", "gaussian q",
+            "gaussian n", "gaussian k"])
+    def test_integer_arguments(self, call, value):
+        with pytest.raises(InputError):
+            call(value)
+
     @pytest.mark.parametrize("p", [3.0, True, Fraction(3)])
     def test_amenability_failure_report(self, p):
         with pytest.raises(InputError):
@@ -398,6 +412,10 @@ class TestInputTypes:
             pf.count_null_square_two_forms(3, True)
         with pytest.raises(InputError, match="^height must be >= 0, got -1$"):
             pf.cup_square_fiber_cardinality(3, -1)
+        with pytest.raises(InputError, match="^q must be >= 2, got 1$"):
+            pf.gaussian_binomial(4, 2, 1)
+        with pytest.raises(InputError, match=r"^n must be an int, got 4\.0$"):
+            pf.gaussian_binomial(4.0, 2, 3)
 
 
 class TestBudgetPairs:

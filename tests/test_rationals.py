@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from pifinite import INFINITE, PT, InputError, ResourceBudgetError, binom_ext, connectivity, vp
 from pifinite.rationals import (MAX_DIGITS, _int_valuation, fits_digits, is_prime,
-                                power_may_fit, require_digits, require_numeral)
+                                power_may_fit, require_digits, require_int, require_numeral,
+                                require_prime)
 
 
 def division_loop_valuation(n: int, p: int) -> int:
@@ -179,3 +180,54 @@ class TestNumerals:
     def test_past_budget(self, text):
         with pytest.raises(ResourceBudgetError, match=f"x exceeds the {MAX_DIGITS}-digit budget"):
             require_numeral(text, "x")
+
+
+NON_INTS = [2.5, 2.0, True, "3"]
+
+
+class TestIntegerInputs:
+    """One rule, ``require_int``, takes every integer argument: a non-bool
+    int at least its bound.  ``3.0 == 3`` and ``True == 1`` pass every range
+    check an int passes, so each is refused by type first."""
+
+    @pytest.mark.parametrize("value", NON_INTS, ids=repr)
+    @pytest.mark.parametrize("call", [
+        is_prime, lambda v: binom_ext(v, 1), lambda v: binom_ext(3, v), require_prime,
+        lambda v: vp(12, v), lambda v: require_int(v, "x"), lambda v: require_int(v, "x", 0),
+    ], ids=["is_prime", "binom_ext n", "binom_ext k", "require_prime", "vp prime",
+            "require_int", "require_int with a bound"])
+    def test_non_ints_refused(self, call, value):
+        with pytest.raises(InputError):
+            call(value)
+
+    def test_messages(self):
+        with pytest.raises(InputError, match=r"^count must be an int, got 2\.0$"):
+            require_int(2.0, "count", 0)
+        with pytest.raises(InputError, match="^count must be an int, got True$"):
+            require_int(True, "count")
+        with pytest.raises(InputError, match="^count must be >= 0, got -1$"):
+            require_int(-1, "count", 0)
+        assert require_int(-5, "m") == -5 and require_int(0, "count", 0) == 0
+
+    @pytest.mark.parametrize("n", [2.5, 3.0])
+    def test_is_prime_takes_only_ints(self, n):
+        # both answered True
+        with pytest.raises(InputError):
+            is_prime(n)
+
+
+class TestRationalInputs:
+    """A rational argument is an int or a Fraction: anything else would be
+    converted, a float to the binary fraction nearest it."""
+
+    @pytest.mark.parametrize("value", [0.1, 2.0, True, "3"], ids=repr)
+    def test_vp_refuses_non_rationals(self, value):
+        with pytest.raises(InputError):
+            vp(value, 5)
+
+    def test_float_valuation_refused(self):
+        # 0.1 is 3602879701896397/2^55, whose 5-adic valuation 0 was answered
+        # for 1/10, whose valuation is -1
+        with pytest.raises(InputError, match=r"^a non-Fraction value must be an int, got 0\.1$"):
+            vp(0.1, 5)
+        assert vp(Fraction(1, 10), 5) == -1 and vp(10, 5) == 1

@@ -273,6 +273,13 @@ class TestHeightCardinality:
 
 
 class TestIntegerInputs:
+    @pytest.fixture(autouse=True)
+    def no_table_built(self, monkeypatch):
+        named_group("S3")       # held before the guard
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(pf.FiniteGroup, "__init__", refuse)
+
     # 2.5 made a 2.5-point set whose height cardinality was 5/2, and True a
     # one-point set; normal_form(finite_set(2.5)) raised a bare AttributeError
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "3"], ids=repr)
@@ -280,11 +287,34 @@ class TestIntegerInputs:
         pf.FinSet, lambda v: pf.EM((v,), 1), lambda v: pf.EM((2, v), 1),
         lambda v: pf.EM((2,), v), pf.finite_set, lambda v: pf.em_space([v], 1),
         lambda v: pf.em_space([v], 0), lambda v: pf.em_space([2], v),
+        lambda v: pf.height_cardinality(pf.classifying(named_group("S3")), 2, v),
+        lambda v: pf.height_cardinality(pf.em_space([2], 1), 2, v),
+        lambda v: pf.is_amenable_at_height(pf.classifying(named_group("S3")), 2, v),
+        lambda v: pf.is_m_finite(PT, v),
     ], ids=["FinSet", "EM order", "EM second order", "EM degree", "finite_set",
-            "em_space order", "em_space order at degree 0", "em_space degree"])
+            "em_space order", "em_space order at degree 0", "em_space degree",
+            "height_cardinality of B(S3)", "height_cardinality of B^1(C2)",
+            "is_amenable_at_height", "is_m_finite"])
     def test_non_ints_refused(self, build, value):
         with pytest.raises(InputError, match="int"):
             build(value)
+
+    def test_float_height_of_a_group_is_an_input_error(self):
+        # failed on a list index
+        with pytest.raises(InputError, match=r"^height must be an int, got 2\.0$"):
+            pf.height_cardinality(pf.classifying(named_group("S3")), 2, 2.0)
+
+    def test_ranges_kept(self):
+        with pytest.raises(InputError, match="^FinSet size must be >= 1, got 0$"):
+            pf.FinSet(0)
+        with pytest.raises(InputError, match="^EM degree must be >= 1, got 0$"):
+            pf.EM((2,), 0)
+        with pytest.raises(InputError, match="^amenability height must be >= 1, got 0$"):
+            pf.is_amenable_at_height(PT, 2, 0)
+        # one pass over the orders names the first bad one
+        with pytest.raises(InputError, match="^cyclic factor orders must be >= 1, got 0$"):
+            pf.em_space([2, 0, -1], 0)
+        assert not pf.is_m_finite(PT, -3)
 
 
 class TestDigitBudget:
