@@ -37,7 +37,13 @@ mask of the classes incident to it; the list of those classes is read off
 the mask, and every level of the split reads its relations from them
 through a p^3-entry class index.  The plane depends on p alone, so
 ``_plane`` holds the masks, the lists and the index per prime: the first
-count at p solves them, and every later count at p reads them.
+count at p solves them, and every later count at p reads them.  Below its
+outer vertex a count at n >= 5 reads the level-(n-1) line tables and the
+class each outer representative picks per triple, which depend on (p, n)
+alone, so ``_level`` holds those per (p, n) in the same way: 6.8 kB at
+(3,5) and 77 kB at (5,5), the only pairs past n = 4 that the default
+budget admits.  Every call still ANDs the tables at every outer
+representative's classes and takes the popcount; no count is held.
 ``decomposable_form_count`` is the Gaussian-binomial closed form.  The
 enumeration never consults the closed form or any rank formula.
 """
@@ -164,9 +170,14 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     per relation through vertex 0 by the class of the w that relation
     reads; the buckets are ORed along each line (``_representative_tables``)
     and each u ANDs, over the relations, the masks at its own classes
-    (``_alive``).  One route serves every n >= 5.  Each form is therefore
-    decided by the relations themselves, never by the closed form of
-    ``decomposable_form_count``, which stays an independent cross-check.
+    (``_alive``).  The tables and each u's classes depend on (p, n) alone:
+    the first count at (p, n) builds them, after the checks above, and
+    ``_level`` holds them for the process (6.8 kB at (3,5), 77 kB at
+    (5,5)), so every later call at (p, n) only ANDs held masks for every u
+    and takes the popcount.  One route serves every n >= 5.  Each form is
+    therefore decided by the relations themselves, never by the closed
+    form of ``decomposable_form_count``, which stays an independent
+    cross-check.
     ``DEFAULT_ENUMERATION_BUDGET`` counts all p^C(n,2) forms, pruned or not,
     and has no per-call override.
     """
@@ -186,7 +197,8 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     if n == 4:
         masks = _plane(p).incidence
     else:
-        masks = _alive(p, _representatives(p, n - 1), _representative_tables(p, n - 1))
+        level = _level(p, n)
+        masks = _alive(level.tables, level.picks)
     q = p - 1
     zero_u, *rest = masks
     zero_v = sum(map((1).__and__, rest))
@@ -212,6 +224,21 @@ def _plane(p: int) -> _Plane:
     return _Plane(incidence, tuple(itemgetter(*_bits(mask)) for mask in incidence),
                   tuple(_class_index(p)), tuple(-y % p * p for y in range(p)),
                   tuple(y * p for y in range(p)), tuple(x * p * p for x in range(p)))
+
+
+_Level = namedtuple("_Level", "tables picks")
+
+
+@cache
+def _level(p: int, n: int) -> _Level:
+    """What a count at (p, n), n >= 5, reads below its outer vertex, held
+    for the process as the plane is: the ``_representative_tables(p, n-1)``
+    masks, and the outer representatives ``us = _representatives(p, n-1)``
+    as the class row each picks for each triple, ``picks[t][i]`` for
+    us[i].  Every field is a tuple of tuples of ints.  Counts reach it only
+    after the prime and budget checks."""
+    return _Level(tuple(map(tuple, _representative_tables(p, n - 1))),
+                  tuple(map(tuple, _picks(p, _representatives(p, n - 1)))))
 
 
 def _null_square_kernel(p: int, n: int) -> list[tuple[int, ...]]:
@@ -311,7 +338,7 @@ def _vertex_zero_test(p: int, us: list, inner: list) -> tuple[list[int], list]:
             masks[cls] |= 1 << j
         buckets.append(masks)
     tables = _tables(buckets, plane.lines)
-    return _alive(p, us, tables), tables
+    return _alive(tables, _picks(p, us)), tables
 
 
 def _tables(buckets: list[list[int]], lines: tuple[itemgetter, ...]) -> list[list[int]]:
@@ -321,16 +348,21 @@ def _tables(buckets: list[list[int]], lines: tuple[itemgetter, ...]) -> list[lis
     return [[sum(line(masks)) for line in lines] for masks in buckets]
 
 
-def _alive(p: int, us: list, tables: list[list[int]]) -> list[int]:
-    """Per vector u of ``us``, the AND over triples t = (b, c, d) of
-    ``tables[t]`` at the class of (u_b, u_c, u_d): what passes every
-    relation with u."""
+def _picks(p: int, us: list) -> list:
+    """Per triple t = (b, c, d), the class rows of (u_b, u_c, u_d) for the
+    vectors u of ``us``, in order."""
     columns = list(zip(*us))
     scaled = _plane(p).scaled
+    return [_classes(p, columns[b], map(scaled.__getitem__, columns[c]), columns[d])
+            for b, c, d in combinations(range(len(columns)), 3)]
+
+
+def _alive(tables, picks) -> list[int]:
+    """Per vector u, the AND over triples t of ``tables[t]`` at u's class
+    row ``picks[t]``: what passes every relation with u."""
     alive = None
-    for table, (b, c, d) in zip(tables, combinations(range(len(columns)), 3)):
-        picked = map(table.__getitem__, _classes(p, columns[b],
-                                                 map(scaled.__getitem__, columns[c]), columns[d]))
+    for table, rows in zip(tables, picks):
+        picked = map(table.__getitem__, rows)
         alive = list(picked) if alive is None else list(map(and_, alive, picked))
     return alive
 

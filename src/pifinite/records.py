@@ -10,7 +10,9 @@ field values, read in C by ``operator.attrgetter``.  The fields are the
 names in the class's own annotations, in order, and each is required;
 every record has the one generated repr.  Hashes are ``hash(field
 tuple)``, as frozen dataclasses give, so no set or dict order depends on
-the choice.
+the choice.  A record holds its hash once taken, so a dict lookup rebuilds
+no field tuple; a record with an unhashable field holds none and raises
+``TypeError`` on every call.
 """
 
 from __future__ import annotations
@@ -61,6 +63,12 @@ def _repr(self) -> str:
     return f"{type(self).__qualname__}({fields})"
 
 
+def _getstate(self) -> dict:
+    # the fields without the held hash, which a str field makes another
+    # process's when pickled
+    return {name: getattr(self, name) for name in self.__record__[0]}
+
+
 def _setattr(self, name, value):
     raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
@@ -85,7 +93,11 @@ def frozen(cls: type) -> type:
             return NotImplemented
 
         def __hash__(self):
-            return hash((get(self),))
+            held = self._record_hash
+            if held is None:
+                held = hash((get(self),))
+                _object_setattr(self, "_record_hash", held)
+            return held
     else:
         fields = attrgetter(*names) if names else lambda obj: ()
 
@@ -95,9 +107,17 @@ def frozen(cls: type) -> type:
             return NotImplemented
 
         def __hash__(self):
-            return hash(fields(self))
+            held = self._record_hash
+            if held is None:
+                held = hash(fields(self))
+                _object_setattr(self, "_record_hash", held)
+            return held
 
+    # an instance holds its hash once taken; the class's None stands in
+    # until then, so the first call needs no exception
+    cls._record_hash = None
     cls.__init__, cls.__eq__, cls.__hash__ = _init, __eq__, __hash__
+    cls.__getstate__ = _getstate
     cls.__setattr__, cls.__delattr__ = _setattr, _delattr
     cls.__repr__ = _repr
     return cls

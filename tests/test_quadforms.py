@@ -14,8 +14,8 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _all_vectors, _bits, _class_index,
-                                _incidence, _null_square_kernel, _plane,
+from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _alive, _all_vectors, _bits, _class_index,
+                                _incidence, _level, _null_square_kernel, _plane,
                                 _representative_split, _representative_tables,
                                 _representatives)
 
@@ -81,6 +81,15 @@ def full_enumeration_count(p: int, n: int) -> int:
             alive &= s == 0
         count += int(alive.sum())
     return count
+
+
+@pytest.fixture
+def fresh_levels():
+    """No level held before the test, and none it builds (from a tampered
+    or spied plane or table) held after it."""
+    _level.cache_clear()
+    yield
+    _level.cache_clear()
 
 
 class TestKernelCounts:
@@ -325,7 +334,7 @@ class TestHeldPlane:
             assert plane.index[plane.square[x] + plane.negated[y] + z] == \
                 index[(x * p + -y % p) * p + z]
 
-    def test_interleaved_primes_match_the_oracles(self):
+    def test_interleaved_primes_match_the_oracles(self, fresh_levels):
         # the brute-force sweep where it is quick; past 10^5 forms, the
         # numpy enumeration, which reads no scaling class either
         _plane.cache_clear()
@@ -335,7 +344,7 @@ class TestHeldPlane:
             assert pf.count_null_square_two_forms(p, n).kernel_count == expected
         assert _plane.cache_info().currsize == 3
 
-    def test_counts_read_the_held_plane(self, monkeypatch):
+    def test_counts_read_the_held_plane(self, monkeypatch, fresh_levels):
         # class 2, (1, 0, 1), is off the line of class 1, (1, 0, 0): a plane
         # held with that pair incident must change both counts at p = 5
         held = _plane(5)
@@ -352,6 +361,59 @@ class TestHeldPlane:
             except InvariantError:
                 continue
             assert count != pf.decomposable_form_count(5, n)
+
+
+class TestHeldLevels:
+    """What a count at (p, n >= 5) reads below its outer vertex is built
+    once, by the first count at (p, n), and every count ANDs the held
+    tables at every outer representative's held classes."""
+
+    def test_built_once_per_pair(self, monkeypatch, fresh_levels):
+        calls = []
+        build = pf.quadforms._representative_tables
+        monkeypatch.setattr(pf.quadforms, "_representative_tables",
+                            lambda p, m: calls.append((p, m)) or build(p, m))
+        for p, n in ((5, 5), (3, 5), (5, 5), (3, 5)):
+            assert pf.count_null_square_two_forms(p, n).kernel_count == \
+                pf.decomposable_form_count(p, n)
+        assert calls == [(5, 4), (3, 4)]
+
+    @pytest.mark.parametrize("p,n", [(p, n) for p, n in DEFAULT_BUDGET_PAIRS if n >= 5])
+    def test_holds_only_tuples_and_ints(self, p, n):
+        def held(value):
+            if type(value) is tuple:
+                return all(map(held, value))
+            return type(value) is int
+        level = _level(p, n)
+        assert isinstance(level, tuple) and all(type(field) is tuple for field in level)
+        assert all(map(held, level))
+        # one class row per outer representative for each triple
+        assert [len(rows) for rows in level.picks] == \
+            [len(_representatives(p, n - 1))] * math.comb(n - 1, 3)
+
+    def test_first_and_later_counts_match_the_oracles(self, fresh_levels):
+        expected = {(3, 5): len(sweep_kernel(3, 5)), (5, 5): full_enumeration_count(5, 5)}
+        for p, n in ((3, 5), (5, 5), (3, 5), (5, 5)):
+            assert pf.count_null_square_two_forms(p, n).kernel_count == expected[p, n]
+
+    def test_counts_and_the_held_tables(self, monkeypatch):
+        # clear one bit v != 0 of u's alive mask, u != 0, in the first table u
+        # picks: the pair weighs (p-1)^2, so every call moves by 16
+        level = _level(5, 5)
+        kernel = pf.count_null_square_two_forms(5, 5).kernel_count
+        alive = _alive(level.tables, level.picks)
+        i = next(i for i in range(1, len(alive)) if alive[i] >> 1)
+        above_zero = alive[i] >> 1
+        bit = (above_zero & -above_zero) << 1
+        first = list(level.tables[0])
+        first[level.picks[0][i]] ^= bit
+        tampered = level._replace(tables=(tuple(first),) + level.tables[1:])
+        monkeypatch.setattr(pf.quadforms, "_level",
+                            lambda p, n: tampered if (p, n) == (5, 5) else _level(p, n))
+        for _ in range(2):
+            assert pf.count_null_square_two_forms(5, 5).kernel_count == kernel - 16
+        monkeypatch.undo()
+        assert pf.count_null_square_two_forms(5, 5).kernel_count == kernel
 
 
 class TestInputTypes:

@@ -3,6 +3,7 @@ space atoms, reports): construction, equality, hashing, repr, immutability
 and the checks their constructors run."""
 
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,6 +13,27 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError
+from pifinite.records import frozen
+
+
+class _Counted:
+    """A field that counts the calls to its ``__hash__``."""
+    calls = 0
+
+    def __hash__(self):
+        _Counted.calls += 1
+        return 7
+
+
+@frozen
+class _One:
+    key: object
+
+
+@frozen
+class _Two:
+    key: object
+    tag: int
 
 
 class TestEqualityAndHash:
@@ -35,6 +57,43 @@ class TestEqualityAndHash:
         assert hash(d) == hash((pf.Cyclic(2), pf.Wreath(pf.Symmetric(3), 2)))
         assert hash(pf.EM((2, 4), 2)) == hash(((2, 4), 2))
         assert hash(pf.Empty()) == hash(())
+
+    @pytest.mark.parametrize("build", [lambda key: _One(key), lambda key: _Two(key, 2)])
+    def test_hash_is_taken_once(self, build):
+        key = _Counted()
+        record = build(key)
+        _Counted.calls = 0
+        table = {record: "a"}
+        for _ in range(100):
+            assert table[record] == "a"
+            assert record in table
+        assert _Counted.calls == 1
+        held = hash(record)
+        assert held == hash(tuple(getattr(record, name) for name in type(record).__record__[0]))
+        # an equal record has its own hash to take, and finds the entry
+        _Counted.calls = 0
+        assert table[build(key)] == "a"
+        assert _Counted.calls == 1
+
+    @pytest.mark.parametrize("build", [lambda key: _One(key), lambda key: _Two(key, 2)])
+    def test_unhashable_field_raises_on_every_call(self, build):
+        record = build([1, 2])
+        for _ in range(3):
+            with pytest.raises(TypeError):
+                hash(record)
+            with pytest.raises(TypeError):
+                {record: 1}
+
+    def test_pickles_leave_the_held_hash_out(self):
+        # a held hash is not pickled: a str field hashes differently in
+        # another process
+        def build():
+            return pf.DirectProduct(pf.Cyclic(2), pf.Wreath(pf.Symmetric(3), 2))
+        record = build()
+        held = hash(record)
+        assert pickle.dumps(record) == pickle.dumps(build())
+        clone = pickle.loads(pickle.dumps(record))
+        assert clone == record and hash(clone) == held
 
     def test_usable_as_keys(self):
         keys = {pf.Cyclic(2): "a", pf.Symmetric(2): "b", pf.EM((2,), 1): "c"}
