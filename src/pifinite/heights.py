@@ -34,10 +34,12 @@ from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext,
                         fits_digits, power_may_fit, require_digits, require_int,
                         require_prime, require_values, vp)
 from .records import frozen
-from .spaces import SpaceExpr, em_space, height_cardinality
 
+# spaces and groups are imported by the functions that read them, so a
+# process that only iterates delta compiles neither
 if TYPE_CHECKING:
     from .groups import FiniteGroup
+    from .spaces import SpaceExpr
 
 DEFAULT_BETA_MAX_K = 4
 
@@ -141,6 +143,7 @@ def _profile(p: int, top: int, value: Callable[[int], ExactRational]) -> HeightP
 
 def height_profile(x: SpaceExpr, p: int, top: int) -> HeightProfile:
     """Profile of a space: layer n holds its height-n cardinality."""
+    from .spaces import height_cardinality
     return _profile(p, top, lambda n: height_cardinality(x, p, n))
 
 
@@ -190,6 +193,7 @@ class R1Element:
 
     def value_at(self, p: int, n: int) -> ExactRational:
         """Image of this element on the height-n layer at the prime p."""
+        from .spaces import height_cardinality
         require_prime(p)
         value = height_cardinality(self.symbol, p, require_int(n, "layer", 0))
         # layer 0 is rational, so delta there skips the p-integrality check
@@ -221,6 +225,7 @@ def beta_element(p: int, k: int) -> R1Element:
     require_prime(p)
     if require_int(k, "k", 0) > DEFAULT_BETA_MAX_K:
         raise ResourceBudgetError(f"k={k} exceeds the iterate budget {DEFAULT_BETA_MAX_K}")
+    from .spaces import em_space
     bc_p = em_space([p], 1)
     if k == 0:
         return R1Element(bc_p, 0, p, -1)

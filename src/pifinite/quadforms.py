@@ -35,17 +35,14 @@ a line of the projective plane, or a zero vector.  The lines are solved in
 one place, ``_incidence``, which gives each of the p^2+p+2 classes the int
 mask of the classes incident to it; the list of those classes is read off
 the mask, and every level of the split reads its relations from them
-through a p^3-entry class index.  The plane depends on p alone, so
-``_plane`` holds the masks, the lists and the index per prime: the first
-count at p solves them, and every later count at p reads them.  Below its
-outer vertex a count at n >= 5 reads the level-(n-1) line tables and the
-class each outer representative picks per triple, which depend on (p, n)
-alone, so ``_level`` holds those per (p, n) in the same way: 6.8 kB at
-(3,5) and 77 kB at (5,5), the only pairs past n = 4 that the default
-budget admits.  Every call still ANDs the tables at every outer
-representative's classes and takes the popcount; no count is held.
-``decomposable_form_count`` is the Gaussian-binomial closed form.  The
-enumeration never consults the closed form or any rank formula.
+through a p^3-entry class index, all held per prime by ``_plane``.  What a
+count reads depends on (p, n) alone, and ``_plan`` holds it per (p, n),
+built by the first count once the checks pass: the total, and the masks
+each outer representative ANDs, one bit per kernel representative one
+dimension down.  Every call checks its arguments' types and the budget,
+ANDs the held masks for every outer representative and takes the
+popcount; no count is held.  ``decomposable_form_count`` is the
+Gaussian-binomial closed form, which the enumeration never consults.
 """
 
 from __future__ import annotations
@@ -53,10 +50,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import namedtuple
-from functools import cache
+from functools import cache, partial, reduce
 from fractions import Fraction
-from itertools import combinations, compress, count, product, repeat
-from operator import add, and_, itemgetter, lshift
+from itertools import accumulate, chain, combinations, compress, count, product
+from operator import add, and_, itemgetter
 
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import (MAX_DIGITS, ExactRational, _is_int, binom_ext, fits_digits,
@@ -166,45 +163,65 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     the masks are the rows of ``_incidence``: v -> (v_23, -v_13, v_12) is a
     linear bijection of F_p^3 that commutes with scaling, so it permutes the
     scaling classes, zero class first.  For n >= 5 the v are the kernel
-    representatives one dimension down, laid out as bits once and bucketed
-    per relation through vertex 0 by the class of the w that relation
-    reads; the buckets are ORed along each line (``_representative_tables``)
-    and each u ANDs, over the relations, the masks at its own classes
-    (``_alive``).  The tables and each u's classes depend on (p, n) alone:
-    the first count at (p, n) builds them, after the checks above, and
-    ``_level`` holds them for the process (6.8 kB at (3,5), 77 kB at
-    (5,5)), so every later call at (p, n) only ANDs held masks for every u
-    and takes the popcount.  One route serves every n >= 5.  Each form is
-    therefore decided by the relations themselves, never by the closed
-    form of ``decomposable_form_count``, which stays an independent
-    cross-check.
-    ``DEFAULT_ENUMERATION_BUDGET`` counts all p^C(n,2) forms, pruned or not,
-    and has no per-call override.
+    representatives one dimension down, one bit each, and each u ANDs, over
+    the relations through vertex 0, the masks of those that pass with its
+    classes (``_representative_tables``).  The masks depend on (p, n)
+    alone and ``_plan`` holds them, so a call checks that p and n are ints,
+    which the plan's cache key cannot (it takes 3.0 and True for 3 and 1),
+    holds the plan's total to the budget, ANDs the held masks for every u
+    and takes the weighted popcount: 14 masks at (3,4), 471 ANDs of 807-bit
+    ints at (5,5).  Each form is decided by the relations themselves, never
+    by the closed form of ``decomposable_form_count``, which stays an
+    independent cross-check.  ``DEFAULT_ENUMERATION_BUDGET`` counts all
+    p^C(n,2) forms, pruned or not, and has no per-call override.
     """
-    _require_odd_prime(p)
-    require_int(n, "dimension", 1)
-    e = math.comb(n, 2)
-    # p^e is taken only where it may fit the digit budget, and shown only
-    # where it does
-    total = p ** e if power_may_fit(p, e) else None
-    budget = DEFAULT_ENUMERATION_BUDGET
-    if total is None or total > budget:
-        shown = total if total is not None and fits_digits(total) else f"{p}^{e}"
-        raise ResourceBudgetError(f"{shown} forms exceed the enumeration budget {budget}")
-    if n < 4:
+    if type(p) is not int or type(n) is not int:
+        _require_odd_prime(p)
+        require_int(n, "dimension")
+    total, columns = _plan(p, n)
+    if total > DEFAULT_ENUMERATION_BUDGET:
+        raise _over_budget(p, math.comb(n, 2), total)
+    if not columns:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
-    if n == 4:
-        masks = _plane(p).incidence
-    else:
-        level = _level(p, n)
-        masks = _alive(level.tables, level.picks)
     q = p - 1
-    zero_u, *rest = masks
+    zero_u, *rest = _alive(columns)
     zero_v = sum(map((1).__and__, rest))
     kernel = ((zero_u & 1) + q * (zero_u.bit_count() - (zero_u & 1))
               + q * zero_v + q * q * (sum(map(int.bit_count, rest)) - zero_v))
     return FormCountReport(p, n, kernel, total)
+
+
+def _over_budget(p: int, e: int, total) -> ResourceBudgetError:
+    # p^e is shown only where it fits the digit budget
+    shown = total if total is not None and fits_digits(total) else f"{p}^{e}"
+    return ResourceBudgetError(f"{shown} forms exceed the enumeration budget "
+                               f"{DEFAULT_ENUMERATION_BUDGET}")
+
+
+_Plan = namedtuple("_Plan", "total columns")
+
+
+@cache
+def _plan(p: int, n: int) -> _Plan:
+    """What every count at (p, n) reads, built by the first one once the
+    prime, dimension and budget checks pass, and held for the process: the
+    total p^C(n,2), and per relation through vertex 0 the column of masks
+    the outer representatives ``_representatives(p, n-1)`` pick, in order.
+    That is no column for n < 4, the plane's incidence for n = 4, and for
+    n >= 5 one column of ``_representative_tables(p, n-1)`` masks per
+    triple: 4.1 kB at (3,5) and 22 kB at (5,5) by ``sys.getsizeof``."""
+    _require_odd_prime(p)
+    e = math.comb(require_int(n, "dimension", 1), 2)
+    # p^e is taken only where it may fit the digit budget
+    total = p ** e if power_may_fit(p, e) else None
+    if total is None or total > DEFAULT_ENUMERATION_BUDGET:
+        raise _over_budget(p, e, total)
+    if n < 5:
+        return _Plan(total, (_plane(p).incidence,) if n == 4 else ())
+    picks = _picks(p, _representatives(p, n - 1))
+    return _Plan(total, tuple(tuple(map(table.__getitem__, rows))
+                              for table, rows in zip(_representative_tables(p, n - 1), picks)))
 
 
 _Plane = namedtuple("_Plane", "incidence lines index negated scaled square")
@@ -212,33 +229,18 @@ _Plane = namedtuple("_Plane", "incidence lines index negated scaled square")
 
 @cache
 def _plane(p: int) -> _Plane:
-    """The projective plane over F_p as every count at p reads it, solved by
-    the first count at p and held for the process, every field a tuple:
+    """The projective plane over F_p as every plan at p reads it, solved by
+    the first plan at p and held for the process, every field a tuple:
     the ``_incidence`` masks; per class row of ``_representatives(p, 3)``,
     an ``itemgetter`` of the rows incident to it, read off its mask; the
     ``_class_index``; and the offsets ``_classes`` adds into that index,
     ``negated[y]`` = (-y mod p)*p, ``scaled[y]`` = y*p and ``square[x]`` =
-    x*p^2.  Counts reach it only after the prime and budget checks, so it
-    holds at most the primes the enumeration budget admits."""
+    x*p^2.  Only ``_plan`` reaches it from a count, after the checks, so
+    it holds at most the primes the enumeration budget admits."""
     incidence = tuple(_incidence(p))
     return _Plane(incidence, tuple(itemgetter(*_bits(mask)) for mask in incidence),
                   tuple(_class_index(p)), tuple(-y % p * p for y in range(p)),
                   tuple(y * p for y in range(p)), tuple(x * p * p for x in range(p)))
-
-
-_Level = namedtuple("_Level", "tables picks")
-
-
-@cache
-def _level(p: int, n: int) -> _Level:
-    """What a count at (p, n), n >= 5, reads below its outer vertex, held
-    for the process as the plane is: the ``_representative_tables(p, n-1)``
-    masks, and the outer representatives ``us = _representatives(p, n-1)``
-    as the class row each picks for each triple, ``picks[t][i]`` for
-    us[i].  Every field is a tuple of tuples of ints.  Counts reach it only
-    after the prime and budget checks."""
-    return _Level(tuple(map(tuple, _representative_tables(p, n - 1))),
-                  tuple(map(tuple, _picks(p, _representatives(p, n - 1)))))
 
 
 def _null_square_kernel(p: int, n: int) -> list[tuple[int, ...]]:
@@ -253,27 +255,27 @@ def _null_square_kernel(p: int, n: int) -> list[tuple[int, ...]]:
 
 
 def _representative_split(p: int, n: int) -> tuple[list, list, list[int], list]:
-    """``(us, inner, alive, tables)`` for the kernel representatives on
+    """``(us, inner, alive, classes)`` for the kernel representatives on
     F_p^n (n >= 4), split on vertex 0.  ``us`` are the representatives of
     F_p^(n-1) and ``inner`` the kernel one dimension down; the
     representatives are (us[i], inner[j]) for the set bits j of
     ``alive[i]``.  That is (0, v) with v a leading-one row of ``inner``, or
     (u, v) with u a leading-one vector and v any form of ``inner`` that
     passes the relations through vertex 0, so only class rows of u are
-    tested.  ``tables`` is ``_vertex_zero_test``'s, over ``inner``.
+    tested.  ``classes`` is ``_vertex_zero_test``'s, over ``inner``.
     ``inner`` is in lexicographic order, so its leading-one rows with the
     leading 1 at position i are the run from (0,..,0,1,0,..) up to
     (0,..,0,2,0,..)."""
     us = _representatives(p, n - 1)
     inner = _null_square_kernel(p, n - 1)
-    alive, tables = _vertex_zero_test(p, us, inner)
+    alive, classes = _vertex_zero_test(p, us, inner)
     size = len(inner[0])
     alive[0] = 1        # the zero form
     for i in range(size):
         zeros = (0,) * i, (0,) * (size - 1 - i)
         alive[0] += ((1 << bisect_left(inner, zeros[0] + (2,) + zeros[1]))
                      - (1 << bisect_left(inner, zeros[0] + (1,) + zeros[1])))
-    return us, inner, alive, tables
+    return us, inner, alive, classes
 
 
 def _representative_tables(p: int, m: int) -> list[list[int]]:
@@ -281,70 +283,73 @@ def _representative_tables(p: int, m: int) -> list[list[int]]:
     dimension up reads them: ``tables[t][k]`` holds those whose w for the
     t-th triple b<c<d of ``combinations(range(m), 3)`` lies on the line of
     class k, so that they pass that triple's relation with any a in class
-    k.  The representative (us[i], inner[j]) of ``_representative_split``
-    is bit i*width + j, width = len(inner), so no form is built.
+    k.  The representatives (us[i], inner[j]) of ``_representative_split``
+    are numbered consecutively in (i, j) order, so the zero form is bit 0,
+    every bit is a representative and no form is built: 131 bits at m = 4,
+    p = 3, and 807 at m = 4, p = 5.  As they are numbered, ``spread[j]``
+    gathers the bits whose v is inner[j]; each u's bits form one run.
 
     A triple (0, c, d) reads w = (v_cd, -u_d, u_c), with v's vertices
-    relabelled: while the representatives are laid out, each u sends the
-    rows of ``inner`` with v_cd = x, shifted to its slot, to the bucket of
-    the class of (x, -u_d, u_c), and the buckets are ORed along the lines.
-    A triple with b >= 1 reads v alone and is a triple of ``inner``, whose
-    table the test through vertex 0 has built: repeating it in every slot
-    and cutting it to the representatives places it.  Every count ANDs at
-    least one such table, so the other tables need no cut."""
+    relabelled: each u sends the spread rows with v_cd = x, cut to its run,
+    to the class of (x, -u_d, u_c).  A triple with b >= 1 reads v alone: it
+    is a triple of ``inner``, and each spread row goes to the class the
+    test through vertex 0 found for it."""
     plane = _plane(p)
-    us, inner, alive, inner_tables = _representative_split(p, m)
-    offsets = range(0, len(us) * len(inner), len(inner))
-    reps = sum(map(lshift, alive, offsets))
-    repeated = sum(map(lshift, repeat(1), offsets))
-    buckets = []
+    us, inner, alive, inner_classes = _representative_split(p, m)
+    rows = list(map(_bits, alive))
+    spread = [0] * len(inner)
+    for position, j in enumerate(chain.from_iterable(rows)):
+        spread[j] |= 1 << position
+    ends = list(accumulate(map(len, rows), initial=0))
+    runs = [(1 << end) - (1 << start) for start, end in zip(ends, ends[1:])]
+    keyed = []
     for column, (c, d) in zip(zip(*inner), combinations(range(m - 1), 2)):
-        by_value = [0] * p
-        for j, x in enumerate(column):
-            by_value[x] |= 1 << j
-        masks = [0] * len(plane.lines)
-        for u, offset in zip(us, offsets):
-            # the classes of (x, -u_d, u_c) for x = 0, 1, ..., p-1
-            for cls, rows in zip(plane.index[plane.negated[u[d]] + u[c]::p * p], by_value):
-                masks[cls] |= rows << offset
-        buckets.append(masks)
-    return (_tables(buckets, plane.lines)
-            + [[mask * repeated & reps for mask in table] for table in inner_tables])
+        by_value = _buckets(column, spread, p)
+        # per u, the classes of (x, -u_d, u_c) for x = 0, 1, ..., p-1
+        keyed.append(([cls for u in us for cls in plane.index[plane.negated[u[d]] + u[c]::p * p]],
+                      [reps & run for run in runs for reps in by_value]))
+    return _tables(keyed + [(row_classes, spread) for row_classes in inner_classes], plane.lines)
 
 
 def _vertex_zero_test(p: int, us: list, inner: list) -> tuple[list[int], list]:
-    """``(alive, tables)``: ``alive[i]`` holds the rows j of ``inner`` (forms
+    """``(alive, classes)``: ``alive[i]`` holds the rows j of ``inner`` (forms
     on vertices 1..n-1, relabelled 0..n-2) for which (us[i], inner[j])
-    passes every relation through vertex 0 on F_p^n, and ``tables[t][k]``
-    the rows that pass the t-th triple's relation with any a in class k.
+    passes every relation through vertex 0 on F_p^n, and ``classes[t][j]``
+    is the class row of the t-th triple's w for inner[j].
 
     The relation for b<c<d, u_b*v_cd - u_c*v_bd + u_d*v_bc, is the dot
     product of a = (u_b, u_c, u_d) and w = (v_cd, -v_bd, v_bc).  It is
     bilinear, so whether a.w = 0 mod p depends only on the scaling classes
     of a and of w: each row goes to the bucket of its w's class, the
-    buckets are ORed along the lines, and ``_alive`` ANDs the tables over
-    the triples."""
+    buckets are ORed along the lines, and ``_alive`` ANDs, over the
+    triples, the tables at each u's classes."""
     plane = _plane(p)
     size = len(us[0])
     pos = {pair: i for i, pair in enumerate(combinations(range(size), 2))}
     columns = list(zip(*inner))
-    buckets = []
-    for b, c, d in combinations(range(size), 3):
-        masks = [0] * len(plane.lines)
-        classes = _classes(p, columns[pos[c, d]],
-                           map(plane.negated.__getitem__, columns[pos[b, d]]),
-                           columns[pos[b, c]])
-        for j, cls in enumerate(classes):
-            masks[cls] |= 1 << j
-        buckets.append(masks)
-    tables = _tables(buckets, plane.lines)
-    return _alive(tables, _picks(p, us)), tables
+    classes = [list(_classes(p, columns[pos[c, d]],
+                             map(plane.negated.__getitem__, columns[pos[b, d]]),
+                             columns[pos[b, c]]))
+               for b, c, d in combinations(range(size), 3)]
+    tables = _tables([(row, map((1).__lshift__, count())) for row in classes], plane.lines)
+    return list(_alive([map(table.__getitem__, rows)
+                        for table, rows in zip(tables, _picks(p, us))])), classes
 
 
-def _tables(buckets: list[list[int]], lines: tuple[itemgetter, ...]) -> list[list[int]]:
-    """Per triple, the OR of its bucket masks along each line of
-    ``_incidence``.  A bucket's members lie in one class, so the buckets on
-    a line are disjoint and their OR is their sum."""
+def _buckets(keys, masks, size: int) -> list[int]:
+    """``buckets[k]``, k < size, ORs the masks[j] with keys[j] = k."""
+    buckets = [0] * size
+    for key, mask in zip(keys, masks):
+        buckets[key] |= mask
+    return buckets
+
+
+def _tables(keyed, lines: tuple[itemgetter, ...]) -> list[list[int]]:
+    """Per triple, given as masks and the class of each, the OR along each
+    line of ``_incidence`` of the masks in the classes on it.  Each class's
+    masks are ORed first, and the classes on a line are disjoint, so their
+    OR is their sum."""
+    buckets = (_buckets(keys, masks, len(lines)) for keys, masks in keyed)
     return [[sum(line(masks)) for line in lines] for masks in buckets]
 
 
@@ -357,14 +362,9 @@ def _picks(p: int, us: list) -> list:
             for b, c, d in combinations(range(len(columns)), 3)]
 
 
-def _alive(tables, picks) -> list[int]:
-    """Per vector u, the AND over triples t of ``tables[t]`` at u's class
-    row ``picks[t]``: what passes every relation with u."""
-    alive = None
-    for table, rows in zip(tables, picks):
-        picked = map(table.__getitem__, rows)
-        alive = list(picked) if alive is None else list(map(and_, alive, picked))
-    return alive
+# per vector u, the AND over the columns of the mask each gives u: what
+# passes every relation with u
+_alive = partial(reduce, partial(map, and_))
 
 
 def _classes(p: int, firsts, middles, lasts):

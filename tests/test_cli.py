@@ -645,7 +645,7 @@ class TestLoadsOnlyWhatItRuns:
         (["table", "--prime", "3"], 0, _SPACES),
         (["profile", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
         (["classify", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
-        (["delta", "6", "--prime", "3"], 0, _SPACES + ["pifinite.heights"]),
+        (["delta", "6", "--prime", "3"], 0, ["pifinite.heights", "pifinite.records"]),
         (["beta", "--prime", "3", "--k", "1"], 0, _SPACES + ["pifinite.heights"]),
         (["wreath", "C2", "--prime", "2", "--height", "2"], 0, _HEIGHTS),
         (["counterexample", "--prime", "5"], 0, ["pifinite.quadforms", "pifinite.records"]),

@@ -176,15 +176,16 @@ class TestProfilesAndClasses:
 
     def test_value_budget_decided_before_any_layer(self, monkeypatch):
         # layers 0..131071 are 2^17 values, the budget; one more is refused
-        # before the first layer is computed
-        import pifinite.heights as heights
+        # before the first layer is computed; heights reads the height
+        # cardinality from spaces when it runs
+        import pifinite.spaces as spaces
         assert MAX_VALUES == 131072
         assert pf.height_profile(pf.PT, 2, 131071).values == (1,) * 131072
         assert pf.R1Element(pf.PT, 0, 1, 0).profile(2, 131071).values == (1,) * 131072
 
         def no_layer(*args):
             raise AssertionError("a layer was computed")
-        monkeypatch.setattr(heights, "height_cardinality", no_layer)
+        monkeypatch.setattr(spaces, "height_cardinality", no_layer)
         for build in (lambda: pf.height_profile(pf.PT, 2, 131072),
                       lambda: pf.beta_element(2, 1).profile(2, 131072),
                       lambda: pf.alpha_splitter(2, 1, 131072)):
@@ -383,10 +384,10 @@ class TestWreathIdentity:
     def test_every_side_counts_tuples_on_its_table(self, monkeypatch):
         # an abelian G and its C_p x G would be valued by the EM formula
         # through the space route; the identity is checked on the tables
-        import pifinite.heights as heights
+        import pifinite.spaces as spaces
         cases = [(named_group(t), n) for t in ("C2", "C2 x C2", "S3") for n in range(4)]
         expected = [pf.verify_wreath_identity(g, 2, n) for g, n in cases]
-        monkeypatch.setattr(heights, "height_cardinality", lambda x, p, n: Fraction(-1))
+        monkeypatch.setattr(spaces, "height_cardinality", lambda x, p, n: Fraction(-1))
         assert [pf.verify_wreath_identity(g, 2, n) for g, n in cases] == expected
 
 

@@ -15,7 +15,7 @@ import pytest
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
 from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _alive, _all_vectors, _bits, _class_index,
-                                _incidence, _level, _null_square_kernel, _plane,
+                                _incidence, _null_square_kernel, _plan, _plane,
                                 _representative_split, _representative_tables,
                                 _representatives)
 
@@ -84,12 +84,12 @@ def full_enumeration_count(p: int, n: int) -> int:
 
 
 @pytest.fixture
-def fresh_levels():
-    """No level held before the test, and none it builds (from a tampered
+def fresh_plans():
+    """No plan held before the test, and none it builds (from a tampered
     or spied plane or table) held after it."""
-    _level.cache_clear()
+    _plan.cache_clear()
     yield
-    _level.cache_clear()
+    _plan.cache_clear()
 
 
 class TestKernelCounts:
@@ -264,14 +264,13 @@ class TestScalingClasses:
 
     @pytest.mark.parametrize("p,m", [(3, 4), (5, 4), (3, 5)])
     def test_representative_tables_hold_the_passing_representatives(self, p, m):
-        # tables[t][k] holds, among the representatives, exactly those whose
-        # w for the t-th triple is orthogonal to class k, tested directly mod p
+        # tables[t][k] holds exactly the representatives whose w for the
+        # t-th triple is orthogonal to class k, tested directly mod p; the
+        # representatives are numbered consecutively, in split order
         us, inner, alive, _ = _representative_split(p, m)
         assert inner == _null_square_kernel(p, m - 1)
-        width = len(inner)
-        forms = {i * width + j: us[i] + inner[j]
-                 for i, mask in enumerate(alive) for j in range(width) if mask >> j & 1}
-        reps = sum(1 << position for position in forms)
+        forms = dict(enumerate(us[i] + inner[j] for i, mask in enumerate(alive)
+                               for j in range(len(inner)) if mask >> j & 1))
         tables = _representative_tables(p, m)
         classes = _representatives(p, 3)
         pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
@@ -282,7 +281,7 @@ class TestScalingClasses:
                 expected = sum(
                     1 << position for position, x in forms.items()
                     if (a[0] * x[pos[c, d]] - a[1] * x[pos[b, d]] + a[2] * x[pos[b, c]]) % p == 0)
-                assert mask & reps == expected
+                assert mask == expected
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_leading_one_rows_pick_the_representatives(self, p):
@@ -298,10 +297,10 @@ class TestScalingClasses:
 
 
 class TestHeldPlane:
-    """Each prime's projective plane is solved once, by the first count at
-    that prime, and every later count at it reads the held one."""
+    """Each prime's projective plane is solved once, by the first plan at
+    that prime, and every later plan at it reads the held one."""
 
-    def test_solved_once_per_prime(self, monkeypatch):
+    def test_solved_once_per_prime(self, monkeypatch, fresh_plans):
         calls = []
         solve = pf.quadforms._incidence
         monkeypatch.setattr(pf.quadforms, "_incidence", lambda p: calls.append(p) or solve(p))
@@ -334,7 +333,7 @@ class TestHeldPlane:
             assert plane.index[plane.square[x] + plane.negated[y] + z] == \
                 index[(x * p + -y % p) * p + z]
 
-    def test_interleaved_primes_match_the_oracles(self, fresh_levels):
+    def test_interleaved_primes_match_the_oracles(self, fresh_plans):
         # the brute-force sweep where it is quick; past 10^5 forms, the
         # numpy enumeration, which reads no scaling class either
         _plane.cache_clear()
@@ -344,7 +343,7 @@ class TestHeldPlane:
             assert pf.count_null_square_two_forms(p, n).kernel_count == expected
         assert _plane.cache_info().currsize == 3
 
-    def test_counts_read_the_held_plane(self, monkeypatch, fresh_levels):
+    def test_counts_read_the_held_plane(self, monkeypatch, fresh_plans):
         # class 2, (1, 0, 1), is off the line of class 1, (1, 0, 0): a plane
         # held with that pair incident must change both counts at p = 5
         held = _plane(5)
@@ -364,66 +363,120 @@ class TestHeldPlane:
 
 
 class TestHeldLevels:
-    """What a count at (p, n >= 5) reads below its outer vertex is built
-    once, by the first count at (p, n), and every count ANDs the held
-    tables at every outer representative's held classes."""
+    """What a count at (p, n) reads, its ``_plan``, is built once, by the
+    first count at (p, n) after the checks, and every count ANDs the held
+    masks for every outer representative and takes the popcount."""
 
-    def test_built_once_per_pair(self, monkeypatch, fresh_levels):
-        calls = []
+    def test_built_once_per_pair(self, monkeypatch, fresh_plans):
+        pairs = ((5, 5), (3, 5), (3, 4), (5, 5), (3, 5), (3, 4))
+        expected = [pf.decomposable_form_count(p, n) for p, n in pairs]
+        checked, built = [], []
+        check = pf.quadforms._require_odd_prime
         build = pf.quadforms._representative_tables
+        monkeypatch.setattr(pf.quadforms, "_require_odd_prime",
+                            lambda p: checked.append(p) or check(p))
         monkeypatch.setattr(pf.quadforms, "_representative_tables",
-                            lambda p, m: calls.append((p, m)) or build(p, m))
-        for p, n in ((5, 5), (3, 5), (5, 5), (3, 5)):
-            assert pf.count_null_square_two_forms(p, n).kernel_count == \
-                pf.decomposable_form_count(p, n)
-        assert calls == [(5, 4), (3, 4)]
+                            lambda p, m: built.append((p, m)) or build(p, m))
+        assert [pf.count_null_square_two_forms(p, n).kernel_count for p, n in pairs] == expected
+        # the prime is tested and the tables laid out by the first count only
+        assert checked == [5, 3, 3]
+        assert built == [(5, 4), (3, 4)]
+        assert _plan.cache_info().currsize == 3
 
-    @pytest.mark.parametrize("p,n", [(p, n) for p, n in DEFAULT_BUDGET_PAIRS if n >= 5])
+    @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS + ((3, 3),))
     def test_holds_only_tuples_and_ints(self, p, n):
         def held(value):
             if type(value) is tuple:
                 return all(map(held, value))
             return type(value) is int
-        level = _level(p, n)
-        assert isinstance(level, tuple) and all(type(field) is tuple for field in level)
-        assert all(map(held, level))
-        # one class row per outer representative for each triple
-        assert [len(rows) for rows in level.picks] == \
-            [len(_representatives(p, n - 1))] * math.comb(n - 1, 3)
+        plan = _plan(p, n)
+        assert isinstance(plan, tuple) and held(tuple(plan))
+        assert plan.total == p ** math.comb(n, 2)
+        if n < 4:
+            assert plan.columns == ()
+            return
+        # one column per triple of the outer vertices, one mask per outer
+        # representative; n = 4 reads the plane's incidence itself
+        us = _representatives(p, n - 1)
+        assert [len(column) for column in plan.columns] == \
+            [len(us)] * math.comb(n - 1, 3)
+        if n == 4:
+            assert plan.columns == (_plane(p).incidence,)
+            return
+        # dense: one bit per kernel representative on F_p^(n-1), every one
+        # of which passes with the zero u
+        width = 1 + (pf.decomposable_form_count(p, n - 1) - 1) // (p - 1)
+        assert width == {3: 131, 5: 807}[p]
+        assert all(mask >> width == 0 for column in plan.columns for mask in column)
+        assert next(_alive(plan.columns)) == (1 << width) - 1
 
-    def test_first_and_later_counts_match_the_oracles(self, fresh_levels):
+    def test_first_and_later_counts_match_the_oracles(self, fresh_plans):
         expected = {(3, 5): len(sweep_kernel(3, 5)), (5, 5): full_enumeration_count(5, 5)}
         for p, n in ((3, 5), (5, 5), (3, 5), (5, 5)):
             assert pf.count_null_square_two_forms(p, n).kernel_count == expected[p, n]
 
     def test_counts_and_the_held_tables(self, monkeypatch):
-        # clear one bit v != 0 of u's alive mask, u != 0, in the first table u
-        # picks: the pair weighs (p-1)^2, so every call moves by 16
-        level = _level(5, 5)
+        # clear one bit v != 0 of u's alive mask, u != 0, in the mask u
+        # picks from the first table: the pair weighs (p-1)^2, so every
+        # call moves by 16
+        plan = _plan(5, 5)
         kernel = pf.count_null_square_two_forms(5, 5).kernel_count
-        alive = _alive(level.tables, level.picks)
+        alive = list(_alive(plan.columns))
         i = next(i for i in range(1, len(alive)) if alive[i] >> 1)
         above_zero = alive[i] >> 1
         bit = (above_zero & -above_zero) << 1
-        first = list(level.tables[0])
-        first[level.picks[0][i]] ^= bit
-        tampered = level._replace(tables=(tuple(first),) + level.tables[1:])
-        monkeypatch.setattr(pf.quadforms, "_level",
-                            lambda p, n: tampered if (p, n) == (5, 5) else _level(p, n))
+        first = list(plan.columns[0])
+        first[i] ^= bit
+        tampered = plan._replace(columns=(tuple(first),) + plan.columns[1:])
+        monkeypatch.setattr(pf.quadforms, "_plan",
+                            lambda p, n: tampered if (p, n) == (5, 5) else _plan(p, n))
         for _ in range(2):
             assert pf.count_null_square_two_forms(5, 5).kernel_count == kernel - 16
         monkeypatch.undo()
         assert pf.count_null_square_two_forms(5, 5).kernel_count == kernel
 
+    @pytest.mark.parametrize("p,n", [(3.0, 4), (3, 4.0), (True, 4), (3, True), ("3", 5)])
+    def test_non_ints_refused_with_plans_held(self, p, n):
+        # a cache key takes 3.0 and True for 3 and 1: the count must refuse
+        # them before it looks a plan up, so no plan is read or added
+        pf.count_null_square_two_forms(3, 4)
+        pf.count_null_square_two_forms(3, 5)
+        before = _plan.cache_info()
+        with pytest.raises(InputError):
+            pf.count_null_square_two_forms(p, n)
+        assert _plan.cache_info() == before
+
+    def test_budget_refuses_held_plans(self, monkeypatch):
+        # the budget is compared on every call, so one lowered after a plan
+        # is held still refuses, with the message a first call gives
+        for p, n in ((3, 5), (5, 5)):
+            pf.count_null_square_two_forms(p, n)
+        monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", 1000)
+        for p, n, total in ((3, 5, 59049), (5, 5, 9765625)):
+            with pytest.raises(ResourceBudgetError,
+                               match=f"^{total} forms exceed the enumeration budget 1000$"):
+                pf.count_null_square_two_forms(p, n)
+
+    @pytest.mark.parametrize("p,n,error", [(2, 4, InputError), (9, 4, InputError),
+                                           (17, 4, ResourceBudgetError),
+                                           (7, 5, ResourceBudgetError)])
+    def test_refused_pairs_hold_no_plan(self, p, n, error, fresh_plans):
+        for _ in range(2):
+            with pytest.raises(error):
+                pf.count_null_square_two_forms(p, n)
+        assert _plan.cache_info().currsize == 0
+
 
 class TestInputTypes:
     """Only a non-bool int is a prime, dimension or height: ``3.0 == 3`` and
-    ``True == 1`` are refused before any plane is solved or held."""
+    ``True == 1`` are refused before any plan is built or plane solved."""
 
     @pytest.fixture(autouse=True)
     def no_plane_held(self):
+        _plan.cache_clear()
         _plane.cache_clear()
         yield
+        assert _plan.cache_info().currsize == 0
         assert _plane.cache_info().currsize == 0
 
     @pytest.mark.parametrize("p,n", [(3.0, 4), (3, 4.0), (True, 4), (3, True), ("3", 4)])
