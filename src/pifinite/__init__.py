@@ -34,7 +34,7 @@ _EXPORTS = {
                "homotopy_cardinality", "is_amenable_at_height", "is_m_finite",
                "normal_form", "p_adic_loop", "product"),
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"cli", "records"}
+_SUBMODULES = frozenset(_EXPORTS) | {"checks", "cli", "records"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

@@ -5,28 +5,31 @@ Exit codes: 0 success, 1 input error, 2 resource-budget error, 3 when
 as ``a/b`` in lowest terms (integers without the ``/1``), and the JSON
 format carries numerator and denominator as decimal strings.  An answer
 with more than ``MAX_DIGITS`` digits in either is refused with exit 2.
+
+Arguments are read against one table, ``_COMMANDS``: exact long flags as
+``--flag value`` or ``--flag=value``, each at most once; positionals, where
+a word such as ``-3/4`` is a value, not a flag; ``--`` ends the options.
+An integer is an optional ``-`` and ASCII digits.  Every usage error is an
+``InputError``, raised before any library module loads.
 """
 
 from __future__ import annotations
 
-import argparse
+import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .errors import InputError, ResourceBudgetError
-from .rationals import (binom_ext, require_digits, require_int, require_numeral,
-                        require_prime, require_values, vp)
+from .rationals import (require_digits, require_int, require_numeral, require_prime,
+                        require_values)
 
-# Each handler and check imports the library modules it calls when it runs:
-# the CLI answers one query per process, and a module that answer does not
-# use would only add its import (and, without bytecode caches, its
-# compilation) to the start-up of every call.
-
-
-class _ArgumentParser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the contract here is 1
-    def error(self, message):
-        raise InputError(message)
+# Each handler imports the library modules it calls when it runs, and
+# ``verify`` its checks: the CLI answers one query per process, and a module
+# that answer does not use would only add its import (and, without bytecode
+# caches, its compilation) to the start-up of every call.  For the same
+# reason the arguments are read here rather than by argparse, whose import
+# and parser set-up cost each call more than reading its answer's arguments.
 
 
 def _require_printable(k: int) -> int:
@@ -199,138 +202,8 @@ def _cmd_table(args) -> int:
     return 0
 
 
-# -- the verification table ----------------------------------------------------------
-
-def _looped_cardinality(x, p: int, n: int) -> Fraction:
-    """The height-n cardinality by its definition: loop p-adically n times,
-    then count.  ``height_cardinality`` answers atom by atom in closed form
-    instead, so this is the independent route that ``verify`` checks it by."""
-    from .spaces import homotopy_cardinality, p_adic_loop
-    for _ in range(n):
-        x = p_adic_loop(x, p)
-    return homotopy_cardinality(x)
-
-
-def _check_em_grid() -> tuple[bool, str]:
-    from .spaces import em_space
-    bad = 0
-    for p in (2, 3, 5):
-        for k in range(5):
-            for n in range(6):
-                got = _looped_cardinality(em_space([p], k), p, n)
-                if got != Fraction(p) ** binom_ext(n - 1, k):
-                    bad += 1
-    return bad == 0, f"90 EM values via loop recursion, {bad} mismatches"
-
-
-def _check_symmetric3() -> tuple[bool, str]:
-    from .parser import parse_space
-    from .spaces import height_cardinality
-    bs3 = parse_space("B(S3)")
-    value = height_cardinality(bs3, 2, 1)
-    ok = value == Fraction(2, 3) == _looped_cardinality(bs3, 2, 1)
-    return ok, f"|B(S3)| at p=2 height 1 is {value}"
-
-
-def _check_coset_composition() -> tuple[bool, str]:
-    from .parser import parse_space
-    from .spaces import height_cardinality
-    s3 = height_cardinality(parse_space("B(S3)"), 2, 1)
-    lhs = 3 * s3
-    rhs = height_cardinality(parse_space("B(C2)"), 2, 1)
-    ok = lhs == 2 and rhs == 1 and lhs != rhs
-    return ok, f"3 * {s3} = {lhs} differs from |B(C2)| = {rhs}"
-
-
-def _check_fiber_formula() -> tuple[bool, str]:
-    # the fiber's value follows from the forms counted: |F|_n = N(p, n) *
-    # p^(C(n,3) - C(n,2)) (see quadforms), with N enumerated, not in closed form
-    from .quadforms import (DEFAULT_BUDGET_PAIRS, amenability_failure_report,
-                            count_null_square_two_forms, cup_square_fiber_cardinality)
-    ok = True
-    for p in (3, 5, 7):
-        report = amenability_failure_report(p)
-        ok &= report.lhs == p ** 3 + p - 1 and not report.multiplicative
-    pairs = DEFAULT_BUDGET_PAIRS + tuple((p, n) for p in (3, 5) for n in (1, 2, 3))
-    for p, n in pairs:
-        forms = count_null_square_two_forms(p, n).kernel_count
-        ok &= cup_square_fiber_cardinality(p, n) == \
-            forms * Fraction(p) ** (binom_ext(n, 3) - binom_ext(n, 2))
-    return ok, ("fiber value p^3 + p - 1 beats p^3 at p = 3, 5, 7; |F|_n = "
-                f"N * p^(C(n,3) - C(n,2)) with N counted at {len(pairs)} (p, n)")
-
-
-def _check_form_kernel() -> tuple[bool, str]:
-    from .quadforms import (DEFAULT_BUDGET_PAIRS, count_null_square_two_forms,
-                            decomposable_form_count)
-    counts = {(p, n): count_null_square_two_forms(p, n).kernel_count
-              for p, n in DEFAULT_BUDGET_PAIRS}
-    ok = counts[3, 4] == 261
-    ok &= all(c == decomposable_form_count(p, n) for (p, n), c in counts.items())
-    for p in (3, 5):
-        for n in (1, 2, 3):
-            r = count_null_square_two_forms(p, n)
-            ok &= r.kernel_count == r.total_forms
-    return ok, (f"kernel count at (3, 4) is {counts[3, 4]}; all {len(counts)} "
-                "default-budget (p, n) with n >= 4 match the closed form")
-
-
-def _check_wreath_grid() -> tuple[bool, str]:
-    from .groups import build_group
-    from .heights import verify_wreath_identity
-    from .parser import parse_group
-    grid = [("C2", 2), ("C2 x C2", 2), ("S3", 2), ("C3", 3)]
-    signs = set()
-    ok = True
-    d8_rhs = []
-    for text, p in grid:
-        group = build_group(parse_group(text))
-        for n in (1, 2, 3):
-            report = verify_wreath_identity(group, p, n)
-            ok &= report.magnitudes_match
-            if report.sign is not None:
-                signs.add(report.sign)
-            if text == "C2":
-                d8_rhs.append(report.rhs)
-    ok &= len(signs) == 1 and d8_rhs == [0, 1, 6]
-    return ok, f"uniform sign {sorted(signs)}, D8 row rhs {[str(v) for v in d8_rhs]}"
-
-
-def _check_splitting() -> tuple[bool, str]:
-    from .heights import alpha_splitter, beta_element, classify_layer
-    ok = True
-    for p in (2, 3):
-        for k in range(4):
-            prof = beta_element(p, k).profile(p, 6)
-            ok &= vp(prof[k], p) > 0 or prof[k] == 0
-            ok &= all(vp(prof[n], p) == 0 for n in range(k + 1, 7))
-            alpha = alpha_splitter(p, k, 6)
-            ok &= all(classify_layer(alpha, n).value in ("complete", "zero")
-                      for n in range(k + 1))
-            ok &= all(classify_layer(alpha, n).value == "divisible"
-                      for n in range(k + 1, 7))
-    return ok, "beta and alpha layer classes for p = 2, 3 and k <= 3"
-
-
-def _check_pk_relations() -> tuple[bool, str]:
-    from .heights import pk_relation_check
-    ok = all(pk_relation_check(p, n, 6) for p in (2, 3, 5) for n in range(4))
-    return ok, "p_(k) = p_(n)^((-1)^(k-n)) for n <= 3, k <= 6"
-
-
-_VERIFY_TABLE = [
-    ("em-grid", _check_em_grid),
-    ("symmetric-3", _check_symmetric3),
-    ("coset-composition", _check_coset_composition),
-    ("cup-square-fiber", _check_fiber_formula),
-    ("null-form-kernel", _check_form_kernel),
-    ("wreath-identity", _check_wreath_grid),
-    ("splitting-elements", _check_splitting),
-    ("height-relations", _check_pk_relations),
-]
-
-
 def _cmd_verify(args) -> int:
+    from .checks import _VERIFY_TABLE
     failures = 0
     results = []
     for label, check in _VERIFY_TABLE:
@@ -347,80 +220,137 @@ def _cmd_verify(args) -> int:
 
 # -- wiring ------------------------------------------------------------------------
 
+# name -> (handler, help, options).  An option is (name, kind) when it is
+# required and (name, kind, default) when it is not; a name without the
+# leading "--" is a positional.  A kind is str, int, or the tuple of the
+# values it takes.  Every subcommand also takes _FORMAT.
+_SPACE, _PRIME = ("--space", str), ("--prime", int)
+_FORMAT = ("--format", ("plain", "json"), "plain")
+_COMMANDS = {
+    "card": (_cmd_card, "height-n cardinality of a space",
+             (_SPACE, _PRIME, ("--height", int))),
+    "loop": (_cmd_loop, "p-adic free loop space, in normal form",
+             (_SPACE, _PRIME, ("--iterations", int, 1))),
+    "profile": (_cmd_profile, "cardinality profile over heights 0..N",
+                (_SPACE, _PRIME, ("--range", int))),
+    "delta": (_cmd_delta, "iterated p-derivation of a rational",
+              (("value", str), _PRIME, ("--iterations", int, 1))),
+    "beta": (_cmd_beta, "layer-k splitting element profile",
+             (_PRIME, ("--k", int), ("--range", int, 6))),
+    "classify": (_cmd_profile, "divisible/complete/zero per layer",
+                 (_SPACE, _PRIME, ("--range", int))),
+    "wreath": (_cmd_wreath, "wreath-product identity report for a group",
+               (("group", str), _PRIME, ("--height", int))),
+    "counterexample": (_cmd_counterexample,
+                       "height-4 multiplicativity failure for the cup-square fiber", (_PRIME,)),
+    "verify": (_cmd_verify, "re-check the reference number table", ()),
+    "table": (_cmd_table, "grid of EM-space cardinalities",
+              (_PRIME, ("--kmax", int, 4), ("--nmax", int, 5))),
+}
 
-def build_arg_parser() -> _ArgumentParser:
-    top = _ArgumentParser(prog="pifinite",
-                          description="exact cardinality calculator for pi-finite spaces")
-    sub = top.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str):
-        cmd = sub.add_parser(name, help=help_text)
-        cmd.set_defaults(func=handler)
-        cmd.add_argument("--format", choices=("plain", "json"), default="plain")
-        return cmd
+def _usage(names) -> str:
+    lines = ["usage: pifinite COMMAND [options]",
+             "exact cardinality calculator for pi-finite spaces", ""]
+    for name in names:
+        _, help_text, options = _COMMANDS[name]
+        words = [name]
+        for option, kind, *default in options + (_FORMAT,):
+            meta = "|".join(kind) if isinstance(kind, tuple) else option.strip("-").upper()
+            word = f"{option} {meta}" if option.startswith("--") else meta
+            words.append(f"[{word}]" if default else word)
+        lines += ["  " + " ".join(words), "      " + help_text]
+    return "\n".join(lines)
 
-    cmd = add("card", _cmd_card, "height-n cardinality of a space")
-    cmd.add_argument("--space", required=True)
-    cmd.add_argument("--prime", type=int, required=True)
-    cmd.add_argument("--height", type=int, required=True)
 
-    cmd = add("loop", _cmd_loop, "p-adic free loop space, in normal form")
-    cmd.add_argument("--space", required=True)
-    cmd.add_argument("--prime", type=int, required=True)
-    cmd.add_argument("--iterations", type=int, default=1)
+def _integer(text: str, option: str) -> int:
+    """The integer ``text`` writes as an optional "-" and ASCII digits, held
+    to the digit budget before int() reads it; int() alone also takes
+    "1_0", "+2", " 2" and other scripts' digits."""
+    require_numeral(text, option)
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdecimal()):
+        raise InputError(f"{option} must be an integer, got {text!r}")
+    return int(text)
 
-    cmd = add("profile", _cmd_profile, "cardinality profile over heights 0..N")
-    cmd.add_argument("--space", required=True)
-    cmd.add_argument("--prime", type=int, required=True)
-    cmd.add_argument("--range", type=int, required=True)
 
-    cmd = add("delta", _cmd_delta, "iterated p-derivation of a rational")
-    cmd.add_argument("value")
-    cmd.add_argument("--prime", type=int, required=True)
-    cmd.add_argument("--iterations", type=int, default=1)
-
-    cmd = add("beta", _cmd_beta, "layer-k splitting element profile")
-    cmd.add_argument("--prime", type=int, required=True)
-    cmd.add_argument("--k", type=int, required=True)
-    cmd.add_argument("--range", type=int, default=6)
-
-    cmd = add("classify", _cmd_profile, "divisible/complete/zero per layer")
-    cmd.add_argument("--space", required=True)
-    cmd.add_argument("--prime", type=int, required=True)
-    cmd.add_argument("--range", type=int, required=True)
-
-    cmd = add("wreath", _cmd_wreath, "wreath-product identity report for a group")
-    cmd.add_argument("group")
-    cmd.add_argument("--prime", type=int, required=True)
-    cmd.add_argument("--height", type=int, required=True)
-
-    cmd = add("counterexample", _cmd_counterexample,
-              "height-4 multiplicativity failure for the cup-square fiber")
-    cmd.add_argument("--prime", type=int, required=True)
-
-    add("verify", _cmd_verify, "re-check the reference number table")
-
-    cmd = add("table", _cmd_table, "grid of EM-space cardinalities")
-    cmd.add_argument("--prime", type=int, required=True)
-    cmd.add_argument("--kmax", type=int, default=4)
-    cmd.add_argument("--nmax", type=int, default=5)
-
-    return top
+def _parse(argv: list[str]):
+    """(handler, arguments) read from ``argv``, or None once ``-h`` or
+    ``--help`` has printed the usage."""
+    if argv[:1] in (["-h"], ["--help"]):
+        print(_usage(_COMMANDS))
+        return None
+    if not argv or argv[0] not in _COMMANDS:
+        got = f", got {argv[0]!r}" if argv else ""
+        raise InputError(f"expected a subcommand, one of {', '.join(_COMMANDS)}{got}")
+    command, words = argv[0], argv[1:]
+    handler, _, options = _COMMANDS[command]
+    options += (_FORMAT,)
+    given, loose, i = {}, [], 0
+    while i < len(words):
+        word, i = words[i], i + 1
+        if word == "--":
+            loose += words[i:]
+            break
+        if word in ("-h", "--help"):
+            print(_usage([command]))
+            return None
+        if not word.startswith("--"):
+            loose.append(word)
+            continue
+        flag, has_value, text = word.partition("=")
+        if all(flag != option[0] for option in options):
+            raise InputError(f"{command} takes no option {flag}")
+        if flag in given:
+            raise InputError(f"{flag} is given twice")
+        if not has_value:
+            if i == len(words):
+                raise InputError(f"{flag} needs a value")
+            text, i = words[i], i + 1
+        given[flag] = text
+    slots = [option[0] for option in options if not option[0].startswith("--")]
+    if len(loose) > len(slots):
+        raise InputError(f"{command} takes no argument {loose[len(slots)]!r}")
+    given.update(zip(slots, loose))
+    args = SimpleNamespace(command=command)
+    for option, kind, *default in options:
+        if option in given:
+            text = given[option]
+            if isinstance(kind, tuple) and text not in kind:
+                raise InputError(f"{option} must be one of {', '.join(kind)}, got {text!r}")
+            value = _integer(text, option) if kind is int else text
+        elif default:
+            value = default[0]
+        else:
+            raise InputError(f"{command} needs {option if option not in slots else option.upper()}")
+        setattr(args, option.strip("-"), value)
+    return handler, args
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_arg_parser()
     try:
-        args = parser.parse_args(argv)
+        parsed = _parse(sys.argv[1:] if argv is None else argv)
+        if parsed is None:
+            return 0
+        handler, args = parsed
         if getattr(args, "prime", None) is not None:
             require_prime(args.prime)   # refuse before any table is built
-        return args.func(args)
+        code = handler(args)
+        sys.stdout.flush()      # so that a closed stdout raises here
+        return code
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ResourceBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout; pointing it at devnull keeps the flush at
+        # exit from raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

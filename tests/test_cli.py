@@ -1,4 +1,6 @@
 import ast
+import contextlib
+import io
 import itertools
 import json
 import math
@@ -9,8 +11,11 @@ import sys
 import textwrap
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pifinite.parser
 from pifinite.cli import main
@@ -124,22 +129,22 @@ class TestSubcommands:
     def test_verify_loop_route_is_independent(self, monkeypatch):
         # em-grid loops and counts without height_cardinality, and symmetric-3
         # needs both routes to agree, so breaking either route shows
-        import pifinite.cli as cli
+        import pifinite.checks as checks
         import pifinite.spaces as spaces
         with monkeypatch.context() as m:
             m.setattr(spaces, "height_cardinality", lambda x, p, n: Fraction(-1))
-            assert cli._check_em_grid()[0] and not cli._check_symmetric3()[0]
+            assert checks._check_em_grid()[0] and not checks._check_symmetric3()[0]
         with monkeypatch.context() as m:
             m.setattr(spaces, "p_adic_loop", lambda x, p: x)
-            assert not cli._check_em_grid()[0] and not cli._check_symmetric3()[0]
+            assert not checks._check_em_grid()[0] and not checks._check_symmetric3()[0]
 
     def test_fiber_check_reads_the_enumerated_count(self, monkeypatch):
         # cup-square-fiber holds the fiber formula against the kernel count, so
         # a count short by one scaling class at any checked (p, n) fails it
-        import pifinite.cli as cli
+        import pifinite.checks as checks
         import pifinite.quadforms as quadforms
         count = quadforms.count_null_square_two_forms
-        assert cli._check_fiber_formula()[0]
+        assert checks._check_fiber_formula()[0]
         for bad in ((5, 5), (3, 2)):
             def miscount(p, n, bad=bad):
                 report = count(p, n)
@@ -148,12 +153,12 @@ class TestSubcommands:
                     report.total_forms)
             with monkeypatch.context() as m:
                 m.setattr(quadforms, "count_null_square_two_forms", miscount)
-                assert not cli._check_fiber_formula()[0]
+                assert not checks._check_fiber_formula()[0]
 
     def test_verify_exit_three_on_mismatch(self, capsys, monkeypatch):
-        import pifinite.cli as cli
-        broken = cli._VERIFY_TABLE + [("forced", lambda: (False, "forced failure"))]
-        monkeypatch.setattr(cli, "_VERIFY_TABLE", broken)
+        import pifinite.checks as checks
+        broken = checks._VERIFY_TABLE + [("forced", lambda: (False, "forced failure"))]
+        monkeypatch.setattr(checks, "_VERIFY_TABLE", broken)
         code, out, _ = run(capsys, "verify")
         assert code == 3
         assert "FAIL  forced" in out
@@ -491,11 +496,157 @@ class TestExitCodes:
     def test_negative_counts_refused(self, capsys, argv, message):
         assert run(capsys, *argv) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, code, message", [
+        # a flag is named in full and given once
+        (["card", "--space", "B(S3)", "--pri", "2", "--height", "1"], 1,
+         "card takes no option --pri"),
+        (["loop", "--space", "B(S3)", "--prime", "2", "--it", "2"], 1,
+         "loop takes no option --it"),
+        (["card", "--space", "B(S3)", "--prime", "2", "--prime", "3", "--height", "1"], 1,
+         "--prime is given twice"),
+        (["delta", "6", "--prime=3", "--iterations", "1", "--prime", "3"], 1,
+         "--prime is given twice"),
+        # an integer is an optional "-" and ASCII digits, which int() alone
+        # widens to underscores, a "+", spaces and other scripts' digits
+        (["card", "--space", "B(S3)", "--prime", "2", "--height", "1_0"], 1,
+         "--height must be an integer, got '1_0'"),
+        (["card", "--space", "B(S3)", "--prime", "+2", "--height", "1"], 1,
+         "--prime must be an integer, got '+2'"),
+        (["card", "--space", "B(S3)", "--prime", "2", "--height", "\u0661"], 1,
+         "--height must be an integer, got '\u0661'"),
+        (["card", "--space", "B(S3)", "--prime", "2", "--height", " 1"], 1,
+         "--height must be an integer, got ' 1'"),
+        (["table", "--prime", "3", "--kmax", "-"], 1, "--kmax must be an integer, got '-'"),
+        # and past the digit budget it is refused as every numeral is
+        (["card", "--space", "B(S3)", "--prime", "2", "--height", "7" * 5000], 2,
+         "--height exceeds the 4300-digit budget"),
+        (["table", "--prime", "3", "--nmax=-" + "7" * 4301], 2,
+         "--nmax exceeds the 4300-digit budget"),
+        (["delta", "6", "--prime", "1" * 4301], 2, "--prime exceeds the 4300-digit budget"),
+    ])
+    def test_argument_refusals(self, capsys, argv, code, message):
+        prefix = "error" if code == 1 else "resource error"
+        assert run(capsys, *argv) == (code, "", f"{prefix}: {message}\n")
+
+    def test_negative_rational_needs_no_separator(self, capsys):
+        # a word with one leading "-" is a value, not a flag
+        assert run(capsys, "delta", "-3/4", "--prime", "3") == \
+            run(capsys, "delta", "--prime", "3", "--", "-3/4") == (0, "-7/64\n", "")
+
+    def test_help_is_built_from_the_table(self, capsys):
+        code, out, err = run(capsys, "-h")
+        usages = [line.split()[0] for line in out.splitlines() if line.startswith("  ")
+                  and not line.startswith("   ")]
+        assert (code, err) == (0, "")
+        assert usages == ["card", "loop", "profile", "delta", "beta", "classify", "wreath",
+                          "counterexample", "verify", "table"]
+        assert run(capsys, "card", "--space", "pt", "--help") == run(capsys, "card", "-h")
+        code, out, _ = run(capsys, "delta", "-h")
+        assert code == 0 and "  delta VALUE --prime PRIME [--iterations ITERATIONS]" in out
+        assert "  card " not in out
+
+    @pytest.mark.parametrize("argv, codes", [
+        # more than a pipe holds, so the write after the close fails
+        (["profile", "--space", "B^1(C3)", "--prime", "2", "--range", "20000"], (1,)),
+        # each line is written as it is printed, unless the close comes after the last
+        (["verify"], (0, 1)),
+    ])
+    def test_closed_stdout_ends_without_a_traceback(self, argv, codes):
+        proc = subprocess.Popen([sys.executable, "-m", "pifinite.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                env=_probe_env({"PYTHONUNBUFFERED": "1"}))
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        code = proc.wait(timeout=60)
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert first.startswith(("0: 1/3", "PASS  em-grid"))
+        assert code in codes and err == ""
+
+    def test_closed_stdout_at_the_last_flush(self, monkeypatch):
+        # a buffered answer meets the closed pipe only when it is flushed,
+        # which must come before the interpreter's own flush at exit
+        read_end, write_end = os.pipe()
+
+        class Closed(io.StringIO):
+            def flush(self):
+                raise BrokenPipeError
+
+            def fileno(self):
+                return write_end
+
+        try:
+            monkeypatch.setattr(sys, "stdout", Closed())
+            assert main(["delta", "6", "--prime", "3"]) == 1
+            # the handler pointed the stream's descriptor at devnull
+            assert os.fstat(write_end).st_ino == os.stat(os.devnull).st_ino
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
     def test_zero_counts_still_answer(self, capsys):
         assert run(capsys, "loop", "--space", "B(S3)", "--prime", "2",
                    "--iterations", "0") == (0, "B(S3)\n", "")
         code, out, _ = run(capsys, "table", "--prime", "3", "--kmax", "0", "--nmax", "0")
         assert code == 0 and out.split() == ["n\\k", "0", "0", "3"]
+
+
+# the options each subcommand reads; a name without "--" is a positional
+OPTIONS = {"card": ["--space", "--prime", "--height"],
+           "loop": ["--space", "--prime", "--iterations"],
+           "profile": ["--space", "--prime", "--range"],
+           "delta": ["value", "--prime", "--iterations"],
+           "beta": ["--prime", "--k", "--range"],
+           "classify": ["--space", "--prime", "--range"],
+           "wreath": ["group", "--prime", "--height"],
+           "counterexample": ["--prime"],
+           "verify": [],
+           "table": ["--prime", "--kmax", "--nmax"]}
+FLAGS = sorted({option for options in OPTIONS.values() for option in options
+                if option.startswith("--")} | {"--format"})
+INTS = st.integers(-3, 12).map(str)
+# cheap spaces and groups, and the numerals no integer argument takes
+TEXTS = st.sampled_from(["pt", "B(S3)", "B(C6) * B^2(C3)", "B(Q8)", "C2 x C2"])
+VALUES = st.one_of(INTS, TEXTS, st.sampled_from(["1_0", "+2", "\u0661", "7" * 4301,
+                                                 "json", "plain"]))
+WORDS = st.one_of(VALUES, st.sampled_from([*OPTIONS, *FLAGS, "--", "-h"]),
+                  st.builds("{}={}".format, st.sampled_from(FLAGS), VALUES))
+
+
+@st.composite
+def argvs(draw):
+    """Mostly a subcommand with each of its options given or left out, most
+    with a value of their kind, and sometimes a loose word after them; else
+    loose words alone."""
+    if draw(st.integers(0, 3)) == 0:
+        return draw(st.lists(WORDS, max_size=8))
+    command = draw(st.sampled_from(list(OPTIONS)))
+    argv = [command]
+    for option in OPTIONS[command] + ["--format"]:
+        kind = (TEXTS if option in ("--space", "group") else
+                st.sampled_from(["json", "plain"]) if option == "--format" else INTS)
+        value = draw(st.one_of(kind, kind, kind, VALUES))
+        if not option.startswith("--"):
+            argv.append(value)
+        elif draw(st.integers(0, 4)):
+            argv += draw(st.sampled_from([[option, value], [f"{option}={value}"]]))
+    if draw(st.integers(0, 3)) == 0:
+        argv.append(draw(WORDS))
+    return argv
+
+
+class TestArgumentFuzz:
+    @settings(max_examples=200, deadline=2000)
+    @given(argvs())
+    def test_every_argv_ends_in_an_exit_code(self, argv):
+        # the argument layer is under test: an order cap of 1000 refuses the
+        # one costly answer these words reach, the wreath of C2 x C2 at p = 5
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"PIFINITE_ORDER_CAP": "1000"}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert (code == 0) == (err.getvalue() == "")
 
 
 # Run in a fresh interpreter: which modules are loaded is process-wide state.
@@ -624,6 +775,16 @@ class TestStartupIsLean:
         results = _module_probe(["inspect"], *self.ARGVS, ["verify"])
         assert results == [[None, False]] + [[0, False]] * 4
 
+    def test_no_argparse(self):
+        # the arguments are read against the subcommand table; argparse
+        # imports gettext, which imports locale
+        modules = ["argparse", "gettext", "locale"]
+        unloaded = sorted(set(modules) - _loaded_at_bare_start(modules))
+        if not unloaded:
+            pytest.skip("a site hook loads argparse, gettext and locale at start-up")
+        results = _module_probe(unloaded, *self.ARGVS, ["verify"])
+        assert results == [[None, False]] + [[0, False]] * 4
+
 
 _BASE = ["pifinite", "pifinite.cli", "pifinite.errors", "pifinite.rationals"]
 _SPACES = ["pifinite.records", "pifinite.spaces"]
@@ -649,7 +810,7 @@ class TestLoadsOnlyWhatItRuns:
         (["beta", "--prime", "3", "--k", "1"], 0, _SPACES + ["pifinite.heights"]),
         (["wreath", "C2", "--prime", "2", "--height", "2"], 0, _HEIGHTS),
         (["counterexample", "--prime", "5"], 0, ["pifinite.quadforms", "pifinite.records"]),
-        (["verify"], 0, _HEIGHTS + ["pifinite.quadforms"]),
+        (["verify"], 0, _HEIGHTS + ["pifinite.checks", "pifinite.quadforms"]),
         # refused before any library module loads
         (["profile", "--space", "B(S3)", "--prime", "4", "--range", "2"], 1, []),
         (["loop", "--space", "B(S3)", "--prime", "2", "--iterations", "-1"], 1, []),

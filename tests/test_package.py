@@ -32,7 +32,7 @@ EXPORTS = {
                "normal_form", "p_adic_loop", "product"),
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
-SUBMODULES = sorted(EXPORTS) + ["cli", "records"]
+SUBMODULES = sorted(EXPORTS) + ["checks", "cli", "records"]
 
 
 def fresh(code: str):
