@@ -9,8 +9,9 @@ with more than ``MAX_DIGITS`` digits in either is refused with exit 2.
 Arguments are read against one table, ``_COMMANDS``: exact long flags as
 ``--flag value`` or ``--flag=value``, each at most once; positionals, where
 a word such as ``-3/4`` is a value, not a flag; ``--`` ends the options.
-An integer is an optional ``-`` and ASCII digits.  Every usage error is an
-``InputError``, raised before any library module loads.
+An integer is an optional ``-`` and ASCII digits, and ``delta``'s VALUE is
+ASCII text.  Every usage error is an ``InputError``, raised before any
+library module loads.
 """
 
 from __future__ import annotations
@@ -125,6 +126,8 @@ def _cmd_profile(args) -> int:
 
 def _cmd_delta(args) -> int:
     from .heights import delta_iter
+    if not args.value.isascii():        # Fraction() also reads other scripts' digits
+        raise InputError(f"not a rational: {args.value!r}")
     try:
         value = Fraction(require_numeral(args.value, "the value"))
     except (ValueError, ZeroDivisionError) as exc:

@@ -12,26 +12,26 @@
 with that many points (0 parses to the empty space).  ``B^0(...)`` collapses
 to the underlying finite set.  ``B(G x H)`` parses to ``B(G) * B(H)`` by
 ``spaces.described_classifying``, equal at every height: a cyclic factor
-is its degree-1 EM atom, with no Cayley table, and each other factor is
-built as a table and read by ``spaces.classifying``, so
-``B(C2 x S3 x C3)`` parses to ``B^1(C2) * B(S3) * B^1(C3)``, whose normal
-form, where EM atoms of one degree multiply, prints
-``B(S3) * B^1(C6)``.  The whole text is parsed
-before any group is built, so a syntax error costs no table, and text that
-nests deeper than ``MAX_NESTING`` levels is refused there too.  Printing a
-parsed expression and re-parsing it yields an identical normal form; atoms
-print by ``spaces.atom_text``, the printer ``NormalForm`` uses too.
+is its degree-1 EM atom, and each other factor the ``Classifying`` atom of
+its descriptor, so ``B(C2 x S3 x C3)`` parses to
+``B^1(C2) * B(S3) * B^1(C3)``, whose normal form, where EM atoms of one
+degree multiply, prints ``B(S3) * B^1(C6)``.  Parsing builds no table:
+a table is built when it is first read, and a refusal is reported where
+it is read, so a refused group before a syntax error is refused for the
+group, and text nested deeper than ``MAX_NESTING`` levels at that depth.
+Printing a parsed expression and re-parsing it yields an identical normal
+form; atoms print by ``spaces.atom_text``, the printer ``NormalForm`` uses.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from .errors import InputError, ResourceBudgetError
 from .groups import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
 from .rationals import require_digits, require_numeral
 from .records import frozen
-from .spaces import (EM, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
+from .spaces import (EM, PT, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
                      atom_text, described_classifying, disjoint_union, em_space,
                      finite_set, product)
 
@@ -60,6 +60,7 @@ class _Token:
     position: int
 
 
+_DIGITS = "0123456789"      # ASCII only, as the CLI reads integer arguments
 _KEYWORDS = ("pt", "wr")
 _LETTERS = "BCSDx"
 _SYMBOLS = "+*^()"
@@ -73,9 +74,9 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdecimal():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdecimal():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(_Token("INT", text[i:j], i))
             i = j
@@ -141,35 +142,29 @@ class _Parser:
         tok = self.expect("INT")
         return int(require_numeral(tok.text, f"the number at position {tok.position}"))
 
-    # grammar rules: each space rule returns a function that builds its
-    # value, so that no group is built until the whole text has parsed
+    # grammar rules, each returning its value
 
-    def expr(self) -> Callable[[], SpaceExpr]:
+    def expr(self) -> SpaceExpr:
         parts = [self.term()]
         while self.at("SYM", "+"):
             self.advance()
             parts.append(self.term())
-        if len(parts) == 1:
-            return parts[0]
-        return lambda: disjoint_union(*(part() for part in parts))
+        return disjoint_union(*parts)
 
-    def term(self) -> Callable[[], SpaceExpr]:
+    def term(self) -> SpaceExpr:
         factors = [self.factor()]
         while self.at("SYM", "*"):
             self.advance()
             factors.append(self.factor())
-        if len(factors) == 1:
-            return factors[0]
-        return lambda: product(*(factor() for factor in factors))
+        return product(*factors)
 
-    def factor(self) -> Callable[[], SpaceExpr]:
+    def factor(self) -> SpaceExpr:
         tok = self.peek()
         if tok.kind == "INT":
-            size = self.parse_int()
-            return lambda: finite_set(size)
+            return finite_set(self.parse_int())
         if self.at("NAME", "pt"):
             self.advance()
-            return lambda: finite_set(1)
+            return PT
         if self.at("NAME", "B"):
             self.advance()
             if self.at("SYM", "^"):
@@ -178,11 +173,11 @@ class _Parser:
                 self.open()
                 factors = self.abelian()
                 self.close()
-                return lambda: em_space(factors, degree)
+                return em_space(factors, degree)
             self.open()
             desc = self.group()
             self.close()
-            return lambda: described_classifying(desc)
+            return described_classifying(desc)
         if self.at("SYM", "("):
             self.open()
             inner = self.expr()
@@ -245,11 +240,11 @@ class _Parser:
 def parse_space(text: str) -> SpaceExpr:
     """Parse a space expression; raises ParseError with a position on bad input."""
     parser = _Parser(text)
-    build = parser.expr()
+    x = parser.expr()
     tok = parser.peek()
     if tok.kind != "END":
         raise ParseError(f"trailing input {tok.text!r}", tok.position)
-    return build()
+    return x
 
 
 def parse_group(text: str) -> GroupDescriptor:
@@ -270,7 +265,7 @@ def space_text(x: SpaceExpr) -> str:
     held to the digit budget.
 
     Expressions that came from the parser always render to re-parseable
-    text, since ``build_group`` names a group by its descriptor.  Groups
+    text, since a group is named by its descriptor, held or built.  Groups
     built by internal machinery (centralizers of machine subgroups) print
     their display name, which need not parse.  A table built for G x H
     prints ``B(G x H)``, which parses to ``B(G) * B(H)``, its normal form.

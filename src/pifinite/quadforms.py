@@ -52,7 +52,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import cache, partial, reduce
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress, count, product
+from itertools import combinations, compress, count, product
 from operator import add, and_, itemgetter
 
 from .errors import InputError, InvariantError, ResourceBudgetError
@@ -250,107 +250,75 @@ def _null_square_kernel(p: int, n: int) -> list[tuple[int, ...]]:
         return _all_vectors(p, math.comb(n, 2))
     us = _all_vectors(p, n - 1)
     inner = _null_square_kernel(p, n - 1)
-    alive, _ = _vertex_zero_test(p, us, inner)
+    alive = _vertex_zero_test(p, us, inner)
     return [u + inner[j] for u, mask in zip(us, alive) for j in _bits(mask)]
 
 
 def _representative_split(p: int, n: int) -> tuple[list, list, list[int], list]:
-    """``(us, inner, alive, classes)`` for the kernel representatives on
+    """``(us, inner, alive, forms)`` for the kernel representatives on
     F_p^n (n >= 4), split on vertex 0.  ``us`` are the representatives of
     F_p^(n-1) and ``inner`` the kernel one dimension down; the
-    representatives are (us[i], inner[j]) for the set bits j of
-    ``alive[i]``.  That is (0, v) with v a leading-one row of ``inner``, or
-    (u, v) with u a leading-one vector and v any form of ``inner`` that
-    passes the relations through vertex 0, so only class rows of u are
-    tested.  ``classes`` is ``_vertex_zero_test``'s, over ``inner``.
-    ``inner`` is in lexicographic order, so its leading-one rows with the
-    leading 1 at position i are the run from (0,..,0,1,0,..) up to
-    (0,..,0,2,0,..)."""
+    representatives are the ``forms`` us[i] + inner[j] for the set bits j
+    of ``alive[i]``, in (i, j) order, the zero form first.  That is (0, v)
+    with v a leading-one row of ``inner``, or (u, v) with u a leading-one
+    vector and v any form of ``inner`` that passes the relations through
+    vertex 0, so only class rows of u are tested.  ``inner`` is in
+    lexicographic order, so its leading-one rows with the leading 1 at
+    position i are the run from (0,..,0,1,0,..) up to (0,..,0,2,0,..)."""
     us = _representatives(p, n - 1)
     inner = _null_square_kernel(p, n - 1)
-    alive, classes = _vertex_zero_test(p, us, inner)
+    alive = _vertex_zero_test(p, us, inner)
     size = len(inner[0])
     alive[0] = 1        # the zero form
     for i in range(size):
         zeros = (0,) * i, (0,) * (size - 1 - i)
         alive[0] += ((1 << bisect_left(inner, zeros[0] + (2,) + zeros[1]))
                      - (1 << bisect_left(inner, zeros[0] + (1,) + zeros[1])))
-    return us, inner, alive, classes
+    forms = [us[i] + inner[j] for i, mask in enumerate(alive) for j in _bits(mask)]
+    return us, inner, alive, forms
 
 
 def _representative_tables(p: int, m: int) -> list[list[int]]:
     """The kernel representatives on F_p^m (m >= 4) as the count one
-    dimension up reads them: ``tables[t][k]`` holds those whose w for the
-    t-th triple b<c<d of ``combinations(range(m), 3)`` lies on the line of
-    class k, so that they pass that triple's relation with any a in class
-    k.  The representatives (us[i], inner[j]) of ``_representative_split``
-    are numbered consecutively in (i, j) order, so the zero form is bit 0,
-    every bit is a representative and no form is built: 131 bits at m = 4,
-    p = 3, and 807 at m = 4, p = 5.  As they are numbered, ``spread[j]``
-    gathers the bits whose v is inner[j]; each u's bits form one run.
-
-    A triple (0, c, d) reads w = (v_cd, -u_d, u_c), with v's vertices
-    relabelled: each u sends the spread rows with v_cd = x, cut to its run,
-    to the class of (x, -u_d, u_c).  A triple with b >= 1 reads v alone: it
-    is a triple of ``inner``, and each spread row goes to the class the
-    test through vertex 0 found for it."""
-    plane = _plane(p)
-    us, inner, alive, inner_classes = _representative_split(p, m)
-    rows = list(map(_bits, alive))
-    spread = [0] * len(inner)
-    for position, j in enumerate(chain.from_iterable(rows)):
-        spread[j] |= 1 << position
-    ends = list(accumulate(map(len, rows), initial=0))
-    runs = [(1 << end) - (1 << start) for start, end in zip(ends, ends[1:])]
-    keyed = []
-    for column, (c, d) in zip(zip(*inner), combinations(range(m - 1), 2)):
-        by_value = _buckets(column, spread, p)
-        # per u, the classes of (x, -u_d, u_c) for x = 0, 1, ..., p-1
-        keyed.append(([cls for u in us for cls in plane.index[plane.negated[u[d]] + u[c]::p * p]],
-                      [reps & run for run in runs for reps in by_value]))
-    return _tables(keyed + [(row_classes, spread) for row_classes in inner_classes], plane.lines)
+    dimension up reads them: the ``_line_tables`` of the forms of
+    ``_representative_split``, one bit each in order, so the zero form is
+    bit 0, every bit is a representative and no bit is wasted: 131 bits at
+    m = 4, p = 3, and 807 at m = 4, p = 5."""
+    return _line_tables(p, m, _representative_split(p, m)[3])
 
 
-def _vertex_zero_test(p: int, us: list, inner: list) -> tuple[list[int], list]:
-    """``(alive, classes)``: ``alive[i]`` holds the rows j of ``inner`` (forms
-    on vertices 1..n-1, relabelled 0..n-2) for which (us[i], inner[j])
-    passes every relation through vertex 0 on F_p^n, and ``classes[t][j]``
-    is the class row of the t-th triple's w for inner[j].
-
-    The relation for b<c<d, u_b*v_cd - u_c*v_bd + u_d*v_bc, is the dot
-    product of a = (u_b, u_c, u_d) and w = (v_cd, -v_bd, v_bc).  It is
-    bilinear, so whether a.w = 0 mod p depends only on the scaling classes
-    of a and of w: each row goes to the bucket of its w's class, the
-    buckets are ORed along the lines, and ``_alive`` ANDs, over the
-    triples, the tables at each u's classes."""
-    plane = _plane(p)
-    size = len(us[0])
-    pos = {pair: i for i, pair in enumerate(combinations(range(size), 2))}
-    columns = list(zip(*inner))
-    classes = [list(_classes(p, columns[pos[c, d]],
-                             map(plane.negated.__getitem__, columns[pos[b, d]]),
-                             columns[pos[b, c]]))
-               for b, c, d in combinations(range(size), 3)]
-    tables = _tables([(row, map((1).__lshift__, count())) for row in classes], plane.lines)
+def _vertex_zero_test(p: int, us: list, inner: list) -> list[int]:
+    """``alive[i]`` holds the rows j of ``inner`` (forms on vertices
+    1..n-1, relabelled 0..n-2) for which (us[i], inner[j]) passes every
+    relation through vertex 0 on F_p^n.  The relation for b<c<d,
+    u_b*v_cd - u_c*v_bd + u_d*v_bc, is the dot product of a = (u_b, u_c, u_d)
+    with the w of ``_line_tables``, so ``_alive`` ANDs, over the triples,
+    the line tables of ``inner`` at each u's classes."""
+    tables = _line_tables(p, len(us[0]), inner)
     return list(_alive([map(table.__getitem__, rows)
-                        for table, rows in zip(tables, _picks(p, us))])), classes
+                        for table, rows in zip(tables, _picks(p, us))]))
 
 
-def _buckets(keys, masks, size: int) -> list[int]:
-    """``buckets[k]``, k < size, ORs the masks[j] with keys[j] = k."""
-    buckets = [0] * size
-    for key, mask in zip(keys, masks):
-        buckets[key] |= mask
-    return buckets
-
-
-def _tables(keyed, lines: tuple[itemgetter, ...]) -> list[list[int]]:
-    """Per triple, given as masks and the class of each, the OR along each
-    line of ``_incidence`` of the masks in the classes on it.  Each class's
-    masks are ORed first, and the classes on a line are disjoint, so their
-    OR is their sum."""
-    buckets = (_buckets(keys, masks, len(lines)) for keys, masks in keyed)
-    return [[sum(line(masks)) for line in lines] for masks in buckets]
+def _line_tables(p: int, size: int, forms: list) -> list[list[int]]:
+    """Per triple b<c<d of ``combinations(range(size), 3)``, bit j of
+    ``tables[t][k]`` set when w = (w_cd, -w_bd, w_bc) of forms[j], a form on
+    ``size`` vertices, lies on the line of class k: a . w = 0 mod p for
+    every a in class k.  That depends only on the scaling classes of a and
+    of w, so each form goes to the bucket of its w's class and the buckets
+    are ORed along the lines.  The classes on a line are disjoint, so the
+    OR of their buckets is their sum."""
+    plane = _plane(p)
+    pos = {pair: i for i, pair in enumerate(combinations(range(size), 2))}
+    columns = list(zip(*forms))
+    tables = []
+    for b, c, d in combinations(range(size), 3):
+        buckets = [0] * len(plane.lines)
+        for j, k in enumerate(_classes(p, columns[pos[c, d]],
+                                       map(plane.negated.__getitem__, columns[pos[b, d]]),
+                                       columns[pos[b, c]])):
+            buckets[k] |= 1 << j
+        tables.append([sum(line(buckets)) for line in plane.lines])
+    return tables
 
 
 def _picks(p: int, us: list) -> list:

@@ -24,10 +24,11 @@ forms unique is applied in one function:
 
 * ``classifying``, the one route from a table to a space: ``B(1) = pt``,
   ``B(A) = B^1(A)`` for abelian A, and a table built for a direct product
-  split by its descriptor; ``normal_form`` reads a ``Classifying`` atom
-  built directly by it too;
+  split by its descriptor; ``normal_form`` reads every ``Classifying``
+  atom's table by it, and the height count a described atom's;
 * ``described_classifying``, ``B(G x H) = B(G) * B(H)``, which the parser
-  and ``classifying`` share;
+  and ``classifying`` share; it builds no table, each factor that is not
+  cyclic being the ``Classifying`` atom of its descriptor;
 * ``_component``, the one component builder, where the EM atoms of one
   degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``.
 
@@ -72,8 +73,21 @@ class FinSet:
 @frozen
 class Classifying:
     """The classifying space of a finite group: one component, fundamental
-    group ``group``, nothing above degree 1."""
-    group: FiniteGroup
+    group ``group``, nothing above degree 1.  ``group`` is a table, or a
+    descriptor, neither cyclic nor a direct product, as
+    ``described_classifying`` gives it.  Every reader of the group reads
+    ``table``, which builds a descriptor's table once and holds it."""
+    group: Union[FiniteGroup, GroupDescriptor]
+    _table = None
+
+    @property
+    def table(self) -> FiniteGroup:
+        if self._table is None:
+            from .groups import FiniteGroup, build_group
+            group = self.group
+            object.__setattr__(self, "_table", group if isinstance(group, FiniteGroup)
+                               else build_group(group))
+        return self._table
 
 
 @frozen
@@ -208,14 +222,14 @@ def _direct_factors(d: GroupDescriptor) -> list[GroupDescriptor]:
 def described_classifying(d: GroupDescriptor) -> SpaceExpr:
     """B of a described group, the one product rule: ``B(G x H)`` is
     ``B(G) * B(H)``, equal at every height since a commuting tuple in G x H
-    is a pair of commuting tuples.  A cyclic factor is its EM atom, with no
-    table; each other factor is built as its own table and read by
-    ``classifying``.  EM atoms are merged by ``_component``, not here.  The
-    whole descriptor is checked first, so a product is refused exactly as
+    is a pair of commuting tuples.  A cyclic factor is its EM atom, and each
+    other factor the ``Classifying`` atom of its descriptor; neither builds
+    a table.  EM atoms are merged by ``_component``, not here.  The whole
+    descriptor is checked first, so a product is refused exactly as
     ``build_group`` would refuse its table."""
-    from .groups import Cyclic, build_group, checked_order
+    from .groups import Cyclic, checked_order
     checked_order(d)
-    return product(*(em_space([f.n], 1) if isinstance(f, Cyclic) else classifying(build_group(f))
+    return product(*(em_space([f.n], 1) if isinstance(f, Cyclic) else Classifying(f)
                      for f in _direct_factors(d)))
 
 
@@ -276,7 +290,9 @@ def atom_text(atom: Atom) -> str:
     if isinstance(atom, EM):
         inside = " x ".join(f"C{require_digits(q, 'a cyclic order')}" for q in atom.factors)
         return f"B^{atom.degree}({inside})"
-    return f"B({atom.group.name})"
+    from .groups import FiniteGroup, descriptor_name
+    group = atom.group
+    return f"B({group.name if isinstance(group, FiniteGroup) else descriptor_name(group)})"
 
 
 def _require_components(n: int) -> None:
@@ -290,7 +306,7 @@ def _atom_key(atom: Atom):
     # the table is made to sort it
     if isinstance(atom, EM):
         return ("em", atom.degree, atom.factors)
-    return ("cls", atom.group.order, atom.group._rows)
+    return ("cls", atom.table.order, atom.table._rows)
 
 
 def _component(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -405,17 +421,19 @@ def _product(forms: list[NormalForm]) -> NormalForm:
 
 
 def normal_form(x: SpaceExpr) -> NormalForm:
-    """Distribute products over disjoint unions.  A ``Classifying`` atom
-    built directly, not by ``classifying``, is read by that rule first.  A
-    union whose fold, or a product whose expansion, would pass
-    ``MAX_COMPONENTS`` components is refused, a product before it expands."""
+    """Distribute products over disjoint unions.  A ``Classifying`` atom's
+    table is read by ``classifying`` first, so every atom of a normal form
+    holds a table.  A union whose fold, or a product whose expansion, would
+    pass ``MAX_COMPONENTS`` components is refused, a product before it
+    expands."""
     if isinstance(x, Empty):
         return NormalForm.zero()
     if isinstance(x, FinSet):
         return NormalForm.scalar(x.size)
-    if isinstance(x, Classifying) and not isinstance(atom := classifying(x.group), Classifying):
-        return normal_form(atom)
-    if isinstance(x, (Classifying, EM)):
+    if isinstance(x, Classifying):
+        atom = classifying(x.table)
+        return NormalForm({(atom,): 1}) if isinstance(atom, Classifying) else normal_form(atom)
+    if isinstance(x, EM):
         return NormalForm({(x,): 1})
     if isinstance(x, Disjoint):
         return _sum(normal_form(part) for part in x.parts)
@@ -458,7 +476,7 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
     if isinstance(x, Classifying):
         from .groups import p_loop_decomposition
         return disjoint_union(*(classifying(c)
-                                for _, c in p_loop_decomposition(x.group, p)))
+                                for _, c in p_loop_decomposition(x.table, p)))
     if isinstance(x, EM):
         return product(x, em_space(_p_part(x.factors, p), x.degree - 1))
     raise InputError(f"not a space expression: {x!r}")
@@ -490,10 +508,15 @@ def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
                                       f"the {MAX_DIGITS}-digit budget")
         return Fraction(base) ** exponent * Fraction(rest) ** sign
     if isinstance(x, Classifying):
+        group = x.table
+        if group is not x.group:
+            # a described atom answers by the atom rule, as its normal form
+            # does; a table atom counts its tuples
+            return _height_cardinality(classifying(group), p, n)
         if not n:
-            return Fraction(1, x.group.order)
+            return Fraction(1, group.order)
         from .groups import count_commuting_p_tuples
-        return Fraction(count_commuting_p_tuples(x.group, p, n), x.group.order)
+        return Fraction(count_commuting_p_tuples(group, p, n), group.order)
     raise InputError(f"not a space expression: {x!r}")
 
 

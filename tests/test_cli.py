@@ -523,6 +523,18 @@ class TestExitCodes:
         (["table", "--prime", "3", "--nmax=-" + "7" * 4301], 2,
          "--nmax exceeds the 4300-digit budget"),
         (["delta", "6", "--prime", "1" * 4301], 2, "--prime exceeds the 4300-digit budget"),
+        # space text and delta's VALUE read ASCII digits only
+        (["card", "--space", "B(C\u0663)", "--prime", "3", "--height", "1"], 1,
+         "unexpected character '\u0663' (at position 3)"),
+        (["delta", "\u0663", "--prime", "2"], 1, "not a rational: '\u0663'"),
+        # a described group is read by the atom rule, B(S2) as B^1(C2)
+        (["card", "--space", "B(S2)", "--prime", "2", "--height", "1000000"], 2,
+         "B^1(C2) at height 1000000 exceeds the 4300-digit budget"),
+        # a group is refused where it is read, before a later syntax error
+        (["card", "--space", "B(C5 wr C5) + )", "--prime", "2", "--height", "1"], 2,
+         "group of order 15625 exceeds the cap 10000"),
+        (["card", "--space", "B(S7) * (", "--prime", "2", "--height", "1"], 1,
+         "Symmetric degree must be in 1..6, got 7"),
     ])
     def test_argument_refusals(self, capsys, argv, code, message):
         prefix = "error" if code == 1 else "resource error"

@@ -60,17 +60,19 @@ class TestGrammar:
 
     def test_wreath_groups(self):
         x = parse_space("B(C2 wr C2)")
-        assert isinstance(x, pf.Classifying) and x.group.order == 8
+        assert isinstance(x, pf.Classifying) and x.table.order == 8
         nested = parse_space("B(C2 wr C2 wr C2)")
-        assert nested.group.order == 8 ** 2 * 2
+        assert nested.table.order == 8 ** 2 * 2
 
     def test_wreath_binds_tighter_than_product(self):
         x = parse_space("B(C2 x C2 wr C2)")
-        assert x == pf.product(pf.em_space([2], 1), pf.classifying(named_group("C2 wr C2")))
+        assert x == pf.product(pf.em_space([2], 1), pf.Classifying(pf.Wreath(pf.Cyclic(2), 2)))
+        assert pf.normal_form(x) == pf.normal_form(
+            pf.product(pf.em_space([2], 1), pf.classifying(named_group("C2 wr C2"))))
 
     def test_dihedral_and_symmetric(self):
-        assert parse_space("B(D8)").group.order == 8
-        assert parse_space("B(S4)").group.order == 24
+        assert parse_space("B(D8)").table.order == 8
+        assert parse_space("B(S4)").table.order == 24
 
 
 ABELIAN_TEXTS = tuple(f"C{n}" for n in range(2, 13)) + ("C2 x C4", "C2 x C2 x C3")
@@ -84,7 +86,9 @@ class TestAbelianRoute:
         assert pf.normal_form(whole) == pf.normal_form(pf.em_space([2, 2, 3], 1))
         assert parse_space("B(C1)") == pf.PT
         assert build_calls == []
-        parse_space("B(C2 wr C2) * B(C2 x S3)")
+        x = parse_space("B(C2 wr C2) * B(C2 x S3)")
+        assert build_calls == []
+        pf.normal_form(x)
         assert [pf.groups.descriptor_name(d) for d in build_calls] == ["C2 wr C2", "S3"]
 
     @pytest.mark.parametrize("text", ABELIAN_TEXTS)
@@ -114,17 +118,19 @@ class TestProductRule:
         assert pf.normal_form(whole) == pf.normal_form(table) == pf.normal_form(split)
 
     def test_builds_only_the_factors(self, build_calls):
-        parse_space("B(D200 x S4)")
+        whole = parse_space("B(D200 x S4)")
+        assert build_calls == []
+        pf.height_cardinality(whole, 2, 1)
         assert [descriptor_name(d) for d in build_calls] == ["D200", "S4"]
         mixed = parse_space("B(C2 x S3 x C3)")
-        assert mixed == pf.product(pf.em_space([2], 1), pf.classifying(named_group("S3")),
+        assert mixed == pf.product(pf.em_space([2], 1), pf.Classifying(pf.Symmetric(3)),
                                    pf.em_space([3], 1))
         assert pf.normal_form(mixed) == pf.normal_form(
             pf.product(pf.em_space([2, 3], 1), pf.classifying(named_group("S3"))))
-        # an abelian factor built as a table is its EM atom, merged in the normal form
+        # an abelian factor's table is its EM atom, merged in the normal form
         abelian = parse_space("B(S2 x C3 x D4)")
-        assert abelian == pf.product(pf.em_space([2], 1), pf.em_space([3], 1),
-                                     pf.em_space([2, 2], 1))
+        assert abelian == pf.product(pf.Classifying(pf.Symmetric(2)), pf.em_space([3], 1),
+                                     pf.Classifying(pf.Dihedral(4)))
         assert pf.normal_form(abelian) == pf.normal_form(pf.em_space([2, 3, 2, 2], 1))
 
     def test_whole_product_checked_before_any_table(self, build_calls):
@@ -132,6 +138,36 @@ class TestProductRule:
             parse_space("B(S4 x S4 x S4)")
         with pytest.raises(pf.InputError, match="Symmetric degree"):
             parse_space("B(S7 x C2)")
+        assert build_calls == []
+
+
+class TestLazyTables:
+    """Parsing builds no table; each parsed atom builds its own the first
+    time it is read, and holds it."""
+
+    def test_parsing_builds_no_table(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(pf.FiniteGroup, "__init__", refuse)
+        x = parse_space("B(S6) * B(D200 x S4) + B(C2 wr C2)")
+        assert space_text(x) == "B(S6) * B(D200) * B(S4) + B(C2 wr C2)"
+
+    def test_each_atom_built_once(self, build_calls):
+        pf.height_profile(parse_space("B(S4) * B(D8)"), 2, 5)
+        assert [descriptor_name(d) for d in build_calls] == ["S4", "D8"]
+        build_calls.clear()
+        atom = parse_space("B(S4)")
+        pf.normal_form(atom)
+        pf.p_adic_loop(atom, 3)
+        assert [descriptor_name(d) for d in build_calls] == ["S4"]
+
+    @pytest.mark.parametrize("text, error, message", [
+        ("B(C5 wr C5) + )", pf.ResourceBudgetError, "order 15625 exceeds the cap"),
+        ("B(S7) * (", pf.InputError, "Symmetric degree"),
+    ])
+    def test_a_refused_group_before_a_syntax_error(self, text, error, message, build_calls):
+        with pytest.raises(error, match=message):
+            parse_space(text)
         assert build_calls == []
 
 
