@@ -13,9 +13,10 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    "descriptors": ("Cyclic", "Dihedral", "DirectProduct", "GroupDescriptor", "Symmetric",
+                    "Wreath"),
     "errors": ("InputError", "InvariantError", "PifiniteError", "ResourceBudgetError"),
-    "groups": ("ConjugacyClass", "Cyclic", "Dihedral", "DirectProduct", "FiniteGroup",
-               "GroupDescriptor", "Symmetric", "Wreath", "build_group", "centralizer",
+    "groups": ("ConjugacyClass", "FiniteGroup", "build_group", "centralizer",
                "conjugacy_classes", "count_commuting_p_tuples", "direct_product",
                "p_loop_decomposition", "wreath_cyclic"),
     "heights": ("HeightProfile", "LayerClass", "R1Element", "WreathReport",

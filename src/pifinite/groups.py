@@ -3,7 +3,9 @@
 that drive every classifying-space cardinality in this package.  Commuting
 tuples are counted on centralizers held as bitmasks over the p-elements,
 with no subgroup table; centralizer subgroups are built only on request, as
-the p-adic loop space makes them to print its components.
+the p-adic loop space makes them to print its components.  The groups are
+named by the descriptors of ``descriptors``, which also holds the order cap
+and the limits every build applies.
 
 Groups are deliberately plain multiplication tables, so every count is
 exact and independently checkable by brute force.  A table is a tuple of
@@ -12,49 +14,31 @@ element, so a cell costs one 8-byte pointer), and every primitive works by
 composing rows, ``itemgetter(*other)(row)`` being row composed with other;
 no numpy is needed.  Associativity is checked with Light's test over a
 greedy generating set, at n^2 cells per generator.  Orders go up to the
-order cap (``DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``), which one
-function reads and applies to every build: a descriptor is checked whole
-before anything is built, its order bounded by the digit budget before it
-is multiplied out, and ``direct_product`` and ``wreath_cyclic`` check the
-order they would build.  Building a table is the costly step, and its cost
-grows with the square of the order.
+order cap (``descriptors.DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``),
+applied to every build: a descriptor is checked whole before anything is
+built, and ``direct_product`` and ``wreath_cyclic`` check the order they
+would build.  Building a table is the costly step, and its cost grows with
+the square of the order; a height count of a described group builds none
+(``descriptors.hom_count``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from operator import and_, eq, itemgetter
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
+from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
+                          _require_order, _wreath_order, checked_order, descriptor_name)
 from .errors import InputError, ResourceBudgetError
-from .rationals import MAX_DIGITS, fits_digits, power_may_fit, require_int, require_prime
+from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime
 from .records import frozen
 
 if TYPE_CHECKING:
     import numpy as np
 
 Rows = tuple[tuple[int, ...], ...]
-
-DEFAULT_ORDER_CAP = 10_000
-ORDER_CAP_ENV = "PIFINITE_ORDER_CAP"
-
-
-def _require_order(order: Optional[int]) -> int:
-    """Return order, or refuse it past the cap: PIFINITE_ORDER_CAP, else
-    DEFAULT_ORDER_CAP.  None stands for an order past the digit budget,
-    which no cap admits and no message prints."""
-    cap, env = DEFAULT_ORDER_CAP, os.environ.get(ORDER_CAP_ENV)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise InputError(f"{ORDER_CAP_ENV} must be an integer, got {env!r}") from exc
-    if order is None or order > cap:
-        shown = f"past the {MAX_DIGITS}-digit budget" if order is None else order
-        raise ResourceBudgetError(f"group of order {shown} exceeds the cap {cap}")
-    return order
 
 
 @frozen
@@ -324,99 +308,7 @@ class FiniteGroup:
         return tuple(g for g in range(self.order) if self.is_p_element(g, p))
 
 
-# -- descriptors ---------------------------------------------------------------
-
-@frozen
-class Cyclic:
-    n: int
-
-
-@frozen
-class Symmetric:
-    n: int
-
-
-@frozen
-class Dihedral:
-    order: int
-
-
-@frozen
-class DirectProduct:
-    left: "GroupDescriptor"
-    right: "GroupDescriptor"
-
-
-@frozen
-class Wreath:
-    base: "GroupDescriptor"
-    p: int
-
-
-GroupDescriptor = Union[Cyclic, Symmetric, Dihedral, DirectProduct, Wreath]
-
-MAX_SYMMETRIC_DEGREE = 6
-
-
-def descriptor_order(d: GroupDescriptor) -> Optional[int]:
-    """Order of the described group, computed without building anything, or
-    None when it has more than MAX_DIGITS digits.  Every part of ``d`` is
-    checked whatever the order, and no power is taken past that size."""
-    if isinstance(d, Cyclic):
-        return _printable(require_int(d.n, "Cyclic order", 1))
-    if isinstance(d, Symmetric):
-        if not 1 <= require_int(d.n, "Symmetric degree") <= MAX_SYMMETRIC_DEGREE:
-            raise InputError(f"Symmetric degree must be in 1..{MAX_SYMMETRIC_DEGREE}, got {d.n}")
-        return math.factorial(d.n)
-    if isinstance(d, Dihedral):
-        if require_int(d.order, "Dihedral order") < 2 or d.order % 2:
-            raise InputError(f"Dihedral order must be even and >= 2, got {d.order}")
-        return _printable(d.order)
-    if isinstance(d, DirectProduct):
-        left, right = descriptor_order(d.left), descriptor_order(d.right)
-        return None if left is None or right is None else _printable(left * right)
-    if isinstance(d, Wreath):
-        require_int(d.p, "wreath degree", 2)
-        base = descriptor_order(d.base)
-        return None if base is None else _wreath_order(base, d.p)
-    raise InputError(f"unknown group descriptor {d!r}")
-
-
-def _printable(order: int) -> Optional[int]:
-    return order if fits_digits(order) else None
-
-
-def _wreath_order(m: int, c: int) -> Optional[int]:
-    """|G wr C_c| = m^c c for |G| = m, as ``descriptor_order`` gives it."""
-    return _printable(m ** c * c) if power_may_fit(m, c) else None
-
-
-def descriptor_name(d: GroupDescriptor) -> str:
-    if isinstance(d, Cyclic):
-        return f"C{d.n}"
-    if isinstance(d, Symmetric):
-        return f"S{d.n}"
-    if isinstance(d, Dihedral):
-        return f"D{d.order}"
-    if isinstance(d, DirectProduct):
-        # "x" groups to the left, so a product on the right needs parentheses
-        right = descriptor_name(d.right)
-        if isinstance(d.right, DirectProduct):
-            right = f"({right})"
-        return f"{descriptor_name(d.left)} x {right}"
-    if isinstance(d, Wreath):
-        base = descriptor_name(d.base)
-        if isinstance(d.base, (DirectProduct, Wreath)):
-            base = f"({base})"
-        return f"{base} wr C{d.p}"
-    raise InputError(f"unknown group descriptor {d!r}")
-
-
-def checked_order(d: GroupDescriptor) -> int:
-    """Order of the described group; refuses it, as ``build_group`` would,
-    when the descriptor is invalid or the order exceeds the cap."""
-    return _require_order(descriptor_order(d))
-
+# -- tables from descriptors -----------------------------------------------------
 
 def build_group(d: GroupDescriptor) -> FiniteGroup:
     """Materialize a descriptor as a validated Cayley-table group."""

@@ -272,8 +272,8 @@ def verify_wreath_identity(group: FiniteGroup, p: int, n: int) -> WreathReport:
     """
     require_prime(p)
     require_int(n, "layer", 0)
-    from .groups import (Cyclic, build_group, count_commuting_p_tuples, direct_product,
-                         wreath_cyclic)
+    from .descriptors import Cyclic
+    from .groups import build_group, count_commuting_p_tuples, direct_product, wreath_cyclic
 
     def bg_value(h: FiniteGroup) -> Fraction:
         return Fraction(count_commuting_p_tuples(h, p, n), h.order)

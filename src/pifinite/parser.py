@@ -15,10 +15,11 @@ to the underlying finite set.  ``B(G x H)`` parses to ``B(G) * B(H)`` by
 is its degree-1 EM atom, and each other factor the ``Classifying`` atom of
 its descriptor, so ``B(C2 x S3 x C3)`` parses to
 ``B^1(C2) * B(S3) * B^1(C3)``, whose normal form, where EM atoms of one
-degree multiply, prints ``B(S3) * B^1(C6)``.  Parsing builds no table:
-a table is built when it is first read, and a refusal is reported where
-it is read, so a refused group before a syntax error is refused for the
-group, and text nested deeper than ``MAX_NESTING`` levels at that depth.
+degree multiply, prints ``B(S3) * B^1(C6)``.  The equal groups of one
+text share one atom.  Parsing builds no table: a table is built when it
+is first read, once per atom, and a refusal is reported where it is
+read, so a refused group before a syntax error is refused for the group,
+and text nested deeper than ``MAX_NESTING`` levels at that depth.
 Printing a parsed expression and re-parsing it yields an identical normal
 form; atoms print by ``spaces.atom_text``, the printer ``NormalForm`` uses.
 """
@@ -28,7 +29,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import InputError, ResourceBudgetError
-from .groups import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
+from .descriptors import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
 from .rationals import require_digits, require_numeral
 from .records import frozen
 from .spaces import (EM, PT, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
@@ -103,6 +104,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
+        self.atoms: dict = {}       # the one Classifying atom of each group read
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -177,7 +179,7 @@ class _Parser:
             self.open()
             desc = self.group()
             self.close()
-            return described_classifying(desc)
+            return self.share(described_classifying(desc))
         if self.at("SYM", "("):
             self.open()
             inner = self.expr()
@@ -185,6 +187,13 @@ class _Parser:
             return inner
         raise ParseError(f"expected a factor, found {tok.text or 'end of input'!r}",
                          tok.position)
+
+    def share(self, x: SpaceExpr) -> SpaceExpr:
+        # the equal groups of one text share one atom, which builds its
+        # table at most once
+        if isinstance(x, Product):
+            return product(*map(self.share, x.factors))
+        return self.atoms.setdefault(x, x) if isinstance(x, Classifying) else x
 
     def abelian(self) -> list[int]:
         factors = [self.cyclic_order()]

@@ -12,8 +12,10 @@ answer every question asked of it, exactly:
 * ``_height_cardinality``, the height-n cardinality at a prime p, the
   classical cardinality of the n-fold loop space, which each atom gives in
   closed form: a binomial power for an EM atom, a commuting-tuple count for
-  B(G).  Height 0 reads no prime and is the homotopy cardinality, each
-  component weighted by 1/|pi_1| * |pi_2| / ...
+  B(G), read off the descriptor of a described group (no table is built)
+  and counted on the table of any other.  Height 0 reads no prime and is
+  the homotopy cardinality, each component weighted by
+  1/|pi_1| * |pi_2| / ...
 
 An EM atom's coefficient group is held as its invariant factors
 ``d_1 | d_2 | ...``, folded from any cyclic orders by
@@ -25,7 +27,7 @@ forms unique is applied in one function:
 * ``classifying``, the one route from a table to a space: ``B(1) = pt``,
   ``B(A) = B^1(A)`` for abelian A, and a table built for a direct product
   split by its descriptor; ``normal_form`` reads every ``Classifying``
-  atom's table by it, and the height count a described atom's;
+  atom's table by it, and the height count an abelian described atom's;
 * ``described_classifying``, ``B(G x H) = B(G) * B(H)``, which the parser
   and ``classifying`` share; it builds no table, each factor that is not
   cyclic being the ``Classifying`` atom of its descriptor;
@@ -51,7 +53,8 @@ from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext, po
 from .records import frozen
 
 if TYPE_CHECKING:
-    from .groups import FiniteGroup, GroupDescriptor
+    from .descriptors import GroupDescriptor
+    from .groups import FiniteGroup
 
 
 # -- expression grammar ----------------------------------------------------------
@@ -75,8 +78,9 @@ class Classifying:
     """The classifying space of a finite group: one component, fundamental
     group ``group``, nothing above degree 1.  ``group`` is a table, or a
     descriptor, neither cyclic nor a direct product, as
-    ``described_classifying`` gives it.  Every reader of the group reads
-    ``table``, which builds a descriptor's table once and holds it."""
+    ``described_classifying`` gives it.  A height count reads a non-abelian
+    descriptor itself; every other reader of the group reads ``table``,
+    which builds a descriptor's table once and holds it."""
     group: Union[FiniteGroup, GroupDescriptor]
     _table = None
 
@@ -201,7 +205,7 @@ def classifying(group: FiniteGroup) -> SpaceExpr:
     point, an abelian A its degree-1 EM atom (``B(A) = B^1(A)``), a table
     built for a direct product the atoms ``described_classifying`` splits
     its descriptor into, and any other group its ``Classifying`` atom."""
-    from .groups import DirectProduct
+    from .descriptors import DirectProduct
     if group.order == 1:
         return PT
     if group.is_abelian():
@@ -213,7 +217,7 @@ def classifying(group: FiniteGroup) -> SpaceExpr:
 
 def _direct_factors(d: GroupDescriptor) -> list[GroupDescriptor]:
     """The factors of ``d`` that are not direct products, left to right."""
-    from .groups import DirectProduct
+    from .descriptors import DirectProduct
     if isinstance(d, DirectProduct):
         return _direct_factors(d.left) + _direct_factors(d.right)
     return [d]
@@ -227,7 +231,7 @@ def described_classifying(d: GroupDescriptor) -> SpaceExpr:
     a table.  EM atoms are merged by ``_component``, not here.  The whole
     descriptor is checked first, so a product is refused exactly as
     ``build_group`` would refuse its table."""
-    from .groups import Cyclic, checked_order
+    from .descriptors import Cyclic, checked_order
     checked_order(d)
     return product(*(em_space([f.n], 1) if isinstance(f, Cyclic) else Classifying(f)
                      for f in _direct_factors(d)))
@@ -290,9 +294,9 @@ def atom_text(atom: Atom) -> str:
     if isinstance(atom, EM):
         inside = " x ".join(f"C{require_digits(q, 'a cyclic order')}" for q in atom.factors)
         return f"B^{atom.degree}({inside})"
-    from .groups import FiniteGroup, descriptor_name
+    from .descriptors import GroupDescriptor, descriptor_name
     group = atom.group
-    return f"B({group.name if isinstance(group, FiniteGroup) else descriptor_name(group)})"
+    return f"B({descriptor_name(group) if isinstance(group, GroupDescriptor) else group.name})"
 
 
 def _require_components(n: int) -> None:
@@ -508,15 +512,19 @@ def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
                                       f"the {MAX_DIGITS}-digit budget")
         return Fraction(base) ** exponent * Fraction(rest) ** sign
     if isinstance(x, Classifying):
-        group = x.table
-        if group is not x.group:
-            # a described atom answers by the atom rule, as its normal form
-            # does; a table atom counts its tuples
-            return _height_cardinality(classifying(group), p, n)
-        if not n:
-            return Fraction(1, group.order)
-        from .groups import count_commuting_p_tuples
-        return Fraction(count_commuting_p_tuples(group, p, n), group.order)
+        from .descriptors import GroupDescriptor, checked_order, hom_count, is_abelian
+        group = x.group
+        if not isinstance(group, GroupDescriptor):
+            # a table atom counts its tuples
+            if not n:
+                return Fraction(1, group.order)
+            from .groups import count_commuting_p_tuples
+            return Fraction(count_commuting_p_tuples(group, p, n), group.order)
+        if is_abelian(group):
+            # answered by its EM atom, as its normal form is
+            return _height_cardinality(classifying(x.table), p, n)
+        # counted from the descriptor, with no table
+        return Fraction(hom_count(group, p, n) if n else 1, checked_order(group))
     raise InputError(f"not a space expression: {x!r}")
 
 
@@ -527,8 +535,10 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
     Height 0 is the plain homotopy cardinality.  An EM atom contributes its
     p-part to the power C(n-1, k) and its prime-to-p part by the alternating
     count; B(G) contributes |Hom(Z_p^n, G)| / |G|, from the commuting-tuple
-    count.  Both agree with looping n times and counting, which the tests
-    and ``verify`` check.  An EM atom whose p-power would pass the
+    count, which a non-abelian described group gives from its descriptor
+    (``descriptors.hom_count``) and a table from its tuples.  Both agree
+    with looping n times and counting, which the tests and ``verify``
+    check.  An EM atom whose p-power would pass the
     ``MAX_DIGITS`` budget is refused before the power, or the binomial in
     its exponent, is taken.
     """

@@ -800,8 +800,9 @@ class TestStartupIsLean:
 
 _BASE = ["pifinite", "pifinite.cli", "pifinite.errors", "pifinite.rationals"]
 _SPACES = ["pifinite.records", "pifinite.spaces"]
-_EXPRESSIONS = _SPACES + ["pifinite.groups", "pifinite.parser"]
+_EXPRESSIONS = _SPACES + ["pifinite.descriptors", "pifinite.parser"]
 _HEIGHTS = _EXPRESSIONS + ["pifinite.heights"]
+_TABLES = ["pifinite.groups"]
 
 
 class TestLoadsOnlyWhatItRuns:
@@ -810,8 +811,9 @@ class TestLoadsOnlyWhatItRuns:
 
     @pytest.mark.parametrize("argv, code, extra", [
         (None, None, []),
+        # a non-abelian described group is counted from its descriptor
         (["card", "--space", "B(S4)", "--prime", "2", "--height", "2"], 0, _EXPRESSIONS),
-        (["loop", "--space", "B(S3)", "--prime", "3"], 0, _EXPRESSIONS),
+        (["loop", "--space", "B(S3)", "--prime", "3"], 0, _EXPRESSIONS + _TABLES),
         (["card", "--space", "B(S7)", "--prime", "2", "--height", "1"], 1, _EXPRESSIONS),
         (["card", "--space", "B(C5 wr C5)", "--prime", "5", "--height", "1"], 2, _EXPRESSIONS),
         (["loop", "--space", "B(Q8)", "--prime", "2"], 1, _EXPRESSIONS),
@@ -820,14 +822,21 @@ class TestLoadsOnlyWhatItRuns:
         (["classify", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
         (["delta", "6", "--prime", "3"], 0, ["pifinite.heights", "pifinite.records"]),
         (["beta", "--prime", "3", "--k", "1"], 0, _SPACES + ["pifinite.heights"]),
-        (["wreath", "C2", "--prime", "2", "--height", "2"], 0, _HEIGHTS),
+        (["wreath", "C2", "--prime", "2", "--height", "2"], 0, _HEIGHTS + _TABLES),
         (["counterexample", "--prime", "5"], 0, ["pifinite.quadforms", "pifinite.records"]),
-        (["verify"], 0, _HEIGHTS + ["pifinite.checks", "pifinite.quadforms"]),
+        (["verify"], 0, _HEIGHTS + _TABLES + ["pifinite.checks", "pifinite.quadforms"]),
         # refused before any library module loads
         (["profile", "--space", "B(S3)", "--prime", "4", "--range", "2"], 1, []),
         (["loop", "--space", "B(S3)", "--prime", "2", "--iterations", "-1"], 1, []),
         (["table", "--prime", "3", "--nmax", "-1"], 1, []),
         (["card", "--space", "pt"], 1, []),
+        (["card", "--space", "B(S6) * B(D2000) * B(S4 wr C2)", "--prime", "2", "--height", "40"],
+         0, _EXPRESSIONS),
+        (["profile", "--space", "B(S4 wr C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
+        (["classify", "--space", "B(D12)", "--prime", "3", "--range", "2"], 0, _HEIGHTS),
+        # an abelian described group answers by its EM atom, read off its table
+        (["card", "--space", "B(S2)", "--prime", "2", "--height", "2"], 0,
+         _EXPRESSIONS + _TABLES),
     ])
     def test_module_sets(self, argv, code, extra):
         assert _library_modules(argv) == [code, sorted(_BASE + extra)]

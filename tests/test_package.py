@@ -10,9 +10,10 @@ import textwrap
 
 # the public names and the submodule that defines each
 EXPORTS = {
+    "descriptors": ("Cyclic", "Dihedral", "DirectProduct", "GroupDescriptor", "Symmetric",
+                    "Wreath"),
     "errors": ("InputError", "InvariantError", "PifiniteError", "ResourceBudgetError"),
-    "groups": ("ConjugacyClass", "Cyclic", "Dihedral", "DirectProduct", "FiniteGroup",
-               "GroupDescriptor", "Symmetric", "Wreath", "build_group", "centralizer",
+    "groups": ("ConjugacyClass", "FiniteGroup", "build_group", "centralizer",
                "conjugacy_classes", "count_commuting_p_tuples", "direct_product",
                "p_loop_decomposition", "wreath_cyclic"),
     "heights": ("HeightProfile", "LayerClass", "R1Element", "WreathReport",
@@ -53,6 +54,16 @@ def test_bare_import_loads_no_submodule():
         print(repr([pifinite.__version__,
                     sorted(m for m in sys.modules if m.startswith("pifinite"))]))
     """) == ["0.1.0", ["pifinite"]]
+
+
+def test_a_descriptor_loads_no_table_engine():
+    assert fresh("""
+        import sys
+        import pifinite
+        pifinite.Cyclic(2), pifinite.Wreath(pifinite.Symmetric(3), 2)
+        print(repr(sorted(m for m in sys.modules if m.startswith("pifinite"))))
+    """) == ["pifinite", "pifinite.descriptors", "pifinite.errors", "pifinite.rationals",
+             "pifinite.records"]
 
 
 def test_all_lists_the_public_names():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from conftest import GROUP_TEXTS, named_group, random_space_expr
@@ -120,7 +121,11 @@ class TestProductRule:
     def test_builds_only_the_factors(self, build_calls):
         whole = parse_space("B(D200 x S4)")
         assert build_calls == []
-        pf.height_cardinality(whole, 2, 1)
+        # each factor is counted from its descriptor: D200, with m = 100 = 4 * 25,
+        # gives (2^2 + 50 (4 - 2)) / 200, and S4 its 16 2-elements over 24
+        assert pf.height_cardinality(whole, 2, 1) == Fraction(104, 200) * Fraction(16, 24)
+        assert build_calls == []
+        pf.normal_form(whole)
         assert [descriptor_name(d) for d in build_calls] == ["D200", "S4"]
         mixed = parse_space("B(C2 x S3 x C3)")
         assert mixed == pf.product(pf.em_space([2], 1), pf.Classifying(pf.Symmetric(3)),
@@ -153,13 +158,23 @@ class TestLazyTables:
         assert space_text(x) == "B(S6) * B(D200) * B(S4) + B(C2 wr C2)"
 
     def test_each_atom_built_once(self, build_calls):
+        # a height count reads a non-abelian descriptor, not its table
         pf.height_profile(parse_space("B(S4) * B(D8)"), 2, 5)
-        assert [descriptor_name(d) for d in build_calls] == ["S4", "D8"]
-        build_calls.clear()
+        pf.height_cardinality(parse_space("B(S6) + B(C2 wr C3)"), 3, 4)
+        assert build_calls == []
         atom = parse_space("B(S4)")
         pf.normal_form(atom)
         pf.p_adic_loop(atom, 3)
         assert [descriptor_name(d) for d in build_calls] == ["S4"]
+
+    def test_equal_atoms_share_one_table(self, build_calls):
+        x = parse_space("B(S4) * B(S4) + B(S4 x D8) + B(D8)")
+        pf.normal_form(x)
+        pf.normal_form(pf.p_adic_loop(x, 2))
+        assert [descriptor_name(d) for d in build_calls] == ["S4", "D8"]
+        # the atoms of one text, not of the process: each parse builds its own
+        pf.normal_form(parse_space("B(S4)"))
+        assert [descriptor_name(d) for d in build_calls] == ["S4", "D8", "S4"]
 
     @pytest.mark.parametrize("text, error, message", [
         ("B(C5 wr C5) + )", pf.ResourceBudgetError, "order 15625 exceeds the cap"),
