@@ -3,16 +3,21 @@
 
 Importing ``dataclasses`` loads ``inspect`` (and with it ``ast``, ``dis``
 and ``tokenize``), and each decorated class compiles generated source for
-its methods; together that is tens of milliseconds of every CLI start,
-which answers one query per process.  ``@frozen`` compiles nothing: every
-record shares one ``__init__``, and equality and hashing take the tuple of
-field values, read in C by ``operator.attrgetter``.  The fields are the
-names in the class's own annotations, in order, and each is required;
-every record has the one generated repr.  Hashes are ``hash(field
-tuple)``, as frozen dataclasses give, so no set or dict order depends on
-the choice.  A record holds its hash once taken, so a dict lookup rebuilds
-no field tuple; a record with an unhashable field holds none and raises
-``TypeError`` on every call.
+its methods as it is defined; together that is tens of milliseconds of every
+CLI start, which answers one query per process.  ``@frozen`` compiles
+nothing at import: equality and hashing take the tuple of field values, read
+in C by ``operator.attrgetter``, and every record class starts on one shared
+``__init__``.  A class's first construction compiles its own
+``__init__(self, <fields>)``, one ``object.__setattr__`` per field and then
+the class's ``__post_init__``, and installs it, so Python binds the
+arguments itself; binding them from ``*args, **kwargs`` cost more than the
+rest of building a small record.  A process compiles only the classes it
+builds, each once.  The fields are the names in the class's own
+annotations, in order, and each is required; every record has the one
+generated repr.  Hashes are ``hash(field tuple)``, as frozen dataclasses
+give, so no set or dict order depends on the choice.  A record holds its
+hash once taken, so a dict lookup rebuilds no field tuple; a record with an
+unhashable field holds none and raises ``TypeError`` on every call.
 """
 
 from __future__ import annotations
@@ -24,38 +29,26 @@ class FrozenInstanceError(AttributeError):
     """Raised on assigning to or deleting a field of a frozen record."""
 
 
-def _bind(cls: type, args: tuple, kwargs: dict) -> tuple:
-    """The field values, in order, for a call with ``args`` and ``kwargs``."""
-    names, _ = cls.__record__
-    if len(args) > len(names):
-        raise TypeError(f"{cls.__name__}() takes {len(names)} positional arguments "
-                        f"but {len(args)} were given")
-    bound = dict(zip(names, args))
-    for name, value in kwargs.items():
-        if name in bound or name not in names:
-            problem = "multiple values for" if name in bound else "an unexpected keyword"
-            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
-        bound[name] = value
-    try:
-        return tuple(bound[n] for n in names)
-    except KeyError as exc:
-        raise TypeError(f"{cls.__name__}() missing required argument {exc.args[0]!r}") from None
-
-
 # Setting each field through object.__setattr__ keeps the instance's values
 # inline; touching self.__dict__ would build a dict per instance, which costs
 # memory and makes every later attribute read slower.
 _object_setattr = object.__setattr__
+_HELPERS = ("self", "_set", "_post_init")     # names the compiled __init__ reads
 
 
 def _init(self, *args, **kwargs):
-    names, post_init = self.__record__
-    if kwargs or len(args) != len(names):
-        args = _bind(type(self), args, kwargs)
-    for name, value in zip(names, args):
-        _object_setattr(self, name, value)
+    # a class's first construction: compile its own __init__, which then
+    # stands in for this one, and build the instance with it
+    cls = type(self)
+    names, post_init = cls.__record__
+    body = "".join(f"\n    _set(self, {n!r}, {n})" for n in names)
     if post_init is not None:
-        post_init(self)
+        body += "\n    _post_init(self)"
+    namespace = {"_set": _object_setattr, "_post_init": post_init}
+    exec(f"def __init__({', '.join(('self',) + names)}):{body or ' pass'}", namespace)
+    init = cls.__init__ = namespace["__init__"]
+    init.__qualname__, init.__module__ = f"{cls.__qualname__}.__init__", cls.__module__
+    init(self, *args, **kwargs)
 
 
 def _repr(self) -> str:
@@ -80,6 +73,9 @@ def _delattr(self, name):
 def frozen(cls: type) -> type:
     """Make ``cls`` an immutable record of the fields it annotates."""
     names = tuple(cls.__dict__.get("__annotations__", ()))
+    clashes = [n for n in names if n in _HELPERS]
+    if clashes:
+        raise TypeError(f"{cls.__name__} cannot have a field named {clashes[0]!r}")
     cls.__record__ = (names, getattr(cls, "__post_init__", None))
     if len(names) == 1:
         # attrgetter of one name returns the bare value, not a 1-tuple; the

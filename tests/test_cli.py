@@ -535,6 +535,10 @@ class TestExitCodes:
          "group of order 15625 exceeds the cap 10000"),
         (["card", "--space", "B(S7) * (", "--prime", "2", "--height", "1"], 1,
          "Symmetric degree must be in 1..6, got 7"),
+        # C2's count at p = 3 is 1 at every length and answers at once; the
+        # wreath product's count is what passes the budget
+        (["wreath", "C2", "--prime", "3", "--height", "100000000"], 2,
+         "3-tuple counts in C2 wr C3 at length 9015 exceed the 4300-digit budget"),
     ])
     def test_argument_refusals(self, capsys, argv, code, message):
         prefix = "error" if code == 1 else "resource error"

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -283,6 +284,15 @@ class TestCommutingTuples:
             pf.count_commuting_p_tuples(s3, 2, 14286)
         with pytest.raises(ResourceBudgetError, match="digit budget"):
             pf.count_commuting_p_tuples(pf.build_group(pf.Symmetric(3)), 2, 10 ** 9)
+
+    @pytest.mark.parametrize("text, p", [("C2", 3), ("S3", 5), ("D8", 3), ("C3 wr C3", 2)])
+    def test_prime_not_dividing_the_order_answers_at_once(self, text, p):
+        # only the identity is a p-element, so every level maps to itself
+        # and the walk ends after two levels, whatever the length
+        g = named_group(text)
+        start = time.perf_counter()
+        assert [pf.count_commuting_p_tuples(g, p, n) for n in (10 ** 8, 0, 5, 10 ** 12)] == [1] * 4
+        assert time.perf_counter() - start < 1
 
     def test_counts_kept_per_group_match_fresh_groups(self):
         # each count is asked of a group that has answered other heights

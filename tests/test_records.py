@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import pifinite as pf
-from pifinite import InputError, InvariantError
+from pifinite import InputError, InvariantError, records
 from pifinite.records import frozen
 
 
@@ -189,3 +189,77 @@ class TestConstruction:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout.splitlines() == ["False InputError"] * 5 + ["False InvariantError"]
+
+
+class TestCompiledConstructor:
+    """Each class compiles its own ``__init__`` on its first construction."""
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: pf.Cyclic(), "Cyclic.__init__() missing 1 required positional argument: 'n'"),
+        (lambda: pf.Cyclic(1, n=1), "Cyclic.__init__() got multiple values for argument 'n'"),
+        (lambda: pf.EM((2,), depth=1),
+         "EM.__init__() got an unexpected keyword argument 'depth'"),
+        (lambda: pf.Empty(1), "Empty.__init__() takes 1 positional argument but 2 were given"),
+    ])
+    def test_bad_call_names_the_class(self, build, message):
+        with pytest.raises(TypeError) as info:
+            build()
+        assert str(info.value) == message
+
+    def test_second_construction_compiles_nothing(self, monkeypatch):
+        compiled = []
+
+        def counted_exec(source, namespace):
+            compiled.append(source)
+            exec(source, namespace)
+        monkeypatch.setattr(records, "exec", counted_exec, raising=False)
+
+        @frozen
+        class Fresh:
+            key: object
+            tag: int
+
+            def __post_init__(self):
+                if self.tag < 0:
+                    raise InputError("negative tag")
+
+        assert Fresh.__dict__["__init__"] is records._init
+        # the first construction compiles, then binds as every later one
+        with pytest.raises(TypeError, match=r"Fresh\.__init__\(\) missing 1 required "
+                                            r"positional argument: 'tag'"):
+            Fresh("a")
+        first = Fresh("a", 1)
+        init = Fresh.__dict__["__init__"]
+        assert init is not records._init and len(compiled) == 1
+        assert init.__module__ == __name__ and init.__qualname__.endswith("Fresh.__init__")
+        assert Fresh(key="a", tag=1) == first and repr(first).endswith(".Fresh(key='a', tag=1)")
+        with pytest.raises(InputError):
+            Fresh("a", -1)
+        assert Fresh.__dict__["__init__"] is init and len(compiled) == 1
+
+    @pytest.mark.parametrize("field", ["self", "_set", "_post_init"])
+    def test_field_named_like_a_helper_is_refused(self, field):
+        namespace = {"__annotations__": {"key": int, field: int}}
+        with pytest.raises(TypeError, match=f"cannot have a field named '{field}'"):
+            frozen(type("Clash", (), namespace))
+
+    def test_import_compiles_only_module_constants(self):
+        # EMPTY and PT are the only records built at import
+        src = str(Path(pf.__file__).resolve().parent.parent)
+        code = ("import importlib, pkgutil, pifinite\n"
+                "from pifinite import records\n"
+                "mods = [importlib.import_module(f'pifinite.{m.name}')\n"
+                "        for m in pkgutil.iter_modules(pifinite.__path__)]\n"
+                "classes = {c for m in mods for c in vars(m).values()\n"
+                "           if isinstance(c, type) and '__record__' in c.__dict__}\n"
+                "print(len(mods), len(classes))\n"
+                "print(*sorted(c.__name__ for c in classes\n"
+                "              if c.__dict__['__init__'] is not records._init))\n")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        counts, compiled = out.stdout.splitlines()
+        modules, classes = map(int, counts.split())
+        assert modules >= 10 and classes >= 17
+        assert compiled == "Empty FinSet"
