@@ -158,20 +158,6 @@ def checked_order(d: GroupDescriptor) -> int:
     return _require_order(descriptor_order(d))
 
 
-def is_abelian(d: GroupDescriptor) -> bool:
-    """Whether a valid descriptor describes an abelian group: cyclic groups,
-    S1, S2, D2, D4, a wreath of the trivial group, and their products."""
-    if isinstance(d, Cyclic):
-        return True
-    if isinstance(d, Symmetric):
-        return d.n <= 2
-    if isinstance(d, Dihedral):
-        return d.order <= 4
-    if isinstance(d, DirectProduct):
-        return is_abelian(d.left) and is_abelian(d.right)
-    return descriptor_order(d.base) == 1
-
-
 # -- commuting tuples from the descriptor ---------------------------------------------
 
 class _Past(Exception):

@@ -11,9 +11,10 @@
 "+" is disjoint union, "*" is product, a bare integer is the discrete space
 with that many points (0 parses to the empty space).  ``B^0(...)`` collapses
 to the underlying finite set.  ``B(G x H)`` parses to ``B(G) * B(H)`` by
-``spaces.described_classifying``, equal at every height: a cyclic factor
-is its degree-1 EM atom, and each other factor the ``Classifying`` atom of
-its descriptor, so ``B(C2 x S3 x C3)`` parses to
+``spaces.described_classifying``, equal at every height: an abelian
+factor (``C_n``, ``S2``, ``D4``, ``C1 wr C_c``, ...) is the degree-1 EM atom
+of the cyclic orders it names, and each other factor the ``Classifying``
+atom of its descriptor, so ``B(C2 x S3 x C3)`` parses to
 ``B^1(C2) * B(S3) * B^1(C3)``, whose normal form, where EM atoms of one
 degree multiply, prints ``B(S3) * B^1(C6)``.  The equal groups of one
 text share one atom.  Parsing builds no table: a table is built when it

@@ -27,10 +27,11 @@ forms unique is applied in one function:
 * ``classifying``, the one route from a table to a space: ``B(1) = pt``,
   ``B(A) = B^1(A)`` for abelian A, and a table built for a direct product
   split by its descriptor; ``normal_form`` reads every ``Classifying``
-  atom's table by it, and the height count an abelian described atom's;
+  atom's table by it;
 * ``described_classifying``, ``B(G x H) = B(G) * B(H)``, which the parser
-  and ``classifying`` share; it builds no table, each factor that is not
-  cyclic being the ``Classifying`` atom of its descriptor;
+  and ``classifying`` share; it builds no table, each abelian factor being
+  the EM atom of the cyclic orders its descriptor names and each other
+  factor the ``Classifying`` atom of its descriptor;
 * ``_component``, the one component builder, where the EM atoms of one
   degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``.
 
@@ -77,10 +78,10 @@ class FinSet:
 class Classifying:
     """The classifying space of a finite group: one component, fundamental
     group ``group``, nothing above degree 1.  ``group`` is a table, or a
-    descriptor, neither cyclic nor a direct product, as
-    ``described_classifying`` gives it.  A height count reads a non-abelian
-    descriptor itself; every other reader of the group reads ``table``,
-    which builds a descriptor's table once and holds it."""
+    descriptor, neither abelian nor a direct product, as
+    ``described_classifying`` gives it.  A height count reads a descriptor
+    itself; every other reader of the group reads ``table``, which builds
+    a descriptor's table once and holds it."""
     group: Union[FiniteGroup, GroupDescriptor]
     _table = None
 
@@ -226,15 +227,34 @@ def _direct_factors(d: GroupDescriptor) -> list[GroupDescriptor]:
 def described_classifying(d: GroupDescriptor) -> SpaceExpr:
     """B of a described group, the one product rule: ``B(G x H)`` is
     ``B(G) * B(H)``, equal at every height since a commuting tuple in G x H
-    is a pair of commuting tuples.  A cyclic factor is its EM atom, and each
-    other factor the ``Classifying`` atom of its descriptor; neither builds
-    a table.  EM atoms are merged by ``_component``, not here.  The whole
-    descriptor is checked first, so a product is refused exactly as
-    ``build_group`` would refuse its table."""
-    from .descriptors import Cyclic, checked_order
+    is a pair of commuting tuples.  An abelian factor is the EM atom of its
+    ``_cyclic_orders`` (``B(A) = B^1(A)``), and each other factor the
+    ``Classifying`` atom of its descriptor; neither builds a table.  EM
+    atoms are merged by ``_component``, not here.  The whole descriptor is
+    checked first, so a product is refused exactly as ``build_group`` would
+    refuse its table."""
+    from .descriptors import checked_order
     checked_order(d)
-    return product(*(em_space([f.n], 1) if isinstance(f, Cyclic) else Classifying(f)
-                     for f in _direct_factors(d)))
+    return product(*(Classifying(f) if (orders := _cyclic_orders(f)) is None
+                     else em_space(orders, 1) for f in _direct_factors(d)))
+
+
+def _cyclic_orders(d: GroupDescriptor) -> Optional[list[int]]:
+    """The cyclic orders whose product is the group ``d`` describes, for a
+    valid descriptor that is no direct product, read off the descriptor
+    when that group is abelian: C_n itself, S1 the trivial group, S2 and D2
+    C2, D4 C2 x C2, and G wr C_c for trivial G, C_c.  None for every other
+    descriptor, whose group is not abelian."""
+    from .descriptors import Cyclic, Dihedral, Symmetric, Wreath, descriptor_order
+    if isinstance(d, Cyclic):
+        return [d.n]
+    if isinstance(d, Symmetric) and d.n <= 2:
+        return [d.n]
+    if isinstance(d, Dihedral) and d.order <= 4:
+        return [2] * (d.order // 2)
+    if isinstance(d, Wreath) and descriptor_order(d.base) == 1:
+        return [d.p]
+    return None
 
 
 def em_space(factors: Iterable[int], degree: int) -> SpaceExpr:
@@ -512,7 +532,7 @@ def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
                                       f"the {MAX_DIGITS}-digit budget")
         return Fraction(base) ** exponent * Fraction(rest) ** sign
     if isinstance(x, Classifying):
-        from .descriptors import GroupDescriptor, checked_order, hom_count, is_abelian
+        from .descriptors import GroupDescriptor, checked_order, hom_count
         group = x.group
         if not isinstance(group, GroupDescriptor):
             # a table atom counts its tuples
@@ -520,9 +540,6 @@ def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
                 return Fraction(1, group.order)
             from .groups import count_commuting_p_tuples
             return Fraction(count_commuting_p_tuples(group, p, n), group.order)
-        if is_abelian(group):
-            # answered by its EM atom, as its normal form is
-            return _height_cardinality(classifying(x.table), p, n)
         # counted from the descriptor, with no table
         return Fraction(hom_count(group, p, n) if n else 1, checked_order(group))
     raise InputError(f"not a space expression: {x!r}")
@@ -535,7 +552,7 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
     Height 0 is the plain homotopy cardinality.  An EM atom contributes its
     p-part to the power C(n-1, k) and its prime-to-p part by the alternating
     count; B(G) contributes |Hom(Z_p^n, G)| / |G|, from the commuting-tuple
-    count, which a non-abelian described group gives from its descriptor
+    count, which a described group gives from its descriptor
     (``descriptors.hom_count``) and a table from its tuples.  Both agree
     with looping n times and counting, which the tests and ``verify``
     check.  An EM atom whose p-power would pass the

@@ -12,6 +12,7 @@ import pytest
 import pifinite as pf
 import pifinite.descriptors as descriptors
 from pifinite.descriptors import descriptor_name, descriptor_order
+from pifinite.spaces import described_classifying
 
 # S1-S6, D2-D80, and the wreaths of five bases by C2, C3 and C4 up to order 3000
 ROUTE_GROUPS = ([pf.Symmetric(m) for m in range(1, 7)]
@@ -69,16 +70,25 @@ class TestIndependentRoute:
 
     @pytest.mark.parametrize("d", [pf.Symmetric(1), pf.Symmetric(2), pf.Dihedral(2),
                                    pf.Dihedral(4), pf.Wreath(pf.Cyclic(1), 3),
+                                   pf.Wreath(pf.DirectProduct(pf.Cyclic(1), pf.Symmetric(1)), 2),
                                    pf.DirectProduct(pf.Cyclic(2), pf.Symmetric(2))],
                              ids=descriptor_name)
     def test_abelian_descriptors(self, d):
-        assert descriptors.is_abelian(d)
-        assert pf.build_group(d).is_abelian()
+        # read off the descriptor, an abelian group is EM atoms, and no
+        # table; their normal form is the one the table gives
+        table = pf.build_group(d)
+        assert table.is_abelian()
+        space = described_classifying(d)
+        atoms = space.factors if isinstance(space, pf.Product) else (space,)
+        assert not any(isinstance(atom, pf.Classifying) for atom in atoms)
+        assert pf.normal_form(space) == pf.normal_form(pf.classifying(table))
 
     @pytest.mark.parametrize("text", ["S3", "D6", "C2 wr C2", "S3 x C2", "C2 x C2 wr C3"])
     def test_non_abelian_descriptors(self, text):
         d = pf.parse_group(text)
-        assert not descriptors.is_abelian(d)
+        space = described_classifying(d)
+        atoms = space.factors if isinstance(space, pf.Product) else (space,)
+        assert any(isinstance(atom, pf.Classifying) for atom in atoms)
         assert not pf.build_group(d).is_abelian()
 
 

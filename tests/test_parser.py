@@ -132,10 +132,11 @@ class TestProductRule:
                                    pf.em_space([3], 1))
         assert pf.normal_form(mixed) == pf.normal_form(
             pf.product(pf.em_space([2, 3], 1), pf.classifying(named_group("S3"))))
-        # an abelian factor's table is its EM atom, merged in the normal form
+        # an abelian factor is the EM atom its descriptor names, merged in
+        # the normal form
         abelian = parse_space("B(S2 x C3 x D4)")
-        assert abelian == pf.product(pf.Classifying(pf.Symmetric(2)), pf.em_space([3], 1),
-                                     pf.Classifying(pf.Dihedral(4)))
+        assert abelian == pf.product(pf.em_space([2], 1), pf.em_space([3], 1),
+                                     pf.em_space([2, 2], 1))
         assert pf.normal_form(abelian) == pf.normal_form(pf.em_space([2, 3, 2, 2], 1))
 
     def test_whole_product_checked_before_any_table(self, build_calls):

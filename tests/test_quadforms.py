@@ -14,10 +14,8 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _alive, _all_vectors, _bits, _class_index,
-                                _incidence, _null_square_kernel, _plan, _plane,
-                                _representative_split, _representative_tables,
-                                _representatives)
+from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _alive, _all_vectors, _line_tables,
+                                _null_square_kernel, _plan, _plane, _representatives)
 
 
 @functools.lru_cache(maxsize=None)
@@ -32,14 +30,6 @@ def sweep_kernel(p: int, n: int) -> frozenset:
                for a, b, c, d in quads):
             kernel.add(w)
     return frozenset(kernel)
-
-
-def kernel_representatives(p: int, n: int) -> list:
-    """The forms that ``_representative_split`` lays out as bits, one per
-    scaling class of the kernel on F_p^n, in bit order."""
-    us, inner, alive, _ = _representative_split(p, n)
-    return [us[i] + inner[j] for i, mask in enumerate(alive)
-            for j in range(len(inner)) if mask >> j & 1]
 
 
 def leading_one_rows(rows: list) -> list:
@@ -132,10 +122,10 @@ class TestKernelCounts:
     def test_kernel_forms_match_sweep_oracle(self, p, n):
         # the recursion feeds these rows one dimension up, so the forms
         # themselves (and their coordinate order) must be right, not just the count
-        rows = _null_square_kernel(p, n)
+        rows = list(_null_square_kernel(p, n))
         assert len(rows) == len(sweep_kernel(p, n))
         assert set(rows) == sweep_kernel(p, n)
-        # the split reads its leading-one rows off the lexicographic order
+        # a plan numbers the leading-one rows in this order, zero form first
         assert rows == sorted(rows)
 
     @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
@@ -146,6 +136,20 @@ class TestKernelCounts:
         report = pf.count_null_square_two_forms(p, n)
         assert report.kernel_count == pf.decomposable_form_count(p, n)
         assert report.total_forms == p ** (n * (n - 1) // 2)
+
+    def test_general_dimension_counts_through_the_kernel_recursion(self, monkeypatch,
+                                                                   fresh_plans):
+        # (3, 6) lays out the representatives of the kernel on F_3^5, which
+        # the enumeration reaches from the kernels on F_3^4 and F_3^3
+        monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", 3 ** 15)
+        levels = []
+        kernel = pf.quadforms._null_square_kernel
+        monkeypatch.setattr(pf.quadforms, "_null_square_kernel",
+                            lambda p, n: levels.append(n) or kernel(p, n))
+        report = pf.count_null_square_two_forms(3, 6)
+        assert report.kernel_count == pf.decomposable_form_count(3, 6)
+        assert report.total_forms == 3 ** 15
+        assert levels == [5, 4, 3]
 
     @pytest.mark.parametrize("p,n", [(17, 4), (7, 5), (3, 6)])
     def test_default_budget_refuses(self, p, n):
@@ -220,7 +224,7 @@ class TestScalingClasses:
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_class_index_maps_each_vector_to_its_representative(self, p):
         reps = np.array(_representatives(p, 3))
-        index = np.array(_class_index(p))
+        index = np.array(_plane(p).index)
         assert index.shape == (p ** 3,)
         vectors = np.indices((p,) * 3).reshape(3, -1).T
         rep = reps[index[(vectors[:, 0] * p + vectors[:, 1]) * p + vectors[:, 2]]]
@@ -232,46 +236,46 @@ class TestScalingClasses:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_incidence_table_tests_each_pair_of_classes(self, p):
+        # the classes each held line lists are those orthogonal to its class
         classes = np.array(_representatives(p, 3))
-        masks = _incidence(p)
         size = p * p + p + 2
-        assert len(masks) == size and all(type(mask) is int for mask in masks)
-        assert all(mask >> size == 0 for mask in masks)
-        table = np.array([[mask >> row & 1 for row in range(size)] for mask in masks],
-                         dtype=bool)
+        lines = [line(range(size)) for line in _plane(p).lines]
+        assert len(lines) == size
+        table = np.zeros((size, size), dtype=bool)
+        for k, line in enumerate(lines):
+            table[k, list(line)] = True
         assert (table == (classes @ classes.T % p == 0)).all()
         assert (table == table.T).all()
         assert table[0].all() and table[:, 0].all()
-        # a line of the projective plane over F_p holds p + 1 points
+        # a line of the projective plane over F_p holds p + 1 points, and
+        # the lists the kernel sums along name each of them, and zero, once
         assert (table[1:, 1:].sum(axis=1) == p + 1).all()
-        # the lists the kernel sums along are those lines, each point once
-        lines = [line(range(size)) for line in _plane(p).lines]
         assert lines[0] == tuple(range(size))
-        for mask, line in zip(masks[1:], lines[1:]):
-            assert len(line) == p + 2 and len(set(line)) == p + 2
-            assert sum(1 << row for row in line) == mask
+        assert all(len(line) == len(set(line)) == p + 2 for line in lines[1:])
 
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (7, 4), (3, 5)])
     def test_kernel_representatives_pick_one_per_class(self, p, n):
-        picked = kernel_representatives(p, n)
-        expected = leading_one_rows(_null_square_kernel(p, n))
-        assert not any(picked[0])         # the zero form first, as the count needs
-        assert len(picked) == len(expected)
-        assert set(picked) == set(expected)
+        # a plan one dimension up numbers the leading-one rows of the
+        # kernel in its row order: the sweep's, sorted, zero form first
         kernel = sweep_kernel(p, n)
-        assert set(picked) <= kernel
+        picked = leading_one_rows(list(_null_square_kernel(p, n)))
+        assert picked == leading_one_rows(sorted(kernel))
+        assert not any(picked[0])         # the zero form first, as the count needs
         assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
+        # every nonzero form of the kernel, divided by its first nonzero
+        # entry, is a picked row
+        inverse = {a: pow(a, -1, p) for a in range(1, p)}
+        scaled = {tuple(inverse[next(filter(None, w))] * x % p for x in w)
+                  for w in kernel if any(w)}
+        assert scaled == set(picked[1:])
 
     @pytest.mark.parametrize("p,m", [(3, 4), (5, 4), (3, 5)])
     def test_representative_tables_hold_the_passing_representatives(self, p, m):
         # tables[t][k] holds exactly the representatives whose w for the
         # t-th triple is orthogonal to class k, tested directly mod p; the
-        # representatives are numbered consecutively, in split order
-        us, inner, alive, _ = _representative_split(p, m)
-        assert inner == _null_square_kernel(p, m - 1)
-        forms = dict(enumerate(us[i] + inner[j] for i, mask in enumerate(alive)
-                               for j in range(len(inner)) if mask >> j & 1))
-        tables = _representative_tables(p, m)
+        # representatives are numbered consecutively, in kernel row order
+        forms = dict(enumerate(leading_one_rows(list(_null_square_kernel(p, m)))))
+        tables = _line_tables(p, m, list(forms.values()))
         classes = _representatives(p, 3)
         pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
         triples = list(combinations(range(m), 3))
@@ -290,7 +294,7 @@ class TestScalingClasses:
             reps = _representatives(p, k)
             assert len(picked) == len(reps)
             assert set(picked) == set(reps)
-        kernel = _null_square_kernel(p, 4)
+        kernel = list(_null_square_kernel(p, 4))
         picked = leading_one_rows(kernel)
         assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
         assert set(picked) <= set(kernel)
@@ -300,38 +304,28 @@ class TestHeldPlane:
     """Each prime's projective plane is solved once, by the first plan at
     that prime, and every later plan at it reads the held one."""
 
-    def test_solved_once_per_prime(self, monkeypatch, fresh_plans):
-        calls = []
-        solve = pf.quadforms._incidence
-        monkeypatch.setattr(pf.quadforms, "_incidence", lambda p: calls.append(p) or solve(p))
+    def test_solved_once_per_prime(self, fresh_plans):
         _plane.cache_clear()
         for p, n in ((5, 4), (5, 5), (5, 4)):
             assert pf.count_null_square_two_forms(p, n).kernel_count == \
                 pf.decomposable_form_count(p, n)
-        assert calls == [5]
+        info = _plane.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
 
     @pytest.mark.parametrize("p", sorted({p for p, _ in DEFAULT_BUDGET_PAIRS}))
     def test_holds_only_tuples(self, p):
         plane = _plane(p)
         assert isinstance(plane, tuple)
         assert all(type(field) is tuple for field in plane)
+        assert all(type(row) is int for row in plane.index)
 
     @pytest.mark.parametrize("p", sorted({p for p, _ in DEFAULT_BUDGET_PAIRS}))
     def test_held_plane_equals_one_solved_fresh(self, p):
-        plane = _plane(p)
-        incidence, index = _incidence(p), _class_index(p)
-        size = len(incidence)
-        assert plane.incidence == tuple(incidence)
-        assert plane.index == tuple(index)
-        # each line lists the rows set in its mask, lowest first
+        plane, fresh = _plane(p), _plane.__wrapped__(p)
+        size = p * p + p + 2
+        assert plane.index == fresh.index
         assert [line(range(size)) for line in plane.lines] == \
-            [tuple(row for row in range(size) if mask >> row & 1) for mask in incidence]
-        # the offsets place (x, y, z) and (x, -y, z) in the index
-        for x, y, z in product(range(p), repeat=3):
-            assert plane.index[plane.square[x] + plane.scaled[y] + z] == \
-                index[(x * p + y) * p + z]
-            assert plane.index[plane.square[x] + plane.negated[y] + z] == \
-                index[(x * p + -y % p) * p + z]
+            [line(range(size)) for line in fresh.lines]
 
     def test_interleaved_primes_match_the_oracles(self, fresh_plans):
         # the brute-force sweep where it is quick; past 10^5 forms, the
@@ -347,12 +341,11 @@ class TestHeldPlane:
         # class 2, (1, 0, 1), is off the line of class 1, (1, 0, 0): a plane
         # held with that pair incident must change both counts at p = 5
         held = _plane(5)
-        assert not held.incidence[1] >> 2 & 1
-        incidence = list(held.incidence)
-        incidence[1] |= 1 << 2
         lines = list(held.lines)
-        lines[1] = itemgetter(*_bits(incidence[1]))
-        tampered = held._replace(incidence=tuple(incidence), lines=tuple(lines))
+        line = lines[1](range(5 * 5 + 5 + 2))
+        assert 2 not in line
+        lines[1] = itemgetter(*line, 2)
+        tampered = held._replace(lines=tuple(lines))
         monkeypatch.setattr(pf.quadforms, "_plane", lambda p: tampered if p == 5 else _plane(p))
         for n in (4, 5):
             try:
@@ -367,20 +360,38 @@ class TestHeldLevels:
     first count at (p, n) after the checks, and every count ANDs the held
     masks for every outer representative and takes the popcount."""
 
+    @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS)
+    def test_columns_are_the_relations(self, p, n):
+        # rebuilt from the definition, reading no plane: bit j of the mask
+        # the outer representative u reads for the triple b<c<d is set when
+        # v, the j-th leading-one row of the sweep's kernel one dimension
+        # down, sorted, passes u_b*v_cd - u_c*v_bd + u_d*v_bc = 0 mod p
+        m = n - 1
+        vs = leading_one_rows(sorted(sweep_kernel(p, m)))
+        pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
+        expected = tuple(
+            tuple(sum(1 << j for j, v in enumerate(vs)
+                      if (u[b] * v[pos[c, d]] - u[c] * v[pos[b, d]]
+                          + u[d] * v[pos[b, c]]) % p == 0)
+                  for u in _representatives(p, m))
+            for b, c, d in combinations(range(m), 3))
+        assert _plan(p, n).columns == expected
+
     def test_built_once_per_pair(self, monkeypatch, fresh_plans):
         pairs = ((5, 5), (3, 5), (3, 4), (5, 5), (3, 5), (3, 4))
         expected = [pf.decomposable_form_count(p, n) for p, n in pairs]
         checked, built = [], []
         check = pf.quadforms._require_odd_prime
-        build = pf.quadforms._representative_tables
+        build = pf.quadforms._null_square_kernel
         monkeypatch.setattr(pf.quadforms, "_require_odd_prime",
                             lambda p: checked.append(p) or check(p))
-        monkeypatch.setattr(pf.quadforms, "_representative_tables",
-                            lambda p, m: built.append((p, m)) or build(p, m))
+        monkeypatch.setattr(pf.quadforms, "_null_square_kernel",
+                            lambda p, n: built.append((p, n)) or build(p, n))
         assert [pf.count_null_square_two_forms(p, n).kernel_count for p, n in pairs] == expected
-        # the prime is tested and the tables laid out by the first count only
+        # the prime is tested and the kernel one dimension down enumerated,
+        # down to its base case, by the first count only
         assert checked == [5, 3, 3]
-        assert built == [(5, 4), (3, 4)]
+        assert built == [(5, 4), (5, 3), (3, 4), (3, 3), (3, 3)]
         assert _plan.cache_info().currsize == 3
 
     @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS + ((3, 3),))
@@ -396,19 +407,16 @@ class TestHeldLevels:
             assert plan.columns == ()
             return
         # one column per triple of the outer vertices, one mask per outer
-        # representative; n = 4 reads the plane's incidence itself
+        # representative
         us = _representatives(p, n - 1)
         assert [len(column) for column in plan.columns] == \
             [len(us)] * math.comb(n - 1, 3)
-        if n == 4:
-            assert plan.columns == (_plane(p).incidence,)
-            return
         # dense: one bit per kernel representative on F_p^(n-1), every one
         # of which passes with the zero u
         width = 1 + (pf.decomposable_form_count(p, n - 1) - 1) // (p - 1)
-        assert width == {3: 131, 5: 807}[p]
+        assert width == (p * p + p + 2 if n == 4 else {3: 131, 5: 807}[p])
         assert all(mask >> width == 0 for column in plan.columns for mask in column)
-        assert next(_alive(plan.columns)) == (1 << width) - 1
+        assert next(iter(_alive(plan.columns))) == (1 << width) - 1
 
     def test_first_and_later_counts_match_the_oracles(self, fresh_plans):
         expected = {(3, 5): len(sweep_kernel(3, 5)), (5, 5): full_enumeration_count(5, 5)}
