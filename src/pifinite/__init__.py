@@ -21,8 +21,7 @@ _EXPORTS = {
                "p_loop_decomposition", "wreath_cyclic"),
     "heights": ("HeightProfile", "LayerClass", "R1Element", "WreathReport",
                 "alpha_splitter", "beta_element", "classify_layer", "delta",
-                "delta_iter", "height_profile", "pk_relation_check",
-                "verify_wreath_identity"),
+                "delta_iter", "height_profile", "verify_wreath_identity"),
     "parser": ("ParseError", "parse_group", "parse_space", "space_text"),
     "quadforms": ("FormCountReport", "MultiplicativityReport",
                   "amenability_failure_report", "count_null_square_two_forms",

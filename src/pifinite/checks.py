@@ -127,9 +127,12 @@ def _check_splitting() -> tuple[bool, str]:
 
 
 def _check_pk_relations() -> tuple[bool, str]:
-    from .heights import pk_relation_check
-    ok = all(pk_relation_check(p, n, 6) for p in (2, 3, 5) for n in range(4))
-    return ok, "p_(k) = p_(n)^((-1)^(k-n)) for n <= 3, k <= 6"
+    # B^k(C_p) trivializes above the height: |B^k(C_p)|_n = p^C(n-1, k) is 1
+    # for 1 <= n <= k, here read by looping n times, then counting
+    from .spaces import em_space
+    ok = all(_looped_cardinality(em_space([p], k), p, n) == 1
+             for p in (2, 3, 5) for k in range(1, 7) for n in range(1, k + 1))
+    return ok, "|B^k(C_p)|_n = 1 for 1 <= n <= k <= 6, p = 2, 3, 5, via loop recursion"
 
 
 _VERIFY_TABLE = [

@@ -122,6 +122,10 @@ def descriptor_order(d: GroupDescriptor) -> Optional[int]:
     raise InputError(f"unknown group descriptor {d!r}")
 
 
+# every record answers .order, as a table does; a Dihedral holds it as its field
+Cyclic.order = Symmetric.order = DirectProduct.order = Wreath.order = property(descriptor_order)
+
+
 def _printable(order: int) -> Optional[int]:
     return order if fits_digits(order) else None
 

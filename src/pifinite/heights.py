@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import (MAX_DIGITS, ExactRational, RationalLike, binom_ext,
+from .rationals import (MAX_DIGITS, ExactRational, RationalLike,
                         fits_digits, power_may_fit, require_digits, require_int,
                         require_prime, require_values, vp)
 from .records import frozen
@@ -294,17 +294,3 @@ def verify_wreath_identity(group: FiniteGroup, p: int, n: int) -> WreathReport:
     else:
         sign, match = None, False
     return WreathReport(group.name, p, n, lhs, rhs, sign, match)
-
-
-def pk_relation_check(p: int, n: int, kmax: int) -> bool:
-    """At the height-n layer the EM-space values p_(k) = p^C(n-1, k) satisfy
-    p_(k) = p_(n)^((-1)^(k-n)) for all k >= n; only n = 0 alternates."""
-    require_prime(p)
-    if require_int(n, "n") < 0 or require_int(kmax, "kmax") < n:
-        raise InputError(f"need 0 <= n <= kmax, got n={n}, kmax={kmax}")
-
-    def pk(k: int) -> Fraction:
-        return Fraction(p) ** binom_ext(n - 1, k)
-
-    base = pk(n)
-    return all(pk(k) == base ** ((-1) ** (k - n)) for k in range(n, kmax + 1))

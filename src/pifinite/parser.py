@@ -10,11 +10,12 @@
 
 "+" is disjoint union, "*" is product, a bare integer is the discrete space
 with that many points (0 parses to the empty space).  ``B^0(...)`` collapses
-to the underlying finite set.  ``B(G x H)`` parses to ``B(G) * B(H)`` by
-``spaces.described_classifying``, equal at every height: an abelian
-factor (``C_n``, ``S2``, ``D4``, ``C1 wr C_c``, ...) is the degree-1 EM atom
-of the cyclic orders it names, and each other factor the ``Classifying``
-atom of its descriptor, so ``B(C2 x S3 x C3)`` parses to
+to the underlying finite set.  ``B(G)`` parses by ``spaces.classifying``,
+which splits ``B(G x H)`` into ``B(G) * B(H)``, equal at every height: an
+abelian factor (``C_n``, ``S2``, ``D4``, ``C1 wr C_c``, ...) is the degree-1
+EM atom of the cyclic orders it names, and each other factor the
+``Classifying`` atom of its canonical descriptor (``B(D6)`` parses to
+``B(S3)``), so ``B(C2 x S3 x C3)`` parses to
 ``B^1(C2) * B(S3) * B^1(C3)``, whose normal form, where EM atoms of one
 degree multiply, prints ``B(S3) * B^1(C6)``.  The equal groups of one
 text share one atom.  Parsing builds no table: a table is built when it
@@ -34,7 +35,7 @@ from .descriptors import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symme
 from .rationals import require_digits, require_numeral
 from .records import frozen
 from .spaces import (EM, PT, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
-                     atom_text, described_classifying, disjoint_union, em_space,
+                     atom_text, classifying, disjoint_union, em_space,
                      finite_set, product)
 
 
@@ -180,7 +181,7 @@ class _Parser:
             self.open()
             desc = self.group()
             self.close()
-            return self.share(described_classifying(desc))
+            return self.share(classifying(desc))
         if self.at("SYM", "("):
             self.open()
             inner = self.expr()

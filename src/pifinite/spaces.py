@@ -24,14 +24,14 @@ order is factored into primes: height cardinalities and loops read only
 ``|A|`` and the p-part of each factor.  Each identity that makes normal
 forms unique is applied in one function:
 
-* ``classifying``, the one route from a table to a space: ``B(1) = pt``,
-  ``B(A) = B^1(A)`` for abelian A, and a table built for a direct product
-  split by its descriptor; ``normal_form`` reads every ``Classifying``
-  atom's table by it;
-* ``described_classifying``, ``B(G x H) = B(G) * B(H)``, which the parser
-  and ``classifying`` share; it builds no table, each abelian factor being
-  the EM atom of the cyclic orders its descriptor names and each other
-  factor the ``Classifying`` atom of its descriptor;
+* ``classifying``, the one route from a group, table or descriptor, to a
+  space: ``B(1) = pt``, ``B(A) = B^1(A)`` for abelian A, and
+  ``B(G x H) = B(G) * B(H)``.  A descriptor, or the one a table was built
+  for, is read with no table: each abelian direct factor is the EM atom of
+  the cyclic orders it names, and each other factor the ``Classifying`` atom
+  of its canonical descriptor, so isomorphic spellings such as ``D6`` and
+  ``S3`` are one atom.  Only a table with no descriptor, a centralizer or a
+  caller's, is a table atom;
 * ``_component``, the one component builder, where the EM atoms of one
   degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``.
 
@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import InputError, InvariantError, ResourceBudgetError
@@ -77,13 +78,20 @@ class FinSet:
 @frozen
 class Classifying:
     """The classifying space of a finite group: one component, fundamental
-    group ``group``, nothing above degree 1.  ``group`` is a table, or a
-    descriptor, neither abelian nor a direct product, as
-    ``described_classifying`` gives it.  A height count reads a descriptor
-    itself; every other reader of the group reads ``table``, which builds
+    group ``group``, nothing above degree 1.  ``group`` is a canonical
+    descriptor or a table with no descriptor, neither abelian nor a direct
+    product, as ``classifying`` gives it.  Height counts and normal forms
+    read a descriptor itself; ``p_adic_loop`` reads ``table``, which builds
     a descriptor's table once and holds it."""
     group: Union[FiniteGroup, GroupDescriptor]
+    degree = 1
     _table = None
+
+    def __post_init__(self):
+        # refused as build_group refuses it, so the order a count reads is in range
+        from .descriptors import GroupDescriptor, checked_order
+        if isinstance(self.group, GroupDescriptor):
+            checked_order(self.group)
 
     @property
     def table(self) -> FiniteGroup:
@@ -201,60 +209,52 @@ def finite_set(k: int) -> SpaceExpr:
     return EMPTY if require_int(k, "finite set size", 0) == 0 else FinSet(k)
 
 
-def classifying(group: FiniteGroup) -> SpaceExpr:
-    """B of a group table, the one atom rule: the trivial group gives the
-    point, an abelian A its degree-1 EM atom (``B(A) = B^1(A)``), a table
-    built for a direct product the atoms ``described_classifying`` splits
-    its descriptor into, and any other group its ``Classifying`` atom."""
-    from .descriptors import DirectProduct
-    if group.order == 1:
-        return PT
-    if group.is_abelian():
-        return EM(_abelian_primary_factors(group), 1)
-    if isinstance(group.descriptor, DirectProduct):
-        return described_classifying(group.descriptor)
-    return Classifying(group)
-
-
-def _direct_factors(d: GroupDescriptor) -> list[GroupDescriptor]:
-    """The factors of ``d`` that are not direct products, left to right."""
-    from .descriptors import DirectProduct
-    if isinstance(d, DirectProduct):
-        return _direct_factors(d.left) + _direct_factors(d.right)
-    return [d]
-
-
-def described_classifying(d: GroupDescriptor) -> SpaceExpr:
-    """B of a described group, the one product rule: ``B(G x H)`` is
-    ``B(G) * B(H)``, equal at every height since a commuting tuple in G x H
-    is a pair of commuting tuples.  An abelian factor is the EM atom of its
-    ``_cyclic_orders`` (``B(A) = B^1(A)``), and each other factor the
-    ``Classifying`` atom of its descriptor; neither builds a table.  EM
-    atoms are merged by ``_component``, not here.  The whole descriptor is
-    checked first, so a product is refused exactly as ``build_group`` would
-    refuse its table."""
+def classifying(group: Union[FiniteGroup, GroupDescriptor]) -> SpaceExpr:
+    """B of a group, the one atom rule.  A descriptor, or the one a table
+    was built for, is checked whole, as ``build_group`` checks it, and split
+    by ``B(G x H) = B(G) * B(H)``, equal at every height since a commuting
+    tuple in G x H is a pair of commuting tuples, into ``_direct_atoms`` in
+    written order, with no table built; an atom that is the whole of a
+    table's group keeps that table.  A table with no descriptor gives the
+    point if trivial, its degree-1 EM atom if abelian (``B(A) = B^1(A)``),
+    and its table atom otherwise."""
+    d = getattr(group, "descriptor", group)     # None for a table with no descriptor
+    if d is None:
+        if group.order == 1:
+            return PT
+        if group.is_abelian():
+            return EM(_abelian_primary_factors(group), 1)
+        return Classifying(group)
     from .descriptors import checked_order
     checked_order(d)
-    return product(*(Classifying(f) if (orders := _cyclic_orders(f)) is None
-                     else em_space(orders, 1) for f in _direct_factors(d)))
+    x = product(*_direct_atoms(d))
+    if isinstance(x, Classifying) and d is not group:
+        object.__setattr__(x, "_table", group)
+    return x
 
 
-def _cyclic_orders(d: GroupDescriptor) -> Optional[list[int]]:
-    """The cyclic orders whose product is the group ``d`` describes, for a
-    valid descriptor that is no direct product, read off the descriptor
-    when that group is abelian: C_n itself, S1 the trivial group, S2 and D2
-    C2, D4 C2 x C2, and G wr C_c for trivial G, C_c.  None for every other
-    descriptor, whose group is not abelian."""
-    from .descriptors import Cyclic, Dihedral, Symmetric, Wreath, descriptor_order
-    if isinstance(d, Cyclic):
-        return [d.n]
-    if isinstance(d, Symmetric) and d.n <= 2:
-        return [d.n]
-    if isinstance(d, Dihedral) and d.order <= 4:
-        return [2] * (d.order // 2)
-    if isinstance(d, Wreath) and descriptor_order(d.base) == 1:
-        return [d.p]
-    return None
+def _direct_atoms(d: GroupDescriptor) -> list[SpaceExpr]:
+    """B of each direct factor of the valid descriptor ``d``, left to right.
+    An abelian factor, read off the descriptor (C_n, S1, S2, D2, D4, and
+    G wr C_c for trivial G), is the EM atom of its cyclic orders, or the
+    point; each other factor is the ``Classifying`` atom of its canonical
+    descriptor: ``D6`` is ``S3``, and a wreath base is the invariant-factor
+    ``C``s of its abelian factors, then its other factors sorted by name."""
+    from .descriptors import Cyclic, Dihedral, DirectProduct, Symmetric, Wreath, descriptor_name
+    if isinstance(d, DirectProduct):
+        return _direct_atoms(d.left) + _direct_atoms(d.right)
+    if isinstance(d, Cyclic) or (isinstance(d, Symmetric) and d.n <= 2):
+        return [em_space([d.n], 1)]
+    if isinstance(d, Dihedral) and d.order <= 6:
+        return [em_space([2] * (d.order // 2), 1) if d.order < 6 else Classifying(Symmetric(3))]
+    if isinstance(d, Wreath):
+        base = _direct_atoms(d.base)
+        orders = _invariant_factors(q for x in base if isinstance(x, EM) for q in x.factors)
+        groups = sorted((x.group for x in base if isinstance(x, Classifying)), key=descriptor_name)
+        if not orders and not groups:
+            return [em_space([d.p], 1)]
+        return [Classifying(Wreath(reduce(DirectProduct, [*map(Cyclic, orders), *groups]), d.p))]
+    return [Classifying(d)]
 
 
 def em_space(factors: Iterable[int], degree: int) -> SpaceExpr:
@@ -326,11 +326,16 @@ def _require_components(n: int) -> None:
 
 
 def _atom_key(atom: Atom):
-    # a group by (order, rows), what FiniteGroup equality reads: no copy of
-    # the table is made to sort it
+    # a described group by (order, 0, name), a table by (order, 1, rows),
+    # what FiniteGroup equality reads: no copy of the table is made to sort
+    # it, and no name is compared with rows
     if isinstance(atom, EM):
         return ("em", atom.degree, atom.factors)
-    return ("cls", atom.table.order, atom.table._rows)
+    from .descriptors import GroupDescriptor, descriptor_name
+    group = atom.group
+    if isinstance(group, GroupDescriptor):
+        return ("cls", group.order, 0, descriptor_name(group))
+    return ("cls", group.order, 1, group._rows)
 
 
 def _component(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -445,19 +450,18 @@ def _product(forms: list[NormalForm]) -> NormalForm:
 
 
 def normal_form(x: SpaceExpr) -> NormalForm:
-    """Distribute products over disjoint unions.  A ``Classifying`` atom's
-    table is read by ``classifying`` first, so every atom of a normal form
-    holds a table.  A union whose fold, or a product whose expansion, would
-    pass ``MAX_COMPONENTS`` components is refused, a product before it
-    expands."""
+    """Distribute products over disjoint unions.  A table atom is read by
+    ``classifying`` first, so a caller's trivial, abelian or described table
+    takes the atom rule; a described atom is taken as it is, and no table is
+    built.  A union whose fold, or a product whose expansion, would pass
+    ``MAX_COMPONENTS`` components is refused, a product before it expands."""
+    if isinstance(x, Classifying) and hasattr(x.group, "descriptor"):
+        x = classifying(x.group)        # a table atom, as a caller may build it
     if isinstance(x, Empty):
         return NormalForm.zero()
     if isinstance(x, FinSet):
         return NormalForm.scalar(x.size)
-    if isinstance(x, Classifying):
-        atom = classifying(x.table)
-        return NormalForm({(atom,): 1}) if isinstance(atom, Classifying) else normal_form(atom)
-    if isinstance(x, EM):
+    if isinstance(x, (Classifying, EM)):
         return NormalForm({(x,): 1})
     if isinstance(x, Disjoint):
         return _sum(normal_form(part) for part in x.parts)
@@ -532,16 +536,15 @@ def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
                                       f"the {MAX_DIGITS}-digit budget")
         return Fraction(base) ** exponent * Fraction(rest) ** sign
     if isinstance(x, Classifying):
-        from .descriptors import GroupDescriptor, checked_order, hom_count
         group = x.group
-        if not isinstance(group, GroupDescriptor):
-            # a table atom counts its tuples
-            if not n:
-                return Fraction(1, group.order)
-            from .groups import count_commuting_p_tuples
-            return Fraction(count_commuting_p_tuples(group, p, n), group.order)
-        # counted from the descriptor, with no table
-        return Fraction(hom_count(group, p, n) if n else 1, checked_order(group))
+        if not n:
+            return Fraction(1, group.order)
+        from .descriptors import GroupDescriptor, hom_count
+        if isinstance(group, GroupDescriptor):
+            # counted from the descriptor, with no table
+            return Fraction(hom_count(group, p, n), group.order)
+        from .groups import count_commuting_p_tuples
+        return Fraction(count_commuting_p_tuples(group, p, n), group.order)
     raise InputError(f"not a space expression: {x!r}")
 
 
@@ -565,10 +568,6 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
 
 # -- finiteness structure ------------------------------------------------------------
 
-def _degree(atom: Atom) -> int:
-    return atom.degree if isinstance(atom, EM) else 1
-
-
 def connectivity(x: SpaceExpr) -> Union[int, float]:
     """Largest c with trivial homotopy in degrees <= c, read off the normal
     form: one component of multiplicity 1 is (d - 1)-connected for d the
@@ -581,7 +580,7 @@ def connectivity(x: SpaceExpr) -> Union[int, float]:
     comps = normal_form(x).components
     if len(comps) != 1 or comps[0][1] != 1:
         return -1
-    return min(map(_degree, comps[0][0]), default=math.inf) - 1
+    return min((a.degree for a in comps[0][0]), default=math.inf) - 1
 
 
 def is_m_finite(x: SpaceExpr, m: int) -> bool:
@@ -593,7 +592,7 @@ def is_m_finite(x: SpaceExpr, m: int) -> bool:
     nf = normal_form(x)
     if m == -2:
         return nf == NormalForm.one()
-    return all(_degree(a) <= m for comp, _ in nf.components for a in comp)
+    return all(a.degree <= m for comp, _ in nf.components for a in comp)
 
 
 def is_amenable_at_height(x: SpaceExpr, p: int, n: int) -> bool:

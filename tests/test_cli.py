@@ -84,6 +84,14 @@ class TestSubcommands:
         code, out, _ = run(capsys, "wreath", "C2", "--prime", "2", "--height", "2")
         assert code == 0 and out.strip() == "lhs -1, rhs 1, sign -1"
 
+    def test_loop_of_a_table_beside_a_described_group_of_its_order(self, capsys):
+        # C_{S4}(7) is a table of order 8 and D8 a described group: their
+        # sort keys are tagged, so a name is never compared with rows
+        code, out, err = run(capsys, "loop", "--space", "B(S4) + B(D8)", "--prime", "2")
+        assert (code, err) == (0, "")
+        assert sorted(out.strip().split(" + ")) == sorted(
+            ["B(C_{S4}(7))", "2 * B(D8)", "B(S4)", "3 * B^1(C2 x C2)", "2 * B^1(C4)"])
+
     def test_loop_output_parses_back(self, capsys):
         for space, prime in (("B(C2 wr C2 wr C2)", "3"), ("B((C2 x C2) wr C2)", "3"),
                              ("B(S3 x (C2 x S3))", "5"), ("B(S4 x S4)", "3")):
@@ -137,6 +145,16 @@ class TestSubcommands:
         with monkeypatch.context() as m:
             m.setattr(spaces, "p_adic_loop", lambda x, p: x)
             assert not checks._check_em_grid()[0] and not checks._check_symmetric3()[0]
+
+    def test_height_relations_reads_the_looped_count(self, capsys, monkeypatch):
+        # height-relations counts B^k(C_p) after looping it, so a count off
+        # by one fails it
+        import pifinite.spaces as spaces
+        count = spaces.homotopy_cardinality
+        monkeypatch.setattr(spaces, "homotopy_cardinality", lambda x: count(x) + 1)
+        code, out, _ = run(capsys, "verify")
+        assert code == 3
+        assert "FAIL  height-relations" in out
 
     def test_fiber_check_reads_the_enumerated_count(self, monkeypatch):
         # cup-square-fiber holds the fiber formula against the kernel count, so

@@ -12,7 +12,7 @@ import pytest
 import pifinite as pf
 import pifinite.descriptors as descriptors
 from pifinite.descriptors import descriptor_name, descriptor_order
-from pifinite.spaces import described_classifying
+from pifinite.spaces import _abelian_primary_factors
 
 # S1-S6, D2-D80, and the wreaths of five bases by C2, C3 and C4 up to order 3000
 ROUTE_GROUPS = ([pf.Symmetric(m) for m in range(1, 7)]
@@ -75,18 +75,19 @@ class TestIndependentRoute:
                              ids=descriptor_name)
     def test_abelian_descriptors(self, d):
         # read off the descriptor, an abelian group is EM atoms, and no
-        # table; their normal form is the one the table gives
+        # table; their normal form is the one the table's element orders give
         table = pf.build_group(d)
         assert table.is_abelian()
-        space = described_classifying(d)
+        space = pf.classifying(d)
         atoms = space.factors if isinstance(space, pf.Product) else (space,)
         assert not any(isinstance(atom, pf.Classifying) for atom in atoms)
-        assert pf.normal_form(space) == pf.normal_form(pf.classifying(table))
+        expected = pf.em_space(_abelian_primary_factors(table), 1)
+        assert pf.normal_form(space) == pf.normal_form(expected)
 
     @pytest.mark.parametrize("text", ["S3", "D6", "C2 wr C2", "S3 x C2", "C2 x C2 wr C3"])
     def test_non_abelian_descriptors(self, text):
         d = pf.parse_group(text)
-        space = described_classifying(d)
+        space = pf.classifying(d)
         atoms = space.factors if isinstance(space, pf.Product) else (space,)
         assert any(isinstance(atom, pf.Classifying) for atom in atoms)
         assert not pf.build_group(d).is_abelian()

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import named_group
+from conftest import named_group, oracle_looped_cardinality
 
 import pifinite as pf
+import pifinite.checks as checks
 from pifinite import InputError, LayerClass, ResourceBudgetError, vp
 from pifinite.rationals import MAX_DIGITS, MAX_VALUES
 
@@ -395,20 +396,17 @@ class TestPkRelations:
     def test_alternation_at_height_zero(self):
         values = [Fraction(3) ** pf.binom_ext(-1, k) for k in range(6)]
         assert values == [3, Fraction(1, 3), 3, Fraction(1, 3), 3, Fraction(1, 3)]
-        assert pf.pk_relation_check(3, 0, 5)
+        assert [pf.height_cardinality(pf.em_space([3], k), 3, 0) for k in range(6)] == values
 
     def test_higher_layers(self):
-        assert pf.pk_relation_check(2, 2, 6)
-        assert pf.pk_relation_check(5, 1, 4)
+        # B^k(C_p) trivializes above the height, by the loop recursion too
         for p in (2, 3, 5):
-            for n in range(4):
-                assert pf.pk_relation_check(p, n, 6)
-
-    def test_input_validation(self):
-        with pytest.raises(InputError):
-            pf.pk_relation_check(2, 3, 2)
-        with pytest.raises(InputError):
-            pf.pk_relation_check(4, 0, 3)
+            for k in range(1, 7):
+                for n in range(1, k + 1):
+                    x = pf.em_space([p], k)
+                    assert pf.height_cardinality(x, p, n) == 1
+                    assert oracle_looped_cardinality(x, p, n) == 1
+        assert checks._check_pk_relations()[0]
 
 
 BC2 = pf.em_space([2], 1)
@@ -438,14 +436,11 @@ class TestIntegerInputs:
         lambda v: pf.alpha_splitter(2, v, 3),
         lambda v: pf.alpha_splitter(2, 1, v),
         lambda v: pf.verify_wreath_identity(named_group("S3"), 2, v),
-        lambda v: pf.pk_relation_check(2, v, 3),
-        lambda v: pf.pk_relation_check(2, 1, v),
         lambda v: pf.classify_layer(pf.HeightProfile(2, (1, 2, 3, 4)), v),
     ], ids=["delta_iter k", "height_profile top", "R1Element delta power",
             "R1Element coefficient", "R1Element constant", "value_at n", "profile top",
             "beta_element k", "alpha_splitter k", "alpha_splitter top",
-            "verify_wreath_identity n", "pk_relation_check n", "pk_relation_check kmax",
-            "classify_layer n"])
+            "verify_wreath_identity n", "classify_layer n"])
     def test_non_ints_refused(self, call, value):
         with pytest.raises(InputError):
             call(value)
@@ -466,8 +461,6 @@ class TestIntegerInputs:
             pf.alpha_splitter(2, -1, 3)
 
     def test_range_messages_kept(self):
-        with pytest.raises(InputError, match="^need 0 <= n <= kmax, got n=-1, kmax=3$"):
-            pf.pk_relation_check(2, -1, 3)
         with pytest.raises(InputError, match="^need k <= top, got k=2, top=1$"):
             pf.alpha_splitter(2, 2, 1)
         with pytest.raises(InputError, match=r"^layer 4 outside profile range 0\.\.3$"):

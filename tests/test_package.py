@@ -18,8 +18,7 @@ EXPORTS = {
                "p_loop_decomposition", "wreath_cyclic"),
     "heights": ("HeightProfile", "LayerClass", "R1Element", "WreathReport",
                 "alpha_splitter", "beta_element", "classify_layer", "delta",
-                "delta_iter", "height_profile", "pk_relation_check",
-                "verify_wreath_identity"),
+                "delta_iter", "height_profile", "verify_wreath_identity"),
     "parser": ("ParseError", "parse_group", "parse_space", "space_text"),
     "quadforms": ("FormCountReport", "MultiplicativityReport",
                   "amenability_failure_report", "count_null_square_two_forms",
@@ -64,6 +63,17 @@ def test_a_descriptor_loads_no_table_engine():
         print(repr(sorted(m for m in sys.modules if m.startswith("pifinite"))))
     """) == ["pifinite", "pifinite.descriptors", "pifinite.errors", "pifinite.rationals",
              "pifinite.records"]
+
+
+def test_a_normal_form_loads_no_table_engine():
+    # a normal form keys a described group by its descriptor
+    assert fresh("""
+        import sys
+        import pifinite as pf
+        x = pf.parse_space("B(S6) * B(D2000) * B(S4 wr C2) + B(D6) + B(S3)")
+        print(repr([repr(pf.normal_form(x)), pf.connectivity(x), pf.is_m_finite(x, 1),
+                    "pifinite.groups" in sys.modules]))
+    """) == ["NormalForm(2 * B(S3) + B(S6) * B(S4 wr C2) * B(D2000))", -1, True, False]
 
 
 def test_all_lists_the_public_names():

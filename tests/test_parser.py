@@ -88,8 +88,9 @@ class TestAbelianRoute:
         assert parse_space("B(C1)") == pf.PT
         assert build_calls == []
         x = parse_space("B(C2 wr C2) * B(C2 x S3)")
-        assert build_calls == []
         pf.normal_form(x)
+        assert build_calls == []
+        pf.p_adic_loop(x, 2)
         assert [pf.groups.descriptor_name(d) for d in build_calls] == ["C2 wr C2", "S3"]
 
     @pytest.mark.parametrize("text", ABELIAN_TEXTS)
@@ -124,8 +125,9 @@ class TestProductRule:
         # each factor is counted from its descriptor: D200, with m = 100 = 4 * 25,
         # gives (2^2 + 50 (4 - 2)) / 200, and S4 its 16 2-elements over 24
         assert pf.height_cardinality(whole, 2, 1) == Fraction(104, 200) * Fraction(16, 24)
-        assert build_calls == []
         pf.normal_form(whole)
+        assert build_calls == []
+        pf.p_adic_loop(whole, 2)
         assert [descriptor_name(d) for d in build_calls] == ["D200", "S4"]
         mixed = parse_space("B(C2 x S3 x C3)")
         assert mixed == pf.product(pf.em_space([2], 1), pf.Classifying(pf.Symmetric(3)),
@@ -174,8 +176,16 @@ class TestLazyTables:
         pf.normal_form(pf.p_adic_loop(x, 2))
         assert [descriptor_name(d) for d in build_calls] == ["S4", "D8"]
         # the atoms of one text, not of the process: each parse builds its own
-        pf.normal_form(parse_space("B(S4)"))
+        pf.p_adic_loop(parse_space("B(S4)"), 2)
         assert [descriptor_name(d) for d in build_calls] == ["S4", "D8", "S4"]
+
+    def test_isomorphic_spellings_share_one_table(self, build_calls):
+        # B(D6) is B(S3); each loop's whole-group component keeps the table
+        # it was read from, so three loops build one table per canonical group
+        x = parse_space("B(S4) * B(S4) + B(D6) + B(S3)")
+        for _ in range(3):
+            x = pf.normal_form(pf.p_adic_loop(x, 3)).to_expr()
+        assert sorted(descriptor_name(d) for d in build_calls) == ["S3", "S4"]
 
     @pytest.mark.parametrize("text, error, message", [
         ("B(C5 wr C5) + )", pf.ResourceBudgetError, "order 15625 exceeds the cap"),

@@ -75,9 +75,10 @@ class TestNormalForm:
         assert f"{MAX_DIGITS}-digit" in repr(pf.normal_form(pf.product(big, big)))
 
     def test_sorting_a_group_copies_no_table(self):
-        # group atoms sort by (order, rows); an int64 key of D1000's table
-        # kept 8 MB
-        x = pf.classifying(named_group("D1000"))
+        # table atoms sort by (order, rows); an int64 key of D1000's table
+        # kept 8 MB.  A product table has no descriptor, so it stays a table.
+        x = pf.classifying(pf.direct_product(named_group("C1"), named_group("D1000")))
+        assert isinstance(x.group, pf.FiniteGroup)
         gc.collect()
         tracemalloc.start()
         try:
@@ -90,15 +91,18 @@ class TestNormalForm:
         assert kept < 10 ** 6
 
     def test_groups_of_equal_order_sort_by_rows(self):
-        # two tables of order 272, past the 256 entries one byte holds; the
-        # product table has no descriptor, so it stays one atom
+        # two tables of order 272, past the 256 entries one byte holds, with
+        # no descriptor, so each stays a table atom; a described group of
+        # that order sorts before both, and no name is compared with rows
         groups = [pf.direct_product(named_group("C2"), named_group("D136")),
-                  named_group("D272")]
-        assert groups[0].descriptor is None and groups[0] != groups[1]
-        expected = [((pf.Classifying(g),), 1)
-                    for g in sorted(groups, key=lambda g: (g.order, g._rows))]
+                  pf.direct_product(named_group("D136"), named_group("C2"))]
+        assert groups[0].descriptor is groups[1].descriptor is None
+        assert groups[0] != groups[1]
+        described = pf.classifying(named_group("D272"))
+        expected = [((described,), 1)] + [((pf.Classifying(g),), 1)
+                                           for g in sorted(groups, key=lambda g: g._rows)]
         for pair in (groups, groups[::-1]):
-            union = pf.disjoint_union(*map(pf.classifying, pair))
+            union = pf.disjoint_union(*map(pf.classifying, pair), described)
             assert list(pf.normal_form(union).components) == expected
 
 
@@ -210,7 +214,7 @@ class TestHeightCardinality:
         # atom valued here: B(G) by tuple enumeration, an EM atom in closed form
         def atom_value(atom, p, n):
             if isinstance(atom, pf.Classifying):
-                return Fraction(oracle_commuting_tuples(atom.group, p, n), atom.group.order)
+                return Fraction(oracle_commuting_tuples(atom.table, p, n), atom.table.order)
             order, sign = math.prod(atom.factors), (-1) ** atom.degree
             if n == 0:
                 return Fraction(order) ** sign
@@ -521,11 +525,17 @@ class TestAtomRule:
     @staticmethod
     def check(g: pf.FiniteGroup) -> None:
         atom = pf.classifying(g)
-        assert (atom == PT) == (g.order == 1)
-        is_em = isinstance(atom, pf.EM) and atom.degree == 1
-        assert is_em == (g.order > 1 and g.is_abelian())
-        if not is_em and g.order > 1:
+        (comp, mult), = pf.normal_form(atom).components
+        assert mult == 1
+        if g.order == 1:
+            assert atom == PT
+        elif g.is_abelian():
+            assert comp == (pf.EM(_abelian_primary_factors(g), 1),)
+        elif g.descriptor is None:
             assert atom == pf.Classifying(g)
+        else:
+            # a built table is its descriptor's atom, which keeps the table
+            assert atom == pf.classifying(g.descriptor) and atom.table is g
         assert pf.normal_form(pf.Classifying(g)) == pf.normal_form(atom)
 
     @pytest.mark.parametrize("text", ATOM_RULE_TEXTS)
@@ -536,11 +546,65 @@ class TestAtomRule:
             for _, c in pf.p_loop_decomposition(g, p):
                 self.check(c)
 
+    @pytest.mark.parametrize("d, error", [
+        (pf.Dihedral(20000), ResourceBudgetError),
+        (pf.Wreath(pf.Cyclic(6), 100000), ResourceBudgetError),
+        (pf.Dihedral(7), InputError),
+    ], ids=["past the cap", "past the digit budget", "invalid"])
+    def test_a_caller_built_described_atom_is_checked(self, d, error):
+        # a height-0 count reads the order alone; an order past the digit
+        # budget is None, and Fraction(1, None) is 1
+        with pytest.raises(error):
+            pf.homotopy_cardinality(pf.Classifying(d))
+
     def test_table_of_a_direct_product(self):
         g = pf.build_group(pf.parse_group("C2 x C2"))
         self.check(g)
-        assert pf.classifying(g) == pf.EM((2, 2), 1)
         assert pf.normal_form(pf.Classifying(g)) == pf.normal_form(pf.EM((2, 2), 1))
+        # a non-abelian product splits into its factors' atoms, neither of
+        # which is the whole group, so neither keeps its table
+        g = pf.build_group(pf.parse_group("S3 x D8"))
+        atom = pf.classifying(g)
+        assert atom == pf.product(pf.Classifying(pf.Symmetric(3)),
+                                  pf.Classifying(pf.Dihedral(8)))
+        assert all(f._table is None for f in atom.factors)
+
+
+# spellings of one group, each keyed by its canonical descriptor: D6 is S3,
+# a trivial factor drops out, a wreath base's abelian factors become
+# invariant-factor Cs and its other factors are sorted by name
+SPELLINGS = (("D6", "S3"), ("(S3 x D8) wr C2", "(D8 x S3) wr C2"),
+             ("(C1 x S3) wr C2", "S3 wr C2"),
+             ("D4 wr C2", "(C2 x C2) wr C2", "(S2 x D2) wr C2"))
+
+
+class TestCanonicalKey:
+    @pytest.mark.parametrize("texts", SPELLINGS, ids=" = ".join)
+    def test_spellings_give_one_atom(self, texts, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(pf.FiniteGroup, "__init__", refuse)
+        spaces = [pf.parse_space(f"B({t})") for t in texts]
+        assert len({pf.normal_form(x) for x in spaces}) == 1
+        assert len({pf.space_text(x) for x in spaces}) == 1
+        assert pf.normal_form(pf.disjoint_union(*spaces)).components == \
+            (((spaces[-1],), len(texts)),)
+
+    # the zoo and every spelling above that is not its own canonical form;
+    # (S3 x D8) wr C2 builds a table of order 4608, in about 4 s
+    @pytest.mark.parametrize("text", GROUP_TEXTS + (
+        "D6", "(S3 x D8) wr C2", "(C1 x S3) wr C2", "D4 wr C2", "(S2 x D2) wr C2"))
+    def test_canonical_descriptor_counts_the_written_group(self, text):
+        # the canonical atom's count, against the written group's table
+        written = pf.parse_group(text)
+        table = pf.build_group(written)
+        atom = pf.classifying(written)
+        for p in (2, 3):
+            for n in range(4):
+                count = pf.count_commuting_p_tuples(table, p, n)
+                if isinstance(atom, pf.Classifying):
+                    assert pf.descriptors.hom_count(atom.group, p, n) == count
+                assert pf.height_cardinality(atom, p, n) == Fraction(count, table.order)
 
 
 def union_product(k: int) -> pf.SpaceExpr:
