@@ -16,10 +16,12 @@ library module loads.
 
 from __future__ import annotations
 
+import atexit
 import os
 import sys
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NoReturn
 
 from .errors import InputError, ResourceBudgetError
 from .rationals import (require_digits, require_int, require_numeral, require_prime,
@@ -31,6 +33,16 @@ from .rationals import (require_digits, require_int, require_numeral, require_pr
 # caches, its compilation) to the start-up of every call.  For the same
 # reason the arguments are read here rather than by argparse, whose import
 # and parser set-up cost each call more than reading its answer's arguments.
+#
+# For the same reason a process ends in ``run`` without the interpreter's
+# teardown, whose final collections walk every object the operating system
+# is about to reclaim.  On a 2-vCPU machine with Python 3.11 that took 15 ms
+# after ``card`` or ``verify`` printed its answer: 3.4 ms for a bare
+# interpreter, 5 ms more for the objects a site start-up hook left alive,
+# and the rest for the modules the query loaded.  The hard exit takes 1.4 ms.
+# ``run`` flushes the answer and runs the registered exit handlers first;
+# what it skips is module teardown, the ``__del__`` of objects still alive
+# and the final collection, and the CLI holds no resource but its streams.
 
 
 def _require_printable(k: int) -> int:
@@ -356,5 +368,26 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _flush_std_streams() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:     # the reader closed the pipe; main points a closed stdout at devnull
+            pass
+
+
+def run() -> NoReturn:
+    """The ``pifinite`` command: ``main`` on ``sys.argv``, then the end of
+    the process with its exit code, after flushing stdout and stderr and
+    running the exit handlers registered with ``atexit``, but without the
+    interpreter's teardown.  In-process callers use ``main``, which returns
+    the code."""
+    code = main()
+    _flush_std_streams()
+    atexit._run_exitfuncs()
+    _flush_std_streams()    # what an exit handler printed
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

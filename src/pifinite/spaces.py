@@ -88,10 +88,15 @@ class Classifying:
     _table = None
 
     def __post_init__(self):
-        # refused as build_group refuses it, so the order a count reads is in range
-        from .descriptors import GroupDescriptor, checked_order
+        # refused as build_group refuses it, so the order a count reads is in
+        # range; a spelling other than the canonical one would print, and
+        # compare, as a second space
+        from .descriptors import GroupDescriptor, checked_order, descriptor_name
         if isinstance(self.group, GroupDescriptor):
             checked_order(self.group)
+            if _canonical_factors(self.group) != [self.group]:
+                raise InputError(f"{descriptor_name(self.group)} is not a canonical atom "
+                                 "descriptor; pifinite.classifying gives the space")
 
     @property
     def table(self) -> FiniteGroup:
@@ -213,9 +218,11 @@ def classifying(group: Union[FiniteGroup, GroupDescriptor]) -> SpaceExpr:
     """B of a group, the one atom rule.  A descriptor, or the one a table
     was built for, is checked whole, as ``build_group`` checks it, and split
     by ``B(G x H) = B(G) * B(H)``, equal at every height since a commuting
-    tuple in G x H is a pair of commuting tuples, into ``_direct_atoms`` in
-    written order, with no table built; an atom that is the whole of a
-    table's group keeps that table.  A table with no descriptor gives the
+    tuple in G x H is a pair of commuting tuples, into the atoms of
+    ``_canonical_factors`` in written order, with no table built: the EM
+    atom of an abelian factor's cyclic orders, or the point, and the
+    ``Classifying`` atom of each other factor.  An atom that is the whole of
+    a table's group keeps that table.  A table with no descriptor gives the
     point if trivial, its degree-1 EM atom if abelian (``B(A) = B^1(A)``),
     and its table atom otherwise."""
     d = getattr(group, "descriptor", group)     # None for a table with no descriptor
@@ -227,34 +234,35 @@ def classifying(group: Union[FiniteGroup, GroupDescriptor]) -> SpaceExpr:
         return Classifying(group)
     from .descriptors import checked_order
     checked_order(d)
-    x = product(*_direct_atoms(d))
+    x = product(*(em_space(f, 1) if isinstance(f, tuple) else Classifying(f)
+                  for f in _canonical_factors(d)))
     if isinstance(x, Classifying) and d is not group:
         object.__setattr__(x, "_table", group)
     return x
 
 
-def _direct_atoms(d: GroupDescriptor) -> list[SpaceExpr]:
-    """B of each direct factor of the valid descriptor ``d``, left to right.
-    An abelian factor, read off the descriptor (C_n, S1, S2, D2, D4, and
-    G wr C_c for trivial G), is the EM atom of its cyclic orders, or the
-    point; each other factor is the ``Classifying`` atom of its canonical
+def _canonical_factors(d: GroupDescriptor) -> list:
+    """The direct factors of the valid descriptor ``d``, left to right, the
+    one rule by which isomorphic spellings meet.  An abelian factor, read
+    off the descriptor (C_n, S1, S2, D2, D4, and G wr C_c for trivial G), is
+    the tuple of its cyclic orders; each other factor is its canonical
     descriptor: ``D6`` is ``S3``, and a wreath base is the invariant-factor
     ``C``s of its abelian factors, then its other factors sorted by name."""
     from .descriptors import Cyclic, Dihedral, DirectProduct, Symmetric, Wreath, descriptor_name
     if isinstance(d, DirectProduct):
-        return _direct_atoms(d.left) + _direct_atoms(d.right)
+        return _canonical_factors(d.left) + _canonical_factors(d.right)
     if isinstance(d, Cyclic) or (isinstance(d, Symmetric) and d.n <= 2):
-        return [em_space([d.n], 1)]
+        return [(d.n,)]
     if isinstance(d, Dihedral) and d.order <= 6:
-        return [em_space([2] * (d.order // 2), 1) if d.order < 6 else Classifying(Symmetric(3))]
+        return [(2,) * (d.order // 2) if d.order < 6 else Symmetric(3)]
     if isinstance(d, Wreath):
-        base = _direct_atoms(d.base)
-        orders = _invariant_factors(q for x in base if isinstance(x, EM) for q in x.factors)
-        groups = sorted((x.group for x in base if isinstance(x, Classifying)), key=descriptor_name)
+        base = _canonical_factors(d.base)
+        orders = _invariant_factors(q for x in base if isinstance(x, tuple) for q in x)
+        groups = sorted((x for x in base if not isinstance(x, tuple)), key=descriptor_name)
         if not orders and not groups:
-            return [em_space([d.p], 1)]
-        return [Classifying(Wreath(reduce(DirectProduct, [*map(Cyclic, orders), *groups]), d.p))]
-    return [Classifying(d)]
+            return [(d.p,)]
+        return [Wreath(reduce(DirectProduct, [*map(Cyclic, orders), *groups]), d.p)]
+    return [d]
 
 
 def em_space(factors: Iterable[int], degree: int) -> SpaceExpr:

@@ -786,10 +786,88 @@ class TestNumpyIsLazy:
         assert all(line.startswith("PASS") for line in lines)
 
 
+def _child(*args):
+    """(exit code, stdout, stderr) of a fresh interpreter run with ``args``,
+    its stdout buffered as a pipe is by default, so that a flush left out
+    loses output."""
+    env = _probe_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessEnd:
+    """A CLI process flushes its answer, runs the registered exit handlers
+    and ends with ``os._exit``, skipping the interpreter's teardown; what a
+    reader sees is what ``main`` writes in-process."""
+
+    @pytest.mark.parametrize("argv, code", [
+        (["card", "--space", "B(S3)", "--prime", "2", "--height", "1"], 0),
+        (["-h"], 0),    # the one answer main returns without flushing
+        (["card", "--space", "pt"], 1),
+        (["card", "--space", "B(C5 wr C5)", "--prime", "5", "--height", "1"], 2),
+    ])
+    def test_exit_codes_through_the_module(self, capsys, argv, code):
+        result = _child("-m", "pifinite.cli", *argv)
+        assert result == run(capsys, *argv)
+        assert result[0] == code and "Traceback" not in result[2]
+
+    def test_verify_exit_three_through_run(self):
+        code, out, err = _child("-c", textwrap.dedent("""
+            import sys
+            import pifinite.checks as checks
+            import pifinite.cli
+            checks._VERIFY_TABLE.append(("forced", lambda: (False, "forced failure")))
+            sys.argv[1:] = ["verify"]
+            pifinite.cli.run()
+            """))
+        assert (code, err) == (3, "")
+        lines = out.splitlines()
+        assert len(lines) == 9 and lines[-1] == "FAIL  forced: forced failure"
+
+    @pytest.mark.parametrize("argv", [
+        ["card", "--space", "B(S3)", "--prime", "2", "--height", "1"], ["-h"]])
+    def test_exit_handlers_run_after_the_answer(self, capsys, argv):
+        # a handler registered before the CLI starts writes past Python's
+        # buffer, then into it: the answer is flushed before it runs, and
+        # what it prints is flushed after
+        code, out, err = _child("-c", textwrap.dedent("""
+            import atexit, os, runpy
+            atexit.register(lambda: (os.write(1, b"written\\n"), print("printed")))
+            runpy.run_module("pifinite.cli", run_name="__main__")
+            """), *argv)
+        answer = run(capsys, *argv)[1]
+        assert (code, out, err) == (0, answer + "written\nprinted\n", "")
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_a_long_answer_arrives_whole_on_a_pipe(self, capsys, fmt):
+        # about 1.4 MB, many times what a pipe holds
+        argv = ["profile", "--space", "B(S3)", "--prime", "2", "--range", "3000",
+                "--format", fmt]
+        result = _child("-m", "pifinite.cli", *argv)
+        assert result == run(capsys, *argv)
+        assert result[0] == 0 and len(result[1].splitlines()) == (3001 if fmt == "plain" else 1)
+
+    def test_the_installed_script_is_what_the_module_runs(self):
+        # read as text: Python 3.10 has no tomllib
+        root = os.path.join(os.path.dirname(__file__), os.pardir)
+        with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fh:
+            scripts = re.findall(r'^pifinite = "pifinite\.cli:(\w+)"$', fh.read(), re.M)
+        with open(os.path.join(root, "src", "pifinite", "cli.py"), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        main_block, = [node for node in tree.body if isinstance(node, ast.If)
+                       and ast.unparse(node.test) == "__name__ == '__main__'"]
+        called = [node.func.id for node in ast.walk(main_block) if isinstance(node, ast.Call)]
+        assert scripts == called == ["run"]
+
+
 class TestStartupIsLean:
-    """The CLI answers one query per process, so what it imports is paid on
-    every call: value classes are built without ``dataclasses``, whose import
-    loads ``inspect``, ``ast``, ``dis`` and ``tokenize``."""
+    """The CLI answers one query per process, so what it imports, and the
+    interpreter's teardown of it at exit (which ``run`` skips, see
+    ``TestProcessEnd``), is paid on every call: value classes are built
+    without ``dataclasses``, whose import loads ``inspect``, ``ast``, ``dis``
+    and ``tokenize``."""
 
     ARGVS = (None,              # the import alone
              ["card", "--space", "B(S4)", "--prime", "2", "--height", "2"],

@@ -557,6 +557,22 @@ class TestAtomRule:
         with pytest.raises(error):
             pf.homotopy_cardinality(pf.Classifying(d))
 
+    # each spelling that is not a canonical atom descriptor, and its text
+    @pytest.mark.parametrize("text, printed", [
+        ("D6", "B(S3)"), ("C2", "B^1(C2)"), ("S2", "B^1(C2)"), ("D4", "B^1(C2 x C2)"),
+        ("S3 x S3", "B(S3) * B(S3)"), ("(S3 x C2) wr C2", "B((C2 x S3) wr C2)"),
+    ])
+    def test_a_caller_built_atom_takes_only_the_canonical_descriptor(self, text, printed):
+        # B(D6) built directly printed, and compared, as a second space beside B(S3)
+        d = pf.parse_group(text)
+        with pytest.raises(InputError, match="pifinite.classifying"):
+            pf.Classifying(d)
+        assert pf.space_text(pf.classifying(d)) == printed
+        assert pf.space_text(pf.parse_space(f"B({text})")) == printed
+        for atom in pf.normal_form(pf.classifying(d)).components[0][0]:
+            if isinstance(atom, pf.Classifying):
+                assert pf.Classifying(atom.group) == atom
+
     def test_table_of_a_direct_product(self):
         g = pf.build_group(pf.parse_group("C2 x C2"))
         self.check(g)
