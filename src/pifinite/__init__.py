@@ -22,6 +22,7 @@ _EXPORTS = {
     "heights": ("HeightProfile", "LayerClass", "R1Element", "WreathReport",
                 "alpha_splitter", "beta_element", "classify_layer", "delta",
                 "delta_iter", "height_profile", "verify_wreath_identity"),
+    "normalforms": ("NormalForm", "connectivity", "is_m_finite"),
     "parser": ("ParseError", "parse_group", "parse_space", "space_text"),
     "quadforms": ("FormCountReport", "MultiplicativityReport",
                   "amenability_failure_report", "count_null_square_two_forms",
@@ -29,12 +30,11 @@ _EXPORTS = {
                   "gaussian_binomial"),
     "rationals": ("INFINITE", "ExactRational", "Valuation", "binom_ext", "is_prime", "vp"),
     "spaces": ("EM", "EMPTY", "PT", "Classifying", "Disjoint", "Empty", "FinSet",
-               "NormalForm", "Product", "SpaceExpr", "classifying", "connectivity",
-               "disjoint_union", "em_space", "finite_set", "height_cardinality",
-               "homotopy_cardinality", "is_amenable_at_height", "is_m_finite",
-               "normal_form", "p_adic_loop", "product"),
+               "Product", "SpaceExpr", "classifying", "disjoint_union", "em_space",
+               "finite_set", "height_cardinality", "homotopy_cardinality",
+               "is_amenable_at_height", "normal_form", "p_adic_loop", "product"),
 }
-_SUBMODULES = frozenset(_EXPORTS) | {"checks", "cli", "records"}
+_SUBMODULES = frozenset(_EXPORTS) | {"checks", "cli", "homcounts", "records"}
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_HOME)

@@ -1,0 +1,19 @@
+"""``card``: the height-n cardinality of a space."""
+
+from __future__ import annotations
+
+from . import _emit, _rat_json, _rat_text
+
+
+def handle(args) -> int:
+    from ..parser import parse_space
+    from ..spaces import height_cardinality
+    space = parse_space(args.space)
+    value = height_cardinality(space, args.prime, args.height)
+    _emit(args, _rat_text(value), {
+        "space": args.space,
+        "prime": args.prime,
+        "height": args.height,
+        "cardinality": _rat_json(value),
+    })
+    return 0

@@ -1,0 +1,19 @@
+"""``verify``: re-check the reference number table, one line a check."""
+
+from __future__ import annotations
+
+
+def handle(args) -> int:
+    from ..checks import _VERIFY_TABLE
+    failures = 0
+    results = []
+    for label, check in _VERIFY_TABLE:
+        ok, detail = check()
+        failures += not ok
+        results.append({"check": label, "pass": ok, "detail": detail})
+        if args.format != "json":
+            print(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}")
+    if args.format == "json":
+        import json
+        print(json.dumps({"results": results, "failures": failures}))
+    return 3 if failures else 0

@@ -19,7 +19,7 @@ applied to every build: a descriptor is checked whole before anything is
 built, and ``direct_product`` and ``wreath_cyclic`` check the order they
 would build.  Building a table is the costly step, and its cost grows with
 the square of the order; a height count of a described group builds none
-(``descriptors.hom_count``).
+(``homcounts.hom_count``).
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                           _require_order, _wreath_order, checked_order, descriptor_name)
-from .errors import InputError, ResourceBudgetError
-from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime
+from .errors import InputError, InvariantError, ResourceBudgetError
+from .rationals import MAX_DIGITS, _int_valuation, fits_digits, require_int, require_prime
 from .records import frozen
 
 if TYPE_CHECKING:
@@ -399,6 +399,45 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
 
 
 # -- counting operations ---------------------------------------------------------
+
+def _prime_factors(m: int) -> list[tuple[int, int]]:
+    """The (prime, exponent) pairs of m >= 1 by trial division, primes
+    ascending.  Only the order of a table is factored, and a table of order
+    m already holds m^2 cells."""
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            e = _int_valuation(m, d)
+            out.append((d, e))
+            m //= d ** e
+        d += 1 if d == 2 else 2
+    if m > 1:
+        out.append((m, 1))
+    return out
+
+
+def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
+    """Invariant prime-power cyclic factors of an abelian group, recovered
+    from its element-order statistics."""
+    factors: list[int] = []
+    for q, k in _prime_factors(g.order):
+        # e_j = log_q #{x : order(x) divides q^j}; the successive differences
+        # m_j = e_j - e_{j-1} form the conjugate of the type partition.
+        exps = [0]
+        while exps[-1] < k:
+            qj = q ** len(exps)
+            c = sum(1 for o in g.element_orders if qj % o == 0)
+            e = _int_valuation(c, q)
+            if q ** e != c:
+                raise InvariantError("element-order counts of an abelian group are q-powers")
+            exps.append(e)
+        m = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
+        for i in range(1, (m[0] if m else 0) + 1):
+            lam = sum(1 for mj in m if mj >= i)
+            factors.append(q ** lam)
+    return tuple(sorted(factors))
+
 
 def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     return g.conjugacy_classes()

@@ -7,13 +7,15 @@ components and finite homotopy groups, and three walks over an expression
 answer every question asked of it, exactly:
 
 * ``normal_form``, the sum of products of atoms, from whose atom degrees
-  connectivity and truncation are read;
+  connectivity and truncation are read; its algebra is ``normalforms``,
+  imported when a normal form is first taken;
 * ``p_adic_loop``, the p-adic free loop space, again in the grammar;
 * ``_height_cardinality``, the height-n cardinality at a prime p, the
   classical cardinality of the n-fold loop space, which each atom gives in
   closed form: a binomial power for an EM atom, a commuting-tuple count for
-  B(G), read off the descriptor of a described group (no table is built)
-  and counted on the table of any other.  Height 0 reads no prime and is
+  B(G), read off the descriptor of a described group by
+  ``homcounts.hom_count`` (no table is built) and counted on the table of
+  any other.  Height 0 reads no prime and is
   the homotopy cardinality, each component weighted by
   1/|pi_1| * |pi_2| / ...
 
@@ -32,14 +34,14 @@ forms unique is applied in one function:
   of its canonical descriptor, so isomorphic spellings such as ``D6`` and
   ``S3`` are one atom.  Only a table with no descriptor, a centralizer or a
   caller's, is a table atom;
-* ``_component``, the one component builder, where the EM atoms of one
-  degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``.
+* ``normalforms._component``, the one component builder, where the EM
+  atoms of one degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``.
 
 An atom is printed in one place, ``atom_text``, which the parser's printer
 shares and which holds each printed order to the digit budget; a normal
 form's repr is that printer's text.  A normal form, the sum of products
-of atoms that looping prints, is held to ``MAX_COMPONENTS`` components,
-decided before a product is expanded.
+of atoms that looping prints, is held to ``normalforms.MAX_COMPONENTS``
+components, decided before a product is expanded.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, Iterable, Optional, Union
 
-from .errors import InputError, InvariantError, ResourceBudgetError
+from .errors import InputError, ResourceBudgetError
 from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext, power_may_fit,
                         require_digits, require_int, require_prime, vp)
 from .records import frozen
@@ -57,6 +59,7 @@ from .records import frozen
 if TYPE_CHECKING:
     from .descriptors import GroupDescriptor
     from .groups import FiniteGroup
+    from .normalforms import NormalForm
 
 
 # -- expression grammar ----------------------------------------------------------
@@ -155,23 +158,6 @@ EMPTY = Empty()
 PT = FinSet(1)
 
 
-def _prime_factors(m: int) -> list[tuple[int, int]]:
-    """The (prime, exponent) pairs of m >= 1 by trial division, primes
-    ascending.  Only the order of a table is factored, and a table of order
-    m already holds m^2 cells."""
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = _int_valuation(m, d)
-            out.append((d, e))
-            m //= d ** e
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
 def _invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
     """The invariant factors of the product of cyclic groups of the given
     orders, ascending, 1s dropped.  Each order folds into the chain from the
@@ -184,28 +170,6 @@ def _invariant_factors(orders: Iterable[int]) -> tuple[int, ...]:
         if m > 1:
             chain.append(m)
     return tuple(reversed(chain))
-
-
-def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
-    """Invariant prime-power cyclic factors of an abelian group, recovered
-    from its element-order statistics."""
-    factors: list[int] = []
-    for q, k in _prime_factors(g.order):
-        # e_j = log_q #{x : order(x) divides q^j}; the successive differences
-        # m_j = e_j - e_{j-1} form the conjugate of the type partition.
-        exps = [0]
-        while exps[-1] < k:
-            qj = q ** len(exps)
-            c = sum(1 for o in g.element_orders if qj % o == 0)
-            e = _int_valuation(c, q)
-            if q ** e != c:
-                raise InvariantError("element-order counts of an abelian group are q-powers")
-            exps.append(e)
-        m = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
-        for i in range(1, (m[0] if m else 0) + 1):
-            lam = sum(1 for mj in m if mj >= i)
-            factors.append(q ** lam)
-    return tuple(sorted(factors))
 
 
 # -- smart constructors ------------------------------------------------------------
@@ -230,6 +194,7 @@ def classifying(group: Union[FiniteGroup, GroupDescriptor]) -> SpaceExpr:
         if group.order == 1:
             return PT
         if group.is_abelian():
+            from .groups import _abelian_primary_factors
             return EM(_abelian_primary_factors(group), 1)
         return Classifying(group)
     from .descriptors import checked_order
@@ -310,10 +275,6 @@ def product(*factors: SpaceExpr) -> SpaceExpr:
 
 Atom = Union[Classifying, EM]
 
-# The one bound on the size of a normal form: a union whose fold, or a
-# product whose expansion, would pass this many components is refused
-MAX_COMPONENTS = 2048
-
 
 def atom_text(atom: Atom) -> str:
     """The one printer of an atom, in the parser's grammar: ``B^k(C.. x C..)``
@@ -327,142 +288,13 @@ def atom_text(atom: Atom) -> str:
     return f"B({descriptor_name(group) if isinstance(group, GroupDescriptor) else group.name})"
 
 
-def _require_components(n: int) -> None:
-    if n > MAX_COMPONENTS:
-        raise ResourceBudgetError(f"a normal form expanding to {n} components exceeds "
-                                  f"the {MAX_COMPONENTS}-component budget")
-
-
-def _atom_key(atom: Atom):
-    # a described group by (order, 0, name), a table by (order, 1, rows),
-    # what FiniteGroup equality reads: no copy of the table is made to sort
-    # it, and no name is compared with rows
-    if isinstance(atom, EM):
-        return ("em", atom.degree, atom.factors)
-    from .descriptors import GroupDescriptor, descriptor_name
-    group = atom.group
-    if isinstance(group, GroupDescriptor):
-        return ("cls", group.order, 0, descriptor_name(group))
-    return ("cls", group.order, 1, group._rows)
-
-
-def _component(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
-    """The sorted component of a product of atoms, the one place a component
-    is formed.  The EM atoms of one degree, adjacent in the order, multiply
-    into one: ``B^k(A) * B^k(B) = B^k(A x B)``."""
-    out: list[Atom] = []
-    for atom in sorted(atoms, key=_atom_key):
-        last = out[-1] if out else None
-        if isinstance(atom, EM) and isinstance(last, EM) and last.degree == atom.degree:
-            out[-1] = EM(last.factors + atom.factors, atom.degree)
-        else:
-            out.append(atom)
-    return tuple(out)
-
-
-class NormalForm:
-    """Multiset of components, each a sorted multiset of connected atoms.
-
-    Finite-set factors are absorbed into component multiplicities, disjoint
-    unions and products are flattened and distributed, so this is the free
-    commutative semiring on the connected atoms: two expressions with equal
-    normal form get equal values under every cardinality evaluator.
-    """
-
-    __slots__ = ("_counts",)
-
-    def __init__(self, counts: Optional[dict[tuple[Atom, ...], int]] = None):
-        self._counts = {c: m for c, m in (counts or {}).items() if m}
-
-    @classmethod
-    def zero(cls) -> "NormalForm":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "NormalForm":
-        return cls({(): 1})
-
-    @classmethod
-    def scalar(cls, k: int) -> "NormalForm":
-        return cls({(): k} if k else {})
-
-    @property
-    def components(self) -> tuple[tuple[tuple[Atom, ...], int], ...]:
-        return tuple(sorted(self._counts.items(),
-                            key=lambda item: tuple(_atom_key(a) for a in item[0])))
-
-    def __add__(self, other: "NormalForm") -> "NormalForm":
-        return _sum((self, other))
-
-    def __mul__(self, other: "NormalForm") -> "NormalForm":
-        _require_components(len(self._counts) * len(other._counts))
-        counts: dict[tuple[Atom, ...], int] = {}
-        for c1, m1 in self._counts.items():
-            for c2, m2 in other._counts.items():
-                comp = _component(c1 + c2)
-                counts[comp] = counts.get(comp, 0) + m1 * m2
-        return NormalForm(counts)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, NormalForm) and self._counts == other._counts
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
-    def __repr__(self) -> str:
-        # the text parses back to this form; one the printer refuses names
-        # the budget, so that a repr never raises
-        from .parser import space_text
-        try:
-            return f"NormalForm({space_text(self.to_expr())})"
-        except ResourceBudgetError:
-            return f"NormalForm(<past the {MAX_DIGITS}-digit budget>)"
-
-    def to_expr(self) -> SpaceExpr:
-        parts = []
-        for comp, mult in self.components:
-            factors: list[SpaceExpr] = [finite_set(mult)] if mult > 1 else []
-            factors.extend(comp)
-            parts.append(product(*factors) if factors else PT)
-        return disjoint_union(*parts)
-
-
-def _sum(forms: Iterable[NormalForm]) -> NormalForm:
-    # one dict for the whole fold: adding the parts pairwise would copy it
-    # once per part
-    counts: dict[tuple[Atom, ...], int] = {}
-    for nf in forms:
-        for comp, mult in nf._counts.items():
-            counts[comp] = counts.get(comp, 0) + mult
-        _require_components(len(counts))
-    return NormalForm(counts)
-
-
-def _product(forms: list[NormalForm]) -> NormalForm:
-    # The factors of one component join in one sort before the others fold
-    # in: folding k single atoms one at a time re-sorts the component k
-    # times, and folding them after the unions re-sorts every component.
-    atoms: list[Atom] = []
-    scale, unions = 1, []
-    for nf in forms:
-        if len(nf._counts) == 1:
-            (comp, mult), = nf._counts.items()
-            atoms.extend(comp)
-            scale *= mult
-        else:
-            unions.append(nf)
-    out = NormalForm({_component(atoms): scale})
-    for nf in unions:
-        out = out * nf
-    return out
-
-
 def normal_form(x: SpaceExpr) -> NormalForm:
     """Distribute products over disjoint unions.  A table atom is read by
     ``classifying`` first, so a caller's trivial, abelian or described table
     takes the atom rule; a described atom is taken as it is, and no table is
     built.  A union whose fold, or a product whose expansion, would pass
     ``MAX_COMPONENTS`` components is refused, a product before it expands."""
+    from .normalforms import NormalForm, _product, _sum
     if isinstance(x, Classifying) and hasattr(x.group, "descriptor"):
         x = classifying(x.group)        # a table atom, as a caller may build it
     if isinstance(x, Empty):
@@ -547,9 +379,10 @@ def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
         group = x.group
         if not n:
             return Fraction(1, group.order)
-        from .descriptors import GroupDescriptor, hom_count
+        from .descriptors import GroupDescriptor
         if isinstance(group, GroupDescriptor):
             # counted from the descriptor, with no table
+            from .homcounts import hom_count
             return Fraction(hom_count(group, p, n), group.order)
         from .groups import count_commuting_p_tuples
         return Fraction(count_commuting_p_tuples(group, p, n), group.order)
@@ -564,7 +397,7 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
     p-part to the power C(n-1, k) and its prime-to-p part by the alternating
     count; B(G) contributes |Hom(Z_p^n, G)| / |G|, from the commuting-tuple
     count, which a described group gives from its descriptor
-    (``descriptors.hom_count``) and a table from its tuples.  Both agree
+    (``homcounts.hom_count``) and a table from its tuples.  Both agree
     with looping n times and counting, which the tests and ``verify``
     check.  An EM atom whose p-power would pass the
     ``MAX_DIGITS`` budget is refused before the power, or the binomial in
@@ -572,35 +405,6 @@ def height_cardinality(x: SpaceExpr, p: int, n: int) -> ExactRational:
     """
     require_prime(p)
     return _height_cardinality(x, p, require_int(n, "height", 0))
-
-
-# -- finiteness structure ------------------------------------------------------------
-
-def connectivity(x: SpaceExpr) -> Union[int, float]:
-    """Largest c with trivial homotopy in degrees <= c, read off the normal
-    form: one component of multiplicity 1 is (d - 1)-connected for d the
-    lowest degree of its atoms, and with no atoms it is the point.
-
-    Contractible expressions return math.inf.  The empty space is graded -1
-    here: it has a finite (empty) set of components and nothing above, and
-    its cardinality is 0 at every height.
-    """
-    comps = normal_form(x).components
-    if len(comps) != 1 or comps[0][1] != 1:
-        return -1
-    return min((a.degree for a in comps[0][0]), default=math.inf) - 1
-
-
-def is_m_finite(x: SpaceExpr, m: int) -> bool:
-    """Truncation test: finitely many components with homotopy concentrated
-    in degrees <= m, that is every atom of the normal form in degree <= m.
-    m = -2 means contractible; m = -1 means a finite (possibly empty) set."""
-    if require_int(m, "m") < -2:
-        return False
-    nf = normal_form(x)
-    if m == -2:
-        return nf == NormalForm.one()
-    return all(a.degree <= m for comp, _ in nf.components for a in comp)
 
 
 def is_amenable_at_height(x: SpaceExpr, p: int, n: int) -> bool:

@@ -862,6 +862,38 @@ class TestProcessEnd:
         assert scripts == called == ["run"]
 
 
+class TestCompiledOnce:
+    """``python -m pifinite.cli`` runs cli.py as ``__main__``, so a module
+    that imported ``pifinite.cli`` would compile it a second time: no
+    handler, and no library module a handler loads, may import it."""
+
+    @pytest.mark.parametrize("argv", [
+        ["card", "--space", "B(S4)", "--prime", "2", "--height", "2"],
+        ["loop", "--space", "B(S3)", "--prime", "2"],
+        ["profile", "--space", "B(S3)", "--prime", "2", "--range", "2"],
+        ["classify", "--space", "B(S3)", "--prime", "2", "--range", "2"],
+        ["delta", "6", "--prime", "3"],
+        ["beta", "--prime", "3", "--k", "1"],
+        ["wreath", "C2", "--prime", "2", "--height", "2"],
+        ["counterexample", "--prime", "3"],
+        ["verify"],
+        ["table", "--prime", "3", "--kmax", "1", "--nmax", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_no_module_imports_the_cli(self, argv):
+        # -X importtime lists what import statements load; -v also lists a
+        # submodule that ``from package import name`` or importlib loads
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-v", "-m", "pifinite.cli", *argv],
+            capture_output=True, text=True, env=_probe_env(), timeout=120)
+        timed = [line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+                 if line.startswith("import time:")]
+        loaded = re.findall(r"^import '([\w.]+)' # ", proc.stderr, re.M)
+        # the library's own imports are listed, so a missing line means no import
+        assert proc.returncode == 0 and "pifinite.rationals" in timed
+        assert any(name.startswith("pifinite.commands.") for name in loaded)
+        assert "pifinite.cli" not in timed + loaded
+
+
 class TestStartupIsLean:
     """The CLI answers one query per process, so what it imports, and the
     interpreter's teardown of it at exit (which ``run`` skips, see
@@ -903,39 +935,71 @@ _SPACES = ["pifinite.records", "pifinite.spaces"]
 _EXPRESSIONS = _SPACES + ["pifinite.descriptors", "pifinite.parser"]
 _HEIGHTS = _EXPRESSIONS + ["pifinite.heights"]
 _TABLES = ["pifinite.groups"]
+_NORMAL_FORMS = ["pifinite.normalforms"]
+_HOMS = ["pifinite.homcounts"]
+
+
+def _handler(module):
+    return ["pifinite.commands", f"pifinite.commands.{module}"]
 
 
 class TestLoadsOnlyWhatItRuns:
-    """Each subcommand imports the library modules it calls when it runs, so
-    a process pays only for the modules its answer uses."""
+    """Each subcommand imports its own handler module, and that handler the
+    library modules it calls when it runs, so a process pays only for the
+    modules its answer uses: without bytecode caches, every module a process
+    loads is compiled from source.  No subcommand loads another's handler,
+    only ``loop`` takes a normal form (``normalforms``), and only a height
+    count of a non-abelian described group loads ``homcounts``."""
 
     @pytest.mark.parametrize("argv, code, extra", [
         (None, None, []),
         # a non-abelian described group is counted from its descriptor
-        (["card", "--space", "B(S4)", "--prime", "2", "--height", "2"], 0, _EXPRESSIONS),
-        (["loop", "--space", "B(S3)", "--prime", "3"], 0, _EXPRESSIONS + _TABLES),
-        (["card", "--space", "B(S7)", "--prime", "2", "--height", "1"], 1, _EXPRESSIONS),
-        (["card", "--space", "B(C5 wr C5)", "--prime", "5", "--height", "1"], 2, _EXPRESSIONS),
-        (["loop", "--space", "B(Q8)", "--prime", "2"], 1, _EXPRESSIONS),
-        (["table", "--prime", "3"], 0, _SPACES),
-        (["profile", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
-        (["classify", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
-        (["delta", "6", "--prime", "3"], 0, ["pifinite.heights", "pifinite.records"]),
-        (["beta", "--prime", "3", "--k", "1"], 0, _SPACES + ["pifinite.heights"]),
-        (["wreath", "C2", "--prime", "2", "--height", "2"], 0, _HEIGHTS + _TABLES),
-        (["counterexample", "--prime", "5"], 0, ["pifinite.quadforms", "pifinite.records"]),
-        (["verify"], 0, _HEIGHTS + _TABLES + ["pifinite.checks", "pifinite.quadforms"]),
-        # refused before any library module loads
+        (["card", "--space", "B(S4)", "--prime", "2", "--height", "2"], 0,
+         _EXPRESSIONS + _HOMS + _handler("card")),
+        (["loop", "--space", "B(S3)", "--prime", "3"], 0,
+         _EXPRESSIONS + _TABLES + _NORMAL_FORMS + _handler("loop")),
+        (["card", "--space", "B(S7)", "--prime", "2", "--height", "1"], 1,
+         _EXPRESSIONS + _handler("card")),
+        (["card", "--space", "B(C5 wr C5)", "--prime", "5", "--height", "1"], 2,
+         _EXPRESSIONS + _handler("card")),
+        (["loop", "--space", "B(Q8)", "--prime", "2"], 1, _EXPRESSIONS + _handler("loop")),
+        (["table", "--prime", "3"], 0, _SPACES + _handler("table")),
+        (["profile", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0,
+         _HEIGHTS + _handler("profile")),
+        (["classify", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0,
+         _HEIGHTS + _handler("profile")),
+        (["delta", "6", "--prime", "3"], 0,
+         ["pifinite.heights", "pifinite.records"] + _handler("delta")),
+        (["beta", "--prime", "3", "--k", "1"], 0,
+         _SPACES + ["pifinite.heights"] + _handler("beta")),
+        (["wreath", "C2", "--prime", "2", "--height", "2"], 0,
+         _HEIGHTS + _TABLES + _handler("wreath")),
+        (["counterexample", "--prime", "5"], 0,
+         ["pifinite.quadforms", "pifinite.records"] + _handler("counterexample")),
+        # the symmetric-3 and coset checks count B(S3) from its descriptor
+        (["verify"], 0, _HEIGHTS + _TABLES + _HOMS + ["pifinite.checks", "pifinite.quadforms"]
+         + _handler("verify")),
+        # refused before any library module loads: a bad prime or a usage
+        # error before the handler too
         (["profile", "--space", "B(S3)", "--prime", "4", "--range", "2"], 1, []),
-        (["loop", "--space", "B(S3)", "--prime", "2", "--iterations", "-1"], 1, []),
-        (["table", "--prime", "3", "--nmax", "-1"], 1, []),
+        (["loop", "--space", "B(S3)", "--prime", "2", "--iterations", "-1"], 1,
+         _handler("loop")),
+        (["table", "--prime", "3", "--nmax", "-1"], 1, _handler("table")),
         (["card", "--space", "pt"], 1, []),
         (["card", "--space", "B(S6) * B(D2000) * B(S4 wr C2)", "--prime", "2", "--height", "40"],
-         0, _EXPRESSIONS),
-        (["profile", "--space", "B(S4 wr C2)", "--prime", "2", "--range", "2"], 0, _HEIGHTS),
-        (["classify", "--space", "B(D12)", "--prime", "3", "--range", "2"], 0, _HEIGHTS),
+         0, _EXPRESSIONS + _HOMS + _handler("card")),
+        (["profile", "--space", "B(S4 wr C2)", "--prime", "2", "--range", "2"], 0,
+         _HEIGHTS + _HOMS + _handler("profile")),
+        (["classify", "--space", "B(D12)", "--prime", "3", "--range", "2"], 0,
+         _HEIGHTS + _HOMS + _handler("profile")),
         # an abelian described group is the EM atom its descriptor names
-        (["card", "--space", "B(S2)", "--prime", "2", "--height", "2"], 0, _EXPRESSIONS),
+        (["card", "--space", "B(S2)", "--prime", "2", "--height", "2"], 0,
+         _EXPRESSIONS + _handler("card")),
+        (["-h"], 0, ["pifinite.commands", "pifinite.commands.usage"]),
+        # a group or space the parser refuses loads no engine behind it
+        (["wreath", "Q8", "--prime", "2", "--height", "2"], 1, _EXPRESSIONS + _handler("wreath")),
+        (["classify", "--space", "B(S3) +", "--prime", "2", "--range", "2"], 1,
+         _EXPRESSIONS + _handler("profile")),
     ])
     def test_module_sets(self, argv, code, extra):
         assert _library_modules(argv) == [code, sorted(_BASE + extra)]

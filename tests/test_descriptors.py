@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 import pifinite as pf
-import pifinite.descriptors as descriptors
+import pifinite.homcounts as homcounts
 from pifinite.descriptors import descriptor_name, descriptor_order
-from pifinite.spaces import _abelian_primary_factors
+from pifinite.groups import _abelian_primary_factors
 
 # S1-S6, D2-D80, and the wreaths of five bases by C2, C3 and C4 up to order 3000
 ROUTE_GROUPS = ([pf.Symmetric(m) for m in range(1, 7)]
@@ -31,7 +31,7 @@ def route_mismatches(d):
     for p in ROUTE_PRIMES:
         for n in ROUTE_HEIGHTS:
             tuples = pf.count_commuting_p_tuples(table, p, n)
-            if (descriptors.hom_count(d, p, n) != tuples
+            if (homcounts.hom_count(d, p, n) != tuples
                     or pf.height_cardinality(atom, p, n) != Fraction(tuples, table.order)):
                 bad.append((p, n))
     return bad
@@ -50,8 +50,8 @@ class TestIndependentRoute:
     @pytest.mark.parametrize("text", ["S3", "S5", "D12", "D10", "C2 wr C2", "S3 wr C3"])
     def test_guard_a_wrong_count_fails(self, text, monkeypatch):
         # a route compared with itself would pass whatever the count gives
-        right = descriptors.hom_count
-        monkeypatch.setattr(descriptors, "hom_count", lambda d, p, n: right(d, p, n) + 1)
+        right = homcounts.hom_count
+        monkeypatch.setattr(homcounts, "hom_count", lambda d, p, n: right(d, p, n) + 1)
         assert len(route_mismatches(pf.parse_group(text))) == \
             len(ROUTE_PRIMES) * len(ROUTE_HEIGHTS)
 
@@ -59,14 +59,14 @@ class TestIndependentRoute:
         d = pf.parse_group("S3 x D8 x C4")
         for p in (2, 3):
             for n in range(4):
-                assert descriptors.hom_count(d, p, n) == \
+                assert homcounts.hom_count(d, p, n) == \
                     pf.count_commuting_p_tuples(pf.build_group(d), p, n)
 
     def test_nested_wreath(self):
         d = pf.parse_group("C2 wr C2 wr C2")
         table = pf.build_group(d)
         for n in range(6):
-            assert descriptors.hom_count(d, 2, n) == pf.count_commuting_p_tuples(table, 2, n)
+            assert homcounts.hom_count(d, 2, n) == pf.count_commuting_p_tuples(table, 2, n)
 
     @pytest.mark.parametrize("d", [pf.Symmetric(1), pf.Symmetric(2), pf.Dihedral(2),
                                    pf.Dihedral(4), pf.Wreath(pf.Cyclic(1), 3),
@@ -114,19 +114,19 @@ class TestDigitBudget:
         start = time.perf_counter()
         for n in (first, 10 ** 9, 10 ** 18):
             with pytest.raises(pf.ResourceBudgetError, match=f"at length {first} exceed"):
-                descriptors.hom_count(pf.parse_group(text), p, n)
+                homcounts.hom_count(pf.parse_group(text), p, n)
         assert time.perf_counter() - start < 1
-        assert descriptors.hom_count(pf.parse_group(text), p, first - 1) > 0
+        assert homcounts.hom_count(pf.parse_group(text), p, first - 1) > 0
 
     def test_validated_as_the_tuple_count(self):
         with pytest.raises(pf.InputError, match="expected a prime"):
-            descriptors.hom_count(pf.Symmetric(3), 4, 1)
+            homcounts.hom_count(pf.Symmetric(3), 4, 1)
         with pytest.raises(pf.InputError, match="tuple length must be >= 0"):
-            descriptors.hom_count(pf.Symmetric(3), 2, -1)
+            homcounts.hom_count(pf.Symmetric(3), 2, -1)
         with pytest.raises(pf.InputError, match="Symmetric degree"):
-            descriptors.hom_count(pf.Symmetric(7), 2, 1)
+            homcounts.hom_count(pf.Symmetric(7), 2, 1)
         with pytest.raises(pf.ResourceBudgetError, match="exceeds the cap"):
-            descriptors.hom_count(pf.Wreath(pf.Cyclic(5), 5), 5, 1)
+            homcounts.hom_count(pf.Wreath(pf.Cyclic(5), 5), 5, 1)
 
 
 def _cli(*argv):
@@ -158,10 +158,10 @@ class TestNoTable:
         assert proc.returncode == 0 and proc.stderr == ""
         assert seconds < 1
         d = pf.parse_group("S4 wr C2")
-        assert Fraction(proc.stdout.strip()) == Fraction(descriptors.hom_count(d, 2, 3000), 1152)
+        assert Fraction(proc.stdout.strip()) == Fraction(homcounts.hom_count(d, 2, 3000), 1152)
         table = pf.build_group(d)
         for n in range(61):
-            assert descriptors.hom_count(d, 2, n) == pf.count_commuting_p_tuples(table, 2, n)
+            assert homcounts.hom_count(d, 2, n) == pf.count_commuting_p_tuples(table, 2, n)
 
     def test_deep_wreath_past_the_budget(self):
         proc, seconds = _cli("card", "--space", "B(S4 wr C2)", "--prime", "2",

@@ -19,6 +19,7 @@ EXPORTS = {
     "heights": ("HeightProfile", "LayerClass", "R1Element", "WreathReport",
                 "alpha_splitter", "beta_element", "classify_layer", "delta",
                 "delta_iter", "height_profile", "verify_wreath_identity"),
+    "normalforms": ("NormalForm", "connectivity", "is_m_finite"),
     "parser": ("ParseError", "parse_group", "parse_space", "space_text"),
     "quadforms": ("FormCountReport", "MultiplicativityReport",
                   "amenability_failure_report", "count_null_square_two_forms",
@@ -26,13 +27,12 @@ EXPORTS = {
                   "gaussian_binomial"),
     "rationals": ("INFINITE", "ExactRational", "Valuation", "binom_ext", "is_prime", "vp"),
     "spaces": ("EM", "EMPTY", "PT", "Classifying", "Disjoint", "Empty", "FinSet",
-               "NormalForm", "Product", "SpaceExpr", "classifying", "connectivity",
-               "disjoint_union", "em_space", "finite_set", "height_cardinality",
-               "homotopy_cardinality", "is_amenable_at_height", "is_m_finite",
-               "normal_form", "p_adic_loop", "product"),
+               "Product", "SpaceExpr", "classifying", "disjoint_union", "em_space",
+               "finite_set", "height_cardinality", "homotopy_cardinality",
+               "is_amenable_at_height", "normal_form", "p_adic_loop", "product"),
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
-SUBMODULES = sorted(EXPORTS) + ["checks", "cli", "records"]
+SUBMODULES = sorted(EXPORTS) + ["checks", "cli", "homcounts", "records"]
 
 
 def fresh(code: str):

@@ -12,7 +12,8 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centraliz
 import pifinite as pf
 from pifinite import EMPTY, PT, InputError, ResourceBudgetError
 from pifinite.rationals import MAX_DIGITS
-from pifinite.spaces import MAX_COMPONENTS, _abelian_primary_factors
+from pifinite.groups import _abelian_primary_factors
+from pifinite.normalforms import MAX_COMPONENTS
 
 
 class TestNormalForm:
@@ -419,7 +420,7 @@ def test_em_canonicalization():
 def test_no_order_is_factored(monkeypatch):
     def refuse(m):
         raise AssertionError(f"factored {m}")
-    monkeypatch.setattr(pf.spaces, "_prime_factors", refuse)
+    monkeypatch.setattr(pf.groups, "_prime_factors", refuse)
     assert pf.em_space([6, 10], 2).factors == (2, 30)
     # an odd 4300-digit composite prime to 5, past any factoring
     m = (10 ** 2150 + 1) * (10 ** 2149 + 7)
@@ -619,7 +620,7 @@ class TestCanonicalKey:
             for n in range(4):
                 count = pf.count_commuting_p_tuples(table, p, n)
                 if isinstance(atom, pf.Classifying):
-                    assert pf.descriptors.hom_count(atom.group, p, n) == count
+                    assert pf.homcounts.hom_count(atom.group, p, n) == count
                 assert pf.height_cardinality(atom, p, n) == Fraction(count, table.order)
 
 
