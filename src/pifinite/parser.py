@@ -8,6 +8,13 @@
     group   := atomgrp { "x" atomgrp }
     atomgrp := ( "C" INT | "S" INT | "D" INT | "(" group ")" ) { "wr" "C" INT }
 
+A token is a run of ASCII digits (INT), ``pt``, ``wr``, one of the letters
+``B C S D x`` or one of ``+ * ^ ( )``, and whitespace may stand between any
+two tokens.  The whole text is split into tokens before any rule runs, so
+its two lexical errors, ``unknown name`` for any other letter and
+``unexpected character`` for any other character, come before anything a
+rule refuses.
+
 "+" is disjoint union, "*" is product, a bare integer is the discrete space
 with that many points (0 parses to the empty space).  ``B^0(...)`` collapses
 to the underlying finite set.  ``B(G)`` parses by ``spaces.classifying``,
@@ -28,12 +35,9 @@ form; atoms print by ``spaces.atom_text``, the printer ``NormalForm`` uses.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .errors import InputError, ResourceBudgetError
 from .descriptors import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
 from .rationals import require_digits, require_numeral
-from .records import frozen
 from .spaces import (EM, PT, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
                      atom_text, classifying, disjoint_union, em_space,
                      finite_set, product)
@@ -47,6 +51,8 @@ from .spaces import (EM, PT, Classifying, Disjoint, Empty, FinSet, Product, Spac
 # parentheses lose an answer to this bound.
 MAX_NESTING = 100
 
+_FAMILIES = {"C": Cyclic, "S": Symmetric, "D": Dihedral}
+
 
 class ParseError(InputError):
     """Syntax error, carrying the offending position in the source text."""
@@ -56,139 +62,119 @@ class ParseError(InputError):
         self.position = position
 
 
-@frozen
-class _Token:
-    kind: str      # INT, NAME, SYM, END
-    text: str
-    position: int
-
-
-_DIGITS = "0123456789"      # ASCII only, as the CLI reads integer arguments
-_KEYWORDS = ("pt", "wr")
-_LETTERS = "BCSDx"
-_SYMBOLS = "+*^()"
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple[str, int]]:
+    # each token as (text, position), then ("", len(text)) for the end
     tokens = []
     i, n = 0, len(text)
     while i < n:
-        ch = text[i]
+        ch, j = text[i], i + 1
         if ch.isspace():
-            i += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            tokens.append(_Token("INT", text[i:j], i))
             i = j
-        elif text[i:i + 2] in _KEYWORDS:
-            tokens.append(_Token("NAME", text[i:i + 2], i))
-            i += 2
-        elif ch in _LETTERS:
-            tokens.append(_Token("NAME", ch, i))
-            i += 1
-        elif ch in _SYMBOLS:
-            tokens.append(_Token("SYM", ch, i))
-            i += 1
-        elif ch.isalpha():
-            raise ParseError(f"unknown name {ch!r}", i)
-        else:
-            raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("END", "", n))
+            continue
+        if "0" <= ch <= "9":        # ASCII digits only, as the CLI reads integer arguments
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+        elif text[i:i + 2] in ("pt", "wr"):
+            j = i + 2
+        elif ch not in "BCSDx+*^()":
+            raise ParseError(f"{'unknown name' if ch.isalpha() else 'unexpected character'} "
+                             f"{ch!r}", i)
+        tokens.append((text[i:j], i))
+        i = j
+    tokens.append(("", n))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
+        if not isinstance(text, str):
+            raise InputError(f"the text to parse must be a str, got {text!r}")
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.atoms: dict = {}       # the one Classifying atom of each group read
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
+    def take(self, text: str) -> bool:
+        # take the next token if it is ``text``
+        if self.tokens[self.pos][0] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    def fail(self, want: str):
+        text, position = self.tokens[self.pos]
+        raise ParseError(f"expected {want}, found {text or 'end of input'!r}", position)
 
-    def expect(self, kind: str, text: Optional[str] = None) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text or kind
-            raise ParseError(f"expected {want!r}, found {tok.text or 'end of input'!r}",
-                             tok.position)
-        return self.advance()
-
-    def nest(self, tok: _Token) -> None:
+    def nest(self) -> None:
         # one level deeper, at the "(", "x" or "wr" token just taken
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ResourceBudgetError(f"the text nests deeper than the {MAX_NESTING}-level "
-                                      f"bound (at position {tok.position})")
+                                      f"bound (at position {self.tokens[self.pos - 1][1]})")
 
     def open(self) -> None:
-        self.nest(self.expect("SYM", "("))
+        self.take("(") or self.fail("'('")
+        self.nest()
 
     def close(self) -> None:
-        self.expect("SYM", ")")
+        self.take(")") or self.fail("')'")
         self.depth -= 1
 
-    def at(self, kind: str, text: Optional[str] = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+    def end(self, value):
+        text, position = self.tokens[self.pos]
+        if text:
+            raise ParseError(f"trailing input {text!r}", position)
+        return value
 
-    def parse_int(self) -> int:
-        tok = self.expect("INT")
-        return int(require_numeral(tok.text, f"the number at position {tok.position}"))
+    def number(self) -> int:
+        text, position = self.tokens[self.pos]
+        if not text.isdigit():
+            self.fail("'INT'")
+        self.pos += 1
+        return int(require_numeral(text, f"the number at position {position}"))
+
+    def cyclic_order(self) -> int:
+        self.take("C") or self.fail("'C'")
+        return self.number()
 
     # grammar rules, each returning its value
 
     def expr(self) -> SpaceExpr:
         parts = [self.term()]
-        while self.at("SYM", "+"):
-            self.advance()
+        while self.take("+"):
             parts.append(self.term())
         return disjoint_union(*parts)
 
     def term(self) -> SpaceExpr:
         factors = [self.factor()]
-        while self.at("SYM", "*"):
-            self.advance()
+        while self.take("*"):
             factors.append(self.factor())
         return product(*factors)
 
     def factor(self) -> SpaceExpr:
-        tok = self.peek()
-        if tok.kind == "INT":
-            return finite_set(self.parse_int())
-        if self.at("NAME", "pt"):
-            self.advance()
+        if self.tokens[self.pos][0].isdigit():
+            return finite_set(self.number())
+        if self.take("pt"):
             return PT
-        if self.at("NAME", "B"):
-            self.advance()
-            if self.at("SYM", "^"):
-                self.advance()
-                degree = self.parse_int()
+        if self.take("B"):
+            if self.take("^"):
+                degree = self.number()
                 self.open()
-                factors = self.abelian()
+                orders = [self.cyclic_order()]
+                while self.take("x"):
+                    orders.append(self.cyclic_order())
                 self.close()
-                return em_space(factors, degree)
+                return em_space(orders, degree)
             self.open()
             desc = self.group()
             self.close()
             return self.share(classifying(desc))
-        if self.at("SYM", "("):
-            self.open()
+        if self.take("("):
+            self.nest()
             inner = self.expr()
             self.close()
             return inner
-        raise ParseError(f"expected a factor, found {tok.text or 'end of input'!r}",
-                         tok.position)
+        self.fail("a factor")
 
     def share(self, x: SpaceExpr) -> SpaceExpr:
         # the equal groups of one text share one atom, which builds its
@@ -197,75 +183,44 @@ class _Parser:
             return product(*map(self.share, x.factors))
         return self.atoms.setdefault(x, x) if isinstance(x, Classifying) else x
 
-    def abelian(self) -> list[int]:
-        factors = [self.cyclic_order()]
-        while self.at("NAME", "x"):
-            self.advance()
-            factors.append(self.cyclic_order())
-        return factors
-
-    def cyclic_order(self) -> int:
-        self.expect("NAME", "C")
-        return self.parse_int()
-
     def group(self) -> GroupDescriptor:
         # each "x" or "wr" link nests the descriptor one level deeper, until
         # the group ends
         depth = self.depth
-        terms = [self.atom_group()]
-        while self.at("NAME", "x"):
-            self.nest(self.advance())
-            terms.append(self.atom_group())
+        desc = self.atom_group()
+        while self.take("x"):
+            self.nest()
+            desc = DirectProduct(desc, self.atom_group())
         self.depth = depth
-        desc = terms[0]
-        for t in terms[1:]:
-            desc = DirectProduct(desc, t)
         return desc
 
     def atom_group(self) -> GroupDescriptor:
-        tok = self.peek()
-        if self.at("SYM", "("):
-            self.open()
-            desc: GroupDescriptor = self.group()
+        family = _FAMILIES.get(self.tokens[self.pos][0])
+        if family is not None:
+            self.pos += 1
+            desc = family(self.number())
+        elif self.take("("):
+            self.nest()
+            desc = self.group()
             self.close()
-        elif tok.kind == "NAME" and tok.text in "CSD":
-            letter = self.advance().text
-            size = self.parse_int()
-            if letter == "C":
-                desc = Cyclic(size)
-            elif letter == "S":
-                desc = Symmetric(size)
-            else:
-                desc = Dihedral(size)
         else:
-            raise ParseError(
-                f"expected a group (C/S/D), found {tok.text or 'end of input'!r}",
-                tok.position)
-        while self.at("NAME", "wr"):
-            self.nest(self.advance())
-            self.expect("NAME", "C")
-            desc = Wreath(desc, self.parse_int())
+            self.fail("a group (C/S/D)")
+        while self.take("wr"):
+            self.nest()
+            desc = Wreath(desc, self.cyclic_order())
         return desc
 
 
 def parse_space(text: str) -> SpaceExpr:
     """Parse a space expression; raises ParseError with a position on bad input."""
     parser = _Parser(text)
-    x = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "END":
-        raise ParseError(f"trailing input {tok.text!r}", tok.position)
-    return x
+    return parser.end(parser.expr())
 
 
 def parse_group(text: str) -> GroupDescriptor:
     """Parse just the group sub-grammar (used by the wreath report command)."""
     parser = _Parser(text)
-    desc = parser.group()
-    tok = parser.peek()
-    if tok.kind != "END":
-        raise ParseError(f"trailing input {tok.text!r}", tok.position)
-    return desc
+    return parser.end(parser.group())
 
 
 # -- printing ------------------------------------------------------------------------

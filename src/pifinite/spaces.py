@@ -47,6 +47,7 @@ components, decided before a product is expanded.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, Iterable, Optional, Union
@@ -100,6 +101,13 @@ class Classifying:
             if _canonical_factors(self.group) != [self.group]:
                 raise InputError(f"{descriptor_name(self.group)} is not a canonical atom "
                                  "descriptor; pifinite.classifying gives the space")
+        else:
+            # a table exists only once groups is loaded, so a described
+            # atom's check loads no table engine
+            groups = sys.modules.get(f"{__package__}.groups")
+            if groups is None or not isinstance(self.group, groups.FiniteGroup):
+                raise InputError(f"expected a FiniteGroup or a group descriptor, "
+                                 f"got {self.group!r}")
 
     @property
     def table(self) -> FiniteGroup:

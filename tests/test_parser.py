@@ -1,9 +1,12 @@
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from conftest import GROUP_TEXTS, named_group, random_space_expr
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pifinite as pf
 import pifinite.parser
@@ -231,6 +234,12 @@ class TestErrors:
             parse_space(text)
         assert parse_space("7" * 4300) == pf.finite_set(int("7" * 4300))
 
+    @pytest.mark.parametrize("text", [5, b"B(S3)", ["B(S3)"], None])
+    @pytest.mark.parametrize("parse", [parse_space, parse_group])
+    def test_text_that_is_not_a_str_is_refused(self, parse, text):
+        with pytest.raises(pf.InputError, match="must be a str"):
+            parse(text)
+
     def test_bad_group_sizes_are_input_errors(self):
         with pytest.raises(pf.InputError):
             parse_space("B(S9)")
@@ -274,6 +283,66 @@ class TestNesting:
         assert pf.height_cardinality(parse_space("B^1(C1" + " x C1" * 500 + ")"), 2, 1) == 1
         assert pf.height_cardinality(parse_space(" + ".join(["pt"] * 500)), 2, 1) == 500
         assert pf.height_cardinality(parse_space(" * ".join(["2"] * 500)), 2, 0) == 2 ** 500
+
+
+# fuzzed text: well-formed groups and spaces, and strings of pieces, which
+# are the grammar's tokens and whitespace, characters outside the grammar,
+# digit runs up to past the digit budget, chains that nest past
+# MAX_NESTING, and well-formed groups and spaces
+_GROUP_TEXT = st.recursive(
+    st.sampled_from(["C1", "C2", "C9973", "S3", "S7", "D6", "D8"]),
+    lambda g: st.one_of(st.builds("{} x {}".format, g, g), st.builds("({})".format, g),
+                        st.builds("{} wr C{}".format, g, st.integers(1, 5))),
+    max_leaves=6)
+_SPACE_TEXT = st.recursive(
+    st.one_of(st.sampled_from(["pt", "0", "2", "B^2(C2 x C4)", "B^0(C3)"]),
+              _GROUP_TEXT.map("B({})".format)),
+    lambda x: st.one_of(st.builds("{} + {}".format, x, x), st.builds("{} * {}".format, x, x),
+                        st.builds("({})".format, x)),
+    max_leaves=4)
+_PIECES = st.one_of(
+    st.sampled_from(["B", "(", ")", "^", "C", "S", "D", "x", "wr", "pt", "+", "*",
+                     " ", "\t", "\u3000"]),
+    st.sampled_from(["@", "_", "\u0663", "\u00b2", "p", "w", "Q", "\u00e9"]),
+    st.integers(0, 10 ** 6).map(str),
+    st.sampled_from(["9973", "7" * 4300, "7" * 4301]),
+    st.builds(lambda link, n: link * n, st.sampled_from(["(", ")", " wr C2", " x C1", "(C1 x "]),
+              st.integers(95, 105)),
+    _GROUP_TEXT, _SPACE_TEXT)
+_FUZZ_TEXTS = st.one_of(_GROUP_TEXT, _SPACE_TEXT, st.lists(_PIECES, max_size=8).map("".join))
+
+
+def _refuse_table(self, *args, **kwargs):
+    raise AssertionError("a table was built")
+
+
+class TestFuzz:
+    """Any text parses or is refused with an InputError or a
+    ResourceBudgetError, and builds no table."""
+
+    @staticmethod
+    def parse(parse, text):
+        try:
+            return parse(text)
+        except ParseError as exc:
+            assert 0 <= exc.position <= len(text)
+        except (pf.InputError, pf.ResourceBudgetError):
+            pass
+        return None
+
+    @settings(max_examples=150, deadline=None)
+    @given(_FUZZ_TEXTS)
+    def test_space_text(self, text):
+        with mock.patch.object(pf.FiniteGroup, "__init__", _refuse_table):
+            x = self.parse(parse_space, text)
+            if x is not None:
+                assert pf.normal_form(parse_space(space_text(x))) == pf.normal_form(x)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_FUZZ_TEXTS)
+    def test_group_text(self, text):
+        with mock.patch.object(pf.FiniteGroup, "__init__", _refuse_table):
+            self.parse(parse_group, text)
 
 
 def _loop_output(text: str, p: int) -> pf.SpaceExpr:

@@ -574,6 +574,12 @@ class TestAtomRule:
             if isinstance(atom, pf.Classifying):
                 assert pf.Classifying(atom.group) == atom
 
+    @pytest.mark.parametrize("group", [5, None, "S3", (3,)], ids=repr)
+    def test_an_atom_of_no_group_is_refused(self, group):
+        # refused where the atom is made, not where it is first counted
+        with pytest.raises(InputError, match="a FiniteGroup or a group descriptor"):
+            pf.Classifying(group)
+
     def test_table_of_a_direct_product(self):
         g = pf.build_group(pf.parse_group("C2 x C2"))
         self.check(g)
