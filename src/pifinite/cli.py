@@ -21,7 +21,6 @@ import importlib
 import os
 import sys
 from types import SimpleNamespace
-from typing import NoReturn
 
 from .errors import InputError, ResourceBudgetError
 from .rationals import require_numeral, require_prime

@@ -1,5 +1,6 @@
 """The CLI's subcommand handlers, one module each, and the printing
-helpers they share.  ``profile`` and ``classify`` share ``profile``.
+helpers they share.  ``profile`` and ``classify`` share ``profile``, whose
+profile printer ``beta`` imports too.
 
 ``pifinite.cli`` reads the arguments and imports the one module its
 subcommand names, whose ``handle(args)`` prints the answer and returns the
@@ -40,17 +41,3 @@ def _emit(args, plain: str, payload: dict) -> None:
         print(json.dumps(payload))
     else:
         print(plain)
-
-
-def _emit_profile(args, prof, payload: dict, classify: bool) -> int:
-    """Print a height profile one layer a line, with each layer's class if
-    ``classify``; the payload gains its ``values`` (and ``classes``)."""
-    from ..heights import classify_layer
-    classes = [classify_layer(prof, n).value for n in range(len(prof))] if classify else []
-    plain = "\n".join(f"{n}: {_rat_text(v)}" + (f" ({classes[n]})" if classify else "")
-                      for n, v in enumerate(prof.values))
-    payload["values"] = [_rat_json(v) for v in prof.values]
-    if classify:
-        payload["classes"] = classes
-    _emit(args, plain, payload)
-    return 0

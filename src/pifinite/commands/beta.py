@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from . import _emit_profile
+from .profile import _emit_profile
 
 
 def handle(args) -> int:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import os
-from typing import Optional, Union
 
 from .errors import InputError, ResourceBudgetError
 from .rationals import MAX_DIGITS, fits_digits, power_may_fit, require_int
@@ -27,7 +26,7 @@ DEFAULT_ORDER_CAP = 10_000
 ORDER_CAP_ENV = "PIFINITE_ORDER_CAP"
 
 
-def _require_order(order: Optional[int]) -> int:
+def _require_order(order: int | None) -> int:
     """Return order, or refuse it past the cap: PIFINITE_ORDER_CAP, else
     DEFAULT_ORDER_CAP.  None stands for an order past the digit budget,
     which no cap admits and no message prints."""
@@ -70,12 +69,12 @@ class Wreath:
     p: int
 
 
-GroupDescriptor = Union[Cyclic, Symmetric, Dihedral, DirectProduct, Wreath]
+GroupDescriptor = Cyclic | Symmetric | Dihedral | DirectProduct | Wreath
 
 MAX_SYMMETRIC_DEGREE = 6
 
 
-def descriptor_order(d: GroupDescriptor) -> Optional[int]:
+def descriptor_order(d: GroupDescriptor) -> int | None:
     """Order of the described group, computed without building anything, or
     None when it has more than MAX_DIGITS digits.  Every part of ``d`` is
     checked whatever the order, and no power is taken past that size."""
@@ -103,11 +102,11 @@ def descriptor_order(d: GroupDescriptor) -> Optional[int]:
 Cyclic.order = Symmetric.order = DirectProduct.order = Wreath.order = property(descriptor_order)
 
 
-def _printable(order: int) -> Optional[int]:
+def _printable(order: int) -> int | None:
     return order if fits_digits(order) else None
 
 
-def _wreath_order(m: int, c: int) -> Optional[int]:
+def _wreath_order(m: int, c: int) -> int | None:
     """|G wr C_c| = m^c c for |G| = m, as ``descriptor_order`` gives it."""
     return _printable(m ** c * c) if power_may_fit(m, c) else None
 

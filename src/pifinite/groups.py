@@ -26,17 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from operator import and_, eq, itemgetter
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                           _require_order, _wreath_order, checked_order, descriptor_name)
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import MAX_DIGITS, _int_valuation, fits_digits, require_int, require_prime
 from .records import frozen
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -139,7 +136,7 @@ class FiniteGroup:
     """
 
     def __init__(self, table, name: str = "G", *, validate: bool = True,
-                 ambient_indices: Optional[tuple[int, ...]] = None):
+                 ambient_indices: tuple[int, ...] | None = None):
         # a plain tuple, so row lookups stay on the exact-tuple fast path
         self._rows: Rows = tuple(table) if type(table) is _ClosedRows else _shared_rows(table)
         self.order: int = len(self._rows)
@@ -150,11 +147,11 @@ class FiniteGroup:
         if validate:
             self._validate()
         self.element_orders, self.inverses = self._orders_and_inverses()
-        self._classes: Optional[tuple[ConjugacyClass, ...]] = None
+        self._classes: tuple[ConjugacyClass, ...] | None = None
         self._centralizer_cache: dict = {}  # by element and by index tuple
         self._tuple_counts: dict = {}   # p -> state of count_commuting_p_tuples
         self._hash = hash(self._rows)
-        self._array: Optional[np.ndarray] = None
+        self._array: np.ndarray | None = None
 
     # -- construction-time checks -------------------------------------------
 

@@ -25,9 +25,9 @@ the value budget ``MAX_VALUES`` before any layer is computed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from enum import Enum
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
 
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import (MAX_DIGITS, ExactRational, RationalLike,
@@ -37,9 +37,6 @@ from .records import frozen
 
 # spaces and groups are imported by the functions that read them, so a
 # process that only iterates delta compiles neither
-if TYPE_CHECKING:
-    from .groups import FiniteGroup
-    from .spaces import SpaceExpr
 
 DEFAULT_BETA_MAX_K = 4
 
@@ -256,7 +253,7 @@ class WreathReport:
     layer: int
     lhs: ExactRational          # delta of the classifying-space value
     rhs: ExactRational          # wreath-product value minus direct-product value
-    sign: Optional[int]         # +1 / -1 when one relates them, None if both vanish
+    sign: int | None            # +1 / -1 when one relates them, None if both vanish
     magnitudes_match: bool
 
 

@@ -29,7 +29,6 @@ CLI answer compiles it.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                           checked_order, descriptor_name, descriptor_order)
@@ -116,7 +115,7 @@ class _Homs:
         return total
 
 
-def _count_within_budget(d: GroupDescriptor, p: int, n: int, order: int) -> Optional[int]:
+def _count_within_budget(d: GroupDescriptor, p: int, n: int, order: int) -> int | None:
     if not n:
         return 1
     try:

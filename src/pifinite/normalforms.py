@@ -15,7 +15,7 @@ degrees of a normal form.
 from __future__ import annotations
 
 import math
-from typing import Iterable, Optional, Union
+from collections.abc import Iterable
 
 from .errors import ResourceBudgetError
 from .rationals import MAX_DIGITS, require_int
@@ -70,7 +70,7 @@ class NormalForm:
 
     __slots__ = ("_counts",)
 
-    def __init__(self, counts: Optional[dict[tuple[Atom, ...], int]] = None):
+    def __init__(self, counts: dict[tuple[Atom, ...], int] | None = None):
         self._counts = {c: m for c, m in (counts or {}).items() if m}
 
     @classmethod
@@ -156,7 +156,7 @@ def _product(forms: list[NormalForm]) -> NormalForm:
     return out
 
 
-def connectivity(x: SpaceExpr) -> Union[int, float]:
+def connectivity(x: SpaceExpr) -> int | float:
     """Largest c with trivial homotopy in degrees <= c, read off the normal
     form: one component of multiplicity 1 is (d - 1)-connected for d the
     lowest degree of its atoms, and with no atoms it is the point.

@@ -38,7 +38,7 @@ from __future__ import annotations
 from .errors import InputError, ResourceBudgetError
 from .descriptors import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
 from .rationals import require_digits, require_numeral
-from .spaces import (EM, PT, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
+from .spaces import (PT, Atom, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
                      atom_text, classifying, disjoint_union, em_space,
                      finite_set, product)
 
@@ -240,7 +240,7 @@ def space_text(x: SpaceExpr) -> str:
         return "0"
     if isinstance(x, FinSet):
         return "pt" if x.size == 1 else str(require_digits(x.size, "a finite set"))
-    if isinstance(x, (Classifying, EM)):
+    if isinstance(x, Atom):
         return atom_text(x)
     if isinstance(x, Disjoint):
         return " + ".join(space_text(p) for p in x.parts)

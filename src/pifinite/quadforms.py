@@ -47,11 +47,11 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache, partial, reduce
 from fractions import Fraction
 from itertools import combinations, compress, count, product
 from operator import and_, itemgetter
-from typing import Iterator
 
 from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import (MAX_DIGITS, ExactRational, _is_int, binom_ext, fits_digits,

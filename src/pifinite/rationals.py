@@ -26,7 +26,6 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Optional, Union
 
 from .errors import InputError, ResourceBudgetError
 
@@ -42,13 +41,13 @@ MAX_DIGITS = 4300
 # small values grows with its range and no digit budget stops it.
 MAX_VALUES = 2 ** 17
 
-RationalLike = Union[int, Fraction]
+RationalLike = int | Fraction
 
 
 # the valuation of 0, which exceeds every integer
 INFINITE = math.inf
 
-Valuation = Union[int, float]
+Valuation = int | float
 
 
 # Miller-Rabin to the first 13 primes as bases is exact below this bound
@@ -134,7 +133,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def require_int(value: int, what: str, low: Optional[int] = None) -> int:
+def require_int(value: int, what: str, low: int | None = None) -> int:
     """Return value, or refuse it unless it is an int, not a bool, and (when
     ``low`` is given) at least ``low``: the one rule for every height,
     count, order and degree the package takes."""

@@ -48,19 +48,14 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import reduce
-from typing import TYPE_CHECKING, Iterable, Optional, Union
 
 from .errors import InputError, ResourceBudgetError
 from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext, power_may_fit,
                         require_digits, require_int, require_prime, vp)
 from .records import frozen
-
-if TYPE_CHECKING:
-    from .descriptors import GroupDescriptor
-    from .groups import FiniteGroup
-    from .normalforms import NormalForm
 
 
 # -- expression grammar ----------------------------------------------------------
@@ -87,7 +82,7 @@ class Classifying:
     product, as ``classifying`` gives it.  Height counts and normal forms
     read a descriptor itself; ``p_adic_loop`` reads ``table``, which builds
     a descriptor's table once and holds it."""
-    group: Union[FiniteGroup, GroupDescriptor]
+    group: FiniteGroup | GroupDescriptor
     degree = 1
     _table = None
 
@@ -144,23 +139,34 @@ class EM:
 
 @frozen
 class Disjoint:
-    parts: tuple["SpaceExpr", ...]
+    parts: tuple[SpaceExpr, ...]
 
     def __post_init__(self):
+        _require_spaces(self.parts)
         if len(self.parts) < 2:
             raise InputError("Disjoint needs at least two parts (use the helper)")
 
 
 @frozen
 class Product:
-    factors: tuple["SpaceExpr", ...]
+    factors: tuple[SpaceExpr, ...]
 
     def __post_init__(self):
+        _require_spaces(self.factors)
         if len(self.factors) < 2:
             raise InputError("Product needs at least two factors (use the helper)")
 
 
-SpaceExpr = Union[Empty, FinSet, Classifying, EM, Disjoint, Product]
+SpaceExpr = Empty | FinSet | Classifying | EM | Disjoint | Product
+
+
+def _require_spaces(parts: tuple) -> tuple:
+    """``parts``, refused before any is read unless each is a space
+    expression, as the walks refuse one."""
+    for part in parts:
+        if not isinstance(part, SpaceExpr):
+            raise InputError(f"not a space expression: {part!r}")
+    return parts
 
 EMPTY = Empty()
 PT = FinSet(1)
@@ -186,7 +192,7 @@ def finite_set(k: int) -> SpaceExpr:
     return EMPTY if require_int(k, "finite set size", 0) == 0 else FinSet(k)
 
 
-def classifying(group: Union[FiniteGroup, GroupDescriptor]) -> SpaceExpr:
+def classifying(group: FiniteGroup | GroupDescriptor) -> SpaceExpr:
     """B of a group, the one atom rule.  A descriptor, or the one a table
     was built for, is checked whole, as ``build_group`` checks it, and split
     by ``B(G x H) = B(G) * B(H)``, equal at every height since a commuting
@@ -251,7 +257,7 @@ def em_space(factors: Iterable[int], degree: int) -> SpaceExpr:
 
 def disjoint_union(*parts: SpaceExpr) -> SpaceExpr:
     flat: list[SpaceExpr] = []
-    for part in parts:
+    for part in _require_spaces(parts):
         if isinstance(part, Disjoint):
             flat.extend(part.parts)
         elif not isinstance(part, Empty):
@@ -265,7 +271,7 @@ def disjoint_union(*parts: SpaceExpr) -> SpaceExpr:
 
 def product(*factors: SpaceExpr) -> SpaceExpr:
     flat: list[SpaceExpr] = []
-    for f in factors:
+    for f in _require_spaces(factors):
         if isinstance(f, Empty):
             return EMPTY
         if isinstance(f, Product):
@@ -281,7 +287,7 @@ def product(*factors: SpaceExpr) -> SpaceExpr:
 
 # -- normal form -------------------------------------------------------------------
 
-Atom = Union[Classifying, EM]
+Atom = Classifying | EM
 
 
 def atom_text(atom: Atom) -> str:
@@ -309,7 +315,7 @@ def normal_form(x: SpaceExpr) -> NormalForm:
         return NormalForm.zero()
     if isinstance(x, FinSet):
         return NormalForm.scalar(x.size)
-    if isinstance(x, (Classifying, EM)):
+    if isinstance(x, Atom):
         return NormalForm({(x,): 1})
     if isinstance(x, Disjoint):
         return _sum(normal_form(part) for part in x.parts)
@@ -358,7 +364,7 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
     raise InputError(f"not a space expression: {x!r}")
 
 
-def _height_cardinality(x: SpaceExpr, p: Optional[int], n: int) -> Fraction:
+def _height_cardinality(x: SpaceExpr, p: int | None, n: int) -> Fraction:
     # the one cardinality recursion; p is read only at n >= 1
     if isinstance(x, Empty):
         return Fraction(0)

@@ -710,17 +710,18 @@ def _probe_env(env=None):
     return env
 
 
-def _probe(modules, argvs, env=None):
-    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, repr([modules, list(argvs)])],
+def _probe(modules, argvs, env=None, flags=()):
+    proc = subprocess.run([sys.executable, *flags, "-c", _MODULE_PROBE,
+                           repr([modules, list(argvs)])],
                           capture_output=True, text=True, env=_probe_env(env), timeout=120,
                           check=True)
     return ast.literal_eval(proc.stdout)
 
 
-def _module_probe(modules, *argvs, env=None):
+def _module_probe(modules, *argvs, env=None, flags=()):
     """[exit code, whether any of ``modules`` is loaded] after each argv,
-    all run in turn in one fresh interpreter."""
-    return [result[:2] for result in _probe(modules, argvs, env)]
+    all run in turn in one fresh interpreter started with ``flags``."""
+    return [result[:2] for result in _probe(modules, argvs, env, flags)]
 
 
 def _library_modules(argv):
@@ -862,23 +863,27 @@ class TestProcessEnd:
         assert scripts == called == ["run"]
 
 
+# one answer from every subcommand
+EVERY_SUBCOMMAND = (
+    ["card", "--space", "B(S4)", "--prime", "2", "--height", "2"],
+    ["loop", "--space", "B(S3)", "--prime", "2"],
+    ["profile", "--space", "B(S3)", "--prime", "2", "--range", "2"],
+    ["classify", "--space", "B(S3)", "--prime", "2", "--range", "2"],
+    ["delta", "6", "--prime", "3"],
+    ["beta", "--prime", "3", "--k", "1"],
+    ["wreath", "C2", "--prime", "2", "--height", "2"],
+    ["counterexample", "--prime", "3"],
+    ["verify"],
+    ["table", "--prime", "3", "--kmax", "1", "--nmax", "1"],
+)
+
+
 class TestCompiledOnce:
     """``python -m pifinite.cli`` runs cli.py as ``__main__``, so a module
     that imported ``pifinite.cli`` would compile it a second time: no
     handler, and no library module a handler loads, may import it."""
 
-    @pytest.mark.parametrize("argv", [
-        ["card", "--space", "B(S4)", "--prime", "2", "--height", "2"],
-        ["loop", "--space", "B(S3)", "--prime", "2"],
-        ["profile", "--space", "B(S3)", "--prime", "2", "--range", "2"],
-        ["classify", "--space", "B(S3)", "--prime", "2", "--range", "2"],
-        ["delta", "6", "--prime", "3"],
-        ["beta", "--prime", "3", "--k", "1"],
-        ["wreath", "C2", "--prime", "2", "--height", "2"],
-        ["counterexample", "--prime", "3"],
-        ["verify"],
-        ["table", "--prime", "3", "--kmax", "1", "--nmax", "1"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
     def test_no_module_imports_the_cli(self, argv):
         # -X importtime lists what import statements load; -v also lists a
         # submodule that ``from package import name`` or importlib loads
@@ -929,6 +934,13 @@ class TestStartupIsLean:
         results = _module_probe(unloaded, *self.ARGVS, ["verify"])
         assert results == [[None, False]] + [[0, False]] * 4
 
+    def test_no_typing(self):
+        # annotations are text and the public unions are PEP 604 types; -S
+        # leaves out the site hooks, which may import typing themselves
+        argvs = [["-h"], *EVERY_SUBCOMMAND]
+        results = _module_probe(["typing"], None, *argvs, flags=["-S"])
+        assert results == [[None, False]] + [[0, False]] * len(argvs)
+
 
 _BASE = ["pifinite", "pifinite.cli", "pifinite.errors", "pifinite.rationals"]
 _SPACES = ["pifinite.records", "pifinite.spaces"]
@@ -970,8 +982,9 @@ class TestLoadsOnlyWhatItRuns:
          _HEIGHTS + _handler("profile")),
         (["delta", "6", "--prime", "3"], 0,
          ["pifinite.heights", "pifinite.records"] + _handler("delta")),
+        # beta prints through profile's printer
         (["beta", "--prime", "3", "--k", "1"], 0,
-         _SPACES + ["pifinite.heights"] + _handler("beta")),
+         _SPACES + ["pifinite.heights", "pifinite.commands.profile"] + _handler("beta")),
         (["wreath", "C2", "--prime", "2", "--height", "2"], 0,
          _HEIGHTS + _TABLES + _handler("wreath")),
         (["counterexample", "--prime", "5"], 0,

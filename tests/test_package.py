@@ -136,3 +136,18 @@ def test_unknown_name_is_an_attribute_error():
             outcomes.append("ImportError")
         print(repr(outcomes))
     """) == ["module 'pifinite' has no attribute 'no_such_name'", "ImportError"]
+
+
+def test_public_unions_are_types():
+    # PEP 604 unions, which isinstance reads in C and which need no typing;
+    # Atom and RationalLike are read from their submodules
+    assert fresh("""
+        import types
+        import pifinite as pf
+        from pifinite.rationals import RationalLike
+        from pifinite.spaces import Atom
+        unions = [pf.GroupDescriptor, pf.SpaceExpr, pf.Valuation, RationalLike, Atom]
+        print(repr([[type(u) is types.UnionType for u in unions],
+                    isinstance(pf.Wreath(pf.Symmetric(3), 2), pf.GroupDescriptor),
+                    isinstance(pf.PT, pf.SpaceExpr), isinstance(pf.Cyclic(2), pf.SpaceExpr)]))
+    """) == [[True] * 5, True, True, False]

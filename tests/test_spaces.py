@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -320,6 +321,20 @@ class TestIntegerInputs:
         with pytest.raises(InputError, match="^cyclic factor orders must be >= 1, got 0$"):
             pf.em_space([2, 0, -1], 0)
         assert not pf.is_m_finite(PT, -3)
+
+
+class TestNonSpaceParts:
+    # each was built, or returned as it was, and refused only where a walk
+    # read it: product(5, PT) returned 5
+    @pytest.mark.parametrize("part", [5, "B(S3)", None, named_group("C2"), pf.Cyclic(2)],
+                             ids=repr)
+    @pytest.mark.parametrize("build", [
+        lambda x: pf.product(x, PT), lambda x: pf.disjoint_union(x, PT),
+        lambda x: pf.Product((x, PT)), lambda x: pf.Disjoint((PT, x)),
+    ], ids=["product", "disjoint_union", "Product", "Disjoint"])
+    def test_refused_at_construction(self, build, part):
+        with pytest.raises(InputError, match=f"^not a space expression: {re.escape(repr(part))}$"):
+            build(part)
 
 
 class TestDigitBudget:
