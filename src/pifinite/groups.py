@@ -255,7 +255,7 @@ class FiniteGroup:
         rows = self._rows
         mask = [True] * self.order
         for s in elems:
-            if not (0 <= s < self.order):
+            if require_int(s, "element index", 0) >= self.order:
                 raise InputError(f"element index {s} out of range")
             # s x == x s, against row s and column s
             mask = list(map(and_, mask, map(eq, rows[s], map(itemgetter(s), rows))))
@@ -263,10 +263,10 @@ class FiniteGroup:
 
     def subgroup(self, elems: Sequence[int], name: str = "H") -> "FiniteGroup":
         """The subgroup on the given closed element set, with the induced table."""
-        elems = tuple(sorted({int(e) for e in elems}))
+        elems = tuple(sorted({require_int(e, "element index", 0) for e in elems}))
         if not elems:
             raise InputError("a subgroup needs at least one element")
-        if not (0 <= elems[0] and elems[-1] < self.order):
+        if elems[-1] >= self.order:
             raise InputError("element index out of range")
         pos = [-1] * self.order
         for i, e in enumerate(elems):
@@ -282,7 +282,8 @@ class FiniteGroup:
 
     def centralizer_subgroup(self, g: int) -> "FiniteGroup":
         """C_G(g): the group itself if g is central, else one table per element set."""
-        got = self._centralizer_cache.get(g)
+        # checked before the cache, where True and 1.0 would find the entry of 1
+        got = self._centralizer_cache.get(require_int(g, "element index", 0))
         if got is None:
             idx = self.centralizer_indices([g])
             got = self._centralizer_cache.get(idx)

@@ -184,6 +184,8 @@ class R1Element:
     constant: int
 
     def __post_init__(self):
+        from .spaces import _require_spaces
+        _require_spaces((self.symbol,))
         require_int(self.delta_power, "delta power", 0)
         require_int(self.coefficient, "coefficient")
         require_int(self.constant, "constant")

@@ -8,8 +8,9 @@ normal form (``card``, ``profile``, ``classify``, ``beta``, ``table``)
 never compiles it.  ``_component`` is the one component builder, where the
 EM atoms of one degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``, and a
 normal form is held to ``MAX_COMPONENTS`` components, decided before a
-product is expanded.  ``connectivity`` and ``is_m_finite`` read the atom
-degrees of a normal form.
+product is expanded.  Equal tables of different names are one atom, and a
+form prints each by the least of their names, so equal forms print alike.
+``connectivity`` and ``is_m_finite`` read the atom degrees of a normal form.
 """
 
 from __future__ import annotations
@@ -43,6 +44,26 @@ def _atom_key(atom: Atom):
     if isinstance(group, GroupDescriptor):
         return ("cls", group.order, 0, descriptor_name(group))
     return ("cls", group.order, 1, group._rows)
+
+
+def _least(a: Atom, b: Atom) -> Atom:
+    # of two equal atoms, the one printed least: equal tables may carry
+    # different names, and every other atom has one text
+    if a is b or isinstance(a, EM) or not hasattr(a.group, "descriptor"):
+        return a
+    return a if a.group.name <= b.group.name else b
+
+
+def _add(counts: dict, comp: tuple[Atom, ...], mult: int) -> None:
+    """Add ``mult`` of ``comp`` into ``counts``, held as component ->
+    (key, multiplicity).  Where equal components meet, the key keeps the
+    least-printed atom at each place, so that no name ``to_expr`` may
+    print is lost to the order of the parts."""
+    held = counts.get(comp)
+    if held is not None:
+        key, m = held
+        comp, mult = tuple(map(_least, key, comp)), m + mult
+    counts[comp] = (comp, mult)
 
 
 def _component(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -95,12 +116,11 @@ class NormalForm:
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         _require_components(len(self._counts) * len(other._counts))
-        counts: dict[tuple[Atom, ...], int] = {}
+        counts: dict = {}
         for c1, m1 in self._counts.items():
             for c2, m2 in other._counts.items():
-                comp = _component(c1 + c2)
-                counts[comp] = counts.get(comp, 0) + m1 * m2
-        return NormalForm(counts)
+                _add(counts, _component(c1 + c2), m1 * m2)
+        return NormalForm(dict(counts.values()))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NormalForm) and self._counts == other._counts
@@ -118,10 +138,16 @@ class NormalForm:
             return f"NormalForm(<past the {MAX_DIGITS}-digit budget>)"
 
     def to_expr(self) -> SpaceExpr:
+        # equal tables of different names are one atom, printed by the
+        # least name among the equal atoms of the form: equal forms print alike
+        least: dict[Atom, Atom] = {}
+        for comp in self._counts:
+            for atom in comp:
+                least[atom] = _least(least.get(atom, atom), atom)
         parts = []
         for comp, mult in self.components:
             factors: list[SpaceExpr] = [finite_set(mult)] if mult > 1 else []
-            factors.extend(comp)
+            factors.extend(map(least.__getitem__, comp))
             parts.append(product(*factors) if factors else PT)
         return disjoint_union(*parts)
 
@@ -129,12 +155,12 @@ class NormalForm:
 def _sum(forms: Iterable[NormalForm]) -> NormalForm:
     # one dict for the whole fold: adding the parts pairwise would copy it
     # once per part
-    counts: dict[tuple[Atom, ...], int] = {}
+    counts: dict = {}
     for nf in forms:
         for comp, mult in nf._counts.items():
-            counts[comp] = counts.get(comp, 0) + mult
+            _add(counts, comp, mult)
         _require_components(len(counts))
-    return NormalForm(counts)
+    return NormalForm(dict(counts.values()))
 
 
 def _product(forms: list[NormalForm]) -> NormalForm:

@@ -77,37 +77,25 @@ def frozen(cls: type) -> type:
     if clashes:
         raise TypeError(f"{cls.__name__} cannot have a field named {clashes[0]!r}")
     cls.__record__ = (names, getattr(cls, "__post_init__", None))
-    if len(names) == 1:
-        # attrgetter of one name returns the bare value, not a 1-tuple; the
-        # tuple is built inline rather than in a wrapper, which would cost
-        # each call a second Python frame
-        get = attrgetter(names[0])
+    # attrgetter of one name returns the bare value, not a 1-tuple: it
+    # compares as its 1-tuple does, and is hashed as one
+    fields = attrgetter(*names) if names else lambda obj: ()
+    single = len(names) == 1
 
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return (get(self),) == (get(other),)
-            return NotImplemented
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            # identity first, as a tuple compares its items, so a record
+            # holding a large table equals itself at once
+            a, b = fields(self), fields(other)
+            return a is b or a == b
+        return NotImplemented
 
-        def __hash__(self):
-            held = self._record_hash
-            if held is None:
-                held = hash((get(self),))
-                _object_setattr(self, "_record_hash", held)
-            return held
-    else:
-        fields = attrgetter(*names) if names else lambda obj: ()
-
-        def __eq__(self, other):
-            if other.__class__ is self.__class__:
-                return fields(self) == fields(other)
-            return NotImplemented
-
-        def __hash__(self):
-            held = self._record_hash
-            if held is None:
-                held = hash(fields(self))
-                _object_setattr(self, "_record_hash", held)
-            return held
+    def __hash__(self):
+        held = self._record_hash
+        if held is None:
+            held = hash((fields(self),) if single else fields(self))
+            _object_setattr(self, "_record_hash", held)
+        return held
 
     # an instance holds its hash once taken; the class's None stands in
     # until then, so the first call needs no exception

@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import importlib
 import io
 import itertools
 import json
@@ -51,6 +52,16 @@ class TestCard:
         assert payload == {"space": "B(S3)", "prime": 2, "height": 1,
                            "cardinality": {"num": "2", "den": "3"}}
         assert int(payload["cardinality"]["num"]) == 2
+
+
+def _one_class_short(count, bad):
+    """``count``, a 2-form kernel count, short by one scaling class (p - 1
+    forms) at the (p, n) pair ``bad``."""
+    def miscount(p, n):
+        report = count(p, n)
+        return pifinite.FormCountReport(p, n, report.kernel_count - (p - 1) * ((p, n) == bad),
+                                        report.total_forms)
+    return miscount
 
 
 class TestSubcommands:
@@ -156,6 +167,32 @@ class TestSubcommands:
         assert code == 3
         assert "FAIL  height-relations" in out
 
+    # for each label with no guard of its own, the production route it reads
+    # and a wrong version of that route
+    WRONG_ROUTES = {
+        # |B(S3)|_1 from its descriptor, off by one tuple
+        "coset-composition": ("homcounts", "hom_count",
+                              lambda count: lambda d, p, n: count(d, p, n) + 1),
+        # the kernel count short by one scaling class at (5, 5)
+        "null-form-kernel": ("quadforms", "count_null_square_two_forms",
+                             lambda count: _one_class_short(count, (5, 5))),
+        # |B(H)|_n of every table off by one
+        "wreath-identity": ("groups", "count_commuting_p_tuples",
+                            lambda count: lambda h, p, n: count(h, p, n) + h.order),
+        # every layer value of [BC_p] off by one
+        "splitting-elements": ("spaces", "height_cardinality",
+                               lambda count: lambda x, p, n: count(x, p, n) + 1),
+    }
+
+    @pytest.mark.parametrize("label", WRONG_ROUTES)
+    def test_label_reads_its_production_route(self, capsys, monkeypatch, label):
+        module, name, wrong = self.WRONG_ROUTES[label]
+        target = importlib.import_module(f"pifinite.{module}")
+        monkeypatch.setattr(target, name, wrong(getattr(target, name)))
+        code, out, _ = run(capsys, "verify")
+        assert code == 3
+        assert f"FAIL  {label}" in out
+
     def test_fiber_check_reads_the_enumerated_count(self, monkeypatch):
         # cup-square-fiber holds the fiber formula against the kernel count, so
         # a count short by one scaling class at any checked (p, n) fails it
@@ -164,13 +201,8 @@ class TestSubcommands:
         count = quadforms.count_null_square_two_forms
         assert checks._check_fiber_formula()[0]
         for bad in ((5, 5), (3, 2)):
-            def miscount(p, n, bad=bad):
-                report = count(p, n)
-                return quadforms.FormCountReport(
-                    p, n, report.kernel_count - (p - 1) * ((p, n) == bad),
-                    report.total_forms)
             with monkeypatch.context() as m:
-                m.setattr(quadforms, "count_null_square_two_forms", miscount)
+                m.setattr(quadforms, "count_null_square_two_forms", _one_class_short(count, bad))
                 assert not checks._check_fiber_formula()[0]
 
     def test_verify_exit_three_on_mismatch(self, capsys, monkeypatch):
@@ -240,6 +272,7 @@ LARGE_ANSWERS = [
     ("card", "--space", "B(S3)", "--prime", "2", "--height", "100000"),
     # refused before C(999999, 500000) is taken
     ("card", "--space", "B^500000(C2)", "--prime", "2", "--height", "1000000"),
+    ("card", "--space", "B^1000000(C2)", "--prime", "2", "--height", "2000000"),
 ]
 
 
@@ -334,13 +367,15 @@ class TestLargeAnswers:
         assert "Traceback" not in out.stderr
 
     def test_em_atom_with_no_p_part_takes_no_binomial(self):
-        # 3^((-1)^500000) at every height; C(999999, 500000) took 10 s
-        start = time.perf_counter()
-        out = subprocess.run([sys.executable, "-m", "pifinite.cli", "card", "--space",
-                              "B^500000(C3)", "--prime", "2", "--height", "1000000"],
-                             env=_probe_env(), capture_output=True, text=True, timeout=60)
-        assert time.perf_counter() - start < 1
-        assert (out.returncode, out.stdout, out.stderr) == (0, "3\n", "")
+        # 3^((-1)^k) at every height; C(999999, 500000) took 10 s, and
+        # C(1999999, 1000000) 40 s
+        for k, n in (("500000", "1000000"), ("1000000", "2000000")):
+            start = time.perf_counter()
+            out = subprocess.run([sys.executable, "-m", "pifinite.cli", "card", "--space",
+                                  f"B^{k}(C3)", "--prime", "2", "--height", n],
+                                 env=_probe_env(), capture_output=True, text=True, timeout=60)
+            assert time.perf_counter() - start < 1
+            assert (out.returncode, out.stdout, out.stderr) == (0, "3\n", "")
 
     def test_long_profile_refused_at_the_tuple_budget(self):
         start = time.perf_counter()

@@ -634,6 +634,22 @@ class TestIntegerInputs:
         with pytest.raises(InputError, match="^tuple length must be an int, got True$"):
             pf.count_commuting_p_tuples(named_group("S3"), 2, True)
 
+    # subgroup read 0.0 and 1.9 as 0 and 1; centralizer of 1.0 or "1" raised
+    # a bare TypeError, and of True built C_{S3}(True), which the element
+    # cache then handed to 1.0
+    @pytest.mark.parametrize("value", [1.0, 1.9, True, "1"], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda v: named_group("S3").subgroup([0, v]),
+        lambda v: named_group("S3").centralizer_indices([v]),
+        lambda v: named_group("S3").centralizer_subgroup(v),
+        lambda v: pf.centralizer(named_group("S3"), [v]),
+        lambda v: pf.centralizer(named_group("S3"), [0, v]),
+    ], ids=["subgroup", "centralizer_indices", "centralizer_subgroup", "centralizer of one",
+            "centralizer of two"])
+    def test_element_indices_refused(self, call, value):
+        with pytest.raises(InputError, match="^element index must be an int, got "):
+            call(value)
+
     def test_range_messages_kept(self):
         with pytest.raises(InputError, match=r"^Symmetric degree must be in 1\.\.6, got 7$"):
             pf.build_group(pf.Symmetric(7))

@@ -131,6 +131,8 @@ class TestConstruction:
     def test_keywords_and_positions_agree(self):
         assert pf.EM(degree=2, factors=(6,)) == pf.EM((6,), 2) == pf.EM((6,), degree=2)
         assert pf.Wreath(base=pf.Cyclic(2), p=3) == pf.Wreath(pf.Cyclic(2), 3)
+        report = pf.FormCountReport(kernel_count=261, total_forms=729, prime=3, dimension=4)
+        assert report == pf.FormCountReport(3, 4, 261, 729) and report.kernel_count == 261
 
     def test_post_init_normalises(self):
         assert pf.EM((4, 2), 1).factors == (2, 4)

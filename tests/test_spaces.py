@@ -76,6 +76,16 @@ class TestNormalForm:
         big = pf.finite_set(10 ** 3000)
         assert f"{MAX_DIGITS}-digit" in repr(pf.normal_form(pf.product(big, big)))
 
+    @pytest.mark.parametrize("join", [" + ", " * "])
+    def test_equal_forms_print_alike(self, join):
+        # C_{S4}(7) and C_{S5}(7) are equal tables of order 8: the form kept,
+        # and printed, whichever came first
+        forms = [pf.normal_form(pf.p_adic_loop(pf.parse_space(join.join(parts)), 2))
+                 for parts in (("B(S4)", "B(S5)"), ("B(S5)", "B(S4)"))]
+        assert forms[0] == forms[1] and hash(forms[0]) == hash(forms[1])
+        assert repr(forms[0]) == repr(forms[1])
+        assert "C_{S4}(7)" in repr(forms[0]) and "C_{S5}(7)" not in repr(forms[0])
+
     def test_sorting_a_group_copies_no_table(self):
         # table atoms sort by (order, rows); an int64 key of D1000's table
         # kept 8 MB.  A product table has no descriptor, so it stays a table.
@@ -294,12 +304,14 @@ class TestIntegerInputs:
         lambda v: pf.EM((2,), v), pf.finite_set, lambda v: pf.em_space([v], 1),
         lambda v: pf.em_space([v], 0), lambda v: pf.em_space([2], v),
         lambda v: pf.height_cardinality(pf.classifying(named_group("S3")), 2, v),
+        lambda v: pf.height_cardinality(pf.parse_space("B(S3)"), 2, v),
         lambda v: pf.height_cardinality(pf.em_space([2], 1), 2, v),
         lambda v: pf.is_amenable_at_height(pf.classifying(named_group("S3")), 2, v),
         lambda v: pf.is_m_finite(PT, v),
     ], ids=["FinSet", "EM order", "EM second order", "EM degree", "finite_set",
             "em_space order", "em_space order at degree 0", "em_space degree",
-            "height_cardinality of B(S3)", "height_cardinality of B^1(C2)",
+            "height_cardinality of B(S3)", "height_cardinality of described B(S3)",
+            "height_cardinality of B^1(C2)",
             "is_amenable_at_height", "is_m_finite"])
     def test_non_ints_refused(self, build, value):
         with pytest.raises(InputError, match="int"):
@@ -331,7 +343,8 @@ class TestNonSpaceParts:
     @pytest.mark.parametrize("build", [
         lambda x: pf.product(x, PT), lambda x: pf.disjoint_union(x, PT),
         lambda x: pf.Product((x, PT)), lambda x: pf.Disjoint((PT, x)),
-    ], ids=["product", "disjoint_union", "Product", "Disjoint"])
+        lambda x: pf.R1Element(x, 0, 1, 0),
+    ], ids=["product", "disjoint_union", "Product", "Disjoint", "R1Element"])
     def test_refused_at_construction(self, build, part):
         with pytest.raises(InputError, match=f"^not a space expression: {re.escape(repr(part))}$"):
             build(part)
