@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
+from itertools import chain
 
 from .errors import ResourceBudgetError
 from .rationals import MAX_DIGITS, require_int
@@ -54,16 +55,37 @@ def _least(a: Atom, b: Atom) -> Atom:
     return a if a.group.name <= b.group.name else b
 
 
-def _add(counts: dict, comp: tuple[Atom, ...], mult: int) -> None:
-    """Add ``mult`` of ``comp`` into ``counts``, held as component ->
-    (key, multiplicity).  Where equal components meet, the key keeps the
-    least-printed atom at each place, so that no name ``to_expr`` may
-    print is lost to the order of the parts."""
-    held = counts.get(comp)
-    if held is not None:
-        key, m = held
-        comp, mult = tuple(map(_least, key, comp)), m + mult
-    counts[comp] = (comp, mult)
+def _least_atoms(comps: Iterable[tuple[Atom, ...]]) -> dict[Atom, Atom]:
+    # each atom of the components -> the least-printed of its equal atoms
+    least: dict[Atom, Atom] = {}
+    for comp in comps:
+        for atom in comp:
+            least[atom] = _least(least.get(atom, atom), atom)
+    return least
+
+
+def _add(counts: dict, merged: list, items: Iterable[tuple[tuple[Atom, ...], int]]) -> None:
+    # add each (component, multiplicity) into counts, and each component an
+    # equal one already held takes in to merged
+    for comp, mult in items:
+        m = counts.get(comp)
+        if m is None:
+            counts[comp] = mult
+        else:
+            counts[comp] = m + mult
+            merged.append(comp)
+
+
+def _merged(counts: dict, merged: list) -> "NormalForm":
+    """The form of ``counts``, where ``merged`` holds each component that
+    ``_add`` added into an equal one already held.  A dict keeps the first
+    of two equal keys, so a merged-away atom may carry the least name of an
+    equal table: the keys are renamed by the least name among both, so the
+    text ``to_expr`` prints does not depend on the order of the parts."""
+    if merged:
+        least = _least_atoms(chain(counts, merged))
+        counts = {tuple(map(least.__getitem__, c)): m for c, m in counts.items()}
+    return NormalForm(counts)
 
 
 def _component(atoms: Iterable[Atom]) -> tuple[Atom, ...]:
@@ -116,11 +138,12 @@ class NormalForm:
 
     def __mul__(self, other: "NormalForm") -> "NormalForm":
         _require_components(len(self._counts) * len(other._counts))
-        counts: dict = {}
+        counts: dict[tuple[Atom, ...], int] = {}
+        merged = []
         for c1, m1 in self._counts.items():
-            for c2, m2 in other._counts.items():
-                _add(counts, _component(c1 + c2), m1 * m2)
-        return NormalForm(dict(counts.values()))
+            _add(counts, merged, ((_component(c1 + c2), m1 * m2)
+                                  for c2, m2 in other._counts.items()))
+        return _merged(counts, merged)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, NormalForm) and self._counts == other._counts
@@ -140,10 +163,7 @@ class NormalForm:
     def to_expr(self) -> SpaceExpr:
         # equal tables of different names are one atom, printed by the
         # least name among the equal atoms of the form: equal forms print alike
-        least: dict[Atom, Atom] = {}
-        for comp in self._counts:
-            for atom in comp:
-                least[atom] = _least(least.get(atom, atom), atom)
+        least = _least_atoms(self._counts)
         parts = []
         for comp, mult in self.components:
             factors: list[SpaceExpr] = [finite_set(mult)] if mult > 1 else []
@@ -155,12 +175,12 @@ class NormalForm:
 def _sum(forms: Iterable[NormalForm]) -> NormalForm:
     # one dict for the whole fold: adding the parts pairwise would copy it
     # once per part
-    counts: dict = {}
+    counts: dict[tuple[Atom, ...], int] = {}
+    merged = []
     for nf in forms:
-        for comp, mult in nf._counts.items():
-            _add(counts, comp, mult)
+        _add(counts, merged, nf._counts.items())
         _require_components(len(counts))
-    return NormalForm(dict(counts.values()))
+    return _merged(counts, merged)
 
 
 def _product(forms: list[NormalForm]) -> NormalForm:

@@ -273,6 +273,8 @@ LARGE_ANSWERS = [
     # refused before C(999999, 500000) is taken
     ("card", "--space", "B^500000(C2)", "--prime", "2", "--height", "1000000"),
     ("card", "--space", "B^1000000(C2)", "--prime", "2", "--height", "2000000"),
+    # the tuple count of a wreath table stops at the budget; it once ran for hours
+    ("wreath", "C2", "--prime", "3", "--height", "100000000"),
 ]
 
 
