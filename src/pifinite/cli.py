@@ -1,10 +1,11 @@
 """Command line surface.
 
 Exit codes: 0 success, 1 input error, 2 resource-budget error, 3 when
-``verify`` finds a mismatch.  All numeric output is exact: rationals print
-as ``a/b`` in lowest terms (integers without the ``/1``), and the JSON
-format carries numerator and denominator as decimal strings.  An answer
-with more than ``MAX_DIGITS`` digits in either is refused with exit 2.
+``verify`` finds a mismatch or a check raises.  All numeric output is
+exact: rationals print as ``a/b`` in lowest terms (integers without the
+``/1``), and the JSON format carries numerator and denominator as decimal
+strings.  An answer with more than ``MAX_DIGITS`` digits in either is
+refused with exit 2.
 
 Arguments are read against one table, ``_COMMANDS``: exact long flags as
 ``--flag value`` or ``--flag=value``, each at most once; positionals, where

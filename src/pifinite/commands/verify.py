@@ -1,4 +1,7 @@
-"""``verify``: re-check the reference number table, one line a check."""
+"""``verify``: re-check the reference number table, one line a check.
+
+A check that raises fails its own label, and every later check still runs.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +11,10 @@ def handle(args) -> int:
     failures = 0
     results = []
     for label, check in _VERIFY_TABLE:
-        ok, detail = check()
+        try:
+            ok, detail = check()
+        except Exception as exc:
+            ok, detail = False, f"raised {type(exc).__name__}: {exc}"
         failures += not ok
         results.append({"check": label, "pass": ok, "detail": detail})
         if args.format != "json":

@@ -2,7 +2,8 @@
 
 The CLI maps these onto its exit codes: InputError -> 1, ResourceBudgetError -> 2.
 InvariantError has no exit code: it signals a defect in the package, not in the
-input, so it propagates.
+input, so it propagates, except in ``verify``, which reports it as a failed
+check.
 """
 
 

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
 from operator import and_, eq, itemgetter
 
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                           _require_order, _wreath_order, checked_order, descriptor_name)
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import MAX_DIGITS, _int_valuation, fits_digits, require_int, require_prime
+from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime
 from .records import frozen
 
 Rows = tuple[tuple[int, ...], ...]
@@ -398,43 +399,28 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
 
 # -- counting operations ---------------------------------------------------------
 
-def _prime_factors(m: int) -> list[tuple[int, int]]:
-    """The (prime, exponent) pairs of m >= 1 by trial division, primes
-    ascending.  Only the order of a table is factored, and a table of order
-    m already holds m^2 cells."""
-    out = []
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            e = _int_valuation(m, d)
-            out.append((d, e))
-            m //= d ** e
-        d += 1 if d == 2 else 2
-    if m > 1:
-        out.append((m, 1))
-    return out
-
-
-def _abelian_primary_factors(g: FiniteGroup) -> tuple[int, ...]:
-    """Invariant prime-power cyclic factors of an abelian group, recovered
-    from its element-order statistics."""
-    factors: list[int] = []
-    for q, k in _prime_factors(g.order):
-        # e_j = log_q #{x : order(x) divides q^j}; the successive differences
-        # m_j = e_j - e_{j-1} form the conjugate of the type partition.
-        exps = [0]
-        while exps[-1] < k:
-            qj = q ** len(exps)
-            c = sum(1 for o in g.element_orders if qj % o == 0)
-            e = _int_valuation(c, q)
-            if q ** e != c:
-                raise InvariantError("element-order counts of an abelian group are q-powers")
-            exps.append(e)
-        m = [exps[i] - exps[i - 1] for i in range(1, len(exps))]
-        for i in range(1, (m[0] if m else 0) + 1):
-            lam = sum(1 for mj in m if mj >= i)
-            factors.append(q ** lam)
-    return tuple(sorted(factors))
+def _abelian_invariant_factors(g: FiniteGroup) -> tuple[int, ...]:
+    """The invariant factors d_1 | d_2 | ... of an abelian group, ascending,
+    read off its element orders with nothing factored.  In C_{d_1} x ... x
+    C_{d_k}, x^d = e has prod gcd(d, d_i) solutions: so d_k is the exponent,
+    and each next factor is the least d dividing the last one found at which
+    the solutions, over prod gcd(d, f) for the factors f found, are the
+    order not yet accounted for."""
+    counts = Counter(g.element_orders)
+    found = [max(counts)]
+    left = g.order // found[0]
+    while left > 1:
+        for d in range(2, found[-1] + 1):
+            if found[-1] % d == 0:
+                share, rest = divmod(sum(c for o, c in counts.items() if d % o == 0),
+                                     math.prod(math.gcd(d, f) for f in found))
+                if rest or share == left:
+                    break
+        if rest or share != left or left % d:
+            raise InvariantError("x^d = e has prod gcd(d, d_i) solutions in an abelian group")
+        found.append(d)
+        left //= d
+    return tuple(reversed(found)) if found[0] > 1 else ()
 
 
 def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:

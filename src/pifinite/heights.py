@@ -96,6 +96,11 @@ def _iterate(a: Fraction, p: int, k: int) -> Fraction:
     return a
 
 
+def _layer_iterate(a: Fraction, p: int, n: int, k: int) -> Fraction:
+    # layer 0 is rational, so delta there skips the p-integrality check
+    return _iterate(a, p, k) if n == 0 else delta_iter(a, p, k)
+
+
 def delta_iter(a: RationalLike, p: int, k: int) -> ExactRational:
     """k-fold iterate of delta; k = 0 is the identity.  An iterate past the
     ``MAX_DIGITS`` budget is refused as soon as it appears."""
@@ -195,10 +200,7 @@ class R1Element:
         from .spaces import height_cardinality
         require_prime(p)
         value = height_cardinality(self.symbol, p, require_int(n, "layer", 0))
-        # layer 0 is rational, so delta there skips the p-integrality check
-        value = (_iterate(value, p, self.delta_power) if n == 0
-                 else delta_iter(value, p, self.delta_power))
-        return self.coefficient * value + self.constant
+        return self.coefficient * _layer_iterate(value, p, n, self.delta_power) + self.constant
 
     def profile(self, p: int, top: int) -> HeightProfile:
         return _profile(p, top, lambda n: self.value_at(p, n))
@@ -277,9 +279,7 @@ def verify_wreath_identity(group: FiniteGroup, p: int, n: int) -> WreathReport:
     def bg_value(h: FiniteGroup) -> Fraction:
         return Fraction(count_commuting_p_tuples(h, p, n), h.order)
 
-    base = bg_value(group)
-    # layer 0 is rational, so delta there skips the p-integrality check
-    lhs = _iterate(base, p, 1) if n == 0 else delta(base, p)
+    lhs = _layer_iterate(bg_value(group), p, n, 1)
     wreath = wreath_cyclic(group, p)
     direct = direct_product(build_group(Cyclic(p)), group)
     rhs = bg_value(wreath) - bg_value(direct)

@@ -208,8 +208,8 @@ def classifying(group: FiniteGroup | GroupDescriptor) -> SpaceExpr:
         if group.order == 1:
             return PT
         if group.is_abelian():
-            from .groups import _abelian_primary_factors
-            return EM(_abelian_primary_factors(group), 1)
+            from .groups import _abelian_invariant_factors
+            return EM(_abelian_invariant_factors(group), 1)
         return Classifying(group)
     from .descriptors import checked_order
     checked_order(d)

@@ -145,73 +145,75 @@ class TestSubcommands:
         payload = json.loads(proc.stdout)
         assert payload["failures"] == 0 and len(payload["results"]) == 8
 
-    def test_verify_loop_route_is_independent(self, monkeypatch):
-        # em-grid loops and counts without height_cardinality, and symmetric-3
-        # needs both routes to agree, so breaking either route shows
-        import pifinite.checks as checks
-        import pifinite.spaces as spaces
-        with monkeypatch.context() as m:
-            m.setattr(spaces, "height_cardinality", lambda x, p, n: Fraction(-1))
-            assert checks._check_em_grid()[0] and not checks._check_symmetric3()[0]
-        with monkeypatch.context() as m:
-            m.setattr(spaces, "p_adic_loop", lambda x, p: x)
-            assert not checks._check_em_grid()[0] and not checks._check_symmetric3()[0]
+    # one row a production route: (module, route, a wrong version of the
+    # route, the labels that must fail); every other label must still pass
+    WRONG_ROUTES = [
+        pytest.param("spaces", "p_adic_loop", lambda loop: lambda x, p: x,
+                     {"em-grid", "symmetric-3", "height-relations"},
+                     id="spaces.p_adic_loop"),
+        pytest.param("spaces", "homotopy_cardinality", lambda count: lambda x: count(x) + 1,
+                     {"em-grid", "symmetric-3", "height-relations"},
+                     id="spaces.homotopy_cardinality"),
+        pytest.param("spaces", "height_cardinality",
+                     lambda count: lambda x, p, n: count(x, p, n) + 1,
+                     {"symmetric-3", "coset-composition", "splitting-elements"},
+                     id="spaces.height_cardinality"),
+        pytest.param("homcounts", "hom_count", lambda count: lambda d, p, n: count(d, p, n) + 1,
+                     {"symmetric-3", "coset-composition"}, id="homcounts.hom_count"),
+        # one tuple more leaves |B(H)|_n off p-integrality, so delta raises
+        pytest.param("groups", "count_commuting_p_tuples",
+                     lambda count: lambda h, p, n: count(h, p, n) + 1,
+                     {"wreath-identity"}, id="groups.count_commuting_p_tuples"),
+        pytest.param("quadforms", "count_null_square_two_forms",
+                     lambda count: _one_class_short(count, (5, 5)),
+                     {"cup-square-fiber", "null-form-kernel"},
+                     id="quadforms.count_null_square_two_forms-(5, 5)"),
+        pytest.param("quadforms", "count_null_square_two_forms",
+                     lambda count: _one_class_short(count, (3, 2)),
+                     {"cup-square-fiber", "null-form-kernel"},
+                     id="quadforms.count_null_square_two_forms-(3, 2)"),
+        pytest.param("quadforms", "cup_square_fiber_cardinality",
+                     lambda value: lambda p, n: value(p, n) + 1,
+                     {"cup-square-fiber"}, id="quadforms.cup_square_fiber_cardinality"),
+        pytest.param("heights", "delta_iter", lambda step: lambda a, p, k: step(a, p, k) + 1,
+                     {"wreath-identity", "splitting-elements"}, id="heights.delta_iter"),
+    ]
 
-    def test_height_relations_reads_the_looped_count(self, capsys, monkeypatch):
-        # height-relations counts B^k(C_p) after looping it, so a count off
-        # by one fails it
-        import pifinite.spaces as spaces
-        count = spaces.homotopy_cardinality
-        monkeypatch.setattr(spaces, "homotopy_cardinality", lambda x: count(x) + 1)
-        code, out, _ = run(capsys, "verify")
-        assert code == 3
-        assert "FAIL  height-relations" in out
-
-    # for each label with no guard of its own, the production route it reads
-    # and a wrong version of that route
-    WRONG_ROUTES = {
-        # |B(S3)|_1 from its descriptor, off by one tuple
-        "coset-composition": ("homcounts", "hom_count",
-                              lambda count: lambda d, p, n: count(d, p, n) + 1),
-        # the kernel count short by one scaling class at (5, 5)
-        "null-form-kernel": ("quadforms", "count_null_square_two_forms",
-                             lambda count: _one_class_short(count, (5, 5))),
-        # |B(H)|_n of every table off by one
-        "wreath-identity": ("groups", "count_commuting_p_tuples",
-                            lambda count: lambda h, p, n: count(h, p, n) + h.order),
-        # every layer value of [BC_p] off by one
-        "splitting-elements": ("spaces", "height_cardinality",
-                               lambda count: lambda x, p, n: count(x, p, n) + 1),
-    }
-
-    @pytest.mark.parametrize("label", WRONG_ROUTES)
-    def test_label_reads_its_production_route(self, capsys, monkeypatch, label):
-        module, name, wrong = self.WRONG_ROUTES[label]
+    @pytest.mark.parametrize("module, name, wrong, failing", WRONG_ROUTES)
+    def test_wrong_route_fails_exactly_its_labels(self, capsys, monkeypatch,
+                                                  module, name, wrong, failing):
         target = importlib.import_module(f"pifinite.{module}")
         monkeypatch.setattr(target, name, wrong(getattr(target, name)))
-        code, out, _ = run(capsys, "verify")
+        code, out, _ = run(capsys, "verify", "--format", "json")
+        results = json.loads(out)["results"]
         assert code == 3
-        assert f"FAIL  {label}" in out
+        assert {r["check"] for r in results if not r["pass"]} == failing
+        assert len(results) == 8
 
-    def test_fiber_check_reads_the_enumerated_count(self, monkeypatch):
-        # cup-square-fiber holds the fiber formula against the kernel count, so
-        # a count short by one scaling class at any checked (p, n) fails it
+    def test_every_label_has_a_wrong_route(self):
         import pifinite.checks as checks
-        import pifinite.quadforms as quadforms
-        count = quadforms.count_null_square_two_forms
-        assert checks._check_fiber_formula()[0]
-        for bad in ((5, 5), (3, 2)):
-            with monkeypatch.context() as m:
-                m.setattr(quadforms, "count_null_square_two_forms", _one_class_short(count, bad))
-                assert not checks._check_fiber_formula()[0]
+        guarded = set().union(*(row.values[3] for row in self.WRONG_ROUTES))
+        assert guarded == {label for label, _ in checks._VERIFY_TABLE}
 
     def test_verify_exit_three_on_mismatch(self, capsys, monkeypatch):
         import pifinite.checks as checks
-        broken = checks._VERIFY_TABLE + [("forced", lambda: (False, "forced failure"))]
-        monkeypatch.setattr(checks, "_VERIFY_TABLE", broken)
-        code, out, _ = run(capsys, "verify")
-        assert code == 3
-        assert "FAIL  forced" in out
+
+        def raising():
+            raise RuntimeError("forced raise")
+
+        table = checks._VERIFY_TABLE
+        for check, last in ((lambda: (False, "forced failure"), "FAIL  forced: forced failure"),
+                            (raising, "FAIL  forced: raised RuntimeError: forced raise")):
+            monkeypatch.setattr(checks, "_VERIFY_TABLE", table + [("forced", check)])
+            code, out, _ = run(capsys, "verify")
+            assert code == 3
+            assert len(out.splitlines()) == 9 and out.splitlines()[-1] == last
+            code, out, _ = run(capsys, "verify", "--format", "json")
+            payload = json.loads(out)
+            assert code == 3
+            assert len(payload["results"]) == 9 and payload["failures"] >= 1
+            assert payload["results"][-1] == {"check": "forced", "pass": False,
+                                              "detail": last.removeprefix("FAIL  forced: ")}
 
 
 class TestLargeHeights:
@@ -852,17 +854,29 @@ class TestProcessEnd:
         assert result[0] == code and "Traceback" not in result[2]
 
     def test_verify_exit_three_through_run(self):
-        code, out, err = _child("-c", textwrap.dedent("""
+        script = textwrap.dedent("""
             import sys
             import pifinite.checks as checks
             import pifinite.cli
-            checks._VERIFY_TABLE.append(("forced", lambda: (False, "forced failure")))
-            sys.argv[1:] = ["verify"]
+
+            def raising():
+                raise RuntimeError("forced raise")
+
+            check = {"fails": lambda: (False, "forced failure"), "raises": raising}
+            checks._VERIFY_TABLE.append(("forced", check[sys.argv[1]]))
+            sys.argv[1:] = ["verify", "--format", sys.argv[2]]
             pifinite.cli.run()
-            """))
-        assert (code, err) == (3, "")
-        lines = out.splitlines()
-        assert len(lines) == 9 and lines[-1] == "FAIL  forced: forced failure"
+            """)
+        for kind, last in (("fails", "FAIL  forced: forced failure"),
+                           ("raises", "FAIL  forced: raised RuntimeError: forced raise")):
+            code, out, err = _child("-c", script, kind, "plain")
+            assert (code, err) == (3, "")
+            lines = out.splitlines()
+            assert len(lines) == 9 and lines[-1] == last
+            code, out, err = _child("-c", script, kind, "json")
+            payload = json.loads(out)
+            assert (code, err) == (3, "")
+            assert len(payload["results"]) == 9 and payload["failures"] >= 1
 
     @pytest.mark.parametrize("argv", [
         ["card", "--space", "B(S3)", "--prime", "2", "--height", "1"], ["-h"]])

@@ -11,9 +11,9 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centraliz
                       oracle_commuting_tuples, oracle_looped_cardinality, random_space_expr)
 
 import pifinite as pf
-from pifinite import EMPTY, PT, InputError, ResourceBudgetError
+from pifinite import EMPTY, PT, InputError, InvariantError, ResourceBudgetError
 from pifinite.rationals import MAX_DIGITS
-from pifinite.groups import _abelian_primary_factors
+from pifinite.groups import _abelian_invariant_factors
 from pifinite.normalforms import MAX_COMPONENTS
 
 
@@ -445,10 +445,7 @@ def test_em_canonicalization():
         pf.em_space([2, 0], 1)
 
 
-def test_no_order_is_factored(monkeypatch):
-    def refuse(m):
-        raise AssertionError(f"factored {m}")
-    monkeypatch.setattr(pf.groups, "_prime_factors", refuse)
+def test_no_order_is_factored():
     assert pf.em_space([6, 10], 2).factors == (2, 30)
     # an odd 4300-digit composite prime to 5, past any factoring
     m = (10 ** 2150 + 1) * (10 ** 2149 + 7)
@@ -528,8 +525,8 @@ def test_em_atoms_of_one_degree_multiply_into_one():
     assert pf.normal_form(x).components == (((pf.EM((10,), 1), pf.EM((3,), 2)), 1),)
 
 
-# the invariant prime-power factors of every abelian table in the zoo
-ZOO_ABELIAN_FACTORS = {"C2": (2,), "C3": (3,), "C4": (4,), "C6": (2, 3), "C2 x C2": (2, 2)}
+# the invariant factors of every abelian table in the zoo
+ZOO_ABELIAN_FACTORS = {"C2": (2,), "C3": (3,), "C4": (4,), "C6": (6,), "C2 x C2": (2, 2)}
 
 
 class TestAbelianInvariants:
@@ -538,11 +535,16 @@ class TestAbelianInvariants:
 
     @pytest.mark.parametrize("text, factors", ZOO_ABELIAN_FACTORS.items())
     def test_zoo_tables(self, text, factors):
-        assert _abelian_primary_factors(named_group(text)) == factors
+        assert _abelian_invariant_factors(named_group(text)) == factors
 
     def test_table_of_mixed_exponents(self):
         g = pf.build_group(pf.parse_group("C2 x C4 x C8 x C3 x C9"))
-        assert _abelian_primary_factors(g) == (2, 3, 4, 8, 9)
+        assert _abelian_invariant_factors(g) == (2, 12, 72)
+
+    @pytest.mark.parametrize("text", ["S3", "D8", "S4"])
+    def test_a_table_that_is_not_abelian_is_refused(self, text):
+        with pytest.raises(InvariantError):
+            _abelian_invariant_factors(named_group(text))
 
 
 # the zoo, the trivial group and three larger non-abelian tables; the atom
@@ -559,7 +561,7 @@ class TestAtomRule:
         if g.order == 1:
             assert atom == PT
         elif g.is_abelian():
-            assert comp == (pf.EM(_abelian_primary_factors(g), 1),)
+            assert comp == (pf.EM(_abelian_invariant_factors(g), 1),)
         elif g.descriptor is None:
             assert atom == pf.Classifying(g)
         else:
