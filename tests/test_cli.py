@@ -167,11 +167,11 @@ class TestSubcommands:
         pytest.param("quadforms", "count_null_square_two_forms",
                      lambda count: _one_class_short(count, (5, 5)),
                      {"cup-square-fiber", "null-form-kernel"},
-                     id="quadforms.count_null_square_two_forms-(5, 5)"),
+                     id="null_square_forms-(5, 5)"),
         pytest.param("quadforms", "count_null_square_two_forms",
                      lambda count: _one_class_short(count, (3, 2)),
                      {"cup-square-fiber", "null-form-kernel"},
-                     id="quadforms.count_null_square_two_forms-(3, 2)"),
+                     id="null_square_forms-(3, 2)"),
         pytest.param("quadforms", "cup_square_fiber_cardinality",
                      lambda value: lambda p, n: value(p, n) + 1,
                      {"cup-square-fiber"}, id="quadforms.cup_square_fiber_cardinality"),
