@@ -35,10 +35,11 @@ class of every vector, found by scaling each class representative, and
 the classes of the points of each line, enumerated from the
 representatives of F_p^2.  What a count reads depends on (p, n) alone,
 and ``_plan`` holds it per (p, n), built by the first count once the
-checks pass: the total, and the masks each outer representative ANDs, one
-bit per kernel representative one dimension down.  Every call checks its
-arguments' types and the budget, ANDs the held masks for every outer
-representative and takes the popcount; no count is held.
+checks pass: the total, and per relation through vertex 0 one int that
+packs the mask of every outer representative into its own byte-aligned
+slot, one bit per kernel representative one dimension down.  Every call
+checks its arguments' types and the budget, ANDs the held columns and
+reads the count off three popcounts; no count is held.
 ``decomposable_form_count`` is the Gaussian-binomial closed form, which
 the enumeration never consults.
 """
@@ -161,11 +162,14 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     leading-one rows of ``_null_square_kernel(p, n-1)``, one bit each, and
     each u ANDs, over the relations through vertex 0, the masks of the v
     that pass with its classes.  The masks depend on (p, n) alone and
-    ``_plan`` holds them, so a call checks that p and n are ints, which the
+    ``_plan`` holds them, every u's mask of one relation in its own slot of
+    one packed int, so a call checks that p and n are ints, which the
     plan's cache key cannot (it takes 3.0 and True for 3 and 1), holds the
-    plan's total to the budget, ANDs the held masks for every u and takes
-    the weighted popcount: 14 masks at (3,4), 471 ANDs of 807-bit ints at
-    (5,5).  Each form is decided by the relations themselves, never by the
+    plan's total to the budget and ANDs the packed columns at once: one
+    int of 14 slots at (3,4), 3 ANDs of 157-slot ints at (5,5).  The
+    weights come from three popcounts of the result: slot 0 (u = 0) under
+    ``first``, bit 0 of every slot (v = 0) under ``lows``, and the whole
+    int.  Each form is decided by the relations themselves, never by the
     closed form of ``decomposable_form_count``, which stays an independent
     cross-check.  ``DEFAULT_ENUMERATION_BUDGET`` counts all p^C(n,2) forms,
     pruned or not, and has no per-call override.
@@ -173,17 +177,19 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     if type(p) is not int or type(n) is not int:
         _require_odd_prime(p)
         require_int(n, "dimension")
-    total, columns = _plan(p, n)
+    total, columns, first, lows = _plan(p, n)
     if total > DEFAULT_ENUMERATION_BUDGET:
         raise _over_budget(p, math.comb(n, 2), total)
     if not columns:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
     q = p - 1
-    zero_u, *rest = _alive(columns)
-    zero_v = sum(map((1).__and__, rest))
-    kernel = ((zero_u & 1) + q * (zero_u.bit_count() - (zero_u & 1))
-              + q * zero_v + q * q * (sum(map(int.bit_count, rest)) - zero_v))
+    alive = reduce(and_, columns)
+    z0 = alive & 1
+    zero_u = (alive & first).bit_count()
+    zero_v = (alive & lows).bit_count() - z0
+    kernel = (z0 + q * (zero_u - z0) + q * zero_v
+              + q * q * (alive.bit_count() - zero_u - zero_v))
     return FormCountReport(p, n, kernel, total)
 
 
@@ -194,7 +200,7 @@ def _over_budget(p: int, e: int, total) -> ResourceBudgetError:
                                f"{DEFAULT_ENUMERATION_BUDGET}")
 
 
-_Plan = namedtuple("_Plan", "total columns")
+_Plan = namedtuple("_Plan", "total columns first lows")
 
 
 @cache
@@ -203,11 +209,15 @@ def _plan(p: int, n: int) -> _Plan:
     prime, dimension and budget checks pass, and held for the process: the
     total p^C(n,2), and per relation through vertex 0 (a triple of the
     outer vertices) the column of ``_columns`` masks the outer
-    representatives ``_representatives(p, n-1)`` pick, in order.  No
-    column for n < 4, which has no relation.  Bit j of a mask is the j-th
-    leading-one row of ``_null_square_kernel(p, n-1)``, so the zero form is
-    bit 0 and every bit is a kernel representative: p^2+p+2 bits at n = 4,
-    131 at (3,5) and 807 at (5,5), whose plans take 4.1 kB and 22 kB by
+    representatives ``_representatives(p, n-1)`` pick, packed in order into
+    one int: slot i, the mask of representative i, is bytes
+    [i*size, (i+1)*size), low byte first, size = ceil(bits/8), so the
+    zero u is slot 0.  ``first`` is all of slot 0 and ``lows`` bit 0 of
+    every slot.  No column for n < 4, which has no relation, and both
+    masks 0.  Bit j of a mask is the j-th leading-one row of
+    ``_null_square_kernel(p, n-1)``, so the zero form is bit 0 and every
+    bit is a kernel representative: p^2+p+2 bits at n = 4, 131 at (3,5)
+    and 807 at (5,5), whose plans take 4.0 kB and 85 kB by
     ``sys.getsizeof``."""
     _require_odd_prime(p)
     e = math.comb(require_int(n, "dimension", 1), 2)
@@ -216,10 +226,19 @@ def _plan(p: int, n: int) -> _Plan:
     if total is None or total > DEFAULT_ENUMERATION_BUDGET:
         raise _over_budget(p, e, total)
     if n < 4:
-        return _Plan(total, ())
+        return _Plan(total, (), 0, 0)
     # the kernel rows are in lexicographic order, so the zero form leads
     forms = [v for v in _null_square_kernel(p, n - 1) if next(filter(None, v), 1) == 1]
-    return _Plan(total, tuple(map(tuple, _columns(p, _representatives(p, n - 1), forms))))
+    columns = _columns(p, _representatives(p, n - 1), forms)
+    size = -(-len(forms) // 8)
+    lows = int.from_bytes(b"\1".ljust(size, b"\0") * len(columns[0]), "little")
+    return _Plan(total, tuple(_packed(column, size) for column in columns),
+                 (1 << len(forms)) - 1, lows)
+
+
+def _packed(masks: list[int], size: int) -> int:
+    """``masks`` as one int, mask i in bytes [i*size, (i+1)*size), low byte first."""
+    return int.from_bytes(b"".join(mask.to_bytes(size, "little") for mask in masks), "little")
 
 
 _Plane = namedtuple("_Plane", "lines index")

@@ -1,10 +1,12 @@
 import ast
 import contextlib
+import functools
 import importlib
 import io
 import itertools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -62,6 +64,21 @@ def _one_class_short(count, bad):
         return pifinite.FormCountReport(p, n, report.kernel_count - (p - 1) * ((p, n) == bad),
                                         report.total_forms)
     return miscount
+
+
+def _one_pair_dropped(plan, bad):
+    """``plan``, the held 2-form count plan, with one bit flipped at the
+    (p, n) pair ``bad``: in the first packed column, a pair of nonzero
+    representatives that passes every relation, so the count drops."""
+    def tampered(p, n):
+        held = plan(p, n)
+        if (p, n) != bad:
+            return held
+        alive = functools.reduce(operator.and_, held.columns)
+        passing = alive & ~held.first & ~held.lows
+        return held._replace(columns=(held.columns[0] ^ passing & -passing,)
+                             + held.columns[1:])
+    return tampered
 
 
 class TestSubcommands:
@@ -172,6 +189,8 @@ class TestSubcommands:
                      lambda count: _one_class_short(count, (3, 2)),
                      {"cup-square-fiber", "null-form-kernel"},
                      id="null_square_forms-(3, 2)"),
+        pytest.param("quadforms", "_plan", lambda plan: _one_pair_dropped(plan, (5, 5)),
+                     {"cup-square-fiber", "null-form-kernel"}, id="packed_plan-(5, 5)"),
         pytest.param("quadforms", "cup_square_fiber_cardinality",
                      lambda value: lambda p, n: value(p, n) + 1,
                      {"cup-square-fiber"}, id="quadforms.cup_square_fiber_cardinality"),

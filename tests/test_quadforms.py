@@ -6,7 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from operator import itemgetter
+from operator import and_, itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +14,7 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _alive, _all_vectors, _line_tables,
+from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _all_vectors, _line_tables,
                                 _null_square_kernel, _plan, _plane, _representatives)
 
 
@@ -71,6 +71,37 @@ def full_enumeration_count(p: int, n: int) -> int:
             alive &= s == 0
         count += int(alive.sum())
     return count
+
+
+def kernel_width(p: int, n: int) -> int:
+    """Bits per mask of the plan at (p, n): one per kernel representative
+    on F_p^(n-1), counted by the closed form."""
+    return 1 + (pf.decomposable_form_count(p, n - 1) - 1) // (p - 1)
+
+
+def slot_bits(width: int) -> int:
+    """A packed slot's width: ``width`` bits rounded up to whole bytes."""
+    return 8 * -(-width // 8)
+
+
+def unpacked(column: int, slots: int, width: int) -> list[int]:
+    """The ``slots`` masks packed into ``column``, slot 0 lowest, each
+    ``slot_bits(width)`` wide; no bit may lie past the last slot."""
+    size = slot_bits(width)
+    assert column >> slots * size == 0
+    return [column >> i * size & (1 << size) - 1 for i in range(slots)]
+
+
+def weighted_popcount(p: int, n: int, plan) -> int:
+    """The count as one mask per outer representative reads it: AND each
+    representative's masks over the relations, then weigh its passing v,
+    (0, 0) as itself, one zero side as p-1 forms, none as (p-1)^2."""
+    slots, width = len(_representatives(p, n - 1)), kernel_width(p, n)
+    per_relation = [unpacked(column, slots, width) for column in plan.columns]
+    zero_u, *rest = [functools.reduce(and_, masks) for masks in zip(*per_relation)]
+    q, zero_v = p - 1, sum(mask & 1 for mask in rest)
+    return ((zero_u & 1) + q * (zero_u.bit_count() - (zero_u & 1)) + q * zero_v
+            + q * q * (sum(mask.bit_count() for mask in rest) - zero_v))
 
 
 @pytest.fixture
@@ -358,7 +389,7 @@ class TestHeldPlane:
 class TestHeldLevels:
     """What a count at (p, n) reads, its ``_plan``, is built once, by the
     first count at (p, n) after the checks, and every count ANDs the held
-    masks for every outer representative and takes the popcount."""
+    packed columns and takes three popcounts."""
 
     @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS)
     def test_columns_are_the_relations(self, p, n):
@@ -375,7 +406,9 @@ class TestHeldLevels:
                           + u[d] * v[pos[b, c]]) % p == 0)
                   for u in _representatives(p, m))
             for b, c, d in combinations(range(m), 3))
-        assert _plan(p, n).columns == expected
+        slots, width = len(_representatives(p, m)), len(vs)
+        assert tuple(tuple(unpacked(column, slots, width))
+                     for column in _plan(p, n).columns) == expected
 
     def test_built_once_per_pair(self, monkeypatch, fresh_plans):
         pairs = ((5, 5), (3, 5), (3, 4), (5, 5), (3, 5), (3, 4))
@@ -404,19 +437,47 @@ class TestHeldLevels:
         assert isinstance(plan, tuple) and held(tuple(plan))
         assert plan.total == p ** math.comb(n, 2)
         if n < 4:
-            assert plan.columns == ()
+            assert (plan.columns, plan.first, plan.lows) == ((), 0, 0)
             return
-        # one column per triple of the outer vertices, one mask per outer
-        # representative
-        us = _representatives(p, n - 1)
-        assert [len(column) for column in plan.columns] == \
-            [len(us)] * math.comb(n - 1, 3)
         # dense: one bit per kernel representative on F_p^(n-1), every one
         # of which passes with the zero u
-        width = 1 + (pf.decomposable_form_count(p, n - 1) - 1) // (p - 1)
+        width = kernel_width(p, n)
         assert width == (p * p + p + 2 if n == 4 else {3: 131, 5: 807}[p])
-        assert all(mask >> width == 0 for column in plan.columns for mask in column)
-        assert next(iter(_alive(plan.columns))) == (1 << width) - 1
+        # one column per triple of the outer vertices, one slot per outer
+        # representative, each starting on a byte; v = 0 passes with every
+        # u, so the last slot is not empty
+        slots, size = len(_representatives(p, n - 1)), slot_bits(width)
+        assert len(plan.columns) == math.comb(n - 1, 3)
+        assert all(column.bit_length() > (slots - 1) * size for column in plan.columns)
+        masks = [unpacked(column, slots, width) for column in plan.columns]
+        # every padding bit is 0
+        assert all(mask >> width == 0 for column in masks for mask in column)
+        assert plan.first == (1 << width) - 1
+        assert plan.lows == sum(1 << i * size for i in range(slots))
+        # the zero u is slot 0, all ones after the AND
+        alive = functools.reduce(and_, plan.columns)
+        assert alive & (1 << size) - 1 == (1 << width) - 1
+
+    @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
+    @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS)
+    def test_packed_count_is_the_weighted_popcount(self, p, n, held, fresh_plans):
+        if held:
+            pf.count_null_square_two_forms(p, n)
+        assert pf.count_null_square_two_forms(p, n).kernel_count == \
+            weighted_popcount(p, n, _plan(p, n))
+
+    def test_held_counts_walk_no_representative(self, monkeypatch):
+        # _alive ANDs one representative at a time; a count reads the
+        # packed columns, so it answers with _alive gone
+        for p, n in DEFAULT_BUDGET_PAIRS:
+            pf.count_null_square_two_forms(p, n)
+
+        def walked(columns):
+            raise AssertionError("a count walked the representatives")
+        monkeypatch.setattr(pf.quadforms, "_alive", walked)
+        for p, n in DEFAULT_BUDGET_PAIRS:
+            assert pf.count_null_square_two_forms(p, n).kernel_count == \
+                pf.decomposable_form_count(p, n)
 
     def test_first_and_later_counts_match_the_oracles(self, fresh_plans):
         expected = {(3, 5): len(sweep_kernel(3, 5)), (5, 5): full_enumeration_count(5, 5)}
@@ -424,18 +485,18 @@ class TestHeldLevels:
             assert pf.count_null_square_two_forms(p, n).kernel_count == expected[p, n]
 
     def test_counts_and_the_held_tables(self, monkeypatch):
-        # clear one bit v != 0 of u's alive mask, u != 0, in the mask u
-        # picks from the first table: the pair weighs (p-1)^2, so every
-        # call moves by 16
+        # clear one bit v != 0 of u's alive mask, u != 0, in u's slot of
+        # the first column: the pair weighs (p-1)^2, so every call moves
+        # by 16
         plan = _plan(5, 5)
         kernel = pf.count_null_square_two_forms(5, 5).kernel_count
-        alive = list(_alive(plan.columns))
+        slots, width = len(_representatives(5, 4)), kernel_width(5, 5)
+        alive = unpacked(functools.reduce(and_, plan.columns), slots, width)
         i = next(i for i in range(1, len(alive)) if alive[i] >> 1)
         above_zero = alive[i] >> 1
         bit = (above_zero & -above_zero) << 1
-        first = list(plan.columns[0])
-        first[i] ^= bit
-        tampered = plan._replace(columns=(tuple(first),) + plan.columns[1:])
+        first = plan.columns[0] ^ bit << i * slot_bits(width)
+        tampered = plan._replace(columns=(first,) + plan.columns[1:])
         monkeypatch.setattr(pf.quadforms, "_plan",
                             lambda p, n: tampered if (p, n) == (5, 5) else _plan(p, n))
         for _ in range(2):
