@@ -468,24 +468,26 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
     p-class, weighted by the class size; level k + 1 sends each set S to
     S & C(x) for every x in S, merging equal sets.  C(x) & P is built from
     row x against column x when a level first reaches x (so n = 2 builds
-    masks for representatives only).  A level equal to the one before it
-    maps to itself, so every later level and count is the same: the walk
-    ends there, and the count is settled for every longer length (so a prime
-    that does not divide |G| takes two levels at any n).  The group keeps,
-    per prime, the counts, the last level, the masks reached so far and
-    whether the count has settled, replaced whole by each call that goes
-    further and never changed once stored.  Counts never fall as n grows, so
-    one with count // |G| past the digit budget is refused.
+    masks for representatives only).  By Cauchy's theorem a prime that does
+    not divide |G| leaves the identity the only p-element, so every count is
+    1 and no state is kept; otherwise the all-identity tuple's centralizer
+    holds all of P, so each count exceeds the one before.  The group keeps,
+    per prime, the counts, the last level and the masks reached so far,
+    replaced whole by each call that goes further and never changed once
+    stored.  Counts never fall as n grows, so one with count // |G| past
+    the digit budget is refused.
     """
     require_prime(p)
     require_int(n, "tuple length", 0)
+    if g.order % p:
+        return 1
     state = g._tuple_counts.get(p)
     if state is None:
         pelts = g.p_elements(p)
-        state = (pelts, (1, len(pelts)), None, {}, False)
-    pelts, counts, level, masks, settled = state
-    if n < len(counts) or settled:
-        return counts[min(n, len(counts) - 1)]
+        state = (pelts, (1, len(pelts)), None, {})
+    pelts, counts, level, masks = state
+    if n < len(counts):
+        return counts[n]
     counts, masks = list(counts), dict(masks)
     rows, restrict = g._rows, _getter(pelts)
     prows = restrict(rows)
@@ -496,7 +498,7 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
             masks[x] = int(flags.translate(_DIGITS)[::-1], 2)
         return masks[x]
 
-    while len(counts) <= n and not settled:
+    while len(counts) <= n:
         if level is None:
             steps = ((mask(c.representative), len(c)) for c in g.conjugacy_classes()
                      if g.is_p_element(c.representative, p))
@@ -506,10 +508,10 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
         nxt: dict[int, int] = {}
         for s, w in steps:
             nxt[s] = nxt.get(s, 0) + w
-        settled, level = nxt == level, nxt
+        level = nxt
         counts.append(sum(w * s.bit_count() for s, w in level.items()))
         if not fits_digits(counts[-1] // g.order):
             raise ResourceBudgetError(f"{p}-tuple counts in {g.name} at length {len(counts) - 1} "
                                       f"exceed the {MAX_DIGITS}-digit budget")
-    g._tuple_counts[p] = (pelts, tuple(counts), level, masks, settled)
-    return counts[min(n, len(counts) - 1)]
+    g._tuple_counts[p] = (pelts, tuple(counts), level, masks)
+    return counts[n]

@@ -25,21 +25,14 @@ The count decides every form by the Pluecker relations themselves, in
 pure Python with Python ints as bitsets.  It splits each form on vertex 0,
 so that a form on the other n-1 vertices that fails their own relations
 discards its whole block at once, and tests one pair per scaling class of
-the two halves, which the relations treat alike.  Each relation through
-vertex 0 is the dot product of three coordinates of the first half with
-three coordinates (one negated) of the second, so whether it holds depends
-only on the scaling classes of those two vectors of F_p^3: it is the
-incidence of a point and a line of the projective plane, or a zero vector.
-``_plane`` holds that plane per prime, built from its definition: the
-class of every vector, found by scaling each class representative, and
-the classes of the points of each line, enumerated from the
-representatives of F_p^2.  What a count reads depends on (p, n) alone,
-and ``_plan`` holds it per (p, n), built by the first count once the
-checks pass: the total, and per relation through vertex 0 one int that
-packs the mask of every outer representative into its own byte-aligned
-slot, one bit per kernel representative one dimension down.  Every call
-checks its arguments' types and the budget, ANDs the held columns and
-reads the count off three popcounts; no count is held.
+the two halves, which the relations treat alike.  What a count reads
+depends on (p, n) alone, and ``_plan`` holds it per (p, n), built from
+the relations themselves by the first count once the checks pass: the
+total, and per relation through vertex 0 one int that packs the mask of
+every outer representative into its own byte-aligned slot, one bit per
+kernel representative one dimension down.  Every call checks its
+arguments' types and the budget, ANDs the held columns and reads the
+count off three popcounts; no count is held.
 ``decomposable_form_count`` is the Gaussian-binomial closed form, which
 the enumeration never consults.
 """
@@ -48,10 +41,9 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from collections.abc import Iterator
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from fractions import Fraction
-from itertools import combinations, compress, count, product
+from itertools import combinations, product
 from operator import and_, itemgetter
 
 from .errors import InputError, InvariantError, ResourceBudgetError
@@ -145,8 +137,7 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     The enumeration splits each form on vertex 0 into u = (w_01, ..., w_0,n-1)
     and the form v on vertices 1..n-1.  The relations that avoid vertex 0 are
     exactly those of dimension n-1 and involve v alone, so a v outside the
-    (n-1)-dimensional kernel rejects its whole block of p^(n-1) forms; that
-    kernel comes from the same enumeration one dimension down.  Every
+    (n-1)-dimensional kernel rejects its whole block of p^(n-1) forms.  Every
     relation through vertex 0, u_b*v_cd - u_c*v_bd + u_d*v_bc, is bilinear
     in (u, v), and the kernel one dimension down is closed under scaling
     (its relations are homogeneous), so (u, v) and (a*u, b*v) pass or fail
@@ -159,9 +150,9 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     and (0, 0) for itself.
 
     Every n >= 4 takes the one route of ``_plan``: the v are the
-    leading-one rows of ``_null_square_kernel(p, n-1)``, one bit each, and
+    rows of ``_kernel_rows(p, n-1)``, one bit each, and
     each u ANDs, over the relations through vertex 0, the masks of the v
-    that pass with its classes.  The masks depend on (p, n) alone and
+    that pass with it.  The masks depend on (p, n) alone and
     ``_plan`` holds them, every u's mask of one relation in its own slot of
     one packed int, so a call checks that p and n are ints, which the
     plan's cache key cannot (it takes 3.0 and True for 3 and 1), holds the
@@ -214,8 +205,8 @@ def _plan(p: int, n: int) -> _Plan:
     [i*size, (i+1)*size), low byte first, size = ceil(bits/8), so the
     zero u is slot 0.  ``first`` is all of slot 0 and ``lows`` bit 0 of
     every slot.  No column for n < 4, which has no relation, and both
-    masks 0.  Bit j of a mask is the j-th leading-one row of
-    ``_null_square_kernel(p, n-1)``, so the zero form is bit 0 and every
+    masks 0.  Bit j of a mask is row j of
+    ``_kernel_rows(p, n-1)``, so the zero form is bit 0 and every
     bit is a kernel representative: p^2+p+2 bits at n = 4, 131 at (3,5)
     and 807 at (5,5), whose plans take 4.0 kB and 85 kB by
     ``sys.getsizeof``."""
@@ -227,8 +218,7 @@ def _plan(p: int, n: int) -> _Plan:
         raise _over_budget(p, e, total)
     if n < 4:
         return _Plan(total, (), 0, 0)
-    # the kernel rows are in lexicographic order, so the zero form leads
-    forms = [v for v in _null_square_kernel(p, n - 1) if next(filter(None, v), 1) == 1]
+    forms = _kernel_rows(p, n - 1)
     columns = _columns(p, _representatives(p, n - 1), forms)
     size = -(-len(forms) // 8)
     lows = int.from_bytes(b"\1".ljust(size, b"\0") * len(columns[0]), "little")
@@ -241,50 +231,17 @@ def _packed(masks: list[int], size: int) -> int:
     return int.from_bytes(b"".join(mask.to_bytes(size, "little") for mask in masks), "little")
 
 
-_Plane = namedtuple("_Plane", "lines index")
-
-
-@cache
-def _plane(p: int) -> _Plane:
-    """The projective plane over F_p as every plan at p reads it, built by
-    the first plan at p and held for the process, both fields tuples.
-    ``index[(x*p + y)*p + z]`` is the row of ``classes =
-    _representatives(p, 3)`` whose scaling class holds (x, y, z), set by
-    scaling every row by 1..p-1.  ``lines[k]`` is an ``itemgetter`` of the
-    rows l with classes[k] . classes[l] = 0 mod p: every row for the zero
-    class, else the classes of the p+2 vectors w of the plane
-    a . w = 0, a = classes[k], whose other two coordinates run over
-    ``_representatives(p, 2)``; a's leading 1 at position i gives w_i.
-    Only ``_plan`` reaches it from a count, after the checks, so it holds
-    at most the primes the enumeration budget admits."""
-    classes = _representatives(p, 3)
-    index = [0] * p ** 3
-    for s in range(1, p):
-        for k, (x, y, z) in enumerate(classes):
-            index[(s * x % p * p + s * y % p) * p + s * z % p] = k
-    lines = [itemgetter(*range(len(classes)))]
-    pairs, weights = _representatives(p, 2), (p * p, p, 1)
-    for a in classes[1:]:
-        # a's leading 1 is at i, so a . w = 0 gives w_i from the other two
-        i = a.index(1)
-        j, l = (c for c in range(3) if c != i)
-        aj, al, wi, wj, wl = a[j], a[l], weights[i], weights[j], weights[l]
-        lines.append(itemgetter(*[index[s * wj + t * wl + -(aj * s + al * t) % p * wi]
-                                  for s, t in pairs]))
-    return _Plane(tuple(lines), tuple(index))
-
-
-def _null_square_kernel(p: int, n: int) -> Iterator[tuple[int, ...]]:
-    """The forms on F_p^n with zero wedge square, coordinates in
-    ``combinations(range(n), 2)`` order, generated in lexicographic order,
-    so that a caller that keeps some of them never holds them all: 3225
-    forms at (5,4), of which ``_plan`` keeps 807."""
-    if n < 4:
-        return product(range(p), repeat=math.comb(n, 2))
-    us = _all_vectors(p, n - 1)
-    inner = list(_null_square_kernel(p, n - 1))
-    return (u + inner[j] for u, mask in zip(us, _alive(_columns(p, us, inner)))
-            for j in _bits(mask))
+def _kernel_rows(p: int, m: int) -> list[tuple[int, ...]]:
+    """The representatives of the forms on F_p^m with zero wedge square,
+    coordinates in ``combinations(range(m), 2)`` order, sorted, so the
+    zero form leads: each row of ``_representatives(p, C(m,2))`` that
+    passes every relation of dimension m, 807 of 3907 at (5,4)."""
+    pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
+    rows = _representatives(p, len(pos))
+    for a, b, c, d in combinations(range(m), 4):
+        i, j, k, l, s, t = pos[a, b], pos[c, d], pos[a, c], pos[b, d], pos[a, d], pos[b, c]
+        rows = [v for v in rows if (v[i] * v[j] - v[k] * v[l] + v[s] * v[t]) % p == 0]
+    return sorted(rows)
 
 
 def _columns(p: int, us: list, forms: list) -> list[list[int]]:
@@ -292,51 +249,21 @@ def _columns(p: int, us: list, forms: list) -> list[list[int]]:
     ``combinations`` order, the mask each u of ``us`` reads: bit j set when
     (u, forms[j]), forms[j] a form on those m vertices, passes the relation
     through vertex 0 for that triple, u_b*v_cd - u_c*v_bd + u_d*v_bc = 0
-    mod p.  That is the dot product of (u_b, u_c, u_d) with the w of
-    ``_line_tables``, so u reads the line table at its class."""
-    columns = list(zip(*us))
-    return [[table[k] for k in _classes(p, columns[b], columns[c], columns[d])]
-            for table, (b, c, d) in zip(_line_tables(p, len(columns), forms),
-                                        combinations(range(len(columns)), 3))]
-
-
-# per vector u, the AND over the columns of the mask each gives u: what
-# passes every relation with u
-_alive = partial(reduce, partial(map, and_))
-
-
-def _line_tables(p: int, size: int, forms: list) -> list[list[int]]:
-    """Per triple b<c<d of ``combinations(range(size), 3)``, bit j of
-    ``tables[t][k]`` set when w = (w_cd, -w_bd, w_bc) of forms[j], a form on
-    ``size`` vertices, lies on the line of class k: a . w = 0 mod p for
-    every a in class k.  That depends only on the scaling classes of a and
-    of w, so each form goes to the bucket of its w's class and the buckets
-    are ORed along the lines.  The classes on a line are disjoint, so the
-    OR of their buckets is their sum."""
-    lines = _plane(p).lines
-    pos = {pair: i for i, pair in enumerate(combinations(range(size), 2))}
-    columns = list(zip(*forms))
-    tables = []
-    for b, c, d in combinations(range(size), 3):
-        buckets = [0] * len(lines)
-        for j, k in enumerate(_classes(p, columns[pos[c, d]],
-                                       [-y % p for y in columns[pos[b, d]]],
-                                       columns[pos[b, c]])):
-            buckets[k] |= 1 << j
-        tables.append([sum(line(buckets)) for line in lines])
-    return tables
-
-
-def _classes(p: int, xs, ys, zs) -> list[int]:
-    """The class rows, by the plane's index, of the vectors (x, y, z) of
-    F_p^3 given column by column."""
-    index = _plane(p).index
-    return [index[(x * p + y) * p + z] for x, y, z in zip(xs, ys, zs)]
-
-
-def _all_vectors(p: int, k: int) -> list[tuple[int, ...]]:
-    """Every vector of F_p^k, first coordinate leading (one empty row for k = 0)."""
-    return list(product(range(p), repeat=k))
+    mod p.  The forms are bucketed by (v_cd, v_bd, v_bc), and each
+    distinct (u_b, u_c, u_d) ORs the buckets that pass with it once; the
+    buckets are disjoint, so the OR is their sum."""
+    m = len(us[0])
+    pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
+    columns = []
+    for b, c, d in combinations(range(m), 3):
+        buckets, pick = {}, itemgetter(b, c, d)
+        for j, w in enumerate(map(itemgetter(pos[c, d], pos[b, d], pos[b, c]), forms)):
+            buckets[w] = buckets.get(w, 0) | 1 << j
+        masks = {(x, y, z): sum(mask for (cd, bd, bc), mask in buckets.items()
+                                if (x * cd - y * bd + z * bc) % p == 0)
+                 for x, y, z in set(map(pick, us))}
+        columns.append([masks[a] for a in map(pick, us)])
+    return columns
 
 
 def _representatives(p: int, k: int) -> list[tuple[int, ...]]:
@@ -347,14 +274,6 @@ def _representatives(p: int, k: int) -> list[tuple[int, ...]]:
     for i in range(k):
         reps += product(*[(0,)] * i, (1,), *[range(p)] * (k - 1 - i))
     return reps
-
-
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
-
-
-def _bits(mask: int) -> list[int]:
-    """The positions of the set bits of ``mask``, lowest first."""
-    return list(compress(count(), bin(mask)[:1:-1].encode().translate(_FLAGS)))
 
 
 def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:

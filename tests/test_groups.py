@@ -287,12 +287,13 @@ class TestCommutingTuples:
 
     @pytest.mark.parametrize("text, p", [("C2", 3), ("S3", 5), ("D8", 3), ("C3 wr C3", 2)])
     def test_prime_not_dividing_the_order_answers_at_once(self, text, p):
-        # only the identity is a p-element, so every level maps to itself
-        # and the walk ends after two levels, whatever the length
+        # by Cauchy's theorem only the identity is a p-element, so every
+        # count is 1, answered before any level is walked or kept
         g = named_group(text)
         start = time.perf_counter()
         assert [pf.count_commuting_p_tuples(g, p, n) for n in (10 ** 8, 0, 5, 10 ** 12)] == [1] * 4
         assert time.perf_counter() - start < 1
+        assert p not in g._tuple_counts
 
     def test_counts_kept_per_group_match_fresh_groups(self):
         # each count is asked of a group that has answered other heights

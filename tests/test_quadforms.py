@@ -6,7 +6,7 @@ import sys
 import time
 from fractions import Fraction
 from itertools import combinations, product
-from operator import and_, itemgetter
+from operator import and_
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +14,7 @@ import pytest
 
 import pifinite as pf
 from pifinite import InputError, InvariantError, ResourceBudgetError
-from pifinite.quadforms import (DEFAULT_BUDGET_PAIRS, _all_vectors, _line_tables,
-                                _null_square_kernel, _plan, _plane, _representatives)
+from pifinite.quadforms import DEFAULT_BUDGET_PAIRS, _kernel_rows, _plan, _representatives
 
 
 @functools.lru_cache(maxsize=None)
@@ -106,8 +105,8 @@ def weighted_popcount(p: int, n: int, plan) -> int:
 
 @pytest.fixture
 def fresh_plans():
-    """No plan held before the test, and none it builds (from a tampered
-    or spied plane or table) held after it."""
+    """No plan held before the test, and none it builds (from tampered or
+    spied kernel rows) held after it."""
     _plan.cache_clear()
     yield
     _plan.cache_clear()
@@ -151,13 +150,15 @@ class TestKernelCounts:
 
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (3, 5)])
     def test_kernel_forms_match_sweep_oracle(self, p, n):
-        # the recursion feeds these rows one dimension up, so the forms
-        # themselves (and their coordinate order) must be right, not just the count
-        rows = list(_null_square_kernel(p, n))
-        assert len(rows) == len(sweep_kernel(p, n))
-        assert set(rows) == sweep_kernel(p, n)
-        # a plan numbers the leading-one rows in this order, zero form first
-        assert rows == sorted(rows)
+        # a plan one dimension up reads these rows, so the forms themselves
+        # (and their coordinate order) must be right, not just the count:
+        # their nonzero multiples are the whole kernel, each once
+        rows = _kernel_rows(p, n)
+        multiples = [tuple(a * x % p for x in v) for v in rows[1:] for a in range(1, p)]
+        assert len(multiples) + 1 == len(sweep_kernel(p, n))
+        assert set(multiples) | {rows[0]} == sweep_kernel(p, n)
+        # a plan numbers the rows in this order, zero form first
+        assert not any(rows[0]) and rows == sorted(rows)
 
     @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
                                             for p, n in DEFAULT_BUDGET_PAIRS]
@@ -168,19 +169,19 @@ class TestKernelCounts:
         assert report.kernel_count == pf.decomposable_form_count(p, n)
         assert report.total_forms == p ** (n * (n - 1) // 2)
 
-    def test_general_dimension_counts_through_the_kernel_recursion(self, monkeypatch,
-                                                                   fresh_plans):
-        # (3, 6) lays out the representatives of the kernel on F_3^5, which
-        # the enumeration reaches from the kernels on F_3^4 and F_3^3
+    def test_general_dimension_builds_its_kernel_rows_directly(self, monkeypatch,
+                                                               fresh_plans):
+        # (3, 6) lays out the representatives of the kernel on F_3^5, tested
+        # against the relations of dimension 5 with no lower dimension built
         monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", 3 ** 15)
         levels = []
-        kernel = pf.quadforms._null_square_kernel
-        monkeypatch.setattr(pf.quadforms, "_null_square_kernel",
-                            lambda p, n: levels.append(n) or kernel(p, n))
+        rows = pf.quadforms._kernel_rows
+        monkeypatch.setattr(pf.quadforms, "_kernel_rows",
+                            lambda p, m: levels.append(m) or rows(p, m))
         report = pf.count_null_square_two_forms(3, 6)
         assert report.kernel_count == pf.decomposable_form_count(3, 6)
         assert report.total_forms == 3 ** 15
-        assert levels == [5, 4, 3]
+        assert levels == [5]
 
     @pytest.mark.parametrize("p,n", [(17, 4), (7, 5), (3, 6)])
     def test_default_budget_refuses(self, p, n):
@@ -252,44 +253,12 @@ class TestScalingClasses:
             hits = sum(is_rep[(a * vectors) % p @ weights].astype(int) for a in range(1, p))
             assert (hits == 1).all()
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 13])
-    def test_class_index_maps_each_vector_to_its_representative(self, p):
-        reps = np.array(_representatives(p, 3))
-        index = np.array(_plane(p).index)
-        assert index.shape == (p ** 3,)
-        vectors = np.indices((p,) * 3).reshape(3, -1).T
-        rep = reps[index[(vectors[:, 0] * p + vectors[:, 1]) * p + vectors[:, 2]]]
-        zero = ~vectors.any(axis=1)
-        assert (index[zero] == 0).all()
-        # every nonzero vector is a nonzero multiple of the representative it is sent to
-        scaled = np.stack([a * rep % p for a in range(1, p)], axis=1)
-        assert (scaled == vectors[:, None, :]).all(axis=2).any(axis=1)[~zero].all()
-
-    @pytest.mark.parametrize("p", [3, 5, 7, 13])
-    def test_incidence_table_tests_each_pair_of_classes(self, p):
-        # the classes each held line lists are those orthogonal to its class
-        classes = np.array(_representatives(p, 3))
-        size = p * p + p + 2
-        lines = [line(range(size)) for line in _plane(p).lines]
-        assert len(lines) == size
-        table = np.zeros((size, size), dtype=bool)
-        for k, line in enumerate(lines):
-            table[k, list(line)] = True
-        assert (table == (classes @ classes.T % p == 0)).all()
-        assert (table == table.T).all()
-        assert table[0].all() and table[:, 0].all()
-        # a line of the projective plane over F_p holds p + 1 points, and
-        # the lists the kernel sums along name each of them, and zero, once
-        assert (table[1:, 1:].sum(axis=1) == p + 1).all()
-        assert lines[0] == tuple(range(size))
-        assert all(len(line) == len(set(line)) == p + 2 for line in lines[1:])
-
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (7, 4), (3, 5)])
     def test_kernel_representatives_pick_one_per_class(self, p, n):
         # a plan one dimension up numbers the leading-one rows of the
         # kernel in its row order: the sweep's, sorted, zero form first
         kernel = sweep_kernel(p, n)
-        picked = leading_one_rows(list(_null_square_kernel(p, n)))
+        picked = _kernel_rows(p, n)
         assert picked == leading_one_rows(sorted(kernel))
         assert not any(picked[0])         # the zero form first, as the count needs
         assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
@@ -300,90 +269,17 @@ class TestScalingClasses:
                   for w in kernel if any(w)}
         assert scaled == set(picked[1:])
 
-    @pytest.mark.parametrize("p,m", [(3, 4), (5, 4), (3, 5)])
-    def test_representative_tables_hold_the_passing_representatives(self, p, m):
-        # tables[t][k] holds exactly the representatives whose w for the
-        # t-th triple is orthogonal to class k, tested directly mod p; the
-        # representatives are numbered consecutively, in kernel row order
-        forms = dict(enumerate(leading_one_rows(list(_null_square_kernel(p, m)))))
-        tables = _line_tables(p, m, list(forms.values()))
-        classes = _representatives(p, 3)
-        pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
-        triples = list(combinations(range(m), 3))
-        assert len(tables) == len(triples)
-        for table, (b, c, d) in zip(tables, triples):
-            for a, mask in zip(classes, table):
-                expected = sum(
-                    1 << position for position, x in forms.items()
-                    if (a[0] * x[pos[c, d]] - a[1] * x[pos[b, d]] + a[2] * x[pos[b, c]]) % p == 0)
-                assert mask == expected
-
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_leading_one_rows_pick_the_representatives(self, p):
         for k in range(1, 5):
-            picked = leading_one_rows(_all_vectors(p, k))
+            picked = leading_one_rows(list(product(range(p), repeat=k)))
             reps = _representatives(p, k)
             assert len(picked) == len(reps)
             assert set(picked) == set(reps)
-        kernel = list(_null_square_kernel(p, 4))
-        picked = leading_one_rows(kernel)
-        assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
-        assert set(picked) <= set(kernel)
-
-
-class TestHeldPlane:
-    """Each prime's projective plane is solved once, by the first plan at
-    that prime, and every later plan at it reads the held one."""
-
-    def test_solved_once_per_prime(self, fresh_plans):
-        _plane.cache_clear()
-        for p, n in ((5, 4), (5, 5), (5, 4)):
-            assert pf.count_null_square_two_forms(p, n).kernel_count == \
-                pf.decomposable_form_count(p, n)
-        info = _plane.cache_info()
-        assert (info.misses, info.currsize) == (1, 1)
-
-    @pytest.mark.parametrize("p", sorted({p for p, _ in DEFAULT_BUDGET_PAIRS}))
-    def test_holds_only_tuples(self, p):
-        plane = _plane(p)
-        assert isinstance(plane, tuple)
-        assert all(type(field) is tuple for field in plane)
-        assert all(type(row) is int for row in plane.index)
-
-    @pytest.mark.parametrize("p", sorted({p for p, _ in DEFAULT_BUDGET_PAIRS}))
-    def test_held_plane_equals_one_solved_fresh(self, p):
-        plane, fresh = _plane(p), _plane.__wrapped__(p)
-        size = p * p + p + 2
-        assert plane.index == fresh.index
-        assert [line(range(size)) for line in plane.lines] == \
-            [line(range(size)) for line in fresh.lines]
-
-    def test_interleaved_primes_match_the_oracles(self, fresh_plans):
-        # the brute-force sweep where it is quick; past 10^5 forms, the
-        # numpy enumeration, which reads no scaling class either
-        _plane.cache_clear()
-        for p, n in ((5, 5), (3, 5), (5, 5), (13, 4), (3, 4)):
-            expected = (len(sweep_kernel(p, n)) if p ** math.comb(n, 2) <= 10 ** 5
-                        else full_enumeration_count(p, n))
-            assert pf.count_null_square_two_forms(p, n).kernel_count == expected
-        assert _plane.cache_info().currsize == 3
-
-    def test_counts_read_the_held_plane(self, monkeypatch, fresh_plans):
-        # class 2, (1, 0, 1), is off the line of class 1, (1, 0, 0): a plane
-        # held with that pair incident must change both counts at p = 5
-        held = _plane(5)
-        lines = list(held.lines)
-        line = lines[1](range(5 * 5 + 5 + 2))
-        assert 2 not in line
-        lines[1] = itemgetter(*line, 2)
-        tampered = held._replace(lines=tuple(lines))
-        monkeypatch.setattr(pf.quadforms, "_plane", lambda p: tampered if p == 5 else _plane(p))
-        for n in (4, 5):
-            try:
-                count = pf.count_null_square_two_forms(5, n).kernel_count
-            except InvariantError:
-                continue
-            assert count != pf.decomposable_form_count(5, n)
+        # the kernel rows are representatives already: the helper keeps each
+        kernel = _kernel_rows(p, 4)
+        assert leading_one_rows(kernel) == kernel
+        assert len(kernel) == kernel_width(p, 5)
 
 
 class TestHeldLevels:
@@ -393,7 +289,7 @@ class TestHeldLevels:
 
     @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS)
     def test_columns_are_the_relations(self, p, n):
-        # rebuilt from the definition, reading no plane: bit j of the mask
+        # rebuilt from the definition, reading no builder: bit j of the mask
         # the outer representative u reads for the triple b<c<d is set when
         # v, the j-th leading-one row of the sweep's kernel one dimension
         # down, sorted, passes u_b*v_cd - u_c*v_bd + u_d*v_bc = 0 mod p
@@ -415,17 +311,38 @@ class TestHeldLevels:
         expected = [pf.decomposable_form_count(p, n) for p, n in pairs]
         checked, built = [], []
         check = pf.quadforms._require_odd_prime
-        build = pf.quadforms._null_square_kernel
+        build = pf.quadforms._kernel_rows
         monkeypatch.setattr(pf.quadforms, "_require_odd_prime",
                             lambda p: checked.append(p) or check(p))
-        monkeypatch.setattr(pf.quadforms, "_null_square_kernel",
-                            lambda p, n: built.append((p, n)) or build(p, n))
+        monkeypatch.setattr(pf.quadforms, "_kernel_rows",
+                            lambda p, m: built.append((p, m)) or build(p, m))
         assert [pf.count_null_square_two_forms(p, n).kernel_count for p, n in pairs] == expected
-        # the prime is tested and the kernel one dimension down enumerated,
-        # down to its base case, by the first count only
+        # the prime is tested and the kernel rows one dimension down listed
+        # by the first count only
         assert checked == [5, 3, 3]
-        assert built == [(5, 4), (5, 3), (3, 4), (3, 3), (3, 3)]
+        assert built == [(5, 4), (3, 4), (3, 3)]
         assert _plan.cache_info().currsize == 3
+
+    def test_counts_read_the_kernel_rows(self, monkeypatch, fresh_plans):
+        # a (5,5) plan built from the (5,4) kernel rows less one nonzero
+        # row must change the count
+        rows = pf.quadforms._kernel_rows
+        monkeypatch.setattr(pf.quadforms, "_kernel_rows",
+                            lambda p, m: rows(p, m)[:-1] if (p, m) == (5, 4) else rows(p, m))
+        try:
+            count = pf.count_null_square_two_forms(5, 5).kernel_count
+        except InvariantError:
+            return
+        assert count != pf.decomposable_form_count(5, 5)
+
+    def test_default_plans_build_in_under_a_second(self, monkeypatch, fresh_plans):
+        # every default plan and (3,6), from cold, take about 40 ms; a build
+        # that tested every (u, v) pair, or every form per triple, would not
+        monkeypatch.setattr(pf.quadforms, "DEFAULT_ENUMERATION_BUDGET", 3 ** 15)
+        start = time.perf_counter()
+        for p, n in DEFAULT_BUDGET_PAIRS + ((3, 6),):
+            _plan(p, n)
+        assert time.perf_counter() - start < 1
 
     @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS + ((3, 3),))
     def test_holds_only_tuples_and_ints(self, p, n):
@@ -467,17 +384,25 @@ class TestHeldLevels:
             weighted_popcount(p, n, _plan(p, n))
 
     def test_held_counts_walk_no_representative(self, monkeypatch):
-        # _alive ANDs one representative at a time; a count reads the
-        # packed columns, so it answers with _alive gone
+        # _columns walks every outer representative; a held count reads the
+        # packed columns, so it answers with _columns gone
         for p, n in DEFAULT_BUDGET_PAIRS:
             pf.count_null_square_two_forms(p, n)
 
-        def walked(columns):
+        def walked(p, us, forms):
             raise AssertionError("a count walked the representatives")
-        monkeypatch.setattr(pf.quadforms, "_alive", walked)
+        monkeypatch.setattr(pf.quadforms, "_columns", walked)
         for p, n in DEFAULT_BUDGET_PAIRS:
             assert pf.count_null_square_two_forms(p, n).kernel_count == \
                 pf.decomposable_form_count(p, n)
+
+    def test_interleaved_primes_match_the_oracles(self, fresh_plans):
+        # the brute-force sweep where it is quick; past 10^5 forms, the
+        # numpy enumeration, which reads no scaling class either
+        for p, n in ((5, 5), (3, 5), (5, 5), (13, 4), (3, 4)):
+            expected = (len(sweep_kernel(p, n)) if p ** math.comb(n, 2) <= 10 ** 5
+                        else full_enumeration_count(p, n))
+            assert pf.count_null_square_two_forms(p, n).kernel_count == expected
 
     def test_first_and_later_counts_match_the_oracles(self, fresh_plans):
         expected = {(3, 5): len(sweep_kernel(3, 5)), (5, 5): full_enumeration_count(5, 5)}
@@ -538,15 +463,13 @@ class TestHeldLevels:
 
 class TestInputTypes:
     """Only a non-bool int is a prime, dimension or height: ``3.0 == 3`` and
-    ``True == 1`` are refused before any plan is built or plane solved."""
+    ``True == 1`` are refused before any plan is built."""
 
     @pytest.fixture(autouse=True)
-    def no_plane_held(self):
+    def no_plan_held(self):
         _plan.cache_clear()
-        _plane.cache_clear()
         yield
         assert _plan.cache_info().currsize == 0
-        assert _plane.cache_info().currsize == 0
 
     @pytest.mark.parametrize("p,n", [(3.0, 4), (3, 4.0), (True, 4), (3, True), ("3", 4)])
     def test_count_null_square_two_forms(self, p, n):
