@@ -28,11 +28,13 @@ discards its whole block at once, and tests one pair per scaling class of
 the two halves, which the relations treat alike.  What a count reads
 depends on (p, n) alone, and ``_plan`` holds it per (p, n), built from
 the relations themselves by the first count once the checks pass: the
-total, and per relation through vertex 0 one int that packs the mask of
-every outer representative into its own byte-aligned slot, one bit per
+total, the weight of the pairs with a zero side, which pass every
+relation through vertex 0 since those relations are bilinear, and per
+such relation one int that packs the mask of every nonzero outer
+representative into its own byte-aligned slot, one bit per nonzero
 kernel representative one dimension down.  Every call checks its
 arguments' types and the budget, ANDs the held columns and reads the
-count off three popcounts; no count is held.
+count off one popcount; no count is held.
 ``decomposable_form_count`` is the Gaussian-binomial closed form, which
 the enumeration never consults.
 """
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Iterator
 from functools import cache, reduce
 from fractions import Fraction
 from itertools import combinations, product
@@ -143,44 +146,38 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     (its relations are homogeneous), so (u, v) and (a*u, b*v) pass or fail
     together for all a, b != 0.  Only one representative per scaling class
     is tested on each side: the zero vector and the vectors whose first
-    nonzero coordinate is 1.  The v that pass with one u are the set bits
-    of one Python int, zero form at bit 0, and the count is a weighted
-    popcount of those masks: a passing pair of nonzero representatives
-    stands for (p-1)^2 forms, a pair with exactly one zero side for p-1,
-    and (0, 0) for itself.
+    nonzero coordinate is 1.  A pair with a zero side passes every
+    relation through vertex 0, so only the nonzero pairs are tested: the
+    nonzero v that pass with one nonzero u are the set bits of one Python
+    int, and each stands for (p-1)^2 forms.  The pairs with a zero side
+    weigh 1 for (0, 0) and p-1 for each other, by the sizes of the two
+    representative lists alone.
 
-    Every n >= 4 takes the one route of ``_plan``: the v are the
-    rows of ``_kernel_rows(p, n-1)``, one bit each, and
-    each u ANDs, over the relations through vertex 0, the masks of the v
-    that pass with it.  The masks depend on (p, n) alone and
-    ``_plan`` holds them, every u's mask of one relation in its own slot of
-    one packed int, so a call checks that p and n are ints, which the
-    plan's cache key cannot (it takes 3.0 and True for 3 and 1), holds the
-    plan's total to the budget and ANDs the packed columns at once: one
-    int of 14 slots at (3,4), 3 ANDs of 157-slot ints at (5,5).  The
-    weights come from three popcounts of the result: slot 0 (u = 0) under
-    ``first``, bit 0 of every slot (v = 0) under ``lows``, and the whole
-    int.  Each form is decided by the relations themselves, never by the
-    closed form of ``decomposable_form_count``, which stays an independent
-    cross-check.  ``DEFAULT_ENUMERATION_BUDGET`` counts all p^C(n,2) forms,
-    pruned or not, and has no per-call override.
+    Every n >= 4 takes the one route of ``_plan``: the nonzero v are the
+    rows of ``_kernel_rows(p, n-1)`` after the zero form, one bit each,
+    and each nonzero u ANDs, over the relations through vertex 0, the
+    masks of the v that pass with it.  The masks depend on (p, n) alone
+    and ``_plan`` holds them, every u's mask of one relation in its own
+    slot of one packed int, so a call checks that p and n are ints, which
+    the plan's cache key cannot (it takes 3.0 and True for 3 and 1), holds
+    the plan's total to the budget, ANDs the packed columns at once (one
+    int of 13 slots at (3,4), 3 ANDs of 156-slot ints at (5,5)) and adds
+    (p-1)^2 times the one popcount of the result to the plan's zero-side
+    weight.  Each form is decided by the relations themselves, never by
+    the closed form of ``decomposable_form_count``, which stays an
+    independent cross-check.  ``DEFAULT_ENUMERATION_BUDGET`` counts all
+    p^C(n,2) forms, pruned or not, and has no per-call override.
     """
     if type(p) is not int or type(n) is not int:
         _require_odd_prime(p)
         require_int(n, "dimension")
-    total, columns, first, lows = _plan(p, n)
+    total, columns, zero_side = _plan(p, n)
     if total > DEFAULT_ENUMERATION_BUDGET:
         raise _over_budget(p, math.comb(n, 2), total)
     if not columns:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
-    q = p - 1
-    alive = reduce(and_, columns)
-    z0 = alive & 1
-    zero_u = (alive & first).bit_count()
-    zero_v = (alive & lows).bit_count() - z0
-    kernel = (z0 + q * (zero_u - z0) + q * zero_v
-              + q * q * (alive.bit_count() - zero_u - zero_v))
+    kernel = zero_side + (p - 1) ** 2 * reduce(and_, columns).bit_count()
     return FormCountReport(p, n, kernel, total)
 
 
@@ -191,24 +188,24 @@ def _over_budget(p: int, e: int, total) -> ResourceBudgetError:
                                f"{DEFAULT_ENUMERATION_BUDGET}")
 
 
-_Plan = namedtuple("_Plan", "total columns first lows")
+_Plan = namedtuple("_Plan", "total columns zero_side")
 
 
 @cache
 def _plan(p: int, n: int) -> _Plan:
     """What every count at (p, n) reads, built by the first one once the
     prime, dimension and budget checks pass, and held for the process: the
-    total p^C(n,2), and per relation through vertex 0 (a triple of the
-    outer vertices) the column of ``_columns`` masks the outer
-    representatives ``_representatives(p, n-1)`` pick, packed in order into
-    one int: slot i, the mask of representative i, is bytes
-    [i*size, (i+1)*size), low byte first, size = ceil(bits/8), so the
-    zero u is slot 0.  ``first`` is all of slot 0 and ``lows`` bit 0 of
-    every slot.  No column for n < 4, which has no relation, and both
-    masks 0.  Bit j of a mask is row j of
-    ``_kernel_rows(p, n-1)``, so the zero form is bit 0 and every
-    bit is a kernel representative: p^2+p+2 bits at n = 4, 131 at (3,5)
-    and 807 at (5,5), whose plans take 4.0 kB and 85 kB by
+    total p^C(n,2); the weight of the pairs with a zero side,
+    1 + (p-1)*(forms-1) + (p-1)*(outer-1), from the sizes of the two
+    representative lists; and per relation through vertex 0 (a triple of
+    the outer vertices) the column of ``_columns`` masks that the outer
+    representatives ``_representatives(p, n-1)`` after the zero vector
+    pick, packed in order into one int: slot i, the mask of the i-th, is
+    bytes [i*size, (i+1)*size), low byte first, size = ceil(bits/8).  No
+    column for n < 4, which has no relation, and a zero weight.  Bit j of
+    a mask is row j+1 of ``_kernel_rows(p, n-1)``, so every bit is a
+    nonzero kernel representative: p^2+p+1 bits at n = 4, 130 at (3,5)
+    and 806 at (5,5), whose plans take 3.2 kB and 67 kB by
     ``sys.getsizeof``."""
     _require_odd_prime(p)
     e = math.comb(require_int(n, "dimension", 1), 2)
@@ -217,13 +214,12 @@ def _plan(p: int, n: int) -> _Plan:
     if total is None or total > DEFAULT_ENUMERATION_BUDGET:
         raise _over_budget(p, e, total)
     if n < 4:
-        return _Plan(total, (), 0, 0)
-    forms = _kernel_rows(p, n - 1)
-    columns = _columns(p, _representatives(p, n - 1), forms)
+        return _Plan(total, (), 0)
+    _, *forms = _kernel_rows(p, n - 1)
+    _, *us = _representatives(p, n - 1)
     size = -(-len(forms) // 8)
-    lows = int.from_bytes(b"\1".ljust(size, b"\0") * len(columns[0]), "little")
-    return _Plan(total, tuple(_packed(column, size) for column in columns),
-                 (1 << len(forms)) - 1, lows)
+    return _Plan(total, tuple(_packed(column, size) for column in _columns(p, us, forms)),
+                 1 + (p - 1) * (len(forms) + len(us)))
 
 
 def _packed(masks: list[int], size: int) -> int:
@@ -234,8 +230,10 @@ def _packed(masks: list[int], size: int) -> int:
 def _kernel_rows(p: int, m: int) -> list[tuple[int, ...]]:
     """The representatives of the forms on F_p^m with zero wedge square,
     coordinates in ``combinations(range(m), 2)`` order, sorted, so the
-    zero form leads: each row of ``_representatives(p, C(m,2))`` that
-    passes every relation of dimension m, 807 of 3907 at (5,4)."""
+    zero form leads: each row ``_representatives(p, C(m,2))`` yields that
+    passes every relation of dimension m, 807 of 3907 at (5,4).  The first
+    relation filters the rows as they are generated, so only those it
+    keeps are held."""
     pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
     rows = _representatives(p, len(pos))
     for a, b, c, d in combinations(range(m), 4):
@@ -266,14 +264,13 @@ def _columns(p: int, us: list, forms: list) -> list[list[int]]:
     return columns
 
 
-def _representatives(p: int, k: int) -> list[tuple[int, ...]]:
+def _representatives(p: int, k: int) -> Iterator[tuple[int, ...]]:
     """One vector of F_p^k per scaling class: the zero vector first, then
     every vector whose first nonzero coordinate is 1, one block per leading
-    position; 1 + (p^k - 1)/(p - 1) rows."""
-    reps = [(0,) * k]
+    position; 1 + (p^k - 1)/(p - 1) rows, yielded one at a time."""
+    yield (0,) * k
     for i in range(k):
-        reps += product(*[(0,)] * i, (1,), *[range(p)] * (k - 1 - i))
-    return reps
+        yield from product(*[(0,)] * i, (1,), *[range(p)] * (k - 1 - i))
 
 
 def cup_square_fiber_cardinality(p: int, n: int) -> ExactRational:

@@ -74,8 +74,8 @@ def _one_pair_dropped(plan, bad):
         held = plan(p, n)
         if (p, n) != bad:
             return held
-        alive = functools.reduce(operator.and_, held.columns)
-        passing = alive & ~held.first & ~held.lows
+        # every bit is a pair of nonzero representatives
+        passing = functools.reduce(operator.and_, held.columns)
         return held._replace(columns=(held.columns[0] ^ passing & -passing,)
                              + held.columns[1:])
     return tampered

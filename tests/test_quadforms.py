@@ -73,9 +73,15 @@ def full_enumeration_count(p: int, n: int) -> int:
 
 
 def kernel_width(p: int, n: int) -> int:
-    """Bits per mask of the plan at (p, n): one per kernel representative
-    on F_p^(n-1), counted by the closed form."""
-    return 1 + (pf.decomposable_form_count(p, n - 1) - 1) // (p - 1)
+    """Bits per mask of the plan at (p, n): one per nonzero kernel
+    representative on F_p^(n-1), counted by the closed form."""
+    return (pf.decomposable_form_count(p, n - 1) - 1) // (p - 1)
+
+
+def slot_count(p: int, n: int) -> int:
+    """Slots per packed column of the plan at (p, n): one per nonzero
+    vector of F_p^(n-1) up to scaling."""
+    return (p ** (n - 1) - 1) // (p - 1)
 
 
 def slot_bits(width: int) -> int:
@@ -91,13 +97,31 @@ def unpacked(column: int, slots: int, width: int) -> list[int]:
     return [column >> i * size & (1 << size) - 1 for i in range(slots)]
 
 
-def weighted_popcount(p: int, n: int, plan) -> int:
-    """The count as one mask per outer representative reads it: AND each
-    representative's masks over the relations, then weigh its passing v,
-    (0, 0) as itself, one zero side as p-1 forms, none as (p-1)^2."""
-    slots, width = len(_representatives(p, n - 1)), kernel_width(p, n)
-    per_relation = [unpacked(column, slots, width) for column in plan.columns]
-    zero_u, *rest = [functools.reduce(and_, masks) for masks in zip(*per_relation)]
+@functools.lru_cache(maxsize=None)
+def relation_masks(p: int, n: int) -> tuple:
+    """Rebuilt from the definition, reading no plan: per triple b<c<d of
+    the outer vertices, the mask each outer representative u, the zero
+    vector included, reads.  Bit j is set when v, the j-th leading-one row
+    of the sweep's kernel one dimension down, sorted (the zero form at bit
+    0), passes u_b*v_cd - u_c*v_bd + u_d*v_bc = 0 mod p."""
+    m = n - 1
+    vs = leading_one_rows(sorted(sweep_kernel(p, m)))
+    pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
+    return tuple(
+        tuple(sum(1 << j for j, v in enumerate(vs)
+                  if (u[b] * v[pos[c, d]] - u[c] * v[pos[b, d]] + u[d] * v[pos[b, c]]) % p == 0)
+              for u in _representatives(p, m))
+        for b, c, d in combinations(range(m), 3))
+
+
+def weighted_popcount(p: int, n: int) -> int:
+    """The count as the full masks of ``relation_masks`` read it, zero
+    sides included: AND each representative's masks over the relations,
+    then weigh its passing v, (0, 0) as itself, one zero side as p-1
+    forms, none as (p-1)^2.  Every pair with a zero side passes."""
+    zero_u, *rest = [functools.reduce(and_, masks) for masks in zip(*relation_masks(p, n))]
+    assert zero_u == (1 << kernel_width(p, n) + 1) - 1
+    assert all(mask & 1 for mask in rest)
     q, zero_v = p - 1, sum(mask & 1 for mask in rest)
     return ((zero_u & 1) + q * (zero_u.bit_count() - (zero_u & 1)) + q * zero_v
             + q * q * (sum(mask.bit_count() for mask in rest) - zero_v))
@@ -147,18 +171,6 @@ class TestKernelCounts:
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (3, 5), (7, 4)])
     def test_matches_sweep_oracle(self, p, n):
         assert pf.count_null_square_two_forms(p, n).kernel_count == len(sweep_kernel(p, n))
-
-    @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (3, 5)])
-    def test_kernel_forms_match_sweep_oracle(self, p, n):
-        # a plan one dimension up reads these rows, so the forms themselves
-        # (and their coordinate order) must be right, not just the count:
-        # their nonzero multiples are the whole kernel, each once
-        rows = _kernel_rows(p, n)
-        multiples = [tuple(a * x % p for x in v) for v in rows[1:] for a in range(1, p)]
-        assert len(multiples) + 1 == len(sweep_kernel(p, n))
-        assert set(multiples) | {rows[0]} == sweep_kernel(p, n)
-        # a plan numbers the rows in this order, zero form first
-        assert not any(rows[0]) and rows == sorted(rows)
 
     @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
                                             for p, n in DEFAULT_BUDGET_PAIRS]
@@ -238,7 +250,7 @@ class TestScalingClasses:
     @pytest.mark.parametrize("p", [3, 5, 7, 13])
     def test_representatives_one_per_class(self, p):
         for k in range(1, 6):
-            reps = np.array(_representatives(p, k))
+            reps = np.array(list(_representatives(p, k)))
             assert reps.shape == (1 + (p ** k - 1) // (p - 1), k)
             assert not reps[0].any()                      # the zero vector first
             nonzero = reps[reps.any(axis=1)]
@@ -255,55 +267,49 @@ class TestScalingClasses:
 
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (7, 4), (3, 5)])
     def test_kernel_representatives_pick_one_per_class(self, p, n):
-        # a plan one dimension up numbers the leading-one rows of the
-        # kernel in its row order: the sweep's, sorted, zero form first
+        # a plan one dimension up reads these rows, so the forms themselves
+        # (and their coordinate order) must be right, not just the count:
+        # the sweep's leading-one rows, sorted, zero form first, as the plan
+        # numbers them
         kernel = sweep_kernel(p, n)
         picked = _kernel_rows(p, n)
         assert picked == leading_one_rows(sorted(kernel))
-        assert not any(picked[0])         # the zero form first, as the count needs
-        assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
-        # every nonzero form of the kernel, divided by its first nonzero
-        # entry, is a picked row
-        inverse = {a: pow(a, -1, p) for a in range(1, p)}
-        scaled = {tuple(inverse[next(filter(None, w))] * x % p for x in w)
-                  for w in kernel if any(w)}
-        assert scaled == set(picked[1:])
+        assert not any(picked[0])
+        # their nonzero multiples are the rest of the kernel, each once
+        multiples = [tuple(a * x % p for x in v) for v in picked[1:] for a in range(1, p)]
+        assert len(multiples) + 1 == len(kernel)
+        assert set(multiples) | {picked[0]} == kernel
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_leading_one_rows_pick_the_representatives(self, p):
         for k in range(1, 5):
             picked = leading_one_rows(list(product(range(p), repeat=k)))
-            reps = _representatives(p, k)
+            reps = list(_representatives(p, k))
             assert len(picked) == len(reps)
             assert set(picked) == set(reps)
         # the kernel rows are representatives already: the helper keeps each
         kernel = _kernel_rows(p, 4)
         assert leading_one_rows(kernel) == kernel
-        assert len(kernel) == kernel_width(p, 5)
+        assert len(kernel) == 1 + kernel_width(p, 5)
 
 
 class TestHeldLevels:
     """What a count at (p, n) reads, its ``_plan``, is built once, by the
     first count at (p, n) after the checks, and every count ANDs the held
-    packed columns and takes three popcounts."""
+    packed columns and takes one popcount."""
 
     @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS)
     def test_columns_are_the_relations(self, p, n):
-        # rebuilt from the definition, reading no builder: bit j of the mask
-        # the outer representative u reads for the triple b<c<d is set when
-        # v, the j-th leading-one row of the sweep's kernel one dimension
-        # down, sorted, passes u_b*v_cd - u_c*v_bd + u_d*v_bc = 0 mod p
-        m = n - 1
-        vs = leading_one_rows(sorted(sweep_kernel(p, m)))
-        pos = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
-        expected = tuple(
-            tuple(sum(1 << j for j, v in enumerate(vs)
-                      if (u[b] * v[pos[c, d]] - u[c] * v[pos[b, d]]
-                          + u[d] * v[pos[b, c]]) % p == 0)
-                  for u in _representatives(p, m))
-            for b, c, d in combinations(range(m), 3))
-        slots, width = len(_representatives(p, m)), len(vs)
-        assert tuple(tuple(unpacked(column, slots, width))
+        # every relation through vertex 0 is bilinear, so each pair with a
+        # zero side passes it: the zero u's mask is all ones, and every
+        # mask has the zero form's bit 0
+        full = relation_masks(p, n)
+        width = kernel_width(p, n)
+        assert all(zero_u == (1 << width + 1) - 1 and all(mask & 1 for mask in rest)
+                   for zero_u, *rest in full)
+        # the plan packs the rest: the nonzero u, less the zero form's bit
+        expected = tuple(tuple(mask >> 1 for mask in column[1:]) for column in full)
+        assert tuple(tuple(unpacked(column, slot_count(p, n), width))
                      for column in _plan(p, n).columns) == expected
 
     def test_built_once_per_pair(self, monkeypatch, fresh_plans):
@@ -354,34 +360,38 @@ class TestHeldLevels:
         assert isinstance(plan, tuple) and held(tuple(plan))
         assert plan.total == p ** math.comb(n, 2)
         if n < 4:
-            assert (plan.columns, plan.first, plan.lows) == ((), 0, 0)
+            assert (plan.columns, plan.zero_side) == ((), 0)
             return
-        # dense: one bit per kernel representative on F_p^(n-1), every one
-        # of which passes with the zero u
+        # dense: one bit per nonzero kernel representative on F_p^(n-1);
+        # the zero form passes with every u and has no bit
         width = kernel_width(p, n)
-        assert width == (p * p + p + 2 if n == 4 else {3: 131, 5: 807}[p])
-        # one column per triple of the outer vertices, one slot per outer
-        # representative, each starting on a byte; v = 0 passes with every
-        # u, so the last slot is not empty
-        slots, size = len(_representatives(p, n - 1)), slot_bits(width)
+        assert width == (p * p + p + 1 if n == 4 else {3: 130, 5: 806}[p])
+        # one column per triple of the outer vertices, one slot per nonzero
+        # outer representative, each starting on a byte; the last u, whose
+        # one nonzero coordinate is its last, passes with e_c ^ e_d, so the
+        # last slot is not empty
+        slots, size = slot_count(p, n), slot_bits(width)
         assert len(plan.columns) == math.comb(n - 1, 3)
         assert all(column.bit_length() > (slots - 1) * size for column in plan.columns)
         masks = [unpacked(column, slots, width) for column in plan.columns]
         # every padding bit is 0
         assert all(mask >> width == 0 for column in masks for mask in column)
-        assert plan.first == (1 << width) - 1
-        assert plan.lows == sum(1 << i * size for i in range(slots))
-        # the zero u is slot 0, all ones after the AND
-        alive = functools.reduce(and_, plan.columns)
-        assert alive & (1 << size) - 1 == (1 << width) - 1
+        # slot 0 is u = e_1, the first nonzero representative: after the
+        # AND it holds the v on the pairs through outer vertex 1 alone
+        alive = functools.reduce(and_, plan.columns) & (1 << size) - 1
+        off_star = [i for i, (a, _) in enumerate(combinations(range(n - 1), 2)) if a]
+        assert alive == sum(1 << j for j, v in enumerate(_kernel_rows(p, n - 1)[1:])
+                            if not any(v[i] for i in off_star))
+        # the pairs with a zero side, weighed from the two sizes: (0, 0),
+        # then p-1 forms per nonzero v with u = 0 and per nonzero u with v = 0
+        assert plan.zero_side == 1 + (p - 1) * (width + slots)
 
     @pytest.mark.parametrize("held", [False, True], ids=["fresh", "held"])
     @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS)
     def test_packed_count_is_the_weighted_popcount(self, p, n, held, fresh_plans):
         if held:
             pf.count_null_square_two_forms(p, n)
-        assert pf.count_null_square_two_forms(p, n).kernel_count == \
-            weighted_popcount(p, n, _plan(p, n))
+        assert pf.count_null_square_two_forms(p, n).kernel_count == weighted_popcount(p, n)
 
     def test_held_counts_walk_no_representative(self, monkeypatch):
         # _columns walks every outer representative; a held count reads the
@@ -410,16 +420,15 @@ class TestHeldLevels:
             assert pf.count_null_square_two_forms(p, n).kernel_count == expected[p, n]
 
     def test_counts_and_the_held_tables(self, monkeypatch):
-        # clear one bit v != 0 of u's alive mask, u != 0, in u's slot of
-        # the first column: the pair weighs (p-1)^2, so every call moves
-        # by 16
+        # clear one bit of u's alive mask in u's slot of the first column:
+        # both sides are nonzero, so the pair weighs (p-1)^2 and every call
+        # moves by 16
         plan = _plan(5, 5)
         kernel = pf.count_null_square_two_forms(5, 5).kernel_count
-        slots, width = len(_representatives(5, 4)), kernel_width(5, 5)
-        alive = unpacked(functools.reduce(and_, plan.columns), slots, width)
-        i = next(i for i in range(1, len(alive)) if alive[i] >> 1)
-        above_zero = alive[i] >> 1
-        bit = (above_zero & -above_zero) << 1
+        width = kernel_width(5, 5)
+        alive = unpacked(functools.reduce(and_, plan.columns), slot_count(5, 5), width)
+        i = next(i for i in range(len(alive)) if alive[i])
+        bit = alive[i] & -alive[i]
         first = plan.columns[0] ^ bit << i * slot_bits(width)
         tampered = plan._replace(columns=(first,) + plan.columns[1:])
         monkeypatch.setattr(pf.quadforms, "_plan",
