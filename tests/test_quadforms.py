@@ -172,6 +172,18 @@ class TestKernelCounts:
     def test_matches_sweep_oracle(self, p, n):
         assert pf.count_null_square_two_forms(p, n).kernel_count == len(sweep_kernel(p, n))
 
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (3, 5)])
+    def test_kernel_forms_match_sweep_oracle(self, p, n):
+        # a plan one dimension up reads these rows, so the forms themselves
+        # (and their coordinate order) must be right, not just the count:
+        # their nonzero multiples are the whole kernel, each once
+        rows = _kernel_rows(p, n)
+        multiples = [tuple(a * x % p for x in v) for v in rows[1:] for a in range(1, p)]
+        assert len(multiples) + 1 == len(sweep_kernel(p, n))
+        assert set(multiples) | {rows[0]} == sweep_kernel(p, n)
+        # a plan numbers the rows in this order, zero form first
+        assert not any(rows[0]) and rows == sorted(rows)
+
     @pytest.mark.parametrize("p,n,budget", [(p, n, pf.quadforms.DEFAULT_ENUMERATION_BUDGET)
                                             for p, n in DEFAULT_BUDGET_PAIRS]
                              + [(3, 6, 3 ** 15)])
@@ -267,18 +279,19 @@ class TestScalingClasses:
 
     @pytest.mark.parametrize("p,n", [(3, 4), (5, 4), (7, 4), (3, 5)])
     def test_kernel_representatives_pick_one_per_class(self, p, n):
-        # a plan one dimension up reads these rows, so the forms themselves
-        # (and their coordinate order) must be right, not just the count:
-        # the sweep's leading-one rows, sorted, zero form first, as the plan
-        # numbers them
+        # a plan one dimension up numbers the leading-one rows of the
+        # kernel in its row order: the sweep's, sorted, zero form first
         kernel = sweep_kernel(p, n)
         picked = _kernel_rows(p, n)
         assert picked == leading_one_rows(sorted(kernel))
-        assert not any(picked[0])
-        # their nonzero multiples are the rest of the kernel, each once
-        multiples = [tuple(a * x % p for x in v) for v in picked[1:] for a in range(1, p)]
-        assert len(multiples) + 1 == len(kernel)
-        assert set(multiples) | {picked[0]} == kernel
+        assert not any(picked[0])         # the zero form first, as the count needs
+        assert len(picked) == 1 + (len(kernel) - 1) // (p - 1)
+        # every nonzero form of the kernel, divided by its first nonzero
+        # entry, is a picked row
+        inverse = {a: pow(a, -1, p) for a in range(1, p)}
+        scaled = {tuple(inverse[next(filter(None, w))] * x % p for x in w)
+                  for w in kernel if any(w)}
+        assert scaled == set(picked[1:])
 
     @pytest.mark.parametrize("p", [3, 5, 7])
     def test_leading_one_rows_pick_the_representatives(self, p):
