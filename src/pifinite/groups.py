@@ -28,12 +28,12 @@ import itertools
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from operator import and_, eq, itemgetter
+from operator import and_, eq, itemgetter, mul
 
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                           _require_order, _wreath_order, checked_order, descriptor_name)
 from .errors import InputError, InvariantError, ResourceBudgetError
-from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime
+from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime, vp
 from .records import frozen
 
 Rows = tuple[tuple[int, ...], ...]
@@ -150,7 +150,7 @@ class FiniteGroup:
         self.element_orders, self.inverses = self._orders_and_inverses()
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._centralizer_cache: dict = {}  # by element and by index tuple
-        self._tuple_counts: dict = {}   # p -> state of count_commuting_p_tuples
+        self._tuple_counts: dict = {}   # p -> the counts at n = 0, 1, ... reached
         self._hash = hash(self._rows)
         self._array: np.ndarray | None = None
 
@@ -461,57 +461,61 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
     Equivalently the number of homomorphisms from the free abelian pro-p
     group on n generators into g.  n = 0 counts the empty tuple.
 
-    Counted level by level on bitmasks over the p-elements P, with no
-    subgroup table: level k maps each common centralizer C(x_1..x_k) & P to
-    the number of k-tuples that have it, and the count at k + 1 sums weight
-    times popcount over level k.  Level 1 takes one representative per
-    p-class, weighted by the class size; level k + 1 sends each set S to
-    S & C(x) for every x in S, merging equal sets.  C(x) & P is built from
-    row x against column x when a level first reaches x (so n = 2 builds
-    masks for representatives only).  By Cauchy's theorem a prime that does
-    not divide |G| leaves the identity the only p-element, so every count is
-    1 and no state is kept; otherwise the all-identity tuple's centralizer
+    A commuting n-tuple generates an abelian p-subgroup A, and the n-tuples
+    that generate A number Hall's Eulerian function sum_{B <= A} mu(B, A)
+    |B|^n (P. Hall, Quart. J. Math. 7, 1936).  So with p^e the p-part of
+    |G| each count is sum_{a <= e} c_a p^(a n), and each count past e
+    follows from the e + 1 before it by the recurrence whose characteristic
+    polynomial is prod_{a=0..e} (t - p^a).  The counts up to e are walked on
+    bitmasks over the p-elements P, with no subgroup table: level k maps
+    each common centralizer C(x_1..x_k) & P to the number of k-tuples that
+    have it (level 0 is all of P, weight 1), and the count at k + 1 sums
+    weight times popcount over level k; level k + 1 sends each set S to
+    S & C(x) for every x in S, merging equal sets.  By Cauchy's theorem a
+    prime that does not divide |G| leaves the identity the only p-element,
+    so every count is 1; otherwise the all-identity tuple's centralizer
     holds all of P, so each count exceeds the one before.  The group keeps,
-    per prime, the counts, the last level and the masks reached so far,
-    replaced whole by each call that goes further and never changed once
-    stored.  Counts never fall as n grows, so one with count // |G| past
-    the digit budget is refused.
+    per prime, the tuple of counts reached so far, replaced whole by each
+    call that goes further.  Counts never fall as n grows, so one with
+    count // |G| past the digit budget is refused.
     """
     require_prime(p)
     require_int(n, "tuple length", 0)
     if g.order % p:
         return 1
-    state = g._tuple_counts.get(p)
-    if state is None:
-        pelts = g.p_elements(p)
-        state = (pelts, (1, len(pelts)), None, {})
-    pelts, counts, level, masks = state
+    counts = g._tuple_counts.get(p, ())
     if n < len(counts):
         return counts[n]
-    counts, masks = list(counts), dict(masks)
-    rows, restrict = g._rows, _getter(pelts)
-    prows = restrict(rows)
-
-    def mask(x: int) -> int:
-        if x not in masks:
-            flags = bytes(map(eq, restrict(rows[x]), map(itemgetter(x), prows)))
-            masks[x] = int(flags.translate(_DIGITS)[::-1], 2)
-        return masks[x]
-
-    while len(counts) <= n:
-        if level is None:
-            steps = ((mask(c.representative), len(c)) for c in g.conjugacy_classes()
-                     if g.is_p_element(c.representative, p))
-        else:
-            steps = ((s & mask(x), w) for s, w in level.items()
-                     for x in itertools.compress(pelts, bin(s)[:1:-1].encode().translate(_FLAGS)))
-        nxt: dict[int, int] = {}
-        for s, w in steps:
-            nxt[s] = nxt.get(s, 0) + w
-        level = nxt
-        counts.append(sum(w * s.bit_count() for s, w in level.items()))
+    e = vp(g.order, p)
+    if not counts:
+        pelts = g.p_elements(p)
+        if n < 2:
+            return len(pelts) if n else 1
+        # C(x) & P for each x in P from row x against column x, read from
+        # level 1 on; the counts to e, at most |G|^e, fit the digit budget
+        restrict = _getter(pelts)
+        prows = restrict(g._rows)
+        masks = [int(bytes(map(eq, restrict(g._rows[x]), map(itemgetter(x), prows)))
+                     .translate(_DIGITS)[::-1], 2) for x in (pelts if e > 1 else ())]
+        level, counts = {(1 << len(pelts)) - 1: 1}, [1]
+        while True:
+            counts.append(sum(w * s.bit_count() for s, w in level.items()))
+            if len(counts) > e:
+                break
+            nxt: Counter[int] = Counter()
+            for s, w in level.items():
+                for mask in itertools.compress(masks, bin(s)[:1:-1].encode().translate(_FLAGS)):
+                    nxt[s & mask] += w
+            level = nxt
+    counts = list(counts)
+    # prod_{a=0..e} (t - p^a), lowest degree first: its top 1 meets no count
+    poly = [1]
+    for a in range(e + 1):
+        poly = [lo - p ** a * hi for lo, hi in zip([0] + poly, poly + [0])]
+    for m in range(len(counts), n + 1):
+        counts.append(-sum(map(mul, poly, counts[-e - 1:])))
         if not fits_digits(counts[-1] // g.order):
-            raise ResourceBudgetError(f"{p}-tuple counts in {g.name} at length {len(counts) - 1} "
+            raise ResourceBudgetError(f"{p}-tuple counts in {g.name} at length {m} "
                                       f"exceed the {MAX_DIGITS}-digit budget")
-    g._tuple_counts[p] = (pelts, tuple(counts), level, masks)
+    g._tuple_counts[p] = tuple(counts)
     return counts[n]

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centralizer_tuples,
-                      oracle_commuting_tuples, oracle_conjugacy_classes)
+                      oracle_commuting_tuples, oracle_conjugacy_classes, oracle_level_walk)
 
 import pifinite as pf
-from pifinite import InputError, ResourceBudgetError
+from pifinite import InputError, ResourceBudgetError, homcounts
 
 
 # a non-associative loop of order 5: Latin square with identity,
@@ -295,6 +295,58 @@ class TestCommutingTuples:
         assert time.perf_counter() - start < 1
         assert p not in g._tuple_counts
 
+    def test_counts_read_no_classes(self, monkeypatch):
+        # the walk starts from all of P and stops at e, and the recurrence
+        # gives every count past it: no class is read, only counts are kept
+        cases = [(text, p, pf.vp(named_group(text).order, p))
+                 for text in GROUP_TEXTS + ("C2 wr C2 wr C2",) for p in (2, 3)]
+        expected = {(text, p): [oracle_centralizer_tuples(named_group(text), p, n)
+                                for n in range(e + 4)] for text, p, e in cases}
+
+        def no_classes(self):
+            raise AssertionError("conjugacy classes read")
+
+        monkeypatch.setattr(pf.FiniteGroup, "conjugacy_classes", no_classes)
+        for text, p, e in cases:
+            g = pf.build_group(pf.parse_group(text))
+            assert [pf.count_commuting_p_tuples(g, p, n) for n in range(e + 4)] == \
+                expected[text, p]
+            if g.order % p == 0:
+                counts = g._tuple_counts[p]
+                assert type(counts) is tuple and all(type(c) is int for c in counts)
+
+    def test_long_count_on_a_wreath_table(self):
+        # the order-1152 table walks to e = 7 at p = 2, then recurs to n = 3000
+        d = pf.parse_group("S4 wr C2")
+        g = pf.build_group(d)
+        start = time.perf_counter()
+        count = pf.count_commuting_p_tuples(g, 2, 3000)
+        assert time.perf_counter() - start < 2
+        assert count == homcounts.hom_count(d, 2, 3000)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("tables", ["S4 centralizers", "relabelled D8 wr C2", "S3 wr C2"])
+    def test_recurrence_matches_the_level_walk(self, tables, p):
+        # tables with no descriptor, counted past e both ways
+        if tables == "S4 centralizers":
+            # past the identity's, which is S4 itself
+            groups = [c for _, c in pf.p_loop_decomposition(named_group("S4"), 2)[1:]]
+        elif tables == "relabelled D8 wr C2":
+            g = named_group("D8 wr C2")
+            perm = list(range(g.order))
+            random.Random(5).shuffle(perm)
+            table = [[0] * g.order for _ in g.elements()]
+            for a in g.elements():
+                for b in g.elements():
+                    table[perm[a]][perm[b]] = perm[g.mul(a, b)]
+            groups = [pf.FiniteGroup(table, validate=False)]
+        else:
+            groups = [pf.wreath_cyclic(pf.build_group(pf.Symmetric(3)), 2)]
+        for g in groups:
+            assert g.descriptor is None
+            for n in range(pf.vp(g.order, p) + 5):
+                assert pf.count_commuting_p_tuples(g, p, n) == oracle_level_walk(g, p, n)
+
     def test_counts_kept_per_group_match_fresh_groups(self):
         # each count is asked of a group that has answered other heights
         # before, and of a group built for it alone
@@ -307,8 +359,9 @@ class TestCommutingTuples:
 
     @pytest.mark.parametrize("text", ["S3 wr C2", "C2 wr C2 wr C2"])
     def test_concurrent_counts_agree(self, text):
-        # threads that share a group all extend the state it stored at n = 2;
-        # a stored state changed by one of them would give another a wrong count
+        # threads that share a group all extend the counts it stored at n = 2,
+        # walked to e = 3 or 7; a stored tuple changed by one of them would
+        # give another a wrong count
         d = pf.parse_group(text)
         expected = {n: pf.count_commuting_p_tuples(pf.build_group(d), 2, n) for n in range(8)}
         heights = [3, 4, 5, 6, 7, 3, 4, 5]
