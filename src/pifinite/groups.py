@@ -467,17 +467,19 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
     |G| each count is sum_{a <= e} c_a p^(a n), and each count past e
     follows from the e + 1 before it by the recurrence whose characteristic
     polynomial is prod_{a=0..e} (t - p^a).  The counts up to e are walked on
-    bitmasks over the p-elements P, with no subgroup table: level k maps
-    each common centralizer C(x_1..x_k) & P to the number of k-tuples that
-    have it (level 0 is all of P, weight 1), and the count at k + 1 sums
-    weight times popcount over level k; level k + 1 sends each set S to
-    S & C(x) for every x in S, merging equal sets.  By Cauchy's theorem a
-    prime that does not divide |G| leaves the identity the only p-element,
-    so every count is 1; otherwise the all-identity tuple's centralizer
-    holds all of P, so each count exceeds the one before.  The group keeps,
-    per prime, the tuple of counts reached so far, replaced whole by each
-    call that goes further.  Counts never fall as n grows, so one with
-    count // |G| past the digit budget is refused.
+    bitmasks over the p-elements P, with no subgroup table and no conjugacy
+    class: level k maps each common centralizer C(x_1..x_k) & P to the
+    number of k-tuples that have it (level 0 is all of P, weight 1), and the
+    count at k + 1 sums weight times popcount over level k.  Level k + 1
+    sends each set S to S & C(x) for every x in S; where S goes is found
+    once, when a level first reaches S, so a level that reaches no new set
+    only moves weights.  By Cauchy's theorem a prime that does not divide
+    |G| leaves the identity the only p-element, so every count is 1;
+    otherwise the all-identity tuple's centralizer holds all of P, so each
+    count exceeds the one before.  The group keeps, per prime, the tuple of
+    counts reached so far, replaced whole by each call that goes further.
+    Counts never fall as n grows, so one with count // |G| past the digit
+    budget is refused.
     """
     require_prime(p)
     require_int(n, "tuple length", 0)
@@ -491,22 +493,23 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
         pelts = g.p_elements(p)
         if n < 2:
             return len(pelts) if n else 1
-        # C(x) & P for each x in P from row x against column x, read from
-        # level 1 on; the counts to e, at most |G|^e, fit the digit budget
-        restrict = _getter(pelts)
-        prows = restrict(g._rows)
-        masks = [int(bytes(map(eq, restrict(g._rows[x]), map(itemgetter(x), prows)))
-                     .translate(_DIGITS)[::-1], 2) for x in (pelts if e > 1 else ())]
-        level, counts = {(1 << len(pelts)) - 1: 1}, [1]
-        while True:
-            counts.append(sum(w * s.bit_count() for s, w in level.items()))
-            if len(counts) > e:
-                break
+        counts, level, steps = [1, len(pelts)], {(1 << len(pelts)) - 1: 1}, {}
+        if e > 1:
+            # C(x) & P for x in P: row x against column x of the P-by-P square
+            square = list(map(_getter(pelts), _getter(pelts)(g._rows)))
+            masks = [int(bytes(map(eq, row, col)).translate(_DIGITS)[::-1], 2)
+                     for row, col in zip(square, zip(*square))]
+        # the counts to e, at most |G|^e, fit the digit budget
+        while len(counts) <= e:
             nxt: Counter[int] = Counter()
             for s, w in level.items():
-                for mask in itertools.compress(masks, bin(s)[:1:-1].encode().translate(_FLAGS)):
-                    nxt[s & mask] += w
+                if s not in steps:
+                    steps[s] = Counter(map(s.__and__, itertools.compress(
+                        masks, bin(s)[:1:-1].encode().translate(_FLAGS))))
+                for t, k in steps[s].items():
+                    nxt[t] += w * k
             level = nxt
+            counts.append(sum(w * s.bit_count() for s, w in level.items()))
     counts = list(counts)
     # prod_{a=0..e} (t - p^a), lowest degree first: its top 1 meets no count
     poly = [1]
@@ -519,3 +522,4 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
                                       f"exceed the {MAX_DIGITS}-digit budget")
     g._tuple_counts[p] = tuple(counts)
     return counts[n]
+

@@ -6,7 +6,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from collections import Counter
 
 import pifinite as pf
 
@@ -72,35 +71,6 @@ def oracle_centralizer_tuples(g: pf.FiniteGroup, p: int, n: int) -> int:
     return sum(len(cls) * oracle_centralizer_tuples(g.centralizer_subgroup(cls.representative),
                                                     p, n - 1)
                for cls in g.conjugacy_classes() if g.is_p_element(cls.representative, p))
-
-
-def oracle_level_walk(g: pf.FiniteGroup, p: int, n: int) -> int:
-    """The count walked one level per unit of length, with no recurrence:
-    level k maps each common centralizer C(x_1..x_k) & P, a bitmask over the
-    p-elements P, to the number of k-tuples that have it.  Level 1 takes one
-    representative per p-class, weighted by the class size; level k + 1
-    sends each set S to S & C(x) for every x in S, merging equal sets; the
-    count at k + 1 sums weight times popcount over level k."""
-    pelts = g.p_elements(p)
-    if n < 2:
-        return len(pelts) if n else 1
-
-    @functools.cache
-    def mask(x: int) -> int:
-        return sum(1 << i for i, y in enumerate(pelts) if g.mul(x, y) == g.mul(y, x))
-
-    level = Counter()
-    for cls in g.conjugacy_classes():
-        if g.is_p_element(cls.representative, p):
-            level[mask(cls.representative)] += len(cls)
-    for _ in range(n - 2):
-        nxt = Counter()
-        for s, w in level.items():
-            for i, x in enumerate(pelts):
-                if s >> i & 1:
-                    nxt[s & mask(x)] += w
-        level = nxt
-    return sum(w * s.bit_count() for s, w in level.items())
 
 
 def oracle_looped_cardinality(x: pf.SpaceExpr, p: int, n: int):
