@@ -186,7 +186,7 @@ def _flush_std_streams() -> None:
             pass
 
 
-def run() -> NoReturn:
+def run():
     """The ``pifinite`` command: ``main`` on ``sys.argv``, then the end of
     the process with its exit code, after flushing stdout and stderr and
     running the exit handlers registered with ``atexit``, but without the

@@ -12,7 +12,8 @@ exact and independently checkable by brute force.  A table is a tuple of
 rows, each a tuple of Python ints that all rows share (one int object per
 element, so a cell costs one 8-byte pointer), and every primitive works by
 composing rows, ``itemgetter(*other)(row)`` being row composed with other;
-no numpy is needed.  Associativity is checked with Light's test over a
+no numpy is needed.  A table is checked by the group axioms alone: an
+identity, found in every row, and associativity by Light's test over a
 greedy generating set, at n^2 cells per generator.  Orders go up to the
 order cap (``descriptors.DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``),
 applied to every build: a descriptor is checked whole before anything is
@@ -95,10 +96,12 @@ def _passes_light_test(rows: Rows, identity: int) -> bool:
     this contain the identity and are closed under products (if a and b do,
     then (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y)), so they
     include every reached element, which is every element, and the table is
-    associative.  Each generator costs n^2 cells; in a Latin square with an
-    identity the passing elements form a group (the middle nucleus), so each
-    passing generator at least doubles the reached set, and at most
-    log2(n) + 1 generators are tested.
+    associative; with the identity in every row, checked first, it is a
+    group.  Each generator costs n^2 cells.  A right inverse b of a passing
+    a gives (xa)b = x(ab) = x, so right multiplication by a is injective:
+    the reached set is then a subgroup, each passing generator at least
+    doubles it, and at most log2(n) + 1 generators are tested.  Without
+    right inverses a monoid passes every generator, at n^3 cells.
     """
     n = len(rows)
     seen = [False] * n
@@ -127,8 +130,8 @@ def _passes_light_test(rows: Rows, identity: int) -> bool:
 class FiniteGroup:
     """A finite group on elements 0..order-1 given by its multiplication table.
 
-    The table is validated at construction (identity, Latin square, which
-    gives inverses, and associativity by Light's test); orders and inverses
+    The table is validated at construction (two-sided identity, identity in
+    every row, and associativity by Light's test); orders and inverses
     are computed up front, conjugacy classes, centralizer subgroups and
     commuting-tuple counts on first use.  Instances are immutable and
     compare (and hash) by their rows, which normal forms sort by too, held
@@ -165,13 +168,10 @@ class FiniteGroup:
         raise InputError("table has no two-sided identity")
 
     def _validate(self) -> None:
-        n, rows = self.order, self._rows
-        # rows and columns are permutations (cancellation laws); with the
-        # identity this gives every element an inverse
-        if (any(len(set(row)) != n for row in rows)
-                or any(len(set(col)) != n for col in zip(*rows))):
+        rows, e = self._rows, self.identity
+        if any(e not in row for row in rows):   # right inverses, before Light's test
             raise InputError("table rows/columns are not permutations")
-        if not _passes_light_test(rows, self.identity):
+        if not _passes_light_test(rows, e):
             raise InputError("table is not associative")
 
     def _orders_and_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:

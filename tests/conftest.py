@@ -73,6 +73,58 @@ def oracle_centralizer_tuples(g: pf.FiniteGroup, p: int, n: int) -> int:
                for cls in g.conjugacy_classes() if g.is_p_element(cls.representative, p))
 
 
+def abelian_p_subgroups(g: pf.FiniteGroup, p: int) -> set[frozenset[int]]:
+    """Every abelian p-subgroup of g, as its element set: from the trivial
+    group, each found A grows by each p-element x outside it that commutes
+    with all of A, to <A, x> = the union of A x^j."""
+    pelts = g.p_elements(p)
+    found = {frozenset([g.identity])}
+    todo = list(found)
+    while todo:
+        a = todo.pop()
+        for x in pelts:
+            if x in a or any(g.mul(x, y) != g.mul(y, x) for y in a):
+                continue
+            grown, power = set(a), x
+            while power not in a:
+                grown.update(g.mul(y, power) for y in a)
+                power = g.mul(power, x)
+            grown = frozenset(grown)
+            if grown not in found:
+                found.add(grown)
+                todo.append(grown)
+    return found
+
+
+def oracle_census_coefficients(g: pf.FiniteGroup, p: int) -> list[int]:
+    """The c_a of count_n = sum c_a p^(a n) by Hall's Eulerian function:
+    commuting p-tuples are the generating tuples of the abelian p-subgroups
+    A, and in A the Moebius function is (-1)^s p^C(s,2) on the B with A/B
+    elementary abelian of rank s, 0 elsewhere.  So each A, of order
+    p^(e_A) and with A/pA of rank r, adds [r, s]_p (-1)^s p^C(s,2) to
+    c_(e_A - s)."""
+    def gaussian(r: int, s: int) -> int:
+        num = den = 1
+        for i in range(s):
+            num *= p ** (r - i) - 1
+            den *= p ** (i + 1) - 1
+        return num // den
+
+    coefficients = [0] * (pf.vp(g.order, p) + 1)
+    for a in abelian_p_subgroups(g, p):
+        e_a = pf.vp(len(a), p)
+        powers = set()
+        for y in a:
+            z = y
+            for _ in range(p - 1):
+                z = g.mul(z, y)
+            powers.add(z)
+        r = e_a - pf.vp(len(powers), p)
+        for s in range(r + 1):
+            coefficients[e_a - s] += gaussian(r, s) * (-1) ** s * p ** (s * (s - 1) // 2)
+    return coefficients
+
+
 def oracle_looped_cardinality(x: pf.SpaceExpr, p: int, n: int):
     """The height-n cardinality by the loop recursion: loop p-adically n
     times (B(G) splitting into centralizer tables, EM atoms picking up their

@@ -932,6 +932,10 @@ class TestProcessEnd:
         called = [node.func.id for node in ast.walk(main_block) if isinstance(node, ast.Call)]
         assert scripts == called == ["run"]
 
+    def test_the_script_entry_names_no_unimported_type(self):
+        import typing
+        assert typing.get_type_hints(importlib.import_module("pifinite.cli").run) == {}
+
 
 # one answer from every subcommand
 EVERY_SUBCOMMAND = (

@@ -11,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centralizer_tuples,
-                      oracle_commuting_tuples, oracle_conjugacy_classes)
+from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_census_coefficients,
+                      oracle_centralizer_tuples, oracle_commuting_tuples,
+                      oracle_conjugacy_classes)
 
 import pifinite as pf
 from pifinite import InputError, ResourceBudgetError, homcounts
@@ -347,6 +348,22 @@ class TestCommutingTuples:
             for n in range(pf.vp(g.order, p) + 5):
                 assert pf.count_commuting_p_tuples(g, p, n) == oracle_centralizer_tuples(g, p, n)
 
+    @pytest.mark.parametrize("p", [2, 3])
+    @pytest.mark.parametrize("text", GROUP_TEXTS + ("S4", "D8 wr C2"))
+    def test_counts_match_the_abelian_subgroup_census(self, text, p):
+        # a second route past e: the c_a of count_n = sum c_a p^(a n) summed
+        # over the abelian p-subgroups, with no walk and no recurrence
+        g = named_group(text)
+        coefficients = oracle_census_coefficients(g, p)
+        for n in range(len(coefficients) + 4):
+            assert pf.count_commuting_p_tuples(g, p, n) == \
+                sum(c * p ** (a * n) for a, c in enumerate(coefficients))
+
+    @pytest.mark.parametrize("text, p, coefficients", [("S4", 2, [0, -6, 7, 0]),
+                                                       ("D8 wr C2", 2, [0, 16, -36, 12, 9, 0, 0, 0])])
+    def test_census_coefficients_pinned(self, text, p, coefficients):
+        assert oracle_census_coefficients(named_group(text), p) == coefficients
+
     def test_counts_kept_per_group_match_fresh_groups(self):
         # each count is asked of a group that has answered other heights
         # before, and of a group built for it alone
@@ -525,6 +542,72 @@ class TestLightAssociativity:
             verdicts.append(sweep_is_associative(loop))
             assert light_verdict(loop) == verdicts[-1]
         assert verdicts.count(False) > len(verdicts) // 2
+
+    def test_axioms_accept_what_the_latin_sweep_oracle_accepts(self):
+        # every magma of order <= 3 with identity 0, and random order-4..6
+        # tables with the identity in every row, relabelled so that it moves:
+        # the identity in every row plus Light's test accepts exactly the
+        # associative Latin squares, and a table that fails only the sweep is
+        # refused as not associative
+        def latin(table):
+            n = len(table)
+            return all(len(set(line)) == n for line in table + [list(c) for c in zip(*table)])
+
+        def verdict(table):
+            try:
+                pf.FiniteGroup(table)
+            except InputError as exc:
+                return str(exc)
+            return None
+
+        tables = []
+        for n in (1, 2, 3):
+            for cells in itertools.product(range(n), repeat=(n - 1) ** 2):
+                tables.append([list(range(n))] + [[x] + list(cells[(x - 1) * (n - 1):x * (n - 1)])
+                                                  for x in range(1, n)])
+        rng = random.Random(43)
+        for _ in range(6000):
+            n = rng.randint(4, 6)
+            table = [list(range(n))] + [[x] + rng.choices(range(n), k=n - 1) for x in range(1, n)]
+            for row in table[1:]:
+                row[rng.randrange(1, n)] = 0
+            perm = rng.sample(range(n), n)
+            tables.append([[0] * n for _ in range(n)])
+            for x, y in itertools.product(range(n), repeat=2):
+                tables[-1][perm[x]][perm[y]] = perm[table[x][y]]
+        accepted = 0
+        for table in tables:
+            e = next(x for x in range(len(table)) if table[x] == list(range(len(table))))
+            group = latin(table) and sweep_is_associative(table)
+            if group:
+                accepted += 1
+                expected = None
+            elif any(e not in row for row in table):
+                expected = "table rows/columns are not permutations"
+            else:
+                expected = "table is not associative"
+            assert verdict(table) == expected, table
+        assert len(tables) == 6084 and accepted >= 3
+
+    def test_swapped_entries_refused_as_not_associative_promptly(self):
+        # two entries of one non-identity row of D4000 exchanged: each row
+        # still holds the identity, so Light's test alone refuses the table,
+        # after at most log2(n) + 1 generators, not the n^3 of a sweep
+        src = str(Path(pf.__file__).resolve().parent.parent)
+        code = ("import pifinite as pf\n"
+                "rows = list(pf.build_group(pf.Dihedral(4000))._rows)\n"
+                "row = list(rows[2001])\n"
+                "row[5], row[9] = row[9], row[5]\n"
+                "rows[2001] = row\n"
+                "try:\n"
+                "    pf.FiniteGroup(rows)\n"
+                "except pf.InputError as exc:\n"
+                "    print(exc)\n")
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "table is not associative\n"
 
     def test_bad_tables_refused_under_optimize(self):
         src = str(Path(pf.__file__).resolve().parent.parent)
