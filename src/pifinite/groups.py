@@ -131,12 +131,12 @@ class FiniteGroup:
     """A finite group on elements 0..order-1 given by its multiplication table.
 
     The table is validated at construction (two-sided identity, identity in
-    every row, and associativity by Light's test); orders and inverses
-    are computed up front, conjugacy classes, centralizer subgroups and
-    commuting-tuple counts on first use.  Instances are immutable and
-    compare (and hash) by their rows, which normal forms sort by too, held
-    once (see ``_ClosedRows``).  ``table`` is a read-only int64 ndarray copy
-    for outside callers, built on first access; nothing here reads it.
+    every row, and associativity by Light's test); orders and inverses are
+    computed up front, centralizers and tuple counts on first use, and
+    conjugacy classes on each call.  Instances are immutable and compare
+    (and hash) by their rows, which normal forms sort by too, held once
+    (see ``_ClosedRows``).  ``table`` is a read-only int64 ndarray copy for
+    outside callers, built on first access; nothing here reads it.
     """
 
     def __init__(self, table, name: str = "G", *, validate: bool = True,
@@ -151,7 +151,6 @@ class FiniteGroup:
         if validate:
             self._validate()
         self.element_orders, self.inverses = self._orders_and_inverses()
-        self._classes: tuple[ConjugacyClass, ...] | None = None
         self._centralizer_cache: dict = {}  # by element and by index tuple
         self._tuple_counts: dict = {}   # p -> the counts at n = 0, 1, ... reached
         self._hash = hash(self._rows)
@@ -234,22 +233,24 @@ class FiniteGroup:
     # -- class structure -------------------------------------------------------
 
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        if self._classes is None:
-            rows, inv = self._rows, self.inverses
-            seen = [False] * self.order
-            classes = []
-            for g in range(self.order):
-                if seen[g]:
-                    continue
-                # x g x^-1 for every x: row x gives x g, row x g gives (x g) x^-1
-                members = sorted({rows[row[g]][i] for row, i in zip(rows, inv)})
-                for m in members:
-                    seen[m] = True
-                classes.append(ConjugacyClass(g, tuple(members)))
-            # identity class first, then by smallest member
-            classes.sort(key=lambda c: (c.representative != self.identity, c.members[0]))
-            self._classes = tuple(classes)
-        return self._classes
+        return tuple(self._classes_of(range(self.order)))
+
+    def _classes_of(self, elements: Iterable[int]) -> list[ConjugacyClass]:
+        """The classes of the ascending union of classes ``elements``: the
+        identity class first, then by smallest member, the representative."""
+        rows, inv = self._rows, self.inverses
+        seen = [False] * self.order
+        classes = []
+        for g in elements:
+            if seen[g]:
+                continue
+            # x g x^-1 for every x: row x gives x g, row x g gives (x g) x^-1
+            members = sorted({rows[row[g]][i] for row, i in zip(rows, inv)})
+            for m in members:
+                seen[m] = True
+            classes.append(ConjugacyClass(g, tuple(members)))
+        classes.sort(key=lambda c: c.representative != self.identity)
+        return classes
 
     def centralizer_indices(self, elems: Iterable[int]) -> tuple[int, ...]:
         """Indices of elements commuting with every element of ``elems``."""
@@ -446,8 +447,7 @@ def p_loop_decomposition(g: FiniteGroup, p: int) -> list[tuple[int, FiniteGroup]
     """
     require_prime(p)
     return [(cls.representative, g.centralizer_subgroup(cls.representative))
-            for cls in g.conjugacy_classes()
-            if g.is_p_element(cls.representative, p)]
+            for cls in g._classes_of(g.p_elements(p))]
 
 
 # 0/1 byte flags to and from the binary digits that int(..., 2) reads and bin() writes

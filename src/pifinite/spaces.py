@@ -344,7 +344,8 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
 
     Finite sets are fixed; the operator passes through disjoint unions and
     products; a classifying space splits into classifying spaces of
-    centralizers, one per conjugacy class of p-power-order elements; an EM
+    centralizers, one per conjugacy class of p-power-order elements, and is
+    its own loop, with no table built, when p does not divide the order; an EM
     atom picks up its p-primary part one degree down (loops based anywhere
     are a torsor over based loops, and based loops only see p-torsion).
     """
@@ -356,9 +357,13 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
     if isinstance(x, Product):
         return product(*(p_adic_loop(f, p) for f in x.factors))
     if isinstance(x, Classifying):
+        if x.group.order % p:
+            return x        # by Cauchy's theorem e is the only p-element: C(e) = G
         from .groups import p_loop_decomposition
-        return disjoint_union(*(classifying(c)
-                                for _, c in p_loop_decomposition(x.table, p)))
+        cents = [c for _, c in p_loop_decomposition(x.table, p)]
+        # equal centralizers share one table object, classified once
+        atoms = {id(c): classifying(c) for c in {id(c): c for c in cents}.values()}
+        return disjoint_union(*(atoms[id(c)] for c in cents))
     if isinstance(x, EM):
         return product(x, em_space(_p_part(x.factors, p), x.degree - 1))
     raise InputError(f"not a space expression: {x!r}")

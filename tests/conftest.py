@@ -7,7 +7,10 @@ import functools
 import itertools
 import random
 
+import pytest
+
 import pifinite as pf
+import pifinite.groups
 
 GROUP_TEXTS = ("C2", "C3", "C4", "C6", "S3", "D8", "C2 x C2")
 ABELIAN_POOL = ((2,), (3,), (4,), (2, 2), (6,), (2, 4))
@@ -42,6 +45,19 @@ def random_space_expr(rng: random.Random, depth: int = 2) -> pf.SpaceExpr:
 
 def random_space_text(rng: random.Random, depth: int = 2) -> str:
     return pf.space_text(random_space_expr(rng, depth))
+
+
+@pytest.fixture
+def build_calls(monkeypatch):
+    """Descriptors passed to ``groups.build_group``, in call order."""
+    calls = []
+    build = pf.groups.build_group
+
+    def counting_build(desc, *args, **kwargs):
+        calls.append(desc)
+        return build(desc, *args, **kwargs)
+    monkeypatch.setattr(pf.groups, "build_group", counting_build)
+    return calls
 
 
 # -- oracles -------------------------------------------------------------------------

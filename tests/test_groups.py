@@ -431,6 +431,25 @@ class TestLoopDecomposition:
             decomp = pf.p_loop_decomposition(g, 5)
             assert decomp[0][0] == g.identity
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_is_the_class_list_filtered_to_p_elements(self, p):
+        # the walk over the p-elements alone gives the classes the full list
+        # gives, in its order, with the same table objects; a caller's
+        # relabelled S4 puts the identity away from index 0
+        s4 = named_group("S4")
+        perm = list(range(s4.order))
+        random.Random(3).shuffle(perm)
+        assert perm[s4.identity] != 0
+        table = [[0] * s4.order for _ in s4.elements()]
+        for a in s4.elements():
+            for b in s4.elements():
+                table[perm[a]][perm[b]] = perm[s4.mul(a, b)]
+        for g in builtin_groups() + [pf.FiniteGroup(table)]:
+            decomp = pf.p_loop_decomposition(g, p)
+            filtered = [(c.representative, g.centralizer_subgroup(c.representative))
+                        for c in g.conjugacy_classes() if g.is_p_element(c.representative, p)]
+            assert [(r, id(c)) for r, c in decomp] == [(r, id(c)) for r, c in filtered]
+
 
 def test_subgroup_relabels_consistently():
     d8 = named_group("D8")

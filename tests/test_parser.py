@@ -9,22 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pifinite as pf
-import pifinite.parser
 from pifinite import ParseError, parse_group, parse_space, space_text
 from pifinite.groups import descriptor_name
-
-
-@pytest.fixture
-def build_calls(monkeypatch):
-    """Descriptors passed to ``groups.build_group``, in call order."""
-    calls = []
-    build = pifinite.groups.build_group
-
-    def counting_build(desc, *args, **kwargs):
-        calls.append(desc)
-        return build(desc, *args, **kwargs)
-    monkeypatch.setattr(pifinite.groups, "build_group", counting_build)
-    return calls
 
 
 class TestGrammar:

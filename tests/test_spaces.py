@@ -160,6 +160,44 @@ class TestLoop:
         assert pf.normal_form(looped) == pf.normal_form(expected)
         assert pf.p_adic_loop(pf.em_space([3], 2), 2) == pf.em_space([3], 2)
 
+    def test_loop_reads_no_class_list(self, monkeypatch):
+        # a loop walks the classes of the p-elements only, never all of them
+        cases = [(text, p) for text in ("B(D12)", "B(S4)", "B(D8 wr C2)") for p in (2, 3)]
+        expected = {(text, p): pf.normal_form(pf.p_adic_loop(pf.parse_space(text), p))
+                    for text, p in cases}
+
+        def no_classes(self):
+            raise AssertionError("conjugacy classes read")
+
+        monkeypatch.setattr(pf.FiniteGroup, "conjugacy_classes", no_classes)
+        for text, p in cases:
+            assert pf.normal_form(pf.p_adic_loop(pf.parse_space(text), p)) == expected[text, p]
+
+    def test_prime_not_dividing_the_order_builds_no_table(self, build_calls):
+        # by Cauchy's theorem the identity is the only p-element, and C(e) = G
+        x = pf.parse_space("B(S6)")
+        assert pf.p_adic_loop(x, 7) is x
+        assert build_calls == []
+
+    def test_cli_loop_at_a_prime_not_dividing_the_order(self, build_calls, capsys):
+        assert pf.cli.main(["loop", "--space", "B(D10000)", "--prime", "3"]) == 0
+        assert capsys.readouterr().out == "B(D10000)\n"
+        assert build_calls == []
+
+    def test_one_abelian_test_per_centralizer_table(self, monkeypatch):
+        # the 12 rotation classes of D200 at p = 5 share one order-100 table
+        tested = []
+        is_abelian = pf.FiniteGroup.is_abelian
+
+        def counting_is_abelian(self):
+            tested.append(self.order)
+            return is_abelian(self)
+
+        monkeypatch.setattr(pf.FiniteGroup, "is_abelian", counting_is_abelian)
+        looped = pf.p_adic_loop(pf.parse_space("B(D200)"), 5)
+        assert tested == [100]
+        assert pf.normal_form(looped) == pf.normal_form(pf.parse_space("B(D200) + 12 * B^1(C100)"))
+
 
 class TestHeightCardinality:
     def test_em_grid_against_binomial(self):

@@ -42,12 +42,15 @@ REFUSED_TEXTS = (
 
 
 # a large described group, a refusal at the order cap, a loop that prints a
-# centralizer's name, every reference check, and table counts past the
-# height where the p-part of the order stops the walk
+# centralizer's name, loops at primes that do not divide the order (no table
+# is built), every reference check, and table counts past the height where
+# the p-part of the order stops the walk
 MORE_CASES = (
     ["card", "--space", "B(D10000)", "--prime", "2", "--height", "2"],
     ["card", "--space", "B(S6 x S6 x S6)", "--prime", "3", "--height", "500"],
     ["loop", "--space", "B(S4)", "--prime", "2"],
+    ["loop", "--space", "B(D10000)", "--prime", "3"],
+    ["loop", "--space", "B(S6)", "--prime", "7"],
     ["verify"],
     ["wreath", "S4", "--prime", "2", "--height", "30"],
     ["wreath", "C2 x C2", "--prime", "2", "--height", "12", "--format", "json"],
