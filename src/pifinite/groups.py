@@ -14,13 +14,15 @@ element, so a cell costs one 8-byte pointer), and every primitive works by
 composing rows, ``itemgetter(*other)(row)`` being row composed with other;
 no numpy is needed.  A table is checked by the group axioms alone: an
 identity, found in every row, and associativity by Light's test over a
-greedy generating set, at n^2 cells per generator.  Orders go up to the
-order cap (``descriptors.DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``),
-applied to every build: a descriptor is checked whole before anything is
-built, and ``direct_product`` and ``wreath_cyclic`` check the order they
-would build.  Building a table is the costly step, and its cost grows with
-the square of the order; a height count of a described group builds none
-(``homcounts.hom_count``).
+greedy generating set, at n^2 cells per generator; commutativity is read
+from the same set.  Symmetric and wreath tables are built as the closure
+of their generators' rows, one row composition per element.  Orders go up
+to the order cap (``descriptors.DEFAULT_ORDER_CAP``, or
+``PIFINITE_ORDER_CAP``), applied to every build: a descriptor is checked
+whole before anything is built, and ``direct_product`` and
+``wreath_cyclic`` check the order they would build.  Building a table is
+the costly step, and its cost grows with the square of the order; a height
+count of a described group builds none (``homcounts.hom_count``).
 """
 
 from __future__ import annotations
@@ -87,12 +89,31 @@ class _ClosedRows(tuple):
     __slots__ = ()
 
 
+def _generators(rows: Rows, identity: int):
+    """Greedy generators of a table, yielded one at a time: each is the
+    least element not yet reached from the identity by right multiplication
+    by the generators before it, and the reached set is closed under them
+    before the next is picked, until it holds every element.  In a group the
+    reached set is the subgroup the generators generate, so each generator at
+    least doubles it and there are at most log2(n) + 1 of them."""
+    seen, reached, gens = {identity}, [identity], []
+    for a in range(len(rows)):
+        if a not in seen:
+            yield a
+            gens.append(a)
+            for x in reached:           # the list grows while it is walked
+                for y in map(rows[x].__getitem__, gens):
+                    if y not in seen:
+                        seen.add(y)
+                        reached.append(y)
+
+
 def _passes_light_test(rows: Rows, identity: int) -> bool:
     """Light's associativity test.
 
-    Generators are picked greedily until right multiplication by them,
-    starting from the identity, reaches every element; each generator a must
-    satisfy (x a) y == x (a y) for all x and y.  The elements that satisfy
+    Right multiplication by the greedy generators (``_generators``) reaches
+    every element from the identity, and each generator a must satisfy
+    (x a) y == x (a y) for all x and y.  The elements that satisfy
     this contain the identity and are closed under products (if a and b do,
     then (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y)), so they
     include every reached element, which is every element, and the table is
@@ -103,28 +124,31 @@ def _passes_light_test(rows: Rows, identity: int) -> bool:
     doubles it, and at most log2(n) + 1 generators are tested.  Without
     right inverses a monoid passes every generator, at n^3 cells.
     """
-    n = len(rows)
-    seen = [False] * n
-    seen[identity] = True
-    reached = [identity]
-    gens: list[int] = []
-    for a in range(n):
-        if seen[a]:
-            continue
-        compose_a = _getter(rows[a])
-        for row in rows:        # row x a against row x composed with row a
-            if rows[row[a]] != compose_a(row):
-                return False
-        gens.append(a)
-        # close the reached set under right multiplication by the generators
-        for x in reached:               # the list grows while it is walked
-            row = rows[x]
-            for g in gens:
-                y = row[g]
-                if not seen[y]:
-                    seen[y] = True
-                    reached.append(y)
-    return True
+    # row x a against row x composed with row a, for each generator a
+    return all(rows[row[a]] == _getter(rows[a])(row)
+               for a in _generators(rows, identity) for row in rows)
+
+
+def _closure(gen_rows: Sequence[Sequence[int]], identity: int) -> _ClosedRows:
+    """The rows of the group that the left-multiplication rows ``gen_rows``
+    generate, as tuples over one shared int per element.  The walk starts at
+    the identity, and each element g x, when first reached, gets row g
+    composed after row x, since (g x) z = g (x z): one gather in C per
+    element."""
+    ints = tuple(range(len(gen_rows[0])))
+    gen_rows = [_getter(gen)(ints) for gen in gen_rows]
+    rows: list = [None] * len(ints)
+    rows[identity], reached = ints, [identity]
+    for x in reached:                   # the list grows while it is walked
+        compose = _getter(rows[x])
+        for gen in gen_rows:
+            y = gen[x]
+            if rows[y] is None:
+                rows[y] = compose(gen)
+                reached.append(y)
+    if len(reached) < len(ints):        # rows from a table that is not a group
+        raise InputError("the generators' rows do not reach every element")
+    return _ClosedRows(rows)
 
 
 class FiniteGroup:
@@ -209,7 +233,9 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        return all(map(eq, self._rows, zip(*self._rows)))
+        """Whether the greedy generators of the group commute pairwise."""
+        gens = _generators(self._rows, self.identity)
+        return all(self.mul(a, b) == self.mul(b, a) for a, b in itertools.combinations(gens, 2))
 
     @property
     def table(self) -> np.ndarray:
@@ -340,9 +366,11 @@ def _cyclic_group(n: int) -> FiniteGroup:
 def _symmetric_group(n: int) -> FiniteGroup:
     perms = sorted(itertools.permutations(range(n)))
     pos = {s: i for i, s in enumerate(perms)}
-    # row s, column t: the composite s after t, with entries s[t[x]]
-    picks = [_getter(t) for t in perms]
-    return FiniteGroup(_ClosedRows(tuple(pos[pick(s)] for pick in picks) for s in perms))
+    # row g, column s: the composite g after s, with entries g[s[x]]; a
+    # transposition and an n-cycle generate S_n (both are the identity at n = 1)
+    e = perms[0]
+    gens = (e[1::-1] + e[2:], e[1:] + e[:1])
+    return FiniteGroup(_closure([[pos[_getter(s)(g)] for s in perms] for g in gens], 0))
 
 
 def _dihedral_group(order: int) -> FiniteGroup:
@@ -377,25 +405,17 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
     """
     require_int(c, "wreath degree", 2)
     m = g.order
-    ints = tuple(range(_require_order(_wreath_order(m, c))))
-    # scaled[i][a]: row a of G as coordinate i's contribution to v
-    scaled = [[tuple(x * m ** i for x in row) for row in g._rows] for i in range(c)]
-    # blocks[s][u]: the indices of (w; s + t) for t = 0..c-1, where v(w) = u
-    blocks = [[ints[u * c + s:(u + 1) * c] + ints[u * c:u * c + s] for u in range(m ** c)]
-              for s in range(c)]
-    tab = []
-    for v in range(m ** c):
-        gs = [v // m ** i % m for i in range(c)]
-        for s in range(c):
-            # v(w) over all hs in index order: w_i = g_i h_j with i = j + s,
-            # so hs contributes coordinate by coordinate, h_0 fastest
-            vs = [0]
-            for j in range(c):
-                i = (j + s) % c
-                vs = [x + y for y in scaled[i][gs[i]] for x in vs]
-            tab.append(tuple(itertools.chain.from_iterable(map(blocks[s].__getitem__, vs))))
+    _require_order(_wreath_order(m, c))
+    vs, ts, top = range(m ** c), range(c), m ** (c - 1)
+    # (a, e, ..., e; 0)(h; t) = (a h_0, h_1, ..., h_{c-1}; t) for each
+    # greedy generator a of G, and (e, ..., e; 1)(h; t) = (h_{c-1}, h_0, ...,
+    # h_{c-2}; t + 1): together they generate G wr C_c
+    gens = [[(v - v % m + row[v % m]) * c + t for v in vs for t in ts]
+            for row in map(g._rows.__getitem__, _generators(g._rows, g.identity))]
+    gens.append([(v % top * m + v // top) * c + (t + 1) % c for v in vs for t in ts])
+    tab = _closure(gens, sum(g.identity * m ** i for i in range(c)) * c)
     name = g.name if " " not in g.name else f"({g.name})"
-    return FiniteGroup(_ClosedRows(tab), name=f"{name} wr C{c}", validate=False)
+    return FiniteGroup(tab, name=f"{name} wr C{c}", validate=False)
 
 
 # -- counting operations ---------------------------------------------------------

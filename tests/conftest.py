@@ -161,3 +161,45 @@ def oracle_conjugacy_classes(g: pf.FiniteGroup) -> list[frozenset[int]]:
         seen |= orbit
         classes.append(orbit)
     return classes
+
+
+def relabelled(g: pf.FiniteGroup, seed: int) -> pf.FiniteGroup:
+    """``g`` on shuffled element indices, its identity off index 0 when
+    the order is above 1."""
+    rng = random.Random(seed)
+    perm = list(g.elements())
+    while g.order > 1 and perm[g.identity] == 0:
+        rng.shuffle(perm)
+    table = [[0] * g.order for _ in g.elements()]
+    for a, b in itertools.product(g.elements(), repeat=2):
+        table[perm[a]][perm[b]] = perm[g.mul(a, b)]
+    return pf.FiniteGroup(table, name=f"{g.name}'")
+
+
+def oracle_symmetric_table(m: int) -> list[list[int]]:
+    """S_m on the sorted permutations: row s, column t holds the index of
+    s after t, the permutation x -> s[t[x]]."""
+    perms = sorted(itertools.permutations(range(m)))
+    pos = {s: i for i, s in enumerate(perms)}
+    return [[pos[tuple(s[x] for x in t)] for t in perms] for s in perms]
+
+
+def oracle_product_table(g: pf.FiniteGroup, h: pf.FiniteGroup) -> list[list[int]]:
+    """G x H by the pair rule (a, b)(c, d) = (a c, b d), with (a, b) at
+    index a |H| + b."""
+    m = h.order
+    pairs = [divmod(x, m) for x in range(g.order * m)]
+    return [[g.mul(a, c) * m + h.mul(b, d) for c, d in pairs] for a, b in pairs]
+
+
+def oracle_wreath_table(g: pf.FiniteGroup, c: int) -> list[list[int]]:
+    """G wr C_c by the rule (gs; s)(hs; t) = (w; s + t) with w_i =
+    g_i h_{i-s}, indices mod c, and (g_0, ..., g_{c-1}; s) at index
+    v c + s with v = sum g_i |G|^i."""
+    m = g.order
+    elems = [([v // m ** i % m for i in range(c)], s) for v in range(m ** c) for s in range(c)]
+
+    def index(ws: list[int], s: int) -> int:
+        return sum(w * m ** i for i, w in enumerate(ws)) * c + s % c
+    return [[index([g.mul(gs[i], hs[(i - s) % c]) for i in range(c)], s + t) for hs, t in elems]
+            for gs, s in elems]

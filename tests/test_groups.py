@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_census_coefficients,
                       oracle_centralizer_tuples, oracle_commuting_tuples,
-                      oracle_conjugacy_classes)
+                      oracle_conjugacy_classes, oracle_product_table, oracle_symmetric_table,
+                      oracle_wreath_table, relabelled)
 
 import pifinite as pf
 from pifinite import InputError, ResourceBudgetError, homcounts
@@ -133,6 +135,15 @@ class TestBuild:
                              capture_output=True, text=True, timeout=30)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "the powers of element 1 never reach the identity\n"
+
+    def test_wreath_of_an_unvalidated_non_group_is_an_input_error(self):
+        # the identity is in every row and every element's powers reach it,
+        # but rows 1 and 3 are no permutations: the closure of the wreath's
+        # generator rows misses elements, which is refused, not left empty
+        g = pf.FiniteGroup([[0, 1, 2, 3], [1, 3, 2, 0], [2, 1, 3, 0], [3, 2, 0, 3]],
+                           validate=False)
+        with pytest.raises(InputError, match="do not reach every element"):
+            pf.wreath_cyclic(g, 2)
 
     def test_builders_produce_valid_tables(self):
         for g in [named_group("D8"), named_group("C6"),
@@ -644,6 +655,71 @@ class TestLightAssociativity:
                                            "False table rows/columns are not permutations"]
 
 
+# -- builders cell by cell against the oracles ------------------------------------------
+
+def rows_of(g: pf.FiniteGroup) -> list[list[int]]:
+    return [list(row) for row in g._rows]
+
+
+class TestCellOracles:
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_symmetric_tables(self, m):
+        assert rows_of(pf.build_group(pf.Symmetric(m))) == oracle_symmetric_table(m)
+
+    @pytest.mark.parametrize("left, right", [("C1", "S3"), ("S3", "C4"), ("D8", "S3"),
+                                             ("C2 x C2", "C3"), ("S4", "C1")])
+    def test_direct_products(self, left, right):
+        for g, h in ((named_group(left), named_group(right)),
+                     (relabelled(named_group(left), 1), relabelled(named_group(right), 2))):
+            assert rows_of(pf.direct_product(g, h)) == oracle_product_table(g, h)
+
+    @pytest.mark.parametrize("text, c", [("C1", 2), ("S3", 2), ("D8", 2), ("C3", 2), ("C1", 3),
+                                         ("C3", 3), ("C2 x C2", 3), ("C2", 4), ("C3", 4),
+                                         ("C2", 5)])
+    def test_wreaths(self, text, c):
+        # the relabelled base puts its identity off index 0, so the
+        # wreath's identity is off index 0 too
+        for g in (named_group(text), relabelled(named_group(text), c)):
+            assert rows_of(pf.wreath_cyclic(g, c)) == oracle_wreath_table(g, c)
+
+    def test_named_wreaths_and_products(self):
+        for text in ("S3 wr C2", "C2 wr C2 wr C2", "C2 x S3", "(C2 x C2) wr C2"):
+            g = named_group(text)
+            d = g.descriptor
+            if isinstance(d, pf.DirectProduct):
+                expected = oracle_product_table(pf.build_group(d.left), pf.build_group(d.right))
+            else:
+                expected = oracle_wreath_table(pf.build_group(d.base), d.p)
+            assert rows_of(g) == expected
+
+    def test_is_abelian_is_the_transpose(self):
+        groups = [named_group(t) for t in GROUP_TEXTS + ("C1", "S1", "S4", "D12", "C2 x C4",
+                                                         "C3 x C3", "C2 x S3", "C2 wr C2",
+                                                         "C1 wr C2", "C2 wr C3", "D8 wr C2")]
+        groups += [relabelled(g, 5) for g in groups]
+        for g in list(groups):
+            for p in (2, 3, 5):
+                groups += [c for _, c in pf.p_loop_decomposition(g, p)]
+        verdicts = [g.is_abelian() for g in groups]
+        assert verdicts == [bool(np.array_equal(g.table, g.table.T)) for g in groups]
+        assert 0 < sum(verdicts) < len(verdicts)
+
+    @pytest.mark.parametrize("text", GROUP_TEXTS + ("C1", "S4", "S5", "D12", "C2 x C2 x C2",
+                                                    "C3 wr C2", "C2 wr C2 wr C2"))
+    def test_greedy_generators_reach_every_element(self, text):
+        for g in (named_group(text), relabelled(named_group(text), 7)):
+            gens = list(pf.groups._generators(g._rows, g.identity))
+            assert len(gens) <= math.log2(g.order) + 1
+            reached, todo = {g.identity}, [g.identity]
+            while todo:
+                x = todo.pop()
+                for y in (g.mul(x, a) for a in gens):
+                    if y not in reached:
+                        reached.add(y)
+                        todo.append(y)
+            assert len(reached) == g.order
+
+
 # -- the table format ------------------------------------------------------------------
 
 class TestTableFormat:
@@ -656,10 +732,11 @@ class TestTableFormat:
         assert len({id(v) for row in g._rows for v in row}) == g.order
         assert g._rows == tuple(map(tuple, g.table.tolist()))
 
-    @pytest.mark.parametrize("text", ["D1000", "S4 wr C2"])
+    @pytest.mark.parametrize("text", ["D1000", "S4 wr C2", "S6", "C3 wr C3"])
     def test_build_peak_is_one_table(self, text):
         # one pointer per cell, with no second copy of the table while it is
-        # built (re-sharing the builder's rows peaked at 16 bytes per cell)
+        # built (re-sharing the builder's rows peaked at 16 bytes per cell);
+        # a closure holds only its generator rows beside the table
         d = pf.parse_group(text)
         gc.collect()
         tracemalloc.start()

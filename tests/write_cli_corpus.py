@@ -41,8 +41,9 @@ REFUSED_TEXTS = (
 )
 
 
-# a large described group, a refusal at the order cap, a loop that prints a
-# centralizer's name, loops at primes that do not divide the order (no table
+# a large described group, a refusal at the order cap, loops that print
+# centralizers' names (which pin the element indexing of S_m and wreath
+# tables), loops at primes that do not divide the order (no table
 # is built), every reference check, and table counts past the height where
 # the p-part of the order stops the walk
 MORE_CASES = (
@@ -51,6 +52,9 @@ MORE_CASES = (
     ["loop", "--space", "B(S4)", "--prime", "2"],
     ["loop", "--space", "B(D10000)", "--prime", "3"],
     ["loop", "--space", "B(S6)", "--prime", "7"],
+    ["loop", "--space", "B(S4 wr C2)", "--prime", "3"],
+    ["loop", "--space", "B(D8 wr C2)", "--prime", "2"],
+    ["loop", "--space", "B(S5)", "--prime", "2"],
     ["verify"],
     ["wreath", "S4", "--prime", "2", "--height", "30"],
     ["wreath", "C2 x C2", "--prime", "2", "--height", "12", "--format", "json"],
