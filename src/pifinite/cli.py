@@ -1,7 +1,9 @@
 """Command line surface.
 
-Exit codes: 0 success, 1 input error, 2 resource-budget error, 3 when
-``verify`` finds a mismatch or a check raises.  All numeric output is
+Exit codes: 0 success, 1 input error, 2 resource-budget error, 3 when a
+check fails: ``verify`` finds a mismatch or one of its checks raises, or
+any subcommand meets an ``InvariantError``, which is printed as
+``invariant error: <message>`` without a traceback.  All numeric output is
 exact: rationals print as ``a/b`` in lowest terms (integers without the
 ``/1``), and the JSON format carries numerator and denominator as decimal
 strings.  An answer with more than ``MAX_DIGITS`` digits in either is
@@ -23,7 +25,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .errors import InputError, ResourceBudgetError
+from .errors import InputError, InvariantError, ResourceBudgetError
 from .rationals import require_numeral, require_prime
 
 # Each subcommand's handler is its own module in ``pifinite.commands``
@@ -169,6 +171,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceBudgetError as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"invariant error: {exc}", file=sys.stderr)
+        return 3
     except BrokenPipeError:
         # the reader closed stdout; pointing it at devnull keeps the flush at
         # exit from raising again

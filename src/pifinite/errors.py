@@ -1,9 +1,10 @@
 """Exception hierarchy shared by the library and the command line tool.
 
-The CLI maps these onto its exit codes: InputError -> 1, ResourceBudgetError -> 2.
-InvariantError has no exit code: it signals a defect in the package, not in the
-input, so it propagates, except in ``verify``, which reports it as a failed
-check.
+The CLI maps these onto its exit codes: InputError -> 1, ResourceBudgetError -> 2,
+InvariantError -> 3.  An InvariantError signals a defect in the package, not in
+the input.  A subcommand that meets one prints ``invariant error:`` and its
+message, without a traceback, and exits 3; ``verify`` reports it as a failed
+check, runs the checks after it, and exits 3 too.
 """
 
 

@@ -163,14 +163,12 @@ class FiniteGroup:
     outside callers, built on first access; nothing here reads it.
     """
 
-    def __init__(self, table, name: str = "G", *, validate: bool = True,
-                 ambient_indices: tuple[int, ...] | None = None):
+    def __init__(self, table, name: str = "G", *, validate: bool = True):
         # a plain tuple, so row lookups stay on the exact-tuple fast path
         self._rows: Rows = tuple(table) if type(table) is _ClosedRows else _shared_rows(table)
         self.order: int = len(self._rows)
         self.name = name
         self.descriptor = None      # the descriptor a table is built for, set by _build
-        self.ambient_indices = ambient_indices  # for subgroups: indices in the parent
         self.identity: int = self._find_identity()
         if validate:
             self._validate()
@@ -306,7 +304,7 @@ class FiniteGroup:
             if min(row) < 0:
                 raise InputError("element set is not closed under multiplication")
             tab.append(row)
-        return FiniteGroup(_ClosedRows(tab), name=name, validate=False, ambient_indices=elems)
+        return FiniteGroup(_ClosedRows(tab), name=name, validate=False)
 
     def centralizer_subgroup(self, g: int) -> "FiniteGroup":
         """C_G(g): the group itself if g is central, else one table per element set."""

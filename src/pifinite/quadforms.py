@@ -29,12 +29,14 @@ the two halves, which the relations treat alike.  What a count reads
 depends on (p, n) alone, and ``_plan`` holds it per (p, n), built from
 the relations themselves by the first count once the checks pass: the
 total, the weight of the pairs with a zero side, which pass every
-relation through vertex 0 since those relations are bilinear, and per
-such relation one int that packs the mask of every nonzero outer
-representative into its own byte-aligned slot, one bit per nonzero
-kernel representative one dimension down.  Every call checks its
-arguments' types and the budget, ANDs the held columns and reads the
-count off one popcount; no count is held.
+relation through vertex 0 since those relations are bilinear, the weight
+(p-1)^2 of each nonzero pair, and per such relation one int that packs
+the mask of every nonzero outer representative into its own byte-aligned
+slot, one bit per nonzero kernel representative one dimension down.
+Every call checks its arguments' types and the budget, ANDs the held
+columns, reads the count off one popcount and returns it in a
+``FormCountReport``, a tuple that checks the count as it is built; no
+count or report is held.
 ``decomposable_form_count`` is the Gaussian-binomial closed form, which
 the enumeration never consults.
 """
@@ -85,25 +87,62 @@ def _require_odd_prime(p: int) -> int:
     return p
 
 
-@frozen
-class FormCountReport:
-    """Result of counting 2-forms omega on F_p^n with omega ^ omega = 0."""
-    prime: int
-    dimension: int
-    kernel_count: int
-    total_forms: int
+_tuple_new = tuple.__new__
 
-    def __post_init__(self):
-        if not 1 <= self.kernel_count <= self.total_forms:
+
+class FormCountReport(tuple):
+    """Result of counting 2-forms omega on F_p^n with omega ^ omega = 0:
+    the tuple (prime, dimension, kernel_count, total_forms), built only
+    through ``__new__``, which checks it.
+
+    Every form count builds one, so it is a checked tuple rather than a
+    ``@frozen`` record: one Python frame and one ``tuple.__new__``, where a
+    record sets each field through ``object.__setattr__`` and runs
+    ``__post_init__`` in a frame of its own.  It keeps the record contract:
+    keyword or positional construction, read-only fields, equality with its
+    own class only (a plain tuple is unequal on either side), the hash of
+    its field tuple, the record repr, and pickles and copies that call the
+    class, so they rerun the checks.  It is no ``namedtuple``, whose
+    ``_make`` and ``_replace`` build an instance without them.
+    """
+    __slots__ = ()
+
+    def __new__(cls, prime: int, dimension: int, kernel_count: int, total_forms: int):
+        if not 1 <= kernel_count <= total_forms:
             raise InvariantError("kernel count out of range")
-        # the zero form plus (p-1)-orbits of decomposables
-        if self.dimension >= 4 and self.kernel_count % (self.prime - 1) != 1:
-            raise InvariantError("kernel count must be 1 mod p-1")
-        # the class weights make every count 1 mod p-1, so the check above
-        # cannot catch a relation test that passes everything; this one can,
-        # since e0^e1 + e2^e3 has a nonzero square once n >= 4
-        if self.dimension >= 4 and self.kernel_count == self.total_forms:
-            raise InvariantError("kernel count must miss a form with nonzero square")
+        if dimension >= 4:
+            # the zero form plus (p-1)-orbits of decomposables
+            if kernel_count % (prime - 1) != 1:
+                raise InvariantError("kernel count must be 1 mod p-1")
+            # the class weights make every count 1 mod p-1, so the check
+            # above cannot catch a relation test that passes everything;
+            # this one can, since e0^e1 + e2^e3 has a nonzero square once n >= 4
+            if kernel_count == total_forms:
+                raise InvariantError("kernel count must miss a form with nonzero square")
+        return _tuple_new(cls, (prime, dimension, kernel_count, total_forms))
+
+    prime = property(itemgetter(0))
+    dimension = property(itemgetter(1))
+    kernel_count = property(itemgetter(2))
+    total_forms = property(itemgetter(3))
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __repr__(self) -> str:
+        return ("FormCountReport(prime={!r}, dimension={!r}, kernel_count={!r}, "
+                "total_forms={!r})".format(*self))
+
+    def __reduce__(self):
+        # every pickle protocol and copy call the class on the fields; a
+        # __getnewargs__ would serve protocols 2 and up only, and 0 and 1
+        # would rebuild through tuple.__new__, past the checks
+        return FormCountReport, tuple(self)
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -162,23 +201,26 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     the plan's cache key cannot (it takes 3.0 and True for 3 and 1), holds
     the plan's total to the budget, ANDs the packed columns at once (one
     int of 13 slots at (3,4), 3 ANDs of 156-slot ints at (5,5)) and adds
-    (p-1)^2 times the one popcount of the result to the plan's zero-side
-    weight.  Each form is decided by the relations themselves, never by
-    the closed form of ``decomposable_form_count``, which stays an
-    independent cross-check.  ``DEFAULT_ENUMERATION_BUDGET`` counts all
-    p^C(n,2) forms, pruned or not, and has no per-call override.
+    the plan's weight (p-1)^2 times the one popcount of the result to its
+    zero-side weight.  Every call builds its report anew, and the
+    report's ``__new__`` holds the count to the invariants of
+    ``FormCountReport``: in range, and for n >= 4, 1 mod p-1 and short of
+    every form.  No count or report is held.  Each form is decided by the
+    relations themselves, never by the closed form of
+    ``decomposable_form_count``, which stays an independent cross-check.
+    ``DEFAULT_ENUMERATION_BUDGET`` counts all p^C(n,2) forms, pruned or
+    not, and has no per-call override.
     """
     if type(p) is not int or type(n) is not int:
         _require_odd_prime(p)
         require_int(n, "dimension")
-    total, columns, zero_side = _plan(p, n)
+    total, columns, zero_side, weight = _plan(p, n)
     if total > DEFAULT_ENUMERATION_BUDGET:
         raise _over_budget(p, math.comb(n, 2), total)
     if not columns:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
         return FormCountReport(p, n, total, total)
-    kernel = zero_side + (p - 1) ** 2 * reduce(and_, columns).bit_count()
-    return FormCountReport(p, n, kernel, total)
+    return FormCountReport(p, n, zero_side + weight * reduce(and_, columns).bit_count(), total)
 
 
 def _over_budget(p: int, e: int, total) -> ResourceBudgetError:
@@ -188,7 +230,7 @@ def _over_budget(p: int, e: int, total) -> ResourceBudgetError:
                                f"{DEFAULT_ENUMERATION_BUDGET}")
 
 
-_Plan = namedtuple("_Plan", "total columns zero_side")
+_Plan = namedtuple("_Plan", "total columns zero_side weight")
 
 
 @cache
@@ -197,16 +239,17 @@ def _plan(p: int, n: int) -> _Plan:
     prime, dimension and budget checks pass, and held for the process: the
     total p^C(n,2); the weight of the pairs with a zero side,
     1 + (p-1)*(forms-1) + (p-1)*(outer-1), from the sizes of the two
-    representative lists; and per relation through vertex 0 (a triple of
-    the outer vertices) the column of ``_columns`` masks that the outer
-    representatives ``_representatives(p, n-1)`` after the zero vector
-    pick, packed in order into one int: slot i, the mask of the i-th, is
-    bytes [i*size, (i+1)*size), low byte first, size = ceil(bits/8).  No
-    column for n < 4, which has no relation, and a zero weight.  Bit j of
-    a mask is row j+1 of ``_kernel_rows(p, n-1)``, so every bit is a
-    nonzero kernel representative: p^2+p+1 bits at n = 4, 130 at (3,5)
-    and 806 at (5,5), whose plans take 3.2 kB and 67 kB by
-    ``sys.getsizeof``."""
+    representative lists; the weight (p-1)^2 of each nonzero pair, which
+    a call multiplies the popcount by; and per relation through vertex 0
+    (a triple of the outer vertices) the column of ``_columns`` masks that
+    the outer representatives ``_representatives(p, n-1)`` after the zero
+    vector pick, packed in order into one int: slot i, the mask of the
+    i-th, is bytes [i*size, (i+1)*size), low byte first,
+    size = ceil(bits/8).  No column for n < 4, which has no relation, and
+    zero weights.  Bit j of a mask is row j+1 of ``_kernel_rows(p, n-1)``,
+    so every bit is a nonzero kernel representative: p^2+p+1 bits at
+    n = 4, 130 at (3,5) and 806 at (5,5), whose plans take 3.2 kB and
+    67 kB by ``sys.getsizeof``."""
     _require_odd_prime(p)
     e = math.comb(require_int(n, "dimension", 1), 2)
     # p^e is taken only where it may fit the digit budget
@@ -214,12 +257,12 @@ def _plan(p: int, n: int) -> _Plan:
     if total is None or total > DEFAULT_ENUMERATION_BUDGET:
         raise _over_budget(p, e, total)
     if n < 4:
-        return _Plan(total, (), 0)
+        return _Plan(total, (), 0, 0)
     _, *forms = _kernel_rows(p, n - 1)
     _, *us = _representatives(p, n - 1)
     size = -(-len(forms) // 8)
     return _Plan(total, tuple(_packed(column, size) for column in _columns(p, us, forms)),
-                 1 + (p - 1) * (len(forms) + len(us)))
+                 1 + (p - 1) * (len(forms) + len(us)), (p - 1) ** 2)
 
 
 def _packed(masks: list[int], size: int) -> int:

@@ -537,6 +537,19 @@ class TestExitCodes:
         assert run(capsys, "card", "--space", space, "--prime", "2", "--height", "1")[:2] == \
             (code, "")
 
+    @pytest.mark.parametrize("route, argv", [
+        ("height_cardinality", ["card", "--space", "B(S3)", "--prime", "2", "--height", "1"]),
+        ("p_adic_loop", ["loop", "--space", "B(S3)", "--prime", "2"]),
+    ], ids=["card", "loop"])
+    def test_failed_invariant_exits_three(self, capsys, monkeypatch, route, argv):
+        # a defect in the package, not in the input: one stderr line and no
+        # traceback, in every subcommand, not only in verify
+        def broken(*args):
+            raise pifinite.InvariantError(f"{route} broke")
+        monkeypatch.setattr(pifinite.spaces, route, broken)
+        for extra in ([], ["--format", "json"]):
+            assert run(capsys, *argv, *extra) == (3, "", f"invariant error: {route} broke\n")
+
     def test_nonprime_rejected(self, capsys):
         code, _, err = run(capsys, "card", "--space", "pt", "--prime", "6", "--height", "1")
         assert code == 1 and "prime" in err

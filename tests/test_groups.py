@@ -792,13 +792,14 @@ class TestTableFormat:
         # construction from outside gives
         g = named_group(text)
         for x in g.elements():
-            sub = g.subgroup(g.centralizer_indices([x]))
+            # sorted: element i of the subgroup is elems[i] of g
+            elems = g.centralizer_indices([x])
+            sub = g.subgroup(elems)
             rows = sub._rows
             assert type(rows) is tuple and all(type(row) is tuple for row in rows)
             assert len({id(v) for row in rows for v in row}) == sub.order
             assert pf.FiniteGroup(sub.table) == sub
-            assert all(g.mul(sub.ambient_indices[a], sub.ambient_indices[b])
-                       == sub.ambient_indices[sub.mul(a, b)]
+            assert all(g.mul(elems[a], elems[b]) == elems[sub.mul(a, b)]
                        for a in sub.elements() for b in sub.elements())
 
     def test_large_subgroup_rows_share_ints(self):

@@ -483,6 +483,42 @@ class TestHeldLevels:
         assert _plan.cache_info().currsize == 0
 
 
+class TestNoHeldCount:
+    """Every call weighs the popcount of its plan's ANDed columns anew: a
+    count or report held per (p, n) would answer a crafted plan with the
+    count of the real one."""
+
+    @pytest.mark.parametrize("p,n", DEFAULT_BUDGET_PAIRS + ((3, 3), (5, 1)))
+    def test_plan_holds_the_pair_weight(self, p, n):
+        # each nonzero pair stands for (p-1)^2 forms; below n = 4 no pair is
+        # tested and the weight is 0
+        assert _plan(p, n).weight == ((p - 1) ** 2 if n >= 4 else 0)
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 5)])
+    def test_weight_filling_the_total_is_refused(self, monkeypatch, p, n):
+        plan = _plan(p, n)
+        pf.count_null_square_two_forms(p, n)
+        # one surviving bit weighed to reach the total passes every form,
+        # which the report refuses on the call that reads the plan
+        crafted = plan._replace(columns=(1,) * len(plan.columns),
+                                weight=plan.total - plan.zero_side)
+        monkeypatch.setattr(pf.quadforms, "_plan", lambda p, n: crafted)
+        with pytest.raises(InvariantError, match="must miss a form with nonzero square"):
+            pf.count_null_square_two_forms(p, n)
+
+    @pytest.mark.parametrize("p,n", [(3, 4), (5, 5)])
+    def test_other_columns_change_the_next_answer(self, monkeypatch, p, n):
+        plan = _plan(p, n)
+        kernel = pf.count_null_square_two_forms(p, n).kernel_count
+        for columns, expected in (((0,) * len(plan.columns), plan.zero_side),
+                                  ((0b111,) * len(plan.columns),
+                                   plan.zero_side + 3 * plan.weight),
+                                  (plan.columns, kernel)):
+            crafted = plan._replace(columns=columns)
+            monkeypatch.setattr(pf.quadforms, "_plan", lambda p, n: crafted)
+            assert pf.count_null_square_two_forms(p, n).kernel_count == expected
+
+
 class TestInputTypes:
     """Only a non-bool int is a prime, dimension or height: ``3.0 == 3`` and
     ``True == 1`` are refused before any plan is built."""

@@ -2,6 +2,7 @@
 space atoms, reports): construction, equality, hashing, repr, immutability
 and the checks their constructors run."""
 
+import copy
 import os
 import pickle
 import subprocess
@@ -263,5 +264,86 @@ class TestCompiledConstructor:
         assert out.returncode == 0, out.stderr
         counts, compiled = out.stdout.splitlines()
         modules, classes = map(int, counts.split())
-        assert modules >= 10 and classes >= 17
+        assert modules >= 10 and classes >= 16
         assert compiled == "Empty FinSet"
+
+
+class TestFormCountReport:
+    """``FormCountReport`` is a checked tuple, not a ``@frozen`` record: every
+    form count builds one, and the tuple costs one allocation.  It keeps the
+    record contract, and every way to build one runs its checks."""
+
+    REPORT = (3, 4, 261, 729)
+
+    def test_equal_to_its_own_class_only(self):
+        report = pf.FormCountReport(*self.REPORT)
+        assert report == pf.FormCountReport(*self.REPORT)
+        assert not report != pf.FormCountReport(*self.REPORT)
+        assert report != pf.FormCountReport(3, 4, 263, 729)
+        # a plain tuple of the same fields is unequal on either side, and
+        # the report answers itself rather than deferring to the tuple
+        assert report != self.REPORT and self.REPORT != report
+        assert not report == self.REPORT and not self.REPORT == report
+        assert report.__eq__(self.REPORT) is False
+        assert report.__ne__(self.REPORT) is True
+        assert report != pf.MultiplicativityReport(3, Fraction(1), Fraction(1), True)
+
+    def test_hash_is_hash_of_field_tuple(self):
+        report = pf.FormCountReport(*self.REPORT)
+        assert hash(report) == hash(self.REPORT)
+        assert len({report, pf.FormCountReport(*self.REPORT)}) == 1
+
+    def test_pinned_repr(self):
+        assert repr(pf.FormCountReport(*self.REPORT)) \
+            == "FormCountReport(prime=3, dimension=4, kernel_count=261, total_forms=729)"
+        assert repr(pf.count_null_square_two_forms(3, 2)) \
+            == "FormCountReport(prime=3, dimension=2, kernel_count=3, total_forms=3)"
+
+    def test_keyword_and_positional_construction(self):
+        report = pf.FormCountReport(*self.REPORT)
+        assert pf.FormCountReport(3, 4, kernel_count=261, total_forms=729) == report
+        assert pf.FormCountReport(total_forms=729, kernel_count=261, dimension=4,
+                                  prime=3) == report
+        assert (report.prime, report.dimension, report.kernel_count, report.total_forms) \
+            == self.REPORT
+        assert tuple(report) == self.REPORT
+        with pytest.raises(TypeError):
+            pf.FormCountReport(3, 4, 261)
+        with pytest.raises(TypeError):
+            pf.FormCountReport(3, 4, 261, 729, prime=3)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickles_rerun_the_checks(self, protocol):
+        report = pf.FormCountReport(*self.REPORT)
+        clone = pickle.loads(pickle.dumps(report, protocol))
+        assert type(clone) is pf.FormCountReport and clone == report
+        # a report forged past __new__ is refused when it is rebuilt
+        forged = tuple.__new__(pf.FormCountReport, (3, 4, 0, 729))
+        with pytest.raises(InvariantError, match="kernel count out of range"):
+            pickle.loads(pickle.dumps(forged, protocol))
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy])
+    def test_copies_rerun_the_checks(self, clone):
+        report = pf.FormCountReport(*self.REPORT)
+        assert clone(report) == report and type(clone(report)) is pf.FormCountReport
+        forged = tuple.__new__(pf.FormCountReport, (3, 4, 729, 729))
+        with pytest.raises(InvariantError, match="must miss a form with nonzero square"):
+            clone(forged)
+
+    @pytest.mark.parametrize("field", ["prime", "dimension", "kernel_count", "total_forms"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        report = pf.FormCountReport(*self.REPORT)
+        before = getattr(report, field)
+        with pytest.raises(AttributeError):
+            setattr(report, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(report, field)
+        with pytest.raises(AttributeError):
+            report.new_attribute = 0
+        assert getattr(report, field) == before and tuple(report) == self.REPORT
+
+    def test_no_unchecked_builders(self):
+        # namedtuple's _make and _replace would build a report past __new__
+        report = pf.FormCountReport(*self.REPORT)
+        assert not hasattr(report, "_make") and not hasattr(report, "_replace")
+        assert not hasattr(report, "__dict__")
