@@ -1,30 +1,43 @@
-"""``loop``: the p-adic free loop space, iterated, in normal form."""
+"""``loop``: the p-adic free loop space, iterated, in normal form.
+
+Each iteration's output is held to its input at heights 0 and 1,
+``|L_p X|_n = |X|_(n+1)``, through ``spaces.height_cardinality``, which
+counts each atom in closed form and shares no code with the class walk that
+loops it; a mismatch raises ``InvariantError``."""
 
 from __future__ import annotations
 
 from . import _emit, _require_printable
+from ..errors import InvariantError
 from ..rationals import require_int
 
 
 def handle(args) -> int:
     require_int(args.iterations, "iteration count", 0)
     from ..parser import parse_space, space_text
-    from ..spaces import normal_form, p_adic_loop
+    from ..spaces import height_cardinality, normal_form, p_adic_loop
+    p = args.prime
     # looping the normal form keeps each iteration as small as the answer;
     # looping the raw expression doubles it with every iteration
     nf = normal_form(parse_space(args.space))
+    x = nf.to_expr()
     for _ in range(args.iterations):
-        given, nf = nf, normal_form(p_adic_loop(nf.to_expr(), args.prime))
+        given, nf = nf, normal_form(p_adic_loop(x, p))
         # looping never lowers a multiplicity, so a large one can stop here
         for _, count in nf.components:
             _require_printable(count)
+        x, before = nf.to_expr(), x
+        for n in (0, 1):
+            if height_cardinality(x, p, n) != height_cardinality(before, p, n + 1):
+                raise InvariantError(f"the loop's height-{n} cardinality differs from "
+                                     f"its input's height-{n + 1} cardinality")
         # an iteration that returns the form it was given returns it again
         if nf == given:
             break
-    text = space_text(nf.to_expr())
+    text = space_text(x)
     _emit(args, text, {
         "space": args.space,
-        "prime": args.prime,
+        "prime": p,
         "iterations": args.iterations,
         "loop": text,
     })

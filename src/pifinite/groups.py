@@ -15,8 +15,10 @@ composing rows, ``itemgetter(*other)(row)`` being row composed with other;
 no numpy is needed.  A table is checked by the group axioms alone: an
 identity, found in every row, and associativity by Light's test over a
 greedy generating set, at n^2 cells per generator; commutativity is read
-from the same set.  Symmetric and wreath tables are built as the closure
-of their generators' rows, one row composition per element.  Orders go up
+from the same set.  Every derived table, symmetric, wreath, product and
+subgroup, is built as the closure of its generators' rows (``_closure``),
+one row composition per element; a subgroup's generators are its own
+greedy ones, their rows restricted to its element set.  Orders go up
 to the order cap (``descriptors.DEFAULT_ORDER_CAP``, or
 ``PIFINITE_ORDER_CAP``), applied to every build: a descriptor is checked
 whole before anything is built, and ``direct_product`` and
@@ -89,15 +91,16 @@ class _ClosedRows(tuple):
     __slots__ = ()
 
 
-def _generators(rows: Rows, identity: int):
-    """Greedy generators of a table, yielded one at a time: each is the
-    least element not yet reached from the identity by right multiplication
-    by the generators before it, and the reached set is closed under them
-    before the next is picked, until it holds every element.  In a group the
-    reached set is the subgroup the generators generate, so each generator at
-    least doubles it and there are at most log2(n) + 1 of them."""
+def _generators(rows: Rows, identity: int, elements: Iterable[int] | None = None):
+    """Greedy generators of a table, or of its ascending ``elements``,
+    yielded one at a time: each is the least element not yet reached from
+    the identity by right multiplication by the generators before it, and
+    the reached set is closed under them before the next is picked, until it
+    holds every element.  In a group the reached set is the subgroup the
+    generators generate, so each generator at least doubles it and there are
+    at most log2(n) + 1 of them."""
     seen, reached, gens = {identity}, [identity], []
-    for a in range(len(rows)):
+    for a in range(len(rows)) if elements is None else elements:
         if a not in seen:
             yield a
             gens.append(a)
@@ -129,13 +132,14 @@ def _passes_light_test(rows: Rows, identity: int) -> bool:
                for a in _generators(rows, identity) for row in rows)
 
 
-def _closure(gen_rows: Sequence[Sequence[int]], identity: int) -> _ClosedRows:
-    """The rows of the group that the left-multiplication rows ``gen_rows``
-    generate, as tuples over one shared int per element.  The walk starts at
+def _closure(gen_rows: Sequence[Sequence[int]], identity: int, order: int) -> _ClosedRows:
+    """The rows of the group of ``order`` elements that the
+    left-multiplication rows ``gen_rows`` generate (none for the trivial
+    group), as tuples over one shared int per element.  The walk starts at
     the identity, and each element g x, when first reached, gets row g
     composed after row x, since (g x) z = g (x z): one gather in C per
     element."""
-    ints = tuple(range(len(gen_rows[0])))
+    ints = tuple(range(order))
     gen_rows = [_getter(gen)(ints) for gen in gen_rows]
     rows: list = [None] * len(ints)
     rows[identity], reached = ints, [identity]
@@ -173,9 +177,9 @@ class FiniteGroup:
         if validate:
             self._validate()
         self.element_orders, self.inverses = self._orders_and_inverses()
-        self._centralizer_cache: dict = {}  # by element and by index tuple
+        self._centralizer_cache: dict = {}  # by index tuple
         self._tuple_counts: dict = {}   # p -> the counts at n = 0, 1, ... reached
-        self._hash = hash(self._rows)
+        self._hash: int | None = None   # hash(rows), taken on first use
         self._array: np.ndarray | None = None
 
     # -- construction-time checks -------------------------------------------
@@ -249,6 +253,8 @@ class FiniteGroup:
         return isinstance(other, FiniteGroup) and self._rows == other._rows
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self._rows)
         return self._hash
 
     def __repr__(self) -> str:
@@ -288,7 +294,10 @@ class FiniteGroup:
         return tuple(itertools.compress(range(self.order), mask))
 
     def subgroup(self, elems: Sequence[int], name: str = "H") -> "FiniteGroup":
-        """The subgroup on the given closed element set, with the induced table."""
+        """The subgroup on the given closed element set, with the induced
+        table: the closure of its greedy generators' rows, restricted to the
+        set.  The generators reach every element of the set, so it is closed
+        exactly when it holds the identity and no generator's row leaves it."""
         elems = tuple(sorted({require_int(e, "element index", 0) for e in elems}))
         if not elems:
             raise InputError("a subgroup needs at least one element")
@@ -298,25 +307,20 @@ class FiniteGroup:
         for i, e in enumerate(elems):
             pos[e] = i
         restrict = _getter(elems)
-        tab = []
-        for a in elems:
-            row = _getter(restrict(self._rows[a]))(pos)
-            if min(row) < 0:
-                raise InputError("element set is not closed under multiplication")
-            tab.append(row)
-        return FiniteGroup(_ClosedRows(tab), name=name, validate=False)
+        gens = [_getter(restrict(self._rows[a]))(pos)
+                for a in _generators(self._rows, self.identity, elems)]
+        if pos[self.identity] < 0 or any(-1 in row for row in gens):
+            raise InputError("element set is not closed under multiplication")
+        return FiniteGroup(_closure(gens, pos[self.identity], len(elems)), name=name,
+                           validate=False)
 
     def centralizer_subgroup(self, g: int) -> "FiniteGroup":
         """C_G(g): the group itself if g is central, else one table per element set."""
-        # checked before the cache, where True and 1.0 would find the entry of 1
-        got = self._centralizer_cache.get(require_int(g, "element index", 0))
+        idx = self.centralizer_indices([g])
+        got = self._centralizer_cache.get(idx)
         if got is None:
-            idx = self.centralizer_indices([g])
-            got = self._centralizer_cache.get(idx)
-            if got is None:
-                got = self if len(idx) == self.order else self.subgroup(
-                    idx, name=f"C_{{{self.name}}}({g})")
-            self._centralizer_cache[idx] = self._centralizer_cache[g] = got
+            got = self._centralizer_cache[idx] = self if len(idx) == self.order else (
+                self.subgroup(idx, name=f"C_{{{self.name}}}({g})"))
         return got
 
     # -- p-structure -----------------------------------------------------------
@@ -368,7 +372,7 @@ def _symmetric_group(n: int) -> FiniteGroup:
     # transposition and an n-cycle generate S_n (both are the identity at n = 1)
     e = perms[0]
     gens = (e[1::-1] + e[2:], e[1:] + e[:1])
-    return FiniteGroup(_closure([[pos[_getter(s)(g)] for s in perms] for g in gens], 0))
+    return FiniteGroup(_closure([[pos[_getter(s)(g)] for s in perms] for g in gens], 0, len(perms)))
 
 
 def _dihedral_group(order: int) -> FiniteGroup:
@@ -383,15 +387,17 @@ def _dihedral_group(order: int) -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """G x H with elements a*|H| + b."""
+    """G x H with elements a*|H| + b, the closure of the rows of (a, e) and
+    (e, b) for the greedy generators a of G and b of H."""
     m = h.order
-    ints = tuple(range(_require_order(g.order * m)))
-    # shifted[u][b]: the elements (u, b d) for every d in H, at indices u*|H| + b d
-    shifted = [tuple(_getter(hrow)(ints[u * m:(u + 1) * m]) for hrow in h._rows)
-               for u in range(g.order)]
-    tab = [tuple(itertools.chain.from_iterable(shifted[u][b] for u in grow))
-           for grow in g._rows for b in range(m)]
-    return FiniteGroup(_ClosedRows(tab), name=f"{g.name} x {h.name}", validate=False)
+    xs = range(_require_order(g.order * m))
+    # (a, e)(u, v) = (a u, v) and (e, b)(u, v) = (u, b v), at x = u*|H| + v
+    gens = [[row[x // m] * m + x % m for x in xs]
+            for row in map(g._rows.__getitem__, _generators(g._rows, g.identity))]
+    gens += [[x - x % m + row[x % m] for x in xs]
+             for row in map(h._rows.__getitem__, _generators(h._rows, h.identity))]
+    tab = _closure(gens, g.identity * m + h.identity, len(xs))
+    return FiniteGroup(tab, name=f"{g.name} x {h.name}", validate=False)
 
 
 def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
@@ -411,7 +417,7 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
     gens = [[(v - v % m + row[v % m]) * c + t for v in vs for t in ts]
             for row in map(g._rows.__getitem__, _generators(g._rows, g.identity))]
     gens.append([(v % top * m + v // top) * c + (t + 1) % c for v in vs for t in ts])
-    tab = _closure(gens, sum(g.identity * m ** i for i in range(c)) * c)
+    tab = _closure(gens, sum(g.identity * m ** i for i in range(c)) * c, len(vs) * c)
     name = g.name if " " not in g.name else f"({g.name})"
     return FiniteGroup(tab, name=f"{name} wr C{c}", validate=False)
 

@@ -24,10 +24,11 @@ EM atom of the cyclic orders it names, and each other factor the
 ``Classifying`` atom of its canonical descriptor (``B(D6)`` parses to
 ``B(S3)``), so ``B(C2 x S3 x C3)`` parses to
 ``B^1(C2) * B(S3) * B^1(C3)``, whose normal form, where EM atoms of one
-degree multiply, prints ``B(S3) * B^1(C6)``.  The equal groups of one
-text share one atom.  Parsing builds no table: a table is built when it
-is first read, once per atom, and a refusal is reported where it is
-read, so a refused group before a syntax error is refused for the group,
+degree multiply, prints ``B(S3) * B^1(C6)``.  Parsing builds no table: a
+table is built when it is first read, once per atom, and
+``spaces.p_adic_loop`` reads equal described atoms once per call, so the
+equal groups of one text build one table.  A refusal is reported where it
+is read, so a refused group before a syntax error is refused for the group,
 and text nested deeper than ``MAX_NESTING`` levels at that depth.
 Printing a parsed expression and re-parsing it yields an identical normal
 form; atoms print by ``spaces.atom_text``, the printer ``NormalForm`` uses.
@@ -38,9 +39,8 @@ from __future__ import annotations
 from .errors import InputError, ResourceBudgetError
 from .descriptors import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
 from .rationals import require_digits, require_numeral
-from .spaces import (PT, Atom, Classifying, Disjoint, Empty, FinSet, Product, SpaceExpr,
-                     atom_text, classifying, disjoint_union, em_space,
-                     finite_set, product)
+from .spaces import (PT, Atom, Disjoint, Empty, FinSet, Product, SpaceExpr, atom_text,
+                     classifying, disjoint_union, em_space, finite_set, product)
 
 
 # The deepest the text may nest: the open parentheses around a point plus
@@ -92,7 +92,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
-        self.atoms: dict = {}       # the one Classifying atom of each group read
 
     def take(self, text: str) -> bool:
         # take the next token if it is ``text``
@@ -168,20 +167,13 @@ class _Parser:
             self.open()
             desc = self.group()
             self.close()
-            return self.share(classifying(desc))
+            return classifying(desc)
         if self.take("("):
             self.nest()
             inner = self.expr()
             self.close()
             return inner
         self.fail("a factor")
-
-    def share(self, x: SpaceExpr) -> SpaceExpr:
-        # the equal groups of one text share one atom, which builds its
-        # table at most once
-        if isinstance(x, Product):
-            return product(*map(self.share, x.factors))
-        return self.atoms.setdefault(x, x) if isinstance(x, Classifying) else x
 
     def group(self) -> GroupDescriptor:
         # each "x" or "wr" link nests the descriptor one level deeper, until

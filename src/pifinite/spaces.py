@@ -348,25 +348,39 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
     its own loop, with no table built, when p does not divide the order; an EM
     atom picks up its p-primary part one degree down (loops based anywhere
     are a torsor over based loops, and based loops only see p-torsion).
+
+    Each distinct group atom is walked once per call, so a table is built
+    and walked once however many parts hold its atom: a described atom is
+    matched by equality, a table atom by identity, since equal tables may
+    carry different names and a form prints each by the least of them.  An
+    EM atom's loop is read off its factors, with no walk.
     """
     require_prime(p)
-    if isinstance(x, (Empty, FinSet)):
-        return x
-    if isinstance(x, Disjoint):
-        return disjoint_union(*(p_adic_loop(part, p) for part in x.parts))
-    if isinstance(x, Product):
-        return product(*(p_adic_loop(f, p) for f in x.factors))
-    if isinstance(x, Classifying):
+    looped: dict = {}
+
+    def loop(x: SpaceExpr) -> SpaceExpr:
+        if isinstance(x, (Empty, FinSet)):
+            return x
+        if isinstance(x, Disjoint):
+            return disjoint_union(*map(loop, x.parts))
+        if isinstance(x, Product):
+            return product(*map(loop, x.factors))
+        if isinstance(x, EM):
+            return product(x, em_space(_p_part(x.factors, p), x.degree - 1))
+        if not isinstance(x, Classifying):
+            raise InputError(f"not a space expression: {x!r}")
         if x.group.order % p:
             return x        # by Cauchy's theorem e is the only p-element: C(e) = G
-        from .groups import p_loop_decomposition
-        cents = [c for _, c in p_loop_decomposition(x.table, p)]
-        # equal centralizers share one table object, classified once
-        atoms = {id(c): classifying(c) for c in {id(c): c for c in cents}.values()}
-        return disjoint_union(*(atoms[id(c)] for c in cents))
-    if isinstance(x, EM):
-        return product(x, em_space(_p_part(x.factors, p), x.degree - 1))
-    raise InputError(f"not a space expression: {x!r}")
+        key = id(x.group) if hasattr(x.group, "descriptor") else x
+        if key not in looped:
+            from .groups import p_loop_decomposition
+            cents = [c for _, c in p_loop_decomposition(x.table, p)]
+            # equal centralizers share one table object, classified once
+            atoms = {id(c): classifying(c) for c in {id(c): c for c in cents}.values()}
+            looped[key] = disjoint_union(*(atoms[id(c)] for c in cents))
+        return looped[key]
+
+    return loop(x)
 
 
 def _height_cardinality(x: SpaceExpr, p: int | None, n: int) -> Fraction:

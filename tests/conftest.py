@@ -192,6 +192,26 @@ def oracle_product_table(g: pf.FiniteGroup, h: pf.FiniteGroup) -> list[list[int]
     return [[g.mul(a, c) * m + h.mul(b, d) for c, d in pairs] for a, b in pairs]
 
 
+def oracle_generated(g: pf.FiniteGroup, gens) -> tuple[int, ...]:
+    """The ascending elements of the subgroup ``gens`` generate, by
+    multiplying out from the identity until nothing new is reached."""
+    reached, todo = {g.identity}, [g.identity]
+    while todo:
+        x = todo.pop()
+        for y in (g.mul(x, a) for a in gens):
+            if y not in reached:
+                reached.add(y)
+                todo.append(y)
+    return tuple(sorted(reached))
+
+
+def oracle_subgroup_table(g: pf.FiniteGroup, elems) -> list[list[int]]:
+    """The rows of ``g`` at the ascending subgroup ``elems`` restricted to
+    its columns, each product at its position in ``elems``."""
+    pos = {e: i for i, e in enumerate(elems)}
+    return [[pos[g.mul(a, b)] for b in elems] for a in elems]
+
+
 def oracle_wreath_table(g: pf.FiniteGroup, c: int) -> list[list[int]]:
     """G wr C_c by the rule (gs; s)(hs; t) = (w; s + t) with w_i =
     g_i h_{i-s}, indices mod c, and (g_0, ..., g_{c-1}; s) at index

@@ -550,6 +550,24 @@ class TestExitCodes:
         for extra in ([], ["--format", "json"]):
             assert run(capsys, *argv, *extra) == (3, "", f"invariant error: {route} broke\n")
 
+    @pytest.mark.parametrize("iterations, wrong", [
+        ("1", lambda decompose: lambda g, p: decompose(g, p)[:-1]),
+        ("1", lambda decompose: lambda g, p: decompose(g, p) + decompose(g, p)[-1:]),
+        # only a centralizer table's loop goes wrong, in the second iteration
+        ("2", lambda decompose: lambda g, p: decompose(g, p)[:None if g.descriptor else -1]),
+    ], ids=["a class dropped", "a class counted twice", "a centralizer's class dropped"])
+    def test_loop_checks_each_iteration_against_its_input(self, capsys, monkeypatch,
+                                                          iterations, wrong):
+        # |L_p X|_n = |X|_(n+1) at n = 0 and 1, counted with no class walk
+        monkeypatch.setattr(pifinite.groups, "p_loop_decomposition",
+                            wrong(pifinite.groups.p_loop_decomposition))
+        for extra in ([], ["--format", "json"]):
+            code, out, err = run(capsys, "loop", "--space", "B(S4)", "--prime", "2",
+                                 "--iterations", iterations, *extra)
+            assert (code, out) == (3, "")
+            assert err.startswith("invariant error: the loop's height-0 cardinality")
+            assert len(err.splitlines()) == 1
+
     def test_nonprime_rejected(self, capsys):
         code, _, err = run(capsys, "card", "--space", "pt", "--prime", "6", "--height", "1")
         assert code == 1 and "prime" in err
@@ -1055,8 +1073,9 @@ class TestLoadsOnlyWhatItRuns:
         # a non-abelian described group is counted from its descriptor
         (["card", "--space", "B(S4)", "--prime", "2", "--height", "2"], 0,
          _EXPRESSIONS + _HOMS + _handler("card")),
+        # the loop's shift check counts B(S3) at heights 1 and 2 from its descriptor
         (["loop", "--space", "B(S3)", "--prime", "3"], 0,
-         _EXPRESSIONS + _TABLES + _NORMAL_FORMS + _handler("loop")),
+         _EXPRESSIONS + _TABLES + _NORMAL_FORMS + _HOMS + _handler("loop")),
         (["card", "--space", "B(S7)", "--prime", "2", "--height", "1"], 1,
          _EXPRESSIONS + _handler("card")),
         (["card", "--space", "B(C5 wr C5)", "--prime", "5", "--height", "1"], 2,

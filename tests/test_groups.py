@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_census_coefficients,
                       oracle_centralizer_tuples, oracle_commuting_tuples,
-                      oracle_conjugacy_classes, oracle_product_table, oracle_symmetric_table,
-                      oracle_wreath_table, relabelled)
+                      oracle_conjugacy_classes, oracle_generated, oracle_product_table,
+                      oracle_subgroup_table, oracle_symmetric_table, oracle_wreath_table,
+                      relabelled)
 
 import pifinite as pf
 from pifinite import InputError, ResourceBudgetError, homcounts
@@ -692,6 +693,46 @@ class TestCellOracles:
                 expected = oracle_wreath_table(pf.build_group(d.base), d.p)
             assert rows_of(g) == expected
 
+    SUBGROUP_TEXTS = GROUP_TEXTS + ("C1", "S4", "D12", "C2 x S3", "S3 wr C2", "C2 wr C2 wr C2")
+
+    @pytest.mark.parametrize("text", SUBGROUP_TEXTS)
+    def test_centralizer_subgroups(self, text):
+        # every proper centralizer a loop at p = 2, 3 or 5 builds
+        for g in (named_group(text), relabelled(named_group(text), 3)):
+            for p in (2, 3, 5):
+                for rep, _ in pf.p_loop_decomposition(g, p):
+                    elems = g.centralizer_indices([rep])
+                    if len(elems) < g.order:
+                        assert rows_of(g.subgroup(elems)) == oracle_subgroup_table(g, elems)
+
+    @pytest.mark.parametrize("text", SUBGROUP_TEXTS)
+    def test_subgroups_of_random_pairs(self, text):
+        # the relabelled group puts its identity off index 0; a pair of
+        # identities generates the trivial subgroup, which has no generator
+        rng = random.Random(text)
+        for g in (named_group(text), relabelled(named_group(text), 4)):
+            pairs = [(g.identity, g.identity)]
+            pairs += [(rng.randrange(g.order), rng.randrange(g.order)) for _ in range(12)]
+            for pair in pairs:
+                elems = oracle_generated(g, pair)
+                assert rows_of(g.subgroup(elems)) == oracle_subgroup_table(g, elems)
+
+    @pytest.mark.parametrize("text", ["S3", "D8", "D12", "S4", "C2 wr C2"])
+    def test_subgroup_refuses_sets_that_are_not_subgroups(self, text):
+        # a centralizer less its identity, a coset of it, and it with one
+        # element more: no subgroup of order |H| + 1 holds H when |H| > 1
+        for g in (named_group(text), relabelled(named_group(text), 6)):
+            for x in g.elements():
+                h = g.centralizer_indices([x])
+                if len(h) == g.order:
+                    continue
+                outside = next(y for y in g.elements() if y not in h)
+                for elems in ([y for y in h if y != g.identity], [g.mul(outside, y) for y in h],
+                              h + (outside,), [x]):
+                    with pytest.raises(InputError, match="^element set is not closed under "
+                                                         "multiplication$"):
+                        g.subgroup(elems)
+
     def test_is_abelian_is_the_transpose(self):
         groups = [named_group(t) for t in GROUP_TEXTS + ("C1", "S1", "S4", "D12", "C2 x C4",
                                                          "C3 x C3", "C2 x S3", "C2 wr C2",
@@ -810,6 +851,18 @@ class TestTableFormat:
         sub = d600.subgroup(d600.centralizer_indices([rotation]))
         assert sub.order == 300
         assert len({id(v) for row in sub._rows for v in row}) == 300
+
+    def test_hash_taken_on_first_use(self):
+        # a loop of a described group hashes its centralizer tables, which
+        # normal forms key by, never the group's own table
+        x = pf.parse_space("B(S4)")
+        looped = pf.normal_form(pf.p_adic_loop(x, 2))
+        assert repr(looped) == "NormalForm(B(C_{S4}(7)) + B(S4) + B^1(C2 x C2) + B^1(C4))"
+        centralizer = looped.components[0][0][0].group
+        assert x.table._hash is None and centralizer._hash == hash(centralizer._rows)
+        g = pf.FiniteGroup(x.table.table)
+        assert g._hash is None
+        assert hash(g) == hash(x.table) == hash(g._rows) == g._hash
 
     def test_table_memory(self):
         # one pointer per cell; every row shares the same int objects, so

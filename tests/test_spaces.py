@@ -198,6 +198,59 @@ class TestLoop:
         assert tested == [100]
         assert pf.normal_form(looped) == pf.normal_form(pf.parse_space("B(D200) + 12 * B^1(C100)"))
 
+    @staticmethod
+    def _counted_decompositions(monkeypatch) -> list[str]:
+        walked = []
+        decompose = pf.groups.p_loop_decomposition
+
+        def counting(g, p):
+            walked.append(g.name)
+            return decompose(g, p)
+
+        monkeypatch.setattr(pf.groups, "p_loop_decomposition", counting)
+        return walked
+
+    def test_each_distinct_atom_walked_once(self, monkeypatch):
+        # equal described atoms are one atom, however many parts hold them
+        text = "B(S4) * B(S4) + B(S4) * B(D8)"
+        expected = pf.normal_form(pf.disjoint_union(
+            *(pf.p_adic_loop(pf.parse_space(part), 2) for part in text.split(" + "))))
+        walked = self._counted_decompositions(monkeypatch)
+        looped = pf.p_adic_loop(pf.parse_space(text), 2)
+        assert sorted(walked) == ["D8", "S4"]
+        assert pf.normal_form(looped) == expected
+
+    def test_a_table_atom_in_several_components_walked_once(self, monkeypatch):
+        # the form's centralizer tables each sit in several components: alone,
+        # and beside the atoms of the other factor's loop
+        nf = pf.normal_form(pf.p_adic_loop(pf.parse_space("(pt + B(S4)) * (pt + B(S5))"), 2))
+        x = nf.to_expr()
+        comps = [part.factors if isinstance(part, pf.Product) else (part,) for part in x.parts]
+        groups = [a.group for c in comps for a in c if isinstance(a, pf.Classifying)]
+        tables = {id(g): g.name for g in groups if isinstance(g, pf.FiniteGroup)}
+        described = {pf.groups.descriptor_name(g) for g in groups
+                     if not isinstance(g, pf.FiniteGroup)}
+        assert len(groups) > len(tables) + len(described) and len(tables) > 1
+        expected = pf.normal_form(pf.disjoint_union(*(pf.p_adic_loop(part, 2)
+                                                      for part in x.parts)))
+        text = pf.space_text(expected.to_expr())
+        walked = self._counted_decompositions(monkeypatch)
+        looped = pf.normal_form(pf.p_adic_loop(x, 2))
+        assert sorted(walked) == sorted([*tables.values(), *described])
+        assert looped == expected and pf.space_text(looped.to_expr()) == text
+
+    def test_equal_tables_of_different_names_are_walked_apart(self):
+        # C_{S4}(7) and C_{S5}(7) are equal tables: matched by identity, each
+        # loops under its own name, so the least name is printed whichever
+        # part comes first
+        a, b = (pf.Classifying(pf.parse_space(t).table.centralizer_subgroup(7))
+                for t in ("B(S4)", "B(S5)"))
+        assert a == b and a.group.name != b.group.name
+        for pair in ((a, b), (b, a)):
+            looped = pf.normal_form(pf.p_adic_loop(pf.disjoint_union(*pair), 2))
+            assert pf.space_text(looped.to_expr()) == (
+                "4 * B(C_{S4}(7)) + 4 * B^1(C2 x C2) + 2 * B^1(C4)")
+
 
 class TestHeightCardinality:
     def test_em_grid_against_binomial(self):
