@@ -7,7 +7,9 @@ subcommand names, whose ``handle(args)`` prints the answer and returns the
 exit code.  A process thus compiles only its own handler: without bytecode
 caches every module a process imports is compiled from source each time.
 No module here imports ``pifinite.cli``, which ``python -m`` runs as
-``__main__``: importing it would compile it a second time.
+``__main__``: importing it would compile it a second time.  A JSON answer
+is written by ``jsontext``, which only ``--format json`` loads, in place of
+``json``.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ def _rat_json(x: Fraction) -> dict:
 
 def _emit(args, plain: str, payload: dict) -> None:
     if args.format == "json":
-        import json
-        print(json.dumps(payload))
+        from .jsontext import dumps
+        print(dumps(payload))
     else:
         print(plain)

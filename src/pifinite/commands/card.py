@@ -7,8 +7,8 @@ from . import _emit, _rat_json, _rat_text
 
 def handle(args) -> int:
     from ..parser import parse_space
+    space = parse_space(args.space)     # a refused text loads no space algebra
     from ..spaces import height_cardinality
-    space = parse_space(args.space)
     value = height_cardinality(space, args.prime, args.height)
     _emit(args, _rat_text(value), {
         "space": args.space,

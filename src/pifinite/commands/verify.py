@@ -20,6 +20,6 @@ def handle(args) -> int:
         if args.format != "json":
             print(f"{'PASS' if ok else 'FAIL'}  {label}: {detail}")
     if args.format == "json":
-        import json
-        print(json.dumps({"results": results, "failures": failures}))
+        from .jsontext import dumps
+        print(dumps({"results": results, "failures": failures}))
     return 3 if failures else 0

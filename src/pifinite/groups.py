@@ -3,9 +3,13 @@
 that drive every classifying-space cardinality in this package.  Commuting
 tuples are counted on centralizers held as bitmasks over the p-elements,
 with no subgroup table; centralizer subgroups are built only on request, as
-the p-adic loop space makes them to print its components.  The groups are
-named by the descriptors of ``descriptors``, which also holds the order cap
-and the limits every build applies.
+the p-adic loop space makes them to print the components of a table atom.
+The groups are named by the descriptors of ``descriptors``, which also
+holds the order cap and the limits every build applies.  A loop of a
+described group builds no table of it: ``encoded`` multiplies its elements
+by the indices the builders here give them, and hands ``_closure`` the
+generator rows of each non-abelian proper centralizer, the one table such a
+loop builds.
 
 Groups are deliberately plain multiplication tables, so every count is
 exact and independently checkable by brute force.  A table is a tuple of
@@ -24,7 +28,8 @@ to the order cap (``descriptors.DEFAULT_ORDER_CAP``, or
 whole before anything is built, and ``direct_product`` and
 ``wreath_cyclic`` check the order they would build.  Building a table is
 the costly step, and its cost grows with the square of the order; a height
-count of a described group builds none (``homcounts.hom_count``).
+count of a described group builds none (``homcounts.hom_count``), and
+neither does its loop, past its non-abelian proper centralizers.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from operator import and_, eq, itemgetter, mul
 
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                           _require_order, _wreath_order, checked_order, descriptor_name)
-from .errors import InputError, InvariantError, ResourceBudgetError
+from .errors import InputError, ResourceBudgetError
 from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime, vp
 from .records import frozen
 
@@ -423,30 +428,6 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
 
 
 # -- counting operations ---------------------------------------------------------
-
-def _abelian_invariant_factors(g: FiniteGroup) -> tuple[int, ...]:
-    """The invariant factors d_1 | d_2 | ... of an abelian group, ascending,
-    read off its element orders with nothing factored.  In C_{d_1} x ... x
-    C_{d_k}, x^d = e has prod gcd(d, d_i) solutions: so d_k is the exponent,
-    and each next factor is the least d dividing the last one found at which
-    the solutions, over prod gcd(d, f) for the factors f found, are the
-    order not yet accounted for."""
-    counts = Counter(g.element_orders)
-    found = [max(counts)]
-    left = g.order // found[0]
-    while left > 1:
-        for d in range(2, found[-1] + 1):
-            if found[-1] % d == 0:
-                share, rest = divmod(sum(c for o, c in counts.items() if d % o == 0),
-                                     math.prod(math.gcd(d, f) for f in found))
-                if rest or share == left:
-                    break
-        if rest or share != left or left % d:
-            raise InvariantError("x^d = e has prod gcd(d, d_i) solutions in an abelian group")
-        found.append(d)
-        left //= d
-    return tuple(reversed(found)) if found[0] > 1 else ()
-
 
 def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
     return g.conjugacy_classes()

@@ -24,12 +24,13 @@ EM atom of the cyclic orders it names, and each other factor the
 ``Classifying`` atom of its canonical descriptor (``B(D6)`` parses to
 ``B(S3)``), so ``B(C2 x S3 x C3)`` parses to
 ``B^1(C2) * B(S3) * B^1(C3)``, whose normal form, where EM atoms of one
-degree multiply, prints ``B(S3) * B^1(C6)``.  Parsing builds no table: a
-table is built when it is first read, once per atom, and
-``spaces.p_adic_loop`` reads equal described atoms once per call, so the
-equal groups of one text build one table.  A refusal is reported where it
-is read, so a refused group before a syntax error is refused for the group,
-and text nested deeper than ``MAX_NESTING`` levels at that depth.
+degree multiply, prints ``B(S3) * B^1(C6)``.  Parsing builds no table,
+and a group is checked by ``descriptors.checked_order`` as its ``B(...)``
+closes.  This module imports ``spaces`` only in the rules that build a
+space, and ``parse_group`` builds none, so a text refused before its first
+space, and every group text, loads no space algebra.  A refusal is reported
+where it is read, so a refused group before a syntax error is refused for
+the group, and text nested deeper than ``MAX_NESTING`` levels at that depth.
 Printing a parsed expression and re-parsing it yields an identical normal
 form; atoms print by ``spaces.atom_text``, the printer ``NormalForm`` uses.
 """
@@ -37,10 +38,9 @@ form; atoms print by ``spaces.atom_text``, the printer ``NormalForm`` uses.
 from __future__ import annotations
 
 from .errors import InputError, ResourceBudgetError
-from .descriptors import Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath
+from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric, Wreath,
+                          checked_order)
 from .rationals import require_digits, require_numeral
-from .spaces import (PT, Atom, Disjoint, Empty, FinSet, Product, SpaceExpr, atom_text,
-                     classifying, disjoint_union, em_space, finite_set, product)
 
 
 # The deepest the text may nest: the open parentheses around a point plus
@@ -136,24 +136,31 @@ class _Parser:
         self.take("C") or self.fail("'C'")
         return self.number()
 
-    # grammar rules, each returning its value
+    # grammar rules, each returning its value; those that build a space
+    # import ``spaces`` as they return one, so text refused before any space
+    # is built loads no space algebra
 
     def expr(self) -> SpaceExpr:
         parts = [self.term()]
         while self.take("+"):
             parts.append(self.term())
+        from .spaces import disjoint_union
         return disjoint_union(*parts)
 
     def term(self) -> SpaceExpr:
         factors = [self.factor()]
         while self.take("*"):
             factors.append(self.factor())
+        from .spaces import product
         return product(*factors)
 
     def factor(self) -> SpaceExpr:
         if self.tokens[self.pos][0].isdigit():
-            return finite_set(self.number())
+            size = self.number()
+            from .spaces import finite_set
+            return finite_set(size)
         if self.take("pt"):
+            from .spaces import PT
             return PT
         if self.take("B"):
             if self.take("^"):
@@ -163,10 +170,13 @@ class _Parser:
                 while self.take("x"):
                     orders.append(self.cyclic_order())
                 self.close()
+                from .spaces import em_space
                 return em_space(orders, degree)
             self.open()
             desc = self.group()
             self.close()
+            checked_order(desc)     # refused as it closes, as classifying refuses it
+            from .spaces import classifying
             return classifying(desc)
         if self.take("("):
             self.nest()
@@ -228,6 +238,7 @@ def space_text(x: SpaceExpr) -> str:
     their display name, which need not parse.  A table built for G x H
     prints ``B(G x H)``, which parses to ``B(G) * B(H)``, its normal form.
     """
+    from .spaces import Atom, Disjoint, Empty, FinSet, Product, atom_text
     if isinstance(x, Empty):
         return "0"
     if isinstance(x, FinSet):

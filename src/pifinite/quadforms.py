@@ -90,10 +90,29 @@ def _require_odd_prime(p: int) -> int:
 _tuple_new = tuple.__new__
 
 
+def _checked_report(cls, prime: int, dimension: int, kernel_count: int, total_forms: int):
+    """The report ``cls(prime, dimension, kernel_count, total_forms)``,
+    once the count passes the invariants of ``FormCountReport``: the one
+    site of its checks, which ``FormCountReport.__new__`` and the form count
+    both call, the count without the type call's path."""
+    if not 1 <= kernel_count <= total_forms:
+        raise InvariantError("kernel count out of range")
+    if dimension >= 4:
+        # the zero form plus (p-1)-orbits of decomposables
+        if kernel_count % (prime - 1) != 1:
+            raise InvariantError("kernel count must be 1 mod p-1")
+        # the class weights make every count 1 mod p-1, so the check
+        # above cannot catch a relation test that passes everything;
+        # this one can, since e0^e1 + e2^e3 has a nonzero square once n >= 4
+        if kernel_count == total_forms:
+            raise InvariantError("kernel count must miss a form with nonzero square")
+    return _tuple_new(cls, (prime, dimension, kernel_count, total_forms))
+
+
 class FormCountReport(tuple):
     """Result of counting 2-forms omega on F_p^n with omega ^ omega = 0:
     the tuple (prime, dimension, kernel_count, total_forms), built only
-    through ``__new__``, which checks it.
+    through ``_checked_report``, which checks it.
 
     Every form count builds one, so it is a checked tuple rather than a
     ``@frozen`` record: one Python frame and one ``tuple.__new__``, where a
@@ -108,18 +127,7 @@ class FormCountReport(tuple):
     __slots__ = ()
 
     def __new__(cls, prime: int, dimension: int, kernel_count: int, total_forms: int):
-        if not 1 <= kernel_count <= total_forms:
-            raise InvariantError("kernel count out of range")
-        if dimension >= 4:
-            # the zero form plus (p-1)-orbits of decomposables
-            if kernel_count % (prime - 1) != 1:
-                raise InvariantError("kernel count must be 1 mod p-1")
-            # the class weights make every count 1 mod p-1, so the check
-            # above cannot catch a relation test that passes everything;
-            # this one can, since e0^e1 + e2^e3 has a nonzero square once n >= 4
-            if kernel_count == total_forms:
-                raise InvariantError("kernel count must miss a form with nonzero square")
-        return _tuple_new(cls, (prime, dimension, kernel_count, total_forms))
+        return _checked_report(cls, prime, dimension, kernel_count, total_forms)
 
     prime = property(itemgetter(0))
     dimension = property(itemgetter(1))
@@ -202,8 +210,8 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
     the plan's total to the budget, ANDs the packed columns at once (one
     int of 13 slots at (3,4), 3 ANDs of 156-slot ints at (5,5)) and adds
     the plan's weight (p-1)^2 times the one popcount of the result to its
-    zero-side weight.  Every call builds its report anew, and the
-    report's ``__new__`` holds the count to the invariants of
+    zero-side weight.  Every call builds its report anew through
+    ``_checked_report``, which holds the count to the invariants of
     ``FormCountReport``: in range, and for n >= 4, 1 mod p-1 and short of
     every form.  No count or report is held.  Each form is decided by the
     relations themselves, never by the closed form of
@@ -219,8 +227,9 @@ def count_null_square_two_forms(p: int, n: int) -> FormCountReport:
         raise _over_budget(p, math.comb(n, 2), total)
     if not columns:
         # no 4-subsets, the wedge square lives in Lambda^4 = 0
-        return FormCountReport(p, n, total, total)
-    return FormCountReport(p, n, zero_side + weight * reduce(and_, columns).bit_count(), total)
+        return _checked_report(FormCountReport, p, n, total, total)
+    return _checked_report(FormCountReport, p, n,
+                           zero_side + weight * reduce(and_, columns).bit_count(), total)
 
 
 def _over_budget(p: int, e: int, total) -> ResourceBudgetError:

@@ -9,7 +9,9 @@ answer every question asked of it, exactly:
 * ``normal_form``, the sum of products of atoms, from whose atom degrees
   connectivity and truncation are read; its algebra is ``normalforms``,
   imported when a normal form is first taken;
-* ``p_adic_loop``, the p-adic free loop space, again in the grammar;
+* ``p_adic_loop``, the p-adic free loop space, again in the grammar: a
+  described atom loops on encoded elements (``encoded``) and a table atom
+  on its table;
 * ``_height_cardinality``, the height-n cardinality at a prime p, the
   classical cardinality of the n-fold loop space, which each atom gives in
   closed form: a binomial power for an EM atom, a commuting-tuple count for
@@ -79,9 +81,9 @@ class Classifying:
     """The classifying space of a finite group: one component, fundamental
     group ``group``, nothing above degree 1.  ``group`` is a canonical
     descriptor or a table with no descriptor, neither abelian nor a direct
-    product, as ``classifying`` gives it.  Height counts and normal forms
-    read a descriptor itself; ``p_adic_loop`` reads ``table``, which builds
-    a descriptor's table once and holds it."""
+    product, as ``classifying`` gives it.  Height counts, normal forms and
+    ``p_adic_loop`` read a descriptor itself; ``table`` builds a
+    descriptor's table for a caller, once, and holds it."""
     group: FiniteGroup | GroupDescriptor
     degree = 1
     _table = None
@@ -208,8 +210,8 @@ def classifying(group: FiniteGroup | GroupDescriptor) -> SpaceExpr:
         if group.order == 1:
             return PT
         if group.is_abelian():
-            from .groups import _abelian_invariant_factors
-            return EM(_abelian_invariant_factors(group), 1)
+            from .encoded import _abelian_invariant_factors
+            return EM(_abelian_invariant_factors(group.element_orders), 1)
         return Classifying(group)
     from .descriptors import checked_order
     checked_order(d)
@@ -349,8 +351,13 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
     atom picks up its p-primary part one degree down (loops based anywhere
     are a torsor over based loops, and based loops only see p-torsion).
 
-    Each distinct group atom is walked once per call, so a table is built
-    and walked once however many parts hold its atom: a described atom is
+    A described atom is looped on encoded elements (``encoded``), with no
+    table of its group: a centralizer that is the whole group is the atom
+    itself, an abelian one the ``B^1`` of its invariant factors, and only a
+    non-abelian proper one gets a table, named ``C_{G}(g)`` as the table
+    route names it.  A table atom is looped on its table
+    (``groups.p_loop_decomposition``).  Each distinct group atom is walked
+    once per call, however many parts hold it: a described atom is
     matched by equality, a table atom by identity, since equal tables may
     carry different names and a form prints each by the least of them.  An
     EM atom's loop is read off its factors, with no walk.
@@ -371,12 +378,22 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
             raise InputError(f"not a space expression: {x!r}")
         if x.group.order % p:
             return x        # by Cauchy's theorem e is the only p-element: C(e) = G
-        key = id(x.group) if hasattr(x.group, "descriptor") else x
-        if key not in looped:
+        if hasattr(x.group, "descriptor"):     # a table atom
             from .groups import p_loop_decomposition
-            cents = [c for _, c in p_loop_decomposition(x.table, p)]
-            # equal centralizers share one table object, classified once
-            atoms = {id(c): classifying(c) for c in {id(c): c for c in cents}.values()}
+            key, atom = id(x.group), classifying
+        else:
+            # a described atom, on encoded elements: each centralizer is the
+            # group itself, an abelian one's invariant factors, or the table
+            # of a non-abelian one
+            from .encoded import p_loop_decomposition
+            key = x
+
+            def atom(c):
+                return x if c is x.group else EM(c, 1) if isinstance(c, tuple) else Classifying(c)
+        if key not in looped:
+            cents = [c for _, c in p_loop_decomposition(x.group, p)]
+            # equal centralizers share one object, classified once
+            atoms = {id(c): atom(c) for c in {id(c): c for c in cents}.values()}
             looped[key] = disjoint_union(*(atoms[id(c)] for c in cents))
         return looped[key]
 

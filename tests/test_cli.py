@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pifinite.encoded
 import pifinite.parser
 from pifinite.cli import main
 
@@ -554,13 +555,15 @@ class TestExitCodes:
         ("1", lambda decompose: lambda g, p: decompose(g, p)[:-1]),
         ("1", lambda decompose: lambda g, p: decompose(g, p) + decompose(g, p)[-1:]),
         # only a centralizer table's loop goes wrong, in the second iteration
-        ("2", lambda decompose: lambda g, p: decompose(g, p)[:None if g.descriptor else -1]),
+        ("2", lambda decompose: lambda g, p: decompose(g, p)[:None if getattr(g, "descriptor", g)
+                                                           else -1]),
     ], ids=["a class dropped", "a class counted twice", "a centralizer's class dropped"])
     def test_loop_checks_each_iteration_against_its_input(self, capsys, monkeypatch,
                                                           iterations, wrong):
         # |L_p X|_n = |X|_(n+1) at n = 0 and 1, counted with no class walk
-        monkeypatch.setattr(pifinite.groups, "p_loop_decomposition",
-                            wrong(pifinite.groups.p_loop_decomposition))
+        # on a described atom's encoded elements and on a centralizer's table
+        for module in (pifinite.encoded, pifinite.groups):
+            monkeypatch.setattr(module, "p_loop_decomposition", wrong(module.p_loop_decomposition))
         for extra in ([], ["--format", "json"]):
             code, out, err = run(capsys, "loop", "--space", "B(S4)", "--prime", "2",
                                  "--iterations", iterations, *extra)
@@ -579,6 +582,19 @@ class TestExitCodes:
         code, _, err = run(capsys, "profile", "--space", "B(D600)", "--prime", "4",
                            "--range", "2")
         assert code == 1 and err == "error: expected a prime, got 4\n"
+
+    @pytest.mark.parametrize("space, p, out", [
+        ("B(D10000)", "2", "2 * B(D10000) + 2 * B^1(C2 x C2) + 3 * B^1(C5000)"),
+        ("B(S4)", "3", "B(S4) + B^1(C3)"),
+    ])
+    def test_described_loop_builds_no_table(self, capsys, monkeypatch, space, p, out):
+        # every centralizer is whole or abelian: the loop multiplies encoded
+        # elements, and neither the group nor a centralizer gets a table
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was built")
+        monkeypatch.setattr(pifinite.groups, "build_group", no_table)
+        monkeypatch.setattr(pifinite.groups.FiniteGroup, "__init__", no_table)
+        assert run(capsys, "loop", "--space", space, "--prime", p) == (0, out + "\n", "")
 
     def test_abelian_refusals_unchanged(self, capsys, monkeypatch):
         # the abelian route checks descriptors and the cap as build_group does
@@ -756,6 +772,30 @@ def argvs(draw):
     if draw(st.integers(0, 3)) == 0:
         argv.append(draw(WORDS))
     return argv
+
+
+# any str, with surrogates, controls, quotes and backslashes drawn often
+_JSON_TEXT = st.text(st.one_of(st.characters(), st.integers(0xD800, 0xDFFF).map(chr),
+                               st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\x80\u2028')))
+_JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.integers(-10, 10), _JSON_TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=12)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON_VALUES)
+    def test_is_json_dumps(self, value):
+        from pifinite.commands.jsontext import dumps
+        assert dumps(value) == json.dumps(value)
+
+    def test_refuses_what_json_would_not_write(self):
+        from pifinite.commands.jsontext import dumps
+        for value in (1.5, {1: 2}, {"a": object()}):
+            with pytest.raises(TypeError):
+                dumps(value)
 
 
 class TestArgumentFuzz:
@@ -1049,9 +1089,11 @@ class TestStartupIsLean:
 
 _BASE = ["pifinite", "pifinite.cli", "pifinite.errors", "pifinite.rationals"]
 _SPACES = ["pifinite.records", "pifinite.spaces"]
+_PARSER = ["pifinite.descriptors", "pifinite.parser", "pifinite.records"]
 _EXPRESSIONS = _SPACES + ["pifinite.descriptors", "pifinite.parser"]
 _HEIGHTS = _EXPRESSIONS + ["pifinite.heights"]
 _TABLES = ["pifinite.groups"]
+_ENCODED = ["pifinite.encoded"]
 _NORMAL_FORMS = ["pifinite.normalforms"]
 _HOMS = ["pifinite.homcounts"]
 
@@ -1073,14 +1115,17 @@ class TestLoadsOnlyWhatItRuns:
         # a non-abelian described group is counted from its descriptor
         (["card", "--space", "B(S4)", "--prime", "2", "--height", "2"], 0,
          _EXPRESSIONS + _HOMS + _handler("card")),
-        # the loop's shift check counts B(S3) at heights 1 and 2 from its descriptor
+        # the loop's shift check counts B(S3) at heights 1 and 2 from its
+        # descriptor, and B(S3) loops on encoded elements, its centralizers
+        # whole or abelian, with no table
         (["loop", "--space", "B(S3)", "--prime", "3"], 0,
-         _EXPRESSIONS + _TABLES + _NORMAL_FORMS + _HOMS + _handler("loop")),
+         _EXPRESSIONS + _ENCODED + _NORMAL_FORMS + _HOMS + _handler("loop")),
+        # a group the parser refuses loads no space algebra
         (["card", "--space", "B(S7)", "--prime", "2", "--height", "1"], 1,
-         _EXPRESSIONS + _handler("card")),
+         _PARSER + _handler("card")),
         (["card", "--space", "B(C5 wr C5)", "--prime", "5", "--height", "1"], 2,
-         _EXPRESSIONS + _handler("card")),
-        (["loop", "--space", "B(Q8)", "--prime", "2"], 1, _EXPRESSIONS + _handler("loop")),
+         _PARSER + _handler("card")),
+        (["loop", "--space", "B(Q8)", "--prime", "2"], 1, _PARSER + _handler("loop")),
         (["table", "--prime", "3"], 0, _SPACES + _handler("table")),
         (["profile", "--space", "B(C2)", "--prime", "2", "--range", "2"], 0,
          _HEIGHTS + _handler("profile")),
@@ -1092,12 +1137,14 @@ class TestLoadsOnlyWhatItRuns:
         (["beta", "--prime", "3", "--k", "1"], 0,
          _SPACES + ["pifinite.heights", "pifinite.commands.profile"] + _handler("beta")),
         (["wreath", "C2", "--prime", "2", "--height", "2"], 0,
-         _HEIGHTS + _TABLES + _handler("wreath")),
+         _PARSER + ["pifinite.heights"] + _TABLES + _handler("wreath")),
         (["counterexample", "--prime", "5"], 0,
          ["pifinite.quadforms", "pifinite.records"] + _handler("counterexample")),
-        # the symmetric-3 and coset checks count B(S3) from its descriptor
-        (["verify"], 0, _HEIGHTS + _TABLES + _HOMS + ["pifinite.checks", "pifinite.quadforms"]
-         + _handler("verify")),
+        # the symmetric-3 and coset checks count B(S3) from its descriptor;
+        # the symmetric-3 check loops S3's table, whose abelian centralizer
+        # reads its invariant factors from encoded
+        (["verify"], 0, _HEIGHTS + _TABLES + _ENCODED + _HOMS
+         + ["pifinite.checks", "pifinite.quadforms"] + _handler("verify")),
         # refused before any library module loads: a bad prime or a usage
         # error before the handler too
         (["profile", "--space", "B(S3)", "--prime", "4", "--range", "2"], 1, []),
@@ -1116,7 +1163,7 @@ class TestLoadsOnlyWhatItRuns:
          _EXPRESSIONS + _handler("card")),
         (["-h"], 0, ["pifinite.commands", "pifinite.commands.usage"]),
         # a group or space the parser refuses loads no engine behind it
-        (["wreath", "Q8", "--prime", "2", "--height", "2"], 1, _EXPRESSIONS + _handler("wreath")),
+        (["wreath", "Q8", "--prime", "2", "--height", "2"], 1, _PARSER + _handler("wreath")),
         (["classify", "--space", "B(S3) +", "--prime", "2", "--range", "2"], 1,
          _EXPRESSIONS + _handler("profile")),
     ])
@@ -1134,4 +1181,5 @@ class TestLoadsOnlyWhatItRuns:
             ["delta", "6", "--prime", "3"],
             ["card", "--space", "B(S3) +", "--prime", "2", "--height", "1", "--format", "json"],
             ["card", "--space", "B(S3)", "--prime", "2", "--height", "1", "--format", "json"])
-        assert results == [[None, False]] + [[0, False]] * 4 + [[1, False], [0, True]]
+        # a JSON answer is written by commands.jsontext
+        assert results == [[None, False]] + [[0, False]] * 4 + [[1, False], [0, False]]

@@ -19,6 +19,7 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_census_co
                       relabelled)
 
 import pifinite as pf
+import pifinite.encoded
 from pifinite import InputError, ResourceBudgetError, homcounts
 
 
@@ -759,6 +760,55 @@ class TestCellOracles:
                         reached.add(y)
                         todo.append(y)
             assert len(reached) == g.order
+
+
+# -- described groups on encoded elements against their tables --------------------------
+
+# every kind, products on both sides of the flat-rows bound, and wreaths of
+# degree 2 to 5
+ENCODED_TEXTS = BUILDER_TEXTS + ("D10", "S5", "D8 x S3", "S3 x C4", "C2 x C2 x C3",
+                                 "(C2 wr C2) x S3", "S4 x C1", "D8 wr C2", "C3 wr C3",
+                                 "C2 wr C4", "C3 wr C4", "(C2 x C2) wr C3", "C2 wr C5",
+                                 "C1 wr C5")
+ENCODED_ZOO = GROUP_TEXTS + ("C1", "S4", "S5", "D10", "D12", "C2 x S3", "S3 wr C2",
+                             "C2 wr C2 wr C2", "D8 wr C2", "C3 wr C3")
+
+
+class TestEncodedElements:
+    @pytest.mark.parametrize("text", ENCODED_TEXTS)
+    def test_mul_is_the_table(self, text):
+        g = named_group(text)
+        e = pf.encoded.EncodedGroup(g.descriptor)
+        assert (e.order, e.identity) == (g.order, g.identity)
+        assert [[e.mul(a, b) for b in g.elements()] for a in g.elements()] == rows_of(g)
+
+    @pytest.mark.parametrize("text", ENCODED_ZOO)
+    def test_orders_classes_and_centralizers_are_the_tables(self, text):
+        g = named_group(text)
+        e = pf.encoded.EncodedGroup(g.descriptor)
+        assert (tuple(e.element_orders), tuple(e.inverses)) == (g.element_orders, g.inverses)
+        for p in (2, 3, 5):
+            assert e.p_classes(p) == [(c.representative, g.centralizer_indices([c.representative]))
+                                      for c in g._classes_of(g.p_elements(p))]
+
+    @pytest.mark.parametrize("text", ENCODED_ZOO)
+    def test_decomposition_is_the_tables(self, text):
+        # the group itself, an abelian centralizer's invariant factors, or
+        # the rows and name the table route gives a non-abelian one
+        g = named_group(text)
+        for p in (2, 3, 5):
+            table = pf.p_loop_decomposition(g, p)
+            encoded = pf.encoded.p_loop_decomposition(g.descriptor, p)
+            assert [r for r, _ in encoded] == [r for r, _ in table]
+            for (_, c), (_, t) in zip(encoded, table):
+                if t is g:
+                    assert c is g.descriptor
+                elif t.is_abelian():
+                    assert c == pf.encoded._abelian_invariant_factors(t.element_orders)
+                else:
+                    assert (c._rows, c.name) == (t._rows, t.name)
+            # classes with one centralizer share one object, as tables do
+            assert len({id(c) for _, c in encoded}) == len({id(t) for _, t in table})
 
 
 # -- the table format ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centraliz
 import pifinite as pf
 from pifinite import EMPTY, PT, InputError, InvariantError, ResourceBudgetError
 from pifinite.rationals import MAX_DIGITS
-from pifinite.groups import _abelian_invariant_factors
+from pifinite.encoded import _abelian_invariant_factors
 from pifinite.normalforms import MAX_COMPONENTS
 
 
@@ -185,7 +185,9 @@ class TestLoop:
         assert build_calls == []
 
     def test_one_abelian_test_per_centralizer_table(self, monkeypatch):
-        # the 12 rotation classes of D200 at p = 5 share one order-100 table
+        # the 12 rotation classes of D200 at p = 5 share one order-100 table,
+        # in the table route; on encoded elements their abelian centralizer
+        # gets no table and no table test
         tested = []
         is_abelian = pf.FiniteGroup.is_abelian
 
@@ -194,20 +196,24 @@ class TestLoop:
             return is_abelian(self)
 
         monkeypatch.setattr(pf.FiniteGroup, "is_abelian", counting_is_abelian)
+        expected = pf.normal_form(pf.parse_space("B(D200) + 12 * B^1(C100)"))
         looped = pf.p_adic_loop(pf.parse_space("B(D200)"), 5)
+        assert tested == []
+        assert pf.normal_form(looped) == expected
+        looped = pf.p_adic_loop(pf.Classifying(pf.build_group(pf.Dihedral(200))), 5)
         assert tested == [100]
-        assert pf.normal_form(looped) == pf.normal_form(pf.parse_space("B(D200) + 12 * B^1(C100)"))
+        assert pf.normal_form(looped) == expected
 
     @staticmethod
     def _counted_decompositions(monkeypatch) -> list[str]:
+        # a table by its name, a described group by its descriptor's
         walked = []
-        decompose = pf.groups.p_loop_decomposition
+        for module in (pf.groups, pf.encoded):
+            def counting(g, p, decompose=module.p_loop_decomposition):
+                walked.append(getattr(g, "name", None) or pf.groups.descriptor_name(g))
+                return decompose(g, p)
 
-        def counting(g, p):
-            walked.append(g.name)
-            return decompose(g, p)
-
-        monkeypatch.setattr(pf.groups, "p_loop_decomposition", counting)
+            monkeypatch.setattr(module, "p_loop_decomposition", counting)
         return walked
 
     def test_each_distinct_atom_walked_once(self, monkeypatch):
@@ -626,16 +632,16 @@ class TestAbelianInvariants:
 
     @pytest.mark.parametrize("text, factors", ZOO_ABELIAN_FACTORS.items())
     def test_zoo_tables(self, text, factors):
-        assert _abelian_invariant_factors(named_group(text)) == factors
+        assert _abelian_invariant_factors(named_group(text).element_orders) == factors
 
     def test_table_of_mixed_exponents(self):
         g = pf.build_group(pf.parse_group("C2 x C4 x C8 x C3 x C9"))
-        assert _abelian_invariant_factors(g) == (2, 12, 72)
+        assert _abelian_invariant_factors(g.element_orders) == (2, 12, 72)
 
     @pytest.mark.parametrize("text", ["S3", "D8", "S4"])
     def test_a_table_that_is_not_abelian_is_refused(self, text):
         with pytest.raises(InvariantError):
-            _abelian_invariant_factors(named_group(text))
+            _abelian_invariant_factors(named_group(text).element_orders)
 
 
 # the zoo, the trivial group and three larger non-abelian tables; the atom
@@ -652,7 +658,7 @@ class TestAtomRule:
         if g.order == 1:
             assert atom == PT
         elif g.is_abelian():
-            assert comp == (pf.EM(_abelian_invariant_factors(g), 1),)
+            assert comp == (pf.EM(_abelian_invariant_factors(g.element_orders), 1),)
         elif g.descriptor is None:
             assert atom == pf.Classifying(g)
         else:
