@@ -31,8 +31,9 @@ def _string(s: str) -> str:
 
 
 def dumps(value) -> str:
-    """``json.dumps(value)`` for a value of dicts with str keys, lists,
-    tuples, str, int, bool and None; any other type raises ``TypeError``."""
+    """``json.dumps(value)`` for a value of dicts with str keys, lists, str,
+    int, bool and None, all an answer holds; any other type raises
+    ``TypeError``."""
     if isinstance(value, str):
         return _string(value)
     if value is None:
@@ -50,6 +51,6 @@ def dumps(value) -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(f"{_string(key)}: {dumps(item)}")
         return "{" + ", ".join(items) + "}"
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return "[" + ", ".join(map(dumps, value)) + "]"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")

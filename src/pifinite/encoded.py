@@ -53,14 +53,9 @@ def _encoding(d: GroupDescriptor) -> tuple[int, Mul]:
         n = d.n
         return n, lambda a, b: (a + b) % n
     if isinstance(d, Dihedral):
+        # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j + l), and i -+ k = a -+ b mod m
         m = d.order // 2
-
-        def dihedral(a: int, b: int) -> int:
-            # r^i s^j r^k s^l = r^(i + (-1)^j k) s^(j + l)
-            j, i = divmod(a, m)
-            l, k = divmod(b, m)
-            return (j ^ l) * m + (i - k if j else i + k) % m
-        return d.order, dihedral
+        return d.order, lambda a, b: (a // m ^ b // m) * m + (a - b if a >= m else a + b) % m
     if isinstance(d, Symmetric):
         perms = sorted(itertools.permutations(range(d.n)))
         rank = {s: i for i, s in enumerate(perms)}.__getitem__
@@ -70,12 +65,7 @@ def _encoding(d: GroupDescriptor) -> tuple[int, Mul]:
     if isinstance(d, DirectProduct):
         # no atom's descriptor is a product, only a wreath's base
         (n, left), (h, right) = _encoding(d.left), _encoding(d.right)
-
-        def product(a: int, b: int) -> int:
-            a0, a1 = divmod(a, h)
-            b0, b1 = divmod(b, h)
-            return left(a0, b0) * h + right(a1, b1)
-        return n * h, product
+        return n * h, lambda a, b: left(a // h, b // h) * h + right(a % h, b % h)
     # m^2 <= m^c c: the base's products are read from its rows
     (m, base), c = _encoding(d.base), d.p
     rows = [tuple(base(g, h) for h in range(m)) for g in range(m)]
