@@ -18,8 +18,9 @@ the rule of the descriptor's kind:
 
 The identity is index 0 in every kind.  A wreath reads its base's
 products from the base's rows, |G|^2 <= |G wr C_c| of them.
-Orders and inverses come from power walks, as ``FiniteGroup`` takes them
-from its rows, and one pass over G per p-class representative g gives its
+Orders, inverses, greedy generators and the commuting test are the walks
+of ``walks``, which ``FiniteGroup`` runs on its rows and this module on
+``mul``, and one pass over G per p-class representative g gives its
 class, ``{x g x^-1}``, and its centralizer, ``{x : x g x^-1 = g}``, at two
 products per element.  A centralizer is classified before anything is
 built for it: the whole group stays the described group, an abelian one
@@ -34,15 +35,15 @@ whose centralizers are whole or abelian loads no table engine.
 from __future__ import annotations
 
 import itertools
-import math
-from collections import Counter
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable
+from functools import partial
 from operator import itemgetter
 
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                           checked_order, descriptor_name)
 from .errors import InvariantError
 from .rationals import require_prime
+from .walks import abelian_invariant_factors, commute, greedy_generators, orders_and_inverses
 
 Mul = Callable[[int, int], int]
 
@@ -85,51 +86,6 @@ def _encoding(d: GroupDescriptor) -> tuple[int, Mul]:
     return len(digits) * c, wreath
 
 
-def _generators(mul: Mul, identity: int, elements: Iterable[int]) -> Iterator[int]:
-    """Greedy generators of the ascending subgroup ``elements``, as
-    ``groups._generators`` gives them from a table's rows: each is the least
-    element not yet reached from the identity by right multiplication by the
-    generators before it."""
-    seen, reached, gens = {identity}, [identity], []
-    for a in elements:
-        if a not in seen:
-            yield a
-            gens.append(a)
-            # the elements reached before are closed under the generators
-            # before a, and each new one is walked with every generator
-            old = len(reached)
-            for i, x in enumerate(reached):     # the list grows while it is walked
-                for g in gens if i >= old else gens[-1:]:
-                    y = mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        reached.append(y)
-
-
-def _abelian_invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
-    """The invariant factors d_1 | d_2 | ... of an abelian group, ascending,
-    read off the orders of its elements with nothing factored.  In C_{d_1}
-    x ... x C_{d_k}, x^d = e has prod gcd(d, d_i) solutions: so d_k is the
-    exponent, and each next factor is the least d dividing the last one
-    found at which the solutions, over prod gcd(d, f) for the factors f
-    found, are the order not yet accounted for."""
-    counts = Counter(orders)
-    found = [max(counts)]
-    left = len(orders) // found[0]
-    while left > 1:
-        for d in range(2, found[-1] + 1):
-            if found[-1] % d == 0:
-                share, rest = divmod(sum(c for o, c in counts.items() if d % o == 0),
-                                     math.prod(math.gcd(d, f) for f in found))
-                if rest or share == left:
-                    break
-        if rest or share != left or left % d:
-            raise InvariantError("x^d = e has prod gcd(d, d_i) solutions in an abelian group")
-        found.append(d)
-        left //= d
-    return tuple(reversed(found)) if found[0] > 1 else ()
-
-
 class EncodedGroup:
     """A described group on the indices its table builder gives them,
     multiplied by ``mul`` with no table; orders and inverses are walked at
@@ -142,29 +98,12 @@ class EncodedGroup:
         self.descriptor = d
         self.order, self.mul = _encoding(d)
         self.name = descriptor_name(d)
-        self.element_orders, self.inverses = self._orders_and_inverses()
+        self.element_orders, self.inverses = orders_and_inverses(
+            self._row, self.identity, self.order, InvariantError)
 
-    def _orders_and_inverses(self) -> tuple[list[int], list[int]]:
-        """Walk the powers g, g^2, ..., g^m = e of each element not yet
-        reached: g^k has order m / gcd(k, m) and inverse g^(m-k)."""
-        mul, n = self.mul, self.order
-        orders, inverses = [0] * n, [0] * n
-        for g in range(n):
-            if orders[g]:
-                continue
-            powers, x = [g], g
-            while x:
-                if len(powers) == n:
-                    raise InvariantError(f"the powers of element {g} of {self.name} "
-                                         "never reach the identity")
-                x = mul(g, x)
-                powers.append(x)
-            m = len(powers)
-            for k, x in enumerate(powers, 1):
-                if not orders[x]:
-                    orders[x] = m // math.gcd(k, m)
-                    inverses[x] = powers[m - k - 1]
-        return orders, inverses
+    def _row(self, a: int) -> Callable[[int], int]:
+        """The row accessor of ``walks``: the map b -> a b."""
+        return partial(self.mul, a)
 
     def p_classes(self, p: int) -> list[tuple[int, tuple[int, ...]]]:
         """(representative, centralizer indices) for each class of
@@ -195,13 +134,12 @@ class EncodedGroup:
         ``C_{G}(g)``."""
         if len(elems) == self.order:
             return self.descriptor
-        mul = self.mul
-        gens = list(_generators(mul, self.identity, elems))
-        if all(mul(a, b) == mul(b, a) for a, b in itertools.combinations(gens, 2)):
-            return _abelian_invariant_factors(list(map(self.element_orders.__getitem__, elems)))
+        gens = list(greedy_generators(self._row, self.identity, elems))
+        if commute(self._row, gens):
+            return abelian_invariant_factors(list(map(self.element_orders.__getitem__, elems)))
         from .groups import FiniteGroup, _closure
         pos = dict(zip(elems, range(len(elems))))
-        rows = [[pos[mul(a, b)] for b in elems] for a in gens]
+        rows = [[pos[self.mul(a, b)] for b in elems] for a in gens]
         return FiniteGroup(_closure(rows, 0, len(elems)), name=f"C_{{{self.name}}}({g})",
                            validate=False)
 

@@ -17,9 +17,10 @@ rows, each a tuple of Python ints that all rows share (one int object per
 element, so a cell costs one 8-byte pointer), and every primitive works by
 composing rows, ``itemgetter(*other)(row)`` being row composed with other;
 no numpy is needed.  A table is checked by the group axioms alone: an
-identity, found in every row, and associativity by Light's test over a
-greedy generating set, at n^2 cells per generator; commutativity is read
-from the same set.  Every derived table, symmetric, wreath, product and
+identity, found in every row, and associativity by Light's test over its
+greedy generators, at n^2 cells each; those generators, the commuting
+test and the power walk for orders and inverses are the ``walks`` that
+``encoded`` shares.  Every derived table, symmetric, wreath, product and
 subgroup, is built as the closure of its generators' rows (``_closure``),
 one row composition per element; a subgroup's generators are its own
 greedy ones, their rows restricted to its element set.  Orders go up
@@ -35,9 +36,8 @@ neither does its loop, past its non-abelian proper centralizers.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from operator import and_, eq, itemgetter, mul
 
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
@@ -45,6 +45,7 @@ from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symm
 from .errors import InputError, ResourceBudgetError
 from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime, vp
 from .records import frozen
+from .walks import commute, greedy_generators, orders_and_inverses
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -96,30 +97,15 @@ class _ClosedRows(tuple):
     __slots__ = ()
 
 
-def _generators(rows: Rows, identity: int, elements: Iterable[int] | None = None):
-    """Greedy generators of a table, or of its ascending ``elements``,
-    yielded one at a time: each is the least element not yet reached from
-    the identity by right multiplication by the generators before it, and
-    the reached set is closed under them before the next is picked, until it
-    holds every element.  In a group the reached set is the subgroup the
-    generators generate, so each generator at least doubles it and there are
-    at most log2(n) + 1 of them."""
-    seen, reached, gens = {identity}, [identity], []
-    for a in range(len(rows)) if elements is None else elements:
-        if a not in seen:
-            yield a
-            gens.append(a)
-            for x in reached:           # the list grows while it is walked
-                for y in map(rows[x].__getitem__, gens):
-                    if y not in seen:
-                        seen.add(y)
-                        reached.append(y)
+def _generator_rows(g: FiniteGroup) -> list[tuple[int, ...]]:
+    """The rows of the greedy generators of ``g``."""
+    return [g._rows[a] for a in greedy_generators(g._row, g.identity, g.elements())]
 
 
-def _passes_light_test(rows: Rows, identity: int) -> bool:
+def _passes_light_test(g: FiniteGroup) -> bool:
     """Light's associativity test.
 
-    Right multiplication by the greedy generators (``_generators``) reaches
+    Right multiplication by the greedy generators (``walks``) reaches
     every element from the identity, and each generator a must satisfy
     (x a) y == x (a y) for all x and y.  The elements that satisfy
     this contain the identity and are closed under products (if a and b do,
@@ -132,9 +118,10 @@ def _passes_light_test(rows: Rows, identity: int) -> bool:
     doubles it, and at most log2(n) + 1 generators are tested.  Without
     right inverses a monoid passes every generator, at n^3 cells.
     """
+    rows = g._rows
     # row x a against row x composed with row a, for each generator a
     return all(rows[row[a]] == _getter(rows[a])(row)
-               for a in _generators(rows, identity) for row in rows)
+               for a in greedy_generators(g._row, g.identity, g.elements()) for row in rows)
 
 
 def _closure(gen_rows: Sequence[Sequence[int]], identity: int, order: int) -> _ClosedRows:
@@ -181,7 +168,9 @@ class FiniteGroup:
         self.identity: int = self._find_identity()
         if validate:
             self._validate()
-        self.element_orders, self.inverses = self._orders_and_inverses()
+        # refused in an unvalidated table that is no group
+        self.element_orders, self.inverses = orders_and_inverses(
+            self._row, self.identity, self.order, InputError)
         self._centralizer_cache: dict = {}  # by index tuple
         self._tuple_counts: dict = {}   # p -> the counts at n = 0, 1, ... reached
         self._hash: int | None = None   # hash(rows), taken on first use
@@ -201,37 +190,17 @@ class FiniteGroup:
         rows, e = self._rows, self.identity
         if any(e not in row for row in rows):   # right inverses, before Light's test
             raise InputError("table rows/columns are not permutations")
-        if not _passes_light_test(rows, e):
+        if not _passes_light_test(self):
             raise InputError("table is not associative")
-
-    def _orders_and_inverses(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Walk the powers g, g^2, ..., g^m = e of each element not yet
-        reached: g^k has order m / gcd(k, m) and inverse g^(m-k).  An
-        unvalidated table in which the powers of g miss the identity for
-        ``order`` steps is refused, as it is no group."""
-        rows, e, n = self._rows, self.identity, self.order
-        orders = [0] * n
-        inverses = [e] * n
-        for g in range(n):
-            if orders[g]:
-                continue
-            row, powers, x = rows[g], [g], g
-            while x != e:
-                if len(powers) == n:
-                    raise InputError(f"the powers of element {g} never reach the identity")
-                x = row[x]              # g g^k = g^(k+1)
-                powers.append(x)
-            m = len(powers)
-            for k, x in enumerate(powers, 1):
-                if not orders[x]:
-                    orders[x] = m // math.gcd(k, m)
-                    inverses[x] = powers[m - k - 1]
-        return tuple(orders), tuple(inverses)
 
     # -- protocol ------------------------------------------------------------
 
     def mul(self, a: int, b: int) -> int:
         return self._rows[a][b]
+
+    def _row(self, a: int) -> Callable[[int], int]:
+        """The row accessor of ``walks``: the map b -> a b, read off row a."""
+        return self._rows[a].__getitem__
 
     def inv(self, a: int) -> int:
         return self.inverses[a]
@@ -241,8 +210,7 @@ class FiniteGroup:
 
     def is_abelian(self) -> bool:
         """Whether the greedy generators of the group commute pairwise."""
-        gens = _generators(self._rows, self.identity)
-        return all(self.mul(a, b) == self.mul(b, a) for a, b in itertools.combinations(gens, 2))
+        return commute(self._row, greedy_generators(self._row, self.identity, self.elements()))
 
     @property
     def table(self) -> np.ndarray:
@@ -313,7 +281,7 @@ class FiniteGroup:
             pos[e] = i
         restrict = _getter(elems)
         gens = [_getter(restrict(self._rows[a]))(pos)
-                for a in _generators(self._rows, self.identity, elems)]
+                for a in greedy_generators(self._row, self.identity, elems)]
         if pos[self.identity] < 0 or any(-1 in row for row in gens):
             raise InputError("element set is not closed under multiplication")
         return FiniteGroup(_closure(gens, pos[self.identity], len(elems)), name=name,
@@ -397,10 +365,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     m = h.order
     xs = range(_require_order(g.order * m))
     # (a, e)(u, v) = (a u, v) and (e, b)(u, v) = (u, b v), at x = u*|H| + v
-    gens = [[row[x // m] * m + x % m for x in xs]
-            for row in map(g._rows.__getitem__, _generators(g._rows, g.identity))]
-    gens += [[x - x % m + row[x % m] for x in xs]
-             for row in map(h._rows.__getitem__, _generators(h._rows, h.identity))]
+    gens = [[row[x // m] * m + x % m for x in xs] for row in _generator_rows(g)]
+    gens += [[x - x % m + row[x % m] for x in xs] for row in _generator_rows(h)]
     tab = _closure(gens, g.identity * m + h.identity, len(xs))
     return FiniteGroup(tab, name=f"{g.name} x {h.name}", validate=False)
 
@@ -420,7 +386,7 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
     # greedy generator a of G, and (e, ..., e; 1)(h; t) = (h_{c-1}, h_0, ...,
     # h_{c-2}; t + 1): together they generate G wr C_c
     gens = [[(v - v % m + row[v % m]) * c + t for v in vs for t in ts]
-            for row in map(g._rows.__getitem__, _generators(g._rows, g.identity))]
+            for row in _generator_rows(g)]
     gens.append([(v % top * m + v // top) * c + (t + 1) % c for v in vs for t in ts])
     tab = _closure(gens, sum(g.identity * m ** i for i in range(c)) * c, len(vs) * c)
     name = g.name if " " not in g.name else f"({g.name})"

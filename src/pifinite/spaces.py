@@ -35,7 +35,8 @@ forms unique is applied in one function:
   the cyclic orders it names, and each other factor the ``Classifying`` atom
   of its canonical descriptor, so isomorphic spellings such as ``D6`` and
   ``S3`` are one atom.  Only a table with no descriptor, a centralizer or a
-  caller's, is a table atom;
+  caller's, is a table atom, unless it is abelian: then it is the EM atom
+  of the invariant factors its element orders give (``walks``);
 * ``normalforms._component``, the one component builder, where the EM
   atoms of one degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``.
 
@@ -210,8 +211,8 @@ def classifying(group: FiniteGroup | GroupDescriptor) -> SpaceExpr:
         if group.order == 1:
             return PT
         if group.is_abelian():
-            from .encoded import _abelian_invariant_factors
-            return EM(_abelian_invariant_factors(group.element_orders), 1)
+            from .walks import abelian_invariant_factors
+            return EM(abelian_invariant_factors(group.element_orders), 1)
         return Classifying(group)
     from .descriptors import checked_order
     checked_order(d)

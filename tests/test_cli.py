@@ -551,6 +551,20 @@ class TestExitCodes:
         for extra in ([], ["--format", "json"]):
             assert run(capsys, *argv, *extra) == (3, "", f"invariant error: {route} broke\n")
 
+    def test_power_walk_failure_exits_three(self, capsys, monkeypatch):
+        # element 1 of an encoding squares to itself, so its powers miss the
+        # identity: the power walk refuses it as a defect of the package,
+        # not of the input, on a described atom's encoded elements
+        encoding = pifinite.encoded._encoding
+
+        def broken(d):
+            n, mul = encoding(d)
+            return n, lambda a, b: 1 if a == b == 1 else mul(a, b)
+        monkeypatch.setattr(pifinite.encoded, "_encoding", broken)
+        for extra in ([], ["--format", "json"]):
+            assert run(capsys, "loop", "--space", "B(S3)", "--prime", "2", *extra) == (
+                3, "", "invariant error: the powers of element 1 never reach the identity\n")
+
     @pytest.mark.parametrize("iterations, wrong", [
         ("1", lambda decompose: lambda g, p: decompose(g, p)[:-1]),
         ("1", lambda decompose: lambda g, p: decompose(g, p) + decompose(g, p)[-1:]),
@@ -1092,8 +1106,8 @@ _SPACES = ["pifinite.records", "pifinite.spaces"]
 _PARSER = ["pifinite.descriptors", "pifinite.parser", "pifinite.records"]
 _EXPRESSIONS = _SPACES + ["pifinite.descriptors", "pifinite.parser"]
 _HEIGHTS = _EXPRESSIONS + ["pifinite.heights"]
-_TABLES = ["pifinite.groups"]
-_ENCODED = ["pifinite.encoded"]
+_TABLES = ["pifinite.groups", "pifinite.walks"]
+_ENCODED = ["pifinite.encoded", "pifinite.walks"]
 _NORMAL_FORMS = ["pifinite.normalforms"]
 _HOMS = ["pifinite.homcounts"]
 
@@ -1142,8 +1156,8 @@ class TestLoadsOnlyWhatItRuns:
          ["pifinite.quadforms", "pifinite.records"] + _handler("counterexample")),
         # the symmetric-3 and coset checks count B(S3) from its descriptor;
         # the symmetric-3 check loops S3's table, whose abelian centralizer
-        # reads its invariant factors from encoded
-        (["verify"], 0, _HEIGHTS + _TABLES + _ENCODED + _HOMS
+        # reads its invariant factors from walks, with no encoded group
+        (["verify"], 0, _HEIGHTS + _TABLES + _HOMS
          + ["pifinite.checks", "pifinite.quadforms"] + _handler("verify")),
         # refused before any library module loads: a bad prime or a usage
         # error before the handler too

@@ -12,7 +12,7 @@ import pytest
 import pifinite as pf
 import pifinite.homcounts as homcounts
 from pifinite.descriptors import descriptor_name, descriptor_order
-from pifinite.encoded import _abelian_invariant_factors
+from pifinite.walks import abelian_invariant_factors
 
 # S1-S6, D2-D80, and the wreaths of five bases by C2, C3 and C4 up to order 3000
 ROUTE_GROUPS = ([pf.Symmetric(m) for m in range(1, 7)]
@@ -81,7 +81,7 @@ class TestIndependentRoute:
         space = pf.classifying(d)
         atoms = space.factors if isinstance(space, pf.Product) else (space,)
         assert not any(isinstance(atom, pf.Classifying) for atom in atoms)
-        expected = pf.em_space(_abelian_invariant_factors(table.element_orders), 1)
+        expected = pf.em_space(abelian_invariant_factors(table.element_orders), 1)
         assert pf.normal_form(space) == pf.normal_form(expected)
 
     @pytest.mark.parametrize("text", ["S3", "D6", "C2 wr C2", "S3 x C2", "C2 x C2 wr C3"])

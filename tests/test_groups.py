@@ -20,6 +20,7 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_census_co
 
 import pifinite as pf
 import pifinite.encoded
+import pifinite.walks
 from pifinite import InputError, ResourceBudgetError, homcounts
 
 
@@ -750,7 +751,7 @@ class TestCellOracles:
                                                     "C3 wr C2", "C2 wr C2 wr C2"))
     def test_greedy_generators_reach_every_element(self, text):
         for g in (named_group(text), relabelled(named_group(text), 7)):
-            gens = list(pf.groups._generators(g._rows, g.identity))
+            gens = list(pf.walks.greedy_generators(g._row, g.identity, g.elements()))
             assert len(gens) <= math.log2(g.order) + 1
             reached, todo = {g.identity}, [g.identity]
             while todo:
@@ -760,6 +761,47 @@ class TestCellOracles:
                         reached.add(y)
                         todo.append(y)
             assert len(reached) == g.order
+
+
+# -- the walks both engines share, against repeated multiplication ------------------------
+
+def _engines(text):
+    """The table of ``text``, a relabelled copy with its identity off index
+    0, and the encoding, each read by the walks through its ``_row``."""
+    g = named_group(text)
+    return [g, relabelled(g, 11), pf.encoded.EncodedGroup(g.descriptor)]
+
+
+class TestWalks:
+    @pytest.mark.parametrize("text", BUILDER_TEXTS)
+    def test_greedy_generators_are_least_outside_and_reach_every_element(self, text):
+        for g in _engines(text):
+            gens = list(pf.walks.greedy_generators(g._row, g.identity, range(g.order)))
+            assert len(gens) <= math.log2(g.order) + 1
+            for i, a in enumerate(gens):
+                assert a == min(set(range(g.order)) - set(oracle_generated(g, gens[:i])))
+            assert oracle_generated(g, gens) == tuple(range(g.order))
+
+    @pytest.mark.parametrize("text", BUILDER_TEXTS)
+    def test_orders_and_inverses_are_repeated_products(self, text):
+        for g in _engines(text):
+            orders, inverses = pf.walks.orders_and_inverses(g._row, g.identity, g.order,
+                                                            AssertionError)
+            assert (orders, inverses) == (tuple(g.element_orders), tuple(g.inverses))
+            for x in range(g.order):
+                power, k = x, 1
+                while power != g.identity:
+                    power, k = g.mul(power, x), k + 1
+                assert orders[x] == k
+                assert g.mul(x, inverses[x]) == g.identity == g.mul(inverses[x], x)
+
+    @pytest.mark.parametrize("text", BUILDER_TEXTS)
+    def test_commute_is_one_class_per_element(self, text):
+        g = named_group(text)
+        abelian = len(oracle_conjugacy_classes(g)) == g.order
+        assert [pf.walks.commute(h._row, pf.walks.greedy_generators(h._row, h.identity,
+                                                                    range(h.order)))
+                for h in _engines(text)] == [abelian] * 3
 
 
 # -- described groups on encoded elements against their tables --------------------------
@@ -804,7 +846,7 @@ class TestEncodedElements:
                 if t is g:
                     assert c is g.descriptor
                 elif t.is_abelian():
-                    assert c == pf.encoded._abelian_invariant_factors(t.element_orders)
+                    assert c == pf.walks.abelian_invariant_factors(t.element_orders)
                 else:
                     assert (c._rows, c.name) == (t._rows, t.name)
             # classes with one centralizer share one object, as tables do

@@ -13,8 +13,8 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centraliz
 import pifinite as pf
 from pifinite import EMPTY, PT, InputError, InvariantError, ResourceBudgetError
 from pifinite.rationals import MAX_DIGITS
-from pifinite.encoded import _abelian_invariant_factors
 from pifinite.normalforms import MAX_COMPONENTS
+from pifinite.walks import abelian_invariant_factors
 
 
 class TestNormalForm:
@@ -632,16 +632,16 @@ class TestAbelianInvariants:
 
     @pytest.mark.parametrize("text, factors", ZOO_ABELIAN_FACTORS.items())
     def test_zoo_tables(self, text, factors):
-        assert _abelian_invariant_factors(named_group(text).element_orders) == factors
+        assert abelian_invariant_factors(named_group(text).element_orders) == factors
 
     def test_table_of_mixed_exponents(self):
         g = pf.build_group(pf.parse_group("C2 x C4 x C8 x C3 x C9"))
-        assert _abelian_invariant_factors(g.element_orders) == (2, 12, 72)
+        assert abelian_invariant_factors(g.element_orders) == (2, 12, 72)
 
     @pytest.mark.parametrize("text", ["S3", "D8", "S4"])
     def test_a_table_that_is_not_abelian_is_refused(self, text):
         with pytest.raises(InvariantError):
-            _abelian_invariant_factors(named_group(text).element_orders)
+            abelian_invariant_factors(named_group(text).element_orders)
 
 
 # the zoo, the trivial group and three larger non-abelian tables; the atom
@@ -658,7 +658,7 @@ class TestAtomRule:
         if g.order == 1:
             assert atom == PT
         elif g.is_abelian():
-            assert comp == (pf.EM(_abelian_invariant_factors(g.element_orders), 1),)
+            assert comp == (pf.EM(abelian_invariant_factors(g.element_orders), 1),)
         elif g.descriptor is None:
             assert atom == pf.Classifying(g)
         else:
