@@ -2,10 +2,10 @@
 described G, with no Cayley table of G.
 
 A loop needs, of G, only its p-classes and their centralizers
-(``spaces.p_adic_loop``), a few products per element where the whole table
-holds |G|^2 of them.  Here every element is the index the table builders
-of ``groups`` give it, and ``EncodedGroup.mul`` multiplies two indices by
-the rule of the descriptor's kind:
+(``walks.p_loop_decomposition``), a few products per element where the
+whole table holds |G|^2 of them.  Here every element is the index the table
+builders of ``groups`` give it, and ``EncodedGroup.mul`` multiplies two
+indices by the rule of the descriptor's kind:
 
 * ``C_n``: ``a + b`` mod n;
 * ``D_2m``: ``r^i s^j`` at ``j m + i``, with ``s r s = r^-1``;
@@ -17,19 +17,14 @@ the rule of the descriptor's kind:
   ``w_i = g_i h_{i-s}``, indices mod c.
 
 The identity is index 0 in every kind.  A wreath reads its base's
-products from the base's rows, |G|^2 <= |G wr C_c| of them.
-Orders, inverses, greedy generators and the commuting test are the walks
-of ``walks``, which ``FiniteGroup`` runs on its rows and this module on
-``mul``, and one pass over G per p-class representative g gives its
-class, ``{x g x^-1}``, and its centralizer, ``{x : x g x^-1 = g}``, at two
-products per element.  A centralizer is classified before anything is
-built for it: the whole group stays the described group, an abelian one
-(its greedy generators commute) is its invariant factors, read off the
-ambient element orders, and only a non-abelian proper one gets a table, the
-closure (``groups._closure``) of its greedy generators' rows, which
-``mul`` computes: the rows and the name ``C_{G}(g)`` that
-``FiniteGroup.subgroup`` gives the same set in the built table.  So a loop
-whose centralizers are whole or abelian loads no table engine.
+products from the base's rows, |G|^2 <= |G wr C_c| of them.  Orders,
+inverses, greedy generators, the commuting test and the class walk are the
+walks of ``walks``, which ``FiniteGroup`` runs on its rows and this module
+on ``mul``: a class costs two products per element, x g and (x g) x^-1.
+The walk classifies each centralizer before anything is built for it, so a
+loop whose centralizers are whole or abelian loads no table engine; a
+non-abelian proper one gets the table, and the name ``C_{G}(g)``, that the
+walk gives the same set in the built table.
 """
 
 from __future__ import annotations
@@ -42,8 +37,7 @@ from operator import itemgetter
 from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
                           checked_order, descriptor_name)
 from .errors import InvariantError
-from .rationals import require_prime
-from .walks import abelian_invariant_factors, commute, greedy_generators, orders_and_inverses
+from .walks import orders_and_inverses
 
 Mul = Callable[[int, int], int]
 
@@ -89,7 +83,7 @@ def _encoding(d: GroupDescriptor) -> tuple[int, Mul]:
 class EncodedGroup:
     """A described group on the indices its table builder gives them,
     multiplied by ``mul`` with no table; orders and inverses are walked at
-    construction."""
+    construction, and the class walk's pairs held per prime."""
 
     identity = 0
 
@@ -100,63 +94,13 @@ class EncodedGroup:
         self.name = descriptor_name(d)
         self.element_orders, self.inverses = orders_and_inverses(
             self._row, self.identity, self.order, InvariantError)
+        self._p_loops: dict = {}    # p -> the class walk's pairs
 
     def _row(self, a: int) -> Callable[[int], int]:
         """The row accessor of ``walks``: the map b -> a b."""
         return partial(self.mul, a)
 
-    def p_classes(self, p: int) -> list[tuple[int, tuple[int, ...]]]:
-        """(representative, centralizer indices) for each class of
-        p-power-order elements, by least member, the representative, so the
-        identity class comes first: one pass over the group per class."""
+    def conjugates(self, g: int) -> list[int]:
+        """The primitive of the class walk: x g x^-1 for every x."""
         mul, n = self.mul, self.order
-        powers = {p ** k for k in range(n.bit_length())}     # every p-power up to n
-        seen = bytearray(n)
-        classes = []
-        for g in range(n):
-            if seen[g] or self.element_orders[g] not in powers:
-                continue
-            if g == self.identity:
-                seen[g] = 1
-                classes.append((g, tuple(range(n))))
-                continue
-            # x g x^-1 for every x
-            conjugates = list(map(mul, map(mul, range(n), itertools.repeat(g, n)), self.inverses))
-            for y in conjugates:
-                seen[y] = 1
-            classes.append((g, tuple(itertools.compress(range(n), map(g.__eq__, conjugates)))))
-        return classes
-
-    def centralizer(self, g: int, elems: tuple[int, ...]):
-        """C(g) on its ascending indices ``elems``: the descriptor when it
-        is the whole group, the tuple of its invariant factors when its
-        greedy generators commute, and otherwise its table, named
-        ``C_{G}(g)``."""
-        if len(elems) == self.order:
-            return self.descriptor
-        gens = list(greedy_generators(self._row, self.identity, elems))
-        if commute(self._row, gens):
-            return abelian_invariant_factors(list(map(self.element_orders.__getitem__, elems)))
-        from .groups import FiniteGroup, _closure
-        pos = dict(zip(elems, range(len(elems))))
-        rows = [[pos[self.mul(a, b)] for b in elems] for a in gens]
-        return FiniteGroup(_closure(rows, 0, len(elems)), name=f"C_{{{self.name}}}({g})",
-                           validate=False)
-
-
-def p_loop_decomposition(d: GroupDescriptor, p: int) -> list[tuple[int, object]]:
-    """One (representative, centralizer) pair per class of p-power-order
-    elements of the described group ``d``, the identity class first, as
-    ``groups.p_loop_decomposition`` gives them from the table: each
-    centralizer as ``EncodedGroup.centralizer`` gives it, one object per
-    index set, so classes with equal centralizers share it, named by the
-    first of them."""
-    require_prime(p)
-    group = EncodedGroup(d)
-    held: dict = {}
-    pairs = []
-    for g, elems in group.p_classes(p):
-        if elems not in held:
-            held[elems] = group.centralizer(g, elems)
-        pairs.append((g, held[elems]))
-    return pairs
+        return list(map(mul, map(mul, range(n), itertools.repeat(g, n)), self.inverses))

@@ -1,15 +1,15 @@
-"""Finite groups as validated Cayley tables, plus the counting primitives
-(conjugacy classes, centralizers, commuting tuples of p-power-order elements)
-that drive every classifying-space cardinality in this package.  Commuting
-tuples are counted on centralizers held as bitmasks over the p-elements,
-with no subgroup table; centralizer subgroups are built only on request, as
-the p-adic loop space makes them to print the components of a table atom.
-The groups are named by the descriptors of ``descriptors``, which also
-holds the order cap and the limits every build applies.  A loop of a
-described group builds no table of it: ``encoded`` multiplies its elements
-by the indices the builders here give them, and hands ``_closure`` the
-generator rows of each non-abelian proper centralizer, the one table such a
-loop builds.
+"""Finite groups as validated Cayley tables, plus the counting primitive,
+commuting tuples of p-power-order elements, that drives every
+classifying-space cardinality of a table in this package.  Commuting tuples
+are counted on centralizers held as bitmasks over the p-elements, with no
+subgroup table.  Conjugacy classes and the p-adic loop's components are the
+class walk of ``walks``, which a table feeds the conjugates of an element
+read off its rows (``FiniteGroup.conjugates``), and which hands ``_closure``
+the generator rows of each non-abelian proper centralizer, the one table a
+loop builds; ``encoded`` runs the same walk on a described group's encoded
+elements, with no table of the group.  The groups are named by the
+descriptors of ``descriptors``, which also holds the order cap and the
+limits every build applies.
 
 Groups are deliberately plain multiplication tables, so every count is
 exact and independently checkable by brute force.  A table is a tuple of
@@ -19,11 +19,12 @@ composing rows, ``itemgetter(*other)(row)`` being row composed with other;
 no numpy is needed.  A table is checked by the group axioms alone: an
 identity, found in every row, and associativity by Light's test over its
 greedy generators, at n^2 cells each; those generators, the commuting
-test and the power walk for orders and inverses are the ``walks`` that
-``encoded`` shares.  Every derived table, symmetric, wreath, product and
-subgroup, is built as the closure of its generators' rows (``_closure``),
-one row composition per element; a subgroup's generators are its own
-greedy ones, their rows restricted to its element set.  Orders go up
+test, the power walk for orders and inverses and the class walk are the
+``walks`` that ``encoded`` shares.  Every derived table, symmetric,
+wreath, product and subgroup, is built as the closure of its generators'
+rows (``_closure``), one row composition per element; a subgroup's
+generators are its own greedy ones, their rows restricted to its element
+set.  Orders go up
 to the order cap (``descriptors.DEFAULT_ORDER_CAP``, or
 ``PIFINITE_ORDER_CAP``), applied to every build: a descriptor is checked
 whole before anything is built, and ``direct_product`` and
@@ -45,7 +46,9 @@ from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symm
 from .errors import InputError, ResourceBudgetError
 from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime, vp
 from .records import frozen
-from .walks import commute, greedy_generators, orders_and_inverses
+# p_loop_decomposition is public here: a table's loop components are the class walk's
+from .walks import (classes, commute, greedy_generators, orders_and_inverses,
+                    p_loop_decomposition)
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -152,11 +155,12 @@ class FiniteGroup:
 
     The table is validated at construction (two-sided identity, identity in
     every row, and associativity by Light's test); orders and inverses are
-    computed up front, centralizers and tuple counts on first use, and
-    conjugacy classes on each call.  Instances are immutable and compare
-    (and hash) by their rows, which normal forms sort by too, held once
-    (see ``_ClosedRows``).  ``table`` is a read-only int64 ndarray copy for
-    outside callers, built on first access; nothing here reads it.
+    computed up front, the class walk's pairs and the tuple counts per
+    prime on first use, and conjugacy classes on each call.  Instances are
+    immutable and compare (and hash) by their rows, which normal forms sort
+    by too, held once (see ``_ClosedRows``).  ``table`` is a read-only int64
+    ndarray copy for outside callers, built on first access; nothing here
+    reads it.
     """
 
     def __init__(self, table, name: str = "G", *, validate: bool = True):
@@ -171,7 +175,7 @@ class FiniteGroup:
         # refused in an unvalidated table that is no group
         self.element_orders, self.inverses = orders_and_inverses(
             self._row, self.identity, self.order, InputError)
-        self._centralizer_cache: dict = {}  # by index tuple
+        self._p_loops: dict = {}        # p -> the class walk's pairs
         self._tuple_counts: dict = {}   # p -> the counts at n = 0, 1, ... reached
         self._hash: int | None = None   # hash(rows), taken on first use
         self._array: np.ndarray | None = None
@@ -235,36 +239,16 @@ class FiniteGroup:
 
     # -- class structure -------------------------------------------------------
 
-    def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
-        return tuple(self._classes_of(range(self.order)))
-
-    def _classes_of(self, elements: Iterable[int]) -> list[ConjugacyClass]:
-        """The classes of the ascending union of classes ``elements``: the
-        identity class first, then by smallest member, the representative."""
-        rows, inv = self._rows, self.inverses
-        seen = [False] * self.order
-        classes = []
-        for g in elements:
-            if seen[g]:
-                continue
-            # x g x^-1 for every x: row x gives x g, row x g gives (x g) x^-1
-            members = sorted({rows[row[g]][i] for row, i in zip(rows, inv)})
-            for m in members:
-                seen[m] = True
-            classes.append(ConjugacyClass(g, tuple(members)))
-        classes.sort(key=lambda c: c.representative != self.identity)
-        return classes
-
-    def centralizer_indices(self, elems: Iterable[int]) -> tuple[int, ...]:
-        """Indices of elements commuting with every element of ``elems``."""
+    def conjugates(self, g: int) -> list[int]:
+        """The primitive of the class walk: x g x^-1 for every x, where row
+        x gives x g and row x g gives (x g) x^-1."""
         rows = self._rows
-        mask = [True] * self.order
-        for s in elems:
-            if require_int(s, "element index", 0) >= self.order:
-                raise InputError(f"element index {s} out of range")
-            # s x == x s, against row s and column s
-            mask = list(map(and_, mask, map(eq, rows[s], map(itemgetter(s), rows))))
-        return tuple(itertools.compress(range(self.order), mask))
+        return [rows[row[g]][i] for row, i in zip(rows, self.inverses)]
+
+    def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
+        """Every class, the identity class first, then by least member."""
+        return tuple(ConjugacyClass(g, tuple(members))
+                     for g, members, _ in classes(self, range(self.order)))
 
     def subgroup(self, elems: Sequence[int], name: str = "H") -> "FiniteGroup":
         """The subgroup on the given closed element set, with the induced
@@ -286,15 +270,6 @@ class FiniteGroup:
             raise InputError("element set is not closed under multiplication")
         return FiniteGroup(_closure(gens, pos[self.identity], len(elems)), name=name,
                            validate=False)
-
-    def centralizer_subgroup(self, g: int) -> "FiniteGroup":
-        """C_G(g): the group itself if g is central, else one table per element set."""
-        idx = self.centralizer_indices([g])
-        got = self._centralizer_cache.get(idx)
-        if got is None:
-            got = self._centralizer_cache[idx] = self if len(idx) == self.order else (
-                self.subgroup(idx, name=f"C_{{{self.name}}}({g})"))
-        return got
 
     # -- p-structure -----------------------------------------------------------
 
@@ -400,25 +375,18 @@ def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
 
 
 def centralizer(g: FiniteGroup, elems: Iterable[int]) -> FiniteGroup:
-    """The centralizer of an element set, as a group with the induced table."""
-    elems = tuple(elems)
-    if len(elems) == 1:
-        return g.centralizer_subgroup(elems[0])
-    return g.subgroup(g.centralizer_indices(elems), name=f"C_{{{g.name}}}{elems}")
-
-
-def p_loop_decomposition(g: FiniteGroup, p: int) -> list[tuple[int, FiniteGroup]]:
-    """One (representative, centralizer) pair per conjugacy class of
-    p-power-order elements; the identity class comes first.
-
-    This is the component decomposition of the space of maps from a circle
-    (p-adically completed) into the classifying space of g: components are
-    indexed by classes of p-elements, each contributing the classifying space
-    of its centralizer.
-    """
-    require_prime(p)
-    return [(cls.representative, g.centralizer_subgroup(cls.representative))
-            for cls in g._classes_of(g.p_elements(p))]
+    """The centralizer of an element set, as a group with the induced table:
+    ``g`` itself when the set is central.  An element s commutes with x
+    where x s x^-1 = s, read off ``conjugates(s)``."""
+    mask, named = [True] * g.order, []
+    for s in elems:
+        if require_int(s, "element index", 0) >= g.order:
+            raise InputError(f"element index {s} out of range")
+        mask = list(map(and_, mask, map(s.__eq__, g.conjugates(s))))
+        named.append(str(s))
+    idx = tuple(itertools.compress(range(g.order), mask))
+    return g if len(idx) == g.order else g.subgroup(
+        idx, name=f"C_{{{g.name}}}({', '.join(named)})")
 
 
 # 0/1 byte flags to and from the binary digits that int(..., 2) reads and bin() writes

@@ -9,9 +9,9 @@ answer every question asked of it, exactly:
 * ``normal_form``, the sum of products of atoms, from whose atom degrees
   connectivity and truncation are read; its algebra is ``normalforms``,
   imported when a normal form is first taken;
-* ``p_adic_loop``, the p-adic free loop space, again in the grammar: a
-  described atom loops on encoded elements (``encoded``) and a table atom
-  on its table;
+* ``p_adic_loop``, the p-adic free loop space, again in the grammar, by
+  the one class walk of ``walks``: a described atom is walked on encoded
+  elements (``encoded``) and a table atom on its table;
 * ``_height_cardinality``, the height-n cardinality at a prime p, the
   classical cardinality of the n-fold loop space, which each atom gives in
   closed form: a binomial power for an EM atom, a commuting-tuple count for
@@ -352,16 +352,16 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
     atom picks up its p-primary part one degree down (loops based anywhere
     are a torsor over based loops, and based loops only see p-torsion).
 
-    A described atom is looped on encoded elements (``encoded``), with no
-    table of its group: a centralizer that is the whole group is the atom
-    itself, an abelian one the ``B^1`` of its invariant factors, and only a
-    non-abelian proper one gets a table, named ``C_{G}(g)`` as the table
-    route names it.  A table atom is looped on its table
-    (``groups.p_loop_decomposition``).  Each distinct group atom is walked
-    once per call, however many parts hold it: a described atom is
-    matched by equality, a table atom by identity, since equal tables may
-    carry different names and a form prints each by the least of them.  An
-    EM atom's loop is read off its factors, with no walk.
+    Every group atom is looped by the class walk
+    (``walks.p_loop_decomposition``): a described atom on encoded elements
+    (``encoded``), with no table of its group, and a table atom on its
+    table.  A centralizer that is the whole group is the atom itself, an
+    abelian one the ``B^1`` of its invariant factors, and only a non-abelian
+    proper one gets a table, named ``C_{G}(g)``.  Each distinct group atom
+    is walked once per call, however many parts hold it: a described atom
+    is matched by equality, a table atom by identity, since equal tables
+    may carry different names and a form prints each by the least of them.
+    An EM atom's loop is read off its factors, with no walk.
     """
     require_prime(p)
     looped: dict = {}
@@ -379,22 +379,19 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
             raise InputError(f"not a space expression: {x!r}")
         if x.group.order % p:
             return x        # by Cauchy's theorem e is the only p-element: C(e) = G
-        if hasattr(x.group, "descriptor"):     # a table atom
-            from .groups import p_loop_decomposition
-            key, atom = id(x.group), classifying
-        else:
-            # a described atom, on encoded elements: each centralizer is the
-            # group itself, an abelian one's invariant factors, or the table
-            # of a non-abelian one
-            from .encoded import p_loop_decomposition
-            key = x
-
-            def atom(c):
-                return x if c is x.group else EM(c, 1) if isinstance(c, tuple) else Classifying(c)
+        table = hasattr(x.group, "descriptor")
+        key = id(x.group) if table else x
         if key not in looped:
-            cents = [c for _, c in p_loop_decomposition(x.group, p)]
+            from . import walks
+            if table:
+                group = x.group
+            else:
+                from .encoded import EncodedGroup
+                group = EncodedGroup(x.group)
+            cents = [c for _, c in walks.p_loop_decomposition(group, p)]
             # equal centralizers share one object, classified once
-            atoms = {id(c): atom(c) for c in {id(c): c for c in cents}.values()}
+            atoms = {id(c): x if c is group else EM(c, 1) if isinstance(c, tuple)
+                     else Classifying(c) for c in {id(c): c for c in cents}.values()}
             looped[key] = disjoint_union(*(atoms[id(c)] for c in cents))
         return looped[key]
 

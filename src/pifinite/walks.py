@@ -1,10 +1,13 @@
 """The walks both group engines read a group through: greedy generators,
-the power walk for element orders and inverses, the commuting test, and an
-abelian group's invariant factors read off its element orders.  Each walk
-reads products through a row accessor ``row(a)``, the map ``b -> a b``:
+the power walk for element orders and inverses, the commuting test, an
+abelian group's invariant factors read off its element orders, and the
+class walk that gives the p-adic loop its components.  Each walk reads
+products through a row accessor ``row(a)``, the map ``b -> a b``:
 ``rows[a].__getitem__`` on a Cayley table (``groups``), at row speed, and
-``mul`` with ``a`` fixed on encoded elements (``encoded``).  The identity
-may be any index."""
+``mul`` with ``a`` fixed on encoded elements (``encoded``).  The class walk
+reads one more primitive of each engine, ``conjugates(g)``, the list of
+x g x^-1 over every x, which a table reads off its rows.  The identity may
+be any index."""
 
 from __future__ import annotations
 
@@ -14,6 +17,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from .errors import InvariantError
+from .rationals import require_prime
 
 Row = Callable[[int], Callable[[int], int]]
 
@@ -90,3 +94,67 @@ def abelian_invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
         found.append(d)
         left //= d
     return tuple(reversed(found)) if found[0] > 1 else ()
+
+
+def classes(group, elements: Iterable[int]) -> Iterator[tuple[int, list[int], tuple[int, ...]]]:
+    """(representative, members, centralizer) of each conjugacy class: the
+    identity class first, wherever the identity sits, then each class in
+    ``elements``, an ascending union of classes, by least member, the
+    representative.  One pass over the group per class past the identity's:
+    of the list ``group.conjugates(g)`` of x g x^-1 over every x, the
+    distinct values are the class, ascending, and the x at which it is g
+    are the indices of C(g) = {x : x g = g x}."""
+    n, e = group.order, group.identity
+    seen = bytearray(n)
+    seen[e] = 1
+    yield e, [e], tuple(range(n))          # {e}, and C(e) = G, with no pass
+    for g in elements:
+        if not seen[g]:
+            conjugates = group.conjugates(g)
+            members = sorted(set(conjugates))
+            for y in members:
+                seen[y] = 1
+            yield g, members, tuple(itertools.compress(range(n), map(g.__eq__, conjugates)))
+
+
+def p_loop_decomposition(group, p: int) -> list[tuple[int, object]]:
+    """One (representative, centralizer) pair per class of p-power-order
+    elements, the identity class first: the components B(C(g)) of the
+    p-adic free loop space of B(G), by the class walk.  Each centralizer is
+    classified by its index set before anything is built for it: ``group``
+    itself when it is the whole group, the tuple of its invariant factors,
+    read off the element orders, when its greedy generators commute, and
+    otherwise the table that ``groups._closure`` makes of its generators'
+    rows, named ``C_{G}(g)``.  Classes with equal centralizers share one
+    object, named by the first of them.  The group holds the pairs per
+    prime, as a table holds its tuple counts."""
+    require_prime(p)
+    held = group._p_loops
+    if p not in held:
+        powers = {p ** k for k in range(group.order.bit_length())}     # every p-power up to |G|
+        pelts = itertools.compress(range(group.order), map(powers.__contains__,
+                                                           group.element_orders))
+        cents: dict = {}
+        pairs = []
+        for g, _, elems in classes(group, pelts):
+            if elems not in cents:
+                cents[elems] = _classified(group, g, elems)
+            pairs.append((g, cents[elems]))
+        held[p] = tuple(pairs)
+    return list(held[p])
+
+
+def _classified(group, g: int, elems: tuple[int, ...]):
+    """C(g) on its ascending indices ``elems``, as ``p_loop_decomposition``
+    gives it: ``group``, invariant factors or a table."""
+    if len(elems) == group.order:
+        return group
+    row = group._row
+    gens = list(greedy_generators(row, group.identity, elems))
+    if commute(row, gens):
+        return abelian_invariant_factors(list(map(group.element_orders.__getitem__, elems)))
+    from .groups import FiniteGroup, _closure
+    pos = dict(zip(elems, range(len(elems))))
+    rows = [list(map(pos.__getitem__, map(row(a), elems))) for a in gens]
+    return FiniteGroup(_closure(rows, pos[group.identity], len(elems)),
+                       name=f"C_{{{group.name}}}({g})", validate=False)

@@ -11,6 +11,7 @@ import pytest
 
 import pifinite as pf
 import pifinite.groups
+import pifinite.walks
 
 GROUP_TEXTS = ("C2", "C3", "C4", "C6", "S3", "D8", "C2 x C2")
 ABELIAN_POOL = ((2,), (3,), (4,), (2, 2), (6,), (2, 4))
@@ -84,9 +85,16 @@ def oracle_centralizer_tuples(g: pf.FiniteGroup, p: int, n: int) -> int:
         return len(pelts) if n else 1
     if n == 2:
         return sum(g.mul(a, b) == g.mul(b, a) for a in pelts for b in pelts)
-    return sum(len(cls) * oracle_centralizer_tuples(g.centralizer_subgroup(cls.representative),
-                                                    p, n - 1)
-               for cls in g.conjugacy_classes() if g.is_p_element(cls.representative, p))
+    return sum(size * oracle_centralizer_tuples(cent, p, n - 1)
+               for size, cent in _oracle_p_centralizers(g, p))
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_p_centralizers(g: pf.FiniteGroup, p: int) -> tuple:
+    """(class size, centralizer table) per p-class, for counts, which read
+    no name."""
+    return tuple((len(cls), oracle_centralizer_subgroup(g, cls.representative))
+                 for cls in oracle_classes_of(g, g.p_elements(p)))
 
 
 def abelian_p_subgroups(g: pf.FiniteGroup, p: int) -> set[frozenset[int]]:
@@ -161,6 +169,76 @@ def oracle_conjugacy_classes(g: pf.FiniteGroup) -> list[frozenset[int]]:
         seen |= orbit
         classes.append(orbit)
     return classes
+
+
+# -- the table route: classes collected as sets off a table's rows, and each
+# centralizer's subgroup table, sharing no code with the class walk of walks
+
+def oracle_classes_of(g: pf.FiniteGroup, elements) -> list[pf.ConjugacyClass]:
+    """The classes of the ascending union of classes ``elements``, each
+    orbit collected as a set off the rows: the identity class first, then
+    by smallest member, the representative."""
+    rows, inv = g._rows, g.inverses
+    seen = [False] * g.order
+    classes = []
+    for x in elements:
+        if seen[x]:
+            continue
+        members = sorted({rows[row[x]][i] for row, i in zip(rows, inv)})
+        for m in members:
+            seen[m] = True
+        classes.append(pf.ConjugacyClass(x, tuple(members)))
+    classes.sort(key=lambda c: c.representative != g.identity)
+    return classes
+
+
+def oracle_centralizer_indices(g: pf.FiniteGroup, elems) -> tuple[int, ...]:
+    """The ascending indices of the elements that commute with each of
+    ``elems``, row against column."""
+    return tuple(x for x in g.elements() if all(g.mul(s, x) == g.mul(x, s) for s in elems))
+
+
+def oracle_centralizer_subgroup(g: pf.FiniteGroup, x: int, name: str = "H") -> pf.FiniteGroup:
+    """C(x): ``g`` itself if x is central, else its induced subgroup table."""
+    idx = oracle_centralizer_indices(g, [x])
+    return g if len(idx) == g.order else g.subgroup(idx, name=name)
+
+
+def oracle_p_loop_decomposition(g: pf.FiniteGroup, p: int) -> list[tuple[int, pf.FiniteGroup]]:
+    """One (representative, centralizer table) pair per class of p-elements,
+    the identity class first: ``g`` itself for a whole centralizer, and one
+    table per index set, named ``C_{G}(x)`` by the first class that has it."""
+    tables: dict = {}
+    pairs = []
+    for cls in oracle_classes_of(g, g.p_elements(p)):
+        x = cls.representative
+        idx = oracle_centralizer_indices(g, [x])
+        if idx not in tables:
+            tables[idx] = oracle_centralizer_subgroup(g, x, name=f"C_{{{g.name}}}({x})")
+        pairs.append((x, tables[idx]))
+    return pairs
+
+
+def held_to_the_oracle(g: pf.FiniteGroup, group, pairs, p: int) -> None:
+    """The class walk's ``pairs`` of ``group``, the table ``g`` or its
+    encoding, against the table route at p: the same representatives, the
+    whole group as ``group`` itself, an abelian centralizer as the invariant
+    factors of its table, a non-abelian one as the same rows and name, and
+    one object per index set."""
+    def sharing(objects) -> list[int]:
+        first: dict = {}
+        return [first.setdefault(id(c), len(first)) for c in objects]
+
+    oracle = oracle_p_loop_decomposition(g, p)
+    assert [r for r, _ in pairs] == [r for r, _ in oracle]
+    for (_, c), (_, t) in zip(pairs, oracle):
+        if t is g:
+            assert c is group
+        elif t.is_abelian():
+            assert c == pf.walks.abelian_invariant_factors(t.element_orders)
+        else:
+            assert (c._rows, c.name) == (t._rows, t.name)
+    assert sharing(c for _, c in pairs) == sharing(t for _, t in oracle)
 
 
 def relabelled(g: pf.FiniteGroup, seed: int) -> pf.FiniteGroup:

@@ -574,10 +574,12 @@ class TestExitCodes:
     ], ids=["a class dropped", "a class counted twice", "a centralizer's class dropped"])
     def test_loop_checks_each_iteration_against_its_input(self, capsys, monkeypatch,
                                                           iterations, wrong):
-        # |L_p X|_n = |X|_(n+1) at n = 0 and 1, counted with no class walk
-        # on a described atom's encoded elements and on a centralizer's table
-        for module in (pifinite.encoded, pifinite.groups):
-            monkeypatch.setattr(module, "p_loop_decomposition", wrong(module.p_loop_decomposition))
+        # |L_p X|_n = |X|_(n+1) at n = 0 and 1, counted with no class walk,
+        # for the one class walk on a described atom's encoded elements and on
+        # a centralizer's table
+        import pifinite.walks
+        monkeypatch.setattr(pifinite.walks, "p_loop_decomposition",
+                            wrong(pifinite.walks.p_loop_decomposition))
         for extra in ([], ["--format", "json"]):
             code, out, err = run(capsys, "loop", "--space", "B(S4)", "--prime", "2",
                                  "--iterations", iterations, *extra)

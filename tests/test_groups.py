@@ -7,16 +7,18 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_census_coefficients,
-                      oracle_centralizer_tuples, oracle_commuting_tuples,
-                      oracle_conjugacy_classes, oracle_generated, oracle_product_table,
-                      oracle_subgroup_table, oracle_symmetric_table, oracle_wreath_table,
-                      relabelled)
+from conftest import (GROUP_TEXTS, builtin_groups, held_to_the_oracle, named_group,
+                      oracle_census_coefficients, oracle_centralizer_indices,
+                      oracle_centralizer_tuples, oracle_classes_of, oracle_commuting_tuples,
+                      oracle_conjugacy_classes, oracle_generated, oracle_p_loop_decomposition,
+                      oracle_product_table, oracle_subgroup_table, oracle_symmetric_table,
+                      oracle_wreath_table, relabelled)
 
 import pifinite as pf
 import pifinite.encoded
@@ -183,7 +185,7 @@ class TestClasses:
             classes = pf.conjugacy_classes(g)
             assert sum(len(c) for c in classes) == g.order
             for c in classes:
-                cent = g.centralizer_subgroup(c.representative)
+                cent = pf.centralizer(g, [c.representative])
                 assert len(c) * cent.order == g.order
 
 
@@ -205,22 +207,25 @@ class TestCentralizer:
     def test_centralizer_order_divides_group_order(self):
         for g in builtin_groups():
             for x in g.elements():
-                assert g.order % g.centralizer_subgroup(x).order == 0
+                assert g.order % pf.centralizer(g, [x]).order == 0
 
 
     def test_central_element_centralizer_is_the_group(self):
         d200 = pf.build_group(pf.Dihedral(200))
-        central = [x for x in d200.elements()
-                   if len(d200.centralizer_indices([x])) == d200.order]
+        central = [x for x in d200.elements() if pf.centralizer(d200, [x]) is d200]
+        assert central == [x for x in d200.elements()
+                           if len(oracle_centralizer_indices(d200, [x])) == d200.order]
         assert len(central) == 2
         rot = next(x for x in central if x != d200.identity)
-        assert d200.centralizer_subgroup(rot) is d200
         assert (rot, d200) in [(r, c) for r, c in pf.p_loop_decomposition(d200, 2)]
 
     def test_equal_centralizers_share_one_table(self, monkeypatch):
         # at p = 5 the 12 non-identity 5-classes of D200 are rotation pairs,
-        # each centralized by the same order-100 rotation subgroup
-        d200 = pf.build_group(pf.Dihedral(200))
+        # each centralized by the same order-100 rotation subgroup, which is
+        # abelian: one tuple of invariant factors, and no table.  In S4 x C2
+        # at p = 2, (x, 0) and (x, 1) are two classes with one centralizer,
+        # C(x) x C2, a non-abelian one when C(x) is D8: one table each
+        d200, s4c2 = pf.build_group(pf.Dihedral(200)), pf.build_group(pf.parse_group("S4 x C2"))
         built = []
         init = pf.FiniteGroup.__init__
 
@@ -230,11 +235,18 @@ class TestCentralizer:
 
         monkeypatch.setattr(pf.FiniteGroup, "__init__", counting_init)
         decomp = pf.p_loop_decomposition(d200, 5)
-        assert len(built) == 1 and len(decomp) == 13
+        assert built == [] and len(decomp) == 13
         assert decomp[0][1] is d200
         rotations = {id(c) for _, c in decomp[1:]}
-        assert len(rotations) == 1 and decomp[1][1].order == 100
-        assert built == [decomp[1][1].name] == [f"C_{{D200}}({decomp[1][0]})"]
+        assert len(rotations) == 1 and decomp[1][1] == (100,)
+        decomp = pf.p_loop_decomposition(s4c2, 2)
+        tables = {id(c): c for _, c in decomp if isinstance(c, pf.FiniteGroup) and c is not s4c2}
+        assert len(tables) < sum(isinstance(c, pf.FiniteGroup) and c is not s4c2
+                                 for _, c in decomp)
+        assert built == [c.name for c in tables.values()] == [
+            f"C_{{S4 x C2}}({next(r for r, c in decomp if c is t)})" for t in tables.values()]
+        monkeypatch.undo()
+        held_to_the_oracle(s4c2, s4c2, decomp, 2)
 
 
 class TestCommutingTuples:
@@ -251,7 +263,7 @@ class TestCommutingTuples:
     def test_dihedral_8_pairs_match_centralizer_sum(self):
         d8 = named_group("D8")
         assert pf.count_commuting_p_tuples(d8, 2, 2) == 40
-        assert sum(d8.centralizer_subgroup(c.representative).order * len(c)
+        assert sum(pf.centralizer(d8, [c.representative]).order * len(c)
                    for c in pf.conjugacy_classes(d8)) == 40
 
     def test_empty_tuple(self):
@@ -268,7 +280,7 @@ class TestCommutingTuples:
         # pair count equals the class-weighted count of p-elements downstairs
         for g in builtin_groups():
             for p in (2, 3):
-                rhs = sum(len(c) * len(g.centralizer_subgroup(c.representative).p_elements(p))
+                rhs = sum(len(c) * len(pf.centralizer(g, [c.representative]).p_elements(p))
                           for c in pf.conjugacy_classes(g)
                           if g.is_p_element(c.representative, p))
                 assert pf.count_commuting_p_tuples(g, p, 2) == rhs
@@ -279,9 +291,13 @@ class TestCommutingTuples:
                 decomp = pf.p_loop_decomposition(g, p)
                 class_size = {c.representative: len(c) for c in pf.conjugacy_classes(g)}
                 for n in range(3):
+                    # an abelian centralizer, as its invariant factors A, has
+                    # |A_p|^n commuting n-tuples of p-elements
                     lhs = pf.count_commuting_p_tuples(g, p, n + 1)
-                    rhs = sum(class_size[rep] * pf.count_commuting_p_tuples(cent, p, n)
-                              for rep, cent in decomp)
+                    rhs = sum(class_size[rep] * (
+                        math.prod(p ** pf.vp(d, p) for d in cent) ** n
+                        if isinstance(cent, tuple) else pf.count_commuting_p_tuples(cent, p, n))
+                        for rep, cent in decomp)
                     assert lhs == rhs
 
     @pytest.mark.parametrize("text", ["S5", "D200", "S3 wr C2", "S4 x S4", "C2 wr C2 wr C2"])
@@ -346,7 +362,7 @@ class TestCommutingTuples:
         # past e against the oracle, which uses no recurrence
         if tables == "S4 centralizers":
             # past the identity's, which is S4 itself
-            groups = [c for _, c in pf.p_loop_decomposition(named_group("S4"), 2)[1:]]
+            groups = [c for _, c in oracle_p_loop_decomposition(named_group("S4"), 2)[1:]]
         elif tables == "relabelled D8 wr C2":
             g = named_group("D8 wr C2")
             perm = list(range(g.order))
@@ -424,21 +440,24 @@ class TestCommutingTuples:
 
 
 class TestLoopDecomposition:
+    # the whole group is the group itself, and an abelian centralizer its
+    # invariant factors
     def test_symmetric_3_at_2(self):
         s3 = named_group("S3")
         decomp = pf.p_loop_decomposition(s3, 2)
-        assert decomp[0][0] == s3.identity and decomp[0][1].order == 6
-        assert [cent.order for _, cent in decomp] == [6, 2]
+        assert decomp[0][0] == s3.identity and decomp[0][1] is s3
+        assert [cent for _, cent in decomp[1:]] == [(2,)]
 
     def test_symmetric_3_at_3(self):
-        decomp = pf.p_loop_decomposition(named_group("S3"), 3)
-        assert [cent.order for _, cent in decomp] == [6, 3]
+        s3 = named_group("S3")
+        assert [cent for _, cent in pf.p_loop_decomposition(s3, 3)] == [s3, (3,)]
 
     def test_cyclic_p_is_p_singletons(self):
         for p in (2, 3, 5):
-            decomp = pf.p_loop_decomposition(pf.build_group(pf.Cyclic(p)), p)
+            g = pf.build_group(pf.Cyclic(p))
+            decomp = pf.p_loop_decomposition(g, p)
             assert len(decomp) == p
-            assert all(cent.order == p for _, cent in decomp)
+            assert all(cent is g for _, cent in decomp)
 
     def test_identity_class_always_present(self):
         for g in builtin_groups():
@@ -448,8 +467,8 @@ class TestLoopDecomposition:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_is_the_class_list_filtered_to_p_elements(self, p):
         # the walk over the p-elements alone gives the classes the full list
-        # gives, in its order, with the same table objects; a caller's
-        # relabelled S4 puts the identity away from index 0
+        # gives, in its order, and the table route's centralizers; a
+        # caller's relabelled S4 puts the identity away from index 0
         s4 = named_group("S4")
         perm = list(range(s4.order))
         random.Random(3).shuffle(perm)
@@ -460,15 +479,55 @@ class TestLoopDecomposition:
                 table[perm[a]][perm[b]] = perm[s4.mul(a, b)]
         for g in builtin_groups() + [pf.FiniteGroup(table)]:
             decomp = pf.p_loop_decomposition(g, p)
-            filtered = [(c.representative, g.centralizer_subgroup(c.representative))
-                        for c in g.conjugacy_classes() if g.is_p_element(c.representative, p)]
-            assert [(r, id(c)) for r, c in decomp] == [(r, id(c)) for r, c in filtered]
+            assert [r for r, _ in decomp] == [c.representative for c in g.conjugacy_classes()
+                                              if g.is_p_element(c.representative, p)]
+            held_to_the_oracle(g, g, decomp, p)
+
+    @pytest.mark.parametrize("text", ["S4", "D8 wr C2", "S3 wr C2", "C3 wr C3"])
+    def test_a_relabelled_table_loops_as_its_group(self, text):
+        # off index 0, the identity class still comes first, the walk is the
+        # table route's, and the loop is the described group's, atom for
+        # atom up to the labels of its centralizer tables
+        g = relabelled(named_group(text), 8)
+        assert g.identity != 0
+        for p in (2, 3):
+            decomp = pf.p_loop_decomposition(g, p)
+            assert decomp[0] == (g.identity, g)
+            held_to_the_oracle(g, g, decomp, p)
+            for iterations in (1, 2):
+                expected = isomorphism_invariants(looped(pf.parse_space(f"B({text})"), p,
+                                                         iterations))
+                for x in (pf.Classifying(named_group(text)), pf.Classifying(g)):
+                    assert isomorphism_invariants(looped(x, p, iterations)) == expected
+
+
+def looped(x: pf.SpaceExpr, p: int, iterations: int) -> pf.NormalForm:
+    for _ in range(iterations):
+        x = pf.normal_form(pf.p_adic_loop(x, p)).to_expr()
+    return pf.normal_form(x)
+
+
+def isomorphism_invariants(nf: pf.NormalForm) -> dict:
+    """The components of ``nf``, each group atom read by the orders of its
+    elements and its commuting-tuple counts, which no relabelling moves,
+    with their multiplicities summed: isomorphic tables with other labels
+    are apart in a form, which merges only equal tables."""
+    def atom(a) -> str:
+        if isinstance(a, pf.EM):
+            return repr(a)
+        g = a.table
+        return repr((sorted(g.element_orders),
+                     [pf.count_commuting_p_tuples(g, p, 2) for p in (2, 3)]))
+    counts: Counter = Counter()
+    for comp, count in nf.components:
+        counts[tuple(sorted(map(atom, comp)))] += count
+    return counts
 
 
 def test_subgroup_relabels_consistently():
     d8 = named_group("D8")
     rot = next(x for x in d8.elements() if d8.element_orders[x] == 4)
-    cent = d8.centralizer_subgroup(rot)
+    cent = pf.centralizer(d8, [rot])
     # the centralizer of an order-4 rotation is cyclic of order 4
     assert sorted(cent.element_orders) == [1, 2, 4, 4]
     assert np.array_equal(np.sort(cent.table[0]), np.arange(4))
@@ -703,7 +762,7 @@ class TestCellOracles:
         for g in (named_group(text), relabelled(named_group(text), 3)):
             for p in (2, 3, 5):
                 for rep, _ in pf.p_loop_decomposition(g, p):
-                    elems = g.centralizer_indices([rep])
+                    elems = oracle_centralizer_indices(g, [rep])
                     if len(elems) < g.order:
                         assert rows_of(g.subgroup(elems)) == oracle_subgroup_table(g, elems)
 
@@ -725,7 +784,7 @@ class TestCellOracles:
         # element more: no subgroup of order |H| + 1 holds H when |H| > 1
         for g in (named_group(text), relabelled(named_group(text), 6)):
             for x in g.elements():
-                h = g.centralizer_indices([x])
+                h = oracle_centralizer_indices(g, [x])
                 if len(h) == g.order:
                     continue
                 outside = next(y for y in g.elements() if y not in h)
@@ -742,7 +801,7 @@ class TestCellOracles:
         groups += [relabelled(g, 5) for g in groups]
         for g in list(groups):
             for p in (2, 3, 5):
-                groups += [c for _, c in pf.p_loop_decomposition(g, p)]
+                groups += [c for _, c in oracle_p_loop_decomposition(g, p)]
         verdicts = [g.is_abelian() for g in groups]
         assert verdicts == [bool(np.array_equal(g.table, g.table.T)) for g in groups]
         assert 0 < sum(verdicts) < len(verdicts)
@@ -826,31 +885,28 @@ class TestEncodedElements:
 
     @pytest.mark.parametrize("text", ENCODED_ZOO)
     def test_orders_classes_and_centralizers_are_the_tables(self, text):
+        # the class walk on encoded elements and on the table, against the
+        # table route: members, representatives and centralizer index sets
         g = named_group(text)
         e = pf.encoded.EncodedGroup(g.descriptor)
         assert (tuple(e.element_orders), tuple(e.inverses)) == (g.element_orders, g.inverses)
         for p in (2, 3, 5):
-            assert e.p_classes(p) == [(c.representative, g.centralizer_indices([c.representative]))
-                                      for c in g._classes_of(g.p_elements(p))]
+            oracle = [(c.representative, list(c.members),
+                       oracle_centralizer_indices(g, [c.representative]))
+                      for c in oracle_classes_of(g, g.p_elements(p))]
+            for group in (e, g):
+                assert list(pf.walks.classes(group, g.p_elements(p))) == oracle
 
     @pytest.mark.parametrize("text", ENCODED_ZOO)
     def test_decomposition_is_the_tables(self, text):
         # the group itself, an abelian centralizer's invariant factors, or
-        # the rows and name the table route gives a non-abelian one
+        # the rows and name the table route gives a non-abelian one, on
+        # encoded elements and on the table alike
         g = named_group(text)
         for p in (2, 3, 5):
-            table = pf.p_loop_decomposition(g, p)
-            encoded = pf.encoded.p_loop_decomposition(g.descriptor, p)
-            assert [r for r, _ in encoded] == [r for r, _ in table]
-            for (_, c), (_, t) in zip(encoded, table):
-                if t is g:
-                    assert c is g.descriptor
-                elif t.is_abelian():
-                    assert c == pf.walks.abelian_invariant_factors(t.element_orders)
-                else:
-                    assert (c._rows, c.name) == (t._rows, t.name)
-            # classes with one centralizer share one object, as tables do
-            assert len({id(c) for _, c in encoded}) == len({id(t) for _, t in table})
+            e = pf.encoded.EncodedGroup(g.descriptor)
+            held_to_the_oracle(g, e, pf.walks.p_loop_decomposition(e, p), p)
+            held_to_the_oracle(g, g, pf.p_loop_decomposition(g, p), p)
 
 
 # -- the table format ------------------------------------------------------------------
@@ -926,7 +982,7 @@ class TestTableFormat:
         g = named_group(text)
         for x in g.elements():
             # sorted: element i of the subgroup is elems[i] of g
-            elems = g.centralizer_indices([x])
+            elems = oracle_centralizer_indices(g, [x])
             sub = g.subgroup(elems)
             rows = sub._rows
             assert type(rows) is tuple and all(type(row) is tuple for row in rows)
@@ -940,7 +996,7 @@ class TestTableFormat:
         # deliberate sharing leaves one int object per element
         d600 = named_group("D600")
         rotation = max(d600.elements(), key=d600.element_orders.__getitem__)
-        sub = d600.subgroup(d600.centralizer_indices([rotation]))
+        sub = d600.subgroup(oracle_centralizer_indices(d600, [rotation]))
         assert sub.order == 300
         assert len({id(v) for row in sub._rows for v in row}) == 300
 
@@ -1015,12 +1071,13 @@ class TestIntegerInputs:
 
     # subgroup read 0.0 and 1.9 as 0 and 1; centralizer of 1.0 or "1" raised
     # a bare TypeError, and of True built C_{S3}(True), which the element
-    # cache then handed to 1.0
+    # cache then handed to 1.0.  The ids of the two methods the centralizer
+    # was read through name its reads of an iterator and of a second table
     @pytest.mark.parametrize("value", [1.0, 1.9, True, "1"], ids=repr)
     @pytest.mark.parametrize("call", [
         lambda v: named_group("S3").subgroup([0, v]),
-        lambda v: named_group("S3").centralizer_indices([v]),
-        lambda v: named_group("S3").centralizer_subgroup(v),
+        lambda v: pf.centralizer(named_group("S3"), iter([v])),
+        lambda v: pf.centralizer(named_group("D8"), (v,)),
         lambda v: pf.centralizer(named_group("S3"), [v]),
         lambda v: pf.centralizer(named_group("S3"), [0, v]),
     ], ids=["subgroup", "centralizer_indices", "centralizer_subgroup", "centralizer of one",

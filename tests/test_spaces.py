@@ -8,9 +8,11 @@ from fractions import Fraction
 
 import pytest
 from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centralizer_tuples,
-                      oracle_commuting_tuples, oracle_looped_cardinality, random_space_expr)
+                      oracle_commuting_tuples, oracle_looped_cardinality,
+                      oracle_p_loop_decomposition, random_space_expr)
 
 import pifinite as pf
+import pifinite.walks
 from pifinite import EMPTY, PT, InputError, InvariantError, ResourceBudgetError
 from pifinite.rationals import MAX_DIGITS
 from pifinite.normalforms import MAX_COMPONENTS
@@ -185,9 +187,9 @@ class TestLoop:
         assert build_calls == []
 
     def test_one_abelian_test_per_centralizer_table(self, monkeypatch):
-        # the 12 rotation classes of D200 at p = 5 share one order-100 table,
-        # in the table route; on encoded elements their abelian centralizer
-        # gets no table and no table test
+        # the 12 rotation classes of D200 at p = 5 share one order-100
+        # centralizer: abelian, it gets no table and no table test, on
+        # encoded elements and on the table alike
         tested = []
         is_abelian = pf.FiniteGroup.is_abelian
 
@@ -201,19 +203,19 @@ class TestLoop:
         assert tested == []
         assert pf.normal_form(looped) == expected
         looped = pf.p_adic_loop(pf.Classifying(pf.build_group(pf.Dihedral(200))), 5)
-        assert tested == [100]
+        assert tested == []
         assert pf.normal_form(looped) == expected
 
     @staticmethod
     def _counted_decompositions(monkeypatch) -> list[str]:
-        # a table by its name, a described group by its descriptor's
+        # a table, or a described group's encoding, by its name
         walked = []
-        for module in (pf.groups, pf.encoded):
-            def counting(g, p, decompose=module.p_loop_decomposition):
-                walked.append(getattr(g, "name", None) or pf.groups.descriptor_name(g))
-                return decompose(g, p)
 
-            monkeypatch.setattr(module, "p_loop_decomposition", counting)
+        def counting(g, p, decompose=pf.walks.p_loop_decomposition):
+            walked.append(g.name)
+            return decompose(g, p)
+
+        monkeypatch.setattr(pf.walks, "p_loop_decomposition", counting)
         return walked
 
     def test_each_distinct_atom_walked_once(self, monkeypatch):
@@ -249,7 +251,7 @@ class TestLoop:
         # C_{S4}(7) and C_{S5}(7) are equal tables: matched by identity, each
         # loops under its own name, so the least name is printed whichever
         # part comes first
-        a, b = (pf.Classifying(pf.parse_space(t).table.centralizer_subgroup(7))
+        a, b = (pf.Classifying(pf.centralizer(pf.parse_space(t).table, [7]))
                 for t in ("B(S4)", "B(S5)"))
         assert a == b and a.group.name != b.group.name
         for pair in ((a, b), (b, a)):
@@ -671,7 +673,7 @@ class TestAtomRule:
         g = named_group(text)
         self.check(g)
         for p in (2, 3):
-            for _, c in pf.p_loop_decomposition(g, p):
+            for _, c in oracle_p_loop_decomposition(g, p):
                 self.check(c)
 
     @pytest.mark.parametrize("d, error", [
