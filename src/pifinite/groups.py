@@ -155,12 +155,12 @@ class FiniteGroup:
 
     The table is validated at construction (two-sided identity, identity in
     every row, and associativity by Light's test); orders and inverses are
-    computed up front, the class walk's pairs and the tuple counts per
-    prime on first use, and conjugacy classes on each call.  Instances are
-    immutable and compare (and hash) by their rows, which normal forms sort
-    by too, held once (see ``_ClosedRows``).  ``table`` is a read-only int64
-    ndarray copy for outside callers, built on first access; nothing here
-    reads it.
+    computed up front, the abelian verdict, and the class walk's pairs and
+    the tuple counts per prime, on first use, and conjugacy classes on each
+    call.  Instances are immutable and compare (and hash) by their rows,
+    which normal forms sort by too, held once (see ``_ClosedRows``).
+    ``table`` is a read-only int64 ndarray copy for outside callers, built
+    on first access; nothing here reads it.
     """
 
     def __init__(self, table, name: str = "G", *, validate: bool = True):
@@ -178,6 +178,7 @@ class FiniteGroup:
         self._p_loops: dict = {}        # p -> the class walk's pairs
         self._tuple_counts: dict = {}   # p -> the counts at n = 0, 1, ... reached
         self._hash: int | None = None   # hash(rows), taken on first use
+        self._abelian: bool | None = None   # is_abelian()'s verdict, walked on first use
         self._array: np.ndarray | None = None
 
     # -- construction-time checks -------------------------------------------
@@ -213,8 +214,12 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        """Whether the greedy generators of the group commute pairwise."""
-        return commute(self._row, greedy_generators(self._row, self.identity, self.elements()))
+        """Whether the greedy generators of the group commute pairwise,
+        walked on first use and held, as the hash is."""
+        if self._abelian is None:
+            self._abelian = commute(self._row,
+                                    greedy_generators(self._row, self.identity, self.elements()))
+        return self._abelian
 
     @property
     def table(self) -> np.ndarray:

@@ -5,12 +5,14 @@ atoms, and what is read off it.
 ``spaces.normal_form`` builds a ``NormalForm`` from an expression and
 imports this module when it first runs, so a CLI answer that takes no
 normal form (``card``, ``profile``, ``classify``, ``beta``, ``table``)
-never compiles it.  ``_component`` is the one component builder, where the
-EM atoms of one degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``, and a
-normal form is held to ``MAX_COMPONENTS`` components, decided before a
-product is expanded.  Equal tables of different names are one atom, and a
-form prints each by the least of their names, so equal forms print alike.
-``connectivity`` and ``is_m_finite`` read the atom degrees of a normal form.
+never compiles it.  ``NormalForm.__mul__`` is the one place two forms
+multiply, and a product of many is a fold of it (``_product``).  It holds
+the product to ``MAX_COMPONENTS`` components before expanding it, and
+forms each component with ``_component``, where the EM atoms of one
+degree multiply, ``B^k(A) * B^k(B) = B^k(A x B)``.  Equal tables of
+different names are one atom, and a form prints each by the least of their
+names, so equal forms print alike.  ``connectivity`` and ``is_m_finite``
+read the atom degrees of a normal form.
 """
 
 from __future__ import annotations
@@ -184,20 +186,11 @@ def _sum(forms: Iterable[NormalForm]) -> NormalForm:
 
 
 def _product(forms: list[NormalForm]) -> NormalForm:
-    # The factors of one component join in one sort before the others fold
-    # in: folding k single atoms one at a time re-sorts the component k
-    # times, and folding them after the unions re-sorts every component.
-    atoms: list[Atom] = []
-    scale, unions = 1, []
-    for nf in forms:
-        if len(nf._counts) == 1:
-            (comp, mult), = nf._counts.items()
-            atoms.extend(comp)
-            scale *= mult
-        else:
-            unions.append(nf)
-    out = NormalForm({_component(atoms): scale})
-    for nf in unions:
+    # one-component forms (atoms, scalars, the zero form) fold in first:
+    # each then re-sorts the one component, where after a union it would
+    # re-sort every component of the expansion
+    out = NormalForm.one()
+    for nf in sorted(forms, key=lambda nf: len(nf._counts) > 1):
         out = out * nf
     return out
 

@@ -308,8 +308,10 @@ def atom_text(atom: Atom) -> str:
 def normal_form(x: SpaceExpr) -> NormalForm:
     """Distribute products over disjoint unions.  A table atom is read by
     ``classifying`` first, so a caller's trivial, abelian or described table
-    takes the atom rule; a described atom is taken as it is, and no table is
-    built.  A union whose fold, or a product whose expansion, would pass
+    takes the atom rule; the table holds its abelian verdict, so only the
+    first read walks its generators.  A described atom is taken as it is,
+    and no table is built.  A product is a fold of ``NormalForm.__mul__``.
+    A union whose fold, or a product whose expansion, would pass
     ``MAX_COMPONENTS`` components is refused, a product before it expands."""
     from .normalforms import NormalForm, _product, _sum
     if isinstance(x, Classifying) and hasattr(x.group, "descriptor"):

@@ -531,6 +531,11 @@ class TestExitCodes:
         code, _, err = run(capsys, "card", "--space", "B(S4)", "--prime", "2", "--height", "1")
         assert code == 2 and "cap" in err
 
+    def test_order_cap_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("PIFINITE_ORDER_CAP", "ten")
+        assert run(capsys, "card", "--space", "B(S3)", "--prime", "2", "--height", "1") == (
+            1, "", "error: PIFINITE_ORDER_CAP must be an integer, got 'ten'\n")
+
     @pytest.mark.parametrize("space, code", [("B(S7 x C2)", 1), ("B(S4 x S4 x S4)", 2),
                                              ("B(C5 wr C5)", 2)])
     def test_groups_refused_whole(self, capsys, space, code):
@@ -586,6 +591,22 @@ class TestExitCodes:
             assert (code, out) == (3, "")
             assert err.startswith("invariant error: the loop's height-0 cardinality")
             assert len(err.splitlines()) == 1
+
+    def test_loop_checks_the_height_1_count(self, capsys, monkeypatch):
+        # B^1(C6) for the whole group's class keeps |B(S3)|_0 = 1/6, so only
+        # the height-1 check sees the wrong loop: 2/6 against |B(S3)|_1 = 4/6
+        import pifinite.walks
+        decompose = pifinite.walks.p_loop_decomposition
+
+        def whole_group_abelian(g, p):
+            (e, _), *rest = decompose(g, p)
+            return [(e, (g.order,)), *rest]
+
+        monkeypatch.setattr(pifinite.walks, "p_loop_decomposition", whole_group_abelian)
+        for extra in ([], ["--format", "json"]):
+            assert run(capsys, "loop", "--space", "B(S3)", "--prime", "2", *extra) == (
+                3, "", "invariant error: the loop's height-1 cardinality differs from its "
+                       "input's height-2 cardinality\n")
 
     def test_nonprime_rejected(self, capsys):
         code, _, err = run(capsys, "card", "--space", "pt", "--prime", "6", "--height", "1")
@@ -678,6 +699,8 @@ class TestExitCodes:
         # wreath product's count is what passes the budget
         (["wreath", "C2", "--prime", "3", "--height", "100000000"], 2,
          "3-tuple counts in C2 wr C3 at length 9015 exceed the 4300-digit budget"),
+        # an option at the end of the argv with no value after it
+        (["card", "--space", "pt", "--prime", "2", "--height"], 1, "--height needs a value"),
     ])
     def test_argument_refusals(self, capsys, argv, code, message):
         prefix = "error" if code == 1 else "resource error"

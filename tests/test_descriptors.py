@@ -37,6 +37,13 @@ def route_mismatches(d):
     return bad
 
 
+@pytest.mark.parametrize("read", [pf.groups.checked_order, descriptor_name],
+                         ids=["checked_order", "descriptor_name"])
+def test_a_non_descriptor_is_refused(read):
+    with pytest.raises(pf.InputError, match="^unknown group descriptor 5$"):
+        read(5)
+
+
 class TestIndependentRoute:
     def test_the_groups(self):
         names = [descriptor_name(d) for d in ROUTE_GROUPS]

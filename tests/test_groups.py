@@ -1093,6 +1093,8 @@ class TestIntegerInputs:
             pf.build_group(pf.Dihedral(7))
         with pytest.raises(InputError, match="^wreath degree must be >= 2, got 1$"):
             pf.wreath_cyclic(named_group("S3"), 1)
+        with pytest.raises(InputError, match="^element index 6 out of range$"):
+            pf.centralizer(named_group("S3"), [6])
 
 
 def test_constructor_takes_no_descriptor():

@@ -113,6 +113,9 @@ def test_dir_lists_names_and_submodules():
     listed = fresh("import pifinite; print(repr(dir(pifinite)))")
     assert listed == sorted(listed)
     assert set(NAMES) | set(SUBMODULES) | {"__version__"} <= set(listed)
+    # and in this process, with submodules already loaded
+    import pifinite
+    assert set(NAMES) | set(SUBMODULES) | {"__version__"} <= set(dir(pifinite))
 
 
 def test_submodules_reachable_after_bare_import():

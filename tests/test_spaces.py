@@ -88,6 +88,28 @@ class TestNormalForm:
         assert repr(forms[0]) == repr(forms[1])
         assert "C_{S4}(7)" in repr(forms[0]) and "C_{S5}(7)" not in repr(forms[0])
 
+    @pytest.mark.parametrize("unions_first", [True, False], ids=["unions first", "atoms first"])
+    def test_product_does_not_depend_on_the_order_of_its_factors(self, unions_first):
+        # unions holding equal centralizer tables of different names, beside
+        # described atoms, EM atoms of one degree that multiply, and a scalar
+        unions = [pf.parse_space("pt + B(S4)"), pf.parse_space("pt + B(D8)"),
+                  pf.p_adic_loop(pf.parse_space("B(S4)"), 2),
+                  pf.p_adic_loop(pf.parse_space("B(S5)"), 2)]
+        atoms = [pf.parse_space(t) for t in ("B(S3)", "B^1(C2)", "B^1(C3)", "B^2(C6)", "3")]
+        rng = random.Random(52)
+        seen = set()
+        for _ in range(6):
+            rng.shuffle(unions)
+            rng.shuffle(atoms)
+            nf = pf.normal_form(pf.Product(tuple(unions + atoms if unions_first
+                                                 else atoms + unions)))
+            seen.add((nf, pf.space_text(nf.to_expr())))
+        (nf, text), = seen
+        assert "C_{S4}(7)" in text and "C_{S5}(7)" not in text
+        # the multiplicities add up as the factors' do
+        assert sum(m for _, m in nf.components) == 3 * math.prod(
+            sum(m for _, m in pf.normal_form(u).components) for u in unions)
+
     def test_sorting_a_group_copies_no_table(self):
         # table atoms sort by (order, rows); an int64 key of D1000's table
         # kept 8 MB.  A product table has no descriptor, so it stays a table.
@@ -205,6 +227,25 @@ class TestLoop:
         looped = pf.p_adic_loop(pf.Classifying(pf.build_group(pf.Dihedral(200))), 5)
         assert tested == []
         assert pf.normal_form(looped) == expected
+
+    def test_a_table_atom_walks_its_generators_once(self, monkeypatch):
+        # normal_form reads every table atom through classifying, and the
+        # table holds its abelian verdict: a second normal form of the same
+        # centralizer tables walks no greedy generators
+        looped = pf.p_adic_loop(pf.parse_space("B(S4) * B(S5)"), 2)
+        walked = []
+        greedy = pf.groups.greedy_generators
+
+        def counting(row, identity, elements):
+            walked.append(identity)
+            return greedy(row, identity, elements)
+
+        monkeypatch.setattr(pf.groups, "greedy_generators", counting)
+        first = pf.normal_form(looped)
+        assert walked
+        walked.clear()
+        assert pf.normal_form(looped) == first
+        assert walked == []
 
     @staticmethod
     def _counted_decompositions(monkeypatch) -> list[str]:
@@ -435,10 +476,11 @@ class TestIntegerInputs:
 
 
 class TestNonSpaceParts:
+    PARTS = [5, "B(S3)", None, named_group("C2"), pf.Cyclic(2)]
+
     # each was built, or returned as it was, and refused only where a walk
     # read it: product(5, PT) returned 5
-    @pytest.mark.parametrize("part", [5, "B(S3)", None, named_group("C2"), pf.Cyclic(2)],
-                             ids=repr)
+    @pytest.mark.parametrize("part", PARTS, ids=repr)
     @pytest.mark.parametrize("build", [
         lambda x: pf.product(x, PT), lambda x: pf.disjoint_union(x, PT),
         lambda x: pf.Product((x, PT)), lambda x: pf.Disjoint((PT, x)),
@@ -447,6 +489,15 @@ class TestNonSpaceParts:
     def test_refused_at_construction(self, build, part):
         with pytest.raises(InputError, match=f"^not a space expression: {re.escape(repr(part))}$"):
             build(part)
+
+    @pytest.mark.parametrize("part", PARTS, ids=repr)
+    @pytest.mark.parametrize("walk", [
+        pf.normal_form, lambda x: pf.p_adic_loop(x, 2), lambda x: pf.height_cardinality(x, 2, 1),
+        pf.space_text,
+    ], ids=["normal_form", "p_adic_loop", "height_cardinality", "space_text"])
+    def test_refused_by_each_walk(self, walk, part):
+        with pytest.raises(InputError, match=f"^not a space expression: {re.escape(repr(part))}$"):
+            walk(part)
 
 
 class TestDigitBudget:
@@ -703,6 +754,9 @@ class TestAtomRule:
             if isinstance(atom, pf.Classifying):
                 assert pf.Classifying(atom.group) == atom
 
+    def test_a_trivial_table_is_the_point(self):
+        assert pf.classifying(pf.FiniteGroup([[0]])) is PT
+
     @pytest.mark.parametrize("group", [5, None, "S3", (3,)], ids=repr)
     def test_an_atom_of_no_group_is_refused(self, group):
         # refused where the atom is made, not where it is first counted
@@ -782,6 +836,12 @@ class TestComponentBudget:
         with pytest.raises(ResourceBudgetError, match="component budget"):
             pf.normal_form(union_product(20))
         assert time.perf_counter() - start < 1
+
+    def test_a_zero_factor_expands_nothing(self):
+        # the zero form folds in before the unions, wherever it is written
+        unions = union_product(MAX_COMPONENTS.bit_length()).factors
+        for factors in (unions + (EMPTY,), (EMPTY,) + unions):
+            assert pf.normal_form(pf.Product(factors)) == pf.NormalForm.zero()
 
     def test_finiteness_reads_the_bounded_normal_form(self):
         x = union_product(MAX_COMPONENTS.bit_length())
