@@ -4,10 +4,10 @@ classifying-space cardinality of a table in this package.  Commuting tuples
 are counted on centralizers held as bitmasks over the p-elements, with no
 subgroup table.  Conjugacy classes and the p-adic loop's components are the
 class walk of ``walks``, which a table feeds the conjugates of an element
-read off its rows (``FiniteGroup.conjugates``), and which hands ``_closure``
-the generator rows of each non-abelian proper centralizer, the one table a
-loop builds; ``encoded`` runs the same walk on a described group's encoded
-elements, with no table of the group.  The groups are named by the
+read off its rows (``FiniteGroup.conjugates``), and which hands the table
+builder the generators of each non-abelian proper centralizer, the one
+table a loop builds; ``encoded`` runs the same walk on a described group's
+encoded elements, with no table of the group.  The groups are named by the
 descriptors of ``descriptors``, which also holds the order cap and the
 limits every build applies.
 
@@ -20,18 +20,24 @@ no numpy is needed.  A table is checked by the group axioms alone: an
 identity, found in every row, and associativity by Light's test over its
 greedy generators, at n^2 cells each; those generators, the commuting
 test, the power walk for orders and inverses and the class walk are the
-``walks`` that ``encoded`` shares.  Every derived table, symmetric,
-wreath, product and subgroup, is built as the closure of its generators'
-rows (``_closure``), one row composition per element; a subgroup's
-generators are its own greedy ones, their rows restricted to its element
-set.  Orders go up
-to the order cap (``descriptors.DEFAULT_ORDER_CAP``, or
-``PIFINITE_ORDER_CAP``), applied to every build: a descriptor is checked
-whole before anything is built, and ``direct_product`` and
-``wreath_cyclic`` check the order they would build.  Building a table is
-the costly step, and its cost grows with the square of the order; a height
-count of a described group builds none (``homcounts.hom_count``), and
-neither does its loop, past its non-abelian proper centralizers.
+``walks`` that ``encoded`` shares.
+
+Every table is built one way (``_group_on``): the group on an ascending
+index set of a group read through a row accessor, as the closure of its
+generators' rows (``_closure``), one row composition per element.  A
+described group is read through the multiplication rule of its encoding
+(``encoded``), the one home of each kind's layout; a product or wreath of
+tables through the product and wreath rules, with the tables as factors;
+a subgroup, of a caller's table or a loop's centralizer, through the rows
+of its group.  Light's test checks a built C, S or D table and every
+caller's table.  Orders go up to the order cap
+(``descriptors.DEFAULT_ORDER_CAP``, or ``PIFINITE_ORDER_CAP``), applied to
+every build: a descriptor is checked whole before anything is built, and
+``direct_product`` and ``wreath_cyclic`` check the order they would build.
+Building a table is the costly step, and its cost grows with the square of
+the order; a height count of a described group builds none
+(``homcounts.hom_count``), and neither does its loop, past its non-abelian
+proper centralizers.
 """
 
 from __future__ import annotations
@@ -39,15 +45,17 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
+from functools import partial
 from operator import and_, eq, itemgetter, mul
 
-from .descriptors import (Cyclic, Dihedral, DirectProduct, GroupDescriptor, Symmetric,
-                          _require_order, _wreath_order, checked_order, descriptor_name)
+from .descriptors import (DirectProduct, GroupDescriptor, Wreath, _require_order, _wreath_order,
+                          checked_order, descriptor_name)
+from .encoded import Rule, _encoding, _product_rule, _wreath_rule
 from .errors import InputError, ResourceBudgetError
 from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime, vp
 from .records import frozen
 # p_loop_decomposition is public here: a table's loop components are the class walk's
-from .walks import (classes, commute, greedy_generators, orders_and_inverses,
+from .walks import (Row, classes, commute, greedy_generators, orders_and_inverses,
                     p_loop_decomposition)
 
 Rows = tuple[tuple[int, ...], ...]
@@ -94,15 +102,10 @@ def _shared_rows(table) -> Rows:
 
 
 class _ClosedRows(tuple):
-    """Rows a builder or ``FiniteGroup.subgroup`` made from one shared int per
-    element, every entry in range (a subgroup checks closure): the constructor
-    keeps them as built, so a table exists once, instead of re-sharing a copy."""
+    """Rows ``_closure`` made from one shared int per element, every entry in
+    range: the constructor keeps them as built, so a table exists once,
+    instead of re-sharing a copy."""
     __slots__ = ()
-
-
-def _generator_rows(g: FiniteGroup) -> list[tuple[int, ...]]:
-    """The rows of the greedy generators of ``g``."""
-    return [g._rows[a] for a in greedy_generators(g._row, g.identity, g.elements())]
 
 
 def _passes_light_test(g: FiniteGroup) -> bool:
@@ -127,17 +130,24 @@ def _passes_light_test(g: FiniteGroup) -> bool:
                for a in greedy_generators(g._row, g.identity, g.elements()) for row in rows)
 
 
-def _closure(gen_rows: Sequence[Sequence[int]], identity: int, order: int) -> _ClosedRows:
-    """The rows of the group of ``order`` elements that the
-    left-multiplication rows ``gen_rows`` generate (none for the trivial
-    group), as tuples over one shared int per element.  The walk starts at
-    the identity, and each element g x, when first reached, gets row g
-    composed after row x, since (g x) z = g (x z): one gather in C per
-    element."""
-    ints = tuple(range(order))
-    gen_rows = [_getter(gen)(ints) for gen in gen_rows]
+def _closure(elems: Sequence[int], row: Row, identity: int, gens: Iterable[int]) -> _ClosedRows:
+    """The rows of the group on the ascending index set ``elems`` of a
+    group read through the row accessor ``row``, whose identity is
+    ``identity``, that the elements ``gens`` generate, each product at its
+    position in ``elems`` and the rows over one shared int per element.
+    The generators' rows are read first: the set must hold the identity,
+    and no generator's row may leave it.  The walk then starts at the
+    identity, and each element g x, when first reached, gets row g composed
+    after row x, since (g x) z = g (x z): one gather in C per element."""
+    ints = tuple(range(len(elems)))
+    pos = dict(zip(elems, ints))
+    gen_rows = [tuple(map(pos.get, map(row(a), elems))) for a in gens]
+    start = pos.get(identity)
+    del pos     # freed before the table is built: a build peaks at one table
+    if start is None or any(None in r for r in gen_rows):
+        raise InputError("element set is not closed under multiplication")
     rows: list = [None] * len(ints)
-    rows[identity], reached = ints, [identity]
+    rows[start], reached = ints, [start]
     for x in reached:                   # the list grows while it is walked
         compose = _getter(rows[x])
         for gen in gen_rows:
@@ -168,7 +178,7 @@ class FiniteGroup:
         self._rows: Rows = tuple(table) if type(table) is _ClosedRows else _shared_rows(table)
         self.order: int = len(self._rows)
         self.name = name
-        self.descriptor = None      # the descriptor a table is built for, set by _build
+        self.descriptor = None      # the descriptor a table is built for, set by build_group
         self.identity: int = self._find_identity()
         if validate:
             self._validate()
@@ -257,24 +267,13 @@ class FiniteGroup:
 
     def subgroup(self, elems: Sequence[int], name: str = "H") -> "FiniteGroup":
         """The subgroup on the given closed element set, with the induced
-        table: the closure of its greedy generators' rows, restricted to the
-        set.  The generators reach every element of the set, so it is closed
-        exactly when it holds the identity and no generator's row leaves it."""
+        table (``_group_on``)."""
         elems = tuple(sorted({require_int(e, "element index", 0) for e in elems}))
         if not elems:
             raise InputError("a subgroup needs at least one element")
         if elems[-1] >= self.order:
             raise InputError("element index out of range")
-        pos = [-1] * self.order
-        for i, e in enumerate(elems):
-            pos[e] = i
-        restrict = _getter(elems)
-        gens = [_getter(restrict(self._rows[a]))(pos)
-                for a in greedy_generators(self._row, self.identity, elems)]
-        if pos[self.identity] < 0 or any(-1 in row for row in gens):
-            raise InputError("element set is not closed under multiplication")
-        return FiniteGroup(_closure(gens, pos[self.identity], len(elems)), name=name,
-                           validate=False)
+        return _group_on(elems, self._row, self.identity, name)
 
     # -- p-structure -----------------------------------------------------------
 
@@ -289,88 +288,57 @@ class FiniteGroup:
         return tuple(g for g in range(self.order) if self.is_p_element(g, p))
 
 
-# -- tables from descriptors -----------------------------------------------------
+# -- the one table builder ---------------------------------------------------------
+
+def _group_on(elems: Sequence[int], row: Row, identity: int, name: str, *,
+              gens: Iterable[int] | None = None, validate: bool = False) -> FiniteGroup:
+    """The group on the ascending index set ``elems`` of a group read
+    through the row accessor ``row`` of ``walks``, whose identity is
+    ``identity``: the closure of its generators' rows.  The generators are
+    ``gens``, or else its greedy ones; either way they reach every element
+    of the set, so it is closed exactly when it holds the identity and no
+    generator's row leaves it."""
+    if gens is None:
+        gens = greedy_generators(row, identity, elems)
+    return FiniteGroup(_closure(elems, row, identity, gens), name=name, validate=validate)
+
+
+def _from_rule(rule: Rule, name: str, *, validate: bool = False) -> FiniteGroup:
+    """The table of the group ``encoded`` gives as (order, identity, mul)."""
+    order, identity, times = rule
+    # the row accessor a -> (b -> a b)
+    return _group_on(range(order), partial(partial, times), identity, name, validate=validate)
+
+
+def _rule(g: FiniteGroup) -> Rule:
+    """A table as a factor of the product and wreath rules."""
+    return g.order, g.identity, g.mul
+
 
 def build_group(d: GroupDescriptor) -> FiniteGroup:
-    """Materialize a descriptor as a validated Cayley-table group."""
+    """Materialize a descriptor as a Cayley-table group on the indices of
+    its encoding; Light's test checks a C, S or D table."""
     checked_order(d)
-    return _build(d)
-
-
-def _build(d: GroupDescriptor) -> FiniteGroup:
-    if isinstance(d, Cyclic):
-        g = _cyclic_group(d.n)
-    elif isinstance(d, Symmetric):
-        g = _symmetric_group(d.n)
-    elif isinstance(d, Dihedral):
-        g = _dihedral_group(d.order)
-    elif isinstance(d, DirectProduct):
-        g = direct_product(_build(d.left), _build(d.right))
-    else:
-        g = wreath_cyclic(_build(d.base), d.p)
-    g.name = descriptor_name(d)
+    g = _from_rule(_encoding(d), descriptor_name(d),
+                   validate=not isinstance(d, (DirectProduct, Wreath)))
     g.descriptor = d
     return g
 
 
-def _cyclic_group(n: int) -> FiniteGroup:
-    ints = tuple(range(n))
-    return FiniteGroup(_ClosedRows(ints[i:] + ints[:i] for i in range(n)))
-
-
-def _symmetric_group(n: int) -> FiniteGroup:
-    perms = sorted(itertools.permutations(range(n)))
-    pos = {s: i for i, s in enumerate(perms)}
-    # row g, column s: the composite g after s, with entries g[s[x]]; a
-    # transposition and an n-cycle generate S_n (both are the identity at n = 1)
-    e = perms[0]
-    gens = (e[1::-1] + e[2:], e[1:] + e[:1])
-    return FiniteGroup(_closure([[pos[_getter(s)(g)] for s in perms] for g in gens], 0, len(perms)))
-
-
-def _dihedral_group(order: int) -> FiniteGroup:
-    n = order // 2
-    # element (i, j) = r^i s^j at index j*n + i;  s r s = r^-1, so
-    # r^i1 * r^i2 s^j = r^(i1+i2) s^j and r^i1 s * r^i2 s^j = r^(i1-i2) s^(1+j)
-    ints = tuple(range(order))
-    rots, refls = ints[:n], ints[n:]
-    tab = [rots[i:] + rots[:i] + refls[i:] + refls[:i] for i in range(n)]
-    tab += [refls[i::-1] + refls[:i:-1] + rots[i::-1] + rots[:i:-1] for i in range(n)]
-    return FiniteGroup(_ClosedRows(tab))
-
-
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    """G x H with elements a*|H| + b, the closure of the rows of (a, e) and
-    (e, b) for the greedy generators a of G and b of H."""
-    m = h.order
-    xs = range(_require_order(g.order * m))
-    # (a, e)(u, v) = (a u, v) and (e, b)(u, v) = (u, b v), at x = u*|H| + v
-    gens = [[row[x // m] * m + x % m for x in xs] for row in _generator_rows(g)]
-    gens += [[x - x % m + row[x % m] for x in xs] for row in _generator_rows(h)]
-    tab = _closure(gens, g.identity * m + h.identity, len(xs))
-    return FiniteGroup(tab, name=f"{g.name} x {h.name}", validate=False)
+    """G x H with elements a*|H| + b."""
+    _require_order(g.order * h.order)
+    return _from_rule(_product_rule(_rule(g), _rule(h)), f"{g.name} x {h.name}")
 
 
 def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
-    """The wreath product G wr C_c: tuples in G^c with C_c cycling coordinates.
-
-    The element (g_0, ..., g_{c-1}; s) has index v*c + s with
-    v = sum g_i |G|^i, and (gs; s)(hs; t) = (w; s + t) with
-    w_i = g_i h_{i-s}, indices mod c.
-    """
+    """The wreath product G wr C_c: tuples in G^c with C_c cycling
+    coordinates, (g_0, ..., g_{c-1}; s) at index v*c + s with
+    v = sum g_i |G|^i."""
     require_int(c, "wreath degree", 2)
-    m = g.order
-    _require_order(_wreath_order(m, c))
-    vs, ts, top = range(m ** c), range(c), m ** (c - 1)
-    # (a, e, ..., e; 0)(h; t) = (a h_0, h_1, ..., h_{c-1}; t) for each
-    # greedy generator a of G, and (e, ..., e; 1)(h; t) = (h_{c-1}, h_0, ...,
-    # h_{c-2}; t + 1): together they generate G wr C_c
-    gens = [[(v - v % m + row[v % m]) * c + t for v in vs for t in ts]
-            for row in _generator_rows(g)]
-    gens.append([(v % top * m + v // top) * c + (t + 1) % c for v in vs for t in ts])
-    tab = _closure(gens, sum(g.identity * m ** i for i in range(c)) * c, len(vs) * c)
+    _require_order(_wreath_order(g.order, c))
     name = g.name if " " not in g.name else f"({g.name})"
-    return FiniteGroup(tab, name=f"{name} wr C{c}", validate=False)
+    return _from_rule(_wreath_rule(_rule(g), c), f"{name} wr C{c}")
 
 
 # -- counting operations ---------------------------------------------------------

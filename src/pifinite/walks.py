@@ -124,8 +124,8 @@ def p_loop_decomposition(group, p: int) -> list[tuple[int, object]]:
     classified by its index set before anything is built for it: ``group``
     itself when it is the whole group, the tuple of its invariant factors,
     read off the element orders, when its greedy generators commute, and
-    otherwise the table that ``groups._closure`` makes of its generators'
-    rows, named ``C_{G}(g)``.  Classes with equal centralizers share one
+    otherwise the table that ``groups._group_on`` builds from those
+    generators, named ``C_{G}(g)``, which holds that it is not abelian.  Classes with equal centralizers share one
     object, named by the first of them.  The group holds the pairs per
     prime, as a table holds its tuple counts."""
     require_prime(p)
@@ -153,8 +153,7 @@ def _classified(group, g: int, elems: tuple[int, ...]):
     gens = list(greedy_generators(row, group.identity, elems))
     if commute(row, gens):
         return abelian_invariant_factors(list(map(group.element_orders.__getitem__, elems)))
-    from .groups import FiniteGroup, _closure
-    pos = dict(zip(elems, range(len(elems))))
-    rows = [list(map(pos.__getitem__, map(row(a), elems))) for a in gens]
-    return FiniteGroup(_closure(rows, pos[group.identity], len(elems)),
-                       name=f"C_{{{group.name}}}({g})", validate=False)
+    from .groups import _group_on
+    table = _group_on(elems, row, group.identity, f"C_{{{group.name}}}({g})", gens=gens)
+    table._abelian = False      # its generators were just found not to commute
+    return table

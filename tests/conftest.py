@@ -254,6 +254,19 @@ def relabelled(g: pf.FiniteGroup, seed: int) -> pf.FiniteGroup:
     return pf.FiniteGroup(table, name=f"{g.name}'")
 
 
+def oracle_cyclic_table(n: int) -> list[list[int]]:
+    """C_n on 0..n-1: row a, column b holds a + b mod n."""
+    return [[(a + b) % n for b in range(n)] for a in range(n)]
+
+
+def oracle_dihedral_table(order: int) -> list[list[int]]:
+    """D_2m with r^i s^j at index j m + i: since s r = r^-1 s, the
+    product r^i s^j r^k s^l is r^(i + (-1)^j k) s^(j + l)."""
+    m = order // 2
+    elems = [(i, j) for j in range(2) for i in range(m)]
+    return [[(i + (-1) ** j * k) % m + (j + l) % 2 * m for k, l in elems] for i, j in elems]
+
+
 def oracle_symmetric_table(m: int) -> list[list[int]]:
     """S_m on the sorted permutations: row s, column t holds the index of
     s after t, the permutation x -> s[t[x]]."""
@@ -301,3 +314,18 @@ def oracle_wreath_table(g: pf.FiniteGroup, c: int) -> list[list[int]]:
         return sum(w * m ** i for i, w in enumerate(ws)) * c + s % c
     return [[index([g.mul(gs[i], hs[(i - s) % c]) for i in range(c)], s + t) for hs, t in elems]
             for gs, s in elems]
+
+
+def oracle_described_table(d) -> list[list[int]]:
+    """The table of the descriptor ``d`` by the oracles above, a product
+    and a wreath over the caller tables of their factors' oracle tables."""
+    if isinstance(d, pf.Cyclic):
+        return oracle_cyclic_table(d.n)
+    if isinstance(d, pf.Dihedral):
+        return oracle_dihedral_table(d.order)
+    if isinstance(d, pf.Symmetric):
+        return oracle_symmetric_table(d.n)
+    if isinstance(d, pf.DirectProduct):
+        return oracle_product_table(pf.FiniteGroup(oracle_described_table(d.left)),
+                                    pf.FiniteGroup(oracle_described_table(d.right)))
+    return oracle_wreath_table(pf.FiniteGroup(oracle_described_table(d.base)), d.p)

@@ -563,8 +563,8 @@ class TestExitCodes:
         encoding = pifinite.encoded._encoding
 
         def broken(d):
-            n, mul = encoding(d)
-            return n, lambda a, b: 1 if a == b == 1 else mul(a, b)
+            n, e, mul = encoding(d)
+            return n, e, lambda a, b: 1 if a == b == 1 else mul(a, b)
         monkeypatch.setattr(pifinite.encoded, "_encoding", broken)
         for extra in ([], ["--format", "json"]):
             assert run(capsys, "loop", "--space", "B(S3)", "--prime", "2", *extra) == (
@@ -1131,7 +1131,8 @@ _SPACES = ["pifinite.records", "pifinite.spaces"]
 _PARSER = ["pifinite.descriptors", "pifinite.parser", "pifinite.records"]
 _EXPRESSIONS = _SPACES + ["pifinite.descriptors", "pifinite.parser"]
 _HEIGHTS = _EXPRESSIONS + ["pifinite.heights"]
-_TABLES = ["pifinite.groups", "pifinite.walks"]
+# every table is built from the multiplication rule of ``encoded``
+_TABLES = ["pifinite.encoded", "pifinite.groups", "pifinite.walks"]
 _ENCODED = ["pifinite.encoded", "pifinite.walks"]
 _NORMAL_FORMS = ["pifinite.normalforms"]
 _HOMS = ["pifinite.homcounts"]
@@ -1182,6 +1183,7 @@ class TestLoadsOnlyWhatItRuns:
         # the symmetric-3 and coset checks count B(S3) from its descriptor;
         # the symmetric-3 check loops S3's table, whose abelian centralizer
         # reads its invariant factors from walks, with no encoded group
+        # (``encoded`` loads for the rule S3's table is built from)
         (["verify"], 0, _HEIGHTS + _TABLES + _HOMS
          + ["pifinite.checks", "pifinite.quadforms"] + _handler("verify")),
         # refused before any library module loads: a bad prime or a usage

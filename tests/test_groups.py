@@ -16,7 +16,8 @@ import pytest
 from conftest import (GROUP_TEXTS, builtin_groups, held_to_the_oracle, named_group,
                       oracle_census_coefficients, oracle_centralizer_indices,
                       oracle_centralizer_tuples, oracle_classes_of, oracle_commuting_tuples,
-                      oracle_conjugacy_classes, oracle_generated, oracle_p_loop_decomposition,
+                      oracle_conjugacy_classes, oracle_cyclic_table, oracle_described_table,
+                      oracle_dihedral_table, oracle_generated, oracle_p_loop_decomposition,
                       oracle_product_table, oracle_subgroup_table, oracle_symmetric_table,
                       oracle_wreath_table, relabelled)
 
@@ -728,6 +729,28 @@ class TestCellOracles:
     def test_symmetric_tables(self, m):
         assert rows_of(pf.build_group(pf.Symmetric(m))) == oracle_symmetric_table(m)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
+    def test_cyclic_tables(self, n):
+        assert rows_of(pf.build_group(pf.Cyclic(n))) == oracle_cyclic_table(n)
+
+    @pytest.mark.parametrize("order", [2, 4, 6, 8, 10, 24])
+    def test_dihedral_tables(self, order):
+        assert rows_of(pf.build_group(pf.Dihedral(order))) == oracle_dihedral_table(order)
+
+    @pytest.mark.parametrize("text", ["S3 wr C2", "D8 x S3", "(C2 x C2) wr C2"])
+    def test_a_described_build_constructs_one_table(self, text, monkeypatch):
+        # a product or wreath is built from its encoding, with no table of
+        # its factors
+        built = []
+        init = pf.FiniteGroup.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(pf.FiniteGroup, "__init__", counting_init)
+        g = pf.build_group(pf.parse_group(text))
+        assert built == [g]
+
     @pytest.mark.parametrize("left, right", [("C1", "S3"), ("S3", "C4"), ("D8", "S3"),
                                              ("C2 x C2", "C3"), ("S4", "C1")])
     def test_direct_products(self, left, right):
@@ -878,10 +901,12 @@ ENCODED_ZOO = GROUP_TEXTS + ("C1", "S4", "S5", "D10", "D12", "C2 x S3", "S3 wr C
 class TestEncodedElements:
     @pytest.mark.parametrize("text", ENCODED_TEXTS)
     def test_mul_is_the_table(self, text):
+        # against the oracle table: the built table is read off mul itself
         g = named_group(text)
         e = pf.encoded.EncodedGroup(g.descriptor)
         assert (e.order, e.identity) == (g.order, g.identity)
-        assert [[e.mul(a, b) for b in g.elements()] for a in g.elements()] == rows_of(g)
+        assert [[e.mul(a, b) for b in g.elements()] for a in g.elements()] == \
+            oracle_described_table(g.descriptor)
 
     @pytest.mark.parametrize("text", ENCODED_ZOO)
     def test_orders_classes_and_centralizers_are_the_tables(self, text):

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centralizer_tuples,
                       oracle_commuting_tuples, oracle_looped_cardinality,
-                      oracle_p_loop_decomposition, random_space_expr)
+                      oracle_p_loop_decomposition, random_space_expr, relabelled)
 
 import pifinite as pf
 import pifinite.walks
@@ -231,8 +231,10 @@ class TestLoop:
     def test_a_table_atom_walks_its_generators_once(self, monkeypatch):
         # normal_form reads every table atom through classifying, and the
         # table holds its abelian verdict: a second normal form of the same
-        # centralizer tables walks no greedy generators
-        looped = pf.p_adic_loop(pf.parse_space("B(S4) * B(S5)"), 2)
+        # tables walks no greedy generators.  A centralizer table comes with
+        # its verdict, so a caller's table is the one walked first
+        looped = pf.product(pf.p_adic_loop(pf.parse_space("B(S4) * B(S5)"), 2),
+                            pf.Classifying(relabelled(named_group("S4"), 1)))
         walked = []
         greedy = pf.groups.greedy_generators
 
@@ -246,6 +248,29 @@ class TestLoop:
         walked.clear()
         assert pf.normal_form(looped) == first
         assert walked == []
+
+    def test_a_centralizer_table_holds_its_verdict(self, monkeypatch):
+        # the class walk found each non-abelian centralizer's generators not
+        # to commute, and its table holds that verdict: normal-forming each
+        # of two loops, as the loop subcommand does, walks no generators
+        # through is_abelian (42 walks before the table held it); the first
+        # loop walks encoded elements, the second centralizer tables
+        walked = []
+        greedy = pf.walks.greedy_generators
+
+        def counting(row, identity, elements):
+            walked.append(identity)
+            return greedy(row, identity, elements)
+
+        x = pf.parse_space("B(S4 wr C2)")
+        for _ in range(2):
+            looped = pf.p_adic_loop(x, 2)
+            with monkeypatch.context() as patch:
+                for module in (pf.walks, pf.groups):
+                    patch.setattr(module, "greedy_generators", counting)
+                x = pf.normal_form(looped).to_expr()
+        assert walked == []
+        assert "B(C_{C_{S4 wr C2}" in pf.space_text(x)
 
     @staticmethod
     def _counted_decompositions(monkeypatch) -> list[str]:
