@@ -17,9 +17,11 @@ rows, each a tuple of Python ints that all rows share (one int object per
 element, so a cell costs one 8-byte pointer), and every primitive works by
 composing rows, ``itemgetter(*other)(row)`` being row composed with other;
 no numpy is needed.  A table is checked by the group axioms alone: an
-identity, found in every row, and associativity by Light's test over its
-greedy generators, at n^2 cells each; those generators, the commuting
-test, the power walk for orders and inverses and the class walk are the
+identity, found in every row, and associativity by Light's test over the
+generators the table holds, at n^2 cells each: the generators whose rows
+its closure read, or a caller's table's greedy ones, walked once at
+construction.  Greedy generators, the commuting test, the p-element rule,
+the power walk for orders and inverses and the class walk are the
 ``walks`` that ``encoded`` shares.
 
 Every table is built one way (``_group_on``): the group on an ascending
@@ -56,7 +58,7 @@ from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime, vp
 from .records import frozen
 # p_loop_decomposition is public here: a table's loop components are the class walk's
 from .walks import (Row, classes, commute, greedy_generators, orders_and_inverses,
-                    p_loop_decomposition)
+                    p_elements, p_loop_decomposition)
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -103,31 +105,38 @@ def _shared_rows(table) -> Rows:
 
 class _ClosedRows(tuple):
     """Rows ``_closure`` made from one shared int per element, every entry in
-    range: the constructor keeps them as built, so a table exists once,
-    instead of re-sharing a copy."""
-    __slots__ = ()
+    range, and ``gens``, the positions of the generators whose rows it
+    closed: the constructor keeps both as built, so a table exists once,
+    instead of re-sharing a copy, and its generators are walked once."""
+    gens: tuple[int, ...]
 
 
 def _passes_light_test(g: FiniteGroup) -> bool:
-    """Light's associativity test.
+    """Light's associativity test over the generators the table holds.
 
-    Right multiplication by the greedy generators (``walks``) reaches
-    every element from the identity, and each generator a must satisfy
-    (x a) y == x (a y) for all x and y.  The elements that satisfy
-    this contain the identity and are closed under products (if a and b do,
-    then (x(ab))y = ((xa)b)y = (xa)(by) = x(a(by)) = x((ab)y)), so they
-    include every reached element, which is every element, and the table is
+    Each generator a must satisfy (x a) y == x (a y) for all x and y.  The
+    elements that satisfy this contain the identity and are closed under
+    products (if a and b do, then (x(ab))y = ((xa)b)y = (xa)(by) =
+    x(a(by)) = x((ab)y)), so they include every element that products of
+    generators reach from the identity.  A caller's table holds its greedy
+    generators (``walks``), whose right multiplications reach every element.
+    A table ``_closure`` built holds the generators whose rows it closed,
+    each given its own row first; every other element was first reached as
+    a x, for a generator a and an element x reached before it, and given
+    row a composed after row x, so it is the product a x in the built table
+    too, and left multiplications reach every element.  Either way every
+    element passes, and the table is
     associative; with the identity in every row, checked first, it is a
     group.  Each generator costs n^2 cells.  A right inverse b of a passing
-    a gives (xa)b = x(ab) = x, so right multiplication by a is injective:
-    the reached set is then a subgroup, each passing generator at least
-    doubles it, and at most log2(n) + 1 generators are tested.  Without
-    right inverses a monoid passes every generator, at n^3 cells.
+    a gives (xa)b = x(ab) = x, so multiplication by a is injective: in a
+    group each greedy generator at least doubles the subgroup the ones
+    before it generate, so at most log2(n) + 1 are tested, for a closure's
+    generators too, which are greedy in the group it was read from.
+    Without right inverses a monoid passes every generator, at n^3 cells.
     """
     rows = g._rows
     # row x a against row x composed with row a, for each generator a
-    return all(rows[row[a]] == _getter(rows[a])(row)
-               for a in greedy_generators(g._row, g.identity, g.elements()) for row in rows)
+    return all(rows[row[a]] == _getter(rows[a])(row) for a in g._gens for row in rows)
 
 
 def _closure(elems: Sequence[int], row: Row, identity: int, gens: Iterable[int]) -> _ClosedRows:
@@ -136,18 +145,24 @@ def _closure(elems: Sequence[int], row: Row, identity: int, gens: Iterable[int])
     ``identity``, that the elements ``gens`` generate, each product at its
     position in ``elems`` and the rows over one shared int per element.
     The generators' rows are read first: the set must hold the identity,
-    and no generator's row may leave it.  The walk then starts at the
-    identity, and each element g x, when first reached, gets row g composed
-    after row x, since (g x) z = g (x z): one gather in C per element."""
+    and no generator's row may leave it.  The identity and the generators,
+    which are distinct and not the identity, get their own rows first, and
+    the walk starts at them: each element g x, when first reached, gets row
+    g composed after row x, since (g x) z = g (x z): one gather in C per
+    element.  The generators' positions are held with the rows, for
+    ``_passes_light_test`` and ``FiniteGroup.is_abelian``."""
     ints = tuple(range(len(elems)))
     pos = dict(zip(elems, ints))
-    gen_rows = [tuple(map(pos.get, map(row(a), elems))) for a in gens]
+    held = tuple(map(pos.get, gens))    # each generator is in the set
+    gen_rows = [tuple(map(pos.get, map(row(elems[i]), elems))) for i in held]
     start = pos.get(identity)
     del pos     # freed before the table is built: a build peaks at one table
     if start is None or any(None in r for r in gen_rows):
         raise InputError("element set is not closed under multiplication")
     rows: list = [None] * len(ints)
-    rows[start], reached = ints, [start]
+    reached = [start, *held]
+    for x, r in zip(reached, (ints, *gen_rows)):
+        rows[x] = r
     for x in reached:                   # the list grows while it is walked
         compose = _getter(rows[x])
         for gen in gen_rows:
@@ -157,29 +172,36 @@ def _closure(elems: Sequence[int], row: Row, identity: int, gens: Iterable[int])
                 reached.append(y)
     if len(reached) < len(ints):        # rows from a table that is not a group
         raise InputError("the generators' rows do not reach every element")
-    return _ClosedRows(rows)
+    closed = _ClosedRows(rows)
+    closed.gens = held
+    return closed
 
 
 class FiniteGroup:
     """A finite group on elements 0..order-1 given by its multiplication table.
 
     The table is validated at construction (two-sided identity, identity in
-    every row, and associativity by Light's test); orders and inverses are
-    computed up front, the abelian verdict, and the class walk's pairs and
-    the tuple counts per prime, on first use, and conjugacy classes on each
-    call.  Instances are immutable and compare (and hash) by their rows,
+    every row, and associativity by Light's test).  Its generators are held
+    from construction: those whose rows ``_closure`` closed, or a caller's
+    table's greedy ones, walked once; Light's test and ``is_abelian`` read
+    them.  Orders and inverses are computed up front, the class walk's pairs
+    and the tuple counts per prime on first use, and conjugacy classes on
+    each call.  Instances are immutable and compare (and hash) by their rows,
     which normal forms sort by too, held once (see ``_ClosedRows``).
     ``table`` is a read-only int64 ndarray copy for outside callers, built
     on first access; nothing here reads it.
     """
 
     def __init__(self, table, name: str = "G", *, validate: bool = True):
+        closed = type(table) is _ClosedRows
         # a plain tuple, so row lookups stay on the exact-tuple fast path
-        self._rows: Rows = tuple(table) if type(table) is _ClosedRows else _shared_rows(table)
+        self._rows: Rows = tuple(table) if closed else _shared_rows(table)
         self.order: int = len(self._rows)
         self.name = name
         self.descriptor = None      # the descriptor a table is built for, set by build_group
         self.identity: int = self._find_identity()
+        self._gens: tuple[int, ...] = table.gens if closed else tuple(
+            greedy_generators(self._row, self.identity, self.elements()))
         if validate:
             self._validate()
         # refused in an unvalidated table that is no group
@@ -188,7 +210,6 @@ class FiniteGroup:
         self._p_loops: dict = {}        # p -> the class walk's pairs
         self._tuple_counts: dict = {}   # p -> the counts at n = 0, 1, ... reached
         self._hash: int | None = None   # hash(rows), taken on first use
-        self._abelian: bool | None = None   # is_abelian()'s verdict, walked on first use
         self._array: np.ndarray | None = None
 
     # -- construction-time checks -------------------------------------------
@@ -224,12 +245,8 @@ class FiniteGroup:
         return range(self.order)
 
     def is_abelian(self) -> bool:
-        """Whether the greedy generators of the group commute pairwise,
-        walked on first use and held, as the hash is."""
-        if self._abelian is None:
-            self._abelian = commute(self._row,
-                                    greedy_generators(self._row, self.identity, self.elements()))
-        return self._abelian
+        """Whether the generators the table holds commute pairwise."""
+        return commute(self._row, self._gens)
 
     @property
     def table(self) -> np.ndarray:
@@ -278,14 +295,12 @@ class FiniteGroup:
     # -- p-structure -----------------------------------------------------------
 
     def is_p_element(self, g: int, p: int) -> bool:
-        """p-power order, the identity included."""
-        n = self.element_orders[g]
-        while n % p == 0:
-            n //= p
-        return n == 1
+        """p-power order, the identity included: the p-element rule of
+        ``walks`` on the one order."""
+        return bool(p_elements((self.element_orders[g],), p))
 
     def p_elements(self, p: int) -> tuple[int, ...]:
-        return tuple(g for g in range(self.order) if self.is_p_element(g, p))
+        return p_elements(self.element_orders, p)
 
 
 # -- the one table builder ---------------------------------------------------------
@@ -297,7 +312,7 @@ def _group_on(elems: Sequence[int], row: Row, identity: int, name: str, *,
     ``identity``: the closure of its generators' rows.  The generators are
     ``gens``, or else its greedy ones; either way they reach every element
     of the set, so it is closed exactly when it holds the identity and no
-    generator's row leaves it."""
+    generator's row leaves it.  The table holds them."""
     if gens is None:
         gens = greedy_generators(row, identity, elems)
     return FiniteGroup(_closure(elems, row, identity, gens), name=name, validate=validate)

@@ -53,7 +53,7 @@ import math
 import sys
 from collections.abc import Iterable
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import InputError, ResourceBudgetError
 from .rationals import (MAX_DIGITS, ExactRational, _int_valuation, binom_ext, power_may_fit,
@@ -82,9 +82,11 @@ class Classifying:
     """The classifying space of a finite group: one component, fundamental
     group ``group``, nothing above degree 1.  ``group`` is a canonical
     descriptor or a table with no descriptor, neither abelian nor a direct
-    product, as ``classifying`` gives it.  Height counts, normal forms and
-    ``p_adic_loop`` read a descriptor itself; ``table`` builds a
-    descriptor's table for a caller, once, and holds it."""
+    product, as ``classifying`` gives it.  Height counts and normal forms
+    read a descriptor itself; ``table`` builds a descriptor's table for a
+    caller, once, and holds it, and ``encoded`` the descriptor's
+    ``encoded.EncodedGroup``, which ``p_adic_loop`` walks, so the class
+    walk's pairs it holds per prime serve every later loop of the atom."""
     group: FiniteGroup | GroupDescriptor
     degree = 1
     _table = None
@@ -115,6 +117,13 @@ class Classifying:
             object.__setattr__(self, "_table", group if isinstance(group, FiniteGroup)
                                else build_group(group))
         return self._table
+
+    @cached_property
+    def encoded(self) -> EncodedGroup:
+        """A described atom's group on encoded elements, built on first use
+        and held; not a field, so equality and hashing never read it."""
+        from .encoded import EncodedGroup
+        return EncodedGroup(self.group)
 
 
 @frozen
@@ -308,8 +317,8 @@ def atom_text(atom: Atom) -> str:
 def normal_form(x: SpaceExpr) -> NormalForm:
     """Distribute products over disjoint unions.  A table atom is read by
     ``classifying`` first, so a caller's trivial, abelian or described table
-    takes the atom rule; the table holds its abelian verdict, so only the
-    first read walks its generators.  A described atom is taken as it is,
+    takes the atom rule; its abelian test reads the generators the table
+    holds, and walks none.  A described atom is taken as it is,
     and no table is built.  A product is a fold of ``NormalForm.__mul__``.
     A union whose fold, or a product whose expansion, would pass
     ``MAX_COMPONENTS`` components is refused, a product before it expands."""
@@ -355,15 +364,17 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
     are a torsor over based loops, and based loops only see p-torsion).
 
     Every group atom is looped by the class walk
-    (``walks.p_loop_decomposition``): a described atom on encoded elements
-    (``encoded``), with no table of its group, and a table atom on its
-    table.  A centralizer that is the whole group is the atom itself, an
-    abelian one the ``B^1`` of its invariant factors, and only a non-abelian
-    proper one gets a table, named ``C_{G}(g)``.  Each distinct group atom
-    is walked once per call, however many parts hold it: a described atom
-    is matched by equality, a table atom by identity, since equal tables
-    may carry different names and a form prints each by the least of them.
-    An EM atom's loop is read off its factors, with no walk.
+    (``walks.p_loop_decomposition``): a described atom on the encoded
+    elements it holds (``Classifying.encoded``), with no table of its group,
+    and a table atom on its table.  Each holds the walk's pairs per prime,
+    so a later call, or a later ``loop`` iteration, that meets the same atom
+    object walks nothing.  A centralizer that is the whole group is the atom
+    itself, an abelian one the ``B^1`` of its invariant factors, and only a
+    non-abelian proper one gets a table, named ``C_{G}(g)``.  Each distinct
+    group atom is walked once per call, however many parts hold it: a
+    described atom is matched by equality, a table atom by identity, since
+    equal tables may carry different names and a form prints each by the
+    least of them.  An EM atom's loop is read off its factors, with no walk.
     """
     require_prime(p)
     looped: dict = {}
@@ -385,11 +396,7 @@ def p_adic_loop(x: SpaceExpr, p: int) -> SpaceExpr:
         key = id(x.group) if table else x
         if key not in looped:
             from . import walks
-            if table:
-                group = x.group
-            else:
-                from .encoded import EncodedGroup
-                group = EncodedGroup(x.group)
+            group = x.group if table else x.encoded
             cents = [c for _, c in walks.p_loop_decomposition(group, p)]
             # equal centralizers share one object, classified once
             atoms = {id(c): x if c is group else EM(c, 1) if isinstance(c, tuple)

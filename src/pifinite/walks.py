@@ -1,13 +1,13 @@
 """The walks both group engines read a group through: greedy generators,
-the power walk for element orders and inverses, the commuting test, an
-abelian group's invariant factors read off its element orders, and the
-class walk that gives the p-adic loop its components.  Each walk reads
-products through a row accessor ``row(a)``, the map ``b -> a b``:
-``rows[a].__getitem__`` on a Cayley table (``groups``), at row speed, and
-``mul`` with ``a`` fixed on encoded elements (``encoded``).  The class walk
-reads one more primitive of each engine, ``conjugates(g)``, the list of
-x g x^-1 over every x, which a table reads off its rows.  The identity may
-be any index."""
+the power walk for element orders and inverses, the commuting test, the
+p-elements and an abelian group's invariant factors, both read off the
+element orders, and the class walk that gives the p-adic loop its
+components.  Each walk reads products through a row accessor ``row(a)``,
+the map ``b -> a b``: ``rows[a].__getitem__`` on a Cayley table
+(``groups``), at row speed, and ``mul`` with ``a`` fixed on encoded
+elements (``encoded``).  The class walk reads one more primitive of each
+engine, ``conjugates(g)``, the list of x g x^-1 over every x, which a table
+reads off its rows.  The identity may be any index."""
 
 from __future__ import annotations
 
@@ -96,6 +96,14 @@ def abelian_invariant_factors(orders: Sequence[int]) -> tuple[int, ...]:
     return tuple(reversed(found)) if found[0] > 1 else ()
 
 
+def p_elements(orders: Sequence[int], p: int) -> tuple[int, ...]:
+    """The indices, ascending, whose ``orders`` are powers of the prime
+    ``p``, the identity's order 1 included: the one p-element rule."""
+    require_prime(p)
+    powers = {p ** k for k in range(max(orders).bit_length())}    # up to the largest order
+    return tuple(itertools.compress(range(len(orders)), map(powers.__contains__, orders)))
+
+
 def classes(group, elements: Iterable[int]) -> Iterator[tuple[int, list[int], tuple[int, ...]]]:
     """(representative, members, centralizer) of each conjugacy class: the
     identity class first, wherever the identity sits, then each class in
@@ -125,18 +133,16 @@ def p_loop_decomposition(group, p: int) -> list[tuple[int, object]]:
     itself when it is the whole group, the tuple of its invariant factors,
     read off the element orders, when its greedy generators commute, and
     otherwise the table that ``groups._group_on`` builds from those
-    generators, named ``C_{G}(g)``, which holds that it is not abelian.  Classes with equal centralizers share one
-    object, named by the first of them.  The group holds the pairs per
-    prime, as a table holds its tuple counts."""
-    require_prime(p)
+    generators, named ``C_{G}(g)``, which holds them, so its abelian test
+    walks nothing.  Classes with equal centralizers share one object, named
+    by the first of them.  The group holds the pairs per prime, as a table
+    holds its tuple counts."""
+    require_prime(p)    # before the lookup, where 2.0 would find 2's pairs
     held = group._p_loops
     if p not in held:
-        powers = {p ** k for k in range(group.order.bit_length())}     # every p-power up to |G|
-        pelts = itertools.compress(range(group.order), map(powers.__contains__,
-                                                           group.element_orders))
         cents: dict = {}
         pairs = []
-        for g, _, elems in classes(group, pelts):
+        for g, _, elems in classes(group, p_elements(group.element_orders, p)):
             if elems not in cents:
                 cents[elems] = _classified(group, g, elems)
             pairs.append((g, cents[elems]))
@@ -146,7 +152,8 @@ def p_loop_decomposition(group, p: int) -> list[tuple[int, object]]:
 
 def _classified(group, g: int, elems: tuple[int, ...]):
     """C(g) on its ascending indices ``elems``, as ``p_loop_decomposition``
-    gives it: ``group``, invariant factors or a table."""
+    gives it: ``group``, invariant factors or a table, which holds the
+    greedy generators walked here."""
     if len(elems) == group.order:
         return group
     row = group._row
@@ -154,6 +161,4 @@ def _classified(group, g: int, elems: tuple[int, ...]):
     if commute(row, gens):
         return abelian_invariant_factors(list(map(group.element_orders.__getitem__, elems)))
     from .groups import _group_on
-    table = _group_on(elems, row, group.identity, f"C_{{{group.name}}}({g})", gens=gens)
-    table._abelian = False      # its generators were just found not to commute
-    return table
+    return _group_on(elems, row, group.identity, f"C_{{{group.name}}}({g})", gens=gens)

@@ -9,6 +9,7 @@ import time
 import tracemalloc
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -636,6 +637,27 @@ class TestLightAssociativity:
             assert light_verdict(loop) == verdicts[-1]
         assert verdicts.count(False) > len(verdicts) // 2
 
+    def test_a_closure_table_is_accepted_only_when_associative(self):
+        # build_group tests the table its closure built over the generators
+        # whose rows the closure read, with no walk of the built table: a
+        # rule with an identity row, Latin rows or not and its identity
+        # column kept or not, gives a table only when it is associative
+        rng = random.Random(7)
+        verdicts = Counter()
+        for _ in range(1500):
+            n = rng.randint(4, 8)
+            table = [list(range(n))] + [rng.sample(range(n), n) if rng.random() < 0.5
+                                        else [x] + rng.choices(range(n), k=n - 1)
+                                        for x in range(1, n)]
+            try:
+                g = pf.groups._from_rule((n, 0, lambda a, b: table[a][b]), "X", validate=True)
+            except InputError as exc:
+                verdicts[str(exc)] += 1
+            else:
+                assert sweep_is_associative(rows_of(g))
+                verdicts["built"] += 1
+        assert verdicts["table is not associative"] > 0 and verdicts["built"] > 0
+
     def test_axioms_accept_what_the_latin_sweep_oracle_accepts(self):
         # every magma of order <= 3 with identity 0, and random order-4..6
         # tables with the identity in every row, relabelled so that it moves:
@@ -843,6 +865,84 @@ class TestCellOracles:
                         reached.add(y)
                         todo.append(y)
             assert len(reached) == g.order
+
+
+# -- generators held from construction ---------------------------------------------------
+
+def counted_walks(monkeypatch) -> list[int]:
+    """The identity of each greedy-generator walk, under either module's name."""
+    walked = []
+    greedy = pf.walks.greedy_generators
+
+    def counting(row, identity, elements):
+        walked.append(identity)
+        return greedy(row, identity, elements)
+
+    for module in (pf.groups, pf.walks):
+        monkeypatch.setattr(module, "greedy_generators", counting)
+    return walked
+
+
+class TestHeldGenerators:
+    @pytest.mark.parametrize("text", ["S4", "D8", "C2 wr C2"])
+    def test_a_build_walks_its_generators_once(self, monkeypatch, text):
+        # the builder's one walk gives the closure its generators, which
+        # Light's test (S4, D8) and the abelian test read from the table
+        walked = counted_walks(monkeypatch)
+        g = pf.build_group(pf.parse_group(text))
+        assert len(walked) == 1
+        walked.clear()
+        assert [g.is_abelian(), g.is_abelian()] == [False, False]
+        assert walked == []
+
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_a_caller_table_walks_its_generators_once(self, monkeypatch, validate):
+        cells = relabelled(named_group("S4"), 3).table.tolist()
+        walked = counted_walks(monkeypatch)
+        g = pf.FiniteGroup(cells, validate=validate)
+        assert walked == [g.identity]
+        walked.clear()
+        assert [g.is_abelian(), g.is_abelian()] == [False, False]
+        assert walked == []
+
+    @pytest.mark.parametrize("text", BUILDER_TEXTS + ("S5", "D8 wr C2", "C3 wr C3"))
+    def test_held_generators_generate_the_table(self, text):
+        # greedy in the group each table was read from: at most log2(n) + 1
+        g = named_group(text)
+        tables = [g, relabelled(g, 5)] + [c for p in (2, 3)
+                                        for _, c in pf.p_loop_decomposition(g, p)
+                                        if isinstance(c, pf.FiniteGroup)]
+        for t in tables:
+            assert len(t._gens) <= math.log2(t.order) + 1
+            assert t.identity not in t._gens and len(set(t._gens)) == len(t._gens)
+            assert oracle_generated(t, t._gens) == tuple(t.elements())
+
+
+class TestPElements:
+    @pytest.mark.parametrize("p", [0, 1, 4, 2.0, True], ids=repr)
+    def test_a_non_prime_is_refused(self, p):
+        # p = 1 divided the order forever, 0 by zero, and 4 answered
+        g = named_group("S4")
+        for call in (g.p_elements, partial(g.is_p_element, 1),
+                     partial(pf.walks.p_elements, g.element_orders)):
+            with pytest.raises(InputError, match=f"^expected a prime, got {p!r}$"):
+                call(p)
+
+    @pytest.mark.parametrize("text", GROUP_TEXTS + ("C1", "S4", "D12", "C3 wr C2"))
+    def test_p_power_orders_by_repeated_products(self, text):
+        g = named_group(text)
+        for p in (2, 3, 5, 7):
+            pelts = []
+            for x in g.elements():
+                power, k = x, 1
+                while power != g.identity:
+                    power, k = g.mul(power, x), k + 1
+                while k % p == 0:
+                    k //= p
+                if k == 1:
+                    pelts.append(x)
+            assert g.p_elements(p) == tuple(pelts)
+            assert [x for x in g.elements() if g.is_p_element(x, p)] == pelts
 
 
 # -- the walks both engines share, against repeated multiplication ------------------------

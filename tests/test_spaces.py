@@ -12,6 +12,7 @@ from conftest import (GROUP_TEXTS, builtin_groups, named_group, oracle_centraliz
                       oracle_p_loop_decomposition, random_space_expr, relabelled)
 
 import pifinite as pf
+import pifinite.encoded
 import pifinite.walks
 from pifinite import EMPTY, PT, InputError, InvariantError, ResourceBudgetError
 from pifinite.rationals import MAX_DIGITS
@@ -230,11 +231,11 @@ class TestLoop:
 
     def test_a_table_atom_walks_its_generators_once(self, monkeypatch):
         # normal_form reads every table atom through classifying, and the
-        # table holds its abelian verdict: a second normal form of the same
-        # tables walks no greedy generators.  A centralizer table comes with
-        # its verdict, so a caller's table is the one walked first
-        looped = pf.product(pf.p_adic_loop(pf.parse_space("B(S4) * B(S5)"), 2),
-                            pf.Classifying(relabelled(named_group("S4"), 1)))
+        # table holds its generators: a second normal form of the same
+        # tables walks no greedy generators.  A centralizer table holds the
+        # ones the class walk found, so a caller's table is the one walked,
+        # at its construction
+        s4 = named_group("S4")
         walked = []
         greedy = pf.groups.greedy_generators
 
@@ -243,17 +244,20 @@ class TestLoop:
             return greedy(row, identity, elements)
 
         monkeypatch.setattr(pf.groups, "greedy_generators", counting)
-        first = pf.normal_form(looped)
+        looped = pf.product(pf.p_adic_loop(pf.parse_space("B(S4) * B(S5)"), 2),
+                            pf.Classifying(relabelled(s4, 1)))
         assert walked
+        walked.clear()
+        first = pf.normal_form(looped)
         walked.clear()
         assert pf.normal_form(looped) == first
         assert walked == []
 
     def test_a_centralizer_table_holds_its_verdict(self, monkeypatch):
-        # the class walk found each non-abelian centralizer's generators not
-        # to commute, and its table holds that verdict: normal-forming each
-        # of two loops, as the loop subcommand does, walks no generators
-        # through is_abelian (42 walks before the table held it); the first
+        # the class walk found each non-abelian centralizer's greedy
+        # generators, and its table holds them: normal-forming each of two
+        # loops, as the loop subcommand does, walks no generators through
+        # is_abelian (42 walks before a table held its verdict); the first
         # loop walks encoded elements, the second centralizer tables
         walked = []
         greedy = pf.walks.greedy_generators
@@ -271,6 +275,29 @@ class TestLoop:
                 x = pf.normal_form(looped).to_expr()
         assert walked == []
         assert "B(C_{C_{S4 wr C2}" in pf.space_text(x)
+
+    def test_a_described_atom_keeps_its_encoding(self, monkeypatch, capsys):
+        # the atom holds the encoded group its loop walks, and the encoding
+        # holds the class walk's pairs: each iteration of the loop
+        # subcommand, and each later call on the same atom, reuses both
+        built = []
+        init = pf.encoded.EncodedGroup.__init__
+
+        def counting(self, d):
+            built.append(d)
+            init(self, d)
+
+        monkeypatch.setattr(pf.encoded.EncodedGroup, "__init__", counting)
+        assert pf.cli.main(["loop", "--space", "B(S4 wr C2)", "--prime", "2",
+                            "--iterations", "3"]) == 0
+        assert "B(C_{C_{S4 wr C2}" in capsys.readouterr().out
+        assert built == [pf.parse_group("S4 wr C2")]
+        built.clear()
+        x = pf.parse_space("B(S4)")
+        looped = pf.p_adic_loop(x, 2)
+        assert [pf.p_adic_loop(x, 2), pf.p_adic_loop(x, 3)] == [
+            looped, pf.p_adic_loop(pf.parse_space("B(S4)"), 3)]
+        assert built == [pf.Symmetric(4)] * 2       # x's, and the second atom's
 
     @staticmethod
     def _counted_decompositions(monkeypatch) -> list[str]:
