@@ -56,9 +56,8 @@ from .encoded import Rule, _encoding, _product_rule, _wreath_rule
 from .errors import InputError, ResourceBudgetError
 from .rationals import MAX_DIGITS, fits_digits, require_int, require_prime, vp
 from .records import frozen
-# p_loop_decomposition is public here: a table's loop components are the class walk's
-from .walks import (Row, classes, commute, greedy_generators, orders_and_inverses,
-                    p_elements, p_loop_decomposition)
+from . import walks
+from .walks import Row, classes, commute, greedy_generators, orders_and_inverses, p_elements
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -193,11 +192,14 @@ class FiniteGroup:
     """
 
     def __init__(self, table, name: str = "G", *, validate: bool = True):
+        # products and wreaths are named from it
+        if not isinstance(name, str):
+            raise InputError(f"a group's name must be a str, got {name!r}")
+        self.name = name
         closed = type(table) is _ClosedRows
         # a plain tuple, so row lookups stay on the exact-tuple fast path
         self._rows: Rows = tuple(table) if closed else _shared_rows(table)
         self.order: int = len(self._rows)
-        self.name = name
         self.descriptor = None      # the descriptor a table is built for, set by build_group
         self.identity: int = self._find_identity()
         self._gens: tuple[int, ...] = table.gens if closed else tuple(
@@ -303,6 +305,12 @@ class FiniteGroup:
         return p_elements(self.element_orders, p)
 
 
+def require_group(g: FiniteGroup) -> None:
+    """Refuse anything but a table, as every entry point that reads one does."""
+    if not isinstance(g, FiniteGroup):
+        raise InputError(f"expected a FiniteGroup, got {g!r}")
+
+
 # -- the one table builder ---------------------------------------------------------
 
 def _group_on(elems: Sequence[int], row: Row, identity: int, name: str, *,
@@ -342,6 +350,8 @@ def build_group(d: GroupDescriptor) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """G x H with elements a*|H| + b."""
+    require_group(g)
+    require_group(h)
     _require_order(g.order * h.order)
     return _from_rule(_product_rule(_rule(g), _rule(h)), f"{g.name} x {h.name}")
 
@@ -350,6 +360,7 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
     """The wreath product G wr C_c: tuples in G^c with C_c cycling
     coordinates, (g_0, ..., g_{c-1}; s) at index v*c + s with
     v = sum g_i |G|^i."""
+    require_group(g)
     require_int(c, "wreath degree", 2)
     _require_order(_wreath_order(g.order, c))
     name = g.name if " " not in g.name else f"({g.name})"
@@ -359,13 +370,22 @@ def wreath_cyclic(g: FiniteGroup, c: int) -> FiniteGroup:
 # -- counting operations ---------------------------------------------------------
 
 def conjugacy_classes(g: FiniteGroup) -> tuple[ConjugacyClass, ...]:
+    require_group(g)
     return g.conjugacy_classes()
+
+
+def p_loop_decomposition(g: FiniteGroup, p: int) -> list[tuple[int, object]]:
+    """The class walk's (representative, centralizer) pairs of a table
+    (``walks.p_loop_decomposition``, which an encoded group reads too)."""
+    require_group(g)
+    return walks.p_loop_decomposition(g, p)
 
 
 def centralizer(g: FiniteGroup, elems: Iterable[int]) -> FiniteGroup:
     """The centralizer of an element set, as a group with the induced table:
     ``g`` itself when the set is central.  An element s commutes with x
     where x s x^-1 = s, read off ``conjugates(s)``."""
+    require_group(g)
     mask, named = [True] * g.order, []
     for s in elems:
         if require_int(s, "element index", 0) >= g.order:
@@ -408,6 +428,7 @@ def count_commuting_p_tuples(g: FiniteGroup, p: int, n: int) -> int:
     Counts never fall as n grows, so one with count // |G| past the digit
     budget is refused.
     """
+    require_group(g)
     require_prime(p)
     require_int(n, "tuple length", 0)
     if g.order % p:

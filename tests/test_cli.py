@@ -1061,13 +1061,49 @@ EVERY_SUBCOMMAND = (
     ["table", "--prime", "3", "--kmax", "1", "--nmax", "1"],
 )
 
+# more paths through the handlers, each answered in a fresh process
+MORE_PATHS = (
+    # the per-call loop memo, subgroup tables by closure and the height
+    # check of each iteration
+    ["loop", "--space", "B(S4) * B(S4) + B(D8)", "--prime", "2", "--iterations", "2"],
+    # a described loop on encoded elements, with no table of D10000
+    ["loop", "--space", "B(D10000)", "--prime", "2"],
+    # a product of unions holding centralizer tables, through the one
+    # product fold and the generators each table holds
+    ["loop", "--space", "(pt + B(S4)) * (pt + B(D8)) * B^2(C6)", "--prime", "2",
+     "--iterations", "2"],
+    ["loop", "--space", "(pt + B(S4)) * (pt + B(D8)) * B^2(C6)", "--prime", "2",
+     "--iterations", "2", "--format", "json"],
+    # the encoding a described atom holds and the generators each
+    # centralizer table holds, reused across iterations
+    ["loop", "--space", "B(S4 wr C2)", "--prime", "2", "--iterations", "3"],
+    ["loop", "--space", "B(S4 wr C2)", "--prime", "2", "--iterations", "3", "--format", "json"],
+    ["classify", "--space", "B(S3)", "--prime", "2", "--range", "2", "--format", "json"],
+    # a validated non-abelian base through Light's test and the closure, a
+    # dihedral table and a wreath of a wreath, each built by the one builder
+    # from its encoding's multiplication rule
+    ["wreath", "S3", "--prime", "2", "--height", "2"],
+    ["wreath", "D10", "--prime", "2", "--height", "2"],
+    ["wreath", "C2 wr C2", "--prime", "2", "--height", "2"],
+    # JSON answers, written by commands.jsontext
+    ["card", "--space", "B(S4)", "--prime", "2", "--height", "2", "--format", "json"],
+    ["wreath", "C2", "--prime", "2", "--height", "2", "--format", "json"],
+    ["verify", "--format", "json"],
+)
+
 
 class TestCompiledOnce:
     """``python -m pifinite.cli`` runs cli.py as ``__main__``, so a module
     that imported ``pifinite.cli`` would compile it a second time: no
-    handler, and no library module a handler loads, may import it."""
+    handler, and no library module a handler loads, may import it, nor
+    numpy, so each path also runs where numpy is not installed.  Each
+    process must also answer, with exit 0 and no traceback; under
+    ``PYTHONDONTWRITEBYTECODE=1`` in a fresh checkout, as CI runs the suite,
+    the child inherits the setting and compiles every module it loads."""
 
-    @pytest.mark.parametrize("argv", EVERY_SUBCOMMAND, ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", [
+        *EVERY_SUBCOMMAND, *(pytest.param(argv, id=" ".join(argv)) for argv in MORE_PATHS)],
+        ids=lambda argv: argv[0])
     def test_no_module_imports_the_cli(self, argv):
         # -X importtime lists what import statements load; -v also lists a
         # submodule that ``from package import name`` or importlib loads
@@ -1078,9 +1114,12 @@ class TestCompiledOnce:
                  if line.startswith("import time:")]
         loaded = re.findall(r"^import '([\w.]+)' # ", proc.stderr, re.M)
         # the library's own imports are listed, so a missing line means no import
-        assert proc.returncode == 0 and "pifinite.rationals" in timed
+        assert proc.returncode == 0 and "Traceback" not in proc.stderr
+        assert "pifinite.rationals" in timed
         assert any(name.startswith("pifinite.commands.") for name in loaded)
         assert "pifinite.cli" not in timed + loaded
+        # no CLI path loads numpy, on an interpreter that has it or not
+        assert "numpy" not in timed + loaded
 
 
 class TestStartupIsLean:

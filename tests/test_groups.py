@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -1220,6 +1221,42 @@ class TestIntegerInputs:
             pf.wreath_cyclic(named_group("S3"), 1)
         with pytest.raises(InputError, match="^element index 6 out of range$"):
             pf.centralizer(named_group("S3"), [6])
+
+
+class TestTablesOnly:
+    """The entry points that read a table refuse anything else with
+    ``InputError``, as every other public entry point refuses bad input: a
+    descriptor or an int raised a bare AttributeError.  A table's name is a
+    str, refused otherwise where it is given, not later where a product or
+    wreath is named from it."""
+
+    @pytest.mark.parametrize("value", [pf.Symmetric(3), 5], ids=repr)
+    @pytest.mark.parametrize("call", [
+        lambda g: pf.count_commuting_p_tuples(g, 2, 1),
+        pf.conjugacy_classes,
+        lambda g: pf.centralizer(g, [0]),
+        lambda g: pf.p_loop_decomposition(g, 2),
+        lambda g: pf.wreath_cyclic(g, 2),
+        lambda g: pf.direct_product(g, named_group("C2")),
+        lambda g: pf.direct_product(named_group("C2"), g),
+        lambda g: pf.verify_wreath_identity(g, 2, 1),
+    ], ids=["count_commuting_p_tuples", "conjugacy_classes", "centralizer",
+            "p_loop_decomposition", "wreath_cyclic", "direct_product left",
+            "direct_product right", "verify_wreath_identity"])
+    def test_non_tables_refused(self, call, value):
+        message = f"^expected a FiniteGroup, got {re.escape(repr(value))}$"
+        with pytest.raises(InputError, match=message):
+            call(value)
+
+    @pytest.mark.parametrize("name", [5, None, b"G"], ids=repr)
+    def test_non_str_names_refused(self, name):
+        # a name of 5 was held, and wreath_cyclic and verify_wreath_identity
+        # then raised a bare TypeError from its test for a space
+        message = f"^a group's name must be a str, got {name!r}$"
+        with pytest.raises(InputError, match=message):
+            pf.FiniteGroup([[0, 1], [1, 0]], name=name)
+        with pytest.raises(InputError, match=message):
+            named_group("S3").subgroup([named_group("S3").identity], name=name)
 
 
 def test_constructor_takes_no_descriptor():
